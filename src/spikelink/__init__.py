@@ -31,7 +31,7 @@ from .encoder import (
     sample_spikes,
 )
 from .events import (
-    Event,
+    EVENT_DTYPE,
     EventFormatError,
     EventRecord,
     FrameTensor,

@@ -25,7 +25,13 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, build_run_config, parse_config_file
 from .decoder import init_decoder_params
 from .encoder import init_encoder_params
-from .events import EventFormatError, frames_to_inputs, load_events, synthetic_records
+from .events import (
+    EventFormatError,
+    EventRecord,
+    frames_to_inputs,
+    load_events,
+    synthetic_records,
+)
 from .metrics import MetricsRow, export_metrics, read_metrics, write_metrics
 from .numerics import SeededRng, db_to_linear, ebn0_to_epsilon
 from .training import Dataset, TrainingDiverged, evaluate, train_epoch
@@ -39,20 +45,25 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _build_dataset(cfg: RunConfig) -> Dataset:
+def _split_records(cfg: RunConfig, tag: str) -> list[EventRecord]:
+    """Event records of the "train" or "test" split."""
     if cfg.dataset == "synthetic":
-        syn = cfg.synthetic_config()
-        train = synthetic_records(syn, cfg.train_per_class, cfg.seed, tag="train")
-        test = synthetic_records(syn, cfg.test_per_class, cfg.seed, tag="test")
-        n_classes = syn.n_classes
+        per_class = cfg.train_per_class if tag == "train" else cfg.test_per_class
+        return synthetic_records(cfg.synthetic_config(), per_class, cfg.seed, tag=tag)
+    records = load_events(cfg.train_events if tag == "train" else cfg.test_events)
+    if not records:
+        raise ConfigError("event files contain no records")
+    return records
+
+
+def _build_dataset(cfg: RunConfig) -> Dataset:
+    # one split's records at a time: they are dropped once binned
+    train_x, train_y = frames_to_inputs(_split_records(cfg, "train"), cfg.T)
+    test_x, test_y = frames_to_inputs(_split_records(cfg, "test"), cfg.T)
+    if cfg.dataset == "synthetic":
+        n_classes = cfg.synthetic_config().n_classes
     else:
-        train = load_events(cfg.train_events)
-        test = load_events(cfg.test_events)
-        if not train or not test:
-            raise ConfigError("event files contain no records")
-        n_classes = max(r.label for r in train + test) + 1
-    train_x, train_y = frames_to_inputs(train, cfg.T)
-    test_x, test_y = frames_to_inputs(test, cfg.T)
+        n_classes = int(max(train_y.max(), test_y.max())) + 1
     return Dataset(train_x, train_y, test_x, test_y, n_classes)
 
 
@@ -138,12 +149,10 @@ def _parse_grid(args, mapping: str) -> list[tuple[float, float | None]]:
     ]
 
 
-def _eval_grid(cfg, encoder, decoder, data, grid, experiment, epochs_done, rows):
+def _eval_grid(cfg, encoder, decoder, inputs, labels, grid, experiment, epochs_done, rows):
     for i, (eps, db) in enumerate(grid):
         started = time.perf_counter()
-        error, rate = evaluate(
-            encoder, decoder, data.test_inputs, data.test_labels, eps, cfg.seed
-        )
+        error, rate = evaluate(encoder, decoder, inputs, labels, eps, cfg.seed)
         seconds = time.perf_counter() - started if cfg.timing else 0.0
         rows.append(
             MetricsRow(
@@ -198,39 +207,48 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_sweep_snr(cfg: RunConfig, args) -> int:
-    data = _build_dataset(cfg)
-    out = _out_dir(cfg)
     grid = _parse_grid(args, cfg.mapping)
     rows: list[MetricsRow] = []
     if args.train_per_point:
-        for i, (eps, db) in enumerate(grid):
+        for i, (eps, _) in enumerate(grid):
             if eps >= 0.5:
                 raise ConfigError(
                     f"grid point {i} has epsilon {eps}; training needs epsilon < 0.5"
                 )
+        data = _build_dataset(cfg)
+        out = _out_dir(cfg)
+        for i, (eps, db) in enumerate(grid):
+            started = time.perf_counter()
             channel = (ChannelConfig(epsilon=eps) if db is None
                        else ChannelConfig(ebn0_db=db, mapping=cfg.mapping))
             encoder, decoder, _ = _train_run(cfg, data, "sweep-snr", i, channel=channel)
             error, rate = evaluate(
                 encoder, decoder, data.test_inputs, data.test_labels, eps, cfg.seed
             )
+            seconds = time.perf_counter() - started if cfg.timing else 0.0
             rows.append(
                 MetricsRow("sweep-snr", i, cfg.epochs, eps, db, cfg.beta, cfg.k,
-                           error, rate, 0.0)
+                           error, rate, seconds)
             )
             _log(f"sweep-snr point={i} epsilon={eps:.6g} error={error:.4f}")
+    elif args.checkpoint:
+        # evaluation only: the training split is never built
+        encoder, decoder, _ = load_checkpoint(args.checkpoint)
+        if decoder.input_dim != cfg.k * cfg.T:
+            raise ConfigError(
+                "checkpoint decoder width does not match k * T from the config"
+            )
+        test_x, test_y = frames_to_inputs(_split_records(cfg, "test"), cfg.T)
+        out = _out_dir(cfg)
+        _eval_grid(cfg, encoder, decoder, test_x, test_y, grid, "sweep-snr", cfg.epochs, rows)
     else:
-        if args.checkpoint:
-            encoder, decoder, meta = load_checkpoint(args.checkpoint)
-            if decoder.input_dim != cfg.k * cfg.T:
-                raise ConfigError(
-                    "checkpoint decoder width does not match k * T from the config"
-                )
-        else:
-            encoder, decoder, _ = _train_run(cfg, data, "train", 0)
-            save_checkpoint(out / "checkpoint.txt", encoder, decoder,
-                            _checkpoint_meta(cfg, data))
-        _eval_grid(cfg, encoder, decoder, data, grid, "sweep-snr", cfg.epochs, rows)
+        data = _build_dataset(cfg)
+        out = _out_dir(cfg)
+        encoder, decoder, _ = _train_run(cfg, data, "train", 0)
+        save_checkpoint(out / "checkpoint.txt", encoder, decoder,
+                        _checkpoint_meta(cfg, data))
+        _eval_grid(cfg, encoder, decoder, data.test_inputs, data.test_labels, grid,
+                   "sweep-snr", cfg.epochs, rows)
     write_metrics(out / "metrics.csv", rows)
     print(f"swept {len(grid)} channel points; metrics in {out / 'metrics.csv'}")
     return 0
@@ -243,7 +261,8 @@ def cmd_mismatch(cfg: RunConfig, args) -> int:
     encoder, decoder, _ = _train_run(cfg, data, "train", 0)
     save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
     rows: list[MetricsRow] = []
-    _eval_grid(cfg, encoder, decoder, data, grid, "mismatch", cfg.epochs, rows)
+    _eval_grid(cfg, encoder, decoder, data.test_inputs, data.test_labels, grid,
+               "mismatch", cfg.epochs, rows)
     write_metrics(out / "metrics.csv", rows)
     train_eps = cfg.channel_config().crossover()
     print(f"trained at epsilon {train_eps:.6g}, evaluated {len(grid)} points")
@@ -284,6 +303,24 @@ def cmd_export(args) -> int:
 
 def _float_list(raw: str) -> list[float]:
     return [float(part) for part in raw.split(",") if part.strip()]
+
+
+_LIST_FLAGS = ("--epsilon-grid", "--ebn0-grid-db", "--beta-grid")
+
+
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """Spell `--flag value` as `--flag=value` for the comma-list flags.
+
+    argparse takes a separate value that starts with "-" for another
+    option unless it looks like one negative number, so
+    `--ebn0-grid-db '-inf,-2,0,2'` would otherwise be refused.
+    """
+    out: list[str] = []
+    rest = iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in _LIST_FLAGS else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -341,7 +378,7 @@ def _overrides(args) -> dict:
 
 def main(argv=None) -> int:
     parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "export":
             return cmd_export(args)

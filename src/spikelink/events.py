@@ -1,7 +1,9 @@
 """Event streams: synthetic generation, text serialization, frame binning.
 
-An event is (timestamp in microseconds, x, y, polarity).  Records are
-accumulated into a fixed number of uniform time bins per polarity and
+An event is (timestamp in microseconds, x, y, polarity).  A record keeps
+its events as integer columns in one structured array of EVENT_DTYPE, so
+generation, validation, parsing and binning are array operations.  Records
+are accumulated into a fixed number of uniform time bins per polarity and
 binarized, which is the only preprocessing the encoder sees.  Vendor
 formats are out of scope; converters should target the text format below.
 
@@ -11,7 +13,8 @@ Text format, one record per block:
     <timestamp_us> <x> <y> <polarity>
     ...
 
-A blank line (or end of file) closes the record.
+A blank line (or end of file) closes the record.  Event fields are decimal
+integers with an optional sign, at most 18 digits.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .numerics import SeededRng
 
 __all__ = [
-    "Event",
+    "EVENT_DTYPE",
     "EventRecord",
     "FrameTensor",
     "EventFormatError",
@@ -38,24 +41,26 @@ __all__ = [
     "load_events",
 ]
 
+EVENT_DTYPE = np.dtype(
+    [("timestamp", np.int64), ("x", np.int64), ("y", np.int64), ("polarity", np.int64)]
+)
+
 
 class EventFormatError(ValueError):
     """Raised on malformed event text, with the offending line number."""
 
 
-@dataclass(frozen=True)
-class Event:
-    timestamp_us: int
-    x: int
-    y: int
-    polarity: int
-
-
-@dataclass
+@dataclass(eq=False)
 class EventRecord:
-    """One labelled event stream with its sensor geometry and duration."""
+    """One labelled event stream with its sensor geometry and duration.
 
-    events: list[Event]
+    events is coerced to a 1-D array of EVENT_DTYPE; anything that converts
+    (an array of that dtype, or a sequence of (timestamp, x, y, polarity)
+    tuples) is accepted.  Records compare by identity: compare the columns
+    of two records with NumPy.
+    """
+
+    events: np.ndarray
     label: int
     width: int
     height: int
@@ -66,17 +71,27 @@ class EventRecord:
             raise ValueError("geometry and duration must be positive")
         if self.label < 0:
             raise ValueError("label must be non-negative")
-        prev = -1
-        for i, ev in enumerate(self.events):
-            if not 0 <= ev.x < self.width or not 0 <= ev.y < self.height:
-                raise ValueError(f"event {i} at ({ev.x}, {ev.y}) is off-sensor")
-            if ev.polarity not in (0, 1):
+        ev = np.asarray(self.events, dtype=EVENT_DTYPE)
+        if ev.ndim != 1:
+            raise ValueError("events must be one-dimensional")
+        self.events = ev
+        ts, x, y, pol = ev["timestamp"], ev["x"], ev["y"], ev["polarity"]
+        off_sensor = (x < 0) | (x >= self.width) | (y < 0) | (y >= self.height)
+        bad_polarity = (pol != 0) & (pol != 1)
+        outside = (ts < 0) | (ts > self.duration_us)
+        unsorted = np.zeros(len(ev), dtype=bool)
+        unsorted[1:] = ts[1:] < ts[:-1]
+        bad = np.flatnonzero(off_sensor | bad_polarity | outside | unsorted)
+        if bad.size:
+            # the first bad event, named by its first failing check
+            i = int(bad[0])
+            if off_sensor[i]:
+                raise ValueError(f"event {i} at ({x[i]}, {y[i]}) is off-sensor")
+            if bad_polarity[i]:
                 raise ValueError(f"event {i} polarity must be 0 or 1")
-            if not 0 <= ev.timestamp_us <= self.duration_us:
+            if outside[i]:
                 raise ValueError(f"event {i} timestamp outside the record duration")
-            if ev.timestamp_us < prev:
-                raise ValueError(f"event {i} breaks timestamp order")
-            prev = ev.timestamp_us
+            raise ValueError(f"event {i} breaks timestamp order")
 
 
 @dataclass(frozen=True)
@@ -102,29 +117,40 @@ class FrameTensor:
         return self.frames.reshape(self.steps, -1).astype(np.float64)
 
 
-def events_to_frames(record: EventRecord, steps: int) -> FrameTensor:
-    """Accumulate a record into `steps` uniform bins and binarize.
-
-    Bin index is floor(ts * steps / duration) clamped to the last bin, so a
-    timestamp equal to the duration still lands in-range.  Integer math
-    keeps the edges exact.
-    """
+def _check_steps(steps: int) -> None:
     if steps < 1:
         raise ValueError("steps must be positive")
+
+
+def _scatter(frames: np.ndarray, record: EventRecord, steps: int) -> None:
+    """Set frames[bin, polarity, y, x] = 1 for every event of the record.
+
+    The bin is floor(ts * steps / duration) clamped to the last bin, so a
+    timestamp equal to the duration still lands in-range.  Integer math
+    keeps the edges exact; ts <= duration bounds the product.
+    """
+    if record.duration_us > np.iinfo(np.int64).max // steps:
+        raise ValueError("record duration too long to bin in 64-bit integers")
+    ev = record.events
+    bins = np.minimum(ev["timestamp"] * steps // record.duration_us, steps - 1)
+    frames[bins, ev["polarity"], ev["y"], ev["x"]] = 1
+
+
+def events_to_frames(record: EventRecord, steps: int) -> FrameTensor:
+    """Accumulate a record into `steps` uniform bins and binarize."""
+    _check_steps(steps)
     frames = np.zeros((steps, 2, record.height, record.width), dtype=np.uint8)
-    for ev in record.events:
-        b = ev.timestamp_us * steps // record.duration_us
-        if b >= steps:
-            b = steps - 1
-        frames[b, ev.polarity, ev.y, ev.x] = 1
+    _scatter(frames, record, steps)
     return FrameTensor(frames)
 
 
 def frames_to_inputs(records, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Stack records into (n, steps, 2*H*W) float inputs plus labels.
 
-    All records must share one sensor geometry.
+    All records must share one sensor geometry.  Every record is binned
+    straight into the one float tensor.
     """
+    _check_steps(steps)
     records = list(records)
     if not records:
         raise ValueError("no records")
@@ -132,7 +158,10 @@ def frames_to_inputs(records, steps: int) -> tuple[np.ndarray, np.ndarray]:
     for r in records:
         if (r.width, r.height) != (w, h):
             raise ValueError("records mix sensor geometries")
-    inputs = np.stack([events_to_frames(r, steps).flat_steps() for r in records])
+    frames = np.zeros((len(records), steps, 2, h, w))
+    for i, r in enumerate(records):
+        _scatter(frames[i], r, steps)
+    inputs = frames.reshape(len(records), steps, -1)
     labels = np.array([r.label for r in records], dtype=np.int64)
     return inputs, labels
 
@@ -191,24 +220,25 @@ def class_rate_map(label: int, config: SyntheticConfig) -> np.ndarray:
     return rates
 
 
-def generate_synthetic(label: int, config: SyntheticConfig, rng: SeededRng) -> EventRecord:
-    """Draw one record: Poisson counts per cell, uniform timestamps, sorted."""
-    rates = class_rate_map(label, config)
+def _draw_record(
+    rates: np.ndarray, label: int, config: SyntheticConfig, rng: SeededRng
+) -> EventRecord:
     counts = rng.poisson(rates)
-    total = int(counts.sum())
-    if total == 0:
-        return EventRecord([], label, config.width, config.height, config.duration_us)
     pol, ys, xs = np.nonzero(counts)
     reps = counts[pol, ys, xs]
-    pol = np.repeat(pol, reps)
-    ys = np.repeat(ys, reps)
-    xs = np.repeat(xs, reps)
-    stamps = rng.integers(0, config.duration_us + 1, size=total)
+    stamps = rng.integers(0, config.duration_us + 1, size=int(reps.sum()))
     order = np.argsort(stamps, kind="stable")
-    events = [
-        Event(int(stamps[i]), int(xs[i]), int(ys[i]), int(pol[i])) for i in order
-    ]
+    events = np.empty(stamps.size, dtype=EVENT_DTYPE)
+    events["timestamp"] = stamps[order]
+    events["x"] = np.repeat(xs, reps)[order]
+    events["y"] = np.repeat(ys, reps)[order]
+    events["polarity"] = np.repeat(pol, reps)[order]
     return EventRecord(events, label, config.width, config.height, config.duration_us)
+
+
+def generate_synthetic(label: int, config: SyntheticConfig, rng: SeededRng) -> EventRecord:
+    """Draw one record: Poisson counts per cell, uniform timestamps, sorted."""
+    return _draw_record(class_rate_map(label, config), label, config, rng)
 
 
 def synthetic_records(
@@ -218,9 +248,10 @@ def synthetic_records(
     root = SeededRng(seed)
     out = []
     for label in range(config.n_classes):
+        rates = class_rate_map(label, config)
         for idx in range(per_class):
             out.append(
-                generate_synthetic(label, config, root.substream("data", tag, label, idx))
+                _draw_record(rates, label, config, root.substream("data", tag, label, idx))
             )
     return out
 
@@ -238,8 +269,7 @@ def save_events(records, path) -> None:
                 f"# record label={rec.label} w={rec.width} h={rec.height} "
                 f"dur_us={rec.duration_us}\n"
             )
-            for ev in rec.events:
-                fh.write(f"{ev.timestamp_us} {ev.x} {ev.y} {ev.polarity}\n")
+            fh.write("".join(f"{t} {x} {y} {p}\n" for t, x, y, p in rec.events.tolist()))
             fh.write("\n")
 
 
@@ -263,57 +293,130 @@ def _parse_header(line: str, lineno: int) -> dict:
     return fields
 
 
-def load_events(path) -> list[EventRecord]:
-    """Parse the block text format; malformed input names the bad line."""
-    path = Path(path)
-    records: list[EventRecord] = []
-    header: dict | None = None
-    header_line = 0
-    events: list[Event] = []
+# Byte classes of event lines.  A non-ASCII character arrives as "?", an
+# OTHER byte.
+_SPACE, _NEWLINE, _DIGIT, _SIGN, _OTHER = range(5)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t\r\x0b\x0c")] = _SPACE
+_BYTE_CLASS[ord("\n")] = _NEWLINE
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b"+-")] = _SIGN
+_MAX_DIGITS = 18  # every 18-digit decimal fits in int64
 
-    def close(lineno: int) -> None:
-        nonlocal header, events
-        if header is None:
+
+def _parse_event_lines(chunk: np.ndarray, first_lineno: int) -> np.ndarray:
+    """Parse a run of event lines into an (n,) array of EVENT_DTYPE.
+
+    chunk holds the lines as ASCII bytes, each ending in a newline.  Every
+    line must hold four tokens of the form [+-]?[0-9]{1,18}; the first line
+    that does not is reported by its number.  Only then is the text handed
+    to NumPy's parser, whose own grammar is looser.
+    """
+    cls = _BYTE_CLASS.take(chunk)
+    in_token = cls >= _DIGIT
+    # token edges alternate start, stop; the chunk ends in a newline
+    edges = np.flatnonzero(in_token[1:] != in_token[:-1]) + 1
+    if in_token[0]:
+        edges = np.r_[0, edges]
+    starts, stops = edges[0::2], edges[1::2]
+    newlines = np.flatnonzero(cls == _NEWLINE)
+    fields = np.diff(np.searchsorted(starts, newlines), prepend=0)
+    signed = cls.take(starts) == _SIGN
+    n_digits = stops - starts - signed
+    stray = cls >= _SIGN  # a sign may only lead a token
+    stray[starts[signed]] = False
+    non_integer = np.zeros(len(newlines), dtype=bool)
+    non_integer[np.searchsorted(newlines, np.flatnonzero(stray))] = True
+    non_integer[np.searchsorted(newlines, starts[n_digits < 1])] = True
+    too_long = np.zeros(len(newlines), dtype=bool)
+    too_long[np.searchsorted(newlines, starts[n_digits > _MAX_DIGITS])] = True
+    bad = (fields != 4) | non_integer | too_long
+    if bad.any():
+        i = int(np.argmax(bad))
+        lineno = first_lineno + i
+        if fields[i] != 4:
+            raise EventFormatError(f"line {lineno}: expected 4 fields, got {fields[i]}")
+        if non_integer[i]:
+            raise EventFormatError(f"line {lineno}: non-integer event field")
+        raise EventFormatError(f"line {lineno}: event field out of range")
+    values = np.fromstring(chunk.tobytes(), dtype=np.int64, sep=" ")
+    return values.view(EVENT_DTYPE)
+
+
+_PIECE_CHARS = 1 << 16  # read size: keeps each buffer under malloc's mmap threshold
+
+
+class _BlockReader:
+    """load_events' state between pieces of a file."""
+
+    def __init__(self):
+        self.records: list[EventRecord] = []
+        self.header: dict | None = None
+        self.header_line = 0
+        self.parts: list[np.ndarray] = []  # parsed event lines of the open record
+        self.lines_done = 0
+
+    def feed(self, text: str) -> None:
+        """Consume whole lines; text is empty or ends with a newline."""
+        buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+        # line k (0-based) is buf[begins[k]:begins[k + 1]], newline included
+        begins = np.r_[0, np.flatnonzero(buf == ord("\n")) + 1]
+        first = buf[begins[:-1]]
+        run = 0  # first line of the pending run of event lines
+        for k in np.flatnonzero((first < ord("0")) | (first > ord("9"))).tolist():
+            line = text[begins[k] : begins[k + 1]].strip()
+            if line and not line.startswith("#"):
+                continue  # an event line that does not start with a digit
+            self._events(buf[begins[run] : begins[k]], run)
+            run = k + 1
+            self.close()
+            if line:
+                self.header = _parse_header(line, self.lines_done + k + 1)
+                self.header_line = self.lines_done + k + 1
+        self._events(buf[begins[run] :], run)
+        self.lines_done += len(begins) - 1
+
+    def _events(self, chunk: np.ndarray, first: int) -> None:
+        if not chunk.size:
             return
+        lineno = self.lines_done + first + 1
+        if self.header is None:
+            raise EventFormatError(f"line {lineno}: event before any record header")
+        self.parts.append(_parse_event_lines(chunk, lineno))
+
+    def close(self) -> None:
+        """End the open record, if any, and validate it."""
+        if self.header is None:
+            return
+        events = np.concatenate(self.parts) if self.parts else np.empty(0, EVENT_DTYPE)
+        h = self.header
         try:
-            records.append(
-                EventRecord(
-                    events,
-                    header["label"],
-                    header["w"],
-                    header["h"],
-                    header["dur_us"],
-                )
-            )
+            self.records.append(EventRecord(events, h["label"], h["w"], h["h"], h["dur_us"]))
         except ValueError as exc:
             raise EventFormatError(
-                f"record starting at line {header_line}: {exc}"
+                f"record starting at line {self.header_line}: {exc}"
             ) from exc
-        header = None
-        events = []
+        self.header = None
+        self.parts = []
 
-    with path.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                close(lineno)
-                continue
-            if line.startswith("#"):
-                close(lineno)
-                header = _parse_header(line, lineno)
-                header_line = lineno
-                continue
-            if header is None:
-                raise EventFormatError(f"line {lineno}: event before any record header")
-            parts = line.split()
-            if len(parts) != 4:
-                raise EventFormatError(
-                    f"line {lineno}: expected 4 fields, got {len(parts)}"
-                )
-            try:
-                ts, x, y, pol = (int(p) for p in parts)
-            except ValueError:
-                raise EventFormatError(f"line {lineno}: non-integer event field")
-            events.append(Event(ts, x, y, pol))
-    close(-1)
-    return records
+
+def load_events(path) -> list[EventRecord]:
+    """Parse the block text format; malformed input names the bad line.
+
+    The file is read in pieces.  A line that starts with a digit is an
+    event line; only the others (headers, blank lines, anything unusual)
+    become Python strings, and runs of event lines are parsed into columns
+    a piece at a time.
+    """
+    reader = _BlockReader()
+    with Path(path).open() as fh:
+        carry = ""
+        while piece := fh.read(_PIECE_CHARS):
+            text = carry + piece
+            cut = text.rfind("\n") + 1
+            reader.feed(text[:cut])
+            carry = text[cut:]
+        if carry:
+            reader.feed(carry + "\n")
+    reader.close()
+    return reader.records

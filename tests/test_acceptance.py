@@ -23,8 +23,10 @@ from spikelink.decoder import (
     DecoderParams,
     backward,
     forward,
+    forward_batch,
     init_decoder_params,
     loss_from_logits,
+    losses_from_logits_batch,
 )
 from spikelink.encoder import (
     EncoderGrads,
@@ -45,10 +47,11 @@ from spikelink.numerics import (
 )
 from spikelink.training import (
     PriorModel,
+    _batch_encoder_grads,
+    _run_noisy_batch,
     encoder_gradient,
     evaluate,
     regularizer,
-    run_noisy_sequence,
     sequence_log_prob,
     train_epoch,
 )
@@ -307,18 +310,15 @@ def test_criterion_03_score_function_unbiasedness(capsys):
                 getattr(exact, field)[...] += p * getattr(g, field)
                 getattr(second, field)[...] += p * getattr(g, field) ** 2
 
+        # the production estimator on 1e5 copies of the instance, one batch:
+        # the noisy rollout, the decoder loss, the rate term, the contraction
         draws = 100_000
-        rng = SeededRng(775)
-        mean = EncoderGrads.zeros(k, n_in)
-        for _ in range(draws):
-            run = run_noisy_sequence(params, inputs, eps, rng)
-            zf = run.zhat.astype(np.float64)
-            _, cache = forward(decoder, zf.reshape(-1))
-            f = loss_from_logits(cache.logits, label)
-            f += beta * regularizer(zf, run.potentials, eps, prior)
-            g = encoder_gradient(f, run.score)
-            for field in ENCODER_FIELDS:
-                getattr(mean, field)[...] += getattr(g, field) / draws
+        run = _run_noisy_batch(
+            params, np.repeat(inputs[None], draws, axis=0), eps, prior, SeededRng(775)
+        )
+        _, _, logits, _ = forward_batch(decoder, run.zhat.reshape(draws, -1).astype(np.float64))
+        f = losses_from_logits_batch(decoder, logits, np.full(draws, label))
+        mean = _batch_encoder_grads(run, f + beta * run.rate_losses)
 
         worst_z = 0.0
         for field in ENCODER_FIELDS:

@@ -2,9 +2,11 @@
 
 import pytest
 
+import spikelink.cli as cli
 from spikelink.checkpoint import load_checkpoint
 from spikelink.cli import DEFAULT_MISMATCH_GRID, main
 from spikelink.config import ConfigError, build_run_config, parse_config_file
+from spikelink.events import synthetic_records
 from spikelink.metrics import (
     MetricsRow,
     export_metrics,
@@ -232,12 +234,72 @@ class TestCliSweeps:
         eps = [r.epsilon for r in rows]
         assert eps == sorted(eps, reverse=True)
 
-    def test_train_per_point_rejects_half(self, tiny_config, tmp_path):
+    def test_snr_sweep_from_checkpoint_builds_only_test_split(
+        self, tiny_config, tmp_path, monkeypatch
+    ):
+        # sweeping in the process that trained gives the reference rows
+        trained = tmp_path / "trained"
+        grid = ("--epsilon-grid", "0.0,0.1,0.5")
+        assert _run("sweep-snr", "--config", str(tiny_config), "--out", str(trained), *grid) == 0
+        tags = []
+
+        def recording(config, per_class, seed, tag="train"):
+            tags.append(tag)
+            return synthetic_records(config, per_class, seed, tag=tag)
+
+        monkeypatch.setattr(cli, "synthetic_records", recording)
+        swept = tmp_path / "swept"
         code = _run(
-            "sweep-snr", "--config", str(tiny_config), "--out", str(tmp_path / "x"),
+            "sweep-snr", "--config", str(tiny_config), "--out", str(swept),
+            "--checkpoint", str(trained / "checkpoint.txt"), *grid,
+        )
+        assert code == 0
+        assert tags == ["test"]
+        assert (swept / "metrics.csv").read_bytes() == (trained / "metrics.csv").read_bytes()
+
+    def test_ebn0_grid_readme_spelling(self, tiny_config, tmp_path):
+        train_out = tmp_path / "train"
+        _run("train", "--config", str(tiny_config), "--out", str(train_out))
+        out = tmp_path / "sweep"
+        code = _run(
+            "sweep-snr", "--config", str(tiny_config), "--out", str(out),
+            "--checkpoint", str(train_out / "checkpoint.txt"),
+            "--ebn0-grid-db", "-inf,-2,0,2",
+        )
+        assert code == 0
+        rows = read_metrics(out / "metrics.csv")
+        assert [r.ebn0_db for r in rows] == [float("-inf"), -2.0, 0.0, 2.0]
+
+    def test_train_per_point_rejects_half(
+        self, tiny_config, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "train_epoch", lambda *a, **k: calls.append(a))
+        out = tmp_path / "x"
+        code = _run(
+            "sweep-snr", "--config", str(tiny_config), "--out", str(out),
             "--train-per-point", "--epsilon-grid", "0.1,0.5",
         )
         assert code == 2
+        assert calls == []
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("timing", ["on", "off"])
+    def test_train_per_point_seconds_follow_timing(self, tiny_config, tmp_path, timing):
+        cfg = tmp_path / "timed.cfg"
+        cfg.write_text(tiny_config.read_text().replace("timing = off", f"timing = {timing}"))
+        out = tmp_path / "tpp"
+        code = _run(
+            "sweep-snr", "--config", str(cfg), "--out", str(out), "--epochs", "1",
+            "--train-per-point", "--epsilon-grid", "0.1,0.2",
+        )
+        assert code == 0
+        seconds = [r.seconds for r in read_metrics(out / "metrics.csv")]
+        assert len(seconds) == 2
+        if timing == "on":
+            assert all(s > 0.0 for s in seconds)
+        else:
+            assert seconds == [0.0, 0.0]
 
     def test_checkpoint_width_mismatch(self, tiny_config, tmp_path):
         train_out = tmp_path / "train"

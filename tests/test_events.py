@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spikelink.events import (
-    Event,
+    EVENT_DTYPE,
     EventFormatError,
     EventRecord,
     FrameTensor,
@@ -24,30 +26,56 @@ def _record(events, label=0, w=4, h=4, dur=1000):
     return EventRecord(events, label, w, h, dur)
 
 
+def _same_events(a, b):
+    """Exact column-wise equality of two records' events."""
+    return a.events.dtype == b.events.dtype == EVENT_DTYPE and all(
+        np.array_equal(a.events[n], b.events[n]) for n in EVENT_DTYPE.names
+    )
+
+
 class TestEventRecord:
     def test_accepts_well_formed(self):
-        rec = _record([Event(0, 0, 0, 1), Event(500, 3, 2, 0), Event(1000, 1, 1, 1)])
+        rec = _record([(0, 0, 0, 1), (500, 3, 2, 0), (1000, 1, 1, 1)])
         assert len(rec.events) == 3
 
     def test_rejects_off_sensor(self):
         with pytest.raises(ValueError, match="off-sensor"):
-            _record([Event(0, 4, 0, 1)])
+            _record([(0, 4, 0, 1)])
         with pytest.raises(ValueError, match="off-sensor"):
-            _record([Event(0, 0, -1, 1)])
+            _record([(0, 0, -1, 1)])
 
     def test_rejects_bad_polarity(self):
         with pytest.raises(ValueError, match="polarity"):
-            _record([Event(0, 0, 0, 2)])
+            _record([(0, 0, 0, 2)])
 
     def test_rejects_timestamp_outside_duration(self):
         with pytest.raises(ValueError, match="timestamp"):
-            _record([Event(1001, 0, 0, 1)])
+            _record([(1001, 0, 0, 1)])
         with pytest.raises(ValueError, match="timestamp"):
-            _record([Event(-1, 0, 0, 1)])
+            _record([(-1, 0, 0, 1)])
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="order"):
-            _record([Event(500, 0, 0, 1), Event(499, 0, 0, 1)])
+            _record([(500, 0, 0, 1), (499, 0, 0, 1)])
+
+    def test_names_first_bad_event_and_its_first_failing_check(self):
+        good = (10, 0, 0, 1)
+        with pytest.raises(ValueError, match=r"^event 2 at \(9, 0\) is off-sensor$"):
+            _record([good, good, (10, 9, 0, 7), (5, 9, 0, 1)])
+        with pytest.raises(ValueError, match=r"^event 1 polarity"):
+            _record([good, (-1, 0, 0, 2), (5, 0, 0, 1)])
+        # ts=-1 at event 0 is outside the duration, not out of order
+        with pytest.raises(ValueError, match=r"^event 0 timestamp"):
+            _record([(-1, 0, 0, 1)])
+        with pytest.raises(ValueError, match=r"^event 3 breaks timestamp order$"):
+            _record([good, good, (20, 0, 0, 1), (19, 0, 0, 1)])
+
+    def test_columns_are_int64_structured(self):
+        rec = _record(np.array([(5, 1, 2, 1)], dtype=EVENT_DTYPE))
+        assert rec.events.dtype == EVENT_DTYPE
+        assert rec.events["x"][0] == 1 and rec.events["y"][0] == 2
+        with pytest.raises(ValueError, match="one-dimensional"):
+            _record(np.zeros((2, 2), dtype=EVENT_DTYPE))
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
@@ -59,25 +87,25 @@ class TestEventRecord:
 class TestFrameBinning:
     def test_bin_edges_integer_math(self):
         # duration 1000, 4 bins of 250: ts=249 -> bin 0, ts=250 -> bin 1
-        rec = _record([Event(249, 0, 0, 1), Event(250, 1, 0, 1)])
+        rec = _record([(249, 0, 0, 1), (250, 1, 0, 1)])
         frames = events_to_frames(rec, 4).frames
         assert frames[0, 1, 0, 0] == 1
         assert frames[1, 1, 0, 1] == 1
         assert frames.sum() == 2
 
     def test_timestamp_at_duration_lands_in_last_bin(self):
-        rec = _record([Event(1000, 2, 3, 0)])
+        rec = _record([(1000, 2, 3, 0)])
         frames = events_to_frames(rec, 4).frames
         assert frames[3, 0, 3, 2] == 1
 
     def test_binarizes_repeats(self):
-        rec = _record([Event(10, 0, 0, 1), Event(11, 0, 0, 1), Event(12, 0, 0, 1)])
+        rec = _record([(10, 0, 0, 1), (11, 0, 0, 1), (12, 0, 0, 1)])
         frames = events_to_frames(rec, 2).frames
         assert frames[0, 1, 0, 0] == 1
         assert frames.sum() == 1
 
     def test_polarities_use_separate_channels(self):
-        rec = _record([Event(10, 0, 0, 0), Event(11, 0, 0, 1)])
+        rec = _record([(10, 0, 0, 0), (11, 0, 0, 1)])
         frames = events_to_frames(rec, 1).frames
         assert frames[0, 0, 0, 0] == 1 and frames[0, 1, 0, 0] == 1
 
@@ -92,11 +120,16 @@ class TestFrameBinning:
 
     def test_flat_steps_layout(self):
         # polarity-major flattening: index = p*H*W + y*W + x
-        rec = _record([Event(0, 1, 2, 1)])
+        rec = _record([(0, 1, 2, 1)])
         flat = events_to_frames(rec, 1).flat_steps()
         assert flat.shape == (1, 2 * 4 * 4)
         assert flat[0, 1 * 16 + 2 * 4 + 1] == 1.0
         assert flat.sum() == 1.0
+
+    def test_rejects_duration_that_overflows_binning(self):
+        rec = _record([(2**62, 0, 0, 1)], dur=2**62)
+        with pytest.raises(ValueError, match="too long"):
+            events_to_frames(rec, 4)
 
     def test_frame_tensor_validates(self):
         with pytest.raises(ValueError):
@@ -108,13 +141,37 @@ class TestFrameBinning:
 class TestFramesToInputs:
     def test_stacks_and_labels(self):
         recs = [
-            _record([Event(0, 0, 0, 1)], label=0),
-            _record([Event(0, 1, 1, 0)], label=2),
+            _record([(0, 0, 0, 1)], label=0),
+            _record([(0, 1, 1, 0)], label=2),
         ]
         inputs, labels = frames_to_inputs(recs, 3)
         assert inputs.shape == (2, 3, 32)
         assert inputs.dtype == np.float64
         np.testing.assert_array_equal(labels, [0, 2])
+
+    def test_equals_per_event_loop_oracle(self):
+        # independent oracle: bin floor(ts*T/dur) clamped, line p*H*W + y*W + x,
+        # one event at a time in Python integers
+        cfg = SyntheticConfig(width=6, height=5, duration_us=997)
+        recs = synthetic_records(cfg, 3, seed=4)
+        recs.append(_record([(0, 0, 0, 0), (1000, 3, 3, 1)], label=1, w=6, h=5, dur=1000))
+        recs.append(_record([], label=2, w=6, h=5, dur=7))
+        for steps in (1, 7, 20):
+            expected = np.zeros((len(recs), steps, 2 * 5 * 6))
+            for i, rec in enumerate(recs):
+                for ts, x, y, pol in rec.events.tolist():
+                    b = min(ts * steps // rec.duration_us, steps - 1)
+                    expected[i, b, pol * 30 + y * 6 + x] = 1.0
+            inputs, labels = frames_to_inputs(recs, steps)
+            assert inputs.dtype == np.float64
+            assert np.array_equal(inputs, expected)
+            np.testing.assert_array_equal(labels, [r.label for r in recs])
+            for i, rec in enumerate(recs):
+                assert np.array_equal(events_to_frames(rec, steps).flat_steps(), inputs[i])
+
+    def test_rejects_bad_steps(self):
+        with pytest.raises(ValueError, match="steps"):
+            frames_to_inputs([_record([])], 0)
 
     def test_rejects_mixed_geometry(self):
         recs = [_record([], w=4, h=4), _record([], w=5, h=4)]
@@ -172,13 +229,14 @@ class TestSyntheticTask:
         recs2 = synthetic_records(cfg, 3, seed=5, tag="train")
         assert len(recs1) == cfg.n_classes * 3
         assert [r.label for r in recs1] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
-        assert all(a.events == b.events for a, b in zip(recs1, recs2))
+        for a, b in zip(recs1, recs2):
+            assert _same_events(a, b)
 
     def test_train_and_test_tags_differ(self):
         cfg = SyntheticConfig()
         train = synthetic_records(cfg, 2, seed=5, tag="train")
         test = synthetic_records(cfg, 2, seed=5, tag="test")
-        assert any(a.events != b.events for a, b in zip(train, test))
+        assert not all(_same_events(a, b) for a, b in zip(train, test))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -200,14 +258,14 @@ class TestTextFormat:
         for a, b in zip(recs, back):
             assert a.label == b.label
             assert (a.width, a.height, a.duration_us) == (b.width, b.height, b.duration_us)
-            assert a.events == b.events
+            assert _same_events(a, b)
 
     def test_empty_record_round_trip(self, tmp_path):
         path = tmp_path / "e.txt"
         save_events([_record([], label=3)], path)
         back = load_events(path)
         assert len(back) == 1
-        assert back[0].label == 3 and back[0].events == []
+        assert back[0].label == 3 and len(back[0].events) == 0
 
     def test_reports_line_numbers(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -251,3 +309,141 @@ class TestTextFormat:
         back = load_events(path)
         assert [r.label for r in back] == [0, 1]
         assert len(back[0].events) == 1 and len(back[1].events) == 1
+
+    def test_signs_indentation_and_line_endings(self, tmp_path):
+        path = tmp_path / "odd.txt"
+        path.write_bytes(
+            b"# record label=1 w=4 h=4 dur_us=100\r\n"
+            b"  +5 0\t3 1  \r\n"
+            b"007 1 1 0\r\n"
+            b"\r\n"
+            b"# record label=0 w=4 h=4 dur_us=100\n"
+            b"9 2 2 1"
+        )
+        back = load_events(path)
+        assert [r.label for r in back] == [1, 0]
+        assert back[0].events.tolist() == [(5, 0, 3, 1), (7, 1, 1, 0)]
+        assert back[1].events.tolist() == [(9, 2, 2, 1)]
+
+    def test_negative_field_is_a_record_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("\n# record label=0 w=4 h=4 dur_us=100\n1 -2 0 1\n")
+        with pytest.raises(EventFormatError, match=r"^record starting at line 2: event 0 at \(-2, 0\)"):
+            load_events(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1 2-3 0 1", "line 3: non-integer"),
+            ("1 + 0 1", "line 3: non-integer"),
+            ("1 0 0 1.0", "line 3: non-integer"),
+            ("1 0 0 \u00b9", "line 3: non-integer"),
+            ("1 0 0 1_0", "line 3: non-integer"),
+            ("1234567890123456789 0 0 1", "line 3: event field out of range"),
+            ("1 0 0 1 1", "line 3: expected 4 fields, got 5"),
+        ],
+    )
+    def test_line_errors(self, tmp_path, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# record label=0 w=4 h=4 dur_us=100\n0 0 0 1\n{line}\n2 0 0 1\n")
+        with pytest.raises(EventFormatError, match=f"^{message}"):
+            load_events(path)
+
+    def test_event_after_closed_record(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# record label=0 w=4 h=4 dur_us=100\n1 0 0 1\n\n2 0 0 1\n")
+        with pytest.raises(EventFormatError, match="^line 4: event before any record header"):
+            load_events(path)
+
+    def test_record_error_comes_before_later_line_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            "# record label=0 w=4 h=4 dur_us=100\n5 0 0 1\n4 0 0 1\n"
+            "# record label=0 w=4 h=4 dur_us=100\n1 0 0\n"
+        )
+        with pytest.raises(EventFormatError, match="^record starting at line 1: event 1 breaks"):
+            load_events(path)
+
+
+# ---------------------------------------------------------------------------
+# property tests of the text format
+
+
+@st.composite
+def _records(draw):
+    w = draw(st.integers(1, 6))
+    h = draw(st.integers(1, 6))
+    dur = draw(st.integers(1, 10**12))
+    n = draw(st.integers(0, 25))
+    stamps = sorted(draw(st.lists(st.integers(0, dur), min_size=n, max_size=n)))
+    events = [
+        (ts, draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)), draw(st.integers(0, 1)))
+        for ts in stamps
+    ]
+    return EventRecord(events, draw(st.integers(0, 9)), w, h, dur)
+
+
+_PROPERTY = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_PROPERTY
+@given(st.lists(_records(), min_size=1, max_size=4))
+def test_round_trip_is_exact(tmp_path, records):
+    path = tmp_path / "rt.txt"
+    save_events(records, path)
+    back = load_events(path)
+    assert len(back) == len(records)
+    for a, b in zip(records, back):
+        assert (a.label, a.width, a.height, a.duration_us) == (
+            b.label, b.width, b.height, b.duration_us
+        )
+        assert _same_events(a, b)
+    again = tmp_path / "again.txt"
+    save_events(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+_DAMAGE = ("drop_field", "extra_field", "non_integer", "off_sensor", "out_of_order")
+
+
+@_PROPERTY
+@given(st.lists(_records(), min_size=1, max_size=3), st.data())
+def test_damaged_line_is_named(tmp_path, records, data):
+    records = [r for r in records if len(r.events)]
+    if not records:
+        records = [EventRecord([(0, 0, 0, 1)], 0, 1, 1, 1)]
+    path = tmp_path / "fuzz.txt"
+    save_events(records, path)
+    lines = path.read_text().splitlines()
+    # 1-based line numbers of each record's header and event lines
+    targets, lineno = [], 1
+    for rec in records:
+        for i in range(len(rec.events)):
+            targets.append((lineno, lineno + 1 + i, rec, i))
+        lineno += len(rec.events) + 2
+    header_line, line_no, rec, i = data.draw(st.sampled_from(targets))
+    damage = data.draw(st.sampled_from(_DAMAGE))
+    ts, x, y, pol = rec.events[i].tolist()
+    if damage == "out_of_order" and (i == 0 or rec.events["timestamp"][i - 1] == 0):
+        damage = "off_sensor"
+    fields = [str(ts), str(x), str(y), str(pol)]
+    if damage == "drop_field":
+        fields.pop(data.draw(st.integers(0, 3)))
+    elif damage == "extra_field":
+        fields.append("0")
+    elif damage == "non_integer":
+        fields[data.draw(st.integers(0, 3))] = data.draw(st.sampled_from(["x", "1.5", "--1", "+"]))
+    elif damage == "off_sensor":
+        fields[1] = str(rec.width)
+    else:
+        fields[0] = str(int(rec.events["timestamp"][i - 1]) - 1)
+    lines[line_no - 1] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    if damage in ("off_sensor", "out_of_order"):
+        expected = rf"^record starting at line {header_line}: event {i} "
+    else:
+        expected = rf"^line {line_no}: "
+    with pytest.raises(EventFormatError, match=expected):
+        load_events(path)
