@@ -61,6 +61,7 @@ from .training import (
     TrainingDiverged,
     encoder_gradient,
     evaluate,
+    evaluate_grid,
     regularizer,
     run_clean_sequence,
     run_noisy_sequence,

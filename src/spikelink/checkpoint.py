@@ -11,7 +11,8 @@ One text file holds tagged blocks for the encoder and the decoder.  Layout:
 
 Values are written with float.hex(), so loading reproduces every bit of
 every float64.  Unknown versions, missing blocks, and truncated value
-streams all raise CheckpointError.
+streams all raise CheckpointError.  A save writes a temporary file and
+renames it over the target, so an interrupted save keeps the old file.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .decoder import DecoderParams
 from .encoder import EncoderParams
+from .metrics import _atomic_open
 from .numerics import Kernel
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
@@ -53,7 +55,7 @@ def save_checkpoint(path, encoder: EncoderParams, decoder: DecoderParams,
                     meta: dict | None = None) -> None:
     """Write both parameter sets and optional string metadata."""
     path = Path(path)
-    with path.open("w") as fh:
+    with _atomic_open(path) as fh:
         fh.write(f"{_MAGIC} {_VERSION}\n")
         items = dict(meta or {})
         items.setdefault("output", decoder.output)

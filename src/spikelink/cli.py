@@ -20,6 +20,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .channel import ChannelConfig
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, build_run_config, parse_config_file
@@ -34,7 +36,7 @@ from .events import (
 )
 from .metrics import MetricsRow, export_metrics, read_metrics, write_metrics
 from .numerics import SeededRng, db_to_linear, ebn0_to_epsilon
-from .training import Dataset, TrainingDiverged, evaluate, train_epoch
+from .training import Dataset, TrainingDiverged, evaluate_grid, train_epoch
 
 DEFAULT_SNR_GRID_DB = (float("-inf"), -6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
 DEFAULT_MISMATCH_GRID = (0.05, 0.10, 0.15, 0.20, 0.25)
@@ -150,10 +152,11 @@ def _parse_grid(args, mapping: str) -> list[tuple[float, float | None]]:
 
 
 def _eval_grid(cfg, encoder, decoder, inputs, labels, grid, experiment, epochs_done, rows):
-    for i, (eps, db) in enumerate(grid):
-        started = time.perf_counter()
-        error, rate = evaluate(encoder, decoder, inputs, labels, eps, cfg.seed)
-        seconds = time.perf_counter() - started if cfg.timing else 0.0
+    """One evaluate_grid call over the grid; each row gets an even share of its time."""
+    started = time.perf_counter()
+    results = evaluate_grid(encoder, decoder, inputs, labels, [eps for eps, _ in grid], cfg.seed)
+    seconds = (time.perf_counter() - started) / len(grid) if cfg.timing else 0.0
+    for i, ((eps, db), (error, rate)) in enumerate(zip(grid, results)):
         rows.append(
             MetricsRow(
                 experiment=experiment,
@@ -187,15 +190,55 @@ def _checkpoint_meta(cfg: RunConfig, data: Dataset) -> dict:
     }
 
 
+def _check_checkpoint(cfg: RunConfig, encoder, decoder, meta: dict, test_x, test_y) -> None:
+    """Refuse a checkpoint that does not fit the config or the test split.
+
+    The meta lines k, T and hidden (and classes, for synthetic data) must
+    equal the config's, and the arrays must fit the config and the test
+    split; event-file labels must all be below the decoder's class count.
+    Kernels that differ from the config's only warn: the checkpoint's are
+    used.
+    """
+    wanted = {"k": cfg.k, "T": cfg.T, "hidden": cfg.hidden}
+    if cfg.dataset == "synthetic":
+        wanted["classes"] = cfg.classes
+    checks = [(key, meta[key], str(value), f"config's {key}")
+              for key, value in wanted.items() if key in meta]
+    checks += [
+        ("encoder.n_in", encoder.n_in, test_x.shape[2], "test split's width"),
+        ("encoder.n_out", encoder.n_out, cfg.k, "config's k"),
+        ("decoder.input_dim", decoder.input_dim, cfg.k * cfg.T, "config's k * T"),
+        ("decoder.hidden_dim", decoder.hidden_dim, cfg.hidden, "config's hidden"),
+    ]
+    if cfg.dataset == "synthetic":
+        checks.append(("decoder.n_classes", decoder.n_classes, cfg.classes, "config's classes"))
+    for name, got, want, source in checks:
+        if got != want:
+            raise ConfigError(f"checkpoint {name} = {got} does not match the {source} = {want}")
+    top = int(test_y.max(initial=0))
+    if top >= decoder.n_classes:
+        raise ConfigError(
+            f"test label {top} is not below the checkpoint's classes = {decoder.n_classes}"
+        )
+    for name, kernel in (("kernel_ff", cfg.kernel_ff()), ("kernel_fb", cfg.kernel_fb())):
+        if not np.array_equal(getattr(encoder, name).coefficients, kernel.coefficients):
+            _log(f"warning: checkpoint {name} differs from the config's; using the checkpoint's")
+
+
+def _aborted(out: Path, rows: list[MetricsRow], exc: TrainingDiverged, where: str = "") -> int:
+    """Keep the rows finished before training diverged; exit status 3."""
+    write_metrics(out / "metrics.csv", rows)
+    _log(f"training aborted{where}: {exc}")
+    return 3
+
+
 def cmd_train(cfg: RunConfig) -> int:
     data = _build_dataset(cfg)
     out = _out_dir(cfg)
     try:
         encoder, decoder, rows = _train_run(cfg, data, "train", 0)
     except TrainingDiverged as exc:
-        write_metrics(out / "metrics.csv", [])
-        _log(f"training aborted: {exc}")
-        return 3
+        return _aborted(out, [], exc)
     write_metrics(out / "metrics.csv", rows)
     save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
     if rows:
@@ -221,9 +264,12 @@ def cmd_sweep_snr(cfg: RunConfig, args) -> int:
             started = time.perf_counter()
             channel = (ChannelConfig(epsilon=eps) if db is None
                        else ChannelConfig(ebn0_db=db, mapping=cfg.mapping))
-            encoder, decoder, _ = _train_run(cfg, data, "sweep-snr", i, channel=channel)
-            error, rate = evaluate(
-                encoder, decoder, data.test_inputs, data.test_labels, eps, cfg.seed
+            try:
+                encoder, decoder, _ = _train_run(cfg, data, "sweep-snr", i, channel=channel)
+            except TrainingDiverged as exc:
+                return _aborted(out, rows, exc, f" at point {i}")
+            [(error, rate)] = evaluate_grid(
+                encoder, decoder, data.test_inputs, data.test_labels, [eps], cfg.seed
             )
             seconds = time.perf_counter() - started if cfg.timing else 0.0
             rows.append(
@@ -233,18 +279,18 @@ def cmd_sweep_snr(cfg: RunConfig, args) -> int:
             _log(f"sweep-snr point={i} epsilon={eps:.6g} error={error:.4f}")
     elif args.checkpoint:
         # evaluation only: the training split is never built
-        encoder, decoder, _ = load_checkpoint(args.checkpoint)
-        if decoder.input_dim != cfg.k * cfg.T:
-            raise ConfigError(
-                "checkpoint decoder width does not match k * T from the config"
-            )
+        encoder, decoder, meta = load_checkpoint(args.checkpoint)
         test_x, test_y = frames_to_inputs(_split_records(cfg, "test"), cfg.T)
+        _check_checkpoint(cfg, encoder, decoder, meta, test_x, test_y)
         out = _out_dir(cfg)
         _eval_grid(cfg, encoder, decoder, test_x, test_y, grid, "sweep-snr", cfg.epochs, rows)
     else:
         data = _build_dataset(cfg)
         out = _out_dir(cfg)
-        encoder, decoder, _ = _train_run(cfg, data, "train", 0)
+        try:
+            encoder, decoder, _ = _train_run(cfg, data, "train", 0)
+        except TrainingDiverged as exc:
+            return _aborted(out, rows, exc)
         save_checkpoint(out / "checkpoint.txt", encoder, decoder,
                         _checkpoint_meta(cfg, data))
         _eval_grid(cfg, encoder, decoder, data.test_inputs, data.test_labels, grid,
@@ -258,7 +304,10 @@ def cmd_mismatch(cfg: RunConfig, args) -> int:
     data = _build_dataset(cfg)
     out = _out_dir(cfg)
     grid = _parse_grid(args, cfg.mapping)
-    encoder, decoder, _ = _train_run(cfg, data, "train", 0)
+    try:
+        encoder, decoder, _ = _train_run(cfg, data, "train", 0)
+    except TrainingDiverged as exc:
+        return _aborted(out, [], exc)
     save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
     rows: list[MetricsRow] = []
     _eval_grid(cfg, encoder, decoder, data.test_inputs, data.test_labels, grid,
@@ -281,9 +330,7 @@ def cmd_sweep_beta(cfg: RunConfig, args) -> int:
         try:
             _, _, run_rows = _train_run(cfg, data, "sweep-beta", i, beta=beta)
         except TrainingDiverged as exc:
-            write_metrics(out / "metrics.csv", rows)
-            _log(f"training aborted at beta={beta}: {exc}")
-            return 3
+            return _aborted(out, rows, exc, f" at beta={beta}")
         rows.extend(run_rows)
     write_metrics(out / "metrics.csv", rows)
     print(f"swept {len(betas)} beta values; metrics in {out / 'metrics.csv'}")

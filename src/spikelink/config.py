@@ -121,7 +121,6 @@ class RunConfig:
         return TrainConfig(
             beta=self.beta,
             eta=self.eta,
-            steps=self.T,
             epochs=self.epochs,
             batch_size=self.batch_size,
             seed=self.seed,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,10 +63,26 @@ class MetricsRow:
         )
 
 
+@contextlib.contextmanager
+def _atomic_open(path: Path, **kwargs):
+    """Text file handle whose contents replace `path` only if the block succeeds.
+
+    Writes a temporary file in the target directory, then os.replace()s it,
+    so a crash leaves either the old file or the new one, never a mix.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_metrics(path, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for row in rows:

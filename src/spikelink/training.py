@@ -41,6 +41,9 @@ from .encoder import (
 )
 from .numerics import SeededRng, sigmoid
 
+# test samples per evaluation chunk: bounds evaluation memory, not results
+EVAL_CHUNK = 128
+
 __all__ = [
     "PriorModel",
     "TrainConfig",
@@ -57,6 +60,7 @@ __all__ = [
     "sequence_log_prob",
     "train_epoch",
     "evaluate",
+    "evaluate_grid",
 ]
 
 
@@ -91,7 +95,6 @@ class TrainConfig:
 
     beta: float = 1e-3
     eta: float = 0.05
-    steps: int = 20
     epochs: int = 30
     batch_size: int = 16
     seed: int = 0
@@ -106,8 +109,8 @@ class TrainConfig:
             raise ValueError("beta must be positive")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if self.steps < 1 or self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("steps and batch_size must be positive, epochs >= 0")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValueError("batch_size must be positive, epochs >= 0")
         if not 0.0 < self.prior_rate < 1.0:
             raise ValueError("prior_rate must be in (0, 1)")
         if not 0.0 <= self.momentum < 1.0:
@@ -483,7 +486,20 @@ def evaluate(
     epsilon: float,
     seed: int,
 ) -> tuple[float, float]:
-    """Test error and clean spike rate under the two-stage channel path.
+    """Test error and clean spike rate at one channel point (see evaluate_grid)."""
+    return evaluate_grid(encoder, decoder, inputs, labels, [epsilon], seed)[0]
+
+
+def evaluate_grid(
+    encoder: EncoderParams,
+    decoder: DecoderParams,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    epsilons,
+    seed: int,
+) -> list[tuple[float, float]]:
+    """(test error, clean spike rate) at each channel point, under the
+    two-stage channel path.
 
     Per-sample draw streams depend only on (seed, sample index), never on
     epsilon or the parameters, so repeated evaluations of one model across
@@ -491,26 +507,42 @@ def evaluate(
     identical answers, and sweeps vary only through the channel.  Each
     sample consumes spike uniforms first (steps x neurons) and flip
     uniforms second, mirroring a per-step sample-then-transmit loop.
+
+    Clean spikes do not depend on epsilon, so each chunk of EVAL_CHUNK
+    samples is filtered and rolled out once, and only the flips and the
+    decoder run per point.  Memory is bounded by the chunk, not the test
+    set, and the counts are integers, so the chunk size cannot change the
+    results.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    n, steps, _ = inputs.shape
+    n, steps, _ = np.shape(inputs)
+    if n == 0:
+        raise ValueError("cannot evaluate an empty test set")
+    labels = np.asarray(labels)
+    epsilons = [float(eps) for eps in epsilons]
     k = encoder.n_out
     root = SeededRng(seed)
-    spike_u = np.zeros((n, steps, k))
-    flip_u = np.zeros((n, steps, k))
-    for i in range(n):
-        stream = root.substream("eval", i)
-        spike_u[i] = stream.uniform((steps, k))
-        flip_u[i] = stream.uniform((steps, k))
-    ff = _filtered_inputs(inputs, encoder.kernel_ff)
-    z = np.zeros((n, steps, k), dtype=np.uint8)
-    for t in range(steps):
-        fb = _feedback_trace(z, t, encoder.kernel_fb)
-        u = ff[:, t, :] @ encoder.ff_weights.T + encoder.fb_weights * fb + encoder.bias
-        z[:, t, :] = spike_u[:, t, :] < sigmoid(u)
-    zhat = np.bitwise_xor(z, (flip_u < epsilon).astype(np.uint8))
-    flat = zhat.reshape(n, -1).astype(np.float64)
-    _, _, _, probs = forward_batch(decoder, flat)
-    preds = np.argmax(probs, axis=1)
-    error = float(np.mean(preds != np.asarray(labels)))
-    return error, spike_rate(z)
+    wrong = [0] * len(epsilons)
+    spikes = 0
+    for start in range(0, n, EVAL_CHUNK):
+        x = np.asarray(inputs[start : start + EVAL_CHUNK], dtype=np.float64)
+        m = len(x)
+        spike_u = np.empty((m, steps, k))
+        flip_u = np.empty((m, steps, k))
+        for j in range(m):
+            stream = root.substream("eval", start + j)
+            spike_u[j] = stream.uniform((steps, k))
+            flip_u[j] = stream.uniform((steps, k))
+        ff = _filtered_inputs(x, encoder.kernel_ff)
+        z = np.zeros((m, steps, k), dtype=np.uint8)
+        for t in range(steps):
+            fb = _feedback_trace(z, t, encoder.kernel_fb)
+            u = ff[:, t, :] @ encoder.ff_weights.T + encoder.fb_weights * fb + encoder.bias
+            z[:, t, :] = spike_u[:, t, :] < sigmoid(u)
+        spikes += int(np.count_nonzero(z))
+        y = labels[start : start + m]
+        for i, eps in enumerate(epsilons):
+            zhat = np.bitwise_xor(z, (flip_u < eps).astype(np.uint8))
+            _, _, _, probs = forward_batch(decoder, zhat.reshape(m, -1).astype(np.float64))
+            wrong[i] += int(np.count_nonzero(np.argmax(probs, axis=1) != y))
+    rate = spikes / (n * steps * k)
+    return [(count / n, rate) for count in wrong]

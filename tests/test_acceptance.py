@@ -51,6 +51,7 @@ from spikelink.training import (
     _run_noisy_batch,
     encoder_gradient,
     evaluate,
+    evaluate_grid,
     regularizer,
     sequence_log_prob,
     train_epoch,
@@ -457,13 +458,12 @@ def test_criterion_08_snr_sweep_shape(capsys):
     with _report(capsys, 8, "error non-increasing in Eb/N0; chance at epsilon 0.5") as info:
         cfg = RunConfig(seed=0).validate()
         encoder, decoder, data, _ = _train(cfg)
-        errors = []
-        for db in DEFAULT_SNR_GRID_DB:
-            eps = ebn0_to_epsilon(db_to_linear(db), form="linear")
-            err, _ = evaluate(
-                encoder, decoder, data.test_inputs, data.test_labels, eps, cfg.seed
+        grid = [ebn0_to_epsilon(db_to_linear(db), form="linear") for db in DEFAULT_SNR_GRID_DB]
+        errors = [
+            err for err, _ in evaluate_grid(
+                encoder, decoder, data.test_inputs, data.test_labels, grid, cfg.seed
             )
-            errors.append(err)
+        ]
         for a, b in zip(errors, errors[1:]):
             assert b <= a + 0.03
         chance = 1.0 - 1.0 / data.n_classes

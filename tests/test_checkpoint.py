@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import spikelink.checkpoint as checkpoint
 from spikelink.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from spikelink.decoder import init_decoder_params
 from spikelink.encoder import init_encoder_params
@@ -64,6 +65,24 @@ class TestRoundTrip:
         enc, dec = _models()
         with pytest.raises(CheckpointError, match="spaces"):
             save_checkpoint(tmp_path / "x.txt", enc, dec, meta={"note": "two words"})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, *_models(seed=0))
+        before = path.read_bytes()
+        real = checkpoint._write_block
+
+        def failing(fh, name, arr):
+            if name.startswith("decoder."):
+                raise OSError("disk full")
+            real(fh, name, arr)
+
+        monkeypatch.setattr(checkpoint, "_write_block", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, *_models(seed=1))
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestCorruption:

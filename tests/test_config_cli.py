@@ -7,6 +7,7 @@ from spikelink.checkpoint import load_checkpoint
 from spikelink.cli import DEFAULT_MISMATCH_GRID, main
 from spikelink.config import ConfigError, build_run_config, parse_config_file
 from spikelink.events import synthetic_records
+from spikelink.training import TrainingDiverged
 from spikelink.metrics import (
     MetricsRow,
     export_metrics,
@@ -99,6 +100,26 @@ class TestMetricsFiles:
             MetricsRow("train", 0, 0, 0.1, None, 1e-3, 16, 0.25, 0.123456789012345, 1.5),
             MetricsRow("sweep-snr", 1, 30, 0.5, float("-inf"), 1e-3, 16, 0.75, 0.2, 0.0),
         ]
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "metrics.csv"
+        write_metrics(path, self._rows())
+        before = path.read_bytes()
+        real = MetricsRow.to_fields
+        written = []
+
+        def failing(row):
+            if written:
+                raise OSError("disk full")
+            written.append(row)
+            return real(row)
+
+        monkeypatch.setattr(MetricsRow, "to_fields", failing)
+        with pytest.raises(OSError, match="disk full"):
+            write_metrics(path, self._rows()[::-1])
+        assert written
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_csv_round_trip_lossless(self, tmp_path):
         rows = self._rows()
@@ -309,6 +330,123 @@ class TestCliSweeps:
             "--checkpoint", str(train_out / "checkpoint.txt"), "--T", "7",
         )
         assert code == 2
+
+    @pytest.fixture
+    def tiny_checkpoint(self, tiny_config, tmp_path):
+        out = tmp_path / "trained"
+        assert _run("train", "--config", str(tiny_config), "--out", str(out), "--epochs", "0") == 0
+        return out / "checkpoint.txt"
+
+    def _sweep(self, config, checkpoint, tmp_path, *flags) -> int:
+        return _run(
+            "sweep-snr", "--config", str(config), "--out", str(tmp_path / "sweep"),
+            "--checkpoint", str(checkpoint), "--epsilon-grid", "0.1", *flags,
+        )
+
+    def _edited(self, tiny_config, tmp_path, **values):
+        text = tiny_config.read_text()
+        for key, value in values.items():
+            text = "\n".join(
+                line for line in text.splitlines() if not line.startswith(f"{key} =")
+            ) + f"\n{key} = {value}\n"
+        path = tmp_path / "edited.cfg"
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        # same k * T as the checkpoint, different split
+        ({"k": 2, "T": 10}, "checkpoint k = 4 does not match the config's k = 2"),
+        ({"hidden": 16}, "checkpoint hidden = 8 does not match the config's hidden = 16"),
+        ({"classes": 3}, "checkpoint classes = 2 does not match the config's classes = 3"),
+        ({"height": 6, "width": 6},
+         "checkpoint encoder.n_in = 128 does not match the test split's width = 72"),
+    ])
+    def test_checkpoint_checked_against_config(
+        self, tiny_config, tiny_checkpoint, tmp_path, capsys, edit, message
+    ):
+        config = self._edited(tiny_config, tmp_path, **edit)
+        assert self._sweep(config, tiny_checkpoint, tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sweep" / "metrics.csv").exists()
+
+    def test_checkpoint_of_other_shape_against_config(self, tiny_config, tmp_path, capsys):
+        other = tmp_path / "other"
+        flags = ("--k", "2", "--T", "10", "--epochs", "0")
+        assert _run("train", "--config", str(tiny_config), "--out", str(other), *flags) == 0
+        assert self._sweep(tiny_config, other / "checkpoint.txt", tmp_path) == 2
+        assert "checkpoint k = 2 does not match the config's k = 4" in capsys.readouterr().err
+
+    def test_checkpoint_without_meta_checked_by_shape(
+        self, tiny_config, tiny_checkpoint, tmp_path, capsys
+    ):
+        lines = tiny_checkpoint.read_text().splitlines(keepends=True)
+        tiny_checkpoint.write_text("".join(l for l in lines if not l.startswith("meta")))
+        assert self._sweep(tiny_config, tiny_checkpoint, tmp_path, "--k", "2", "--T", "10") == 2
+        assert "encoder.n_out = 4 does not match the config's k = 2" in capsys.readouterr().err
+
+    def test_event_labels_must_fit_checkpoint_classes(self, tiny_checkpoint, tmp_path, capsys):
+        from spikelink.events import SyntheticConfig, save_events
+
+        syn = SyntheticConfig(n_classes=3, width=8, height=8, duration_us=4000)
+        test_path = tmp_path / "test.events"
+        save_events(synthetic_records(syn, 2, seed=1, tag="test"), test_path)
+        config = tmp_path / "ev.cfg"
+        config.write_text(
+            f"dataset = events\ntrain_events = {test_path}\ntest_events = {test_path}\n"
+            "k = 4\nT = 5\nhidden = 8\ntiming = off\n"
+        )
+        assert self._sweep(config, tiny_checkpoint, tmp_path) == 2
+        assert "test label 2 is not below the checkpoint's classes = 2" in capsys.readouterr().err
+
+    def test_checkpoint_kernel_mismatch_warns(self, tiny_config, tiny_checkpoint, tmp_path, capsys):
+        config = self._edited(tiny_config, tmp_path, tau_fb=2.0)
+        assert self._sweep(config, tiny_checkpoint, tmp_path) == 0
+        warnings = [l for l in capsys.readouterr().err.splitlines() if "warning" in l]
+        assert warnings == [
+            "warning: checkpoint kernel_fb differs from the config's; using the checkpoint's"
+        ]
+
+    @staticmethod
+    def _diverge_at(monkeypatch, epsilon):
+        real = cli.train_epoch
+
+        def train_epoch(encoder, decoder, data, config, *rest):
+            if epsilon is None or config.channel.crossover() == epsilon:
+                raise TrainingDiverged("non-finite sample loss")
+            return real(encoder, decoder, data, config, *rest)
+
+        monkeypatch.setattr(cli, "train_epoch", train_epoch)
+
+    def test_train_per_point_divergence_keeps_rows(self, tiny_config, tmp_path, monkeypatch):
+        self._diverge_at(monkeypatch, 0.2)
+        out = tmp_path / "tpp"
+        code = _run(
+            "sweep-snr", "--config", str(tiny_config), "--out", str(out),
+            "--train-per-point", "--epsilon-grid", "0.1,0.2,0.3",
+        )
+        assert code == 3
+        rows = read_metrics(out / "metrics.csv")
+        assert [(r.point, r.epsilon) for r in rows] == [(0, 0.1)]
+
+    @pytest.mark.parametrize("verb", ["sweep-snr", "mismatch"])
+    def test_divergence_before_grid_writes_empty_metrics(
+        self, tiny_config, tmp_path, monkeypatch, verb
+    ):
+        self._diverge_at(monkeypatch, None)
+        out = tmp_path / "diverged"
+        assert _run(verb, "--config", str(tiny_config), "--out", str(out)) == 3
+        assert read_metrics(out / "metrics.csv") == []
+        assert not (out / "checkpoint.txt").exists()
+
+    def test_sweep_seconds_split_grid_time(self, tiny_config, tiny_checkpoint, tmp_path):
+        config = self._edited(tiny_config, tmp_path, timing="on")
+        code = _run(
+            "sweep-snr", "--config", str(config), "--out", str(tmp_path / "sweep"),
+            "--checkpoint", str(tiny_checkpoint), "--epsilon-grid", "0.0,0.1,0.5",
+        )
+        assert code == 0
+        seconds = {r.seconds for r in read_metrics(tmp_path / "sweep" / "metrics.csv")}
+        assert len(seconds) == 1 and seconds.pop() > 0.0
 
     def test_mismatch_uses_default_grid(self, tiny_config, tmp_path):
         out = tmp_path / "mm"

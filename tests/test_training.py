@@ -8,10 +8,12 @@ for the sequence likelihood, and reference-vs-batched equivalence.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spikelink import training
 from spikelink.channel import ChannelConfig, log_prob_noisy
 from spikelink.decoder import init_decoder_params, forward, loss_from_logits
 from spikelink.encoder import (
@@ -31,6 +33,7 @@ from spikelink.training import (
     TrainingDiverged,
     encoder_gradient,
     evaluate,
+    evaluate_grid,
     regularizer,
     run_clean_sequence,
     run_noisy_sequence,
@@ -451,3 +454,79 @@ class TestEvaluate:
         _, r1 = evaluate(enc, dec, data.test_inputs, data.test_labels, 0.0, seed=0)
         _, r2 = evaluate(enc, dec, data.test_inputs, data.test_labels, 0.4, seed=0)
         assert r1 == r2
+
+
+GRID = (0.0, 0.05, 0.2, 0.5)
+
+
+class TestEvaluateGrid:
+    def test_matches_per_point_evaluate(self):
+        data = _toy_dataset(n_test=40)
+        enc, dec = _toy_models(data)
+        grid = evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=4)
+        per_point = [
+            evaluate(enc, dec, data.test_inputs, data.test_labels, eps, seed=4)
+            for eps in GRID
+        ]
+        assert grid == per_point
+
+    def test_matches_per_sample_reference(self):
+        # the documented contract, one sample at a time: spike uniforms
+        # drawn step by step by the reference rollout, then flip uniforms
+        data = _toy_dataset(n_test=24)
+        enc, dec = _toy_models(data)
+        k, steps = enc.n_out, data.steps
+        wrong = np.zeros(len(GRID), dtype=int)
+        spikes = 0
+        for i, (x, y) in enumerate(zip(data.test_inputs, data.test_labels)):
+            stream = SeededRng(9).substream("eval", i)
+            z, _ = run_clean_sequence(enc, x, stream)
+            flip_u = stream.uniform((steps, k))
+            spikes += int(z.sum())
+            for j, eps in enumerate(GRID):
+                probs, _ = forward(dec, z ^ (flip_u < eps))
+                wrong[j] += int(np.argmax(probs) != y)
+        n = len(data.test_labels)
+        expected = [(w / n, spikes / (n * steps * k)) for w in wrong]
+        got = evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=9)
+        assert got == expected
+
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    def test_chunk_size_does_not_change_results(self, monkeypatch, chunk):
+        data = _toy_dataset(n_test=40)
+        enc, dec = _toy_models(data)
+        expected = evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=2)
+        monkeypatch.setattr(training, "EVAL_CHUNK", chunk or len(data.test_inputs))
+        got = evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=2)
+        assert got == expected
+
+    def test_spike_rate_same_at_every_point(self):
+        data = _toy_dataset(n_test=40)
+        enc, dec = _toy_models(data)
+        results = evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=0)
+        assert len({rate for _, rate in results}) == 1
+
+    def test_rejects_empty_test_set(self):
+        data = _toy_dataset()
+        enc, dec = _toy_models(data)
+        with pytest.raises(ValueError, match="empty"):
+            evaluate_grid(enc, dec, data.test_inputs[:0], data.test_labels[:0], GRID, seed=0)
+
+    def test_memory_bounded_by_chunk(self):
+        n, steps, lines, k = 2048, 20, 64, 16
+        rng = SeededRng(1)
+        inputs = (rng.uniform((n, steps, lines)) < 0.2).astype(np.float64)
+        labels = np.arange(n) % 4
+        root = SeededRng(0)
+        enc = init_encoder_params(lines, k, root.substream("e"))
+        dec = init_decoder_params(k * steps, 4, root.substream("d"), hidden_dim=32)
+        chunk_traces = training.EVAL_CHUNK * steps * lines * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate_grid(enc, dec, inputs, labels, GRID, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the whole set's traces alone would be 16 chunks' worth
+        assert peak < 6 * chunk_traces, f"peak {peak} bytes"
