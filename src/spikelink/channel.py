@@ -12,7 +12,6 @@ __all__ = [
     "ChannelConfig",
     "transmit",
     "noisy_spike_prob",
-    "log_prob_clean",
     "log_prob_noisy",
     "sample_noisy",
 ]
@@ -52,12 +51,15 @@ def _check_epsilon(epsilon: float, high: float = 1.0) -> float:
     return eps
 
 
-def transmit(bits: np.ndarray, epsilon: float, rng: SeededRng) -> np.ndarray:
-    """Flip each bit independently with probability epsilon."""
+def transmit(bits: np.ndarray, epsilon: float, uniforms: np.ndarray) -> np.ndarray:
+    """Flip each bit whose uniform draw falls below epsilon.
+
+    The draws come from the caller, so one set of draws can be reused
+    across channel points.
+    """
     eps = _check_epsilon(epsilon)
     bits = np.asarray(bits, dtype=np.uint8)
-    flips = rng.uniform(bits.shape) < eps
-    return np.bitwise_xor(bits, flips.astype(np.uint8))
+    return np.bitwise_xor(bits, (uniforms < eps).astype(np.uint8))
 
 
 def noisy_spike_prob(p, epsilon: float):
@@ -76,27 +78,24 @@ def noisy_spike_prob(p, epsilon: float):
     return out
 
 
-def log_prob_clean(bits, u) -> float:
-    """Log-likelihood of spike bits under Bernoulli(sigmoid(u)), stable form."""
-    bits = np.asarray(bits, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    return float(np.sum(bits * log_sigmoid(u) + (1.0 - bits) * log_sigmoid(-u)))
-
-
-def log_prob_noisy(zhat, u, epsilon: float) -> float:
+def log_prob_noisy(zhat, u, epsilon: float):
     """Log-probability of received bits zhat given membrane potentials u.
 
-    Sums zhat*log(q) + (1-zhat)*log(1-q) with q = noisy_spike_prob(sigmoid(u), eps).
-    At epsilon = 0 this reduces exactly to the clean Bernoulli log-likelihood,
-    which is evaluated in log-sigmoid form so saturated potentials stay finite.
+    Sums zhat*log(q) + (1-zhat)*log(1-q) over the last axis (the neurons),
+    with q = noisy_spike_prob(sigmoid(u), eps).  At epsilon = 0 this is the
+    clean Bernoulli log-likelihood, evaluated in log-sigmoid form so
+    saturated potentials stay finite.
     """
     eps = _check_epsilon(epsilon, high=0.5)
-    if eps == 0.0:
-        return log_prob_clean(zhat, u)
     zhat = np.asarray(zhat, dtype=np.float64)
-    q = noisy_spike_prob(sigmoid(np.asarray(u, dtype=np.float64)), eps)
-    # q is pinned inside [eps, 1-eps] for eps > 0, so the logs are finite
-    return float(np.sum(zhat * np.log(q) + (1.0 - zhat) * np.log1p(-q)))
+    u = np.asarray(u, dtype=np.float64)
+    if eps == 0.0:
+        terms = zhat * log_sigmoid(u) + (1.0 - zhat) * log_sigmoid(-u)
+    else:
+        # q is pinned inside [eps, 1-eps] for eps > 0, so the logs are finite
+        q = noisy_spike_prob(sigmoid(u), eps)
+        terms = zhat * np.log(q) + (1.0 - zhat) * np.log1p(-q)
+    return np.sum(terms, axis=-1)
 
 
 def sample_noisy(u, epsilon: float, rng: SeededRng) -> np.ndarray:

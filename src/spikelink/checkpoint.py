@@ -10,13 +10,15 @@ One text file holds tagged blocks for the encoder and the decoder.  Layout:
     end
 
 Values are written with float.hex(), so loading reproduces every bit of
-every float64.  Unknown versions, missing blocks, and truncated value
-streams all raise CheckpointError.  A save writes a temporary file and
-renames it over the target, so an interrupted save keeps the old file.
+every float64.  Unknown versions, missing blocks, truncated value streams,
+non-finite values and arrays that do not form a model all raise
+CheckpointError.  A save writes a temporary file and renames it over the
+target, so an interrupted save keeps the old file.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +34,12 @@ _MAGIC = "spikelink-checkpoint"
 _VERSION = 1
 _PER_LINE = 8
 
-ENCODER_BLOCKS = ("encoder.ff_weights", "encoder.fb_weights", "encoder.bias",
-                  "encoder.kernel_ff", "encoder.kernel_fb")
-DECODER_BLOCKS = ("decoder.w1", "decoder.b1", "decoder.w2", "decoder.b2")
+# every block the model needs, with its number of dimensions
+BLOCK_NDIM = {
+    "encoder.ff_weights": 2, "encoder.fb_weights": 1, "encoder.bias": 1,
+    "encoder.kernel_ff": 1, "encoder.kernel_fb": 1,
+    "decoder.w1": 2, "decoder.b1": 1, "decoder.w2": 2, "decoder.b2": 1,
+}
 
 
 class CheckpointError(ValueError):
@@ -60,9 +65,9 @@ def save_checkpoint(path, encoder: EncoderParams, decoder: DecoderParams,
         items = dict(meta or {})
         items.setdefault("output", decoder.output)
         for key in sorted(items):
-            value = str(items[key])
-            if any(c.isspace() for c in str(key)) or any(c.isspace() for c in value):
-                raise CheckpointError(f"meta entries cannot contain spaces: {key!r}")
+            key, value = str(key), str(items[key])
+            if not (key and value) or any(c.isspace() for c in key + value):
+                raise CheckpointError(f"meta entries must be non-empty, without spaces: {key!r}")
             fh.write(f"meta {key} {value}\n")
         _write_block(fh, "encoder.ff_weights", encoder.ff_weights)
         _write_block(fh, "encoder.fb_weights", encoder.fb_weights)
@@ -81,7 +86,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, DecoderParams, dict]:
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise CheckpointError("empty checkpoint file")
@@ -121,7 +126,9 @@ def load_checkpoint(path) -> tuple[EncoderParams, DecoderParams, dict]:
             raise CheckpointError(f"line {i}: non-integer block shape")
         if len(shape) != ndim:
             raise CheckpointError(f"line {i}: block header dimension mismatch")
-        total = int(np.prod(shape)) if shape else 1
+        if any(d < 0 for d in shape):
+            raise CheckpointError(f"line {i}: negative block dimension")
+        total = math.prod(shape)
         values: list[float] = []
         while len(values) < total:
             if i >= len(lines):
@@ -130,29 +137,37 @@ def load_checkpoint(path) -> tuple[EncoderParams, DecoderParams, dict]:
             i += 1
             try:
                 values.extend(float.fromhex(v) for v in row)
-            except ValueError:
-                raise CheckpointError(f"line {i}: bad hex float in block {name}")
+            except (ValueError, OverflowError):
+                raise CheckpointError(f"line {i}: bad or out-of-range hex float in block {name}")
         if len(values) != total:
             raise CheckpointError(f"block {name}: expected {total} values")
+        if not all(map(math.isfinite, values)):
+            raise CheckpointError(f"block {name}: non-finite value")
         blocks[name] = np.array(values, dtype=np.float64).reshape(shape)
     if not ended:
         raise CheckpointError("checkpoint missing end marker")
 
-    missing = [b for b in ENCODER_BLOCKS + DECODER_BLOCKS if b not in blocks]
+    missing = [b for b in BLOCK_NDIM if b not in blocks]
     if missing:
         raise CheckpointError(f"checkpoint missing blocks: {missing}")
-    encoder = EncoderParams(
-        ff_weights=blocks["encoder.ff_weights"],
-        fb_weights=blocks["encoder.fb_weights"],
-        bias=blocks["encoder.bias"],
-        kernel_ff=Kernel(blocks["encoder.kernel_ff"]),
-        kernel_fb=Kernel(blocks["encoder.kernel_fb"]),
-    )
-    decoder = DecoderParams(
-        w1=blocks["decoder.w1"],
-        b1=blocks["decoder.b1"],
-        w2=blocks["decoder.w2"],
-        b2=blocks["decoder.b2"],
-        output=meta.get("output", "sigmoid"),
-    )
+    for name, ndim in BLOCK_NDIM.items():
+        if blocks[name].ndim != ndim:
+            raise CheckpointError(f"block {name}: expected {ndim} dimensions")
+    try:
+        encoder = EncoderParams(
+            ff_weights=blocks["encoder.ff_weights"],
+            fb_weights=blocks["encoder.fb_weights"],
+            bias=blocks["encoder.bias"],
+            kernel_ff=Kernel(blocks["encoder.kernel_ff"]),
+            kernel_fb=Kernel(blocks["encoder.kernel_fb"]),
+        )
+        decoder = DecoderParams(
+            w1=blocks["decoder.w1"],
+            b1=blocks["decoder.b1"],
+            w2=blocks["decoder.w2"],
+            b2=blocks["decoder.b2"],
+            output=meta.get("output", "sigmoid"),
+        )
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint arrays do not form a model: {exc}") from exc
     return encoder, decoder, meta

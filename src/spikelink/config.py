@@ -7,6 +7,7 @@ and the whole config is validated before any model state is allocated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -80,6 +81,13 @@ class RunConfig:
             raise ConfigError(f"dataset must be synthetic or events, got {self.dataset!r}")
         if self.dataset == "events" and not (self.train_events and self.test_events):
             raise ConfigError("events dataset needs train_events and test_events paths")
+        for key in _FLOAT_KEYS:
+            value = getattr(self, key)
+            if value is not None and math.isnan(value):
+                raise ConfigError(f"{key} must be a number, got nan")
+        for key in ("beta", "eta", "grad_clip"):
+            if math.isinf(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.k < 1 or self.T < 1 or self.hidden < 1:
             raise ConfigError("k, T, and hidden must be positive")
         if not 0.0 < self.init_rate < 1.0:
@@ -166,7 +174,7 @@ def parse_config_file(path) -> dict:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -3,7 +3,7 @@
 Flatten -> dense ReLU -> dense sigmoid, with the loss treating the targets
 as one-hot bit vectors (binary cross entropy summed over classes).  A
 softmax head is available as a comparison option; both heads share the same
-output-layer gradient, so backward has a single code path.
+output-layer gradient, so backward_batch has a single code path.
 """
 
 from __future__ import annotations
@@ -17,15 +17,10 @@ from .numerics import SeededRng, sigmoid, softplus
 
 __all__ = [
     "DecoderParams",
-    "DecoderGrads",
-    "ReceiveBuffer",
-    "ForwardCache",
     "init_decoder_params",
-    "forward",
-    "classification_loss",
-    "loss_from_logits",
-    "backward",
-    "predict",
+    "forward_batch",
+    "losses_from_logits_batch",
+    "backward_batch",
 ]
 
 OUTPUT_HEADS = ("sigmoid", "softmax")
@@ -95,42 +90,6 @@ def init_decoder_params(
     )
 
 
-class ReceiveBuffer:
-    """Received spike bits for one sequence, laid out steps x neurons.
-
-    Flattening is step-major: bit (t, i) lands at index t * n_out + i.
-    """
-
-    def __init__(self, bits):
-        bits = np.asarray(bits)
-        if bits.ndim != 2:
-            raise ValueError("buffer must be 2-d (steps x neurons)")
-        if not np.isin(bits, (0, 1)).all():
-            raise ValueError("buffer entries must be binary")
-        self.bits = bits.astype(np.uint8)
-
-    @property
-    def steps(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def n_out(self) -> int:
-        return self.bits.shape[1]
-
-    def flat(self) -> np.ndarray:
-        return self.bits.reshape(-1).astype(np.float64)
-
-
-@dataclass
-class ForwardCache:
-    """Intermediates backward needs: input, pre-activation, hidden, logits."""
-
-    x: np.ndarray
-    pre_hidden: np.ndarray
-    hidden: np.ndarray
-    logits: np.ndarray
-
-
 def _head_probs(logits: np.ndarray, output: str) -> np.ndarray:
     if output == "softmax":
         shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -139,82 +98,12 @@ def _head_probs(logits: np.ndarray, output: str) -> np.ndarray:
     return sigmoid(logits)
 
 
-def forward(params: DecoderParams, buffer) -> tuple[np.ndarray, ForwardCache]:
-    """Class probabilities for one buffer, plus the cache for backward."""
-    if isinstance(buffer, ReceiveBuffer):
-        x = buffer.flat()
-    else:
-        x = np.asarray(buffer, dtype=np.float64).reshape(-1)
-    if x.shape != (params.input_dim,):
-        raise ValueError(
-            f"buffer flattens to {x.shape[0]} values, decoder expects {params.input_dim}"
-        )
-    pre = params.w1 @ x + params.b1
-    hidden = np.maximum(pre, 0.0)
-    logits = params.w2 @ hidden + params.b2
-    probs = _head_probs(logits, params.output)
-    return probs, ForwardCache(x=x, pre_hidden=pre, hidden=hidden, logits=logits)
-
-
-def classification_loss(probs, label: int, output: str = "sigmoid") -> float:
-    """One-hot loss from probabilities in (0, 1).
-
-    Sigmoid head: -log p[label] - sum over other classes of log(1 - p).
-    Softmax head: plain cross entropy -log p[label].
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    label = int(label)
-    if not 0 <= label < probs.shape[-1]:
-        raise IndexError(f"label {label} out of range for {probs.shape[-1]} classes")
-    if output == "softmax":
-        return float(-np.log(probs[label]))
-    onehot = np.zeros(probs.shape[-1])
-    onehot[label] = 1.0
-    return float(-np.sum(onehot * np.log(probs) + (1.0 - onehot) * np.log1p(-probs)))
-
-
-def loss_from_logits(logits, label: int, output: str = "sigmoid") -> float:
-    """Same loss evaluated from logits; safe when probabilities saturate."""
-    logits = np.asarray(logits, dtype=np.float64)
-    label = int(label)
-    if output == "softmax":
-        shifted = logits - logits.max()
-        return float(np.log(np.exp(shifted).sum()) - shifted[label])
-    onehot = np.zeros(logits.shape[-1])
-    onehot[label] = 1.0
-    # softplus(a) - y*a  ==  BCE of sigmoid(a) against y, never overflows
-    return float(np.sum(softplus(logits) - onehot * logits))
-
-
-def backward(params: DecoderParams, cache: ForwardCache, label: int) -> DecoderGrads:
-    """Exact loss gradients for one sample.
-
-    Both heads give d(loss)/d(logits) = probs - onehot, so the chain below
-    covers sigmoid and softmax alike.
-    """
-    probs = _head_probs(cache.logits, params.output)
-    d_logits = probs.copy()
-    d_logits[int(label)] -= 1.0
-    d_w2 = np.outer(d_logits, cache.hidden)
-    d_b2 = d_logits
-    d_hidden = params.w2.T @ d_logits
-    d_pre = d_hidden.copy()
-    d_pre[cache.pre_hidden <= 0.0] = 0.0
-    d_w1 = np.outer(d_pre, cache.x)
-    d_b1 = d_pre
-    return DecoderGrads(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)
-
-
-def predict(probs) -> int:
-    """Index of the largest probability; ties go to the lowest index."""
-    return int(np.argmax(np.asarray(probs)))
-
-
 def forward_batch(params: DecoderParams, x: np.ndarray):
-    """Vectorized forward over rows of x; returns probs, losses need labels.
+    """Forward pass over the rows of x, one flattened buffer per row.
 
-    Used by the trainer; per-sample forward stays the reference
-    implementation and the two are pinned equal in the tests.
+    A buffer of received bits (steps x neurons) flattens step-major: bit
+    (t, i) is input t * k + i.  Returns the pre-activations, hidden units,
+    logits and class probabilities; backward_batch takes all but the logits.
     """
     pre = x @ params.w1.T + params.b1
     hidden = np.maximum(pre, 0.0)
@@ -223,6 +112,11 @@ def forward_batch(params: DecoderParams, x: np.ndarray):
 
 
 def losses_from_logits_batch(params: DecoderParams, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """One-hot loss per row, from logits so saturated heads stay finite.
+
+    Sigmoid head: binary cross entropy summed over classes, as
+    softplus(a) - y*a.  Softmax head: plain cross entropy.
+    """
     n = logits.shape[0]
     onehot = np.zeros_like(logits)
     onehot[np.arange(n), labels] = 1.0
@@ -241,7 +135,11 @@ def backward_batch(
     probs: np.ndarray,
     labels: np.ndarray,
 ) -> DecoderGrads:
-    """Mean loss gradient over the batch; same chain as backward, stacked."""
+    """Exact mean loss gradient over the batch.
+
+    Both heads give d(loss)/d(logits) = probs - onehot, so one chain covers
+    sigmoid and softmax alike.
+    """
     n = x.shape[0]
     d_logits = probs.copy()
     d_logits[np.arange(n), labels] -= 1.0

@@ -3,35 +3,28 @@
 Each of the k read-out neurons integrates filtered input spikes through its
 feedforward weights, its own past spikes through a self-feedback weight, and
 a bias.  Spiking is Bernoulli in the sigmoid of that membrane potential.
-The same filtered traces that build the potential are the parameter
-gradients of the potential, so they are computed once per step and shared
-between the forward pass and the score accumulator.
+`rollout` runs that recurrence, one step at a time, for a whole batch of
+sequences.  The filtered traces that build the potential are also its
+parameter gradients, so the rollout keeps them for `score_grads`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .channel import log_prob_clean, noisy_spike_prob
+from .channel import noisy_spike_prob
 from .numerics import Kernel, SeededRng, exponential_kernel, sigmoid
 
 __all__ = [
     "EncoderParams",
-    "EncoderState",
     "EncoderGrads",
-    "ScoreAccumulator",
-    "UnitPotentialGrads",
     "init_encoder_params",
-    "membrane_potentials",
-    "sample_spikes",
-    "log_prob_clean",
+    "rollout",
     "grad_u_log_prob_noisy",
-    "grad_params_u",
-    "accumulate_score",
+    "score_grads",
 ]
 
 
@@ -77,14 +70,6 @@ class EncoderGrads:
     fb_weights: np.ndarray
     bias: np.ndarray
 
-    @classmethod
-    def zeros(cls, n_out: int, n_in: int) -> "EncoderGrads":
-        return cls(
-            ff_weights=np.zeros((n_out, n_in)),
-            fb_weights=np.zeros(n_out),
-            bias=np.zeros(n_out),
-        )
-
 
 def init_encoder_params(
     n_in: int,
@@ -114,100 +99,63 @@ def init_encoder_params(
     )
 
 
-class EncoderState:
-    """Ring buffers of recent input and output spikes.
+def _filtered_inputs(inputs: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Filtered input traces for whole sequences, shape (n, steps, lines)."""
+    coeff = kernel.coefficients
+    out = np.zeros_like(inputs)
+    steps = inputs.shape[1]
+    for d in range(min(coeff.size, steps)):
+        out[:, d:, :] += coeff[d] * inputs[:, : steps - d, :]
+    return out
 
-    The step protocol is push_input(x_t), read potentials / traces, then
-    push_output(bits_t).  Input history therefore reaches the current step
-    while output history stops one step earlier, which is exactly the
-    asymmetry the membrane potential wants.  Ring depth covers both kernel
-    windows, so nothing older than the filters can see is kept.
+
+def _feedback_trace(outputs: np.ndarray, t: int, kernel: Kernel) -> np.ndarray:
+    """Filtered own-bit history at step t for a batch, strictly past bits.
+
+    coefficients[0] would pair with the not-yet-drawn bit of step t, so it
+    never contributes.
     """
-
-    def __init__(self, n_in: int, n_out: int, depth: int):
-        if depth < 1:
-            raise ValueError("ring depth must be positive")
-        self.n_in = int(n_in)
-        self.n_out = int(n_out)
-        self.depth = int(depth)
-        self.reset()
-
-    @classmethod
-    def for_params(cls, params: EncoderParams) -> "EncoderState":
-        depth = max(params.kernel_ff.window, params.kernel_fb.window)
-        return cls(params.n_in, params.n_out, depth)
-
-    def reset(self) -> None:
-        self._inputs = np.zeros((self.depth, self.n_in))
-        self._outputs = np.zeros((self.depth, self.n_out))
-        self.t = 0
-        self._input_pushed = False
-
-    def push_input(self, x_t) -> None:
-        x_t = np.asarray(x_t, dtype=np.float64)
-        if x_t.shape != (self.n_in,):
-            raise ValueError(f"expected input of shape ({self.n_in},)")
-        if self._input_pushed:
-            raise RuntimeError("push_output must run before the next push_input")
-        self._inputs[self.t % self.depth] = x_t
-        self._input_pushed = True
-
-    def push_output(self, bits) -> None:
-        bits = np.asarray(bits, dtype=np.float64)
-        if bits.shape != (self.n_out,):
-            raise ValueError(f"expected output of shape ({self.n_out},)")
-        if not self._input_pushed:
-            raise RuntimeError("push_input must run before push_output")
-        self._outputs[self.t % self.depth] = bits
-        self.t += 1
-        self._input_pushed = False
-
-    def _window(self, buf: np.ndarray, newest: int, length: int) -> np.ndarray:
-        # rows ordered newest first; steps before time 0 read as zero
-        out = np.zeros((length, buf.shape[1]))
-        for d in range(length):
-            idx = newest - d
-            if idx < 0:
-                break
-            if newest - idx >= self.depth:
-                break
-            out[d] = buf[idx % self.depth]
-        return out
-
-    def input_trace(self, kernel: Kernel) -> np.ndarray:
-        """Filtered input history including the current step, per input line."""
-        if not self._input_pushed:
-            raise RuntimeError("no input pushed for the current step")
-        if kernel.window > self.depth:
-            raise ValueError("kernel window exceeds ring depth")
-        window = self._window(self._inputs, self.t, kernel.window)
-        return kernel.coefficients @ window
-
-    def output_trace(self, kernel: Kernel) -> np.ndarray:
-        """Filtered own-spike history, strictly before the current step.
-
-        coefficients[0] would pair with the not-yet-sampled current bit, so
-        it never contributes; the window starts at the previous step against
-        coefficients[1].
-        """
-        if kernel.window < 2:
-            return np.zeros(self.n_out)
-        if kernel.window - 1 > self.depth:
-            raise ValueError("kernel window exceeds ring depth")
-        window = self._window(self._outputs, self.t - 1, kernel.window - 1)
-        return kernel.coefficients[1:] @ window
+    coeff = kernel.coefficients
+    trace = np.zeros((outputs.shape[0], outputs.shape[2]))
+    for d in range(1, min(coeff.size, t + 1)):
+        trace += coeff[d] * outputs[:, t - d, :]
+    return trace
 
 
-def membrane_potentials(params: EncoderParams, state: EncoderState) -> np.ndarray:
-    """Per-neuron membrane potential for the current step."""
-    ff = state.input_trace(params.kernel_ff)
-    fb = state.output_trace(params.kernel_fb)
-    return params.ff_weights @ ff + params.fb_weights * fb + params.bias
+@dataclass
+class Rollout:
+    """One pass of the recurrence over a batch of n sequences."""
+
+    bits: np.ndarray        # (n, steps, k) uint8, the bits fed back
+    potentials: np.ndarray  # (n, steps, k)
+    ff_traces: np.ndarray   # (n, steps, lines), input history up to and including t
+    fb_traces: np.ndarray   # (n, steps, k), own-bit history strictly before t
 
 
-def sample_spikes(u, rng: SeededRng) -> np.ndarray:
-    """Bernoulli(sigmoid(u)) draw, one bit per neuron."""
-    return rng.bernoulli(sigmoid(np.asarray(u, dtype=np.float64)))
+def rollout(params: EncoderParams, inputs, bits_at) -> Rollout:
+    """Run the recurrence over inputs of shape (n, steps, lines).
+
+    At each step t, bits_at(t, u) turns that step's potentials u, shape
+    (n, k), into its bits, which every later step feeds back.  Training
+    draws them from the channel-marginalized law (channel.sample_noisy),
+    evaluation compares pre-drawn spike uniforms with sigmoid(u), and the
+    gradient oracles hand back fixed bits to replay a given sequence.  A
+    single sequence is a batch of one.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    n, steps, _ = inputs.shape
+    k = params.n_out
+    ff = _filtered_inputs(inputs, params.kernel_ff)
+    bits = np.zeros((n, steps, k), dtype=np.uint8)
+    potentials = np.zeros((n, steps, k))
+    fb_traces = np.zeros((n, steps, k))
+    for t in range(steps):
+        fb = _feedback_trace(bits, t, params.kernel_fb)
+        u = ff[:, t, :] @ params.ff_weights.T + params.fb_weights * fb + params.bias
+        bits[:, t, :] = bits_at(t, u)
+        potentials[:, t, :] = u
+        fb_traces[:, t, :] = fb
+    return Rollout(bits, potentials, ff, fb_traces)
 
 
 def grad_u_log_prob_noisy(zhat, u, epsilon: float):
@@ -237,77 +185,18 @@ def grad_u_log_prob_noisy(zhat, u, epsilon: float):
     return out
 
 
-class UnitPotentialGrads(NamedTuple):
-    """Gradients of one neuron's potential with respect to its own weights."""
+def score_grads(run: Rollout, epsilon: float, weights: np.ndarray) -> EncoderGrads:
+    """Parameter gradient of sum_b weights[b] * log p(run.bits[b]).
 
-    ff_row: np.ndarray
-    fb: float
-    bias: float
-
-
-def grad_params_u(
-    params: EncoderParams, state: EncoderState, neuron: int
-) -> UnitPotentialGrads:
-    """Parameter gradients of u for one neuron at the current step.
-
-    These are the filtered traces themselves: the feedforward row gradient
-    is the filtered input (shared by every neuron), the feedback gradient is
-    that neuron's filtered own-spike history, and the bias gradient is 1.
+    p is the channel-marginalized law with run.bits fed back, so each
+    sequence's log-likelihood is a sum of per-step terms.  A step's term
+    depends on the parameters only through u, whose parameter gradients
+    are the traces that built it: the filtered input for the feedforward
+    row, the feedback trace for the feedback weight, and 1 for the bias.
     """
-    if not 0 <= neuron < params.n_out:
-        raise IndexError(f"neuron index {neuron} out of range")
-    ff = state.input_trace(params.kernel_ff)
-    fb = state.output_trace(params.kernel_fb)
-    return UnitPotentialGrads(ff_row=ff, fb=float(fb[neuron]), bias=1.0)
-
-
-@dataclass
-class ScoreAccumulator:
-    """Running sum of per-step score-function terms over one sequence.
-
-    After a full sequence the fields hold the gradient of the sequence
-    log-likelihood with respect to each learnable parameter.  Reset between
-    samples.
-    """
-
-    ff_weights: np.ndarray
-    fb_weights: np.ndarray
-    bias: np.ndarray
-
-    @classmethod
-    def zeros(cls, n_out: int, n_in: int) -> "ScoreAccumulator":
-        return cls(
-            ff_weights=np.zeros((n_out, n_in)),
-            fb_weights=np.zeros(n_out),
-            bias=np.zeros(n_out),
-        )
-
-    def reset(self) -> None:
-        self.ff_weights[:] = 0.0
-        self.fb_weights[:] = 0.0
-        self.bias[:] = 0.0
-
-    def add_step(self, score_u: np.ndarray, ff_trace: np.ndarray, fb_trace: np.ndarray) -> None:
-        self.ff_weights += np.outer(score_u, ff_trace)
-        self.fb_weights += score_u * fb_trace
-        self.bias += score_u
-
-
-def accumulate_score(
-    acc: ScoreAccumulator,
-    zhat_t,
-    u_t,
-    params: EncoderParams,
-    state: EncoderState,
-    epsilon: float,
-) -> ScoreAccumulator:
-    """Fold one step's score into the accumulator.
-
-    Call after computing u_t and sampling zhat_t but before push_output, so
-    the state's traces still describe the step that produced u_t.
-    """
-    score_u = grad_u_log_prob_noisy(zhat_t, u_t, epsilon)
-    ff = state.input_trace(params.kernel_ff)
-    fb = state.output_trace(params.kernel_fb)
-    acc.add_step(np.asarray(score_u, dtype=np.float64), ff, fb)
-    return acc
+    score_u = grad_u_log_prob_noisy(run.bits, run.potentials, epsilon)
+    return EncoderGrads(
+        ff_weights=np.einsum("b,btk,btn->kn", weights, score_u, run.ff_traces),
+        fb_weights=np.einsum("b,btk,btk->k", weights, score_u, run.fb_traces),
+        bias=np.einsum("b,btk->k", weights, score_u),
+    )

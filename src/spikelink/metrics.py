@@ -8,7 +8,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["MetricsRow", "CSV_HEADER", "write_metrics", "read_metrics", "export_metrics"]
+__all__ = ["MetricsRow", "write_metrics", "read_metrics", "export_metrics"]
 
 # column order is fixed; everything that writes or parses metrics uses this
 CSV_HEADER = (

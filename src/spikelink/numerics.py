@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "ebn0_to_epsilon",
     "Kernel",
     "exponential_kernel",
-    "causal_convolve",
     "finite_diff_grad",
     "fold_stream_id",
     "SeededRng",
@@ -128,25 +127,6 @@ def exponential_kernel(tau: float = 5.0, window: int = 10) -> Kernel:
     if tau <= 0 or window < 1:
         raise ValueError("tau must be positive and window at least 1")
     return Kernel(np.exp(-np.arange(window, dtype=np.float64) / float(tau)))
-
-
-def causal_convolve(kernel: Kernel, history, t: int) -> float:
-    """Evaluate (kernel * history) at step t.
-
-    Returns sum over d of coefficients[d] * history[t - d]; indices outside
-    the history contribute zero, so a history that only reaches t - 1 simply
-    drops the d = 0 term.
-    """
-    if t < 0:
-        raise ValueError("time index must be non-negative")
-    hist = np.asarray(history, dtype=np.float64)
-    coeff = kernel.coefficients
-    total = 0.0
-    for d in range(coeff.size):
-        idx = t - d
-        if 0 <= idx < hist.shape[0]:
-            total += coeff[d] * hist[idx]
-    return float(total)
 
 
 def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:

@@ -16,28 +16,17 @@ import time
 import numpy as np
 import pytest
 
-from spikelink.channel import log_prob_noisy, noisy_spike_prob, transmit
+from spikelink.channel import log_prob_noisy, noisy_spike_prob, sample_noisy, transmit
 from spikelink.cli import DEFAULT_BETA_GRID, DEFAULT_SNR_GRID_DB, _build_dataset, _init_models
 from spikelink.config import RunConfig
 from spikelink.decoder import (
     DecoderParams,
-    backward,
-    forward,
+    backward_batch,
     forward_batch,
     init_decoder_params,
-    loss_from_logits,
     losses_from_logits_batch,
 )
-from spikelink.encoder import (
-    EncoderGrads,
-    EncoderParams,
-    EncoderState,
-    ScoreAccumulator,
-    accumulate_score,
-    grad_u_log_prob_noisy,
-    init_encoder_params,
-    membrane_potentials,
-)
+from spikelink.encoder import EncoderParams, grad_u_log_prob_noisy, rollout, score_grads
 from spikelink.numerics import (
     Kernel,
     SeededRng,
@@ -47,13 +36,9 @@ from spikelink.numerics import (
 )
 from spikelink.training import (
     PriorModel,
-    _batch_encoder_grads,
-    _run_noisy_batch,
-    encoder_gradient,
     evaluate,
     evaluate_grid,
     regularizer,
-    sequence_log_prob,
     train_epoch,
 )
 
@@ -96,25 +81,28 @@ def _small_encoder(k, n_in, seed):
     )
 
 
-def _replay(params, inputs, zhat, eps):
-    """Replay a fixed received sequence: log-likelihood, potentials, score."""
-    state = EncoderState.for_params(params)
-    acc = ScoreAccumulator.zeros(params.n_out, params.n_in)
-    log_p = 0.0
-    us = np.zeros(zhat.shape)
-    for t in range(inputs.shape[0]):
-        state.push_input(inputs[t])
-        u = membrane_potentials(params, state)
-        us[t] = u
-        log_p += log_prob_noisy(zhat[t], u, eps)
-        accumulate_score(acc, zhat[t], u, params, state, eps)
-        state.push_output(zhat[t])
-    return log_p, us, acc
-
-
 def _sequences(steps, k):
-    for flat in itertools.product((0.0, 1.0), repeat=steps * k):
-        yield np.array(flat).reshape(steps, k)
+    """Every binary (steps, k) sequence, stacked into one batch."""
+    flat = itertools.product((0, 1), repeat=steps * k)
+    return np.array(list(flat), dtype=np.uint8).reshape(-1, steps, k)
+
+
+def _replay(params, inputs, zhat):
+    """One input sequence replayed against a batch of given received bits."""
+    return rollout(params, np.repeat(inputs[None], len(zhat), axis=0), lambda t, u: zhat[:, t])
+
+
+def _log_prob(run, eps):
+    """Exact log-likelihood of each replayed sequence."""
+    return log_prob_noisy(run.bits, run.potentials, eps).sum(axis=1)
+
+
+def _vdib_losses(decoder, run, eps, beta, label, prior):
+    """Per-sequence objective: decoder loss plus beta times the rate term."""
+    n = len(run.bits)
+    _, _, logits, _ = forward_batch(decoder, run.bits.reshape(n, -1).astype(np.float64))
+    task = losses_from_logits_batch(decoder, logits, np.full(n, label))
+    return task + beta * regularizer(run.bits, run.potentials, eps, prior)
 
 
 def _perturbed_encoder(params, field, index, delta):
@@ -210,8 +198,8 @@ def test_criterion_02_gradient_closed_forms(capsys):
                 # its kink, where central differences are ill-defined
                 x = xs.bernoulli(np.full(4, 0.5)).astype(np.float64)
             label = int(root.substream("y").integers(0, 2))
-            _, cache = forward(params, x)
-            grads = backward(params, cache, label)
+            pre, hidden, _, probs = forward_batch(params, x[None])
+            grads = backward_batch(params, x[None], pre, hidden, probs, np.array([label]))
             for field in ("w1", "b1", "w2", "b2"):
                 base = getattr(params, field)
                 fd = np.zeros_like(base)
@@ -223,8 +211,8 @@ def test_criterion_02_gradient_closed_forms(capsys):
                         }
                         arrays[field][index] += sign * 1e-6
                         p = DecoderParams(output=params.output, **arrays)
-                        _, c = forward(p, x)
-                        vals.append(loss_from_logits(c.logits, label))
+                        _, _, logits, _ = forward_batch(p, x[None])
+                        vals.append(losses_from_logits_batch(p, logits, np.array([label]))[0])
                     fd[index] = (vals[0] - vals[1]) / 2e-6
                 scale = max(np.abs(fd).max(), 1e-12)
                 rel = np.abs(getattr(grads, field) - fd).max() / scale
@@ -239,13 +227,9 @@ def test_criterion_02_gradient_closed_forms(capsys):
 
 
 def _expected_vdib_loss(params, decoder, inputs, eps, beta, label, prior):
-    total = 0.0
-    for zhat in _sequences(inputs.shape[0], params.n_out):
-        log_p, us, _ = _replay(params, inputs, zhat, eps)
-        _, cache = forward(decoder, zhat.reshape(-1))
-        f = loss_from_logits(cache.logits, label) + beta * regularizer(zhat, us, eps, prior)
-        total += math.exp(log_p) * f
-    return total
+    run = _replay(params, inputs, _sequences(inputs.shape[0], params.n_out))
+    f = _vdib_losses(decoder, run, eps, beta, label, prior)
+    return float(np.exp(_log_prob(run, eps)) @ f)
 
 
 def test_criterion_03_score_function_unbiasedness(capsys):
@@ -267,15 +251,9 @@ def test_criterion_03_score_function_unbiasedness(capsys):
             params = _small_encoder(k, n_in, seed)
             decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
             inputs = SeededRng(seed + 2).bernoulli(np.full((T, n_in), 0.5)).astype(np.float64)
-            expected = EncoderGrads.zeros(k, n_in)
-            for zhat in _sequences(T, k):
-                log_p, us, acc = _replay(params, inputs, zhat, eps)
-                _, cache = forward(decoder, zhat.reshape(-1))
-                f = loss_from_logits(cache.logits, label)
-                f += beta * regularizer(zhat, us, eps, prior)
-                g = encoder_gradient(math.exp(log_p) * f, acc)
-                for field in ENCODER_FIELDS:
-                    getattr(expected, field)[...] += getattr(g, field)
+            run = _replay(params, inputs, _sequences(T, k))
+            f = _vdib_losses(decoder, run, eps, beta, label, prior)
+            expected = score_grads(run, eps, np.exp(_log_prob(run, eps)) * f)
             h = 1e-5
             for field in ENCODER_FIELDS:
                 for index in np.ndindex(getattr(params, field).shape):
@@ -298,34 +276,27 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         params = _small_encoder(k, n_in, seed)
         decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
         inputs = SeededRng(seed + 2).bernoulli(np.full((T, n_in), 0.5)).astype(np.float64)
-        exact = EncoderGrads.zeros(k, n_in)
-        second = EncoderGrads.zeros(k, n_in)
-        for zhat in _sequences(T, k):
-            log_p, us, acc = _replay(params, inputs, zhat, eps)
-            _, cache = forward(decoder, zhat.reshape(-1))
-            f = loss_from_logits(cache.logits, label)
-            f += beta * regularizer(zhat, us, eps, prior)
-            g = encoder_gradient(f, acc)
-            p = math.exp(log_p)
-            for field in ENCODER_FIELDS:
-                getattr(exact, field)[...] += p * getattr(g, field)
-                getattr(second, field)[...] += p * getattr(g, field) ** 2
+        run = _replay(params, inputs, _sequences(T, k))
+        p = np.exp(_log_prob(run, eps))
+        f = _vdib_losses(decoder, run, eps, beta, label, prior)
+        per_sequence = [score_grads(run, eps, f * (np.arange(len(f)) == i)) for i in range(len(f))]
 
-        # the production estimator on 1e5 copies of the instance, one batch:
-        # the noisy rollout, the decoder loss, the rate term, the contraction
+        # the training path on 1e5 copies of the instance, one batch: the
+        # noisy rollout, the decoder loss, the rate term, the contraction
         draws = 100_000
-        run = _run_noisy_batch(
-            params, np.repeat(inputs[None], draws, axis=0), eps, prior, SeededRng(775)
+        rng = SeededRng(775)
+        mc = rollout(
+            params, np.repeat(inputs[None], draws, axis=0), lambda t, u: sample_noisy(u, eps, rng)
         )
-        _, _, logits, _ = forward_batch(decoder, run.zhat.reshape(draws, -1).astype(np.float64))
-        f = losses_from_logits_batch(decoder, logits, np.full(draws, label))
-        mean = _batch_encoder_grads(run, f + beta * run.rate_losses)
+        mean = score_grads(mc, eps, _vdib_losses(decoder, mc, eps, beta, label, prior) / draws)
 
         worst_z = 0.0
         for field in ENCODER_FIELDS:
-            var = getattr(second, field) - getattr(exact, field) ** 2
+            g = np.array([getattr(grads, field) for grads in per_sequence])
+            exact = np.tensordot(p, g, axes=1)
+            var = np.tensordot(p, g**2, axes=1) - exact**2
             se = np.sqrt(np.maximum(var, 1e-300) / draws)
-            z = np.abs(getattr(mean, field) - getattr(exact, field)) / se
+            z = np.abs(getattr(mean, field) - exact) / se
             worst_z = max(worst_z, float(z.max()))
             assert (z <= 3.0).all()
         elapsed = time.perf_counter() - started
@@ -349,27 +320,21 @@ def test_criterion_04_sequence_log_likelihood_gradient(capsys):
             params = _small_encoder(k, n_in, seed)
             rng = SeededRng(seed + 10)
             inputs = rng.bernoulli(np.full((T, n_in), 0.6)).astype(np.float64)
-            zhat = rng.bernoulli(np.full((T, k), 0.5)).astype(np.float64)
-            state = EncoderState.for_params(params)
-            acc = ScoreAccumulator.zeros(k, n_in)
-            for t in range(T):
-                state.push_input(inputs[t])
-                u = membrane_potentials(params, state)
-                accumulate_score(acc, zhat[t], u, params, state, eps)
-                state.push_output(zhat[t])
+            zhat = rng.bernoulli(np.full((1, T, k), 0.5))
+            score = score_grads(_replay(params, inputs, zhat), eps, np.ones(1))
             for field in ENCODER_FIELDS:
                 base = getattr(params, field)
                 fd = np.zeros_like(base)
                 for index in np.ndindex(base.shape):
-                    hi = sequence_log_prob(
-                        _perturbed_encoder(params, field, index, h), inputs, zhat, eps
-                    )
-                    lo = sequence_log_prob(
-                        _perturbed_encoder(params, field, index, -h), inputs, zhat, eps
-                    )
+                    hi = _log_prob(
+                        _replay(_perturbed_encoder(params, field, index, h), inputs, zhat), eps
+                    )[0]
+                    lo = _log_prob(
+                        _replay(_perturbed_encoder(params, field, index, -h), inputs, zhat), eps
+                    )[0]
                     fd[index] = (hi - lo) / (2 * h)
                 scale = max(np.abs(fd).max(), 1e-12)
-                rel = np.abs(getattr(acc, field) - fd).max() / scale
+                rel = np.abs(getattr(score, field) - fd).max() / scale
                 worst = max(worst, rel)
                 assert rel <= 1e-5
         info["detail"] = f"max relative error {worst:.2e}"
@@ -380,23 +345,18 @@ def test_criterion_05_channel_statistics(capsys):
         n = 1_000_000
         eps = 0.1
         bits = np.zeros(n, dtype=np.uint8)
-        flipped = transmit(bits, eps, SeededRng(612))
+        flipped = transmit(bits, eps, SeededRng(612).uniform(n))
         rate = float(flipped.mean())
         sigma = math.sqrt(eps * (1 - eps) / n)
         assert abs(rate - eps) <= 3 * sigma
 
-        from spikelink.channel import sample_noisy
-
         draws = 100_000
         u = np.array([0.0, 1.0])
         eps2 = 0.2
-        direct_rng = SeededRng(613)
+        direct = sample_noisy(np.tile(u, (draws, 1)), eps2, SeededRng(613))
         staged_rng = SeededRng(614)
-        direct = np.zeros((draws, 2), dtype=np.uint8)
-        for i in range(draws):
-            direct[i] = sample_noisy(u, eps2, direct_rng)
         spikes = staged_rng.bernoulli(np.tile(sigmoid(u), (draws, 1)))
-        staged = transmit(spikes, eps2, staged_rng)
+        staged = transmit(spikes, eps2, staged_rng.uniform(spikes.shape))
         obs1 = np.bincount(direct[:, 0] * 2 + direct[:, 1], minlength=4).astype(float)
         obs2 = np.bincount(staged[:, 0] * 2 + staged[:, 1], minlength=4).astype(float)
         pooled = (obs1 + obs2) / (2 * draws)
@@ -418,14 +378,11 @@ def test_criterion_06_kl_nonnegativity(capsys):
         for k, T, n_in, seed in ((1, 3, 2, 71), (2, 2, 2, 72), (1, 4, 1, 73)):
             params = _small_encoder(k, n_in, seed)
             inputs = SeededRng(seed + 5).bernoulli(np.full((T, n_in), 0.5)).astype(np.float64)
+            run = _replay(params, inputs, _sequences(T, k))
             for eps in EPSILON_SET:
-                kl = 0.0
-                norm = 0.0
-                for zhat in _sequences(T, k):
-                    log_p, us, _ = _replay(params, inputs, zhat, eps)
-                    p = math.exp(log_p)
-                    norm += p
-                    kl += p * regularizer(zhat, us, eps, prior)
+                p = np.exp(_log_prob(run, eps))
+                norm = p.sum()
+                kl = p @ regularizer(run.bits, run.potentials, eps, prior)
                 assert abs(norm - 1.0) <= 1e-12
                 lowest = min(lowest, kl)
                 assert kl >= -1e-12

@@ -8,7 +8,6 @@ import pytest
 
 from spikelink.channel import (
     ChannelConfig,
-    log_prob_clean,
     log_prob_noisy,
     noisy_spike_prob,
     sample_noisy,
@@ -44,26 +43,26 @@ class TestChannelConfig:
 class TestTransmit:
     def test_identity_at_zero(self):
         bits = SeededRng(0).bernoulli(np.full(500, 0.4))
-        out = transmit(bits, 0.0, SeededRng(1))
+        out = transmit(bits, 0.0, SeededRng(1).uniform(bits.shape))
         np.testing.assert_array_equal(out, bits)
 
     def test_complement_at_one(self):
         bits = SeededRng(0).bernoulli(np.full(500, 0.4))
-        out = transmit(bits, 1.0, SeededRng(1))
+        out = transmit(bits, 1.0, SeededRng(1).uniform(bits.shape))
         np.testing.assert_array_equal(out, 1 - bits)
 
     def test_flip_rate_within_three_sigma(self):
         n = 1_000_000
         eps = 0.1
         bits = np.zeros(n, dtype=np.uint8)
-        out = transmit(bits, eps, SeededRng(123))
+        out = transmit(bits, eps, SeededRng(123).uniform(n))
         rate = out.mean()
         sigma = math.sqrt(eps * (1 - eps) / n)
         assert abs(rate - eps) < 3 * sigma
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
-            transmit(np.zeros(3, dtype=np.uint8), 1.5, SeededRng(0))
+            transmit(np.zeros(3, dtype=np.uint8), 1.5, np.zeros(3))
 
 
 class TestNoisySpikeProb:
@@ -100,7 +99,20 @@ class TestLogProbNoisy:
         rng = SeededRng(2)
         u = rng.generator.normal(size=6)
         bits = rng.bernoulli(np.full(6, 0.5))
-        assert log_prob_noisy(bits, u, 0.0) == log_prob_clean(bits, u)
+        p = sigmoid(u)
+        clean = np.sum(bits * np.log(p) + (1 - bits) * np.log(1 - p))
+        assert log_prob_noisy(bits, u, 0.0) == pytest.approx(clean, rel=1e-13)
+
+    def test_sums_over_neurons_only(self):
+        # a (samples, steps, neurons) batch gives one term per sample and step
+        rng = SeededRng(3)
+        u = rng.generator.normal(size=(2, 3, 4))
+        bits = rng.bernoulli(np.full((2, 3, 4), 0.5))
+        for eps in (0.0, 0.2):
+            got = log_prob_noisy(bits, u, eps)
+            assert got.shape == (2, 3)
+            for index in np.ndindex(2, 3):
+                assert got[index] == log_prob_noisy(bits[index], u[index], eps)
 
     def test_single_bit_value(self):
         # u = 0, eps = 0.1: marginal spike probability is exactly 0.5
@@ -111,14 +123,13 @@ class TestLogProbNoisy:
     def test_clean_log_prob_frozen_value(self):
         # sigmoid(ln 3) = 0.75 exactly; frozen log(0.75)
         u = np.array([math.log(3.0)])
-        assert log_prob_clean(np.array([1]), u) == pytest.approx(
+        assert log_prob_noisy(np.array([1]), u, 0.0) == pytest.approx(
             -0.28768207245178092744, rel=1e-14
         )
 
     def test_saturated_potentials_stay_finite(self):
         u = np.array([750.0, -750.0])
         bits = np.array([0, 1])
-        assert math.isfinite(log_prob_clean(bits, u))
         assert math.isfinite(log_prob_noisy(bits, u, 0.0))
         assert math.isfinite(log_prob_noisy(bits, u, 0.3))
 
@@ -154,14 +165,10 @@ class TestSampleNoisy:
         n = 100_000
         u = np.array([0.0, 1.0])
         eps = 0.2
-        direct_rng = SeededRng(100)
+        direct = sample_noisy(np.tile(u, (n, 1)), eps, SeededRng(100))
         stage_rng = SeededRng(200)
-        direct = np.zeros((n, 2), dtype=np.uint8)
-        staged = np.zeros((n, 2), dtype=np.uint8)
-        for i in range(n):
-            direct[i] = sample_noisy(u, eps, direct_rng)
         spikes = stage_rng.bernoulli(np.tile(sigmoid(u), (n, 1)))
-        staged = transmit(spikes, eps, stage_rng)
+        staged = transmit(spikes, eps, stage_rng.uniform(spikes.shape))
         codes = direct[:, 0] * 2 + direct[:, 1]
         codes2 = staged[:, 0] * 2 + staged[:, 1]
         obs1 = np.bincount(codes, minlength=4).astype(float)

@@ -1,11 +1,16 @@
 """Config files, metrics files, and the command-line verbs end to end."""
 
+import math
+from dataclasses import fields
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import spikelink.cli as cli
 from spikelink.checkpoint import load_checkpoint
 from spikelink.cli import DEFAULT_MISMATCH_GRID, main
-from spikelink.config import ConfigError, build_run_config, parse_config_file
+from spikelink.config import ConfigError, RunConfig, build_run_config, parse_config_file
 from spikelink.events import synthetic_records
 from spikelink.training import TrainingDiverged
 from spikelink.metrics import (
@@ -184,6 +189,36 @@ def tiny_config(tmp_path):
 
 def _run(*argv) -> int:
     return main(list(argv))
+
+
+class TestNonFiniteValues:
+    FLOAT_KEYS = [
+        "events_per_pixel", "background_events", "tau_ff", "tau_fb", "beta", "eta",
+        "init_rate", "prior_rate", "momentum", "grad_clip", "epsilon", "ebn0_db",
+    ]
+
+    def _train(self, tiny_config, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(tiny_config.read_text() + line + "\n")
+        out = tmp_path / "run"
+        code = _run("train", "--config", str(path), "--out", str(out))
+        assert not (out / "metrics.csv").exists()
+        return code
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_nan_refused(self, tiny_config, tmp_path, capsys, key):
+        assert self._train(tiny_config, tmp_path, f"{key} = nan") == 2
+        assert f"{key} must be a number, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    @pytest.mark.parametrize("key", ["beta", "eta", "grad_clip"])
+    def test_infinity_refused(self, tiny_config, tmp_path, capsys, key, value):
+        assert self._train(tiny_config, tmp_path, f"{key} = {value}") == 2
+        assert f"{key} must be finite, got {value}" in capsys.readouterr().err
+
+    def test_ebn0_infinities_stay_valid(self):
+        assert build_run_config({"ebn0_db": math.inf}).ebn0_db == math.inf
+        assert build_run_config({"ebn0_db": -math.inf}).ebn0_db == -math.inf
 
 
 class TestCliTrain:
@@ -558,3 +593,69 @@ class TestEventsDatasetFlow:
         assert _run("train", "--config", str(cfg_path), "--out", str(out)) == 0
         rows = read_metrics(out / "metrics.csv")
         assert len(rows) == 1
+
+
+_PROPERTY = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+# each key's value type, from the RunConfig annotations ("float | None" is a float)
+_KIND = {f.name: f.type.split(" ")[0] for f in fields(RunConfig)}
+_VALUES = {
+    # bounded so a drawn kernel window stays small
+    "int": st.integers(-10**5, 10**5),
+    "float": st.floats(allow_nan=False),
+    "bool": st.booleans(),
+    "str": st.text(
+        st.characters(min_codepoint=33, max_codepoint=126, blacklist_characters="#"),
+        min_size=1, max_size=12,
+    ),
+}
+
+
+def _written(value) -> str:
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def _config_values(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_KIND)), unique=True, max_size=8))
+    return {key: draw(_VALUES[_KIND[key]]) for key in keys}
+
+
+@_PROPERTY
+@given(_config_values())
+def test_config_file_round_trip(tmp_path, values):
+    path = tmp_path / "fuzz.cfg"
+    path.write_text("".join(f"{key} = {_written(value)}\n" for key, value in values.items()))
+    assert parse_config_file(path) == values
+    try:
+        cfg = build_run_config(values)
+    except ConfigError:
+        return
+    for key, value in values.items():
+        assert getattr(cfg, key) == value
+
+
+# the kernel windows are left out: validation builds each kernel, so a
+# drawn window of 10**9 would allocate gigabytes
+_LINE = st.one_of(
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(sorted(set(_KIND) - {"window_ff", "window_fb"})),
+        st.text(max_size=12),
+    ),
+    st.text(max_size=20),
+)
+
+
+@_PROPERTY
+@given(st.lists(_LINE, max_size=6), st.binary(max_size=8))
+def test_damaged_config_is_refused_or_valid(tmp_path, lines, junk):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass") + junk)
+    try:
+        build_run_config(parse_config_file(path))
+    except ConfigError:
+        pass

@@ -1,4 +1,7 @@
-"""Decoder: forward chain, losses, exact backward against finite differences."""
+"""Decoder: forward chain, losses, exact backward against finite differences.
+
+Every check runs the batched functions; a single buffer is a batch of one.
+"""
 
 import math
 
@@ -7,24 +10,32 @@ import pytest
 
 from spikelink.decoder import (
     DecoderParams,
-    ReceiveBuffer,
-    backward,
     backward_batch,
-    classification_loss,
-    forward,
     forward_batch,
     init_decoder_params,
-    loss_from_logits,
     losses_from_logits_batch,
-    predict,
 )
+from spikelink.encoder import init_encoder_params
 from spikelink.numerics import SeededRng, sigmoid
+from spikelink.training import evaluate_grid
+
+FIELDS = ("w1", "b1", "w2", "b2")
 
 
 def _params(input_dim=4, hidden=3, classes=2, seed=0, output="sigmoid"):
     return init_decoder_params(
         input_dim, classes, SeededRng(seed), hidden_dim=hidden, output=output
     )
+
+
+def _loss(params, x, label):
+    _, _, logits, _ = forward_batch(params, x[None])
+    return float(losses_from_logits_batch(params, logits, np.array([label]))[0])
+
+
+def _grads(params, x, labels):
+    pre, hidden, _, probs = forward_batch(params, x)
+    return backward_batch(params, x, pre, hidden, probs, np.asarray(labels))
 
 
 class TestParamsAndBuffer:
@@ -54,17 +65,6 @@ class TestParamsAndBuffer:
         assert np.abs(params.w2).max() <= r2
         assert params.b1.sum() == 0.0 and params.b2.sum() == 0.0
 
-    def test_buffer_flattens_step_major(self):
-        buf = ReceiveBuffer(np.array([[1, 0, 0], [0, 0, 1]]))
-        np.testing.assert_array_equal(buf.flat(), [1, 0, 0, 0, 0, 1])
-        assert buf.steps == 2 and buf.n_out == 3
-
-    def test_buffer_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            ReceiveBuffer(np.array([[0.5, 0.0]]))
-        with pytest.raises(ValueError):
-            ReceiveBuffer(np.zeros(4))
-
 
 class TestForward:
     def test_hand_computed_chain(self):
@@ -76,89 +76,98 @@ class TestForward:
             w2=np.array([[1.0, -1.0]]),
             b2=np.array([0.25]),
         )
-        probs, cache = forward(params, np.array([[1.0, 1.0]]))
-        np.testing.assert_allclose(cache.pre_hidden, [0.5, 1.0])
-        np.testing.assert_allclose(cache.hidden, [0.5, 1.0])
-        np.testing.assert_allclose(cache.logits, [-0.25])
-        np.testing.assert_allclose(probs, sigmoid(np.array([-0.25])))
+        pre, hidden, logits, probs = forward_batch(params, np.array([[1.0, 1.0]]))
+        np.testing.assert_allclose(pre, [[0.5, 1.0]])
+        np.testing.assert_allclose(hidden, [[0.5, 1.0]])
+        np.testing.assert_allclose(logits, [[-0.25]])
+        np.testing.assert_allclose(probs, sigmoid(np.array([[-0.25]])))
 
     def test_relu_clamps_negative_preactivation(self):
         params = DecoderParams(
             w1=np.array([[-2.0]]), b1=np.array([0.0]),
             w2=np.array([[3.0]]), b2=np.array([0.0]),
         )
-        probs, cache = forward(params, np.array([1.0]))
-        assert cache.pre_hidden[0] == -2.0
-        assert cache.hidden[0] == 0.0
-        np.testing.assert_allclose(cache.logits, [0.0])
-
-    def test_accepts_receive_buffer(self):
-        params = _params(input_dim=6, hidden=3, classes=2)
-        buf = ReceiveBuffer(np.array([[1, 0, 1], [0, 1, 0]]))
-        probs, _ = forward(params, buf)
-        assert probs.shape == (2,)
+        pre, hidden, logits, _ = forward_batch(params, np.array([[1.0]]))
+        assert pre[0, 0] == -2.0
+        assert hidden[0, 0] == 0.0
+        np.testing.assert_allclose(logits, [[0.0]])
 
     def test_rejects_wrong_width(self):
-        params = _params(input_dim=6)
-        with pytest.raises(ValueError, match="flattens to"):
-            forward(params, np.zeros(5))
+        with pytest.raises(ValueError):
+            forward_batch(_params(input_dim=6), np.zeros((1, 5)))
 
     def test_softmax_head_normalizes(self):
         params = _params(classes=3, output="softmax")
-        probs, _ = forward(params, np.ones(4))
+        _, _, _, probs = forward_batch(params, np.ones((1, 4)))
         assert probs.sum() == pytest.approx(1.0, rel=1e-12)
         assert (probs > 0).all()
 
 
 class TestLosses:
     def test_sigmoid_loss_hand_value(self):
-        # probs (0.75, 0.25), label 0: -log 0.75 - log 0.75 = 2 * 0.2876820...
-        loss = classification_loss(np.array([0.75, 0.25]), 0)
+        # logits (ln 3, -ln 3) give probs (0.75, 0.25); label 0:
+        # -log 0.75 - log 0.75 = 2 * 0.2876820...
+        logits = np.array([[math.log(3.0), -math.log(3.0)]])
+        loss = losses_from_logits_batch(_params(), logits, np.array([0]))[0]
         assert loss == pytest.approx(2 * 0.28768207245178092744, rel=1e-13)
 
     def test_softmax_loss_hand_value(self):
-        loss = classification_loss(np.array([0.25, 0.5, 0.25]), 1, output="softmax")
+        logits = np.log(np.array([[0.25, 0.5, 0.25]]))
+        loss = losses_from_logits_batch(_params(output="softmax"), logits, np.array([1]))[0]
         assert loss == pytest.approx(math.log(2.0), rel=1e-13)
 
     def test_logit_form_matches_probability_form(self):
         rng = SeededRng(4)
-        logits = rng.generator.normal(size=5)
-        ex = np.exp(logits - logits.max())
-        heads = {"sigmoid": sigmoid(logits), "softmax": ex / ex.sum()}
-        for output, probs in heads.items():
-            for label in range(5):
-                a = classification_loss(probs, label, output)
-                b = loss_from_logits(logits, label, output)
-                assert a == pytest.approx(b, rel=1e-10)
+        logits = rng.generator.normal(size=(5, 5))
+        labels = np.arange(5)
+        onehot = np.eye(5)
+        for output in ("sigmoid", "softmax"):
+            got = losses_from_logits_batch(_params(output=output), logits, labels)
+            if output == "softmax":
+                ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+                expected = -np.log((ex / ex.sum(axis=1, keepdims=True))[labels, labels])
+            else:
+                p = sigmoid(logits)
+                expected = -np.sum(onehot * np.log(p) + (1 - onehot) * np.log1p(-p), axis=1)
+            np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_logit_form_survives_saturation(self):
-        logits = np.array([800.0, -800.0])
-        assert math.isfinite(loss_from_logits(logits, 0))
-        assert math.isfinite(loss_from_logits(logits, 1))
-        assert math.isfinite(loss_from_logits(logits, 0, output="softmax"))
+        logits = np.array([[800.0, -800.0], [800.0, -800.0]])
+        labels = np.array([0, 1])
+        assert np.isfinite(losses_from_logits_batch(_params(), logits, labels)).all()
+        assert np.isfinite(
+            losses_from_logits_batch(_params(output="softmax"), logits, labels)
+        ).all()
 
     def test_label_bounds(self):
         with pytest.raises(IndexError):
-            classification_loss(np.array([0.5, 0.5]), 2)
+            losses_from_logits_batch(_params(), np.zeros((1, 2)), np.array([2]))
 
     def test_predict_tie_goes_low(self):
-        assert predict(np.array([0.4, 0.4, 0.2])) == 0
-        assert predict(np.array([0.1, 0.9])) == 1
+        # evaluation predicts the argmax; an all-zero decoder scores every
+        # class alike, so every sample goes to class 0 and the error is the
+        # share of other labels
+        inputs = SeededRng(1).bernoulli(np.full((16, 5, 3), 0.5))
+        encoder = init_encoder_params(3, 2, SeededRng(2))
+        flat = DecoderParams(
+            w1=np.zeros((4, 10)), b1=np.zeros(4), w2=np.zeros((3, 4)), b2=np.zeros(3)
+        )
+        labels = np.arange(16) % 3
+        [(err, _)] = evaluate_grid(encoder, flat, inputs, labels, [0.1], seed=0)
+        assert err == np.mean(labels != 0)
 
 
 def _fd_decoder_grads(params, x, label, h=1e-6):
     out = {}
-    for field in ("w1", "b1", "w2", "b2"):
+    for field in FIELDS:
         base = getattr(params, field)
         grad = np.zeros_like(base)
         for index in np.ndindex(base.shape):
             for sign in (1.0, -1.0):
-                arrays = {k: getattr(params, k).copy() for k in ("w1", "b1", "w2", "b2")}
+                arrays = {k: getattr(params, k).copy() for k in FIELDS}
                 arrays[field][index] += sign * h
                 p = DecoderParams(output=params.output, **arrays)
-                _, cache = forward(p, x)
-                val = loss_from_logits(cache.logits, label, params.output)
-                grad[index] += sign * val / (2 * h)
+                grad[index] += sign * _loss(p, x, label) / (2 * h)
         out[field] = grad
     return out
 
@@ -170,10 +179,9 @@ class TestBackward:
         # hidden 3, 2 classes, binary input of width 4; 1e-6 relative
         params = _params(input_dim=4, hidden=3, classes=2, seed=7, output=output)
         x = np.array([1.0, 0.0, 1.0, 1.0])
-        _, cache = forward(params, x)
-        grads = backward(params, cache, label)
+        grads = _grads(params, x[None], [label])
         fd = _fd_decoder_grads(params, x, label)
-        for field in ("w1", "b1", "w2", "b2"):
+        for field in FIELDS:
             scale = max(np.abs(fd[field]).max(), 1e-12)
             np.testing.assert_allclose(
                 getattr(grads, field), fd[field], rtol=0, atol=1e-6 * scale
@@ -185,47 +193,39 @@ class TestBackward:
             w1=np.array([[-3.0]]), b1=np.array([0.0]),
             w2=np.array([[2.0]]), b2=np.array([0.0]),
         )
-        _, cache = forward(params, np.array([1.0]))
-        grads = backward(params, cache, 0)
+        grads = _grads(params, np.array([[1.0]]), [0])
         assert grads.w1[0, 0] == 0.0
         assert grads.b1[0] == 0.0
         assert grads.w2[0, 0] == 0.0  # hidden is 0, so w2 grad is 0 too
         assert grads.b2[0] != 0.0
 
     def test_batched_forward_matches_reference(self):
+        # each row of a batch equals that row run alone
         params = _params(input_dim=6, hidden=4, classes=3, seed=2)
-        rng = SeededRng(8)
-        x = rng.bernoulli(np.full((5, 6), 0.5)).astype(np.float64)
-        pre, hidden, logits, probs = forward_batch(params, x)
+        x = SeededRng(8).bernoulli(np.full((5, 6), 0.5)).astype(np.float64)
+        batch = forward_batch(params, x)
         for i in range(5):
-            p_ref, cache = forward(params, x[i])
-            np.testing.assert_allclose(pre[i], cache.pre_hidden, rtol=1e-14)
-            np.testing.assert_allclose(logits[i], cache.logits, rtol=1e-14)
-            np.testing.assert_allclose(probs[i], p_ref, rtol=1e-14)
+            for got, alone in zip(batch, forward_batch(params, x[i : i + 1])):
+                np.testing.assert_allclose(got[i], alone[0], rtol=1e-14)
 
     def test_batched_losses_match_reference(self):
+        # per-row loss against the probability form written out row by row
         params = _params(input_dim=6, hidden=4, classes=3, seed=2)
-        rng = SeededRng(9)
-        x = rng.bernoulli(np.full((5, 6), 0.5)).astype(np.float64)
+        x = SeededRng(9).bernoulli(np.full((5, 6), 0.5)).astype(np.float64)
         labels = np.array([0, 1, 2, 1, 0])
-        _, _, logits, _ = forward_batch(params, x)
+        _, _, logits, probs = forward_batch(params, x)
         batch = losses_from_logits_batch(params, logits, labels)
         for i in range(5):
-            ref = loss_from_logits(logits[i], labels[i], params.output)
+            others = np.delete(probs[i], labels[i])
+            ref = -math.log(probs[i, labels[i]]) - np.log1p(-others).sum()
             assert batch[i] == pytest.approx(ref, rel=1e-13)
 
     def test_batched_backward_is_mean_of_reference(self):
         params = _params(input_dim=6, hidden=4, classes=3, seed=3)
-        rng = SeededRng(10)
-        x = rng.bernoulli(np.full((4, 6), 0.5)).astype(np.float64)
+        x = SeededRng(10).bernoulli(np.full((4, 6), 0.5)).astype(np.float64)
         labels = np.array([2, 0, 1, 1])
-        pre, hidden, logits, probs = forward_batch(params, x)
-        batch = backward_batch(params, x, pre, hidden, probs, labels)
-        mean = {k: 0.0 for k in ("w1", "b1", "w2", "b2")}
-        for i in range(4):
-            _, cache = forward(params, x[i])
-            g = backward(params, cache, labels[i])
-            for k in mean:
-                mean[k] = mean[k] + getattr(g, k) / 4.0
-        for k in mean:
-            np.testing.assert_allclose(getattr(batch, k), mean[k], atol=1e-14)
+        batch = _grads(params, x, labels)
+        singles = [_grads(params, x[i : i + 1], labels[i : i + 1]) for i in range(4)]
+        for field in FIELDS:
+            mean = sum(getattr(g, field) for g in singles) / 4.0
+            np.testing.assert_allclose(getattr(batch, field), mean, atol=1e-14)

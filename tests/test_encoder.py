@@ -1,22 +1,22 @@
-"""Encoder: traces, potentials, and the score-function gradient oracles."""
+"""Encoder: the rollout's traces and potentials, and the score-function
+gradient against finite differences."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spikelink.channel import log_prob_noisy
 from spikelink.encoder import (
     EncoderParams,
-    EncoderState,
-    ScoreAccumulator,
-    accumulate_score,
-    grad_params_u,
     grad_u_log_prob_noisy,
     init_encoder_params,
-    membrane_potentials,
-    sample_spikes,
+    rollout,
+    score_grads,
 )
-from spikelink.channel import log_prob_noisy
 from spikelink.numerics import Kernel, SeededRng, finite_diff_grad, sigmoid
-from spikelink.training import sequence_log_prob
+
+FIELDS = ("ff_weights", "fb_weights", "bias")
 
 
 def _kernel(*coeffs):
@@ -32,6 +32,35 @@ def _tiny_params(k=2, n_in=3, seed=0, kernel_ff=None, kernel_fb=None):
         kernel_ff=kernel_ff or _kernel(1.0, 0.5, 0.25),
         kernel_fb=kernel_fb or _kernel(1.0, 0.5),
     )
+
+
+def _unit_params(kernel_ff=None, kernel_fb=None):
+    """One neuron on one input line, unit weights."""
+    return EncoderParams(
+        ff_weights=np.array([[1.0]]),
+        fb_weights=np.array([1.0]),
+        bias=np.array([0.0]),
+        kernel_ff=kernel_ff or _kernel(1.0),
+        kernel_fb=kernel_fb or _kernel(1.0),
+    )
+
+
+def _replay(params, inputs, bits):
+    """The rollout with the given bits fed back, shapes (n, steps, ...)."""
+    bits = np.asarray(bits)
+    return rollout(params, inputs, lambda t, u: bits[:, t])
+
+
+def _fd_grads(params, objective, h=1e-6):
+    """Central differences of objective(params) along every learnable entry."""
+    return {
+        field: finite_diff_grad(
+            lambda value: objective(replace(params, **{field: value})),
+            getattr(params, field),
+            h,
+        )
+        for field in FIELDS
+    }
 
 
 class TestParams:
@@ -73,68 +102,26 @@ class TestParams:
 
 
 class TestStateTraces:
-    def test_push_protocol_enforced(self):
-        state = EncoderState(2, 1, 4)
-        with pytest.raises(RuntimeError):
-            state.push_output(np.zeros(1))
-        state.push_input(np.zeros(2))
-        with pytest.raises(RuntimeError):
-            state.push_input(np.zeros(2))
-        state.push_output(np.zeros(1))
-        assert state.t == 1
-
-    def test_shape_checks(self):
-        state = EncoderState(2, 1, 4)
-        with pytest.raises(ValueError):
-            state.push_input(np.zeros(3))
-        state.push_input(np.zeros(2))
-        with pytest.raises(ValueError):
-            state.push_output(np.zeros(2))
-
     def test_input_trace_includes_current_step(self):
-        # kernel (1, 0.5): trace at t = x_t + 0.5 * x_{t-1}
-        state = EncoderState(1, 1, 4)
-        kernel = _kernel(1.0, 0.5)
-        state.push_input(np.array([1.0]))
-        np.testing.assert_allclose(state.input_trace(kernel), [1.0])
-        state.push_output(np.array([0.0]))
-        state.push_input(np.array([1.0]))
-        np.testing.assert_allclose(state.input_trace(kernel), [1.5])
+        # kernel (1, 0.5, 0.25), inputs 1, 0, 1, 1:
+        # trace at t = x_t + 0.5 * x_{t-1} + 0.25 * x_{t-2}
+        params = _unit_params(kernel_ff=_kernel(1.0, 0.5, 0.25))
+        inputs = np.array([1.0, 0.0, 1.0, 1.0]).reshape(1, 4, 1)
+        run = _replay(params, inputs, np.zeros((1, 4, 1)))
+        np.testing.assert_allclose(run.ff_traces[0, :, 0], [1.0, 0.5, 1.25, 1.5])
 
     def test_output_trace_strictly_past(self):
-        # kernel (1, 0.5, 0.25): current bit never contributes; at t=2 the
-        # trace is 0.5 * out_1 + 0.25 * out_0
-        state = EncoderState(1, 1, 4)
-        kernel = _kernel(1.0, 0.5, 0.25)
-        state.push_input(np.array([0.0]))
-        np.testing.assert_allclose(state.output_trace(kernel), [0.0])
-        state.push_output(np.array([1.0]))
-        state.push_input(np.array([0.0]))
-        np.testing.assert_allclose(state.output_trace(kernel), [0.5])
-        state.push_output(np.array([1.0]))
-        state.push_input(np.array([0.0]))
-        np.testing.assert_allclose(state.output_trace(kernel), [0.75])
+        # kernel (1, 0.5, 0.25, 0.125), bits 1, 0, 1, 0: the current bit
+        # never contributes; at t=3 the trace is 0.5 * 1 + 0.25 * 0 + 0.125 * 1
+        params = _unit_params(kernel_fb=_kernel(1.0, 0.5, 0.25, 0.125))
+        bits = np.array([1, 0, 1, 0]).reshape(1, 4, 1)
+        run = _replay(params, np.zeros((1, 4, 1)), bits)
+        np.testing.assert_allclose(run.fb_traces[0, :, 0], [0.0, 0.5, 0.25, 0.625])
 
     def test_history_before_time_zero_reads_zero(self):
-        state = EncoderState(1, 1, 8)
-        kernel = _kernel(1.0, 1.0, 1.0, 1.0)
-        state.push_input(np.array([1.0]))
-        np.testing.assert_allclose(state.input_trace(kernel), [1.0])
-
-    def test_window_deeper_than_ring_rejected(self):
-        state = EncoderState(1, 1, 2)
-        state.push_input(np.array([1.0]))
-        with pytest.raises(ValueError):
-            state.input_trace(_kernel(1.0, 0.5, 0.25))
-
-    def test_reset_clears(self):
-        state = EncoderState(1, 1, 3)
-        state.push_input(np.array([1.0]))
-        state.push_output(np.array([1.0]))
-        state.reset()
-        assert state.t == 0
-        state.push_input(np.array([0.0]))
-        np.testing.assert_allclose(state.output_trace(_kernel(1.0, 1.0)), [0.0])
+        params = _unit_params(kernel_ff=_kernel(1.0, 1.0, 1.0, 1.0))
+        run = _replay(params, np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
+        np.testing.assert_allclose(run.ff_traces[0, 0], [1.0])
 
 
 class TestMembranePotential:
@@ -146,21 +133,29 @@ class TestMembranePotential:
             kernel_ff=_kernel(1.0, 0.5),
             kernel_fb=_kernel(1.0, 0.5),
         )
-        state = EncoderState.for_params(params)
-        state.push_input(np.array([1.0, 1.0]))
-        u0 = membrane_potentials(params, state)
-        np.testing.assert_allclose(u0, [0.5 - 0.25 + 0.1])
-        state.push_output(np.array([1.0]))
-        state.push_input(np.array([0.0, 1.0]))
-        # ff trace: (0.5, 1.5); fb trace: 0.5 * 1
-        u1 = membrane_potentials(params, state)
-        np.testing.assert_allclose(u1, [0.5 * 0.5 - 0.25 * 1.5 - 1.0 * 0.5 + 0.1])
-
-    def test_sample_spikes_extremes(self):
-        rng = SeededRng(0)
-        np.testing.assert_array_equal(
-            sample_spikes(np.array([1e4, -1e4]), rng), [1, 0]
+        run = _replay(params, np.array([[[1.0, 1.0], [0.0, 1.0]]]), np.array([[[1], [0]]]))
+        # step 1: ff trace (0.5, 1.5); fb trace 0.5 * 1
+        np.testing.assert_allclose(
+            run.potentials[0, :, 0],
+            [0.5 - 0.25 + 0.1, 0.5 * 0.5 - 0.25 * 1.5 - 1.0 * 0.5 + 0.1],
         )
+
+    def test_bit_rule_sees_each_step_once(self):
+        # the rule gets step t's potentials before any later step exists,
+        # and the bits it returns are the ones fed back and kept
+        params = _tiny_params()
+        inputs = SeededRng(4).bernoulli(np.full((3, 5, params.n_in), 0.5))
+        seen = []
+
+        def rule(t, u):
+            seen.append((t, u.copy()))
+            return u > 0.0
+
+        run = rollout(params, inputs, rule)
+        assert [t for t, _ in seen] == list(range(5))
+        for t, u in seen:
+            np.testing.assert_array_equal(run.potentials[:, t], u)
+            np.testing.assert_array_equal(run.bits[:, t], u > 0.0)
 
 
 class TestGradULogProb:
@@ -199,114 +194,63 @@ class TestGradULogProb:
             grad_u_log_prob_noisy(np.array([1.0]), np.array([0.0]), -0.1)
 
 
-class TestGradParamsU:
+class TestPotentialGrads:
     def test_gradients_are_the_traces(self):
+        # with the bits fixed, u is linear in each neuron's own weights, and
+        # its slope along each weight is the trace that multiplies it
         params = _tiny_params()
-        state = EncoderState.for_params(params)
         rng = SeededRng(3)
-        for t in range(3):
-            state.push_input(rng.bernoulli(np.full(params.n_in, 0.5)))
-            if t < 2:
-                state.push_output(rng.bernoulli(np.full(params.n_out, 0.5)))
-        ff = state.input_trace(params.kernel_ff)
-        fb = state.output_trace(params.kernel_fb)
-        for neuron in range(params.n_out):
-            g = grad_params_u(params, state, neuron)
-            np.testing.assert_array_equal(g.ff_row, ff)
-            assert g.fb == fb[neuron]
-            assert g.bias == 1.0
-
-    def test_neuron_bounds(self):
-        params = _tiny_params()
-        state = EncoderState.for_params(params)
-        state.push_input(np.zeros(params.n_in))
-        with pytest.raises(IndexError):
-            grad_params_u(params, state, 2)
+        inputs = rng.bernoulli(np.full((2, 4, params.n_in), 0.5))
+        bits = rng.bernoulli(np.full((2, 4, params.n_out), 0.5))
+        run = _replay(params, inputs, bits)
+        slopes = {"ff_weights": run.ff_traces, "fb_weights": run.fb_traces,
+                  "bias": np.ones_like(run.fb_traces)}
+        h = 1e-3
+        for field in FIELDS:
+            for index in np.ndindex(getattr(params, field).shape):
+                u = []
+                for sign in (1.0, -1.0):
+                    value = getattr(params, field).copy()
+                    value[index] += sign * h
+                    u.append(_replay(replace(params, **{field: value}), inputs, bits).potentials)
+                expected = np.zeros_like(u[0])
+                column = index[1] if field == "ff_weights" else index[0]
+                expected[:, :, index[0]] = slopes[field][:, :, column]
+                np.testing.assert_allclose((u[0] - u[1]) / (2 * h), expected, atol=1e-9)
 
     def test_potential_matches_trace_inner_product(self):
         # u must be exactly the parameter-gradient inner product plus bias,
         # confirming the traces in the score are the ones in the forward pass
         params = _tiny_params()
-        state = EncoderState.for_params(params)
-        rng = SeededRng(9)
-        state.push_input(rng.bernoulli(np.full(params.n_in, 0.7)))
-        state.push_output(rng.bernoulli(np.full(params.n_out, 0.5)))
-        state.push_input(rng.bernoulli(np.full(params.n_in, 0.7)))
-        u = membrane_potentials(params, state)
-        for i in range(params.n_out):
-            g = grad_params_u(params, state, i)
-            manual = params.ff_weights[i] @ g.ff_row + params.fb_weights[i] * g.fb
-            manual += params.bias[i] * g.bias
-            assert u[i] == pytest.approx(manual, rel=1e-14)
+        inputs = SeededRng(9).bernoulli(np.full((2, 3, params.n_in), 0.7))
+        run = rollout(params, inputs, lambda t, u: u > 0.0)
+        manual = (run.ff_traces @ params.ff_weights.T
+                  + params.fb_weights * run.fb_traces + params.bias)
+        np.testing.assert_allclose(run.potentials, manual, rtol=1e-14)
 
 
-def _fd_sequence_grads(params, inputs, zhat, epsilon, h=1e-6):
-    """Finite differences of the exact sequence log-likelihood."""
-
-    def perturb(field, index, delta):
-        arrays = {
-            "ff_weights": params.ff_weights.copy(),
-            "fb_weights": params.fb_weights.copy(),
-            "bias": params.bias.copy(),
-        }
-        arrays[field][index] += delta
-        return EncoderParams(
-            kernel_ff=params.kernel_ff, kernel_fb=params.kernel_fb, **arrays
-        )
-
-    out = {}
-    for field in ("ff_weights", "fb_weights", "bias"):
-        base = getattr(params, field)
-        grad = np.zeros_like(base)
-        for index in np.ndindex(base.shape):
-            hi = sequence_log_prob(perturb(field, index, h), inputs, zhat, epsilon)
-            lo = sequence_log_prob(perturb(field, index, -h), inputs, zhat, epsilon)
-            grad[index] = (hi - lo) / (2 * h)
-        out[field] = grad
-    return out
+def _log_likelihood(params, inputs, bits, eps, weights):
+    """sum_b weights[b] * log p(bits[b]), by replaying the bits."""
+    run = _replay(params, inputs, bits)
+    return float(weights @ log_prob_noisy(run.bits, run.potentials, eps).sum(axis=1))
 
 
-class TestScoreAccumulator:
-    def test_add_step_shapes_and_sum(self):
-        acc = ScoreAccumulator.zeros(2, 3)
-        score_u = np.array([0.5, -1.0])
-        ff = np.array([1.0, 0.0, 2.0])
-        fb = np.array([0.25, 0.5])
-        acc.add_step(score_u, ff, fb)
-        acc.add_step(score_u, ff, fb)
-        np.testing.assert_allclose(acc.ff_weights, 2 * np.outer(score_u, ff))
-        np.testing.assert_allclose(acc.fb_weights, 2 * score_u * fb)
-        np.testing.assert_allclose(acc.bias, 2 * score_u)
-        acc.reset()
-        assert acc.ff_weights.sum() == 0.0
-
+class TestScoreGrads:
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_accumulated_score_matches_sequence_fd(self, eps, seed):
-        # k=2, n_in=3, T=4: replay a fixed received sequence step by step,
-        # accumulate the score, and compare against numerically differenced
-        # sequence log-likelihood at 1e-5 relative
+    def test_score_matches_sequence_fd(self, eps, seed):
+        # k=2, n_in=3, T=4, three weighted sequences: the score against
+        # numerically differenced sequence log-likelihoods at 1e-5 relative
         params = _tiny_params(seed=seed)
         rng = SeededRng(100 + seed)
-        T = 4
-        inputs = rng.bernoulli(np.full((T, params.n_in), 0.6)).astype(np.float64)
-        zhat = rng.bernoulli(np.full((T, params.n_out), 0.5)).astype(np.float64)
-
-        state = EncoderState.for_params(params)
-        acc = ScoreAccumulator.zeros(params.n_out, params.n_in)
-        for t in range(T):
-            state.push_input(inputs[t])
-            u = membrane_potentials(params, state)
-            accumulate_score(acc, zhat[t], u, params, state, eps)
-            state.push_output(zhat[t])
-
-        fd = _fd_sequence_grads(params, inputs, zhat, eps)
-        for field in ("ff_weights", "fb_weights", "bias"):
-            analytic = getattr(acc, field)
+        inputs = rng.bernoulli(np.full((3, 4, params.n_in), 0.6))
+        bits = rng.bernoulli(np.full((3, 4, params.n_out), 0.5))
+        weights = np.array([1.0, -0.5, 2.0])
+        grads = score_grads(_replay(params, inputs, bits), eps, weights)
+        fd = _fd_grads(params, lambda p: _log_likelihood(p, inputs, bits, eps, weights))
+        for field in FIELDS:
             scale = max(np.abs(fd[field]).max(), 1.0)
-            np.testing.assert_allclose(
-                analytic, fd[field], rtol=0, atol=1e-5 * scale
-            )
+            np.testing.assert_allclose(getattr(grads, field), fd[field], rtol=0, atol=1e-5 * scale)
 
     def test_single_neuron_single_input(self):
         # smallest case with feedback active, eps = 0
@@ -317,16 +261,9 @@ class TestScoreAccumulator:
             kernel_ff=_kernel(1.0, 0.5),
             kernel_fb=_kernel(1.0, 1.0),
         )
-        inputs = np.array([[1.0], [0.0], [1.0]])
-        zhat = np.array([[1.0], [1.0], [0.0]])
-        state = EncoderState.for_params(params)
-        acc = ScoreAccumulator.zeros(1, 1)
-        for t in range(3):
-            state.push_input(inputs[t])
-            u = membrane_potentials(params, state)
-            accumulate_score(acc, zhat[t], u, params, state, 0.0)
-            state.push_output(zhat[t])
-        fd = _fd_sequence_grads(params, inputs, zhat, 0.0)
-        np.testing.assert_allclose(acc.ff_weights, fd["ff_weights"], atol=1e-6)
-        np.testing.assert_allclose(acc.fb_weights, fd["fb_weights"], atol=1e-6)
-        np.testing.assert_allclose(acc.bias, fd["bias"], atol=1e-6)
+        inputs = np.array([[[1.0], [0.0], [1.0]]])
+        bits = np.array([[[1], [1], [0]]])
+        grads = score_grads(_replay(params, inputs, bits), 0.0, np.ones(1))
+        fd = _fd_grads(params, lambda p: _log_likelihood(p, inputs, bits, 0.0, np.ones(1)))
+        for field in FIELDS:
+            np.testing.assert_allclose(getattr(grads, field), fd[field], atol=1e-6)

@@ -13,7 +13,6 @@ import pytest
 from spikelink.numerics import (
     Kernel,
     SeededRng,
-    causal_convolve,
     db_to_linear,
     ebn0_to_epsilon,
     exponential_kernel,
@@ -104,36 +103,7 @@ class TestEbn0Mapping:
         assert db_to_linear(float("-inf")) == 0.0
 
 
-class TestCausalConvolve:
-    def test_hand_expanded_example(self):
-        k = Kernel([0.5, 0.25])
-        assert causal_convolve(k, [1, 0, 1], 2) == pytest.approx(0.5, abs=0)
-
-    def test_history_shorter_than_kernel(self):
-        k = Kernel([1.0, 2.0, 4.0])
-        # at t=0 only the d=0 tap lands inside the history
-        assert causal_convolve(k, [3.0], 0) == pytest.approx(3.0)
-
-    def test_history_ending_before_t_drops_current_tap(self):
-        k = Kernel([0.5, 0.25])
-        # history holds steps 0..1, evaluated at t=2: only d=1 pairs with step 1
-        assert causal_convolve(k, [1.0, 1.0], 2) == pytest.approx(0.25)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            causal_convolve(Kernel([1.0]), [1.0], -1)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(7)
-        k = Kernel(rng.normal(size=4))
-        s = rng.normal(size=9)
-        r = rng.normal(size=9)
-        a, b = 1.7, -0.4
-        for t in (0, 3, 8):
-            lhs = causal_convolve(k, a * s + b * r, t)
-            rhs = a * causal_convolve(k, s, t) + b * causal_convolve(k, r, t)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
+class TestKernel:
     def test_exponential_kernel_shape(self):
         k = exponential_kernel(5.0, 10)
         assert k.window == 10

@@ -3,27 +3,30 @@
 The heavy statistical checks live in the acceptance suite; unit-scale
 versions of the same oracles run here so a regression is caught close to
 its source: enumeration for unbiasedness and the KL sign, replay identity
-for the sequence likelihood, and reference-vs-batched equivalence.
+for the training rollout, and a per-sample reference for evaluation.
 """
 
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spikelink import training
-from spikelink.channel import ChannelConfig, log_prob_noisy
-from spikelink.decoder import init_decoder_params, forward, loss_from_logits
+from spikelink.channel import ChannelConfig, log_prob_noisy, noisy_spike_prob, sample_noisy
+from spikelink.decoder import (
+    forward_batch,
+    init_decoder_params,
+    losses_from_logits_batch,
+)
 from spikelink.encoder import (
     EncoderGrads,
     EncoderParams,
-    EncoderState,
-    ScoreAccumulator,
-    accumulate_score,
     init_encoder_params,
-    membrane_potentials,
+    rollout,
+    score_grads,
 )
 from spikelink.numerics import Kernel, SeededRng, sigmoid
 from spikelink.training import (
@@ -31,19 +34,15 @@ from spikelink.training import (
     PriorModel,
     TrainConfig,
     TrainingDiverged,
-    encoder_gradient,
     evaluate,
     evaluate_grid,
     regularizer,
-    run_clean_sequence,
-    run_noisy_sequence,
-    sequence_log_prob,
     sgd_update,
-    spike_rate,
     train_epoch,
     vdib_loss,
 )
-from spikelink.training import _feedback_trace, _filtered_inputs
+
+FIELDS = ("ff_weights", "fb_weights", "bias")
 
 
 def _kernel(*coeffs):
@@ -61,25 +60,25 @@ def _tiny_encoder(k=1, n_in=2, seed=0):
     )
 
 
-def _replay(params, inputs, zhat, eps):
-    """Replay a fixed received sequence: log-likelihood, potentials, score."""
-    state = EncoderState.for_params(params)
-    acc = ScoreAccumulator.zeros(params.n_out, params.n_in)
-    log_p = 0.0
-    us = np.zeros(zhat.shape)
-    for t in range(inputs.shape[0]):
-        state.push_input(inputs[t])
-        u = membrane_potentials(params, state)
-        us[t] = u
-        log_p += log_prob_noisy(zhat[t], u, eps)
-        accumulate_score(acc, zhat[t], u, params, state, eps)
-        state.push_output(zhat[t])
-    return log_p, us, acc
+def _all_sequences(steps, k):
+    """Every binary (steps, k) sequence, stacked into one batch."""
+    flat = itertools.product((0, 1), repeat=steps * k)
+    return np.array(list(flat), dtype=np.uint8).reshape(-1, steps, k)
 
 
-def _enumerate_sequences(steps, k):
-    for flat in itertools.product((0.0, 1.0), repeat=steps * k):
-        yield np.array(flat).reshape(steps, k)
+def _replay(params, inputs, bits):
+    """One input sequence replayed against a batch of given received bits."""
+    return rollout(params, np.repeat(inputs[None], len(bits), axis=0), lambda t, u: bits[:, t])
+
+
+def _probability(run, eps):
+    return np.exp(log_prob_noisy(run.bits, run.potentials, eps).sum(axis=1))
+
+
+def _perturbed(params, field, index, delta):
+    value = getattr(params, field).copy()
+    value[index] += delta
+    return replace(params, **{field: value})
 
 
 class TestPriorModel:
@@ -99,51 +98,36 @@ class TestRegularizer:
     def test_hand_value_single_step(self):
         # u = 0, eps = 0: log sigma(0) - log 0.3 for a received 1
         prior = PriorModel(0.3)
-        got = regularizer(np.array([[1.0]]), np.array([[0.0]]), 0.0, prior)
-        assert got == pytest.approx(math.log(0.5) - math.log(0.3), rel=1e-13)
+        got = regularizer(np.array([[[1.0]]]), np.array([[[0.0]]]), 0.0, prior)
+        assert got[0] == pytest.approx(math.log(0.5) - math.log(0.3), rel=1e-13)
 
     def test_zero_when_law_equals_reference(self):
         # sigma(u) = 0.3 and eps = 0 make every sequence's log-ratio vanish
-        prior = PriorModel(0.3)
-        u = math.log(0.3 / 0.7)
-        for zhat in _enumerate_sequences(3, 1):
-            got = regularizer(zhat, np.full((3, 1), u), 0.0, prior)
-            assert got == pytest.approx(0.0, abs=1e-13)
+        zhat = _all_sequences(3, 1)
+        u = np.full(zhat.shape, math.log(0.3 / 0.7))
+        got = regularizer(zhat, u, 0.0, PriorModel(0.3))
+        np.testing.assert_allclose(got, 0.0, atol=1e-13)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            regularizer(np.zeros((2, 1)), np.zeros((2, 2)), 0.0, PriorModel())
+            regularizer(np.zeros((1, 2, 1)), np.zeros((1, 2, 2)), 0.0, PriorModel())
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3])
     def test_expectation_is_nonnegative(self, eps):
         # enumerate the law: sum_z p(z) * regularizer(z) is a KL divergence
         params = _tiny_encoder(k=1, n_in=2, seed=3)
-        rng = SeededRng(11)
-        inputs = rng.bernoulli(np.full((3, 2), 0.5)).astype(np.float64)
-        prior = PriorModel(0.3)
-        total_p = 0.0
-        kl = 0.0
-        for zhat in _enumerate_sequences(3, 1):
-            log_p, us, _ = _replay(params, inputs, zhat, eps)
-            p = math.exp(log_p)
-            total_p += p
-            kl += p * regularizer(zhat, us, eps, prior)
+        inputs = SeededRng(11).bernoulli(np.full((3, 2), 0.5)).astype(np.float64)
+        run = _replay(params, inputs, _all_sequences(3, 1))
+        p = _probability(run, eps)
+        kl = p @ regularizer(run.bits, run.potentials, eps, PriorModel(0.3))
         # the autoregressive law must normalize, and the KL must be >= 0
-        assert total_p == pytest.approx(1.0, abs=1e-12)
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert kl >= -1e-12
 
 
 class TestObjectiveAndUpdates:
     def test_vdib_loss_combination(self):
         assert vdib_loss(2.0, 3.0, 0.5) == 3.5
-
-    def test_encoder_gradient_scales_score(self):
-        acc = ScoreAccumulator.zeros(2, 3)
-        acc.add_step(np.array([1.0, -2.0]), np.array([1.0, 0.0, 1.0]), np.array([0.5, 0.5]))
-        grads = encoder_gradient(-0.5, acc)
-        np.testing.assert_allclose(grads.ff_weights, -0.5 * acc.ff_weights)
-        np.testing.assert_allclose(grads.fb_weights, -0.5 * acc.fb_weights)
-        np.testing.assert_allclose(grads.bias, -0.5 * acc.bias)
 
     def test_sgd_plain_step(self):
         params = _tiny_encoder()
@@ -180,11 +164,6 @@ class TestObjectiveAndUpdates:
         with pytest.raises(TrainingDiverged):
             sgd_update(params, bad, eta=0.1)
 
-    def test_spike_rate(self):
-        assert spike_rate(np.array([[[1, 0], [0, 0]]])) == 0.25
-        with pytest.raises(ValueError):
-            spike_rate(np.zeros((0, 2, 2)))
-
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(beta=0.0)
@@ -196,55 +175,26 @@ class TestObjectiveAndUpdates:
 
 class TestSequencePaths:
     def test_noisy_run_replay_identity(self):
-        # the rollout's own log_prob, potentials and score must equal an
-        # after-the-fact replay of the bits it produced
+        # a training rollout must equal an after-the-fact replay of the bits
+        # it drew: same potentials and traces, hence same rate term and score
         params = _tiny_encoder(k=2, n_in=3, seed=5)
         rng = SeededRng(21)
-        inputs = rng.bernoulli(np.full((5, 3), 0.6)).astype(np.float64)
-        run = run_noisy_sequence(params, inputs, 0.2, rng)
-        log_p, us, acc = _replay(params, inputs, run.zhat.astype(np.float64), 0.2)
-        assert run.log_prob == pytest.approx(log_p, rel=1e-13)
-        np.testing.assert_allclose(run.potentials, us, rtol=1e-13)
-        np.testing.assert_allclose(run.score.ff_weights, acc.ff_weights, rtol=1e-12)
-        np.testing.assert_allclose(run.score.fb_weights, acc.fb_weights, rtol=1e-12)
-        np.testing.assert_allclose(run.score.bias, acc.bias, rtol=1e-12)
+        inputs = rng.bernoulli(np.full((4, 5, 3), 0.6))
+        run = rollout(params, inputs, lambda t, u: sample_noisy(u, 0.2, rng))
+        replay = rollout(params, inputs, lambda t, u: run.bits[:, t])
+        for name in ("bits", "potentials", "ff_traces", "fb_traces"):
+            np.testing.assert_array_equal(getattr(replay, name), getattr(run, name))
 
-    def test_sequence_log_prob_equals_run_log_prob(self):
-        params = _tiny_encoder(k=1, n_in=2, seed=8)
-        rng = SeededRng(30)
-        inputs = rng.bernoulli(np.full((4, 2), 0.5)).astype(np.float64)
-        run = run_noisy_sequence(params, inputs, 0.1, rng)
-        replay = sequence_log_prob(params, inputs, run.zhat, 0.1)
-        assert run.log_prob == pytest.approx(replay, rel=1e-13)
-
-    def test_clean_run_shapes_and_determinism(self):
-        params = _tiny_encoder(k=2, n_in=3, seed=5)
-        inputs = SeededRng(1).bernoulli(np.full((4, 3), 0.5)).astype(np.float64)
-        z1, u1 = run_clean_sequence(params, inputs, SeededRng(77))
-        z2, u2 = run_clean_sequence(params, inputs, SeededRng(77))
-        assert z1.shape == (4, 2) and u1.shape == (4, 2)
-        np.testing.assert_array_equal(z1, z2)
-        np.testing.assert_array_equal(u1, u2)
-
-    def test_batched_traces_match_state_traces(self):
-        # the vectorized filters must agree with the ring-buffer reference
-        params = _tiny_encoder(k=2, n_in=3, seed=9)
-        rng = SeededRng(41)
-        inputs = rng.bernoulli(np.full((1, 6, 3), 0.5)).astype(np.float64)
-        outputs = rng.bernoulli(np.full((1, 6, 2), 0.5)).astype(np.float64)
-        ff = _filtered_inputs(inputs, params.kernel_ff)
-        state = EncoderState.for_params(params)
-        for t in range(6):
-            state.push_input(inputs[0, t])
-            np.testing.assert_allclose(
-                ff[0, t], state.input_trace(params.kernel_ff), rtol=1e-14
-            )
-            np.testing.assert_allclose(
-                _feedback_trace(outputs, t, params.kernel_fb)[0],
-                state.output_trace(params.kernel_fb),
-                rtol=1e-14,
-            )
-            state.push_output(outputs[0, t])
+    def test_training_draws_follow_one_uniform_block(self):
+        # step t compares the t-th (n, k) block of one uniform stream with
+        # the marginal spike probability
+        params = _tiny_encoder(k=2, n_in=3, seed=6)
+        inputs = SeededRng(22).bernoulli(np.full((4, 5, 3), 0.6))
+        draw = SeededRng(23)
+        run = rollout(params, inputs, lambda t, u: sample_noisy(u, 0.2, draw))
+        uniforms = SeededRng(23).uniform((5, 4, 2)).transpose(1, 0, 2)
+        q = noisy_spike_prob(sigmoid(run.potentials), 0.2)
+        np.testing.assert_array_equal(run.bits, uniforms < q)
 
 
 class TestUnbiasedness:
@@ -257,97 +207,67 @@ class TestUnbiasedness:
         inputs = rng.bernoulli(np.full((3, 2), 0.5)).astype(np.float64)
         return params, decoder, inputs
 
-    def _sample_loss(self, decoder, zhat, us, eps, beta, label=1):
-        _, cache = forward(decoder, zhat.reshape(-1))
-        task = loss_from_logits(cache.logits, label)
-        return task + beta * regularizer(zhat, us, eps, PriorModel(0.3))
+    def _sample_losses(self, decoder, run, eps, beta, label=1):
+        n = len(run.bits)
+        _, _, logits, _ = forward_batch(decoder, run.bits.reshape(n, -1).astype(np.float64))
+        task = losses_from_logits_batch(decoder, logits, np.full(n, label))
+        return task + beta * regularizer(run.bits, run.potentials, eps, PriorModel(0.3))
 
     def _exact_expectation(self, params, decoder, inputs, eps, beta):
-        total = 0.0
-        for zhat in _enumerate_sequences(3, 1):
-            log_p, us, _ = _replay(params, inputs, zhat, eps)
-            total += math.exp(log_p) * self._sample_loss(decoder, zhat, us, eps, beta)
-        return total
+        run = _replay(params, inputs, _all_sequences(3, 1))
+        return float(_probability(run, eps) @ self._sample_losses(decoder, run, eps, beta))
 
     @pytest.mark.parametrize("eps", [0.0, 0.2])
     def test_enumerated_estimator_matches_finite_difference(self, eps):
         beta = 0.05
         params, decoder, inputs = self._setup()
-        expected = EncoderGrads.zeros(1, 2)
-        for zhat in _enumerate_sequences(3, 1):
-            log_p, us, acc = _replay(params, inputs, zhat, eps)
-            f = self._sample_loss(decoder, zhat, us, eps, beta)
-            g = encoder_gradient(math.exp(log_p) * f, acc)
-            expected.ff_weights += g.ff_weights
-            expected.fb_weights += g.fb_weights
-            expected.bias += g.bias
+        run = _replay(params, inputs, _all_sequences(3, 1))
+        f = self._sample_losses(decoder, run, eps, beta)
+        expected = score_grads(run, eps, _probability(run, eps) * f)
 
         h = 1e-5
-        for field in ("ff_weights", "fb_weights", "bias"):
-            base = getattr(params, field)
-            for index in np.ndindex(base.shape):
-                vals = []
-                for sign in (1.0, -1.0):
-                    arrays = {
-                        "ff_weights": params.ff_weights.copy(),
-                        "fb_weights": params.fb_weights.copy(),
-                        "bias": params.bias.copy(),
-                    }
-                    arrays[field][index] += sign * h
-                    p = EncoderParams(
-                        kernel_ff=params.kernel_ff,
-                        kernel_fb=params.kernel_fb,
-                        **arrays,
-                    )
-                    vals.append(self._exact_expectation(p, decoder, inputs, eps, beta))
-                fd = (vals[0] - vals[1]) / (2 * h)
+        for field in FIELDS:
+            for index in np.ndindex(getattr(params, field).shape):
+                hi = self._exact_expectation(
+                    _perturbed(params, field, index, h), decoder, inputs, eps, beta
+                )
+                lo = self._exact_expectation(
+                    _perturbed(params, field, index, -h), decoder, inputs, eps, beta
+                )
+                fd = (hi - lo) / (2 * h)
                 assert getattr(expected, field)[index] == pytest.approx(fd, abs=1e-6)
 
     def test_enumerated_score_has_zero_mean(self):
         # E[grad log p] = 0: the identity that lets a baseline shift f freely
         params, _, inputs = self._setup(seed=2)
         eps = 0.15
-        for field_sum in [EncoderGrads.zeros(1, 2)]:
-            for zhat in _enumerate_sequences(3, 1):
-                log_p, _, acc = _replay(params, inputs, zhat, eps)
-                g = encoder_gradient(math.exp(log_p), acc)
-                field_sum.ff_weights += g.ff_weights
-                field_sum.fb_weights += g.fb_weights
-                field_sum.bias += g.bias
-            np.testing.assert_allclose(field_sum.ff_weights, 0.0, atol=1e-12)
-            np.testing.assert_allclose(field_sum.fb_weights, 0.0, atol=1e-12)
-            np.testing.assert_allclose(field_sum.bias, 0.0, atol=1e-12)
+        run = _replay(params, inputs, _all_sequences(3, 1))
+        mean = score_grads(run, eps, _probability(run, eps))
+        for field in FIELDS:
+            np.testing.assert_allclose(getattr(mean, field), 0.0, atol=1e-12)
 
     def test_monte_carlo_mean_approaches_enumeration(self):
         eps, beta = 0.1, 0.05
         params, decoder, inputs = self._setup(seed=1)
-        exact = EncoderGrads.zeros(1, 2)
-        second = EncoderGrads.zeros(1, 2)
-        for zhat in _enumerate_sequences(3, 1):
-            log_p, us, acc = _replay(params, inputs, zhat, eps)
-            f = self._sample_loss(decoder, zhat, us, eps, beta)
-            p = math.exp(log_p)
-            g = encoder_gradient(f, acc)
-            for field in ("ff_weights", "fb_weights", "bias"):
-                getattr(exact, field)[...] += p * getattr(g, field)
-                getattr(second, field)[...] += p * getattr(g, field) ** 2
+        run = _replay(params, inputs, _all_sequences(3, 1))
+        p = _probability(run, eps)
+        f = self._sample_losses(decoder, run, eps, beta)
+        per_sequence = [score_grads(run, eps, f * (np.arange(len(f)) == i)) for i in range(len(f))]
 
+        # the training rollout on 20k copies of the input, one batch
         draws = 20_000
         rng = SeededRng(777)
-        mean = EncoderGrads.zeros(1, 2)
-        for _ in range(draws):
-            run = run_noisy_sequence(params, inputs, eps, rng)
-            f = self._sample_loss(
-                decoder, run.zhat.astype(np.float64), run.potentials, eps, beta
-            )
-            g = encoder_gradient(f, run.score)
-            for field in ("ff_weights", "fb_weights", "bias"):
-                getattr(mean, field)[...] += getattr(g, field) / draws
+        mc = rollout(
+            params, np.repeat(inputs[None], draws, axis=0), lambda t, u: sample_noisy(u, eps, rng)
+        )
+        mean = score_grads(mc, eps, self._sample_losses(decoder, mc, eps, beta) / draws)
 
-        for field in ("ff_weights", "fb_weights", "bias"):
-            var = getattr(second, field) - getattr(exact, field) ** 2
+        for field in FIELDS:
+            g = np.array([getattr(grads, field) for grads in per_sequence])
+            exact = np.tensordot(p, g, axes=1)
+            var = np.tensordot(p, g**2, axes=1) - exact**2
             se = np.sqrt(np.maximum(var, 0.0) / draws)
-            diff = np.abs(getattr(mean, field) - getattr(exact, field))
+            diff = np.abs(getattr(mean, field) - exact)
             assert (diff <= 4.0 * se + 1e-12).all()
 
 
@@ -472,7 +392,7 @@ class TestEvaluateGrid:
 
     def test_matches_per_sample_reference(self):
         # the documented contract, one sample at a time: spike uniforms
-        # drawn step by step by the reference rollout, then flip uniforms
+        # (steps x neurons) drive a batch-of-one rollout, then flip uniforms
         data = _toy_dataset(n_test=24)
         enc, dec = _toy_models(data)
         k, steps = enc.n_out, data.steps
@@ -480,11 +400,13 @@ class TestEvaluateGrid:
         spikes = 0
         for i, (x, y) in enumerate(zip(data.test_inputs, data.test_labels)):
             stream = SeededRng(9).substream("eval", i)
-            z, _ = run_clean_sequence(enc, x, stream)
+            spike_u = stream.uniform((steps, k))
             flip_u = stream.uniform((steps, k))
+            z = rollout(enc, x[None], lambda t, u: spike_u[t] < sigmoid(u)).bits[0]
             spikes += int(z.sum())
             for j, eps in enumerate(GRID):
-                probs, _ = forward(dec, z ^ (flip_u < eps))
+                received = (z ^ (flip_u < eps)).reshape(1, -1).astype(np.float64)
+                _, _, _, probs = forward_batch(dec, received)
                 wrong[j] += int(np.argmax(probs) != y)
         n = len(data.test_labels)
         expected = [(w / n, spikes / (n * steps * k)) for w in wrong]
