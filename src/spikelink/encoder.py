@@ -143,6 +143,10 @@ def rollout(params: EncoderParams, inputs, bits_at) -> Rollout:
     single sequence is a batch of one.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 3 or inputs.shape[2] != params.n_in:
+        raise ValueError(
+            f"inputs must have shape (n, steps, {params.n_in}), got {inputs.shape}"
+        )
     n, steps, _ = inputs.shape
     k = params.n_out
     ff = _filtered_inputs(inputs, params.kernel_ff)

@@ -102,6 +102,20 @@ class TestParams:
 
 
 class TestStateTraces:
+    def test_shape_checks(self):
+        params = _tiny_params(k=2, n_in=3)
+
+        def silent(t, u):
+            return np.zeros_like(u)
+
+        with pytest.raises(ValueError, match="shape"):
+            rollout(params, np.zeros((4, 3)), silent)
+        with pytest.raises(ValueError, match="shape"):
+            rollout(params, np.zeros((1, 4, 2)), silent)
+        # a bit rule must hand back one bit per sequence and neuron
+        with pytest.raises(ValueError):
+            rollout(params, np.zeros((1, 4, 3)), lambda t, u: np.zeros((1, 3)))
+
     def test_input_trace_includes_current_step(self):
         # kernel (1, 0.5, 0.25), inputs 1, 0, 1, 1:
         # trace at t = x_t + 0.5 * x_{t-1} + 0.25 * x_{t-2}

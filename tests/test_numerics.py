@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from spikelink.encoder import _feedback_trace, _filtered_inputs
 from spikelink.numerics import (
     Kernel,
     SeededRng,
@@ -103,7 +104,45 @@ class TestEbn0Mapping:
         assert db_to_linear(float("-inf")) == 0.0
 
 
-class TestKernel:
+class TestCausalConvolve:
+    """(a*x)[t] = sum_d a[d] * x[t-d], as the encoder's filters compute it:
+    the input filter for every step at once, the feedback filter at one
+    step from strictly past bits."""
+
+    def test_hand_expanded_example(self):
+        k = Kernel([0.5, 0.25])
+        x = np.array([1.0, 0.0, 1.0]).reshape(1, 3, 1)
+        # t=2: 0.5 * x_2 + 0.25 * x_1
+        assert _filtered_inputs(x, k)[0, 2, 0] == pytest.approx(0.5, abs=0)
+
+    def test_history_shorter_than_kernel(self):
+        k = Kernel([1.0, 2.0, 4.0])
+        # at t=0 only the d=0 tap lands inside the history
+        out = _filtered_inputs(np.array([3.0]).reshape(1, 1, 1), k)
+        assert out.shape == (1, 1, 1)
+        assert out[0, 0, 0] == pytest.approx(3.0)
+
+    def test_history_ending_before_t_drops_current_tap(self):
+        k = Kernel([0.5, 0.25])
+        # the feedback trace at t=2 reads steps 0..1 only: d=1 pairs with
+        # step 1, and the d=0 tap never meets step 2's bit
+        bits = np.ones((1, 3, 1))
+        assert _feedback_trace(bits, 2, k)[0, 0] == pytest.approx(0.25)
+
+    def test_linearity(self):
+        rng = np.random.default_rng(7)
+        k = Kernel(rng.normal(size=4))
+        s = rng.normal(size=(2, 9, 3))
+        r = rng.normal(size=(2, 9, 3))
+        a, b = 1.7, -0.4
+        lhs = _filtered_inputs(a * s + b * r, k)
+        rhs = a * _filtered_inputs(s, k) + b * _filtered_inputs(r, k)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+        for t in (0, 3, 8):
+            lhs = _feedback_trace(a * s + b * r, t, k)
+            rhs = a * _feedback_trace(s, t, k) + b * _feedback_trace(r, t, k)
+            np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
     def test_exponential_kernel_shape(self):
         k = exponential_kernel(5.0, 10)
         assert k.window == 10

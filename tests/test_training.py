@@ -197,6 +197,26 @@ class TestSequencePaths:
         np.testing.assert_array_equal(run.bits, uniforms < q)
 
 
+    def test_clean_run_shapes_and_determinism(self):
+        # evaluation's rule: spike where the step's pre-drawn uniform is
+        # below sigmoid(u); evaluate counts exactly these spikes
+        params = _tiny_encoder(k=2, n_in=3, seed=5)
+        inputs = SeededRng(1).bernoulli(np.full((1, 4, 3), 0.5)).astype(np.float64)
+        spike_u = SeededRng(77).substream("eval", 0).uniform((4, 2))[None]
+
+        def clean(t, u):
+            return spike_u[:, t, :] < sigmoid(u)
+
+        first = rollout(params, inputs, clean)
+        second = rollout(params, inputs, clean)
+        assert first.bits.shape == (1, 4, 2) and first.potentials.shape == (1, 4, 2)
+        np.testing.assert_array_equal(first.bits, second.bits)
+        np.testing.assert_array_equal(first.potentials, second.potentials)
+        decoder = init_decoder_params(8, 2, SeededRng(2), hidden_dim=3)
+        _, rate = evaluate(params, decoder, inputs, np.array([0]), 0.1, 77)
+        assert rate == np.count_nonzero(first.bits) / 8
+
+
 class TestUnbiasedness:
     """Enumeration oracle: the score estimator's mean is the true gradient."""
 
