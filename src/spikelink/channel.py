@@ -78,13 +78,14 @@ def noisy_spike_prob(p, epsilon: float):
     return out
 
 
-def log_prob_noisy(zhat, u, epsilon: float):
+def log_prob_noisy(zhat, u, epsilon: float, s=None):
     """Log-probability of received bits zhat given membrane potentials u.
 
     Sums zhat*log(q) + (1-zhat)*log(1-q) over the last axis (the neurons),
-    with q = noisy_spike_prob(sigmoid(u), eps).  At epsilon = 0 this is the
-    clean Bernoulli log-likelihood, evaluated in log-sigmoid form so
-    saturated potentials stay finite.
+    with q = noisy_spike_prob(s, eps) and s = sigmoid(u); a caller that
+    already holds s passes it so it is not recomputed.  At epsilon = 0
+    this is the clean Bernoulli log-likelihood, evaluated from u in
+    log-sigmoid form so saturated potentials stay finite.
     """
     eps = _check_epsilon(epsilon, high=0.5)
     zhat = np.asarray(zhat, dtype=np.float64)
@@ -93,17 +94,17 @@ def log_prob_noisy(zhat, u, epsilon: float):
         terms = zhat * log_sigmoid(u) + (1.0 - zhat) * log_sigmoid(-u)
     else:
         # q is pinned inside [eps, 1-eps] for eps > 0, so the logs are finite
-        q = noisy_spike_prob(sigmoid(u), eps)
+        q = noisy_spike_prob(sigmoid(u) if s is None else s, eps)
         terms = zhat * np.log(q) + (1.0 - zhat) * np.log1p(-q)
     return np.sum(terms, axis=-1)
 
 
-def sample_noisy(u, epsilon: float, rng: SeededRng) -> np.ndarray:
-    """Draw received bits directly from the channel-marginalized law.
+def sample_noisy(s, epsilon: float, rng: SeededRng) -> np.ndarray:
+    """Draw received bits directly from the channel-marginalized law, given
+    spike probabilities s.
 
     One Bernoulli per bit; the law is identical to sampling clean spikes and
     pushing them through transmit, but costs a single draw.
     """
     eps = _check_epsilon(epsilon)
-    q = noisy_spike_prob(sigmoid(np.asarray(u, dtype=np.float64)), eps)
-    return rng.bernoulli(q)
+    return rng.bernoulli(noisy_spike_prob(s, eps))

@@ -20,8 +20,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .channel import ChannelConfig
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, build_run_config, parse_config_file
@@ -36,7 +34,7 @@ from .events import (
 )
 from .metrics import MetricsRow, export_metrics, read_metrics, write_metrics
 from .numerics import SeededRng, db_to_linear, ebn0_to_epsilon
-from .training import Dataset, TrainingDiverged, evaluate_grid, train_epoch
+from .training import Dataset, TrainingDiverged, evaluate_grid, filter_dataset, train_epoch
 
 DEFAULT_SNR_GRID_DB = (float("-inf"), -6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
 DEFAULT_MISMATCH_GRID = (0.05, 0.10, 0.15, 0.20, 0.25)
@@ -59,7 +57,8 @@ def _split_records(cfg: RunConfig, tag: str) -> list[EventRecord]:
 
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
-    # one split's records at a time: they are dropped once binned
+    # one split's records at a time: they are dropped once binned.  The
+    # counts are filtered into traces after model set-up (filter_dataset).
     train_x, train_y = frames_to_inputs(_split_records(cfg, "train"), cfg.T)
     test_x, test_y = frames_to_inputs(_split_records(cfg, "test"), cfg.T)
     if cfg.dataset == "synthetic":
@@ -99,6 +98,7 @@ def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
         train_cfg = dataclasses.replace(train_cfg, channel=channel)
     eps = train_cfg.channel.crossover()
     encoder, decoder = _init_models(cfg, data)
+    filter_dataset(data, encoder.kernel_ff)
     root = SeededRng(cfg.seed)
     opt_state: dict = {}
     rows = []
@@ -197,7 +197,7 @@ def _check_checkpoint(cfg: RunConfig, encoder, decoder, meta: dict, test_x, test
     equal the config's, and the arrays must fit the config and the test
     split; event-file labels must all be below the decoder's class count.
     Kernels that differ from the config's only warn: the checkpoint's are
-    used.
+    used, also to filter the test split.
     """
     wanted = {"k": cfg.k, "T": cfg.T, "hidden": cfg.hidden}
     if cfg.dataset == "synthetic":
@@ -221,7 +221,7 @@ def _check_checkpoint(cfg: RunConfig, encoder, decoder, meta: dict, test_x, test
             f"test label {top} is not below the checkpoint's classes = {decoder.n_classes}"
         )
     for name, kernel in (("kernel_ff", cfg.kernel_ff()), ("kernel_fb", cfg.kernel_fb())):
-        if not np.array_equal(getattr(encoder, name).coefficients, kernel.coefficients):
+        if getattr(encoder, name) != kernel:
             _log(f"warning: checkpoint {name} differs from the config's; using the checkpoint's")
 
 
@@ -283,7 +283,11 @@ def cmd_sweep_snr(cfg: RunConfig, args) -> int:
         test_x, test_y = frames_to_inputs(_split_records(cfg, "test"), cfg.T)
         _check_checkpoint(cfg, encoder, decoder, meta, test_x, test_y)
         out = _out_dir(cfg)
-        _eval_grid(cfg, encoder, decoder, test_x, test_y, grid, "sweep-snr", cfg.epochs, rows)
+        data = filter_dataset(
+            Dataset(test_x[:0], test_y[:0], test_x, test_y, decoder.n_classes), encoder.kernel_ff
+        )
+        _eval_grid(cfg, encoder, decoder, data.test_inputs, data.test_labels, grid,
+                   "sweep-snr", cfg.epochs, rows)
     else:
         data = _build_dataset(cfg)
         out = _out_dir(cfg)

@@ -119,11 +119,13 @@ class RunConfig:
             bar_halfwidth=self.bar_halfwidth,
         )
 
+    # taps at or past T never reach a trace, so a window longer than T is
+    # cut to T taps: a huge window costs nothing
     def kernel_ff(self) -> Kernel:
-        return exponential_kernel(self.tau_ff, self.window_ff)
+        return exponential_kernel(self.tau_ff, min(self.window_ff, self.T))
 
     def kernel_fb(self) -> Kernel:
-        return exponential_kernel(self.tau_fb, self.window_fb)
+        return exponential_kernel(self.tau_fb, min(self.window_fb, self.T))
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(

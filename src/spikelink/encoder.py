@@ -3,9 +3,11 @@
 Each of the k read-out neurons integrates filtered input spikes through its
 feedforward weights, its own past spikes through a self-feedback weight, and
 a bias.  Spiking is Bernoulli in the sigmoid of that membrane potential.
-`rollout` runs that recurrence, one step at a time, for a whole batch of
-sequences.  The filtered traces that build the potential are also its
-parameter gradients, so the rollout keeps them for `score_grads`.
+`filter_inputs` turns input counts into the filtered input traces once per
+data split; `rollout` runs the recurrence on those traces, one step at a
+time, for a whole batch of sequences.  The traces that build the potential
+are also its parameter gradients, so the rollout keeps them, with the spike
+probabilities, for `score_grads`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "EncoderParams",
     "EncoderGrads",
     "init_encoder_params",
+    "filter_inputs",
     "rollout",
     "grad_u_log_prob_noisy",
     "score_grads",
@@ -99,14 +102,37 @@ def init_encoder_params(
     )
 
 
-def _filtered_inputs(inputs: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Filtered input traces for whole sequences, shape (n, steps, lines)."""
+# samples per block of filter_inputs: bounds its working set, not its results
+FILTER_BLOCK = 16
+
+
+def filter_inputs(inputs: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Overwrite float64 input counts of shape (n, steps, lines) with their
+    filtered traces, in place, and return them.
+
+    The trace at step t is c0*x_t + c1*x_{t-1} + ..., added in that order,
+    with history before step 0 reading zero.  Steps are filtered from last
+    to first, so each step reads only counts that are still raw.  Samples
+    go FILTER_BLOCK at a time: a step's trace is summed in a contiguous
+    block-sized buffer and then written back, so no second array of the
+    inputs' size is made and the steps one trace reads stay in cache.
+    """
+    if not (isinstance(inputs, np.ndarray) and inputs.dtype == np.float64
+            and inputs.ndim == 3):
+        raise ValueError("filter_inputs needs a float64 array of shape (n, steps, lines)")
     coeff = kernel.coefficients
-    out = np.zeros_like(inputs)
-    steps = inputs.shape[1]
-    for d in range(min(coeff.size, steps)):
-        out[:, d:, :] += coeff[d] * inputs[:, : steps - d, :]
-    return out
+    n, steps, lines = inputs.shape
+    for start in range(0, n, FILTER_BLOCK):
+        block = inputs[start : start + FILTER_BLOCK]
+        trace = np.empty((len(block), lines))
+        term = np.empty_like(trace)
+        for t in range(steps - 1, -1, -1):
+            np.multiply(block[:, t], coeff[0], out=trace)
+            for d in range(1, min(coeff.size, t + 1)):
+                np.multiply(block[:, t - d], coeff[d], out=term)
+                trace += term
+            block[:, t] = trace
+    return inputs
 
 
 def _feedback_trace(outputs: np.ndarray, t: int, kernel: Kernel) -> np.ndarray:
@@ -126,59 +152,64 @@ def _feedback_trace(outputs: np.ndarray, t: int, kernel: Kernel) -> np.ndarray:
 class Rollout:
     """One pass of the recurrence over a batch of n sequences."""
 
-    bits: np.ndarray        # (n, steps, k) uint8, the bits fed back
-    potentials: np.ndarray  # (n, steps, k)
-    ff_traces: np.ndarray   # (n, steps, lines), input history up to and including t
-    fb_traces: np.ndarray   # (n, steps, k), own-bit history strictly before t
+    bits: np.ndarray         # (n, steps, k) uint8, the bits fed back
+    potentials: np.ndarray   # (n, steps, k)
+    spike_probs: np.ndarray  # (n, steps, k), sigmoid of the potentials
+    ff_traces: np.ndarray    # (n, steps, lines), input history up to and including t
+    fb_traces: np.ndarray    # (n, steps, k), own-bit history strictly before t
 
 
-def rollout(params: EncoderParams, inputs, bits_at) -> Rollout:
-    """Run the recurrence over inputs of shape (n, steps, lines).
+def rollout(params: EncoderParams, traces, bits_at) -> Rollout:
+    """Run the recurrence over input traces of shape (n, steps, lines).
 
-    At each step t, bits_at(t, u) turns that step's potentials u, shape
-    (n, k), into its bits, which every later step feeds back.  Training
-    draws them from the channel-marginalized law (channel.sample_noisy),
-    evaluation compares pre-drawn spike uniforms with sigmoid(u), and the
-    gradient oracles hand back fixed bits to replay a given sequence.  A
-    single sequence is a batch of one.
+    The traces are the inputs already filtered with params.kernel_ff (see
+    filter_inputs).  At each step t, bits_at(t, s) turns that step's spike
+    probabilities s = sigmoid(u), shape (n, k), into its bits, which every
+    later step feeds back.  Training draws them from the
+    channel-marginalized law (channel.sample_noisy), evaluation compares
+    pre-drawn spike uniforms with s, and the gradient oracles hand back
+    fixed bits to replay a given sequence.  A single sequence is a batch of
+    one.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 3 or inputs.shape[2] != params.n_in:
+    ff = np.asarray(traces, dtype=np.float64)
+    if ff.ndim != 3 or ff.shape[2] != params.n_in:
         raise ValueError(
-            f"inputs must have shape (n, steps, {params.n_in}), got {inputs.shape}"
+            f"traces must have shape (n, steps, {params.n_in}), got {ff.shape}"
         )
-    n, steps, _ = inputs.shape
+    n, steps, _ = ff.shape
     k = params.n_out
-    ff = _filtered_inputs(inputs, params.kernel_ff)
     bits = np.zeros((n, steps, k), dtype=np.uint8)
     potentials = np.zeros((n, steps, k))
+    spike_probs = np.zeros((n, steps, k))
     fb_traces = np.zeros((n, steps, k))
     for t in range(steps):
         fb = _feedback_trace(bits, t, params.kernel_fb)
         u = ff[:, t, :] @ params.ff_weights.T + params.fb_weights * fb + params.bias
-        bits[:, t, :] = bits_at(t, u)
+        s = sigmoid(u)
+        bits[:, t, :] = bits_at(t, s)
         potentials[:, t, :] = u
+        spike_probs[:, t, :] = s
         fb_traces[:, t, :] = fb
-    return Rollout(bits, potentials, ff, fb_traces)
+    return Rollout(bits, potentials, spike_probs, ff, fb_traces)
 
 
-def grad_u_log_prob_noisy(zhat, u, epsilon: float):
-    """d/du of the channel-marginalized log-likelihood, element-wise.
+def grad_u_log_prob_noisy(zhat, s, epsilon: float):
+    """d/du of the channel-marginalized log-likelihood, element-wise, given
+    the spike probabilities s = sigmoid(u).
 
     For eps in (0, 0.5) the derivative is
-    (1-2*eps) * s * (1-s) * (zhat/q - (1-zhat)/(1-q)) with s = sigmoid(u)
-    and q the marginalized spike probability; q is pinned inside
-    [eps, 1-eps] so no denominator can vanish.  At eps = 0 the expression
-    collapses to zhat - s, which is used directly to dodge the 0/0 that
-    saturated potentials would produce.  eps = 0.5 makes the received bit
-    independent of u, so the mapping is singular and rejected.
+    (1-2*eps) * s * (1-s) * (zhat/q - (1-zhat)/(1-q)) with q the
+    marginalized spike probability; q is pinned inside [eps, 1-eps] so no
+    denominator can vanish.  At eps = 0 the expression collapses to
+    zhat - s, which is used directly to dodge the 0/0 that saturated
+    potentials would produce.  eps = 0.5 makes the received bit independent
+    of u, so the mapping is singular and rejected.
     """
     eps = float(epsilon)
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"gradient undefined outside 0 <= epsilon < 0.5: {eps}")
     zhat = np.asarray(zhat, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    s = sigmoid(u)
+    s = np.asarray(s, dtype=np.float64)
     if eps == 0.0:
         out = zhat - s
     else:
@@ -197,10 +228,16 @@ def score_grads(run: Rollout, epsilon: float, weights: np.ndarray) -> EncoderGra
     depends on the parameters only through u, whose parameter gradients
     are the traces that built it: the filtered input for the feedforward
     row, the feedback trace for the feedback weight, and 1 for the bias.
+
+    The feedforward contraction takes the weights folded into the score
+    first; with this NumPy's einsum loop order that equals the
+    three-operand form bit for bit, and is several times faster.  The two
+    small contractions keep the three-operand form, which the folded one
+    does not reproduce exactly.
     """
-    score_u = grad_u_log_prob_noisy(run.bits, run.potentials, epsilon)
+    score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, epsilon)
     return EncoderGrads(
-        ff_weights=np.einsum("b,btk,btn->kn", weights, score_u, run.ff_traces),
+        ff_weights=np.einsum("btk,btn->kn", weights[:, None, None] * score_u, run.ff_traces),
         fb_weights=np.einsum("b,btk,btk->k", weights, score_u, run.fb_traces),
         bias=np.einsum("b,btk->k", weights, score_u),
     )

@@ -103,9 +103,12 @@ def ebn0_to_epsilon(ebn0_linear: float, form: str = "linear") -> float:
     raise ValueError(f"unknown Eb/N0 mapping form {form!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
-    """Finite causal filter; coefficients[d] weighs the value d steps back."""
+    """Finite causal filter; coefficients[d] weighs the value d steps back.
+
+    Two kernels are equal when their coefficients are.
+    """
 
     coefficients: np.ndarray
 
@@ -116,6 +119,11 @@ class Kernel:
         if not np.all(np.isfinite(coeff)):
             raise ValueError("kernel coefficients must be finite")
         object.__setattr__(self, "coefficients", coeff)
+
+    def __eq__(self, other):
+        if not isinstance(other, Kernel):
+            return NotImplemented
+        return np.array_equal(self.coefficients, other.coefficients)
 
     @property
     def window(self) -> int:

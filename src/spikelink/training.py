@@ -5,6 +5,8 @@ times a rate term: the log-ratio between the channel-marginalized encoding
 law and a fixed Bernoulli reference over the received bits.  The decoder is
 updated with exact gradients; the encoder with the score-function estimator
 (one Monte Carlo draw per input), built from the traces the rollout keeps.
+A dataset's inputs are filtered into the encoder's input traces once, by
+filter_dataset, before the first epoch; every rollout then reads them.
 
 Training mode draws the received bits directly from the marginalized law
 and feeds them back into the encoder's recurrence; that makes the sequence
@@ -28,8 +30,8 @@ from .decoder import (
     forward_batch,
     losses_from_logits_batch,
 )
-from .encoder import EncoderParams, rollout, score_grads
-from .numerics import SeededRng, sigmoid
+from .encoder import EncoderParams, filter_inputs, rollout, score_grads
+from .numerics import Kernel, SeededRng
 
 # test samples per evaluation chunk: bounds evaluation memory, not results
 EVAL_CHUNK = 128
@@ -38,6 +40,7 @@ __all__ = [
     "PriorModel",
     "TrainConfig",
     "Dataset",
+    "filter_dataset",
     "TrainingDiverged",
     "regularizer",
     "vdib_loss",
@@ -106,15 +109,22 @@ class TrainConfig:
 
 @dataclass
 class Dataset:
-    """Frame inputs ready for the encoder, split into train and test."""
+    """Encoder inputs split into train and test.
+
+    While kernel is None the inputs are raw frame counts; filter_dataset
+    replaces them, in place, with input traces filtered by kernel.
+    """
 
     train_inputs: np.ndarray
     train_labels: np.ndarray
     test_inputs: np.ndarray
     test_labels: np.ndarray
     n_classes: int
+    kernel: Kernel | None = None
 
     def __post_init__(self):
+        self.train_inputs = np.asarray(self.train_inputs, dtype=np.float64)
+        self.test_inputs = np.asarray(self.test_inputs, dtype=np.float64)
         if self.train_inputs.ndim != 3 or self.test_inputs.ndim != 3:
             raise ValueError("inputs must be (samples, steps, lines)")
         if len(self.train_labels) != len(self.train_inputs):
@@ -131,6 +141,21 @@ class Dataset:
         return self.train_inputs.shape[2]
 
 
+def filter_dataset(data: Dataset, kernel: Kernel) -> Dataset:
+    """Filter both splits' counts into input traces with kernel, in place.
+
+    Filtering again with the same kernel does nothing; another kernel is
+    refused, because the counts are gone.
+    """
+    if data.kernel is None:
+        filter_inputs(data.train_inputs, kernel)
+        filter_inputs(data.test_inputs, kernel)
+        data.kernel = kernel
+    elif data.kernel != kernel:
+        raise ValueError("dataset was already filtered with a different kernel")
+    return data
+
+
 @dataclass(frozen=True)
 class EpochMetrics:
     task_loss: float
@@ -140,18 +165,21 @@ class EpochMetrics:
     spike_rate: float
 
 
-def regularizer(bits, potentials, epsilon: float, prior: PriorModel) -> np.ndarray:
+def regularizer(bits, potentials, epsilon: float, prior: PriorModel,
+                spike_probs=None) -> np.ndarray:
     """Rate term per sequence, from bits and potentials of shape (n, steps, k).
 
     Sum over steps of the marginalized log-likelihood of the received bits
     minus their log-probability under the fixed reference.  Its expectation
     under the encoding law is a KL divergence, hence non-negative.
+    spike_probs, when given, must be sigmoid(potentials) (a rollout keeps
+    them).
     """
     bits = np.asarray(bits, dtype=np.float64)
     potentials = np.asarray(potentials, dtype=np.float64)
     if bits.shape != potentials.shape:
         raise ValueError("bits and potentials must align")
-    per_step = log_prob_noisy(bits, potentials, epsilon) - prior.log_prob(bits)
+    per_step = log_prob_noisy(bits, potentials, epsilon, spike_probs) - prior.log_prob(bits)
     # added step by step, so the float sum does not depend on NumPy's
     # reduction order
     total = np.zeros(per_step.shape[0])
@@ -220,11 +248,14 @@ def train_epoch(
     Returns updated parameters and the epoch's metrics (losses averaged
     over training samples; error and spike rate measured on the test set).
     The optional state dict carries momentum velocities and the moving
-    baseline across epochs when those options are on.
+    baseline across epochs when those options are on.  The dataset must
+    hold traces filtered with the encoder's kernel_ff (filter_dataset).
     """
     eps = config.channel.crossover()
     if eps >= 0.5:
         raise ValueError("cannot train at epsilon >= 0.5: score is undefined")
+    if data.kernel != encoder.kernel_ff:
+        raise ValueError("dataset inputs are not traces filtered with the encoder's kernel_ff")
     prior = PriorModel(config.prior_rate)
     state = state if state is not None else {}
     order = rng.substream("shuffle").permutation(len(data.train_inputs))
@@ -236,8 +267,8 @@ def train_epoch(
         batch = order[start : start + config.batch_size]
         xb = data.train_inputs[batch]
         yb = data.train_labels[batch]
-        run = rollout(encoder, xb, lambda t, u: sample_noisy(u, eps, draw))
-        rate_losses = regularizer(run.bits, run.potentials, eps, prior)
+        run = rollout(encoder, xb, lambda t, s: sample_noisy(s, eps, draw))
+        rate_losses = regularizer(run.bits, run.potentials, eps, prior, run.spike_probs)
         flat = run.bits.reshape(len(batch), -1).astype(np.float64)
         pre, hidden, logits, probs = forward_batch(decoder, flat)
         task_losses = losses_from_logits_batch(decoder, logits, yb)
@@ -286,25 +317,26 @@ def train_epoch(
 def evaluate(
     encoder: EncoderParams,
     decoder: DecoderParams,
-    inputs: np.ndarray,
+    traces: np.ndarray,
     labels: np.ndarray,
     epsilon: float,
     seed: int,
 ) -> tuple[float, float]:
     """Test error and clean spike rate at one channel point (see evaluate_grid)."""
-    return evaluate_grid(encoder, decoder, inputs, labels, [epsilon], seed)[0]
+    return evaluate_grid(encoder, decoder, traces, labels, [epsilon], seed)[0]
 
 
 def evaluate_grid(
     encoder: EncoderParams,
     decoder: DecoderParams,
-    inputs: np.ndarray,
+    traces: np.ndarray,
     labels: np.ndarray,
     epsilons,
     seed: int,
 ) -> list[tuple[float, float]]:
     """(test error, clean spike rate) at each channel point, under the
-    two-stage channel path.
+    two-stage channel path, for test inputs already filtered into traces
+    with the encoder's kernel_ff.
 
     Per-sample draw streams depend only on (seed, sample index), never on
     epsilon or the parameters, so repeated evaluations of one model across
@@ -314,12 +346,11 @@ def evaluate_grid(
     uniforms second, mirroring a per-step sample-then-transmit loop.
 
     Clean spikes do not depend on epsilon, so each chunk of EVAL_CHUNK
-    samples is filtered and rolled out once, and only the flips and the
-    decoder run per point.  Memory is bounded by the chunk, not the test
-    set, and the counts are integers, so the chunk size cannot change the
-    results.
+    samples is rolled out once, and only the flips and the decoder run per
+    point.  Memory is bounded by the chunk, not the test set, and the
+    counts are integers, so the chunk size cannot change the results.
     """
-    n, steps, _ = np.shape(inputs)
+    n, steps, _ = np.shape(traces)
     if n == 0:
         raise ValueError("cannot evaluate an empty test set")
     labels = np.asarray(labels)
@@ -329,7 +360,7 @@ def evaluate_grid(
     wrong = [0] * len(epsilons)
     spikes = 0
     for start in range(0, n, EVAL_CHUNK):
-        x = inputs[start : start + EVAL_CHUNK]
+        x = traces[start : start + EVAL_CHUNK]
         m = len(x)
         spike_u = np.empty((m, steps, k))
         flip_u = np.empty((m, steps, k))
@@ -337,7 +368,7 @@ def evaluate_grid(
             stream = root.substream("eval", start + j)
             spike_u[j] = stream.uniform((steps, k))
             flip_u[j] = stream.uniform((steps, k))
-        z = rollout(encoder, x, lambda t, u: spike_u[:, t, :] < sigmoid(u)).bits
+        z = rollout(encoder, x, lambda t, s: spike_u[:, t, :] < s).bits
         spikes += int(np.count_nonzero(z))
         y = labels[start : start + m]
         for i, eps in enumerate(epsilons):

@@ -26,7 +26,13 @@ from spikelink.decoder import (
     init_decoder_params,
     losses_from_logits_batch,
 )
-from spikelink.encoder import EncoderParams, grad_u_log_prob_noisy, rollout, score_grads
+from spikelink.encoder import (
+    EncoderParams,
+    filter_inputs,
+    grad_u_log_prob_noisy,
+    rollout,
+    score_grads,
+)
 from spikelink.numerics import (
     Kernel,
     SeededRng,
@@ -38,6 +44,7 @@ from spikelink.training import (
     PriorModel,
     evaluate,
     evaluate_grid,
+    filter_dataset,
     regularizer,
     train_epoch,
 )
@@ -87,9 +94,14 @@ def _sequences(steps, k):
     return np.array(list(flat), dtype=np.uint8).reshape(-1, steps, k)
 
 
+def _traces(params, inputs, copies):
+    """copies of one input sequence, filtered with the encoder's kernel."""
+    return filter_inputs(np.repeat(inputs[None], copies, axis=0), params.kernel_ff)
+
+
 def _replay(params, inputs, zhat):
     """One input sequence replayed against a batch of given received bits."""
-    return rollout(params, np.repeat(inputs[None], len(zhat), axis=0), lambda t, u: zhat[:, t])
+    return rollout(params, _traces(params, inputs, len(zhat)), lambda t, s: zhat[:, t])
 
 
 def _log_prob(run, eps):
@@ -102,7 +114,7 @@ def _vdib_losses(decoder, run, eps, beta, label, prior):
     n = len(run.bits)
     _, _, logits, _ = forward_batch(decoder, run.bits.reshape(n, -1).astype(np.float64))
     task = losses_from_logits_batch(decoder, logits, np.full(n, label))
-    return task + beta * regularizer(run.bits, run.potentials, eps, prior)
+    return task + beta * regularizer(run.bits, run.potentials, eps, prior, run.spike_probs)
 
 
 def _perturbed_encoder(params, field, index, delta):
@@ -124,6 +136,7 @@ def _train(cfg, epochs=None, stop_at=None):
     """Library-level training run; returns models, data, per-epoch metrics."""
     data = _build_dataset(cfg)
     encoder, decoder = _init_models(cfg, data)
+    filter_dataset(data, encoder.kernel_ff)
     train_cfg = cfg.train_config()
     total = epochs if epochs is not None else train_cfg.epochs
     root = SeededRng(cfg.seed)
@@ -178,7 +191,8 @@ def test_criterion_02_gradient_closed_forms(capsys):
         for eps in EPSILON_SET:
             for zhat in (0.0, 1.0):
                 for u0 in np.concatenate([rng.normal(scale=3.0, size=20), [-20.0, 20.0]]):
-                    grad = grad_u_log_prob_noisy(np.array([zhat]), np.array([u0]), eps)[0]
+                    s = sigmoid(np.array([u0]))
+                    grad = grad_u_log_prob_noisy(np.array([zhat]), s, eps)[0]
                     hi = log_prob_noisy(np.array([zhat]), np.array([u0 + h]), eps)
                     lo = log_prob_noisy(np.array([zhat]), np.array([u0 - h]), eps)
                     fd = (hi - lo) / (2 * h)
@@ -286,7 +300,7 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         draws = 100_000
         rng = SeededRng(775)
         mc = rollout(
-            params, np.repeat(inputs[None], draws, axis=0), lambda t, u: sample_noisy(u, eps, rng)
+            params, _traces(params, inputs, draws), lambda t, s: sample_noisy(s, eps, rng)
         )
         mean = score_grads(mc, eps, _vdib_losses(decoder, mc, eps, beta, label, prior) / draws)
 
@@ -353,7 +367,7 @@ def test_criterion_05_channel_statistics(capsys):
         draws = 100_000
         u = np.array([0.0, 1.0])
         eps2 = 0.2
-        direct = sample_noisy(np.tile(u, (draws, 1)), eps2, SeededRng(613))
+        direct = sample_noisy(np.tile(sigmoid(u), (draws, 1)), eps2, SeededRng(613))
         staged_rng = SeededRng(614)
         spikes = staged_rng.bernoulli(np.tile(sigmoid(u), (draws, 1)))
         staged = transmit(spikes, eps2, staged_rng.uniform(spikes.shape))

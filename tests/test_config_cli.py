@@ -1,6 +1,7 @@
 """Config files, metrics files, and the command-line verbs end to end."""
 
 import math
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spikelink.cli as cli
+from spikelink import training
 from spikelink.checkpoint import load_checkpoint
 from spikelink.cli import DEFAULT_MISMATCH_GRID, main
 from spikelink.config import ConfigError, RunConfig, build_run_config, parse_config_file
-from spikelink.events import synthetic_records
-from spikelink.training import TrainingDiverged
+from spikelink.encoder import filter_inputs
+from spikelink.events import frames_to_inputs, synthetic_records
+from spikelink.numerics import Kernel, exponential_kernel
+from spikelink.training import TrainingDiverged, evaluate_grid
 from spikelink.metrics import (
     MetricsRow,
     export_metrics,
@@ -97,6 +101,26 @@ class TestBuildRunConfig:
             build_run_config({"epsilon": 0.9})
         with pytest.raises(ConfigError):
             build_run_config({"classes": 9})
+
+    @pytest.mark.parametrize("key", ["window_ff", "window_fb"])
+    def test_window_longer_than_T_is_cut_to_T_taps(self, key):
+        # taps at or past T never reach a trace, so a 10**9 window costs T
+        # taps in validation, not 7.45 GiB
+        def kernel(values):
+            return getattr(build_run_config(values), key.replace("window", "kernel"))()
+
+        tracemalloc.start()
+        try:
+            cut = kernel({key: 10**9, "T": 7})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6, f"peak {peak} bytes"
+        assert cut == exponential_kernel(5.0, 7)
+        # a window shorter than T keeps its length, and --T 5 still takes
+        # the default window of 10
+        assert kernel({"T": 30}).window == 10
+        assert kernel({"T": 5}).window == 5
 
 
 class TestMetricsFiles:
@@ -441,6 +465,58 @@ class TestCliSweeps:
             "warning: checkpoint kernel_fb differs from the config's; using the checkpoint's"
         ]
 
+    def test_checkpoint_kernel_filters_the_test_split(
+        self, tiny_config, tiny_checkpoint, tmp_path, capsys
+    ):
+        # a differing tau_ff warns once, and the test split is filtered
+        # with the checkpoint's kernel, not the config's
+        config = self._edited(tiny_config, tmp_path, tau_ff=2.0)
+        assert self._sweep(config, tiny_checkpoint, tmp_path, "--epsilon-grid", "0.0,0.2") == 0
+        warnings = [l for l in capsys.readouterr().err.splitlines() if "warning" in l]
+        assert warnings == [
+            "warning: checkpoint kernel_ff differs from the config's; using the checkpoint's"
+        ]
+        cfg = build_run_config(parse_config_file(config))
+        encoder, decoder, _ = load_checkpoint(tiny_checkpoint)
+
+        def swept(kernel):
+            test_x, test_y = frames_to_inputs(cli._split_records(cfg, "test"), cfg.T)
+            return evaluate_grid(encoder, decoder, filter_inputs(test_x, kernel), test_y,
+                                 [0.0, 0.2], cfg.seed)
+
+        rows = read_metrics(tmp_path / "sweep" / "metrics.csv")
+        assert [(r.error_rate, r.spike_rate) for r in rows] == swept(encoder.kernel_ff)
+        assert swept(encoder.kernel_ff) != swept(cfg.kernel_ff())
+
+    def test_dataset_filtered_with_another_kernel_is_refused(
+        self, tiny_config, tmp_path, monkeypatch, capsys
+    ):
+        real = cli.filter_dataset
+        monkeypatch.setattr(cli, "filter_dataset", lambda data, kernel: real(data, Kernel([1.0])))
+        out = tmp_path / "refused"
+        assert _run("train", "--config", str(tiny_config), "--out", str(out)) == 2
+        assert "kernel_ff" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep-beta", "--beta-grid", "0.001,0.01"),
+        ("sweep-snr", "--train-per-point", "--epsilon-grid", "0.1,0.2"),
+    ])
+    def test_each_split_filtered_once_per_process(self, tiny_config, tmp_path, monkeypatch, argv):
+        filtered = []
+        real = training.filter_inputs
+
+        def spy(inputs, kernel):
+            filtered.append(len(inputs))
+            return real(inputs, kernel)
+
+        monkeypatch.setattr(training, "filter_inputs", spy)
+        verb, *flags = argv
+        out = tmp_path / "twice"
+        assert _run(verb, "--config", str(tiny_config), "--out", str(out), *flags) == 0
+        # two training runs, but one filter call per split: 2 * 6 and 2 * 4
+        assert filtered == [12, 8]
+
     @staticmethod
     def _diverge_at(monkeypatch, epsilon):
         real = cli.train_epoch
@@ -638,14 +714,8 @@ def test_config_file_round_trip(tmp_path, values):
         assert getattr(cfg, key) == value
 
 
-# the kernel windows are left out: validation builds each kernel, so a
-# drawn window of 10**9 would allocate gigabytes
 _LINE = st.one_of(
-    st.builds(
-        "{} = {}".format,
-        st.sampled_from(sorted(set(_KIND) - {"window_ff", "window_fb"})),
-        st.text(max_size=12),
-    ),
+    st.builds("{} = {}".format, st.sampled_from(sorted(_KIND)), st.text(max_size=12)),
     st.text(max_size=20),
 )
 

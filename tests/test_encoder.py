@@ -9,6 +9,7 @@ import pytest
 from spikelink.channel import log_prob_noisy
 from spikelink.encoder import (
     EncoderParams,
+    filter_inputs,
     grad_u_log_prob_noisy,
     init_encoder_params,
     rollout,
@@ -45,10 +46,15 @@ def _unit_params(kernel_ff=None, kernel_fb=None):
     )
 
 
+def _traces(params, inputs):
+    """Input counts of shape (n, steps, lines) filtered with the encoder's kernel."""
+    return filter_inputs(np.array(inputs, dtype=np.float64), params.kernel_ff)
+
+
 def _replay(params, inputs, bits):
     """The rollout with the given bits fed back, shapes (n, steps, ...)."""
     bits = np.asarray(bits)
-    return rollout(params, inputs, lambda t, u: bits[:, t])
+    return rollout(params, _traces(params, inputs), lambda t, s: bits[:, t])
 
 
 def _fd_grads(params, objective, h=1e-6):
@@ -105,8 +111,8 @@ class TestStateTraces:
     def test_shape_checks(self):
         params = _tiny_params(k=2, n_in=3)
 
-        def silent(t, u):
-            return np.zeros_like(u)
+        def silent(t, s):
+            return np.zeros_like(s)
 
         with pytest.raises(ValueError, match="shape"):
             rollout(params, np.zeros((4, 3)), silent)
@@ -114,7 +120,7 @@ class TestStateTraces:
             rollout(params, np.zeros((1, 4, 2)), silent)
         # a bit rule must hand back one bit per sequence and neuron
         with pytest.raises(ValueError):
-            rollout(params, np.zeros((1, 4, 3)), lambda t, u: np.zeros((1, 3)))
+            rollout(params, np.zeros((1, 4, 3)), lambda t, s: np.zeros((1, 3)))
 
     def test_input_trace_includes_current_step(self):
         # kernel (1, 0.5, 0.25), inputs 1, 0, 1, 1:
@@ -155,21 +161,23 @@ class TestMembranePotential:
         )
 
     def test_bit_rule_sees_each_step_once(self):
-        # the rule gets step t's potentials before any later step exists,
-        # and the bits it returns are the ones fed back and kept
+        # the rule gets step t's spike probabilities before any later step
+        # exists, and the bits it returns are the ones fed back and kept
         params = _tiny_params()
-        inputs = SeededRng(4).bernoulli(np.full((3, 5, params.n_in), 0.5))
+        traces = _traces(params, SeededRng(4).bernoulli(np.full((3, 5, params.n_in), 0.5)))
         seen = []
 
-        def rule(t, u):
-            seen.append((t, u.copy()))
-            return u > 0.0
+        def rule(t, s):
+            seen.append((t, s.copy()))
+            return s > 0.5
 
-        run = rollout(params, inputs, rule)
+        run = rollout(params, traces, rule)
         assert [t for t, _ in seen] == list(range(5))
-        for t, u in seen:
-            np.testing.assert_array_equal(run.potentials[:, t], u)
-            np.testing.assert_array_equal(run.bits[:, t], u > 0.0)
+        for t, s in seen:
+            np.testing.assert_array_equal(run.spike_probs[:, t], s)
+            np.testing.assert_array_equal(run.bits[:, t], s > 0.5)
+        # whole-tensor sigmoid equals the per-step one bit for bit
+        np.testing.assert_array_equal(run.spike_probs, sigmoid(run.potentials))
 
 
 class TestGradULogProb:
@@ -177,7 +185,7 @@ class TestGradULogProb:
         u = np.array([-2.0, 0.0, 3.0])
         zhat = np.array([1.0, 0.0, 1.0])
         np.testing.assert_allclose(
-            grad_u_log_prob_noisy(zhat, u, 0.0), zhat - sigmoid(u), rtol=1e-15
+            grad_u_log_prob_noisy(zhat, sigmoid(u), 0.0), zhat - sigmoid(u), rtol=1e-15
         )
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.25, 0.4])
@@ -185,27 +193,27 @@ class TestGradULogProb:
     def test_matches_finite_difference(self, eps, zhat):
         # analytic d/du log p against central differences at 1e-7 absolute
         for u0 in (-3.0, -1.0, 0.0, 0.5, 2.0):
-            grad = grad_u_log_prob_noisy(np.array([zhat]), np.array([u0]), eps)
+            grad = grad_u_log_prob_noisy(np.array([zhat]), sigmoid(np.array([u0])), eps)
             fd = finite_diff_grad(
                 lambda v: log_prob_noisy(np.array([zhat]), v, eps), np.array([u0])
             )
             assert abs(grad[0] - fd[0]) < 1e-7
 
     def test_scalar_passthrough(self):
-        out = grad_u_log_prob_noisy(1.0, 0.0, 0.1)
+        out = grad_u_log_prob_noisy(1.0, 0.5, 0.1)
         assert isinstance(out, float)
 
     def test_saturated_potentials_finite(self):
         u = np.array([60.0, -60.0])
         zhat = np.array([0.0, 1.0])
         for eps in (0.0, 0.2, 0.4):
-            assert np.isfinite(grad_u_log_prob_noisy(zhat, u, eps)).all()
+            assert np.isfinite(grad_u_log_prob_noisy(zhat, sigmoid(u), eps)).all()
 
     def test_rejects_half_and_negative(self):
         with pytest.raises(ValueError):
-            grad_u_log_prob_noisy(np.array([1.0]), np.array([0.0]), 0.5)
+            grad_u_log_prob_noisy(np.array([1.0]), np.array([0.5]), 0.5)
         with pytest.raises(ValueError):
-            grad_u_log_prob_noisy(np.array([1.0]), np.array([0.0]), -0.1)
+            grad_u_log_prob_noisy(np.array([1.0]), np.array([0.5]), -0.1)
 
 
 class TestPotentialGrads:
@@ -236,8 +244,8 @@ class TestPotentialGrads:
         # u must be exactly the parameter-gradient inner product plus bias,
         # confirming the traces in the score are the ones in the forward pass
         params = _tiny_params()
-        inputs = SeededRng(9).bernoulli(np.full((2, 3, params.n_in), 0.7))
-        run = rollout(params, inputs, lambda t, u: u > 0.0)
+        traces = _traces(params, SeededRng(9).bernoulli(np.full((2, 3, params.n_in), 0.7)))
+        run = rollout(params, traces, lambda t, s: s > 0.5)
         manual = (run.ff_traces @ params.ff_weights.T
                   + params.fb_weights * run.fb_traces + params.bias)
         np.testing.assert_allclose(run.potentials, manual, rtol=1e-14)
@@ -265,6 +273,22 @@ class TestScoreGrads:
         for field in FIELDS:
             scale = max(np.abs(fd[field]).max(), 1.0)
             np.testing.assert_allclose(getattr(grads, field), fd[field], rtol=0, atol=1e-5 * scale)
+
+    @pytest.mark.parametrize("shape", [(16, 20, 16, 512), (7, 5, 3, 9), (1, 1, 1, 1)])
+    def test_ff_contraction_equals_three_operand_einsum(self, shape):
+        # the weights folded into the score must give the three-operand sum
+        # bit for bit; a NumPy whose einsum loop order differs fails here
+        # instead of silently moving every trained model
+        n, steps, k, lines = shape
+        rng = SeededRng(n * steps + k)
+        params = init_encoder_params(lines, k, rng.substream("init"))
+        traces = _traces(params, rng.substream("x").bernoulli(np.full((n, steps, lines), 0.2)))
+        draw = rng.substream("bits")
+        run = rollout(params, traces, lambda t, s: draw.bernoulli(s))
+        weights = rng.substream("w").uniform_range(-1.0, 1.0, n)
+        score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
+        expected = np.einsum("b,btk,btn->kn", weights, score_u, run.ff_traces)
+        assert np.array_equal(score_grads(run, 0.1, weights).ff_weights, expected)
 
     def test_single_neuron_single_input(self):
         # smallest case with feedback active, eps = 0

@@ -6,11 +6,13 @@ pasted in as literals.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spikelink.encoder import _feedback_trace, _filtered_inputs
+from spikelink import encoder
+from spikelink.encoder import _feedback_trace, filter_inputs
 from spikelink.numerics import (
     Kernel,
     SeededRng,
@@ -104,21 +106,32 @@ class TestEbn0Mapping:
         assert db_to_linear(float("-inf")) == 0.0
 
 
+def _step_ordered(x, coeff):
+    """The filter written out: c0*x_t first, then c1*x_{t-1}, and so on."""
+    out = np.empty_like(x)
+    for t in range(x.shape[1]):
+        acc = coeff[0] * x[:, t]
+        for d in range(1, min(coeff.size, t + 1)):
+            acc = acc + coeff[d] * x[:, t - d]
+        out[:, t] = acc
+    return out
+
+
 class TestCausalConvolve:
     """(a*x)[t] = sum_d a[d] * x[t-d], as the encoder's filters compute it:
-    the input filter for every step at once, the feedback filter at one
-    step from strictly past bits."""
+    the input filter in place over whole sequences, the feedback filter at
+    one step from strictly past bits."""
 
     def test_hand_expanded_example(self):
         k = Kernel([0.5, 0.25])
         x = np.array([1.0, 0.0, 1.0]).reshape(1, 3, 1)
         # t=2: 0.5 * x_2 + 0.25 * x_1
-        assert _filtered_inputs(x, k)[0, 2, 0] == pytest.approx(0.5, abs=0)
+        assert filter_inputs(x, k)[0, 2, 0] == pytest.approx(0.5, abs=0)
 
     def test_history_shorter_than_kernel(self):
         k = Kernel([1.0, 2.0, 4.0])
         # at t=0 only the d=0 tap lands inside the history
-        out = _filtered_inputs(np.array([3.0]).reshape(1, 1, 1), k)
+        out = filter_inputs(np.array([3.0]).reshape(1, 1, 1), k)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(3.0)
 
@@ -135,13 +148,42 @@ class TestCausalConvolve:
         s = rng.normal(size=(2, 9, 3))
         r = rng.normal(size=(2, 9, 3))
         a, b = 1.7, -0.4
-        lhs = _filtered_inputs(a * s + b * r, k)
-        rhs = a * _filtered_inputs(s, k) + b * _filtered_inputs(r, k)
+        lhs = filter_inputs(a * s + b * r, k)
+        rhs = a * filter_inputs(s.copy(), k) + b * filter_inputs(r.copy(), k)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
         for t in (0, 3, 8):
             lhs = _feedback_trace(a * s + b * r, t, k)
             rhs = a * _feedback_trace(s, t, k) + b * _feedback_trace(r, t, k)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    @pytest.mark.parametrize("window", [4, 30])
+    def test_in_place_filter_equals_step_order(self, monkeypatch, block, window):
+        # bit for bit at every block size, for windows shorter and longer
+        # than the 12 steps, and without a second array of the inputs' size
+        n, steps, lines = 40, 12, 256
+        rng = np.random.default_rng(window)
+        counts = rng.poisson(0.7, size=(n, steps, lines)).astype(np.float64)
+        kernel = exponential_kernel(3.0, window)
+        expected = _step_ordered(counts, kernel.coefficients)
+        monkeypatch.setattr(encoder, "FILTER_BLOCK", block or n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = filter_inputs(counts, kernel)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out is counts
+        assert np.array_equal(out, expected)
+        assert peak < counts.nbytes / 2, f"peak {peak} bytes"
+
+    def test_filter_refuses_arrays_it_cannot_overwrite(self):
+        k = Kernel([1.0])
+        with pytest.raises(ValueError, match="float64"):
+            filter_inputs(np.zeros((1, 2, 3), dtype=np.uint8), k)
+        with pytest.raises(ValueError, match="float64"):
+            filter_inputs(np.zeros((2, 3)), k)
 
     def test_exponential_kernel_shape(self):
         k = exponential_kernel(5.0, 10)
@@ -156,6 +198,12 @@ class TestCausalConvolve:
             Kernel([])
         with pytest.raises(ValueError):
             Kernel([1.0, float("nan")])
+
+    def test_kernels_compare_by_coefficients(self):
+        assert exponential_kernel(5.0, 10) == exponential_kernel(5.0, 10)
+        assert exponential_kernel(5.0, 10) != exponential_kernel(4.0, 10)
+        assert exponential_kernel(5.0, 10) != exponential_kernel(5.0, 9)
+        assert Kernel([1.0]) != None  # noqa: E711
 
 
 class TestFiniteDiff:

@@ -24,6 +24,7 @@ from spikelink.decoder import (
 from spikelink.encoder import (
     EncoderGrads,
     EncoderParams,
+    filter_inputs,
     init_encoder_params,
     rollout,
     score_grads,
@@ -36,6 +37,7 @@ from spikelink.training import (
     TrainingDiverged,
     evaluate,
     evaluate_grid,
+    filter_dataset,
     regularizer,
     sgd_update,
     train_epoch,
@@ -66,9 +68,15 @@ def _all_sequences(steps, k):
     return np.array(list(flat), dtype=np.uint8).reshape(-1, steps, k)
 
 
+def _traces(params, inputs):
+    """Input counts of shape (n, steps, lines) filtered with the encoder's kernel."""
+    return filter_inputs(np.array(inputs, dtype=np.float64), params.kernel_ff)
+
+
 def _replay(params, inputs, bits):
     """One input sequence replayed against a batch of given received bits."""
-    return rollout(params, np.repeat(inputs[None], len(bits), axis=0), lambda t, u: bits[:, t])
+    traces = _traces(params, np.repeat(inputs[None], len(bits), axis=0))
+    return rollout(params, traces, lambda t, s: bits[:, t])
 
 
 def _probability(run, eps):
@@ -179,19 +187,19 @@ class TestSequencePaths:
         # it drew: same potentials and traces, hence same rate term and score
         params = _tiny_encoder(k=2, n_in=3, seed=5)
         rng = SeededRng(21)
-        inputs = rng.bernoulli(np.full((4, 5, 3), 0.6))
-        run = rollout(params, inputs, lambda t, u: sample_noisy(u, 0.2, rng))
-        replay = rollout(params, inputs, lambda t, u: run.bits[:, t])
-        for name in ("bits", "potentials", "ff_traces", "fb_traces"):
+        traces = _traces(params, rng.bernoulli(np.full((4, 5, 3), 0.6)))
+        run = rollout(params, traces, lambda t, s: sample_noisy(s, 0.2, rng))
+        replay = rollout(params, traces, lambda t, s: run.bits[:, t])
+        for name in ("bits", "potentials", "spike_probs", "ff_traces", "fb_traces"):
             np.testing.assert_array_equal(getattr(replay, name), getattr(run, name))
 
     def test_training_draws_follow_one_uniform_block(self):
         # step t compares the t-th (n, k) block of one uniform stream with
         # the marginal spike probability
         params = _tiny_encoder(k=2, n_in=3, seed=6)
-        inputs = SeededRng(22).bernoulli(np.full((4, 5, 3), 0.6))
+        traces = _traces(params, SeededRng(22).bernoulli(np.full((4, 5, 3), 0.6)))
         draw = SeededRng(23)
-        run = rollout(params, inputs, lambda t, u: sample_noisy(u, 0.2, draw))
+        run = rollout(params, traces, lambda t, s: sample_noisy(s, 0.2, draw))
         uniforms = SeededRng(23).uniform((5, 4, 2)).transpose(1, 0, 2)
         q = noisy_spike_prob(sigmoid(run.potentials), 0.2)
         np.testing.assert_array_equal(run.bits, uniforms < q)
@@ -201,19 +209,19 @@ class TestSequencePaths:
         # evaluation's rule: spike where the step's pre-drawn uniform is
         # below sigmoid(u); evaluate counts exactly these spikes
         params = _tiny_encoder(k=2, n_in=3, seed=5)
-        inputs = SeededRng(1).bernoulli(np.full((1, 4, 3), 0.5)).astype(np.float64)
+        traces = _traces(params, SeededRng(1).bernoulli(np.full((1, 4, 3), 0.5)))
         spike_u = SeededRng(77).substream("eval", 0).uniform((4, 2))[None]
 
-        def clean(t, u):
-            return spike_u[:, t, :] < sigmoid(u)
+        def clean(t, s):
+            return spike_u[:, t, :] < s
 
-        first = rollout(params, inputs, clean)
-        second = rollout(params, inputs, clean)
+        first = rollout(params, traces, clean)
+        second = rollout(params, traces, clean)
         assert first.bits.shape == (1, 4, 2) and first.potentials.shape == (1, 4, 2)
         np.testing.assert_array_equal(first.bits, second.bits)
         np.testing.assert_array_equal(first.potentials, second.potentials)
         decoder = init_decoder_params(8, 2, SeededRng(2), hidden_dim=3)
-        _, rate = evaluate(params, decoder, inputs, np.array([0]), 0.1, 77)
+        _, rate = evaluate(params, decoder, traces, np.array([0]), 0.1, 77)
         assert rate == np.count_nonzero(first.bits) / 8
 
 
@@ -231,7 +239,9 @@ class TestUnbiasedness:
         n = len(run.bits)
         _, _, logits, _ = forward_batch(decoder, run.bits.reshape(n, -1).astype(np.float64))
         task = losses_from_logits_batch(decoder, logits, np.full(n, label))
-        return task + beta * regularizer(run.bits, run.potentials, eps, PriorModel(0.3))
+        return task + beta * regularizer(
+            run.bits, run.potentials, eps, PriorModel(0.3), run.spike_probs
+        )
 
     def _exact_expectation(self, params, decoder, inputs, eps, beta):
         run = _replay(params, inputs, _all_sequences(3, 1))
@@ -278,7 +288,9 @@ class TestUnbiasedness:
         draws = 20_000
         rng = SeededRng(777)
         mc = rollout(
-            params, np.repeat(inputs[None], draws, axis=0), lambda t, u: sample_noisy(u, eps, rng)
+            params,
+            _traces(params, np.repeat(inputs[None], draws, axis=0)),
+            lambda t, s: sample_noisy(s, eps, rng),
         )
         mean = score_grads(mc, eps, self._sample_losses(decoder, mc, eps, beta) / draws)
 
@@ -291,8 +303,8 @@ class TestUnbiasedness:
             assert (diff <= 4.0 * se + 1e-12).all()
 
 
-def _toy_dataset(seed=0, n_train=24, n_test=16, steps=6, lines=8):
-    # two linearly separable spike-rate patterns
+def _toy_counts(seed=0, n_train=24, n_test=16, steps=6, lines=8):
+    # two linearly separable spike-rate patterns, as unfiltered counts
     rng = SeededRng(seed)
     half = lines // 2
     def draw(n):
@@ -318,6 +330,12 @@ def _toy_models(data, seed=0, k=4, hidden=8):
     enc = init_encoder_params(data.input_dim, k, root.substream("e"))
     dec = init_decoder_params(k * data.steps, data.n_classes, root.substream("d"), hidden_dim=hidden)
     return enc, dec
+
+
+def _toy_dataset(**kwargs):
+    """The toy counts filtered with the toy encoder's kernel."""
+    data = _toy_counts(**kwargs)
+    return filter_dataset(data, _toy_models(data)[0].kernel_ff)
 
 
 class TestEpochLoop:
@@ -369,6 +387,38 @@ class TestEpochLoop:
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 3, 4)), np.zeros(3), np.zeros((1, 3, 4)), np.zeros(1), 2)
+
+    def test_refuses_dataset_filtered_with_another_kernel(self):
+        data = _toy_counts()
+        enc, dec = _toy_models(data)
+        cfg = TrainConfig(channel=ChannelConfig(epsilon=0.1))
+        with pytest.raises(ValueError, match="kernel_ff"):
+            train_epoch(enc, dec, data, cfg, SeededRng(0))
+        filter_dataset(data, _kernel(1.0, 0.5))
+        with pytest.raises(ValueError, match="kernel_ff"):
+            train_epoch(enc, dec, data, cfg, SeededRng(0))
+
+
+class TestFilterDataset:
+    def test_filters_both_splits_once(self):
+        data = _toy_counts()
+        kernel = _kernel(1.0, 0.5)
+        expected = [filter_inputs(x.copy(), kernel) for x in (data.train_inputs, data.test_inputs)]
+        arrays = (data.train_inputs, data.test_inputs)
+        assert filter_dataset(data, kernel) is data
+        # a second call with an equal kernel is a no-op
+        filter_dataset(data, _kernel(1.0, 0.5))
+        assert data.kernel == kernel
+        for got, array, want in zip((data.train_inputs, data.test_inputs), arrays, expected):
+            assert got is array
+            np.testing.assert_array_equal(got, want)
+
+    def test_refuses_refiltering_with_another_kernel(self):
+        data = filter_dataset(_toy_counts(), _kernel(1.0, 0.5))
+        before = data.train_inputs.copy()
+        with pytest.raises(ValueError, match="different kernel"):
+            filter_dataset(data, _kernel(1.0, 0.25))
+        np.testing.assert_array_equal(data.train_inputs, before)
 
 
 class TestEvaluate:
@@ -422,7 +472,7 @@ class TestEvaluateGrid:
             stream = SeededRng(9).substream("eval", i)
             spike_u = stream.uniform((steps, k))
             flip_u = stream.uniform((steps, k))
-            z = rollout(enc, x[None], lambda t, u: spike_u[t] < sigmoid(u)).bits[0]
+            z = rollout(enc, x[None], lambda t, s: spike_u[t] < s).bits[0]
             spikes += int(z.sum())
             for j, eps in enumerate(GRID):
                 received = (z ^ (flip_u < eps)).reshape(1, -1).astype(np.float64)
@@ -470,5 +520,5 @@ class TestEvaluateGrid:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the whole set's traces alone would be 16 chunks' worth
+        # a temporary the size of the whole set's traces would be 16 chunks' worth
         assert peak < 6 * chunk_traces, f"peak {peak} bytes"
