@@ -1,47 +1,22 @@
-"""Binary symmetric channel: crossover law, marginalized spike statistics."""
+"""Binary symmetric channel: crossover law, marginalized spike statistics.
+
+Every function takes the crossover probability itself; a run's channel
+point, set as epsilon or as Eb/N0 in dB, is resolved to one by
+RunConfig.crossover().
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .numerics import SeededRng, db_to_linear, ebn0_to_epsilon, log_sigmoid, sigmoid
+from .numerics import SeededRng, log_sigmoid, sigmoid
 
 __all__ = [
-    "ChannelConfig",
     "transmit",
     "noisy_spike_prob",
     "log_prob_noisy",
     "sample_noisy",
 ]
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Channel operating point, given as either epsilon or Eb/N0 in dB.
-
-    Exactly one of the two fields is the source of truth; the other must be
-    left as None.  The derived crossover probability must land in [0, 0.5].
-    """
-
-    epsilon: float | None = None
-    ebn0_db: float | None = None
-    mapping: str = "linear"
-
-    def __post_init__(self):
-        if (self.epsilon is None) == (self.ebn0_db is None):
-            raise ValueError("set exactly one of epsilon and ebn0_db")
-        if self.epsilon is not None:
-            eps = float(self.epsilon)
-            if not 0.0 <= eps <= 0.5:
-                raise ValueError(f"epsilon must be in [0, 0.5], got {eps}")
-
-    def crossover(self) -> float:
-        """Resolve the configured point to a crossover probability."""
-        if self.epsilon is not None:
-            return float(self.epsilon)
-        return ebn0_to_epsilon(db_to_linear(self.ebn0_db), form=self.mapping)
 
 
 def _check_epsilon(epsilon: float, high: float = 1.0) -> float:

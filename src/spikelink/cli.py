@@ -15,12 +15,11 @@ wall-clock seconds unless `timing = off`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from .channel import ChannelConfig
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, build_run_config, parse_config_file
 from .decoder import init_decoder_params
@@ -88,24 +87,18 @@ def _init_models(cfg: RunConfig, data: Dataset):
     return encoder, decoder
 
 
-def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
-               beta: float | None = None, channel: ChannelConfig | None = None):
+def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int):
     """Full training loop; returns params and one metrics row per epoch."""
-    train_cfg = cfg.train_config()
-    if beta is not None:
-        train_cfg = dataclasses.replace(train_cfg, beta=beta)
-    if channel is not None:
-        train_cfg = dataclasses.replace(train_cfg, channel=channel)
-    eps = train_cfg.channel.crossover()
+    eps = cfg.crossover()
     encoder, decoder = _init_models(cfg, data)
     filter_dataset(data, encoder.kernel_ff)
     root = SeededRng(cfg.seed)
     opt_state: dict = {}
     rows = []
-    for epoch in range(train_cfg.epochs):
+    for epoch in range(cfg.epochs):
         started = time.perf_counter()
         encoder, decoder, metrics = train_epoch(
-            encoder, decoder, data, train_cfg, root.substream("train", epoch), opt_state
+            encoder, decoder, data, cfg, root.substream("train", epoch), opt_state
         )
         seconds = time.perf_counter() - started if cfg.timing else 0.0
         rows.append(
@@ -114,8 +107,8 @@ def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
                 point=point,
                 epoch=epoch,
                 epsilon=eps,
-                ebn0_db=train_cfg.channel.ebn0_db,
-                beta=train_cfg.beta,
+                ebn0_db=cfg.ebn0_db,
+                beta=cfg.beta,
                 k=cfg.k,
                 error_rate=metrics.test_error,
                 spike_rate=metrics.spike_rate,
@@ -130,48 +123,30 @@ def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
     return encoder, decoder, rows
 
 
-def _parse_grid(args, mapping: str) -> list[tuple[float, float | None]]:
-    """Channel grid as (epsilon, ebn0_db or None) pairs."""
+def _parse_grid(args, mapping: str, epsilon_grid=(), ebn0_grid_db=()):
+    """Channel grid as (epsilon, ebn0_db or None) pairs; the verb's default
+    grid, given as either keyword, applies when no grid flag is given."""
     if args.epsilon_grid and args.ebn0_grid_db:
         raise ConfigError("give only one of --epsilon-grid and --ebn0-grid-db")
-    if args.epsilon_grid:
-        points = []
-        for eps in args.epsilon_grid:
-            if not 0.0 <= eps <= 0.5:
-                raise ConfigError(f"grid epsilon {eps} outside [0, 0.5]")
-            points.append((eps, None))
-        return points
-    grid_db = args.ebn0_grid_db
-    if not grid_db:
-        grid_db = list(DEFAULT_SNR_GRID_DB if args.command == "sweep-snr" else [])
-    if not grid_db:
-        return [(eps, None) for eps in DEFAULT_MISMATCH_GRID]
-    return [
-        (ebn0_to_epsilon(db_to_linear(db), form=mapping), db) for db in grid_db
+    if args.epsilon_grid or args.ebn0_grid_db:
+        epsilon_grid, ebn0_grid_db = args.epsilon_grid or (), args.ebn0_grid_db or ()
+    for eps in epsilon_grid:
+        if not 0.0 <= eps <= 0.5:
+            raise ConfigError(f"grid epsilon {eps} outside [0, 0.5]")
+    return [(eps, None) for eps in epsilon_grid] + [
+        (ebn0_to_epsilon(db_to_linear(db), form=mapping), db) for db in ebn0_grid_db
     ]
 
 
-def _eval_grid(cfg, encoder, decoder, inputs, labels, grid, experiment, epochs_done, rows):
-    """One evaluate_grid call over the grid; each row gets an even share of its time."""
-    started = time.perf_counter()
-    results = evaluate_grid(encoder, decoder, inputs, labels, [eps for eps, _ in grid], cfg.seed)
-    seconds = (time.perf_counter() - started) / len(grid) if cfg.timing else 0.0
-    for i, ((eps, db), (error, rate)) in enumerate(zip(grid, results)):
-        rows.append(
-            MetricsRow(
-                experiment=experiment,
-                point=i,
-                epoch=epochs_done,
-                epsilon=eps,
-                ebn0_db=db,
-                beta=cfg.beta,
-                k=cfg.k,
-                error_rate=error,
-                spike_rate=rate,
-                seconds=seconds,
-            )
-        )
-        _log(f"{experiment} point={i} epsilon={eps:.6g} error={error:.4f}")
+def _point_configs(cfg: RunConfig, what: str, changes: list[dict]) -> list[RunConfig]:
+    """The run config of each grid point, every one validated before any training."""
+    configs = []
+    for i, change in enumerate(changes):
+        try:
+            configs.append(replace(cfg, **change).validate())
+        except ConfigError as exc:
+            raise ConfigError(f"{what} point {i}: {exc}") from exc
+    return configs
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -249,92 +224,101 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep_snr(cfg: RunConfig, args) -> int:
-    grid = _parse_grid(args, cfg.mapping)
+def _sweep_train_per_point(cfg: RunConfig, grid) -> int:
+    for i, (eps, _) in enumerate(grid):
+        if eps >= 0.5:
+            raise ConfigError(
+                f"grid point {i} has epsilon {eps}; training needs epsilon < 0.5"
+            )
+    # an Eb/N0 point keeps its dB value, so it trains through cfg.mapping
+    changes = [{"epsilon": eps if db is None else None, "ebn0_db": db} for eps, db in grid]
+    configs = _point_configs(cfg, "grid", changes)
+    data = _build_dataset(cfg)
+    out = _out_dir(cfg)
     rows: list[MetricsRow] = []
-    if args.train_per_point:
-        for i, (eps, _) in enumerate(grid):
-            if eps >= 0.5:
-                raise ConfigError(
-                    f"grid point {i} has epsilon {eps}; training needs epsilon < 0.5"
-                )
-        data = _build_dataset(cfg)
-        out = _out_dir(cfg)
-        for i, (eps, db) in enumerate(grid):
-            started = time.perf_counter()
-            channel = (ChannelConfig(epsilon=eps) if db is None
-                       else ChannelConfig(ebn0_db=db, mapping=cfg.mapping))
-            try:
-                encoder, decoder, _ = _train_run(cfg, data, "sweep-snr", i, channel=channel)
-            except TrainingDiverged as exc:
-                return _aborted(out, rows, exc, f" at point {i}")
-            [(error, rate)] = evaluate_grid(
-                encoder, decoder, data.test_inputs, data.test_labels, [eps], cfg.seed
-            )
-            seconds = time.perf_counter() - started if cfg.timing else 0.0
-            rows.append(
-                MetricsRow("sweep-snr", i, cfg.epochs, eps, db, cfg.beta, cfg.k,
-                           error, rate, seconds)
-            )
-            _log(f"sweep-snr point={i} epsilon={eps:.6g} error={error:.4f}")
-    elif args.checkpoint:
+    for i, ((eps, db), point_cfg) in enumerate(zip(grid, configs)):
+        started = time.perf_counter()
+        try:
+            encoder, decoder, _ = _train_run(point_cfg, data, "sweep-snr", i)
+        except TrainingDiverged as exc:
+            return _aborted(out, rows, exc, f" at point {i}")
+        [(error, rate)] = evaluate_grid(
+            encoder, decoder, data.test_inputs, data.test_labels, [eps], cfg.seed
+        )
+        seconds = time.perf_counter() - started if cfg.timing else 0.0
+        rows.append(
+            MetricsRow("sweep-snr", i, cfg.epochs, eps, db, cfg.beta, cfg.k,
+                       error, rate, seconds)
+        )
+        _log(f"sweep-snr point={i} epsilon={eps:.6g} error={error:.4f}")
+    write_metrics(out / "metrics.csv", rows)
+    return 0
+
+
+def _sweep_one_model(cfg: RunConfig, grid, experiment: str, checkpoint: str | None = None) -> int:
+    """Evaluate one model across the grid in one evaluate_grid call: the
+    checkpoint's, or one trained here at the configured point (saved as
+    checkpoint.txt).  Each row gets an even share of the grid's time."""
+    if checkpoint:
         # evaluation only: the training split is never built
-        encoder, decoder, meta = load_checkpoint(args.checkpoint)
+        encoder, decoder, meta = load_checkpoint(checkpoint)
         test_x, test_y = frames_to_inputs(_split_records(cfg, "test"), cfg.T)
         _check_checkpoint(cfg, encoder, decoder, meta, test_x, test_y)
         out = _out_dir(cfg)
         data = filter_dataset(
             Dataset(test_x[:0], test_y[:0], test_x, test_y, decoder.n_classes), encoder.kernel_ff
         )
-        _eval_grid(cfg, encoder, decoder, data.test_inputs, data.test_labels, grid,
-                   "sweep-snr", cfg.epochs, rows)
     else:
         data = _build_dataset(cfg)
         out = _out_dir(cfg)
         try:
             encoder, decoder, _ = _train_run(cfg, data, "train", 0)
         except TrainingDiverged as exc:
-            return _aborted(out, rows, exc)
-        save_checkpoint(out / "checkpoint.txt", encoder, decoder,
-                        _checkpoint_meta(cfg, data))
-        _eval_grid(cfg, encoder, decoder, data.test_inputs, data.test_labels, grid,
-                   "sweep-snr", cfg.epochs, rows)
+            return _aborted(out, [], exc)
+        save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
+    started = time.perf_counter()
+    results = evaluate_grid(encoder, decoder, data.test_inputs, data.test_labels,
+                            [eps for eps, _ in grid], cfg.seed)
+    seconds = (time.perf_counter() - started) / len(grid) if cfg.timing else 0.0
+    rows = []
+    for i, ((eps, db), (error, rate)) in enumerate(zip(grid, results)):
+        rows.append(MetricsRow(experiment, i, cfg.epochs, eps, db, cfg.beta, cfg.k,
+                               error, rate, seconds))
+        _log(f"{experiment} point={i} epsilon={eps:.6g} error={error:.4f}")
     write_metrics(out / "metrics.csv", rows)
-    print(f"swept {len(grid)} channel points; metrics in {out / 'metrics.csv'}")
     return 0
+
+
+def cmd_sweep_snr(cfg: RunConfig, args) -> int:
+    grid = _parse_grid(args, cfg.mapping, ebn0_grid_db=DEFAULT_SNR_GRID_DB)
+    if args.train_per_point:
+        code = _sweep_train_per_point(cfg, grid)
+    else:
+        code = _sweep_one_model(cfg, grid, "sweep-snr", args.checkpoint)
+    if code == 0:
+        print(f"swept {len(grid)} channel points; metrics in {Path(cfg.out) / 'metrics.csv'}")
+    return code
 
 
 def cmd_mismatch(cfg: RunConfig, args) -> int:
-    data = _build_dataset(cfg)
-    out = _out_dir(cfg)
-    grid = _parse_grid(args, cfg.mapping)
-    try:
-        encoder, decoder, _ = _train_run(cfg, data, "train", 0)
-    except TrainingDiverged as exc:
-        return _aborted(out, [], exc)
-    save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
-    rows: list[MetricsRow] = []
-    _eval_grid(cfg, encoder, decoder, data.test_inputs, data.test_labels, grid,
-               "mismatch", cfg.epochs, rows)
-    write_metrics(out / "metrics.csv", rows)
-    train_eps = cfg.channel_config().crossover()
-    print(f"trained at epsilon {train_eps:.6g}, evaluated {len(grid)} points")
-    return 0
+    grid = _parse_grid(args, cfg.mapping, epsilon_grid=DEFAULT_MISMATCH_GRID)
+    code = _sweep_one_model(cfg, grid, "mismatch")
+    if code == 0:
+        print(f"trained at epsilon {cfg.crossover():.6g}, evaluated {len(grid)} points")
+    return code
 
 
 def cmd_sweep_beta(cfg: RunConfig, args) -> int:
+    betas = args.beta_grid or DEFAULT_BETA_GRID
+    configs = _point_configs(cfg, "beta grid", [{"beta": beta} for beta in betas])
     data = _build_dataset(cfg)
     out = _out_dir(cfg)
-    betas = list(args.beta_grid) if args.beta_grid else list(DEFAULT_BETA_GRID)
-    for beta in betas:
-        if beta <= 0:
-            raise ConfigError(f"beta grid values must be positive, got {beta}")
     rows: list[MetricsRow] = []
-    for i, beta in enumerate(betas):
+    for i, point_cfg in enumerate(configs):
         try:
-            _, _, run_rows = _train_run(cfg, data, "sweep-beta", i, beta=beta)
+            _, _, run_rows = _train_run(point_cfg, data, "sweep-beta", i)
         except TrainingDiverged as exc:
-            return _aborted(out, rows, exc, f" at beta={beta}")
+            return _aborted(out, rows, exc, f" at beta={point_cfg.beta}")
         rows.extend(run_rows)
     write_metrics(out / "metrics.csv", rows)
     print(f"swept {len(betas)} beta values; metrics in {out / 'metrics.csv'}")

@@ -1,8 +1,11 @@
 """Flat run configuration: key = value files plus command-line overrides.
 
-Every experiment is described by one RunConfig.  Files use `key = value`
-lines with `#` comments; unknown keys are rejected so typos fail loudly,
-and the whole config is validated before any model state is allocated.
+Every experiment is described by one RunConfig, the only settings object:
+training reads its values by name, and crossover() resolves its channel
+point.  Files use `key = value` lines with `#` comments; unknown keys are
+rejected so typos fail loudly, each value is parsed by its field's
+annotated type, and validate() checks every value once, before any
+dataset, output directory or model state exists.
 """
 
 from __future__ import annotations
@@ -11,10 +14,9 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .channel import ChannelConfig
+from .decoder import OUTPUT_HEADS
 from .events import SyntheticConfig
-from .numerics import Kernel, exponential_kernel
-from .training import TrainConfig
+from .numerics import EBN0_FORMS, Kernel, db_to_linear, ebn0_to_epsilon, exponential_kernel
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_file", "build_run_config"]
 
@@ -81,22 +83,36 @@ class RunConfig:
             raise ConfigError(f"dataset must be synthetic or events, got {self.dataset!r}")
         if self.dataset == "events" and not (self.train_events and self.test_events):
             raise ConfigError("events dataset needs train_events and test_events paths")
-        for key in _FLOAT_KEYS:
-            value = getattr(self, key)
-            if value is not None and math.isnan(value):
-                raise ConfigError(f"{key} must be a number, got nan")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if _KINDS[f.name] == "float" and value is not None and math.isnan(value):
+                raise ConfigError(f"{f.name} must be a number, got nan")
         for key in ("beta", "eta", "grad_clip"):
             if math.isinf(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.k < 1 or self.T < 1 or self.hidden < 1:
-            raise ConfigError("k, T, and hidden must be positive")
-        if not 0.0 < self.init_rate < 1.0:
-            raise ConfigError("init_rate must be in (0, 1)")
-        if (self.epsilon is None) == (self.ebn0_db is None):
-            raise ConfigError("set exactly one of epsilon and ebn0_db")
+        checks = [
+            (min(self.k, self.T, self.hidden) >= 1, "k, T, and hidden must be positive"),
+            (0.0 < self.init_rate < 1.0, "init_rate must be in (0, 1)"),
+            ((self.epsilon is None) != (self.ebn0_db is None),
+             "set exactly one of epsilon and ebn0_db"),
+            (self.epsilon is None or 0.0 <= self.epsilon <= 0.5,
+             f"epsilon must be in [0, 0.5], got {self.epsilon}"),
+            (self.mapping in EBN0_FORMS,
+             f"mapping must be one of {EBN0_FORMS}, got {self.mapping!r}"),
+            (self.beta > 0, f"beta must be positive, got {self.beta}"),
+            (self.eta > 0, f"eta must be positive, got {self.eta}"),
+            (self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}"),
+            (self.batch_size >= 1, f"batch_size must be positive, got {self.batch_size}"),
+            (0.0 < self.prior_rate < 1.0, "prior_rate must be in (0, 1)"),
+            (0.0 <= self.momentum < 1.0, "momentum must be in [0, 1)"),
+            (self.grad_clip >= 0.0, "grad_clip must be non-negative (0 disables)"),
+            (self.output in OUTPUT_HEADS,
+             f"output must be one of {OUTPUT_HEADS}, got {self.output!r}"),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise ConfigError(message)
         try:
-            self.channel_config()
-            self.train_config()
             if self.dataset == "synthetic":
                 self.synthetic_config()
             self.kernel_ff()
@@ -105,8 +121,11 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         return self
 
-    def channel_config(self) -> ChannelConfig:
-        return ChannelConfig(epsilon=self.epsilon, ebn0_db=self.ebn0_db, mapping=self.mapping)
+    def crossover(self) -> float:
+        """The channel point as a crossover probability: epsilon, or ebn0_db through mapping."""
+        if self.epsilon is not None:
+            return float(self.epsilon)
+        return ebn0_to_epsilon(db_to_linear(self.ebn0_db), form=self.mapping)
 
     def synthetic_config(self) -> SyntheticConfig:
         return SyntheticConfig(
@@ -127,48 +146,19 @@ class RunConfig:
     def kernel_fb(self) -> Kernel:
         return exponential_kernel(self.tau_fb, min(self.window_fb, self.T))
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            beta=self.beta,
-            eta=self.eta,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            channel=self.channel_config(),
-            prior_rate=self.prior_rate,
-            momentum=self.momentum,
-            grad_clip=self.grad_clip,
-            baseline=self.baseline,
-        )
 
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_BOOL_KEYS = {"baseline", "timing"}
-_FLOAT_KEYS = {
-    "events_per_pixel", "background_events", "tau_ff", "tau_fb", "beta", "eta",
-    "init_rate", "prior_rate", "momentum", "grad_clip", "epsilon", "ebn0_db",
-}
-_INT_KEYS = {
-    "classes", "height", "width", "duration_us", "bar_halfwidth", "train_per_class",
-    "test_per_class", "k", "T", "hidden", "window_ff", "window_fb", "epochs",
-    "batch_size", "seed",
-}
-_STR_KEYS = {"dataset", "train_events", "test_events", "output", "mapping", "out"}
+# each key's type from its annotation: "float | None" parses as a float
+_KINDS = {f.name: f.type.split(" | ")[0] for f in fields(RunConfig)}
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
 
 
 def _coerce(key: str, raw: str):
+    if key not in _KINDS:
+        raise ConfigError(f"unknown config key {key!r}")
     try:
-        if key in _BOOL_KEYS:
-            return _parse_bool(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            return raw
+        return _PARSERS[_KINDS[key]](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def parse_config_file(path) -> dict:
@@ -207,7 +197,7 @@ def build_run_config(file_values: dict | None = None, overrides: dict | None = N
         if "ebn0_db" in layer:
             merged["epsilon"] = None
         merged.update(layer)
-    unknown = set(merged) - set(_FIELD_TYPES)
+    unknown = set(merged) - set(_KINDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return RunConfig(**merged).validate()

@@ -76,6 +76,10 @@ def db_to_linear(db: float) -> float:
     return float(10.0 ** (float(db) / 10.0))
 
 
+# the forms ebn0_to_epsilon knows
+EBN0_FORMS = ("linear", "bpsk")
+
+
 def ebn0_to_epsilon(ebn0_linear: float, form: str = "linear") -> float:
     """Map a linear Eb/N0 to a binary symmetric channel crossover probability.
 

@@ -7,6 +7,8 @@ updated with exact gradients; the encoder with the score-function estimator
 (one Monte Carlo draw per input), built from the traces the rollout keeps.
 A dataset's inputs are filtered into the encoder's input traces once, by
 filter_dataset, before the first epoch; every rollout then reads them.
+train_epoch reads its settings by name from the run's RunConfig, whose
+validate() has already checked them.
 
 Training mode draws the received bits directly from the marginalized law
 and feeds them back into the encoder's recurrence; that makes the sequence
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelConfig, log_prob_noisy, sample_noisy, transmit
+from .channel import log_prob_noisy, sample_noisy, transmit
+from .config import RunConfig
 from .decoder import (
     DecoderParams,
     backward_batch,
@@ -38,7 +41,6 @@ EVAL_CHUNK = 128
 
 __all__ = [
     "PriorModel",
-    "TrainConfig",
     "Dataset",
     "filter_dataset",
     "TrainingDiverged",
@@ -71,40 +73,6 @@ class PriorModel:
         return np.sum(
             bits * math.log(self.rate) + (1.0 - bits) * math.log1p(-self.rate), axis=-1
         )
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Knobs for one training run.
-
-    momentum, grad_clip and baseline are off by default; the defaults run
-    plain SGD on the raw estimator.
-    """
-
-    beta: float = 1e-3
-    eta: float = 0.05
-    epochs: int = 30
-    batch_size: int = 16
-    seed: int = 0
-    channel: ChannelConfig = field(default_factory=lambda: ChannelConfig(epsilon=0.1))
-    prior_rate: float = 0.3
-    momentum: float = 0.0
-    grad_clip: float = 0.0
-    baseline: bool = False
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("batch_size must be positive, epochs >= 0")
-        if not 0.0 < self.prior_rate < 1.0:
-            raise ValueError("prior_rate must be in (0, 1)")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.grad_clip < 0.0:
-            raise ValueError("grad_clip must be non-negative (0 disables)")
 
 
 @dataclass
@@ -239,7 +207,7 @@ def train_epoch(
     encoder: EncoderParams,
     decoder: DecoderParams,
     data: Dataset,
-    config: TrainConfig,
+    config: RunConfig,
     rng: SeededRng,
     state: dict | None = None,
 ) -> tuple[EncoderParams, DecoderParams, EpochMetrics]:
@@ -250,8 +218,10 @@ def train_epoch(
     The optional state dict carries momentum velocities and the moving
     baseline across epochs when those options are on.  The dataset must
     hold traces filtered with the encoder's kernel_ff (filter_dataset).
+    Of the config it reads the channel point, beta, eta, batch_size, seed,
+    prior_rate, momentum, grad_clip and baseline.
     """
-    eps = config.channel.crossover()
+    eps = config.crossover()
     if eps >= 0.5:
         raise ValueError("cannot train at epsilon >= 0.5: score is undefined")
     if data.kernel != encoder.kernel_ff:

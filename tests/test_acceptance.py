@@ -137,14 +137,13 @@ def _train(cfg, epochs=None, stop_at=None):
     data = _build_dataset(cfg)
     encoder, decoder = _init_models(cfg, data)
     filter_dataset(data, encoder.kernel_ff)
-    train_cfg = cfg.train_config()
-    total = epochs if epochs is not None else train_cfg.epochs
+    total = epochs if epochs is not None else cfg.epochs
     root = SeededRng(cfg.seed)
     opt_state: dict = {}
     history = []
     for epoch in range(total):
         encoder, decoder, metrics = train_epoch(
-            encoder, decoder, data, train_cfg, root.substream("train", epoch), opt_state
+            encoder, decoder, data, cfg, root.substream("train", epoch), opt_state
         )
         history.append(metrics)
         if stop_at is not None and metrics.test_error <= stop_at:

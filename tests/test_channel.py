@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from spikelink.channel import (
-    ChannelConfig,
     log_prob_noisy,
     noisy_spike_prob,
     sample_noisy,
     transmit,
 )
+from spikelink.config import ConfigError, RunConfig
 from spikelink.numerics import SeededRng, sigmoid
 
 # chi-square critical values at the 0.01 level, frozen from the inverse CDF
@@ -20,24 +20,26 @@ CHI2_99_DF3 = 11.344866730144373
 
 
 class TestChannelConfig:
+    """A run's channel point: RunConfig.validate and crossover()."""
+
     def test_exactly_one_source(self):
-        with pytest.raises(ValueError):
-            ChannelConfig(epsilon=0.1, ebn0_db=0.0)
-        with pytest.raises(ValueError):
-            ChannelConfig()
+        with pytest.raises(ConfigError, match="exactly one"):
+            RunConfig(epsilon=0.1, ebn0_db=0.0).validate()
+        with pytest.raises(ConfigError, match="exactly one"):
+            RunConfig(epsilon=None).validate()
 
     def test_epsilon_range(self):
-        assert ChannelConfig(epsilon=0.5).crossover() == 0.5
-        assert ChannelConfig(epsilon=0.0).crossover() == 0.0
-        with pytest.raises(ValueError):
-            ChannelConfig(epsilon=0.51)
-        with pytest.raises(ValueError):
-            ChannelConfig(epsilon=-0.01)
+        assert RunConfig(epsilon=0.5).validate().crossover() == 0.5
+        assert RunConfig(epsilon=0.0).validate().crossover() == 0.0
+        with pytest.raises(ConfigError, match="epsilon"):
+            RunConfig(epsilon=0.51).validate()
+        with pytest.raises(ConfigError, match="epsilon"):
+            RunConfig(epsilon=-0.01).validate()
 
     def test_ebn0_resolution(self):
-        cfg = ChannelConfig(ebn0_db=0.0)
+        cfg = RunConfig(epsilon=None, ebn0_db=0.0).validate()
         assert cfg.crossover() == pytest.approx(0.0227501319481792072, rel=1e-12)
-        assert ChannelConfig(ebn0_db=float("-inf")).crossover() == 0.5
+        assert RunConfig(epsilon=None, ebn0_db=float("-inf")).validate().crossover() == 0.5
 
 
 class TestTransmit:

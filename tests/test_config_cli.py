@@ -1,8 +1,10 @@
 """Config files, metrics files, and the command-line verbs end to end."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -121,6 +123,19 @@ class TestBuildRunConfig:
         # the default window of 10
         assert kernel({"T": 30}).window == 10
         assert kernel({"T": 5}).window == 5
+
+
+def test_readme_config_tables_list_every_field():
+    # the key cells of README's Configuration tables name each RunConfig field once
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = [
+        key
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for key in re.findall(r"`([^`]+)`", line.split("|")[1])
+    ]
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
 
 
 class TestMetricsFiles:
@@ -522,7 +537,7 @@ class TestCliSweeps:
         real = cli.train_epoch
 
         def train_epoch(encoder, decoder, data, config, *rest):
-            if epsilon is None or config.channel.crossover() == epsilon:
+            if epsilon is None or config.crossover() == epsilon:
                 raise TrainingDiverged("non-finite sample loss")
             return real(encoder, decoder, data, config, *rest)
 
@@ -592,6 +607,32 @@ class TestCliSweeps:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "beta grid point 1: beta must be a number, got nan"),
+        ("inf", "beta grid point 1: beta must be finite, got inf"),
+    ], ids=["nan", "inf"])
+    def test_beta_sweep_validates_every_point_before_training(
+        self, tiny_config, tmp_path, monkeypatch, capsys, value, message
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "train_epoch", lambda *a, **k: calls.append(a))
+        out = tmp_path / "nb"
+        code = _run(
+            "sweep-beta", "--config", str(tiny_config), "--out", str(out),
+            "--beta-grid", f"0.001,{value}",
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("verb", ["sweep-snr", "mismatch"])
+    def test_bad_grid_creates_no_output(self, tiny_config, tmp_path, capsys, verb):
+        out = tmp_path / "grid"
+        code = _run(verb, "--config", str(tiny_config), "--out", str(out), "--epsilon-grid", "0.7")
+        assert code == 2
+        assert "grid epsilon 0.7 outside [0, 0.5]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliExport:
     def test_kv_export_round_trip(self, tiny_config, tmp_path, capsys):
@@ -632,6 +673,20 @@ class TestCliErrors:
             "--epsilon", "0.1", "--ebn0-db", "0",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("line, message", [
+        ("output = bogus", "output must be one of ('sigmoid', 'softmax'), got 'bogus'"),
+        ("mapping = bogus", "mapping must be one of ('linear', 'bpsk'), got 'bogus'"),
+    ], ids=["output", "mapping"])
+    def test_bad_choice_refused_before_any_work(
+        self, tiny_config, tmp_path, capsys, line, message
+    ):
+        path = tmp_path / "bad.cfg"
+        path.write_text(tiny_config.read_text() + "epsilon = 0.1\n" + line + "\n")
+        out = tmp_path / "o"
+        assert _run("train", "--config", str(path), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_at_half_epsilon(self, tiny_config, tmp_path):
         code = _run(

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from spikelink import training
-from spikelink.channel import ChannelConfig, log_prob_noisy, noisy_spike_prob, sample_noisy
+from spikelink.channel import log_prob_noisy, noisy_spike_prob, sample_noisy
+from spikelink.config import ConfigError, RunConfig
 from spikelink.decoder import (
     forward_batch,
     init_decoder_params,
@@ -33,7 +34,6 @@ from spikelink.numerics import Kernel, SeededRng, sigmoid
 from spikelink.training import (
     Dataset,
     PriorModel,
-    TrainConfig,
     TrainingDiverged,
     evaluate,
     evaluate_grid,
@@ -173,12 +173,15 @@ class TestObjectiveAndUpdates:
             sgd_update(params, bad, eta=0.1)
 
     def test_train_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(beta=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(momentum=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(prior_rate=1.0)
+        with pytest.raises(ConfigError, match="beta"):
+            RunConfig(beta=0.0).validate()
+        with pytest.raises(ConfigError, match="momentum"):
+            RunConfig(momentum=1.0).validate()
+        with pytest.raises(ConfigError, match="prior_rate"):
+            RunConfig(prior_rate=1.0).validate()
+        for bad in ({"eta": 0.0}, {"epochs": -1}, {"batch_size": 0}, {"grad_clip": -1.0}):
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                RunConfig(**bad).validate()
 
 
 class TestSequencePaths:
@@ -341,7 +344,7 @@ def _toy_dataset(**kwargs):
 class TestEpochLoop:
     def test_deterministic_replay(self):
         data = _toy_dataset()
-        cfg = TrainConfig(epochs=2, batch_size=8, channel=ChannelConfig(epsilon=0.1))
+        cfg = RunConfig(epochs=2, batch_size=8, epsilon=0.1)
         results = []
         for _ in range(2):
             enc, dec = _toy_models(data)
@@ -359,7 +362,7 @@ class TestEpochLoop:
     def test_learns_separable_task(self):
         data = _toy_dataset(n_train=48)
         enc, dec = _toy_models(data)
-        cfg = TrainConfig(epochs=8, batch_size=8, eta=0.2, channel=ChannelConfig(epsilon=0.05))
+        cfg = RunConfig(epochs=8, batch_size=8, eta=0.2, epsilon=0.05)
         err = None
         for epoch in range(8):
             enc, dec, m = train_epoch(enc, dec, data, cfg, SeededRng(0).substream("t", epoch))
@@ -369,17 +372,14 @@ class TestEpochLoop:
     def test_rejects_untrainable_epsilon(self):
         data = _toy_dataset()
         enc, dec = _toy_models(data)
-        cfg = TrainConfig(channel=ChannelConfig(epsilon=0.5))
+        cfg = RunConfig(epsilon=0.5)
         with pytest.raises(ValueError, match="0.5"):
             train_epoch(enc, dec, data, cfg, SeededRng(0))
 
     def test_momentum_and_baseline_state_threading(self):
         data = _toy_dataset()
         enc, dec = _toy_models(data)
-        cfg = TrainConfig(
-            epochs=2, batch_size=8, momentum=0.9, baseline=True,
-            channel=ChannelConfig(epsilon=0.1),
-        )
+        cfg = RunConfig(epochs=2, batch_size=8, momentum=0.9, baseline=True, epsilon=0.1)
         state: dict = {}
         enc, dec, _ = train_epoch(enc, dec, data, cfg, SeededRng(0).substream("t", 0), state)
         assert "baseline" in state and "enc_vel" in state and "dec_vel" in state
@@ -391,7 +391,7 @@ class TestEpochLoop:
     def test_refuses_dataset_filtered_with_another_kernel(self):
         data = _toy_counts()
         enc, dec = _toy_models(data)
-        cfg = TrainConfig(channel=ChannelConfig(epsilon=0.1))
+        cfg = RunConfig(epsilon=0.1)
         with pytest.raises(ValueError, match="kernel_ff"):
             train_epoch(enc, dec, data, cfg, SeededRng(0))
         filter_dataset(data, _kernel(1.0, 0.5))
