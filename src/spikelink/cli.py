@@ -55,11 +55,25 @@ def _split_records(cfg: RunConfig, tag: str) -> list[EventRecord]:
     return records
 
 
+def _split_inputs(cfg: RunConfig, tag: str):
+    """Counts and labels of one split; a split too large to allocate is a
+    ConfigError naming T and the split's shape."""
+    records = _split_records(cfg, tag)
+    try:
+        return frames_to_inputs(records, cfg.T)
+    except MemoryError as exc:
+        lines = 2 * records[0].height * records[0].width
+        raise ConfigError(
+            f"T = {cfg.T} is too large: the {tag} split's inputs of shape "
+            f"(records, T, lines) = ({len(records)}, {cfg.T}, {lines}) cannot be allocated"
+        ) from exc
+
+
 def _build_dataset(cfg: RunConfig) -> Dataset:
     # one split's records at a time: they are dropped once binned.  The
     # counts are filtered into traces after model set-up (filter_dataset).
-    train_x, train_y = frames_to_inputs(_split_records(cfg, "train"), cfg.T)
-    test_x, test_y = frames_to_inputs(_split_records(cfg, "test"), cfg.T)
+    train_x, train_y = _split_inputs(cfg, "train")
+    test_x, test_y = _split_inputs(cfg, "test")
     if cfg.dataset == "synthetic":
         n_classes = cfg.synthetic_config().n_classes
     else:
@@ -139,11 +153,14 @@ def _parse_grid(args, mapping: str, epsilon_grid=(), ebn0_grid_db=()):
 
 
 def _point_configs(cfg: RunConfig, what: str, changes: list[dict]) -> list[RunConfig]:
-    """The run config of each grid point, every one validated before any training."""
+    """The run config of each grid point, every one validated and checked
+    trainable before any work."""
     configs = []
     for i, change in enumerate(changes):
         try:
-            configs.append(replace(cfg, **change).validate())
+            point_cfg = replace(cfg, **change).validate()
+            point_cfg.training_crossover()
+            configs.append(point_cfg)
         except ConfigError as exc:
             raise ConfigError(f"{what} point {i}: {exc}") from exc
     return configs
@@ -208,6 +225,7 @@ def _aborted(out: Path, rows: list[MetricsRow], exc: TrainingDiverged, where: st
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    cfg.training_crossover()
     data = _build_dataset(cfg)
     out = _out_dir(cfg)
     try:
@@ -225,11 +243,6 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _sweep_train_per_point(cfg: RunConfig, grid) -> int:
-    for i, (eps, _) in enumerate(grid):
-        if eps >= 0.5:
-            raise ConfigError(
-                f"grid point {i} has epsilon {eps}; training needs epsilon < 0.5"
-            )
     # an Eb/N0 point keeps its dB value, so it trains through cfg.mapping
     changes = [{"epsilon": eps if db is None else None, "ebn0_db": db} for eps, db in grid]
     configs = _point_configs(cfg, "grid", changes)
@@ -262,13 +275,14 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, checkpoint: str | No
     if checkpoint:
         # evaluation only: the training split is never built
         encoder, decoder, meta = load_checkpoint(checkpoint)
-        test_x, test_y = frames_to_inputs(_split_records(cfg, "test"), cfg.T)
+        test_x, test_y = _split_inputs(cfg, "test")
         _check_checkpoint(cfg, encoder, decoder, meta, test_x, test_y)
         out = _out_dir(cfg)
         data = filter_dataset(
             Dataset(test_x[:0], test_y[:0], test_x, test_y, decoder.n_classes), encoder.kernel_ff
         )
     else:
+        cfg.training_crossover()
         data = _build_dataset(cfg)
         out = _out_dir(cfg)
         try:

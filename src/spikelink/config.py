@@ -92,6 +92,10 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         checks = [
             (min(self.k, self.T, self.hidden) >= 1, "k, T, and hidden must be positive"),
+            # the kernels are checked by value: validate builds nothing
+            # whose size a setting picks
+            (self.tau_ff > 0 and self.tau_fb > 0, "tau_ff and tau_fb must be positive"),
+            (min(self.window_ff, self.window_fb) >= 1, "window_ff and window_fb must be at least 1"),
             (0.0 < self.init_rate < 1.0, "init_rate must be in (0, 1)"),
             ((self.epsilon is None) != (self.ebn0_db is None),
              "set exactly one of epsilon and ebn0_db"),
@@ -112,13 +116,11 @@ class RunConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        try:
-            if self.dataset == "synthetic":
+        if self.dataset == "synthetic":
+            try:
                 self.synthetic_config()
-            self.kernel_ff()
-            self.kernel_fb()
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(str(exc)) from exc
         return self
 
     def crossover(self) -> float:
@@ -126,6 +128,15 @@ class RunConfig:
         if self.epsilon is not None:
             return float(self.epsilon)
         return ebn0_to_epsilon(db_to_linear(self.ebn0_db), form=self.mapping)
+
+    def training_crossover(self) -> float:
+        """crossover(), refused at 0.5 or more: there the received bits do
+        not depend on the encoder, so its score is undefined.  validate()
+        allows such a point, because a trained model may be evaluated there."""
+        eps = self.crossover()
+        if eps >= 0.5:
+            raise ConfigError(f"cannot train at epsilon {eps:.6g} >= 0.5: the score is undefined")
+        return eps
 
     def synthetic_config(self) -> SyntheticConfig:
         return SyntheticConfig(

@@ -5,9 +5,10 @@ feedforward weights, its own past spikes through a self-feedback weight, and
 a bias.  Spiking is Bernoulli in the sigmoid of that membrane potential.
 `filter_inputs` turns input counts into the filtered input traces once per
 data split; `rollout` runs the recurrence on those traces, one step at a
-time, for a whole batch of sequences.  The traces that build the potential
-are also its parameter gradients, so the rollout keeps them, with the spike
-probabilities, for `score_grads`.
+time, for a whole batch of sequences; it keeps the fed-back bits as float64
+too, so the feedback trace reads them without a cast.  The traces that
+build the potential are also its parameter gradients, so the rollout keeps
+them, with the spike probabilities, for `score_grads`.
 """
 
 from __future__ import annotations
@@ -135,16 +136,20 @@ def filter_inputs(inputs: np.ndarray, kernel: Kernel) -> np.ndarray:
     return inputs
 
 
-def _feedback_trace(outputs: np.ndarray, t: int, kernel: Kernel) -> np.ndarray:
-    """Filtered own-bit history at step t for a batch, strictly past bits.
+def _feedback_trace(bits: np.ndarray, t: int, kernel: Kernel) -> np.ndarray:
+    """Filtered own-bit history at step t for a batch of float64 bits of
+    shape (n, steps, k), strictly past bits.
 
     coefficients[0] would pair with the not-yet-drawn bit of step t, so it
-    never contributes.
+    never contributes.  The taps are added d = 1 first onto +0.0, so a
+    negative tap on a zero bit adds -0.0 and leaves +0.0.
     """
     coeff = kernel.coefficients
-    trace = np.zeros((outputs.shape[0], outputs.shape[2]))
+    trace = np.zeros((bits.shape[0], bits.shape[2]))
+    term = np.empty_like(trace)
     for d in range(1, min(coeff.size, t + 1)):
-        trace += coeff[d] * outputs[:, t - d, :]
+        np.multiply(bits[:, t - d, :], coeff[d], out=term)
+        trace += term
     return trace
 
 
@@ -179,14 +184,18 @@ def rollout(params: EncoderParams, traces, bits_at) -> Rollout:
     n, steps, _ = ff.shape
     k = params.n_out
     bits = np.zeros((n, steps, k), dtype=np.uint8)
+    # the fed-back bits again as float64, so no tap casts, and step-major
+    # under an (n, steps, k) view, so each tap reads contiguous rows
+    fed = np.zeros((steps, n, k)).transpose(1, 0, 2)
     potentials = np.zeros((n, steps, k))
     spike_probs = np.zeros((n, steps, k))
     fb_traces = np.zeros((n, steps, k))
     for t in range(steps):
-        fb = _feedback_trace(bits, t, params.kernel_fb)
+        fb = _feedback_trace(fed, t, params.kernel_fb)
         u = ff[:, t, :] @ params.ff_weights.T + params.fb_weights * fb + params.bias
         s = sigmoid(u)
         bits[:, t, :] = bits_at(t, s)
+        fed[:, t, :] = bits[:, t, :]
         potentials[:, t, :] = u
         spike_probs[:, t, :] = s
         fb_traces[:, t, :] = fb

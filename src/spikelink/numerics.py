@@ -33,14 +33,17 @@ def sigmoid(x):
 
     Accepts scalars or arrays; returns a float for scalar input.  Large
     positive x saturates to 1.0 and large negative x underflows to 0.0
-    without ever overflowing exp.
+    without ever overflowing exp.  With e = exp(-x) where x >= 0 and
+    exp(x) elsewhere, it is 1 / (1 + e) where x >= 0 and e / (1 + e)
+    elsewhere: the operands of the two-branch form exactly, so selecting
+    with where instead of boolean masks changes no bit (a nan keeps its
+    sign, which exp(-|x|) would flip).
     """
     arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
     pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.where(pos, -arr, arr))
+    denom = 1.0 + e
+    out = np.where(pos, 1.0 / denom, e / denom)
     if np.ndim(x) == 0:
         return float(out)
     return out

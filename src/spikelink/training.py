@@ -14,7 +14,10 @@ Training mode draws the received bits directly from the marginalized law
 and feeds them back into the encoder's recurrence; that makes the sequence
 likelihood an exact autoregressive product, which is what the score
 differentiates.  Evaluation mode runs the physical two-stage path: clean
-spikes drive the recurrence and the channel flips a copy.
+spikes drive the recurrence and the channel flips a copy.  Its uniforms
+depend only on the seed and the sample, so a training run draws them in
+its first epoch's evaluation and keeps them in the state train_epoch
+carries; one-shot evaluations draw them chunk by chunk.
 """
 
 from __future__ import annotations
@@ -215,15 +218,15 @@ def train_epoch(
 
     Returns updated parameters and the epoch's metrics (losses averaged
     over training samples; error and spike rate measured on the test set).
-    The optional state dict carries momentum velocities and the moving
-    baseline across epochs when those options are on.  The dataset must
-    hold traces filtered with the encoder's kernel_ff (filter_dataset).
+    The optional state dict carries momentum velocities, the moving
+    baseline and the test samples' evaluation draws across epochs, so a
+    run that passes one state draws those uniforms in its first epoch
+    only.  The dataset must hold traces filtered with the encoder's
+    kernel_ff (filter_dataset).
     Of the config it reads the channel point, beta, eta, batch_size, seed,
     prior_rate, momentum, grad_clip and baseline.
     """
-    eps = config.crossover()
-    if eps >= 0.5:
-        raise ValueError("cannot train at epsilon >= 0.5: score is undefined")
+    eps = config.training_crossover()
     if data.kernel != encoder.kernel_ff:
         raise ValueError("dataset inputs are not traces filtered with the encoder's kernel_ff")
     prior = PriorModel(config.prior_rate)
@@ -272,7 +275,8 @@ def train_epoch(
     mean_task = task_sum / max(count, 1)
     mean_rate = rate_sum / max(count, 1)
     test_error, test_rate = evaluate(
-        encoder, decoder, data.test_inputs, data.test_labels, eps, config.seed
+        encoder, decoder, data.test_inputs, data.test_labels, eps, config.seed,
+        draws=state.setdefault("eval_draws", {}),
     )
     metrics = EpochMetrics(
         task_loss=mean_task,
@@ -284,6 +288,17 @@ def train_epoch(
     return encoder, decoder, metrics
 
 
+def _eval_uniforms(root: SeededRng, start: int, m: int, steps: int, k: int):
+    """Spike then flip uniforms, each (m, steps, k), of samples start .. start+m-1."""
+    spike_u = np.empty((m, steps, k))
+    flip_u = np.empty((m, steps, k))
+    for j in range(m):
+        stream = root.substream("eval", start + j)
+        spike_u[j] = stream.uniform((steps, k))
+        flip_u[j] = stream.uniform((steps, k))
+    return spike_u, flip_u
+
+
 def evaluate(
     encoder: EncoderParams,
     decoder: DecoderParams,
@@ -291,9 +306,10 @@ def evaluate(
     labels: np.ndarray,
     epsilon: float,
     seed: int,
+    draws: dict | None = None,
 ) -> tuple[float, float]:
     """Test error and clean spike rate at one channel point (see evaluate_grid)."""
-    return evaluate_grid(encoder, decoder, traces, labels, [epsilon], seed)[0]
+    return evaluate_grid(encoder, decoder, traces, labels, [epsilon], seed, draws)[0]
 
 
 def evaluate_grid(
@@ -303,6 +319,7 @@ def evaluate_grid(
     labels: np.ndarray,
     epsilons,
     seed: int,
+    draws: dict | None = None,
 ) -> list[tuple[float, float]]:
     """(test error, clean spike rate) at each channel point, under the
     two-stage channel path, for test inputs already filtered into traces
@@ -319,6 +336,13 @@ def evaluate_grid(
     samples is rolled out once, and only the flips and the decoder run per
     point.  Memory is bounded by the chunk, not the test set, and the
     counts are integers, so the chunk size cannot change the results.
+
+    The uniforms depend on nothing but the seed, the sample index and the
+    shape, so a caller that evaluates the same test set again (training
+    does, every epoch) passes a dict as draws: each chunk's uniforms are
+    drawn into it on first use, keyed by seed, chunk and shape, and read
+    back afterwards.  Then it holds both uniform tensors of the whole test
+    set; without it, memory holds one chunk's.
     """
     n, steps, _ = np.shape(traces)
     if n == 0:
@@ -332,12 +356,13 @@ def evaluate_grid(
     for start in range(0, n, EVAL_CHUNK):
         x = traces[start : start + EVAL_CHUNK]
         m = len(x)
-        spike_u = np.empty((m, steps, k))
-        flip_u = np.empty((m, steps, k))
-        for j in range(m):
-            stream = root.substream("eval", start + j)
-            spike_u[j] = stream.uniform((steps, k))
-            flip_u[j] = stream.uniform((steps, k))
+        if draws is None:
+            spike_u, flip_u = _eval_uniforms(root, start, m, steps, k)
+        else:
+            key = (seed, start, m, steps, k)
+            if key not in draws:
+                draws[key] = _eval_uniforms(root, start, m, steps, k)
+            spike_u, flip_u = draws[key]
         z = rollout(encoder, x, lambda t, s: spike_u[:, t, :] < s).bits
         spikes += int(np.count_nonzero(z))
         y = labels[start : start + m]

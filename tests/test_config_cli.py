@@ -695,6 +695,70 @@ class TestCliErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("train", "--epsilon", "0.5"), "cannot train at epsilon 0.5 >= 0.5"),
+        (("train", "--ebn0-db=-inf"), "cannot train at epsilon 0.5 >= 0.5"),
+        (("mismatch", "--epsilon", "0.5"), "cannot train at epsilon 0.5 >= 0.5"),
+        (("sweep-snr", "--epsilon", "0.5"), "cannot train at epsilon 0.5 >= 0.5"),
+        (("sweep-beta", "--epsilon", "0.5", "--beta-grid", "0.001,0.01"),
+         "beta grid point 0: cannot train at epsilon 0.5 >= 0.5"),
+        (("sweep-snr", "--train-per-point", "--epsilon-grid", "0.1,0.5"),
+         "grid point 1: cannot train at epsilon 0.5 >= 0.5"),
+    ], ids=["train", "train-ebn0", "mismatch", "sweep-snr", "sweep-beta", "train-per-point"])
+    def test_untrainable_point_refused_before_any_work(
+        self, tiny_config, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        built = []
+        monkeypatch.setattr(cli, "_build_dataset", lambda cfg: built.append(cfg))
+        out = tmp_path / "o"
+        code = _run(argv[0], "--config", str(tiny_config), "--out", str(out), *argv[1:])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert built == [] and not out.exists()
+
+    def test_checkpoint_sweep_may_carry_an_untrainable_point(self, tiny_config, tmp_path):
+        trained = tmp_path / "t"
+        assert _run("train", "--config", str(tiny_config), "--out", str(trained)) == 0
+        code = _run(
+            "sweep-snr", "--config", str(tiny_config), "--out", str(tmp_path / "s"),
+            "--epsilon", "0.5", "--checkpoint", str(trained / "checkpoint.txt"),
+        )
+        assert code == 0
+
+    def test_huge_T_refused_without_allocating(self, tiny_config, tmp_path, capsys):
+        # 10**13 steps of 12 records x 128 lines: far beyond any address
+        # space, so NumPy refuses the allocation without touching memory.
+        # The windows of 10**13 taps are checked by value, never built.
+        path = tmp_path / "huge.cfg"
+        path.write_text(tiny_config.read_text() + "window_ff = 10000000000000\n"
+                        "window_fb = 10000000000000\n")
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = _run("train", "--config", str(path), "--out", str(out), "--T", str(10**13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "T = 10000000000000 is too large" in err
+        assert "train split's inputs of shape (records, T, lines) = (12, 10000000000000, 128)" in err
+        assert not out.exists()
+        # NumPy's allocation tracing records the refused request's size
+        # (at address 0) although no memory came back; all else is small
+        refused = 12 * 10**13 * 128 * 8
+        assert peak - refused < 10**7, f"peak {peak - refused} bytes besides the refused request"
+
+    @pytest.mark.parametrize("values, message", [
+        ({"tau_ff": 0.0}, "tau_ff and tau_fb must be positive"),
+        ({"tau_fb": -1.0}, "tau_ff and tau_fb must be positive"),
+        ({"window_ff": 0}, "window_ff and window_fb must be at least 1"),
+        ({"window_fb": -3}, "window_ff and window_fb must be at least 1"),
+    ])
+    def test_kernel_settings_checked_by_value(self, values, message):
+        with pytest.raises(ConfigError, match=message):
+            build_run_config(values)
+
     def test_missing_checkpoint_path(self, tiny_config, tmp_path):
         code = _run(
             "sweep-snr", "--config", str(tiny_config), "--out", str(tmp_path / "o"),

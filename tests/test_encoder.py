@@ -138,6 +138,28 @@ class TestStateTraces:
         run = _replay(params, np.zeros((1, 4, 1)), bits)
         np.testing.assert_allclose(run.fb_traces[0, :, 0], [0.0, 0.5, 0.25, 0.625])
 
+    @pytest.mark.parametrize("taps", [(1.0, 0.6, 0.3, 0.1), (1.0, -0.7, 0.4, -1e-3, -0.2)])
+    def test_feedback_trace_equals_zeros_then_add(self, taps):
+        # the oracle: fresh zeros, then each tap times the uint8 bits,
+        # d = 1 first; the rollout's in-place trace must match every bit,
+        # so a negative tap on a zero bit leaves +0.0, not -0.0
+        kernel = _kernel(*taps)
+        params = _tiny_params(k=3, n_in=2, kernel_fb=kernel)
+        rng = np.random.default_rng(len(taps))
+        bits = (rng.random((5, 9, 3)) < 0.4).astype(np.uint8)
+        bits[0] = 0
+        run = _replay(params, rng.poisson(1.0, (5, 9, 2)), bits)
+        expected = np.zeros_like(run.fb_traces)
+        for t in range(bits.shape[1]):
+            trace = np.zeros((bits.shape[0], bits.shape[2]))
+            for d in range(1, min(len(taps), t + 1)):
+                trace += taps[d] * bits[:, t - d, :]
+            expected[:, t, :] = trace
+        assert np.array_equal(run.fb_traces.view(np.uint64), expected.view(np.uint64))
+        # score_grads contracts these in their (n, steps, k) C order
+        for arr in (run.potentials, run.spike_probs, run.fb_traces):
+            assert arr.shape == (5, 9, 3) and arr.flags.c_contiguous
+
     def test_history_before_time_zero_reads_zero(self):
         params = _unit_params(kernel_ff=_kernel(1.0, 1.0, 1.0, 1.0))
         run = _replay(params, np.ones((1, 1, 1)), np.zeros((1, 1, 1)))

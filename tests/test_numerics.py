@@ -46,6 +46,33 @@ class TestSigmoid:
             assert sigmoid(745.0) == 1.0
             assert sigmoid(-745.0) >= 0.0
 
+    @staticmethod
+    def _two_branch(x):
+        # the masked form: 1/(1+exp(-x)) where x >= 0, else exp(x)/(1+exp(x))
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_equals_two_branch_form_bit_for_bit(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf,
+                            np.nan, -np.nan, tiny, -tiny, 1e-310, -1e-310, 36.7, -36.7])
+        rng = np.random.default_rng(5)
+        for x in (special, rng.normal(0, 4, (128, 16)), rng.normal(0, 400, (16, 16))):
+            got = sigmoid(x)
+            # array_equal with equal_nan compares values; the views compare
+            # every bit, signs of zero and nan payloads included
+            assert np.array_equal(got.view(np.uint64), self._two_branch(x).view(np.uint64))
+
+    def test_scalar_in_float_out(self):
+        for x in (0.0, -0.0, 3, np.float64(-2.5), np.array(1.5)):
+            out = sigmoid(x)
+            assert type(out) is float
+            assert out == self._two_branch(np.array([float(x)]))[0]
+
     def test_log_sigmoid_matches_log_of_sigmoid(self):
         # absolute tolerance: near saturation the naive log loses relative
         # precision, which is exactly what the stable form avoids

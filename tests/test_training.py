@@ -504,6 +504,43 @@ class TestEvaluateGrid:
         with pytest.raises(ValueError, match="empty"):
             evaluate_grid(enc, dec, data.test_inputs[:0], data.test_labels[:0], GRID, seed=0)
 
+    def test_training_run_draws_each_sample_once(self, monkeypatch):
+        # three epochs sharing one state evaluate three times, but create
+        # each test sample's "eval" substream in the first epoch only
+        data = _toy_dataset(n_test=10)
+        enc, dec = _toy_models(data)
+        cfg = RunConfig(batch_size=8, epsilon=0.1)
+        made = []
+        substream = SeededRng.substream
+
+        def counting(self, *parts):
+            if parts[:1] == ("eval",):
+                made.append(parts[1])
+            return substream(self, *parts)
+
+        monkeypatch.setattr(SeededRng, "substream", counting)
+        monkeypatch.setattr(training, "EVAL_CHUNK", 4)
+        state: dict = {}
+        for epoch in range(3):
+            enc, dec, _ = train_epoch(enc, dec, data, cfg, SeededRng(0).substream("t", epoch), state)
+            if epoch == 0:
+                assert sorted(made) == list(range(10))
+        assert sorted(made) == list(range(10))
+
+    def test_reused_draws_equal_fresh_evaluation(self):
+        data = _toy_dataset(n_test=40)
+        enc, dec = _toy_models(data)
+        other_enc, other_dec = _toy_models(data, seed=3)
+        draws: dict = {}
+        args = (data.test_inputs, data.test_labels, GRID)
+        for e, d in ((enc, dec), (other_enc, other_dec), (enc, dec)):
+            fresh = evaluate_grid(e, d, *args, seed=6)
+            assert evaluate_grid(e, d, *args, seed=6, draws=draws) == fresh
+        # draws for another seed are drawn afresh, not read from the dict
+        assert evaluate_grid(enc, dec, *args, seed=7, draws=draws) == evaluate_grid(
+            enc, dec, *args, seed=7
+        )
+
     def test_memory_bounded_by_chunk(self):
         n, steps, lines, k = 2048, 20, 64, 16
         rng = SeededRng(1)
