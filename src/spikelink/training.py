@@ -221,7 +221,8 @@ def train_epoch(
     The optional state dict carries momentum velocities, the moving
     baseline and the test samples' evaluation draws across epochs, so a
     run that passes one state draws those uniforms in its first epoch
-    only.  The dataset must hold traces filtered with the encoder's
+    only; without a state, evaluation draws chunk by chunk and keeps
+    nothing.  The dataset must hold traces filtered with the encoder's
     kernel_ff (filter_dataset).
     Of the config it reads the channel point, beta, eta, batch_size, seed,
     prior_rate, momentum, grad_clip and baseline.
@@ -230,6 +231,7 @@ def train_epoch(
     if data.kernel != encoder.kernel_ff:
         raise ValueError("dataset inputs are not traces filtered with the encoder's kernel_ff")
     prior = PriorModel(config.prior_rate)
+    eval_draws = None if state is None else state.setdefault("eval_draws", {})
     state = state if state is not None else {}
     order = rng.substream("shuffle").permutation(len(data.train_inputs))
     draw = rng.substream("draws")
@@ -276,7 +278,7 @@ def train_epoch(
     mean_rate = rate_sum / max(count, 1)
     test_error, test_rate = evaluate(
         encoder, decoder, data.test_inputs, data.test_labels, eps, config.seed,
-        draws=state.setdefault("eval_draws", {}),
+        draws=eval_draws,
     )
     metrics = EpochMetrics(
         task_loss=mean_task,

@@ -18,7 +18,7 @@ def _tool():
 
 def test_tree_matches_itself_on_tiny_configs(tmp_path):
     result = subprocess.run(
-        [sys.executable, str(TOOL), str(ROOT), str(ROOT / "src"), "--tiny", "--work", str(tmp_path)],
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT), "--tiny", "--work", str(tmp_path)],
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr

@@ -559,3 +559,28 @@ class TestEvaluateGrid:
             tracemalloc.stop()
         # a temporary the size of the whole set's traces would be 16 chunks' worth
         assert peak < 6 * chunk_traces, f"peak {peak} bytes"
+
+    def test_epoch_without_state_keeps_no_draws(self):
+        # a caller that threads no state cannot reuse the draws, so the
+        # epoch's evaluation must stay chunk-bounded like a one-shot call
+        n, steps, lines, k = 2048, 20, 64, 16
+        rng = SeededRng(1)
+        counts = (rng.uniform((n + 8, steps, lines)) < 0.2).astype(np.float64)
+        labels = np.arange(n + 8) % 4
+        root = SeededRng(0)
+        enc = init_encoder_params(lines, k, root.substream("e"))
+        dec = init_decoder_params(k * steps, 4, root.substream("d"), hidden_dim=32)
+        data = filter_dataset(
+            Dataset(counts[:8], labels[:8], counts[8:], labels[8:], n_classes=4), enc.kernel_ff
+        )
+        cfg = RunConfig(batch_size=8, epsilon=0.1)
+        chunk_traces = training.EVAL_CHUNK * steps * lines * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train_epoch(enc, dec, data, cfg, SeededRng(0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the whole test set's spike and flip uniforms would be 8 chunks' worth
+        assert peak < 6 * chunk_traces, f"peak {peak} bytes"

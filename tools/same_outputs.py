@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Check that two spikelink source trees produce the same outputs, byte for byte.
 
-    python3 tools/same_outputs.py TREE_A TREE_B [--tiny] [--case NAME ...] [--work DIR]
+    python3 tools/same_outputs.py TREE_A TREE_B [--tiny] [--work DIR]
 
-TREE_A and TREE_B are checkouts (or their src/ directories).  Each case
-runs one CLI invocation per tree, in a child process with PYTHONPATH at
-that tree's sources, `timing = off` and BLAS at one thread; then its
-exit codes are compared and its metrics.csv and checkpoint.txt are
-diffed byte for byte.  `sweep-snr-checkpoint` evaluates TREE_A's
-`default-seed5` checkpoint on both trees, so it compares evaluation
+TREE_A and TREE_B are checkout roots.  Each case runs one CLI invocation
+per tree, in a child process with PYTHONPATH at that tree's src/,
+`timing = off` and BLAS at one thread; then its exit codes are compared
+and its metrics.csv and checkpoint.txt are diffed byte for byte.  The
+cases run in order, so `sweep-snr-checkpoint` evaluates the checkpoint
+TREE_A wrote in `default-seed5` on both trees: it compares evaluation
 alone.  --tiny shrinks every case to a few samples and two epochs, for a
 smoke test.  Exit status 0 when every case matches, 1 otherwise.
 """
@@ -43,12 +43,11 @@ COMPARED = ("metrics.csv", "checkpoint.txt")
 
 
 def source_dir(tree: str) -> Path:
-    """The directory holding the spikelink package: TREE/src, or TREE itself."""
-    path = Path(tree).resolve()
-    for candidate in (path / "src", path):
-        if (candidate / "spikelink" / "cli.py").is_file():
-            return candidate
-    raise SystemExit(f"error: no spikelink sources under {path}")
+    """TREE/src, which holds the spikelink package."""
+    src = Path(tree).resolve() / "src"
+    if not (src / "spikelink" / "cli.py").is_file():
+        raise SystemExit(f"error: no spikelink sources under {src}")
+    return src
 
 
 def run_case(src: Path, out: Path, flags: list[str], config: dict) -> int:
@@ -76,20 +75,13 @@ def differences(a: Path, b: Path) -> list[str]:
     return found
 
 
-def compare(tree_a: str, tree_b: str, names, tiny: bool, work: Path) -> bool:
+def compare(tree_a: str, tree_b: str, tiny: bool, work: Path) -> bool:
     srcs = {"a": source_dir(tree_a), "b": source_dir(tree_b)}
     same = True
     for name, flags, config in CASES:
-        if names and name not in names:
-            continue
         config = {**config, **TINY} if tiny else config
         if name == "sweep-snr-checkpoint":
-            checkpoint = work / "a" / CHECKPOINT_FROM / "checkpoint.txt"
-            if not checkpoint.exists():
-                source = next(c for n, _, c in CASES if n == CHECKPOINT_FROM)
-                run_case(srcs["a"], checkpoint.parent, ["train"],
-                         {**source, **TINY} if tiny else source)
-            flags = flags + ["--checkpoint", str(checkpoint)]
+            flags = flags + ["--checkpoint", str(work / "a" / CHECKPOINT_FROM / "checkpoint.txt")]
         codes = {side: run_case(src, work / side / name, flags, config)
                  for side, src in srcs.items()}
         found = differences(work / "a" / name, work / "b" / name)
@@ -107,13 +99,11 @@ def main(argv=None) -> int:
     parser.add_argument("tree_a")
     parser.add_argument("tree_b")
     parser.add_argument("--tiny", action="store_true", help="a few samples and two epochs per case")
-    parser.add_argument("--case", action="append", choices=[c[0] for c in CASES],
-                        help="run only this case (repeatable)")
     parser.add_argument("--work", help="keep the run directories here (default: a temporary one)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         work = Path(args.work or scratch)
-        return 0 if compare(args.tree_a, args.tree_b, args.case, args.tiny, work) else 1
+        return 0 if compare(args.tree_a, args.tree_b, args.tiny, work) else 1
 
 
 if __name__ == "__main__":
