@@ -20,6 +20,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, build_run_config, parse_config_file
 from .decoder import init_decoder_params
@@ -33,7 +35,14 @@ from .events import (
 )
 from .metrics import MetricsRow, export_metrics, read_metrics, write_metrics
 from .numerics import SeededRng, db_to_linear, ebn0_to_epsilon
-from .training import Dataset, TrainingDiverged, evaluate_grid, filter_dataset, train_epoch
+from .training import (
+    EVAL_CHUNK,
+    Dataset,
+    TrainingDiverged,
+    evaluate_grid,
+    filter_dataset,
+    train_epoch,
+)
 
 DEFAULT_SNR_GRID_DB = (float("-inf"), -6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
 DEFAULT_MISMATCH_GRID = (0.05, 0.10, 0.15, 0.20, 0.25)
@@ -55,18 +64,34 @@ def _split_records(cfg: RunConfig, tag: str) -> list[EventRecord]:
     return records
 
 
+def _too_large(cfg: RunConfig, what: str, shape) -> ConfigError:
+    return ConfigError(
+        f"T = {cfg.T} is too large: {what} of shape (records, T, lines) = "
+        f"{tuple(shape)} cannot be allocated"
+    )
+
+
 def _split_inputs(cfg: RunConfig, tag: str):
-    """Counts and labels of one split; a split too large to allocate is a
-    ConfigError naming T and the split's shape."""
+    """uint8 counts and labels of one split; a split too large to allocate
+    is a ConfigError naming T and the split's shape."""
     records = _split_records(cfg, tag)
     try:
         return frames_to_inputs(records, cfg.T)
     except MemoryError as exc:
         lines = 2 * records[0].height * records[0].width
-        raise ConfigError(
-            f"T = {cfg.T} is too large: the {tag} split's inputs of shape "
-            f"(records, T, lines) = ({len(records)}, {cfg.T}, {lines}) cannot be allocated"
-        ) from exc
+        raise _too_large(cfg, f"the {tag} split's inputs", (len(records), cfg.T, lines)) from exc
+
+
+def _filter_splits(cfg: RunConfig, data: Dataset, kernel) -> None:
+    """filter_dataset; traces too large to allocate are a ConfigError
+    naming T and the shape of the split whose traces failed."""
+    shapes = {"train": data.train_inputs.shape, "test": data.test_inputs.shape}
+    try:
+        filter_dataset(data, kernel)
+    except MemoryError as exc:
+        # the splits are replaced train first, each once its traces exist
+        tag = "test" if data.train_inputs.dtype == np.float64 else "train"
+        raise _too_large(cfg, f"the {tag} split's traces", shapes[tag]) from exc
 
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
@@ -105,7 +130,7 @@ def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int):
     """Full training loop; returns params and one metrics row per epoch."""
     eps = cfg.crossover()
     encoder, decoder = _init_models(cfg, data)
-    filter_dataset(data, encoder.kernel_ff)
+    _filter_splits(cfg, data, encoder.kernel_ff)
     root = SeededRng(cfg.seed)
     opt_state: dict = {}
     rows = []
@@ -271,16 +296,16 @@ def _sweep_train_per_point(cfg: RunConfig, grid) -> int:
 def _sweep_one_model(cfg: RunConfig, grid, experiment: str, checkpoint: str | None = None) -> int:
     """Evaluate one model across the grid in one evaluate_grid call: the
     checkpoint's, or one trained here at the configured point (saved as
-    checkpoint.txt).  Each row gets an even share of the grid's time."""
+    checkpoint.txt).  Each row gets an even share of the grid's time.
+
+    From a checkpoint nothing trains, so only the test split is built, and
+    evaluate_grid filters its counts a chunk at a time."""
     if checkpoint:
-        # evaluation only: the training split is never built
         encoder, decoder, meta = load_checkpoint(checkpoint)
         test_x, test_y = _split_inputs(cfg, "test")
         _check_checkpoint(cfg, encoder, decoder, meta, test_x, test_y)
         out = _out_dir(cfg)
-        data = filter_dataset(
-            Dataset(test_x[:0], test_y[:0], test_x, test_y, decoder.n_classes), encoder.kernel_ff
-        )
+        kernel = encoder.kernel_ff
     else:
         cfg.training_crossover()
         data = _build_dataset(cfg)
@@ -290,9 +315,14 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, checkpoint: str | No
         except TrainingDiverged as exc:
             return _aborted(out, [], exc)
         save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
+        test_x, test_y, kernel = data.test_inputs, data.test_labels, None
     started = time.perf_counter()
-    results = evaluate_grid(encoder, decoder, data.test_inputs, data.test_labels,
-                            [eps for eps, _ in grid], cfg.seed)
+    try:
+        results = evaluate_grid(encoder, decoder, test_x, test_y,
+                                [eps for eps, _ in grid], cfg.seed, kernel=kernel)
+    except MemoryError as exc:
+        chunk = (min(len(test_x), EVAL_CHUNK), *test_x.shape[1:])
+        raise _too_large(cfg, "a test chunk's traces", chunk) from exc
     seconds = (time.perf_counter() - started) / len(grid) if cfg.timing else 0.0
     rows = []
     for i, ((eps, db), (error, rate)) in enumerate(zip(grid, results)):

@@ -3,12 +3,12 @@
 Each of the k read-out neurons integrates filtered input spikes through its
 feedforward weights, its own past spikes through a self-feedback weight, and
 a bias.  Spiking is Bernoulli in the sigmoid of that membrane potential.
-`filter_inputs` turns input counts into the filtered input traces once per
-data split; `rollout` runs the recurrence on those traces, one step at a
-time, for a whole batch of sequences; it keeps the fed-back bits as float64
-too, so the feedback trace reads them without a cast.  The traces that
-build the potential are also its parameter gradients, so the rollout keeps
-them, with the spike probabilities, for `score_grads`.
+`filter_inputs` turns input counts (the uint8 frames, or any real array)
+into float64 input traces; `rollout` runs the recurrence on those traces,
+one step at a time, for a whole batch of sequences; it keeps the fed-back
+bits as float64 too, so the feedback trace reads them without a cast.  The
+traces that build the potential are also its parameter gradients, so the
+rollout keeps them, with the spike probabilities, for `score_grads`.
 """
 
 from __future__ import annotations
@@ -103,37 +103,48 @@ def init_encoder_params(
     )
 
 
-# samples per block of filter_inputs: bounds its working set, not its results
-FILTER_BLOCK = 16
+# counts per block of filter_inputs: bounds its working set, not its results
+FILTER_BLOCK = 1 << 16
 
 
-def filter_inputs(inputs: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Overwrite float64 input counts of shape (n, steps, lines) with their
-    filtered traces, in place, and return them.
+def filter_inputs(counts: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Input traces of counts of shape (n, steps, lines), as a new float64
+    array of that shape.
 
     The trace at step t is c0*x_t + c1*x_{t-1} + ..., added in that order,
-    with history before step 0 reading zero.  Steps are filtered from last
-    to first, so each step reads only counts that are still raw.  Samples
-    go FILTER_BLOCK at a time: a step's trace is summed in a contiguous
-    block-sized buffer and then written back, so no second array of the
-    inputs' size is made and the steps one trace reads stay in cache.
+    with history before step 0 reading zero.  The counts may have any real
+    dtype: a count cast to float64 is exact, so a uint8 count times a tap is
+    the float64 count's product.  The taps go one at a time over a block:
+    its traces start as c0*x, and tap d adds c_d*x to the traces d steps
+    later, which keeps each element's addition order.  A block is as many
+    whole samples as fit in FILTER_BLOCK counts or, when one sample does
+    not fit, a slice of one sample's lines; its counts are cast once, so the
+    working set is two float64 buffers of the block's size.
     """
-    if not (isinstance(inputs, np.ndarray) and inputs.dtype == np.float64
-            and inputs.ndim == 3):
-        raise ValueError("filter_inputs needs a float64 array of shape (n, steps, lines)")
+    counts = np.asarray(counts)
+    if counts.ndim != 3 or counts.dtype.kind not in "buif":
+        raise ValueError("filter_inputs needs a real array of shape (n, steps, lines)")
     coeff = kernel.coefficients
-    n, steps, lines = inputs.shape
-    for start in range(0, n, FILTER_BLOCK):
-        block = inputs[start : start + FILTER_BLOCK]
-        trace = np.empty((len(block), lines))
-        term = np.empty_like(trace)
-        for t in range(steps - 1, -1, -1):
-            np.multiply(block[:, t], coeff[0], out=trace)
-            for d in range(1, min(coeff.size, t + 1)):
-                np.multiply(block[:, t - d], coeff[d], out=term)
-                trace += term
-            block[:, t] = trace
-    return inputs
+    n, steps, lines = counts.shape
+    traces = np.empty((n, steps, lines))
+    if steps * lines <= FILTER_BLOCK:
+        samples, width = FILTER_BLOCK // max(steps * lines, 1), max(lines, 1)
+    else:
+        samples, width = 1, max(FILTER_BLOCK // steps, 1)
+    x = np.empty((min(samples, n), steps, min(width, lines)))
+    term = np.empty_like(x)
+    for start in range(0, n, samples):
+        for left in range(0, lines, width):
+            block = counts[start : start + samples, :, left : left + width]
+            trace = traces[start : start + samples, :, left : left + width]
+            m, _, w = block.shape
+            xb, tb = x[:m, :, :w], term[:m, :, :w]
+            xb[...] = block
+            np.multiply(xb, coeff[0], out=trace)
+            for d in range(1, min(coeff.size, steps)):
+                np.multiply(xb[:, :-d], coeff[d], out=tb[:, d:])
+                trace[:, d:] += tb[:, d:]
+    return traces
 
 
 def _feedback_trace(bits: np.ndarray, t: int, kernel: Kernel) -> np.ndarray:

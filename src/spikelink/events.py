@@ -4,8 +4,9 @@ An event is (timestamp in microseconds, x, y, polarity).  A record keeps
 its events as integer columns in one structured array of EVENT_DTYPE, so
 generation, validation, parsing and binning are array operations.  Records
 are accumulated into a fixed number of uniform time bins per polarity and
-binarized, which is the only preprocessing the encoder sees.  Vendor
-formats are out of scope; converters should target the text format below.
+binarized into uint8 counts, which is the only preprocessing the encoder
+sees before its input filter.  Vendor formats are out of scope; converters
+should target the text format below.
 
 Text format, one record per block:
 
@@ -145,10 +146,11 @@ def events_to_frames(record: EventRecord, steps: int) -> FrameTensor:
 
 
 def frames_to_inputs(records, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack records into (n, steps, 2*H*W) float inputs plus labels.
+    """Stack records into (n, steps, 2*H*W) uint8 counts plus labels.
 
     All records must share one sensor geometry.  Every record is binned
-    straight into the one float tensor.
+    straight into the one tensor, whose counts are 0 or 1: a byte each,
+    where float64 traces take eight (encoder.filter_inputs makes those).
     """
     _check_steps(steps)
     records = list(records)
@@ -158,7 +160,7 @@ def frames_to_inputs(records, steps: int) -> tuple[np.ndarray, np.ndarray]:
     for r in records:
         if (r.width, r.height) != (w, h):
             raise ValueError("records mix sensor geometries")
-    frames = np.zeros((len(records), steps, 2, h, w))
+    frames = np.zeros((len(records), steps, 2, h, w), dtype=np.uint8)
     for i, r in enumerate(records):
         _scatter(frames[i], r, steps)
     inputs = frames.reshape(len(records), steps, -1)

@@ -5,8 +5,11 @@ times a rate term: the log-ratio between the channel-marginalized encoding
 law and a fixed Bernoulli reference over the received bits.  The decoder is
 updated with exact gradients; the encoder with the score-function estimator
 (one Monte Carlo draw per input), built from the traces the rollout keeps.
-A dataset's inputs are filtered into the encoder's input traces once, by
-filter_dataset, before the first epoch; every rollout then reads them.
+A dataset holds the binned frames as uint8 counts until filter_dataset
+replaces each split with the encoder's float64 input traces, once, before
+the first epoch; every rollout then reads them.  An evaluation that needs
+no training (a checkpoint sweep) keeps the counts and lets evaluate_grid
+filter them a chunk at a time.
 train_epoch reads its settings by name from the run's RunConfig, whose
 validate() has already checked them.
 
@@ -82,8 +85,9 @@ class PriorModel:
 class Dataset:
     """Encoder inputs split into train and test.
 
-    While kernel is None the inputs are raw frame counts; filter_dataset
-    replaces them, in place, with input traces filtered by kernel.
+    While kernel is None the inputs are frame counts, kept in the dtype
+    they come in (uint8 from events.frames_to_inputs); filter_dataset
+    replaces them with float64 input traces filtered by kernel.
     """
 
     train_inputs: np.ndarray
@@ -94,8 +98,8 @@ class Dataset:
     kernel: Kernel | None = None
 
     def __post_init__(self):
-        self.train_inputs = np.asarray(self.train_inputs, dtype=np.float64)
-        self.test_inputs = np.asarray(self.test_inputs, dtype=np.float64)
+        self.train_inputs = np.asarray(self.train_inputs)
+        self.test_inputs = np.asarray(self.test_inputs)
         if self.train_inputs.ndim != 3 or self.test_inputs.ndim != 3:
             raise ValueError("inputs must be (samples, steps, lines)")
         if len(self.train_labels) != len(self.train_inputs):
@@ -113,14 +117,15 @@ class Dataset:
 
 
 def filter_dataset(data: Dataset, kernel: Kernel) -> Dataset:
-    """Filter both splits' counts into input traces with kernel, in place.
+    """Replace both splits' counts with their input traces under kernel.
 
-    Filtering again with the same kernel does nothing; another kernel is
-    refused, because the counts are gone.
+    The splits go one at a time, so the train counts are dropped before the
+    test traces are made.  Filtering again with the same kernel does
+    nothing; another kernel is refused, because the counts are gone.
     """
     if data.kernel is None:
-        filter_inputs(data.train_inputs, kernel)
-        filter_inputs(data.test_inputs, kernel)
+        data.train_inputs = filter_inputs(data.train_inputs, kernel)
+        data.test_inputs = filter_inputs(data.test_inputs, kernel)
         data.kernel = kernel
     elif data.kernel != kernel:
         raise ValueError("dataset was already filtered with a different kernel")
@@ -317,15 +322,18 @@ def evaluate(
 def evaluate_grid(
     encoder: EncoderParams,
     decoder: DecoderParams,
-    traces: np.ndarray,
+    inputs: np.ndarray,
     labels: np.ndarray,
     epsilons,
     seed: int,
     draws: dict | None = None,
+    kernel: Kernel | None = None,
 ) -> list[tuple[float, float]]:
     """(test error, clean spike rate) at each channel point, under the
-    two-stage channel path, for test inputs already filtered into traces
-    with the encoder's kernel_ff.
+    two-stage channel path.  With kernel None the test inputs are traces
+    already filtered with the encoder's kernel_ff; otherwise they are
+    counts, and each chunk is filtered with kernel just before its rollout,
+    so the whole set's traces never exist at once.
 
     Per-sample draw streams depend only on (seed, sample index), never on
     epsilon or the parameters, so repeated evaluations of one model across
@@ -337,7 +345,7 @@ def evaluate_grid(
     Clean spikes do not depend on epsilon, so each chunk of EVAL_CHUNK
     samples is rolled out once, and only the flips and the decoder run per
     point.  Memory is bounded by the chunk, not the test set, and the
-    counts are integers, so the chunk size cannot change the results.
+    tallies are integers, so the chunk size cannot change the results.
 
     The uniforms depend on nothing but the seed, the sample index and the
     shape, so a caller that evaluates the same test set again (training
@@ -346,7 +354,7 @@ def evaluate_grid(
     back afterwards.  Then it holds both uniform tensors of the whole test
     set; without it, memory holds one chunk's.
     """
-    n, steps, _ = np.shape(traces)
+    n, steps, _ = np.shape(inputs)
     if n == 0:
         raise ValueError("cannot evaluate an empty test set")
     labels = np.asarray(labels)
@@ -356,7 +364,9 @@ def evaluate_grid(
     wrong = [0] * len(epsilons)
     spikes = 0
     for start in range(0, n, EVAL_CHUNK):
-        x = traces[start : start + EVAL_CHUNK]
+        x = inputs[start : start + EVAL_CHUNK]
+        if kernel is not None:
+            x = filter_inputs(x, kernel)
         m = len(x)
         if draws is None:
             spike_u, flip_u = _eval_uniforms(root, start, m, steps, k)

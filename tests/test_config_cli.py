@@ -5,6 +5,7 @@ import re
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import spikelink.cli as cli
 from spikelink import training
-from spikelink.checkpoint import load_checkpoint
+from spikelink.checkpoint import load_checkpoint, save_checkpoint
 from spikelink.cli import DEFAULT_MISMATCH_GRID, main
 from spikelink.config import ConfigError, RunConfig, build_run_config, parse_config_file
 from spikelink.encoder import filter_inputs
@@ -564,6 +565,32 @@ class TestCliSweeps:
         assert read_metrics(out / "metrics.csv") == []
         assert not (out / "checkpoint.txt").exists()
 
+    def test_checkpoint_sweep_never_holds_the_split_traces(self, tmp_path):
+        # 2048 test records of 2 x 4 x 8 lines over 20 steps: their float64
+        # traces would take 21 MB, their uint8 counts 2.6 MB
+        config = tmp_path / "large.cfg"
+        config.write_text("classes = 4\nheight = 4\nwidth = 8\ntrain_per_class = 1\n"
+                          "test_per_class = 512\nk = 4\nT = 20\nhidden = 8\ntiming = off\n")
+        cfg = build_run_config(parse_config_file(config))
+        shape = SimpleNamespace(input_dim=64, n_classes=4)
+        encoder, decoder = cli._init_models(cfg, shape)
+        checkpoint = tmp_path / "checkpoint.txt"
+        save_checkpoint(checkpoint, encoder, decoder, cli._checkpoint_meta(cfg, shape))
+        traces = 2048 * 20 * 64 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = _run("sweep-snr", "--config", str(config), "--out", str(tmp_path / "s"),
+                        "--checkpoint", str(checkpoint), "--epsilon-grid", "0.0,0.2")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(read_metrics(tmp_path / "s" / "metrics.csv")) == 2
+        # the records (about 9.5 MB) and the counts set the peak; a sweep
+        # that made the split's traces would hold them all at once
+        assert peak < traces, f"peak {peak} bytes"
+
     def test_sweep_seconds_split_grid_time(self, tiny_config, tiny_checkpoint, tmp_path):
         config = self._edited(tiny_config, tmp_path, timing="on")
         code = _run(
@@ -745,9 +772,52 @@ class TestCliErrors:
         assert "train split's inputs of shape (records, T, lines) = (12, 10000000000000, 128)" in err
         assert not out.exists()
         # NumPy's allocation tracing records the refused request's size
-        # (at address 0) although no memory came back; all else is small
-        refused = 12 * 10**13 * 128 * 8
+        # (at address 0) although no memory came back; all else is small.
+        # The counts are uint8, a byte each.
+        refused = 12 * 10**13 * 128
         assert peak - refused < 10**7, f"peak {peak - refused} bytes besides the refused request"
+
+    @pytest.mark.parametrize("split, calls", [("train", 0), ("test", 1)])
+    def test_traces_too_large_refused(self, tiny_config, tmp_path, capsys, monkeypatch,
+                                      split, calls):
+        # uint8 counts that fit can still have float64 traces that do not;
+        # the failing allocation is simulated, never made
+        real = training.filter_inputs
+        made = []
+
+        def failing(counts, kernel):
+            if len(made) == calls:
+                raise MemoryError("Unable to allocate")
+            made.append(len(counts))
+            return real(counts, kernel)
+
+        monkeypatch.setattr(training, "filter_inputs", failing)
+        out = tmp_path / "o"
+        assert _run("train", "--config", str(tiny_config), "--out", str(out)) == 2
+        records = {"train": 12, "test": 8}[split]
+        assert (f"T = 5 is too large: the {split} split's traces of shape "
+                f"(records, T, lines) = ({records}, 5, 128) cannot be allocated"
+                in capsys.readouterr().err)
+        assert not (out / "metrics.csv").exists()
+
+    def test_checkpoint_chunk_traces_too_large_refused(
+        self, tiny_config, tmp_path, capsys, monkeypatch
+    ):
+        trained = tmp_path / "t"
+        assert _run("train", "--config", str(tiny_config), "--out", str(trained),
+                    "--epochs", "0") == 0
+
+        def failing(counts, kernel):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(training, "filter_inputs", failing)
+        code = _run("sweep-snr", "--config", str(tiny_config), "--out", str(tmp_path / "s"),
+                    "--checkpoint", str(trained / "checkpoint.txt"))
+        assert code == 2
+        assert ("T = 5 is too large: a test chunk's traces of shape "
+                "(records, T, lines) = (8, 5, 128) cannot be allocated"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "s" / "metrics.csv").exists()
 
     @pytest.mark.parametrize("values, message", [
         ({"tau_ff": 0.0}, "tau_ff and tau_fb must be positive"),

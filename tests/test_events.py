@@ -146,7 +146,10 @@ class TestFramesToInputs:
         ]
         inputs, labels = frames_to_inputs(recs, 3)
         assert inputs.shape == (2, 3, 32)
-        assert inputs.dtype == np.float64
+        # binary counts, a byte each
+        assert inputs.dtype == np.uint8
+        assert inputs.sum() == 2 and set(np.unique(inputs)) == {0, 1}
+        assert inputs[0, 0, 16] == 1 and inputs[1, 0, 5] == 1
         np.testing.assert_array_equal(labels, [0, 2])
 
     def test_equals_per_event_loop_oracle(self):
@@ -163,7 +166,7 @@ class TestFramesToInputs:
                     b = min(ts * steps // rec.duration_us, steps - 1)
                     expected[i, b, pol * 30 + y * 6 + x] = 1.0
             inputs, labels = frames_to_inputs(recs, steps)
-            assert inputs.dtype == np.float64
+            assert inputs.dtype == np.uint8
             assert np.array_equal(inputs, expected)
             np.testing.assert_array_equal(labels, [r.label for r in recs])
             for i, rec in enumerate(recs):

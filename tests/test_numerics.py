@@ -146,7 +146,7 @@ def _step_ordered(x, coeff):
 
 class TestCausalConvolve:
     """(a*x)[t] = sum_d a[d] * x[t-d], as the encoder's filters compute it:
-    the input filter in place over whole sequences, the feedback filter at
+    the input filter over whole sequences of counts, the feedback filter at
     one step from strictly past bits."""
 
     def test_hand_expanded_example(self):
@@ -186,14 +186,16 @@ class TestCausalConvolve:
     @pytest.mark.parametrize("block", [1, 3, None])
     @pytest.mark.parametrize("window", [4, 30])
     def test_in_place_filter_equals_step_order(self, monkeypatch, block, window):
-        # bit for bit at every block size, for windows shorter and longer
-        # than the 12 steps, and without a second array of the inputs' size
+        # FILTER_BLOCK of 8, 24 and 320 lines' worth of counts: slices of
+        # 8 and 24 of a sample's 256 lines, or one whole sample; bit for
+        # bit, for windows shorter and longer than the 12 steps, and with
+        # nothing of the counts' size made besides the returned traces
         n, steps, lines = 40, 12, 256
         rng = np.random.default_rng(window)
-        counts = rng.poisson(0.7, size=(n, steps, lines)).astype(np.float64)
+        counts = rng.poisson(0.7, size=(n, steps, lines)).astype(np.uint8)
         kernel = exponential_kernel(3.0, window)
-        expected = _step_ordered(counts, kernel.coefficients)
-        monkeypatch.setattr(encoder, "FILTER_BLOCK", block or n)
+        expected = _step_ordered(counts.astype(np.float64), kernel.coefficients)
+        monkeypatch.setattr(encoder, "FILTER_BLOCK", (block or n) * 8 * steps)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -201,16 +203,46 @@ class TestCausalConvolve:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert out is counts
-        assert np.array_equal(out, expected)
-        assert peak < counts.nbytes / 2, f"peak {peak} bytes"
+        assert out.dtype == np.float64 and out.shape == counts.shape
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert peak - out.nbytes < counts.nbytes / 2, f"peak {peak - out.nbytes} bytes"
+
+    @pytest.mark.parametrize("block", ["below one sample", "3 samples", "all samples"])
+    @pytest.mark.parametrize("window", [5, 30])
+    def test_uint8_counts_filter_as_float64_counts(self, monkeypatch, block, window):
+        # random taps of both signs, the first negative, so -0.0 traces
+        # occur and the uint64 views tell them from +0.0; the blocks are 7
+        # of the 40 lines, 3 of the 10 samples, or all of them
+        n, steps, lines = 10, 12, 40
+        rng = np.random.default_rng(window)
+        counts = rng.poisson(0.7, size=(n, steps, lines)).astype(np.uint8)
+        taps = rng.normal(size=window)
+        taps[0] = -abs(taps[0])
+        kernel = Kernel(taps)
+        expected = _step_ordered(counts.astype(np.float64), kernel.coefficients)
+        sizes = {"below one sample": 7 * steps, "3 samples": 3 * steps * lines,
+                 "all samples": n * steps * lines}
+        monkeypatch.setattr(encoder, "FILTER_BLOCK", sizes[block])
+        from_bytes = filter_inputs(counts, kernel)
+        from_floats = filter_inputs(counts.astype(np.float64), kernel)
+        assert from_bytes.dtype == np.float64
+        assert np.array_equal(from_bytes.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(from_floats.view(np.uint64), expected.view(np.uint64))
+        assert np.signbit(expected[expected == 0]).any()
 
     def test_filter_refuses_arrays_it_cannot_overwrite(self):
-        k = Kernel([1.0])
-        with pytest.raises(ValueError, match="float64"):
-            filter_inputs(np.zeros((1, 2, 3), dtype=np.uint8), k)
-        with pytest.raises(ValueError, match="float64"):
-            filter_inputs(np.zeros((2, 3)), k)
+        # counts of any real dtype are read; anything else is refused
+        k = Kernel([1.0, -0.5])
+        for bad in (np.zeros((1, 2, 3), dtype=np.complex128), np.zeros((2, 3)),
+                    np.array(["1"]).reshape(1, 1, 1)):
+            with pytest.raises(ValueError, match="real array"):
+                filter_inputs(bad, k)
+        x = np.array([1, 0, 2]).reshape(1, 3, 1)
+        for dtype in (np.uint8, np.int64, np.float32, np.float64):
+            out = filter_inputs(x.astype(dtype), k)
+            assert out.dtype == np.float64
+            assert out.ravel().tolist() == [1.0, -0.5, 2.0]
+        assert filter_inputs(x.astype(bool), k).ravel().tolist() == [1.0, -0.5, 1.0]
 
     def test_exponential_kernel_shape(self):
         k = exponential_kernel(5.0, 10)

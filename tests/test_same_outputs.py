@@ -1,6 +1,7 @@
 """tools/same_outputs.py: the byte-for-byte comparison of two source trees."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,15 @@ def test_tree_matches_itself_on_tiny_configs(tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert lines == [f"{name}: same" for name, _, _ in _tool().CASES]
+    names = [name for name, _, _ in _tool().CASES]
+    assert len(lines) == len(names)
+    for line, name in zip(lines, names):
+        # each verdict carries both children's peak RSS
+        match = re.fullmatch(
+            rf"{re.escape(name)}: same \(peak RSS (\d+\.\d) MB against (\d+\.\d) MB\)", line
+        )
+        assert match, line
+        assert all(float(mb) > 1.0 for mb in match.groups()), line
     for name in ("default-seed5", "sweep-snr-checkpoint"):
         assert (tmp_path / "b" / name / "metrics.csv").stat().st_size > 0
     assert (tmp_path / "a" / "default-seed5" / "checkpoint.txt").exists()

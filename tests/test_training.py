@@ -307,11 +307,11 @@ class TestUnbiasedness:
 
 
 def _toy_counts(seed=0, n_train=24, n_test=16, steps=6, lines=8):
-    # two linearly separable spike-rate patterns, as unfiltered counts
+    # two linearly separable spike-rate patterns, as unfiltered uint8 counts
     rng = SeededRng(seed)
     half = lines // 2
     def draw(n):
-        inputs = np.zeros((n, steps, lines))
+        inputs = np.zeros((n, steps, lines), dtype=np.uint8)
         labels = np.zeros(n, dtype=np.int64)
         for i in range(n):
             label = i % 2
@@ -401,17 +401,21 @@ class TestEpochLoop:
 
 class TestFilterDataset:
     def test_filters_both_splits_once(self):
+        # the dataset keeps its uint8 counts until each split is replaced
+        # by its float64 traces
         data = _toy_counts()
         kernel = _kernel(1.0, 0.5)
-        expected = [filter_inputs(x.copy(), kernel) for x in (data.train_inputs, data.test_inputs)]
-        arrays = (data.train_inputs, data.test_inputs)
+        counts = (data.train_inputs, data.test_inputs)
+        assert all(x.dtype == np.uint8 for x in counts)
+        expected = [filter_inputs(x, kernel) for x in counts]
         assert filter_dataset(data, kernel) is data
+        traces = (data.train_inputs, data.test_inputs)
         # a second call with an equal kernel is a no-op
         filter_dataset(data, _kernel(1.0, 0.5))
         assert data.kernel == kernel
-        for got, array, want in zip((data.train_inputs, data.test_inputs), arrays, expected):
-            assert got is array
-            np.testing.assert_array_equal(got, want)
+        for got, was, want in zip((data.train_inputs, data.test_inputs), traces, expected):
+            assert got is was and got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_refuses_refiltering_with_another_kernel(self):
         data = filter_dataset(_toy_counts(), _kernel(1.0, 0.5))
@@ -491,6 +495,19 @@ class TestEvaluateGrid:
         monkeypatch.setattr(training, "EVAL_CHUNK", chunk or len(data.test_inputs))
         got = evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=2)
         assert got == expected
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_counts_filtered_per_chunk_equal_traces(self, monkeypatch, chunk):
+        # with a kernel, each chunk of counts is filtered just before its
+        # rollout: the same answers as the whole split's traces
+        data = _toy_counts(n_test=40)
+        enc, dec = _toy_models(data)
+        counts, labels = data.test_inputs, data.test_labels
+        traces = filter_inputs(counts, enc.kernel_ff)
+        monkeypatch.setattr(training, "EVAL_CHUNK", chunk or len(counts))
+        got = evaluate_grid(enc, dec, counts, labels, GRID, seed=2, kernel=enc.kernel_ff)
+        assert got == evaluate_grid(enc, dec, traces, labels, GRID, seed=2)
+        assert len({error for error, _ in got}) > 1
 
     def test_spike_rate_same_at_every_point(self):
         data = _toy_dataset(n_test=40)

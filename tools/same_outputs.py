@@ -6,11 +6,13 @@
 TREE_A and TREE_B are checkout roots.  Each case runs one CLI invocation
 per tree, in a child process with PYTHONPATH at that tree's src/,
 `timing = off` and BLAS at one thread; then its exit codes are compared
-and its metrics.csv and checkpoint.txt are diffed byte for byte.  The
-cases run in order, so `sweep-snr-checkpoint` evaluates the checkpoint
-TREE_A wrote in `default-seed5` on both trees: it compares evaluation
-alone.  --tiny shrinks every case to a few samples and two epochs, for a
-smoke test.  Exit status 0 when every case matches, 1 otherwise.
+and its metrics.csv and checkpoint.txt are diffed byte for byte.  Beside
+each verdict it prints the two children's peak RSS (from wait4), so a
+memory change shows on every case.  The cases run in order, so
+`sweep-snr-checkpoint` evaluates the checkpoint TREE_A wrote in
+`default-seed5` on both trees: it compares evaluation alone.  --tiny
+shrinks every case to a few samples and two epochs, for a smoke test.
+Exit status 0 when every case matches, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def source_dir(tree: str) -> Path:
     return src
 
 
-def run_case(src: Path, out: Path, flags: list[str], config: dict) -> int:
+def run_case(src: Path, out: Path, flags: list[str], config: dict) -> tuple[int, float]:
+    """Exit code and peak RSS in MB of one CLI invocation."""
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / "run.cfg"
     cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in {**config, "timing": "off"}.items()))
@@ -60,7 +63,16 @@ def run_case(src: Path, out: Path, flags: list[str], config: dict) -> int:
     cmd = [sys.executable, "-m", "spikelink.cli", *flags,
            "--config", str(cfg_path), "--out", str(out)]
     with (out / "stderr.txt").open("w") as err:
-        return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=err).returncode
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+    # reaped here, so Popen must not wait for it again
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024.0
 
 
 def differences(a: Path, b: Path) -> list[str]:
@@ -82,15 +94,18 @@ def compare(tree_a: str, tree_b: str, tiny: bool, work: Path) -> bool:
         config = {**config, **TINY} if tiny else config
         if name == "sweep-snr-checkpoint":
             flags = flags + ["--checkpoint", str(work / "a" / CHECKPOINT_FROM / "checkpoint.txt")]
-        codes = {side: run_case(src, work / side / name, flags, config)
-                 for side, src in srcs.items()}
+        runs = {side: run_case(src, work / side / name, flags, config)
+                for side, src in srcs.items()}
+        codes = {side: code for side, (code, _) in runs.items()}
         found = differences(work / "a" / name, work / "b" / name)
         if codes["a"] != codes["b"]:
             found.insert(0, f"exit {codes['a']} against {codes['b']}")
         elif codes["a"] != 0:
             found.insert(0, f"both exited {codes['a']}")
         same = same and not found
-        print(f"{name}: {'same' if not found else '; '.join(found)}", flush=True)
+        verdict = "same" if not found else "; ".join(found)
+        rss = f"peak RSS {runs['a'][1]:.1f} MB against {runs['b'][1]:.1f} MB"
+        print(f"{name}: {verdict} ({rss})", flush=True)
     return same
 
 
