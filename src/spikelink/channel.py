@@ -47,10 +47,7 @@ def noisy_spike_prob(p, epsilon: float):
     """
     eps = _check_epsilon(epsilon)
     p = np.asarray(p, dtype=np.float64)
-    out = p * (1.0 - eps) + (1.0 - p) * eps
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return p * (1.0 - eps) + (1.0 - p) * eps
 
 
 def log_prob_noisy(zhat, u, epsilon: float, s=None):

@@ -33,7 +33,7 @@ from .events import (
     load_events,
     synthetic_records,
 )
-from .metrics import MetricsRow, export_metrics, read_metrics, write_metrics
+from .metrics import MetricsRow, _atomic_open, export_metrics, read_metrics, write_metrics
 from .numerics import SeededRng, db_to_linear, ebn0_to_epsilon
 from .training import (
     EVAL_CHUNK,
@@ -334,6 +334,8 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, checkpoint: str | No
 
 
 def cmd_sweep_snr(cfg: RunConfig, args) -> int:
+    if args.train_per_point and args.checkpoint:
+        raise ConfigError("give only one of --train-per-point and --checkpoint")
     grid = _parse_grid(args, cfg.mapping, ebn0_grid_db=DEFAULT_SNR_GRID_DB)
     if args.train_per_point:
         code = _sweep_train_per_point(cfg, grid)
@@ -373,15 +375,20 @@ def cmd_export(args) -> int:
     rows = read_metrics(args.metrics)
     text = export_metrics(rows, args.format)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with _atomic_open(out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
 
 
 def _float_list(raw: str) -> list[float]:
-    return [float(part) for part in raw.split(",") if part.strip()]
+    values = [float(part) for part in raw.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("the grid is empty")
+    return values
 
 
 _LIST_FLAGS = ("--epsilon-grid", "--ebn0-grid-db", "--beta-grid")

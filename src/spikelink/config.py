@@ -117,6 +117,9 @@ class RunConfig:
             if not ok:
                 raise ConfigError(message)
         if self.dataset == "synthetic":
+            for key in ("train_per_class", "test_per_class"):
+                if getattr(self, key) < 1:
+                    raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
             try:
                 self.synthetic_config()
             except (ValueError, TypeError) as exc:

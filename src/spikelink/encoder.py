@@ -231,13 +231,9 @@ def grad_u_log_prob_noisy(zhat, s, epsilon: float):
     zhat = np.asarray(zhat, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if eps == 0.0:
-        out = zhat - s
-    else:
-        q = noisy_spike_prob(s, eps)
-        out = (1.0 - 2.0 * eps) * s * (1.0 - s) * (zhat / q - (1.0 - zhat) / (1.0 - q))
-    if out.ndim == 0:
-        return float(out)
-    return out
+        return zhat - s
+    q = noisy_spike_prob(s, eps)
+    return (1.0 - 2.0 * eps) * s * (1.0 - s) * (zhat / q - (1.0 - zhat) / (1.0 - q))
 
 
 def score_grads(run: Rollout, epsilon: float, weights: np.ndarray) -> EncoderGrads:

@@ -30,13 +30,10 @@ from .numerics import SeededRng
 __all__ = [
     "EVENT_DTYPE",
     "EventRecord",
-    "FrameTensor",
     "EventFormatError",
     "SyntheticConfig",
     "class_rate_map",
-    "generate_synthetic",
     "synthetic_records",
-    "events_to_frames",
     "frames_to_inputs",
     "save_events",
     "load_events",
@@ -95,34 +92,6 @@ class EventRecord:
             raise ValueError(f"event {i} breaks timestamp order")
 
 
-@dataclass(frozen=True)
-class FrameTensor:
-    """Binary frames, steps x polarity x height x width."""
-
-    frames: np.ndarray
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames)
-        if frames.ndim != 4 or frames.shape[1] != 2:
-            raise ValueError("frames must have shape (steps, 2, height, width)")
-        if not np.isin(frames, (0, 1)).all():
-            raise ValueError("frames must be binary")
-        object.__setattr__(self, "frames", frames.astype(np.uint8))
-
-    @property
-    def steps(self) -> int:
-        return self.frames.shape[0]
-
-    def flat_steps(self) -> np.ndarray:
-        """Per-step input vectors, polarity-major: index p*H*W + y*W + x."""
-        return self.frames.reshape(self.steps, -1).astype(np.float64)
-
-
-def _check_steps(steps: int) -> None:
-    if steps < 1:
-        raise ValueError("steps must be positive")
-
-
 def _scatter(frames: np.ndarray, record: EventRecord, steps: int) -> None:
     """Set frames[bin, polarity, y, x] = 1 for every event of the record.
 
@@ -137,22 +106,16 @@ def _scatter(frames: np.ndarray, record: EventRecord, steps: int) -> None:
     frames[bins, ev["polarity"], ev["y"], ev["x"]] = 1
 
 
-def events_to_frames(record: EventRecord, steps: int) -> FrameTensor:
-    """Accumulate a record into `steps` uniform bins and binarize."""
-    _check_steps(steps)
-    frames = np.zeros((steps, 2, record.height, record.width), dtype=np.uint8)
-    _scatter(frames, record, steps)
-    return FrameTensor(frames)
-
-
 def frames_to_inputs(records, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Stack records into (n, steps, 2*H*W) uint8 counts plus labels.
 
     All records must share one sensor geometry.  Every record is binned
     straight into the one tensor, whose counts are 0 or 1: a byte each,
     where float64 traces take eight (encoder.filter_inputs makes those).
+    One record is a batch of one.
     """
-    _check_steps(steps)
+    if steps < 1:
+        raise ValueError("steps must be positive")
     records = list(records)
     if not records:
         raise ValueError("no records")
@@ -225,6 +188,7 @@ def class_rate_map(label: int, config: SyntheticConfig) -> np.ndarray:
 def _draw_record(
     rates: np.ndarray, label: int, config: SyntheticConfig, rng: SeededRng
 ) -> EventRecord:
+    """Draw one record: Poisson counts per cell, uniform timestamps, sorted."""
     counts = rng.poisson(rates)
     pol, ys, xs = np.nonzero(counts)
     reps = counts[pol, ys, xs]
@@ -236,11 +200,6 @@ def _draw_record(
     events["y"] = np.repeat(ys, reps)[order]
     events["polarity"] = np.repeat(pol, reps)[order]
     return EventRecord(events, label, config.width, config.height, config.duration_us)
-
-
-def generate_synthetic(label: int, config: SyntheticConfig, rng: SeededRng) -> EventRecord:
-    """Draw one record: Poisson counts per cell, uniform timestamps, sorted."""
-    return _draw_record(class_rate_map(label, config), label, config, rng)
 
 
 def synthetic_records(

@@ -116,14 +116,3 @@ def export_metrics(rows, fmt: str = "csv") -> str:
             lines.append(" ".join(f"{k}={v}" for k, v in pairs))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown export format {fmt!r}")
-
-
-def parse_kv_metrics(text: str) -> list[MetricsRow]:
-    """Inverse of the kv export; used to check the round trip."""
-    rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        values = dict(item.split("=", 1) for item in line.split(" "))
-        rows.append(MetricsRow.from_fields([values.get(col, "") for col in CSV_HEADER]))
-    return rows

@@ -1,4 +1,4 @@
-"""Shared numerics: stable scalar math, causal filters, seeded randomness.
+"""Shared numerics: stable element-wise math, causal filters, seeded randomness.
 
 Everything downstream (encoder, channel, decoder, trainer) pulls its math
 from here so that stability fixes and reproducibility rules live in one
@@ -22,7 +22,6 @@ __all__ = [
     "ebn0_to_epsilon",
     "Kernel",
     "exponential_kernel",
-    "finite_diff_grad",
     "fold_stream_id",
     "SeededRng",
 ]
@@ -31,7 +30,7 @@ __all__ = [
 def sigmoid(x):
     """Logistic function 1 / (1 + exp(-x)), stable for |x| up to ~745.
 
-    Accepts scalars or arrays; returns a float for scalar input.  Large
+    Returns a float64 array of x's shape, 0-d for a scalar.  Large
     positive x saturates to 1.0 and large negative x underflows to 0.0
     without ever overflowing exp.  With e = exp(-x) where x >= 0 and
     exp(x) elsewhere, it is 1 / (1 + e) where x >= 0 and e / (1 + e)
@@ -43,26 +42,17 @@ def sigmoid(x):
     pos = arr >= 0
     e = np.exp(np.where(pos, -arr, arr))
     denom = 1.0 + e
-    out = np.where(pos, 1.0 / denom, e / denom)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return np.where(pos, 1.0 / denom, e / denom)
 
 
 def softplus(x):
     """log(1 + exp(x)) without overflow; equals logaddexp(0, x)."""
-    out = np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
 
 def log_sigmoid(x):
     """log(sigmoid(x)) computed as -softplus(-x); never returns -inf for finite x."""
-    out = -np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return -np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))
 
 
 def gaussian_q(x: float) -> float:
@@ -132,41 +122,12 @@ class Kernel:
             return NotImplemented
         return np.array_equal(self.coefficients, other.coefficients)
 
-    @property
-    def window(self) -> int:
-        return int(self.coefficients.size)
-
 
 def exponential_kernel(tau: float = 5.0, window: int = 10) -> Kernel:
     """Kernel with coefficients exp(-d / tau) for d = 0 .. window-1."""
     if tau <= 0 or window < 1:
         raise ValueError("tau must be positive and window at least 1")
     return Kernel(np.exp(-np.arange(window, dtype=np.float64) / float(tau)))
-
-
-def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function at x.
-
-    This is the oracle the analytic gradients are checked against, so it
-    refuses to hand back garbage: any non-finite function value raises.
-    """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.empty(x.size, dtype=np.float64)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + h
-        hi = float(f(bumped.reshape(x.shape)))
-        bumped[i] = flat[i] - h
-        lo = float(f(bumped.reshape(x.shape)))
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise ArithmeticError(
-                f"finite-difference oracle hit a non-finite value at index {i}"
-            )
-        grad[i] = (hi - lo) / (2.0 * h)
-    return grad.reshape(x.shape)
 
 
 def fold_stream_id(*parts) -> int:

@@ -108,10 +108,6 @@ class Dataset:
             raise ValueError("test labels do not match inputs")
 
     @property
-    def steps(self) -> int:
-        return self.train_inputs.shape[1]
-
-    @property
     def input_dim(self) -> int:
         return self.train_inputs.shape[2]
 
@@ -185,7 +181,8 @@ def _clip(grads, limit: float):
 
 
 def sgd_update(params, grads, eta: float, velocity=None, momentum: float = 0.0):
-    """One plain (or momentum) SGD step; returns fresh params.
+    """One plain (or momentum) SGD step; returns fresh params and the new
+    velocity, a dict by field name (empty without momentum).
 
     grads must carry a subset of params' array fields under the same names.
     Non-finite gradients abort rather than poison the weights.
@@ -201,10 +198,7 @@ def sgd_update(params, grads, eta: float, velocity=None, momentum: float = 0.0):
             new_velocity[f.name] = v
             g = v
         updates[f.name] = getattr(params, f.name) - eta * g
-    params = replace(params, **updates)
-    if momentum > 0.0:
-        return params, new_velocity
-    return params
+    return replace(params, **updates), new_velocity
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +263,12 @@ def train_epoch(
         dec_grads = _clip(
             backward_batch(decoder, flat, pre, hidden, probs, yb), config.grad_clip
         )
-        if config.momentum > 0.0:
-            encoder, state["enc_vel"] = sgd_update(
-                encoder, enc_grads, config.eta, state.get("enc_vel"), config.momentum
-            )
-            decoder, state["dec_vel"] = sgd_update(
-                decoder, dec_grads, config.eta, state.get("dec_vel"), config.momentum
-            )
-        else:
-            encoder = sgd_update(encoder, enc_grads, config.eta)
-            decoder = sgd_update(decoder, dec_grads, config.eta)
+        encoder, state["enc_vel"] = sgd_update(
+            encoder, enc_grads, config.eta, state.get("enc_vel"), config.momentum
+        )
+        decoder, state["dec_vel"] = sgd_update(
+            decoder, dec_grads, config.eta, state.get("dec_vel"), config.momentum
+        )
     mean_task = task_sum / max(count, 1)
     mean_rate = rate_sum / max(count, 1)
     test_error, test_rate = evaluate(

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import parse_kv_metrics
 
 import spikelink.cli as cli
 from spikelink import training
@@ -23,7 +24,6 @@ from spikelink.training import TrainingDiverged, evaluate_grid
 from spikelink.metrics import (
     MetricsRow,
     export_metrics,
-    parse_kv_metrics,
     read_metrics,
     write_metrics,
 )
@@ -95,6 +95,21 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError, match="events"):
             build_run_config({"dataset": "events"})
 
+    @pytest.mark.parametrize("key", ["train_per_class", "test_per_class"])
+    def test_synthetic_split_needs_a_record_per_class(self, tiny_config, tmp_path, capsys, key):
+        for value in (0, -2):
+            with pytest.raises(ConfigError, match=f"^{key} must be at least 1, got {value}$"):
+                build_run_config({key: value})
+        out = tmp_path / "o"
+        path = tmp_path / "zero.cfg"
+        path.write_text(re.sub(rf"^{key} = .*$", f"{key} = 0", tiny_config.read_text(),
+                               flags=re.M))
+        assert _run("train", "--config", str(path), "--out", str(out)) == 2
+        assert f"{key} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+        # event files bring their own records; the synthetic counts go unread
+        build_run_config({"dataset": "events", "train_events": "a", "test_events": "b", key: 0})
+
     def test_init_rate_bounds(self):
         with pytest.raises(ConfigError, match="init_rate"):
             build_run_config({"init_rate": 1.5})
@@ -122,8 +137,8 @@ class TestBuildRunConfig:
         assert cut == exponential_kernel(5.0, 7)
         # a window shorter than T keeps its length, and --T 5 still takes
         # the default window of 10
-        assert kernel({"T": 30}).window == 10
-        assert kernel({"T": 5}).window == 5
+        assert kernel({"T": 30}).coefficients.size == 10
+        assert kernel({"T": 5}).coefficients.size == 5
 
 
 def test_readme_config_tables_list_every_field():
@@ -189,6 +204,22 @@ class TestMetricsFiles:
         rows = self._rows()
         text = export_metrics(rows, "kv")
         assert parse_kv_metrics(text) == rows
+
+    def test_kv_oracle_reads_hand_written_lines(self):
+        # the oracle alone, on text written out by hand: keys in any order,
+        # blank lines skipped, a missing key read as empty
+        text = (
+            "point=0 experiment=train epoch=3 epsilon=0.1 ebn0_db= beta=0.001 k=16 "
+            "error_rate=0.25 spike_rate=0.5 seconds=0.0\n\n"
+            "experiment=sweep-snr point=2 epoch=30 epsilon=0.5 beta=0.1 k=4 "
+            "error_rate=0.75 spike_rate=0.125 seconds=1.5 ebn0_db=-inf\n"
+        )
+        assert parse_kv_metrics(text) == [
+            MetricsRow("train", 0, 3, 0.1, None, 1e-3, 16, 0.25, 0.5, 0.0),
+            MetricsRow("sweep-snr", 2, 30, 0.5, float("-inf"), 0.1, 4, 0.75, 0.125, 1.5),
+        ]
+        with pytest.raises(ValueError):
+            parse_kv_metrics("experiment=train point\n")
 
     def test_csv_export_matches_file_format(self, tmp_path):
         rows = self._rows()
@@ -683,6 +714,22 @@ class TestCliExport:
         assert code == 0
         assert dest.read_text() == (out / "metrics.csv").read_text()
 
+    def test_failed_write_keeps_previous_file(self, tiny_config, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        _run("train", "--config", str(tiny_config), "--out", str(out))
+        dest = tmp_path / "export" / "copy.kv"
+        assert _run("export", "--metrics", str(out / "metrics.csv"), "--format", "kv",
+                    "--out", str(dest)) == 0
+        before = dest.read_bytes()
+        # text that cannot be encoded fails its write after the output file
+        # was opened; opening the target itself would already have emptied it
+        monkeypatch.setattr(cli, "export_metrics", lambda rows, fmt: "partial\n\udcff\n")
+        code = _run("export", "--metrics", str(out / "metrics.csv"), "--format", "kv",
+                    "--out", str(dest))
+        assert code == 2
+        assert dest.read_bytes() == before
+        assert list(dest.parent.iterdir()) == [dest]
+
     def test_missing_metrics_is_io_error(self, tmp_path):
         code = _run("export", "--metrics", str(tmp_path / "none.csv"))
         assert code == 1
@@ -828,6 +875,44 @@ class TestCliErrors:
     def test_kernel_settings_checked_by_value(self, values, message):
         with pytest.raises(ConfigError, match=message):
             build_run_config(values)
+
+    def test_train_per_point_with_checkpoint_refused_before_any_work(
+        self, tiny_config, tmp_path, monkeypatch, capsys
+    ):
+        trained = tmp_path / "t"
+        assert _run("train", "--config", str(tiny_config), "--out", str(trained),
+                    "--epochs", "0") == 0
+        tiny_checkpoint = trained / "checkpoint.txt"
+        built = []
+        monkeypatch.setattr(cli, "_build_dataset", lambda cfg: built.append(cfg))
+        monkeypatch.setattr(cli, "_split_inputs", lambda cfg, tag: built.append(tag))
+        out = tmp_path / "o"
+        for checkpoint in (tiny_checkpoint, tmp_path / "missing.txt"):
+            code = _run(
+                "sweep-snr", "--config", str(tiny_config), "--out", str(out),
+                "--train-per-point", "--checkpoint", str(checkpoint),
+            )
+            assert code == 2
+            assert "give only one of --train-per-point and --checkpoint" in capsys.readouterr().err
+        assert built == [] and not out.exists()
+
+    @pytest.mark.parametrize("verb, flag, value", [
+        ("sweep-beta", "--beta-grid", ""),
+        ("sweep-snr", "--epsilon-grid", ","),
+        ("sweep-snr", "--ebn0-grid-db", ""),
+        ("mismatch", "--epsilon-grid", " , "),
+    ], ids=["beta", "snr-epsilon", "snr-ebn0", "mismatch-epsilon"])
+    def test_empty_grid_names_its_flag(
+        self, tiny_config, tmp_path, monkeypatch, capsys, verb, flag, value
+    ):
+        built = []
+        monkeypatch.setattr(cli, "_build_dataset", lambda cfg: built.append(cfg))
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            _run(verb, "--config", str(tiny_config), "--out", str(out), flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}: the grid is empty" in capsys.readouterr().err
+        assert built == [] and not out.exists()
 
     def test_missing_checkpoint_path(self, tiny_config, tmp_path):
         code = _run(

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import finite_diff_grad
 
 from spikelink.channel import log_prob_noisy
 from spikelink.encoder import (
@@ -15,7 +16,7 @@ from spikelink.encoder import (
     rollout,
     score_grads,
 )
-from spikelink.numerics import Kernel, SeededRng, finite_diff_grad, sigmoid
+from spikelink.numerics import Kernel, SeededRng, sigmoid
 
 FIELDS = ("ff_weights", "fb_weights", "bias")
 
@@ -220,10 +221,6 @@ class TestGradULogProb:
                 lambda v: log_prob_noisy(np.array([zhat]), v, eps), np.array([u0])
             )
             assert abs(grad[0] - fd[0]) < 1e-7
-
-    def test_scalar_passthrough(self):
-        out = grad_u_log_prob_noisy(1.0, 0.5, 0.1)
-        assert isinstance(out, float)
 
     def test_saturated_potentials_finite(self):
         u = np.array([60.0, -60.0])

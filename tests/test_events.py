@@ -9,12 +9,10 @@ from spikelink.events import (
     EVENT_DTYPE,
     EventFormatError,
     EventRecord,
-    FrameTensor,
     SyntheticConfig,
+    _draw_record,
     class_rate_map,
-    events_to_frames,
     frames_to_inputs,
-    generate_synthetic,
     load_events,
     save_events,
     synthetic_records,
@@ -24,6 +22,12 @@ from spikelink.numerics import SeededRng
 
 def _record(events, label=0, w=4, h=4, dur=1000):
     return EventRecord(events, label, w, h, dur)
+
+
+def _frames(rec, steps):
+    """One record binned as a batch of one, shape (steps, 2, h, w)."""
+    inputs, _ = frames_to_inputs([rec], steps)
+    return inputs.reshape(steps, 2, rec.height, rec.width)
 
 
 def _same_events(a, b):
@@ -88,54 +92,48 @@ class TestFrameBinning:
     def test_bin_edges_integer_math(self):
         # duration 1000, 4 bins of 250: ts=249 -> bin 0, ts=250 -> bin 1
         rec = _record([(249, 0, 0, 1), (250, 1, 0, 1)])
-        frames = events_to_frames(rec, 4).frames
+        frames = _frames(rec, 4)
         assert frames[0, 1, 0, 0] == 1
         assert frames[1, 1, 0, 1] == 1
         assert frames.sum() == 2
 
     def test_timestamp_at_duration_lands_in_last_bin(self):
         rec = _record([(1000, 2, 3, 0)])
-        frames = events_to_frames(rec, 4).frames
+        frames = _frames(rec, 4)
         assert frames[3, 0, 3, 2] == 1
 
     def test_binarizes_repeats(self):
         rec = _record([(10, 0, 0, 1), (11, 0, 0, 1), (12, 0, 0, 1)])
-        frames = events_to_frames(rec, 2).frames
+        frames = _frames(rec, 2)
         assert frames[0, 1, 0, 0] == 1
         assert frames.sum() == 1
 
     def test_polarities_use_separate_channels(self):
         rec = _record([(10, 0, 0, 0), (11, 0, 0, 1)])
-        frames = events_to_frames(rec, 1).frames
+        frames = _frames(rec, 1)
         assert frames[0, 0, 0, 0] == 1 and frames[0, 1, 0, 0] == 1
 
     def test_empty_record_gives_zero_frames(self):
-        frames = events_to_frames(_record([]), 5).frames
+        frames = _frames(_record([]), 5)
         assert frames.shape == (5, 2, 4, 4)
         assert frames.sum() == 0
 
     def test_rejects_bad_steps(self):
-        with pytest.raises(ValueError):
-            events_to_frames(_record([]), 0)
+        with pytest.raises(ValueError, match="steps"):
+            _frames(_record([]), -1)
 
     def test_flat_steps_layout(self):
         # polarity-major flattening: index = p*H*W + y*W + x
         rec = _record([(0, 1, 2, 1)])
-        flat = events_to_frames(rec, 1).flat_steps()
+        flat = frames_to_inputs([rec], 1)[0][0]
         assert flat.shape == (1, 2 * 4 * 4)
-        assert flat[0, 1 * 16 + 2 * 4 + 1] == 1.0
-        assert flat.sum() == 1.0
+        assert flat[0, 1 * 16 + 2 * 4 + 1] == 1
+        assert flat.sum() == 1
 
     def test_rejects_duration_that_overflows_binning(self):
         rec = _record([(2**62, 0, 0, 1)], dur=2**62)
         with pytest.raises(ValueError, match="too long"):
-            events_to_frames(rec, 4)
-
-    def test_frame_tensor_validates(self):
-        with pytest.raises(ValueError):
-            FrameTensor(np.zeros((2, 3, 4, 4)))
-        with pytest.raises(ValueError):
-            FrameTensor(np.full((2, 2, 4, 4), 2))
+            _frames(rec, 4)
 
 
 class TestFramesToInputs:
@@ -170,7 +168,8 @@ class TestFramesToInputs:
             assert np.array_equal(inputs, expected)
             np.testing.assert_array_equal(labels, [r.label for r in recs])
             for i, rec in enumerate(recs):
-                assert np.array_equal(events_to_frames(rec, steps).flat_steps(), inputs[i])
+                # a record binned alone equals its row of the batch
+                assert np.array_equal(frames_to_inputs([rec], steps)[0][0], inputs[i])
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError, match="steps"):
@@ -209,9 +208,10 @@ class TestSyntheticTask:
 
     def test_generate_event_count_tracks_rates(self):
         cfg = SyntheticConfig()
-        expected = class_rate_map(0, cfg).sum()
+        rates = class_rate_map(0, cfg)
+        expected = rates.sum()
         counts = [
-            len(generate_synthetic(0, cfg, SeededRng(7).substream("d", i)).events)
+            len(_draw_record(rates, 0, cfg, SeededRng(7).substream("d", i)).events)
             for i in range(50)
         ]
         mean = np.mean(counts)
@@ -221,7 +221,7 @@ class TestSyntheticTask:
 
     def test_generate_respects_record_invariants(self):
         cfg = SyntheticConfig(n_classes=3)
-        rec = generate_synthetic(2, cfg, SeededRng(11))
+        rec = _draw_record(class_rate_map(2, cfg), 2, cfg, SeededRng(11))
         # EventRecord.__post_init__ validates; reaching here means sorted/bounded
         assert rec.label == 2
         assert rec.duration_us == cfg.duration_us

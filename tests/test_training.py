@@ -144,7 +144,8 @@ class TestObjectiveAndUpdates:
             fb_weights=np.ones_like(params.fb_weights),
             bias=np.ones_like(params.bias),
         )
-        updated = sgd_update(params, grads, eta=0.1)
+        updated, velocity = sgd_update(params, grads, eta=0.1)
+        assert velocity == {}
         np.testing.assert_allclose(updated.ff_weights, params.ff_weights - 0.1)
         np.testing.assert_allclose(updated.bias, params.bias - 0.1)
         # kernels ride along untouched
@@ -331,7 +332,7 @@ def _toy_counts(seed=0, n_train=24, n_test=16, steps=6, lines=8):
 def _toy_models(data, seed=0, k=4, hidden=8):
     root = SeededRng(seed)
     enc = init_encoder_params(data.input_dim, k, root.substream("e"))
-    dec = init_decoder_params(k * data.steps, data.n_classes, root.substream("d"), hidden_dim=hidden)
+    dec = init_decoder_params(k * data.train_inputs.shape[1], data.n_classes, root.substream("d"), hidden_dim=hidden)
     return enc, dec
 
 
@@ -469,7 +470,7 @@ class TestEvaluateGrid:
         # (steps x neurons) drive a batch-of-one rollout, then flip uniforms
         data = _toy_dataset(n_test=24)
         enc, dec = _toy_models(data)
-        k, steps = enc.n_out, data.steps
+        k, steps = enc.n_out, data.test_inputs.shape[1]
         wrong = np.zeros(len(GRID), dtype=int)
         spikes = 0
         for i, (x, y) in enumerate(zip(data.test_inputs, data.test_labels)):
