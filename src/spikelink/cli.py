@@ -15,6 +15,7 @@ wall-clock seconds unless `timing = off`.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -26,13 +27,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, build_run_config, parse_config_file
 from .decoder import init_decoder_params
 from .encoder import init_encoder_params
-from .events import (
-    EventFormatError,
-    EventRecord,
-    frames_to_inputs,
-    load_events,
-    synthetic_records,
-)
+from .events import EventFormatError, FramesTooLarge, load_frames, synthetic_frames
 from .metrics import MetricsRow, _atomic_open, export_metrics, read_metrics, write_metrics
 from .numerics import SeededRng, db_to_linear, ebn0_to_epsilon
 from .training import (
@@ -53,33 +48,35 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _split_records(cfg: RunConfig, tag: str) -> list[EventRecord]:
-    """Event records of the "train" or "test" split."""
-    if cfg.dataset == "synthetic":
-        per_class = cfg.train_per_class if tag == "train" else cfg.test_per_class
-        return synthetic_records(cfg.synthetic_config(), per_class, cfg.seed, tag=tag)
-    records = load_events(cfg.train_events if tag == "train" else cfg.test_events)
-    if not records:
-        raise ConfigError("event files contain no records")
-    return records
-
-
-def _too_large(cfg: RunConfig, what: str, shape) -> ConfigError:
+def _too_large(cfg: RunConfig, what: str, shape, itemsize: int) -> ConfigError:
     return ConfigError(
         f"T = {cfg.T} is too large: {what} of shape (records, T, lines) = "
-        f"{tuple(shape)} cannot be allocated"
+        f"{tuple(shape)} cannot be allocated ({itemsize * math.prod(shape)} bytes)"
     )
 
 
 def _split_inputs(cfg: RunConfig, tag: str):
-    """uint8 counts and labels of one split; a split too large to allocate
-    is a ConfigError naming T and the split's shape."""
-    records = _split_records(cfg, tag)
+    """uint8 frames (records, T, 2, h, w) and labels of the "train" or
+    "test" split, binned as each record is drawn or parsed, so no split
+    holds its list of records.  A split too large to allocate is a
+    ConfigError naming T, the split's shape and its size, raised before
+    any record is drawn, or once an event file's first record is parsed."""
     try:
-        return frames_to_inputs(records, cfg.T)
-    except MemoryError as exc:
-        lines = 2 * records[0].height * records[0].width
-        raise _too_large(cfg, f"the {tag} split's inputs", (len(records), cfg.T, lines)) from exc
+        if cfg.dataset == "synthetic":
+            per_class = cfg.train_per_class if tag == "train" else cfg.test_per_class
+            return synthetic_frames(cfg.synthetic_config(), per_class, cfg.seed, cfg.T, tag=tag)
+        frames, labels = load_frames(cfg.train_events if tag == "train" else cfg.test_events,
+                                     cfg.T)
+    except FramesTooLarge as exc:
+        raise _too_large(cfg, f"the {tag} split's inputs", exc.shape, 1) from exc
+    if not len(labels):
+        raise ConfigError("event files contain no records")
+    return frames, labels
+
+
+def _flat(frames: np.ndarray) -> np.ndarray:
+    """(records, T, 2, h, w) frames as (records, T, lines) counts, a view."""
+    return frames.reshape(*frames.shape[:2], -1)
 
 
 def _filter_splits(cfg: RunConfig, data: Dataset, kernel) -> None:
@@ -91,14 +88,20 @@ def _filter_splits(cfg: RunConfig, data: Dataset, kernel) -> None:
     except MemoryError as exc:
         # the splits are replaced train first, each once its traces exist
         tag = "test" if data.train_inputs.dtype == np.float64 else "train"
-        raise _too_large(cfg, f"the {tag} split's traces", shapes[tag]) from exc
+        raise _too_large(cfg, f"the {tag} split's traces", shapes[tag], 8) from exc
 
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
-    # one split's records at a time: they are dropped once binned.  The
-    # counts are filtered into traces after model set-up (filter_dataset).
+    # the counts are filtered into traces after model set-up (filter_dataset)
     train_x, train_y = _split_inputs(cfg, "train")
     test_x, test_y = _split_inputs(cfg, "test")
+    if train_x.shape[3:] != test_x.shape[3:]:
+        (train_h, train_w), (test_h, test_w) = train_x.shape[3:], test_x.shape[3:]
+        raise ConfigError(
+            f"train events have sensor geometry w={train_w} h={train_h} "
+            f"but test events have w={test_w} h={test_h}"
+        )
+    train_x, test_x = _flat(train_x), _flat(test_x)
     if cfg.dataset == "synthetic":
         n_classes = cfg.synthetic_config().n_classes
     else:
@@ -303,6 +306,7 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, checkpoint: str | No
     if checkpoint:
         encoder, decoder, meta = load_checkpoint(checkpoint)
         test_x, test_y = _split_inputs(cfg, "test")
+        test_x = _flat(test_x)
         _check_checkpoint(cfg, encoder, decoder, meta, test_x, test_y)
         out = _out_dir(cfg)
         kernel = encoder.kernel_ff
@@ -322,7 +326,7 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, checkpoint: str | No
                                 [eps for eps, _ in grid], cfg.seed, kernel=kernel)
     except MemoryError as exc:
         chunk = (min(len(test_x), EVAL_CHUNK), *test_x.shape[1:])
-        raise _too_large(cfg, "a test chunk's traces", chunk) from exc
+        raise _too_large(cfg, "a test chunk's traces", chunk, 8) from exc
     seconds = (time.perf_counter() - started) / len(grid) if cfg.timing else 0.0
     rows = []
     for i, ((eps, db), (error, rate)) in enumerate(zip(grid, results)):

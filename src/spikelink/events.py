@@ -5,8 +5,11 @@ its events as integer columns in one structured array of EVENT_DTYPE, so
 generation, validation, parsing and binning are array operations.  Records
 are accumulated into a fixed number of uniform time bins per polarity and
 binarized into uint8 counts, which is the only preprocessing the encoder
-sees before its input filter.  Vendor formats are out of scope; converters
-should target the text format below.
+sees before its input filter.  synthetic_frames and load_frames bin a whole
+split as each record is drawn or parsed, into frames allocated first, so no
+list of records is ever held; synthetic_records and load_events return the
+records themselves, for export and tests.  Vendor formats are out of scope;
+converters should target the text format below.
 
 Text format, one record per block:
 
@@ -31,12 +34,15 @@ __all__ = [
     "EVENT_DTYPE",
     "EventRecord",
     "EventFormatError",
+    "FramesTooLarge",
     "SyntheticConfig",
     "class_rate_map",
     "synthetic_records",
+    "synthetic_frames",
     "frames_to_inputs",
     "save_events",
     "load_events",
+    "load_frames",
 ]
 
 EVENT_DTYPE = np.dtype(
@@ -46,6 +52,15 @@ EVENT_DTYPE = np.dtype(
 
 class EventFormatError(ValueError):
     """Raised on malformed event text, with the offending line number."""
+
+
+class FramesTooLarge(MemoryError):
+    """A split's uint8 frames cannot be allocated; shape is the split's
+    (records, steps, lines)."""
+
+    def __init__(self, shape: tuple[int, int, int]):
+        self.shape = shape
+        super().__init__(f"uint8 frames of shape {shape} cannot be allocated")
 
 
 @dataclass(eq=False)
@@ -92,18 +107,75 @@ class EventRecord:
             raise ValueError(f"event {i} breaks timestamp order")
 
 
-def _scatter(frames: np.ndarray, record: EventRecord, steps: int) -> None:
-    """Set frames[bin, polarity, y, x] = 1 for every event of the record.
+def _zero_frames(n: int, steps: int, height: int, width: int) -> np.ndarray:
+    """(n, steps, 2, height, width) uint8 zeros; FramesTooLarge if refused."""
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    try:
+        return np.zeros((n, steps, 2, height, width), dtype=np.uint8)
+    except MemoryError as exc:
+        raise FramesTooLarge((n, steps, 2 * height * width)) from exc
 
-    The bin is floor(ts * steps / duration) clamped to the last bin, so a
-    timestamp equal to the duration still lands in-range.  Integer math
-    keeps the edges exact; ts <= duration bounds the product.
+
+def _scatter(frames: np.ndarray, ts, x, y, pol, duration_us: int, steps: int) -> None:
+    """Set frames[bin, polarity, y, x] = 1 for every event of one record.
+
+    The events come as columns, in any order.  The bin is
+    floor(ts * steps / duration) clamped to the last bin, so a timestamp
+    equal to the duration still lands in-range.  Integer math keeps the
+    edges exact; ts <= duration bounds the product.
     """
-    if record.duration_us > np.iinfo(np.int64).max // steps:
+    if duration_us > np.iinfo(np.int64).max // steps:
         raise ValueError("record duration too long to bin in 64-bit integers")
-    ev = record.events
-    bins = np.minimum(ev["timestamp"] * steps // record.duration_us, steps - 1)
-    frames[bins, ev["polarity"], ev["y"], ev["x"]] = 1
+    bins = np.minimum(ts * steps // duration_us, steps - 1)
+    frames[bins, pol, y, x] = 1
+
+
+class _FrameSink:
+    """Bins each record it is handed into frames for up to `capacity`
+    records, allocated when the first record arrives.
+
+    A mix of geometries, or a duration too long to bin, is raised by
+    result(), so every record is seen (and, when parsing, every line
+    checked) first.
+    """
+
+    def __init__(self, capacity: int, steps: int):
+        if steps < 1:
+            raise ValueError("steps must be positive")
+        self.steps = steps
+        self.frames: np.ndarray | None = None
+        self.labels = np.empty(capacity, dtype=np.int64)
+        self.n = 0
+        self.mixed, self.too_long = False, None
+
+    def __call__(self, record: EventRecord) -> None:
+        if self.frames is None:
+            self.frames = _zero_frames(len(self.labels), self.steps, record.height, record.width)
+        if self.frames.shape[3:] != (record.height, record.width):
+            self.mixed = True
+        elif self.too_long is None:
+            ev = record.events
+            try:
+                _scatter(self.frames[self.n], ev["timestamp"], ev["x"], ev["y"], ev["polarity"],
+                         record.duration_us, self.steps)
+            except ValueError as exc:
+                self.too_long = exc
+        self.labels[self.n] = record.label
+        self.n += 1
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """(records, steps, 2, h, w) frames and labels of the records seen;
+        no record gives zero frames of geometry 0 x 0."""
+        if self.mixed:
+            raise ValueError("records mix sensor geometries")
+        if self.too_long is not None:
+            raise self.too_long
+        if self.frames is None:
+            return np.zeros((0, self.steps, 2, 0, 0), dtype=np.uint8), self.labels[:0]
+        if self.n < len(self.labels):
+            return self.frames[: self.n].copy(), self.labels[: self.n].copy()
+        return self.frames, self.labels
 
 
 def frames_to_inputs(records, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,21 +186,14 @@ def frames_to_inputs(records, steps: int) -> tuple[np.ndarray, np.ndarray]:
     where float64 traces take eight (encoder.filter_inputs makes those).
     One record is a batch of one.
     """
-    if steps < 1:
-        raise ValueError("steps must be positive")
     records = list(records)
+    sink = _FrameSink(len(records), steps)
     if not records:
         raise ValueError("no records")
-    w, h = records[0].width, records[0].height
-    for r in records:
-        if (r.width, r.height) != (w, h):
-            raise ValueError("records mix sensor geometries")
-    frames = np.zeros((len(records), steps, 2, h, w), dtype=np.uint8)
-    for i, r in enumerate(records):
-        _scatter(frames[i], r, steps)
-    inputs = frames.reshape(len(records), steps, -1)
-    labels = np.array([r.label for r in records], dtype=np.int64)
-    return inputs, labels
+    for record in records:
+        sink(record)
+    frames, labels = sink.result()
+    return frames.reshape(len(records), steps, -1), labels
 
 
 # ---------------------------------------------------------------------------
@@ -185,36 +250,66 @@ def class_rate_map(label: int, config: SyntheticConfig) -> np.ndarray:
     return rates
 
 
-def _draw_record(
-    rates: np.ndarray, label: int, config: SyntheticConfig, rng: SeededRng
-) -> EventRecord:
-    """Draw one record: Poisson counts per cell, uniform timestamps, sorted."""
+def _draw_columns(rates: np.ndarray, config: SyntheticConfig, rng: SeededRng):
+    """One record's (timestamp, x, y, polarity) columns, unsorted: Poisson
+    counts per cell, then one uniform timestamp per event."""
     counts = rng.poisson(rates)
     pol, ys, xs = np.nonzero(counts)
     reps = counts[pol, ys, xs]
     stamps = rng.integers(0, config.duration_us + 1, size=int(reps.sum()))
-    order = np.argsort(stamps, kind="stable")
-    events = np.empty(stamps.size, dtype=EVENT_DTYPE)
-    events["timestamp"] = stamps[order]
-    events["x"] = np.repeat(xs, reps)[order]
-    events["y"] = np.repeat(ys, reps)[order]
-    events["polarity"] = np.repeat(pol, reps)[order]
+    return stamps, np.repeat(xs, reps), np.repeat(ys, reps), np.repeat(pol, reps)
+
+
+def _draw_record(
+    rates: np.ndarray, label: int, config: SyntheticConfig, rng: SeededRng
+) -> EventRecord:
+    """Draw one record: its columns sorted by timestamp, validated."""
+    columns = _draw_columns(rates, config, rng)
+    order = np.argsort(columns[0], kind="stable")
+    events = np.empty(order.size, dtype=EVENT_DTYPE)
+    for name, column in zip(EVENT_DTYPE.names, columns):
+        events[name] = column[order]
     return EventRecord(events, label, config.width, config.height, config.duration_us)
+
+
+def _record_streams(config: SyntheticConfig, per_class: int, seed: int, tag: str):
+    """(label, rates, rng) of every record, class by class, each rng its
+    own (tag, class, index) stream."""
+    root = SeededRng(seed)
+    for label in range(config.n_classes):
+        rates = class_rate_map(label, config)
+        for idx in range(per_class):
+            yield label, rates, root.substream("data", tag, label, idx)
 
 
 def synthetic_records(
     config: SyntheticConfig, per_class: int, seed: int, tag: str = "train"
 ) -> list[EventRecord]:
     """per_class records for every class, each from its own (tag, class, index) stream."""
-    root = SeededRng(seed)
-    out = []
-    for label in range(config.n_classes):
-        rates = class_rate_map(label, config)
-        for idx in range(per_class):
-            out.append(
-                _draw_record(rates, label, config, root.substream("data", tag, label, idx))
-            )
-    return out
+    return [
+        _draw_record(rates, label, config, rng)
+        for label, rates, rng in _record_streams(config, per_class, seed, tag)
+    ]
+
+
+def synthetic_frames(
+    config: SyntheticConfig, per_class: int, seed: int, steps: int, tag: str = "train"
+) -> tuple[np.ndarray, np.ndarray]:
+    """synthetic_records binned as they are drawn, with no record list.
+
+    Returns (records, steps, 2, height, width) uint8 frames, which reshape
+    to frames_to_inputs(synthetic_records(...), steps)'s counts, plus the
+    labels.  The frames are allocated before any record is drawn, and each
+    record's columns are scattered and dropped: binning does not depend on
+    event order, and the draws are in range by construction.
+    """
+    n = config.n_classes * per_class
+    frames = _zero_frames(n, steps, config.height, config.width)
+    streams = _record_streams(config, per_class, seed, tag)
+    for i, (_, rates, rng) in enumerate(streams):
+        _scatter(frames[i], *_draw_columns(rates, config, rng), config.duration_us, steps)
+    labels = np.repeat(np.arange(config.n_classes, dtype=np.int64), per_class)
+    return frames, labels
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +403,11 @@ _PIECE_CHARS = 1 << 16  # read size: keeps each buffer under malloc's mmap thres
 
 
 class _BlockReader:
-    """load_events' state between pieces of a file."""
+    """The parser's state between pieces of a file; each record goes to
+    sink as it closes."""
 
-    def __init__(self):
-        self.records: list[EventRecord] = []
+    def __init__(self, sink):
+        self.sink = sink
         self.header: dict | None = None
         self.header_line = 0
         self.parts: list[np.ndarray] = []  # parsed event lines of the open record
@@ -352,24 +448,25 @@ class _BlockReader:
         events = np.concatenate(self.parts) if self.parts else np.empty(0, EVENT_DTYPE)
         h = self.header
         try:
-            self.records.append(EventRecord(events, h["label"], h["w"], h["h"], h["dur_us"]))
+            record = EventRecord(events, h["label"], h["w"], h["h"], h["dur_us"])
         except ValueError as exc:
             raise EventFormatError(
                 f"record starting at line {self.header_line}: {exc}"
             ) from exc
         self.header = None
         self.parts = []
+        self.sink(record)
 
 
-def load_events(path) -> list[EventRecord]:
-    """Parse the block text format; malformed input names the bad line.
+def _read_records(path, sink) -> None:
+    """Parse the block text format, handing each record to sink as it closes.
 
     The file is read in pieces.  A line that starts with a digit is an
     event line; only the others (headers, blank lines, anything unusual)
     become Python strings, and runs of event lines are parsed into columns
     a piece at a time.
     """
-    reader = _BlockReader()
+    reader = _BlockReader(sink)
     with Path(path).open() as fh:
         carry = ""
         while piece := fh.read(_PIECE_CHARS):
@@ -380,4 +477,26 @@ def load_events(path) -> list[EventRecord]:
         if carry:
             reader.feed(carry + "\n")
     reader.close()
-    return reader.records
+
+
+def load_events(path) -> list[EventRecord]:
+    """Parse the block text format; malformed input names the bad line."""
+    records: list[EventRecord] = []
+    _read_records(path, records.append)
+    return records
+
+
+def load_frames(path, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """load_events binned as each record is parsed, with no record list.
+
+    Returns frames_to_inputs(load_events(path), steps)'s counts as
+    (records, steps, 2, h, w) uint8 frames, plus the labels, and raises
+    its errors in the same order.  Every header holds a "#", so the file's
+    "#" count bounds its records: the frames are sized by it when the
+    first record closes, and cut to the records parsed.
+    """
+    with Path(path).open("rb") as fh:
+        capacity = sum(piece.count(b"#") for piece in iter(lambda: fh.read(_PIECE_CHARS), b""))
+    sink = _FrameSink(capacity, steps)
+    _read_records(path, sink)
+    return sink.result()

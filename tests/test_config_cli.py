@@ -3,7 +3,7 @@
 import math
 import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,8 +18,8 @@ from spikelink.checkpoint import load_checkpoint, save_checkpoint
 from spikelink.cli import DEFAULT_MISMATCH_GRID, main
 from spikelink.config import ConfigError, RunConfig, build_run_config, parse_config_file
 from spikelink.encoder import filter_inputs
-from spikelink.events import frames_to_inputs, synthetic_records
-from spikelink.numerics import Kernel, exponential_kernel
+from spikelink.events import synthetic_frames, synthetic_records
+from spikelink.numerics import Kernel, SeededRng, exponential_kernel
 from spikelink.training import TrainingDiverged, evaluate_grid
 from spikelink.metrics import (
     MetricsRow,
@@ -370,11 +370,11 @@ class TestCliSweeps:
         assert _run("sweep-snr", "--config", str(tiny_config), "--out", str(trained), *grid) == 0
         tags = []
 
-        def recording(config, per_class, seed, tag="train"):
+        def recording(config, per_class, seed, steps, tag="train"):
             tags.append(tag)
-            return synthetic_records(config, per_class, seed, tag=tag)
+            return synthetic_frames(config, per_class, seed, steps, tag=tag)
 
-        monkeypatch.setattr(cli, "synthetic_records", recording)
+        monkeypatch.setattr(cli, "synthetic_frames", recording)
         swept = tmp_path / "swept"
         code = _run(
             "sweep-snr", "--config", str(tiny_config), "--out", str(swept),
@@ -527,8 +527,8 @@ class TestCliSweeps:
         encoder, decoder, _ = load_checkpoint(tiny_checkpoint)
 
         def swept(kernel):
-            test_x, test_y = frames_to_inputs(cli._split_records(cfg, "test"), cfg.T)
-            return evaluate_grid(encoder, decoder, filter_inputs(test_x, kernel), test_y,
+            test_x, test_y = cli._split_inputs(cfg, "test")
+            return evaluate_grid(encoder, decoder, filter_inputs(cli._flat(test_x), kernel), test_y,
                                  [0.0, 0.2], cfg.seed)
 
         rows = read_metrics(tmp_path / "sweep" / "metrics.csv")
@@ -618,9 +618,34 @@ class TestCliSweeps:
             tracemalloc.stop()
         assert code == 0
         assert len(read_metrics(tmp_path / "s" / "metrics.csv")) == 2
-        # the records (about 9.5 MB) and the counts set the peak; a sweep
-        # that made the split's traces would hold them all at once
+        # the counts and one chunk's traces set the peak; a sweep that made
+        # the split's traces would hold them all at once
         assert peak < traces, f"peak {peak} bytes"
+
+    def test_synthetic_split_build_holds_no_record_list(self, tmp_path):
+        # 512 records of 16 x 16 pixels over 20 steps: 5.2 MB of counts.
+        # Their EventRecord list would take 32 bytes an event, about 7.4 MB.
+        config = tmp_path / "split.cfg"
+        config.write_text("test_per_class = 128\nT = 20\n")
+        cfg = build_run_config(parse_config_file(config))
+        cli._split_inputs(replace(cfg, test_per_class=1), "test")  # imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            frames, labels = cli._split_inputs(cfg, "test")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        records = synthetic_records(cfg.synthetic_config(), 128, cfg.seed, tag="test")
+        one_record = max(r.events.nbytes for r in records)  # its four int64 columns
+        # besides the counts: one record's columns and the temporaries that
+        # draw and bin it, and 64 bytes per record that tracemalloc keeps
+        # counting after each Generator.poisson call (the process's RSS
+        # does not grow by them)
+        assert peak < frames.nbytes + labels.nbytes + 4 * one_record + 64 * len(records), (
+            f"peak {peak} bytes against {frames.nbytes} of counts"
+        )
+        assert frames.shape == (512, 20, 2, 16, 16) and labels.shape == (512,)
 
     def test_sweep_seconds_split_grid_time(self, tiny_config, tiny_checkpoint, tmp_path):
         config = self._edited(tiny_config, tmp_path, timing="on")
@@ -799,7 +824,8 @@ class TestCliErrors:
         )
         assert code == 0
 
-    def test_huge_T_refused_without_allocating(self, tiny_config, tmp_path, capsys):
+    def test_huge_T_refused_without_allocating(self, tiny_config, tmp_path, capsys,
+                                               monkeypatch):
         # 10**13 steps of 12 records x 128 lines: far beyond any address
         # space, so NumPy refuses the allocation without touching memory.
         # The windows of 10**13 taps are checked by value, never built.
@@ -807,6 +833,16 @@ class TestCliErrors:
         path.write_text(tiny_config.read_text() + "window_ff = 10000000000000\n"
                         "window_fb = 10000000000000\n")
         out = tmp_path / "o"
+        # every synthetic record is drawn from its own ("data", ...) stream
+        drawn = []
+        real = SeededRng.substream
+
+        def substream(self, *parts):
+            if parts[0] == "data":
+                drawn.append(parts)
+            return real(self, *parts)
+
+        monkeypatch.setattr(SeededRng, "substream", substream)
         tracemalloc.start()
         try:
             code = _run("train", "--config", str(path), "--out", str(out), "--T", str(10**13))
@@ -816,8 +852,11 @@ class TestCliErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "T = 10000000000000 is too large" in err
-        assert "train split's inputs of shape (records, T, lines) = (12, 10000000000000, 128)" in err
+        assert ("train split's inputs of shape (records, T, lines) = (12, 10000000000000, 128) "
+                "cannot be allocated (15360000000000000 bytes)" in err)
         assert not out.exists()
+        # the counts are allocated before the first record is drawn
+        assert drawn == []
         # NumPy's allocation tracing records the refused request's size
         # (at address 0) although no memory came back; all else is small.
         # The counts are uint8, a byte each.
@@ -843,8 +882,8 @@ class TestCliErrors:
         assert _run("train", "--config", str(tiny_config), "--out", str(out)) == 2
         records = {"train": 12, "test": 8}[split]
         assert (f"T = 5 is too large: the {split} split's traces of shape "
-                f"(records, T, lines) = ({records}, 5, 128) cannot be allocated"
-                in capsys.readouterr().err)
+                f"(records, T, lines) = ({records}, 5, 128) cannot be allocated "
+                f"({records * 5 * 128 * 8} bytes)" in capsys.readouterr().err)
         assert not (out / "metrics.csv").exists()
 
     def test_checkpoint_chunk_traces_too_large_refused(
@@ -862,7 +901,7 @@ class TestCliErrors:
                     "--checkpoint", str(trained / "checkpoint.txt"))
         assert code == 2
         assert ("T = 5 is too large: a test chunk's traces of shape "
-                "(records, T, lines) = (8, 5, 128) cannot be allocated"
+                "(records, T, lines) = (8, 5, 128) cannot be allocated (40960 bytes)"
                 in capsys.readouterr().err)
         assert not (tmp_path / "s" / "metrics.csv").exists()
 
@@ -943,6 +982,38 @@ class TestEventsDatasetFlow:
         assert _run("train", "--config", str(cfg_path), "--out", str(out)) == 0
         rows = read_metrics(out / "metrics.csv")
         assert len(rows) == 1
+
+
+    @pytest.mark.parametrize("verb, train_geometry, test_geometry", [
+        ("train", (8, 8), (16, 16)),
+        ("mismatch", (8, 8), (16, 16)),
+        ("sweep-beta", (8, 8), (16, 16)),
+        ("sweep-snr", (16, 16), (8, 8)),
+        # the same 128 input lines, so only the check tells them apart
+        ("train", (16, 4), (8, 8)),
+    ])
+    def test_train_and_test_geometries_must_match(
+        self, tmp_path, capsys, verb, train_geometry, test_geometry
+    ):
+        from spikelink.events import SyntheticConfig, save_events
+
+        paths = {}
+        for tag, (w, h) in (("train", train_geometry), ("test", test_geometry)):
+            syn = SyntheticConfig(n_classes=2, width=w, height=h, duration_us=4000)
+            paths[tag] = tmp_path / f"{tag}.events"
+            save_events(synthetic_records(syn, 2, seed=2, tag=tag), paths[tag])
+        cfg_path = tmp_path / "ev.cfg"
+        cfg_path.write_text(
+            f"dataset = events\ntrain_events = {paths['train']}\n"
+            f"test_events = {paths['test']}\n"
+            "k = 4\nT = 5\nhidden = 8\nepochs = 1\nbatch_size = 4\ntiming = off\n"
+        )
+        out = tmp_path / "run"
+        assert _run(verb, "--config", str(cfg_path), "--out", str(out)) == 2
+        (tw, th), (sw, sh) = train_geometry, test_geometry
+        assert (f"error: train events have sensor geometry w={tw} h={th} "
+                f"but test events have w={sw} h={sh}") in capsys.readouterr().err
+        assert not out.exists()
 
 
 _PROPERTY = settings(

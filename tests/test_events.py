@@ -9,12 +9,15 @@ from spikelink.events import (
     EVENT_DTYPE,
     EventFormatError,
     EventRecord,
+    FramesTooLarge,
     SyntheticConfig,
     _draw_record,
     class_rate_map,
     frames_to_inputs,
     load_events,
+    load_frames,
     save_events,
+    synthetic_frames,
     synthetic_records,
 )
 from spikelink.numerics import SeededRng
@@ -183,6 +186,94 @@ class TestFramesToInputs:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             frames_to_inputs([], 3)
+
+
+def _binned(path_or_records, steps):
+    """frames_to_inputs' counts and labels of records or of an event file."""
+    records = path_or_records
+    if not isinstance(records, list):
+        records = load_events(records)
+    return frames_to_inputs(records, steps)
+
+
+def _flat(frames):
+    return frames.reshape(*frames.shape[:2], -1)
+
+
+class TestSplitFrames:
+    """synthetic_frames and load_frames bin as they draw or parse, and give
+    frames_to_inputs' counts of the record list they never build."""
+
+    @pytest.mark.parametrize("steps", [1, 7, 20])
+    def test_synthetic_frames_equal_binned_records(self, steps):
+        cfg = SyntheticConfig(n_classes=3, width=6, height=5, duration_us=997)
+        frames, labels = synthetic_frames(cfg, 4, seed=4, steps=steps, tag="test")
+        inputs, expected = _binned(synthetic_records(cfg, 4, seed=4, tag="test"), steps)
+        assert frames.shape == (12, steps, 2, 5, 6) and frames.dtype == np.uint8
+        assert np.array_equal(_flat(frames), inputs)
+        assert labels.dtype == expected.dtype and np.array_equal(labels, expected)
+
+    def test_synthetic_frames_too_large_names_the_split(self):
+        with pytest.raises(FramesTooLarge) as exc:
+            synthetic_frames(SyntheticConfig(), 3, seed=0, steps=10**13)
+        assert exc.value.shape == (12, 10**13, 512)
+
+    @pytest.mark.parametrize("steps", [1, 7, 20])
+    def test_load_frames_equal_binned_records(self, tmp_path, steps):
+        cfg = SyntheticConfig(width=6, height=5, duration_us=997)
+        path = tmp_path / "split.events"
+        recs = synthetic_records(cfg, 3, seed=4)
+        recs.append(_record([(0, 0, 0, 0), (1000, 3, 3, 1)], label=1, w=6, h=5, dur=1000))
+        recs.append(_record([], label=2, w=6, h=5, dur=7))
+        save_events(recs, path)
+        frames, labels = load_frames(path, steps)
+        inputs, expected = _binned(path, steps)
+        assert frames.shape == (len(recs), steps, 2, 5, 6)
+        assert np.array_equal(_flat(frames), inputs) and np.array_equal(labels, expected)
+
+    def test_load_frames_cut_to_the_records_parsed(self, tmp_path):
+        # a header key may hold a "#", so the "#" count only bounds the records
+        path = tmp_path / "hash.events"
+        path.write_text("# record label=1 w=2 h=3 dur_us=10 #note=4\n3 1 2 1\n")
+        frames, labels = load_frames(path, 2)
+        assert frames.shape == (1, 2, 2, 3, 2) and frames.flags.owndata
+        assert np.array_equal(_flat(frames), _binned(path, 2)[0]) and labels.tolist() == [1]
+
+    def test_load_frames_of_no_records(self, tmp_path):
+        path = tmp_path / "empty.events"
+        path.write_text("\n")
+        frames, labels = load_frames(path, 3)
+        assert frames.shape == (0, 3, 2, 0, 0) and labels.shape == (0,)
+
+    @pytest.mark.parametrize("text, error, message", [
+        # the mix is found at record 2, but the parse error of record 3 wins,
+        # as it does for frames_to_inputs(load_events(path), steps)
+        ("# record label=0 w=4 h=4 dur_us=10\n1 0 0 1\n"
+         "# record label=0 w=5 h=4 dur_us=10\n"
+         "# record label=0 w=4 h=4 dur_us=10\n1 0 0\n",
+         EventFormatError, "^line 5: expected 4 fields, got 3"),
+        # a duration too long to bin, then a mix: the mix is reported
+        (f"# record label=0 w=4 h=4 dur_us={2**62}\n"
+         "# record label=0 w=5 h=4 dur_us=10\n",
+         ValueError, "^records mix sensor geometries"),
+        (f"# record label=0 w=4 h=4 dur_us=10\n\n# record label=0 w=4 h=4 dur_us={2**62}\n",
+         ValueError, "^record duration too long to bin"),
+    ], ids=["parse-error-first", "mix-before-duration", "duration"])
+    def test_load_frames_reports_errors_in_load_then_bin_order(
+        self, tmp_path, text, error, message
+    ):
+        path = tmp_path / "bad.events"
+        path.write_text(text)
+        for load in (lambda: _binned(path, 4), lambda: load_frames(path, 4)):
+            with pytest.raises(error, match=message):
+                load()
+
+    def test_load_frames_too_large_names_the_split(self, tmp_path):
+        path = tmp_path / "split.events"
+        save_events(synthetic_records(SyntheticConfig(width=4, height=4), 2, seed=1), path)
+        with pytest.raises(FramesTooLarge) as exc:
+            load_frames(path, 10**13)
+        assert exc.value.shape == (8, 10**13, 32)
 
 
 class TestSyntheticTask:
@@ -450,3 +541,21 @@ def test_damaged_line_is_named(tmp_path, records, data):
         expected = rf"^line {line_no}: "
     with pytest.raises(EventFormatError, match=expected):
         load_events(path)
+    with pytest.raises(EventFormatError, match=expected):
+        load_frames(path, 3)
+
+
+@_PROPERTY
+@given(st.lists(_records(), min_size=1, max_size=4), st.integers(1, 9))
+def test_load_frames_bins_as_frames_to_inputs(tmp_path, records, steps):
+    # the same counts and labels, or the same error for a geometry mix
+    path = tmp_path / "split.txt"
+    save_events(records, path)
+    try:
+        inputs, labels = frames_to_inputs(records, steps)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            load_frames(path, steps)
+        return
+    frames, got = load_frames(path, steps)
+    assert np.array_equal(_flat(frames), inputs) and np.array_equal(got, labels)

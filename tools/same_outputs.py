@@ -10,8 +10,11 @@ and its metrics.csv and checkpoint.txt are diffed byte for byte.  Beside
 each verdict it prints the two children's peak RSS (from wait4), so a
 memory change shows on every case.  The cases run in order, so
 `sweep-snr-checkpoint` evaluates the checkpoint TREE_A wrote in
-`default-seed5` on both trees: it compares evaluation alone.  --tiny
-shrinks every case to a few samples and two epochs, for a smoke test.
+`default-seed5` on both trees: it compares evaluation alone.  The
+`event-files` case trains on train and test event files that the tool
+writes once into the work directory, so both trees parse the same bytes.
+--tiny shrinks every case to a few samples and two epochs, for a smoke
+test.
 Exit status 0 when every case matches, 1 otherwise.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -37,11 +41,45 @@ CASES = (
     ("train-per-point", ["sweep-snr", "--train-per-point", "--ebn0-grid-db=0,2"], {"seed": 6}),
     ("mismatch", ["mismatch"], {"seed": 8}),
     ("sweep-snr-checkpoint", ["sweep-snr"], {"seed": 5}),
+    ("event-files", ["train"], {"seed": 9, "dataset": "events"}),
 )
 CHECKPOINT_FROM = "default-seed5"
 TINY = {"height": 8, "width": 8, "train_per_class": 4, "test_per_class": 3,
         "k": 4, "T": 6, "hidden": 8, "epochs": 2}
 COMPARED = ("metrics.csv", "checkpoint.txt")
+
+
+def write_event_files(work: Path, tiny: bool) -> dict:
+    """Train and test event files of a four-class bar task, in the block
+    text format; returns their config values.
+
+    The events come from a fixed stdlib stream, not from either tree, and
+    the full-size train file spans many of the parser's read pieces.
+    """
+    side, counts = (8, (8, 6)) if tiny else (16, (256, 128))
+    duration = 20000
+    rng = random.Random(2024)
+    values = {}
+    for split, n in zip(("train", "test"), counts):
+        lines = []
+        for i in range(n):
+            label = i % 4
+            events = []
+            for y in range(side):
+                for x in range(side):
+                    # distance from the class's bar: row, column, diagonal, anti-diagonal
+                    offsets = (y - side // 2, x - side // 2, y - x, x + y - (side - 1))
+                    on_bar = abs(offsets[label]) < 2
+                    for _ in range(rng.randint(0, 6) if on_bar else int(rng.random() < 0.1)):
+                        events.append((rng.randint(0, duration), x, y, int(rng.random() < 0.7)))
+            events.sort()
+            lines.append(f"# record label={label} w={side} h={side} dur_us={duration}\n")
+            lines.extend(f"{t} {x} {y} {p}\n" for t, x, y, p in events)
+            lines.append("\n")
+        path = work / f"{split}.events"
+        path.write_text("".join(lines))
+        values[f"{split}_events"] = str(path)
+    return values
 
 
 def source_dir(tree: str) -> Path:
@@ -89,9 +127,13 @@ def differences(a: Path, b: Path) -> list[str]:
 
 def compare(tree_a: str, tree_b: str, tiny: bool, work: Path) -> bool:
     srcs = {"a": source_dir(tree_a), "b": source_dir(tree_b)}
+    work.mkdir(parents=True, exist_ok=True)
+    event_files = write_event_files(work, tiny)
     same = True
     for name, flags, config in CASES:
         config = {**config, **TINY} if tiny else config
+        if config.get("dataset") == "events":
+            config = {**config, **event_files}
         if name == "sweep-snr-checkpoint":
             flags = flags + ["--checkpoint", str(work / "a" / CHECKPOINT_FROM / "checkpoint.txt")]
         runs = {side: run_case(src, work / side / name, flags, config)
