@@ -31,7 +31,7 @@ from .events import EventFormatError, FramesTooLarge, load_frames, synthetic_fra
 from .metrics import MetricsRow, _atomic_open, export_metrics, read_metrics, write_metrics
 from .numerics import SeededRng, db_to_linear, ebn0_to_epsilon
 from .training import (
-    EVAL_CHUNK,
+    ChunkTooLarge,
     Dataset,
     TrainingDiverged,
     evaluate_grid,
@@ -48,9 +48,10 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _too_large(cfg: RunConfig, what: str, shape, itemsize: int) -> ConfigError:
+def _too_large(cfg: RunConfig, what: str, shape, itemsize: int,
+               width: str = "lines") -> ConfigError:
     return ConfigError(
-        f"T = {cfg.T} is too large: {what} of shape (records, T, lines) = "
+        f"T = {cfg.T} is too large: {what} of shape (records, T, {width}) = "
         f"{tuple(shape)} cannot be allocated ({itemsize * math.prod(shape)} bytes)"
     )
 
@@ -79,20 +80,19 @@ def _flat(frames: np.ndarray) -> np.ndarray:
     return frames.reshape(*frames.shape[:2], -1)
 
 
-def _filter_splits(cfg: RunConfig, data: Dataset, kernel) -> None:
-    """filter_dataset; traces too large to allocate are a ConfigError
-    naming T and the shape of the split whose traces failed."""
-    shapes = {"train": data.train_inputs.shape, "test": data.test_inputs.shape}
+def _filter_train(cfg: RunConfig, data: Dataset, kernel) -> None:
+    """filter_dataset; train traces too large to allocate are a ConfigError
+    naming T and the train split's shape."""
+    shape = data.train_inputs.shape
     try:
         filter_dataset(data, kernel)
     except MemoryError as exc:
-        # the splits are replaced train first, each once its traces exist
-        tag = "test" if data.train_inputs.dtype == np.float64 else "train"
-        raise _too_large(cfg, f"the {tag} split's traces", shapes[tag], 8) from exc
+        raise _too_large(cfg, "the train split's traces", shape, 8) from exc
 
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
-    # the counts are filtered into traces after model set-up (filter_dataset)
+    # the train counts are filtered into traces after model set-up
+    # (filter_dataset); the test counts stay as they are
     train_x, train_y = _split_inputs(cfg, "train")
     test_x, test_y = _split_inputs(cfg, "test")
     if train_x.shape[3:] != test_x.shape[3:]:
@@ -133,7 +133,7 @@ def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int):
     """Full training loop; returns params and one metrics row per epoch."""
     eps = cfg.crossover()
     encoder, decoder = _init_models(cfg, data)
-    _filter_splits(cfg, data, encoder.kernel_ff)
+    _filter_train(cfg, data, encoder.kernel_ff)
     root = SeededRng(cfg.seed)
     opt_state: dict = {}
     rows = []
@@ -217,7 +217,7 @@ def _check_checkpoint(cfg: RunConfig, encoder, decoder, meta: dict, test_x, test
     equal the config's, and the arrays must fit the config and the test
     split; event-file labels must all be below the decoder's class count.
     Kernels that differ from the config's only warn: the checkpoint's are
-    used, also to filter the test split.
+    used, also to make the test split's drive.
     """
     wanted = {"k": cfg.k, "T": cfg.T, "hidden": cfg.hidden}
     if cfg.dataset == "synthetic":
@@ -297,19 +297,17 @@ def _sweep_train_per_point(cfg: RunConfig, grid) -> int:
 
 
 def _sweep_one_model(cfg: RunConfig, grid, experiment: str, checkpoint: str | None = None) -> int:
-    """Evaluate one model across the grid in one evaluate_grid call: the
-    checkpoint's, or one trained here at the configured point (saved as
-    checkpoint.txt).  Each row gets an even share of the grid's time.
-
-    From a checkpoint nothing trains, so only the test split is built, and
-    evaluate_grid filters its counts a chunk at a time."""
+    """Evaluate one model across the grid in one evaluate_grid call on the
+    test split's counts: the checkpoint's model, or one trained here at the
+    configured point (saved as checkpoint.txt).  Each row gets an even
+    share of the grid's time.  From a checkpoint nothing trains, so only
+    the test split is built."""
     if checkpoint:
         encoder, decoder, meta = load_checkpoint(checkpoint)
         test_x, test_y = _split_inputs(cfg, "test")
         test_x = _flat(test_x)
         _check_checkpoint(cfg, encoder, decoder, meta, test_x, test_y)
         out = _out_dir(cfg)
-        kernel = encoder.kernel_ff
     else:
         cfg.training_crossover()
         data = _build_dataset(cfg)
@@ -319,14 +317,9 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, checkpoint: str | No
         except TrainingDiverged as exc:
             return _aborted(out, [], exc)
         save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
-        test_x, test_y, kernel = data.test_inputs, data.test_labels, None
+        test_x, test_y = data.test_inputs, data.test_labels
     started = time.perf_counter()
-    try:
-        results = evaluate_grid(encoder, decoder, test_x, test_y,
-                                [eps for eps, _ in grid], cfg.seed, kernel=kernel)
-    except MemoryError as exc:
-        chunk = (min(len(test_x), EVAL_CHUNK), *test_x.shape[1:])
-        raise _too_large(cfg, "a test chunk's traces", chunk, 8) from exc
+    results = evaluate_grid(encoder, decoder, test_x, test_y, [eps for eps, _ in grid], cfg.seed)
     seconds = (time.perf_counter() - started) / len(grid) if cfg.timing else 0.0
     rows = []
     for i, ((eps, db), (error, rate)) in enumerate(zip(grid, results)):
@@ -485,6 +478,12 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, CheckpointError, EventFormatError, ValueError) as exc:
         _log(f"error: {exc}")
+        return 2
+    except ChunkTooLarge as exc:
+        # only evaluation raises it, after cfg is built: from an epoch's
+        # evaluation or from a grid's
+        error = _too_large(cfg, "a test chunk's drive", exc.shape, 8, "k")
+        _log(f"error: {error}")
         return 2
     except TrainingDiverged as exc:
         _log(f"error: {exc}")

@@ -3,12 +3,22 @@
 Each of the k read-out neurons integrates filtered input spikes through its
 feedforward weights, its own past spikes through a self-feedback weight, and
 a bias.  Spiking is Bernoulli in the sigmoid of that membrane potential.
-`filter_inputs` turns input counts (the uint8 frames, or any real array)
-into float64 input traces; `rollout` runs the recurrence on those traces,
-one step at a time, for a whole batch of sequences; it keeps the fed-back
-bits as float64 too, so the feedback trace reads them without a cast.  The
-traces that build the potential are also its parameter gradients, so the
-rollout keeps them, with the spike probabilities, for `score_grads`.
+The filtered inputs reach the potential only as the feedforward drive
+W·(a∗x), the weights times the input trace, and the filter is linear, so
+there are two ways to make it.  Training filters the input lines
+(`filter_inputs`, counts to float64 traces, which are also the feedforward
+weights' gradient) and projects each step's traces (`drive_from_traces`).
+Evaluation projects each step's counts to the k neurons first and filters
+those k columns (`drive_from_counts`), a∗(W·x): no input trace is made, and
+the drive differs from the training one only by float rounding (at most
+about 1e-14 on drives of order 1).  Evaluation reports integer tallies,
+which that rounding moves only if a spike uniform falls between the two
+spike probabilities.  Training keeps the line-space drive, bit for bit,
+until a law-level check of changes that reorder float sums exists.
+`rollout` runs the recurrence on a drive, one step at a time, for a whole
+batch of sequences; it keeps the fed-back bits as float64 too, so the
+feedback trace reads them without a cast, and keeps the spike
+probabilities and feedback traces for `score_grads`.
 """
 
 from __future__ import annotations
@@ -26,6 +36,8 @@ __all__ = [
     "EncoderGrads",
     "init_encoder_params",
     "filter_inputs",
+    "drive_from_traces",
+    "drive_from_counts",
     "rollout",
     "grad_u_log_prob_noisy",
     "score_grads",
@@ -147,6 +159,59 @@ def filter_inputs(counts: np.ndarray, kernel: Kernel) -> np.ndarray:
     return traces
 
 
+def _check_inputs(params: EncoderParams, inputs: np.ndarray, what: str) -> None:
+    if inputs.ndim != 3 or inputs.shape[2] != params.n_in:
+        raise ValueError(
+            f"{what} must have shape (n, steps, {params.n_in}), got {inputs.shape}"
+        )
+
+
+def drive_from_traces(params: EncoderParams, traces) -> np.ndarray:
+    """Feedforward drive of input traces (n, steps, lines), as (n, steps, k).
+
+    The traces are the inputs already filtered with params.kernel_ff (see
+    filter_inputs).  Step t's drive is traces[:, t, :] @ ff_weights.T, one
+    matmul per step: a single matmul over all n * steps rows rounds
+    differently at small batches, and training keeps its bits.  The drive
+    is step-major under its (n, steps, k) view, so each step reads
+    contiguous rows.
+    """
+    traces = np.asarray(traces, dtype=np.float64)
+    _check_inputs(params, traces, "traces")
+    n, steps, _ = traces.shape
+    drive = np.empty((steps, n, params.n_out))
+    for t in range(steps):
+        drive[t] = traces[:, t, :] @ params.ff_weights.T
+    return drive.transpose(1, 0, 2)
+
+
+def drive_from_counts(params: EncoderParams, counts) -> np.ndarray:
+    """Feedforward drive of input counts (n, steps, lines), as (n, steps, k),
+    filtered in neuron space: a∗(W·x) in place of W·(a∗x).
+
+    Each step's counts are cast into one reused float64 (n, lines) buffer
+    and projected to the k neurons by one matmul; then filter_inputs runs
+    the taps over the n * k projected columns, time-major as a (1, steps,
+    n * k) array, so each tap reads contiguous rows.  No float64 array of
+    the counts' size is made.  The result equals drive_from_traces of the
+    counts' traces up to float rounding: the two sum the same products in
+    another order.
+    """
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "buif":
+        raise ValueError("drive_from_counts needs a real array of counts")
+    _check_inputs(params, counts, "counts")
+    n, steps, lines = counts.shape
+    k = params.n_out
+    row = np.empty((n, lines))
+    projected = np.empty((steps, n, k))
+    for t in range(steps):
+        row[...] = counts[:, t, :]
+        np.matmul(row, params.ff_weights.T, out=projected[t])
+    drive = filter_inputs(projected.reshape(1, steps, n * k), params.kernel_ff)
+    return drive.reshape(steps, n, k).transpose(1, 0, 2)
+
+
 def _feedback_trace(bits: np.ndarray, t: int, kernel: Kernel) -> np.ndarray:
     """Filtered own-bit history at step t for a batch of float64 bits of
     shape (n, steps, k), strictly past bits.
@@ -171,29 +236,26 @@ class Rollout:
     bits: np.ndarray         # (n, steps, k) uint8, the bits fed back
     potentials: np.ndarray   # (n, steps, k)
     spike_probs: np.ndarray  # (n, steps, k), sigmoid of the potentials
-    ff_traces: np.ndarray    # (n, steps, lines), input history up to and including t
     fb_traces: np.ndarray    # (n, steps, k), own-bit history strictly before t
 
 
-def rollout(params: EncoderParams, traces, bits_at) -> Rollout:
-    """Run the recurrence over input traces of shape (n, steps, lines).
+def rollout(params: EncoderParams, drive, bits_at) -> Rollout:
+    """Run the recurrence over a feedforward drive of shape (n, steps, k).
 
-    The traces are the inputs already filtered with params.kernel_ff (see
-    filter_inputs).  At each step t, bits_at(t, s) turns that step's spike
-    probabilities s = sigmoid(u), shape (n, k), into its bits, which every
-    later step feeds back.  Training draws them from the
-    channel-marginalized law (channel.sample_noisy), evaluation compares
+    The drive is the filtered input already projected onto the neurons
+    (drive_from_traces or drive_from_counts).  At each step t, bits_at(t, s)
+    turns that step's spike probabilities s = sigmoid(u), shape (n, k), into
+    its bits, which every later step feeds back.  Training draws them from
+    the channel-marginalized law (channel.sample_noisy), evaluation compares
     pre-drawn spike uniforms with s, and the gradient oracles hand back
     fixed bits to replay a given sequence.  A single sequence is a batch of
     one.
     """
-    ff = np.asarray(traces, dtype=np.float64)
-    if ff.ndim != 3 or ff.shape[2] != params.n_in:
-        raise ValueError(
-            f"traces must have shape (n, steps, {params.n_in}), got {ff.shape}"
-        )
-    n, steps, _ = ff.shape
+    drive = np.asarray(drive, dtype=np.float64)
     k = params.n_out
+    if drive.ndim != 3 or drive.shape[2] != k:
+        raise ValueError(f"drive must have shape (n, steps, {k}), got {drive.shape}")
+    n, steps, _ = drive.shape
     bits = np.zeros((n, steps, k), dtype=np.uint8)
     # the fed-back bits again as float64, so no tap casts, and step-major
     # under an (n, steps, k) view, so each tap reads contiguous rows
@@ -203,14 +265,14 @@ def rollout(params: EncoderParams, traces, bits_at) -> Rollout:
     fb_traces = np.zeros((n, steps, k))
     for t in range(steps):
         fb = _feedback_trace(fed, t, params.kernel_fb)
-        u = ff[:, t, :] @ params.ff_weights.T + params.fb_weights * fb + params.bias
+        u = drive[:, t, :] + params.fb_weights * fb + params.bias
         s = sigmoid(u)
         bits[:, t, :] = bits_at(t, s)
         fed[:, t, :] = bits[:, t, :]
         potentials[:, t, :] = u
         spike_probs[:, t, :] = s
         fb_traces[:, t, :] = fb
-    return Rollout(bits, potentials, spike_probs, ff, fb_traces)
+    return Rollout(bits, potentials, spike_probs, fb_traces)
 
 
 def grad_u_log_prob_noisy(zhat, s, epsilon: float):
@@ -236,14 +298,16 @@ def grad_u_log_prob_noisy(zhat, s, epsilon: float):
     return (1.0 - 2.0 * eps) * s * (1.0 - s) * (zhat / q - (1.0 - zhat) / (1.0 - q))
 
 
-def score_grads(run: Rollout, epsilon: float, weights: np.ndarray) -> EncoderGrads:
+def score_grads(run: Rollout, traces: np.ndarray, epsilon: float,
+                weights: np.ndarray) -> EncoderGrads:
     """Parameter gradient of sum_b weights[b] * log p(run.bits[b]).
 
     p is the channel-marginalized law with run.bits fed back, so each
     sequence's log-likelihood is a sum of per-step terms.  A step's term
     depends on the parameters only through u, whose parameter gradients
-    are the traces that built it: the filtered input for the feedforward
-    row, the feedback trace for the feedback weight, and 1 for the bias.
+    are the traces that built it: the input traces (n, steps, lines) the
+    run's drive was made from (drive_from_traces) for the feedforward row,
+    the feedback trace for the feedback weight, and 1 for the bias.
 
     The feedforward contraction takes the weights folded into the score
     first; with this NumPy's einsum loop order that equals the
@@ -253,7 +317,7 @@ def score_grads(run: Rollout, epsilon: float, weights: np.ndarray) -> EncoderGra
     """
     score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, epsilon)
     return EncoderGrads(
-        ff_weights=np.einsum("btk,btn->kn", weights[:, None, None] * score_u, run.ff_traces),
+        ff_weights=np.einsum("btk,btn->kn", weights[:, None, None] * score_u, traces),
         fb_weights=np.einsum("b,btk,btk->k", weights, score_u, run.fb_traces),
         bias=np.einsum("b,btk->k", weights, score_u),
     )

@@ -4,12 +4,19 @@ The objective per sample is the decoder's classification loss plus beta
 times a rate term: the log-ratio between the channel-marginalized encoding
 law and a fixed Bernoulli reference over the received bits.  The decoder is
 updated with exact gradients; the encoder with the score-function estimator
-(one Monte Carlo draw per input), built from the traces the rollout keeps.
-A dataset holds the binned frames as uint8 counts until filter_dataset
-replaces each split with the encoder's float64 input traces, once, before
-the first epoch; every rollout then reads them.  An evaluation that needs
-no training (a checkpoint sweep) keeps the counts and lets evaluate_grid
-filter them a chunk at a time.
+(one Monte Carlo draw per input), built from the input traces and the
+traces the rollout keeps.  A dataset holds the binned frames as uint8
+counts until filter_dataset replaces the train split with the encoder's
+float64 input traces, once, before the first epoch; every training rollout
+then reads them.  The test split stays uint8 counts: evaluate_grid makes
+each chunk's feedforward drive in neuron space (encoder.drive_from_counts),
+so no evaluation, in training or from a checkpoint, makes float64 test
+traces.  That drive differs from training's line-space one only by float
+rounding, and evaluation reports integer tallies (wrong answers, spikes),
+which move only if a spike uniform falls between two probabilities that
+differ by that rounding.  Training keeps its line-space drive, so its
+trajectories stay bit for bit; moving it to neuron space too reorders its
+float sums and waits for a law-level check of such changes.
 train_epoch reads its settings by name from the run's RunConfig, whose
 validate() has already checked them.
 
@@ -39,7 +46,14 @@ from .decoder import (
     forward_batch,
     losses_from_logits_batch,
 )
-from .encoder import EncoderParams, filter_inputs, rollout, score_grads
+from .encoder import (
+    EncoderParams,
+    drive_from_counts,
+    drive_from_traces,
+    filter_inputs,
+    rollout,
+    score_grads,
+)
 from .numerics import Kernel, SeededRng
 
 # test samples per evaluation chunk: bounds evaluation memory, not results
@@ -50,6 +64,7 @@ __all__ = [
     "Dataset",
     "filter_dataset",
     "TrainingDiverged",
+    "ChunkTooLarge",
     "regularizer",
     "vdib_loss",
     "sgd_update",
@@ -61,6 +76,16 @@ __all__ = [
 
 class TrainingDiverged(RuntimeError):
     """Raised when a loss or gradient stops being finite."""
+
+
+class ChunkTooLarge(MemoryError):
+    """A test chunk's float64 (records, steps, k) arrays cannot be
+    allocated: its draws, its drive or its rollout.  shape is the chunk's
+    (records, steps, k)."""
+
+    def __init__(self, shape: tuple[int, int, int]):
+        self.shape = shape
+        super().__init__(f"a test chunk's drive of shape {shape} cannot be allocated")
 
 
 @dataclass(frozen=True)
@@ -85,9 +110,10 @@ class PriorModel:
 class Dataset:
     """Encoder inputs split into train and test.
 
-    While kernel is None the inputs are frame counts, kept in the dtype
-    they come in (uint8 from events.frames_to_inputs); filter_dataset
-    replaces them with float64 input traces filtered by kernel.
+    The inputs are frame counts, kept in the dtype they come in (uint8
+    from the events module).  While kernel is None the train split is
+    counts too; filter_dataset replaces it with float64 input traces
+    filtered by kernel.  The test split always stays counts.
     """
 
     train_inputs: np.ndarray
@@ -113,15 +139,14 @@ class Dataset:
 
 
 def filter_dataset(data: Dataset, kernel: Kernel) -> Dataset:
-    """Replace both splits' counts with their input traces under kernel.
+    """Replace the train split's counts with their input traces under kernel.
 
-    The splits go one at a time, so the train counts are dropped before the
-    test traces are made.  Filtering again with the same kernel does
-    nothing; another kernel is refused, because the counts are gone.
+    The test split keeps its counts (evaluate_grid reads counts).
+    Filtering again with the same kernel does nothing; another kernel is
+    refused, because the train counts are gone.
     """
     if data.kernel is None:
         data.train_inputs = filter_inputs(data.train_inputs, kernel)
-        data.test_inputs = filter_inputs(data.test_inputs, kernel)
         data.kernel = kernel
     elif data.kernel != kernel:
         raise ValueError("dataset was already filtered with a different kernel")
@@ -221,14 +246,14 @@ def train_epoch(
     baseline and the test samples' evaluation draws across epochs, so a
     run that passes one state draws those uniforms in its first epoch
     only; without a state, evaluation draws chunk by chunk and keeps
-    nothing.  The dataset must hold traces filtered with the encoder's
-    kernel_ff (filter_dataset).
+    nothing.  The dataset's train split must hold traces filtered with the
+    encoder's kernel_ff (filter_dataset); its test split holds counts.
     Of the config it reads the channel point, beta, eta, batch_size, seed,
     prior_rate, momentum, grad_clip and baseline.
     """
     eps = config.training_crossover()
     if data.kernel != encoder.kernel_ff:
-        raise ValueError("dataset inputs are not traces filtered with the encoder's kernel_ff")
+        raise ValueError("train inputs are not traces filtered with the encoder's kernel_ff")
     prior = PriorModel(config.prior_rate)
     eval_draws = None if state is None else state.setdefault("eval_draws", {})
     state = state if state is not None else {}
@@ -241,7 +266,8 @@ def train_epoch(
         batch = order[start : start + config.batch_size]
         xb = data.train_inputs[batch]
         yb = data.train_labels[batch]
-        run = rollout(encoder, xb, lambda t, s: sample_noisy(s, eps, draw))
+        run = rollout(encoder, drive_from_traces(encoder, xb),
+                      lambda t, s: sample_noisy(s, eps, draw))
         rate_losses = regularizer(run.bits, run.potentials, eps, prior, run.spike_probs)
         flat = run.bits.reshape(len(batch), -1).astype(np.float64)
         pre, hidden, logits, probs = forward_batch(decoder, flat)
@@ -258,7 +284,7 @@ def train_epoch(
             reinforce = sample_losses - avg
             state["baseline"] = 0.9 * avg + 0.1 * float(sample_losses.mean())
         enc_grads = _clip(
-            score_grads(run, eps, reinforce / float(len(batch))), config.grad_clip
+            score_grads(run, xb, eps, reinforce / float(len(batch))), config.grad_clip
         )
         dec_grads = _clip(
             backward_batch(decoder, flat, pre, hidden, probs, yb), config.grad_clip
@@ -299,31 +325,35 @@ def _eval_uniforms(root: SeededRng, start: int, m: int, steps: int, k: int):
 def evaluate(
     encoder: EncoderParams,
     decoder: DecoderParams,
-    traces: np.ndarray,
+    counts: np.ndarray,
     labels: np.ndarray,
     epsilon: float,
     seed: int,
     draws: dict | None = None,
 ) -> tuple[float, float]:
     """Test error and clean spike rate at one channel point (see evaluate_grid)."""
-    return evaluate_grid(encoder, decoder, traces, labels, [epsilon], seed, draws)[0]
+    return evaluate_grid(encoder, decoder, counts, labels, [epsilon], seed, draws)[0]
 
 
 def evaluate_grid(
     encoder: EncoderParams,
     decoder: DecoderParams,
-    inputs: np.ndarray,
+    counts: np.ndarray,
     labels: np.ndarray,
     epsilons,
     seed: int,
     draws: dict | None = None,
-    kernel: Kernel | None = None,
 ) -> list[tuple[float, float]]:
     """(test error, clean spike rate) at each channel point, under the
-    two-stage channel path.  With kernel None the test inputs are traces
-    already filtered with the encoder's kernel_ff; otherwise they are
-    counts, and each chunk is filtered with kernel just before its rollout,
-    so the whole set's traces never exist at once.
+    two-stage channel path, from the test inputs' counts (n, steps, lines).
+
+    Each chunk's feedforward drive is made from its counts in neuron space
+    (encoder.drive_from_counts), so no float64 input trace of the test set,
+    or of a chunk, is ever made.  The drive rounds differently from the
+    line-space drive training uses; the tallies below are integers and
+    equal the line-space evaluation's unless a spike uniform falls within
+    that rounding of its spike probability.  A chunk whose draws, drive or
+    rollout cannot be allocated raises ChunkTooLarge.
 
     Per-sample draw streams depend only on (seed, sample index), never on
     epsilon or the parameters, so repeated evaluations of one model across
@@ -334,8 +364,10 @@ def evaluate_grid(
 
     Clean spikes do not depend on epsilon, so each chunk of EVAL_CHUNK
     samples is rolled out once, and only the flips and the decoder run per
-    point.  Memory is bounded by the chunk, not the test set, and the
-    tallies are integers, so the chunk size cannot change the results.
+    point.  Memory is bounded by the chunk, not the test set.  The chunk
+    size can move a drive by float rounding only (a matmul's rounding may
+    depend on its row count), so under the same tally contract it does not
+    change the results.
 
     The uniforms depend on nothing but the seed, the sample index and the
     shape, so a caller that evaluates the same test set again (training
@@ -344,7 +376,7 @@ def evaluate_grid(
     back afterwards.  Then it holds both uniform tensors of the whole test
     set; without it, memory holds one chunk's.
     """
-    n, steps, _ = np.shape(inputs)
+    n, steps, _ = np.shape(counts)
     if n == 0:
         raise ValueError("cannot evaluate an empty test set")
     labels = np.asarray(labels)
@@ -354,23 +386,25 @@ def evaluate_grid(
     wrong = [0] * len(epsilons)
     spikes = 0
     for start in range(0, n, EVAL_CHUNK):
-        x = inputs[start : start + EVAL_CHUNK]
-        if kernel is not None:
-            x = filter_inputs(x, kernel)
+        x = counts[start : start + EVAL_CHUNK]
         m = len(x)
-        if draws is None:
-            spike_u, flip_u = _eval_uniforms(root, start, m, steps, k)
-        else:
-            key = (seed, start, m, steps, k)
-            if key not in draws:
-                draws[key] = _eval_uniforms(root, start, m, steps, k)
-            spike_u, flip_u = draws[key]
-        z = rollout(encoder, x, lambda t, s: spike_u[:, t, :] < s).bits
-        spikes += int(np.count_nonzero(z))
         y = labels[start : start + m]
-        for i, eps in enumerate(epsilons):
-            zhat = transmit(z, eps, flip_u)
-            _, _, _, probs = forward_batch(decoder, zhat.reshape(m, -1).astype(np.float64))
-            wrong[i] += int(np.count_nonzero(np.argmax(probs, axis=1) != y))
+        try:
+            if draws is None:
+                spike_u, flip_u = _eval_uniforms(root, start, m, steps, k)
+            else:
+                key = (seed, start, m, steps, k)
+                if key not in draws:
+                    draws[key] = _eval_uniforms(root, start, m, steps, k)
+                spike_u, flip_u = draws[key]
+            z = rollout(encoder, drive_from_counts(encoder, x),
+                        lambda t, s: spike_u[:, t, :] < s).bits
+            spikes += int(np.count_nonzero(z))
+            for i, eps in enumerate(epsilons):
+                zhat = transmit(z, eps, flip_u)
+                _, _, _, probs = forward_batch(decoder, zhat.reshape(m, -1).astype(np.float64))
+                wrong[i] += int(np.count_nonzero(np.argmax(probs, axis=1) != y))
+        except MemoryError as exc:
+            raise ChunkTooLarge((m, steps, k)) from exc
     rate = spikes / (n * steps * k)
     return [(count / n, rate) for count in wrong]

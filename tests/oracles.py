@@ -8,7 +8,10 @@ import math
 
 import numpy as np
 
+from spikelink.decoder import forward_batch
+from spikelink.encoder import filter_inputs
 from spikelink.metrics import CSV_HEADER, MetricsRow
+from spikelink.numerics import SeededRng, sigmoid
 
 
 def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
@@ -46,3 +49,42 @@ def parse_kv_metrics(text: str) -> list[MetricsRow]:
         values = dict(item.split("=", 1) for item in line.split(" "))
         rows.append(MetricsRow.from_fields([values.get(col, "") for col in CSV_HEADER]))
     return rows
+
+
+def evaluate_line_space(encoder, decoder, counts, labels, epsilons, seed: int):
+    """(test error, clean spike rate) at each channel point, as
+    training.evaluate_grid documents them, one sample and one step at a
+    time in line space.
+
+    Each sample's counts become input traces (filter_inputs), and step t's
+    potential is traces[t] @ ff_weights.T, W·(a∗x), plus the feedback
+    weight times the filtered own-bit history and the bias.  Each sample
+    draws from its own stream ("eval", index) of the seed: spike uniforms
+    (steps x neurons) first, flip uniforms second; a step spikes where its
+    spike uniform is below sigmoid(u), and a bit flips where its flip
+    uniform is below epsilon.
+    """
+    counts = np.asarray(counts)
+    n, steps, _ = counts.shape
+    k = encoder.n_out
+    taps = encoder.kernel_fb.coefficients
+    wrong = [0] * len(epsilons)
+    spikes = 0
+    for i in range(n):
+        traces = filter_inputs(counts[i : i + 1], encoder.kernel_ff)[0]
+        stream = SeededRng(seed).substream("eval", i)
+        spike_u = stream.uniform((steps, k))
+        flip_u = stream.uniform((steps, k))
+        z = np.zeros((steps, k), dtype=np.uint8)
+        for t in range(steps):
+            fb = np.zeros(k)
+            for d in range(1, min(taps.size, t + 1)):
+                fb += taps[d] * z[t - d]
+            u = traces[t] @ encoder.ff_weights.T + encoder.fb_weights * fb + encoder.bias
+            z[t] = spike_u[t] < sigmoid(u)
+        spikes += int(z.sum())
+        for j, eps in enumerate(epsilons):
+            received = (z ^ (flip_u < eps)).reshape(1, -1).astype(np.float64)
+            _, _, _, probs = forward_batch(decoder, received)
+            wrong[j] += int(np.argmax(probs) != labels[i])
+    return [(count / n, spikes / (n * steps * k)) for count in wrong]

@@ -28,6 +28,7 @@ from spikelink.decoder import (
 )
 from spikelink.encoder import (
     EncoderParams,
+    drive_from_traces,
     filter_inputs,
     grad_u_log_prob_noisy,
     rollout,
@@ -99,9 +100,17 @@ def _traces(params, inputs, copies):
     return filter_inputs(np.repeat(inputs[None], copies, axis=0), params.kernel_ff)
 
 
+def _rollout(params, traces, bits_at):
+    """The training path's rollout: the drive train_epoch makes from the
+    traces, then the recurrence."""
+    return rollout(params, drive_from_traces(params, traces), bits_at)
+
+
 def _replay(params, inputs, zhat):
-    """One input sequence replayed against a batch of given received bits."""
-    return rollout(params, _traces(params, inputs, len(zhat)), lambda t, s: zhat[:, t])
+    """One input sequence replayed against a batch of given received bits;
+    returns the run and the traces its drive was made from."""
+    traces = _traces(params, inputs, len(zhat))
+    return _rollout(params, traces, lambda t, s: zhat[:, t]), traces
 
 
 def _log_prob(run, eps):
@@ -240,7 +249,7 @@ def test_criterion_02_gradient_closed_forms(capsys):
 
 
 def _expected_vdib_loss(params, decoder, inputs, eps, beta, label, prior):
-    run = _replay(params, inputs, _sequences(inputs.shape[0], params.n_out))
+    run, _ = _replay(params, inputs, _sequences(inputs.shape[0], params.n_out))
     f = _vdib_losses(decoder, run, eps, beta, label, prior)
     return float(np.exp(_log_prob(run, eps)) @ f)
 
@@ -264,9 +273,9 @@ def test_criterion_03_score_function_unbiasedness(capsys):
             params = _small_encoder(k, n_in, seed)
             decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
             inputs = SeededRng(seed + 2).bernoulli(np.full((T, n_in), 0.5)).astype(np.float64)
-            run = _replay(params, inputs, _sequences(T, k))
+            run, traces = _replay(params, inputs, _sequences(T, k))
             f = _vdib_losses(decoder, run, eps, beta, label, prior)
-            expected = score_grads(run, eps, np.exp(_log_prob(run, eps)) * f)
+            expected = score_grads(run, traces, eps, np.exp(_log_prob(run, eps)) * f)
             h = 1e-5
             for field in ENCODER_FIELDS:
                 for index in np.ndindex(getattr(params, field).shape):
@@ -289,19 +298,20 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         params = _small_encoder(k, n_in, seed)
         decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
         inputs = SeededRng(seed + 2).bernoulli(np.full((T, n_in), 0.5)).astype(np.float64)
-        run = _replay(params, inputs, _sequences(T, k))
+        run, traces = _replay(params, inputs, _sequences(T, k))
         p = np.exp(_log_prob(run, eps))
         f = _vdib_losses(decoder, run, eps, beta, label, prior)
-        per_sequence = [score_grads(run, eps, f * (np.arange(len(f)) == i)) for i in range(len(f))]
+        per_sequence = [score_grads(run, traces, eps, f * (np.arange(len(f)) == i))
+                        for i in range(len(f))]
 
         # the training path on 1e5 copies of the instance, one batch: the
         # noisy rollout, the decoder loss, the rate term, the contraction
         draws = 100_000
         rng = SeededRng(775)
-        mc = rollout(
-            params, _traces(params, inputs, draws), lambda t, s: sample_noisy(s, eps, rng)
-        )
-        mean = score_grads(mc, eps, _vdib_losses(decoder, mc, eps, beta, label, prior) / draws)
+        mc_traces = _traces(params, inputs, draws)
+        mc = _rollout(params, mc_traces, lambda t, s: sample_noisy(s, eps, rng))
+        mean = score_grads(mc, mc_traces, eps,
+                           _vdib_losses(decoder, mc, eps, beta, label, prior) / draws)
 
         worst_z = 0.0
         for field in ENCODER_FIELDS:
@@ -334,16 +344,16 @@ def test_criterion_04_sequence_log_likelihood_gradient(capsys):
             rng = SeededRng(seed + 10)
             inputs = rng.bernoulli(np.full((T, n_in), 0.6)).astype(np.float64)
             zhat = rng.bernoulli(np.full((1, T, k), 0.5))
-            score = score_grads(_replay(params, inputs, zhat), eps, np.ones(1))
+            score = score_grads(*_replay(params, inputs, zhat), eps, np.ones(1))
             for field in ENCODER_FIELDS:
                 base = getattr(params, field)
                 fd = np.zeros_like(base)
                 for index in np.ndindex(base.shape):
                     hi = _log_prob(
-                        _replay(_perturbed_encoder(params, field, index, h), inputs, zhat), eps
+                        _replay(_perturbed_encoder(params, field, index, h), inputs, zhat)[0], eps
                     )[0]
                     lo = _log_prob(
-                        _replay(_perturbed_encoder(params, field, index, -h), inputs, zhat), eps
+                        _replay(_perturbed_encoder(params, field, index, -h), inputs, zhat)[0], eps
                     )[0]
                     fd[index] = (hi - lo) / (2 * h)
                 scale = max(np.abs(fd).max(), 1e-12)
@@ -391,7 +401,7 @@ def test_criterion_06_kl_nonnegativity(capsys):
         for k, T, n_in, seed in ((1, 3, 2, 71), (2, 2, 2, 72), (1, 4, 1, 73)):
             params = _small_encoder(k, n_in, seed)
             inputs = SeededRng(seed + 5).bernoulli(np.full((T, n_in), 0.5)).astype(np.float64)
-            run = _replay(params, inputs, _sequences(T, k))
+            run, _ = _replay(params, inputs, _sequences(T, k))
             for eps in EPSILON_SET:
                 p = np.exp(_log_prob(run, eps))
                 norm = p.sum()

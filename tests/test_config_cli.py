@@ -515,8 +515,8 @@ class TestCliSweeps:
     def test_checkpoint_kernel_filters_the_test_split(
         self, tiny_config, tiny_checkpoint, tmp_path, capsys
     ):
-        # a differing tau_ff warns once, and the test split is filtered
-        # with the checkpoint's kernel, not the config's
+        # a differing tau_ff warns once, and the test split's drive is
+        # filtered with the checkpoint's kernel, not the config's
         config = self._edited(tiny_config, tmp_path, tau_ff=2.0)
         assert self._sweep(config, tiny_checkpoint, tmp_path, "--epsilon-grid", "0.0,0.2") == 0
         warnings = [l for l in capsys.readouterr().err.splitlines() if "warning" in l]
@@ -528,8 +528,8 @@ class TestCliSweeps:
 
         def swept(kernel):
             test_x, test_y = cli._split_inputs(cfg, "test")
-            return evaluate_grid(encoder, decoder, filter_inputs(cli._flat(test_x), kernel), test_y,
-                                 [0.0, 0.2], cfg.seed)
+            return evaluate_grid(replace(encoder, kernel_ff=kernel), decoder, cli._flat(test_x),
+                                 test_y, [0.0, 0.2], cfg.seed)
 
         rows = read_metrics(tmp_path / "sweep" / "metrics.csv")
         assert [(r.error_rate, r.spike_rate) for r in rows] == swept(encoder.kernel_ff)
@@ -561,8 +561,9 @@ class TestCliSweeps:
         verb, *flags = argv
         out = tmp_path / "twice"
         assert _run(verb, "--config", str(tiny_config), "--out", str(out), *flags) == 0
-        # two training runs, but one filter call per split: 2 * 6 and 2 * 4
-        assert filtered == [12, 8]
+        # two training runs, but one filter call for the train split's
+        # 2 * 6 records; the test split is never filtered into traces
+        assert filtered == [12]
 
     @staticmethod
     def _diverge_at(monkeypatch, epsilon):
@@ -621,6 +622,49 @@ class TestCliSweeps:
         # the counts and one chunk's traces set the peak; a sweep that made
         # the split's traces would hold them all at once
         assert peak < traces, f"peak {peak} bytes"
+
+    def test_training_run_never_holds_the_test_split_traces(self, tmp_path, monkeypatch):
+        # the same 2048 test records under two epochs of training: the
+        # test split stays uint8 counts, and no filter call sees more than
+        # one chunk's projected drive, (1, T, records * k)
+        config = tmp_path / "large.cfg"
+        config.write_text("classes = 4\nheight = 4\nwidth = 8\ntrain_per_class = 2\n"
+                          "test_per_class = 512\nk = 4\nT = 20\nhidden = 8\nepochs = 2\n"
+                          "timing = off\n")
+        filtered = []
+
+        def spy(inputs, kernel):
+            filtered.append(inputs.shape)
+            return filter_inputs(inputs, kernel)
+
+        monkeypatch.setattr(training, "filter_inputs", spy)
+        monkeypatch.setattr("spikelink.encoder.filter_inputs", spy)
+        test_dtypes = []
+        real_epoch = cli.train_epoch
+
+        def train_epoch(encoder, decoder, data, *rest):
+            test_dtypes.append(data.test_inputs.dtype)
+            return real_epoch(encoder, decoder, data, *rest)
+
+        monkeypatch.setattr(cli, "train_epoch", train_epoch)
+        traces = 2048 * 20 * 64 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = _run("train", "--config", str(config), "--out", str(tmp_path / "t"))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert [dtype.name for dtype in test_dtypes] == ["uint8", "uint8"]
+        # the train split's 8 records, then chunk drives only
+        assert filtered[0] == (8, 20, 64)
+        chunk_drive = training.EVAL_CHUNK * 20 * 4
+        assert all(shape[0] == 1 and math.prod(shape) <= chunk_drive for shape in filtered[1:])
+        assert len(filtered) == 1 + 2 * 2048 // training.EVAL_CHUNK
+        # the counts, the kept uniforms (2.6 MB) and one chunk set the peak;
+        # the split's traces alone would be 21 MB
+        assert peak < traces / 2, f"peak {peak} bytes"
 
     def test_synthetic_split_build_holds_no_record_list(self, tmp_path):
         # 512 records of 16 x 16 pixels over 20 steps: 5.2 MB of counts.
@@ -866,8 +910,11 @@ class TestCliErrors:
     @pytest.mark.parametrize("split, calls", [("train", 0), ("test", 1)])
     def test_traces_too_large_refused(self, tiny_config, tmp_path, capsys, monkeypatch,
                                       split, calls):
-        # uint8 counts that fit can still have float64 traces that do not;
-        # the failing allocation is simulated, never made
+        # uint8 counts that fit can still have float64 arrays that do not:
+        # the train split's traces (filter_dataset's first filter call), or
+        # a test chunk's drive in the first epoch's evaluation (the next
+        # call, from encoder.drive_from_counts); the failing allocation is
+        # simulated, never made
         real = training.filter_inputs
         made = []
 
@@ -878,12 +925,16 @@ class TestCliErrors:
             return real(counts, kernel)
 
         monkeypatch.setattr(training, "filter_inputs", failing)
+        monkeypatch.setattr("spikelink.encoder.filter_inputs", failing)
         out = tmp_path / "o"
         assert _run("train", "--config", str(tiny_config), "--out", str(out)) == 2
-        records = {"train": 12, "test": 8}[split]
-        assert (f"T = 5 is too large: the {split} split's traces of shape "
-                f"(records, T, lines) = ({records}, 5, 128) cannot be allocated "
-                f"({records * 5 * 128 * 8} bytes)" in capsys.readouterr().err)
+        expected = {
+            "train": "the train split's traces of shape (records, T, lines) = (12, 5, 128) "
+                     f"cannot be allocated ({12 * 5 * 128 * 8} bytes)",
+            "test": "a test chunk's drive of shape (records, T, k) = (8, 5, 4) "
+                    f"cannot be allocated ({8 * 5 * 4 * 8} bytes)",
+        }[split]
+        assert f"T = 5 is too large: {expected}" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
     def test_checkpoint_chunk_traces_too_large_refused(
@@ -896,12 +947,13 @@ class TestCliErrors:
         def failing(counts, kernel):
             raise MemoryError("Unable to allocate")
 
-        monkeypatch.setattr(training, "filter_inputs", failing)
+        # the chunk's drive filters its projected columns (drive_from_counts)
+        monkeypatch.setattr("spikelink.encoder.filter_inputs", failing)
         code = _run("sweep-snr", "--config", str(tiny_config), "--out", str(tmp_path / "s"),
                     "--checkpoint", str(trained / "checkpoint.txt"))
         assert code == 2
-        assert ("T = 5 is too large: a test chunk's traces of shape "
-                "(records, T, lines) = (8, 5, 128) cannot be allocated (40960 bytes)"
+        assert ("T = 5 is too large: a test chunk's drive of shape "
+                "(records, T, k) = (8, 5, 4) cannot be allocated (1280 bytes)"
                 in capsys.readouterr().err)
         assert not (tmp_path / "s" / "metrics.csv").exists()
 

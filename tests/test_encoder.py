@@ -1,22 +1,29 @@
-"""Encoder: the rollout's traces and potentials, and the score-function
-gradient against finite differences."""
+"""Encoder: the drives, the rollout's traces and potentials, and the
+score-function gradient against finite differences."""
 
+import contextlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from oracles import finite_diff_grad
 
+from spikelink import training
 from spikelink.channel import log_prob_noisy
+from spikelink.config import RunConfig
 from spikelink.encoder import (
     EncoderParams,
+    drive_from_counts,
+    drive_from_traces,
     filter_inputs,
     grad_u_log_prob_noisy,
     init_encoder_params,
     rollout,
     score_grads,
 )
-from spikelink.numerics import Kernel, SeededRng, sigmoid
+from spikelink.decoder import init_decoder_params
+from spikelink.numerics import Kernel, SeededRng, exponential_kernel, sigmoid
 
 FIELDS = ("ff_weights", "fb_weights", "bias")
 
@@ -52,10 +59,17 @@ def _traces(params, inputs):
     return filter_inputs(np.array(inputs, dtype=np.float64), params.kernel_ff)
 
 
+def _run(params, traces, bits_at):
+    """The training rollout: the drive train_epoch makes, then the recurrence."""
+    return rollout(params, drive_from_traces(params, traces), bits_at)
+
+
 def _replay(params, inputs, bits):
-    """The rollout with the given bits fed back, shapes (n, steps, ...)."""
+    """The rollout with the given bits fed back, shapes (n, steps, ...);
+    returns the run and the traces its drive was made from."""
     bits = np.asarray(bits)
-    return rollout(params, _traces(params, inputs), lambda t, s: bits[:, t])
+    traces = _traces(params, inputs)
+    return _run(params, traces, lambda t, s: bits[:, t]), traces
 
 
 def _fd_grads(params, objective, h=1e-6):
@@ -115,28 +129,39 @@ class TestStateTraces:
         def silent(t, s):
             return np.zeros_like(s)
 
+        # a drive has one column per neuron; traces and counts one per line
         with pytest.raises(ValueError, match="shape"):
-            rollout(params, np.zeros((4, 3)), silent)
+            rollout(params, np.zeros((4, 2)), silent)
         with pytest.raises(ValueError, match="shape"):
-            rollout(params, np.zeros((1, 4, 2)), silent)
+            rollout(params, np.zeros((1, 4, 3)), silent)
+        for drive in (drive_from_traces, drive_from_counts):
+            with pytest.raises(ValueError, match="shape"):
+                drive(params, np.zeros((1, 4, 2)))
+            with pytest.raises(ValueError, match="shape"):
+                drive(params, np.zeros((4, 3)))
         # a bit rule must hand back one bit per sequence and neuron
         with pytest.raises(ValueError):
-            rollout(params, np.zeros((1, 4, 3)), lambda t, s: np.zeros((1, 3)))
+            rollout(params, np.zeros((1, 4, 2)), lambda t, s: np.zeros((1, 3)))
 
     def test_input_trace_includes_current_step(self):
         # kernel (1, 0.5, 0.25), inputs 1, 0, 1, 1:
         # trace at t = x_t + 0.5 * x_{t-1} + 0.25 * x_{t-2}
         params = _unit_params(kernel_ff=_kernel(1.0, 0.5, 0.25))
         inputs = np.array([1.0, 0.0, 1.0, 1.0]).reshape(1, 4, 1)
-        run = _replay(params, inputs, np.zeros((1, 4, 1)))
-        np.testing.assert_allclose(run.ff_traces[0, :, 0], [1.0, 0.5, 1.25, 1.5])
+        run, traces = _replay(params, inputs, np.zeros((1, 4, 1)))
+        np.testing.assert_allclose(traces[0, :, 0], [1.0, 0.5, 1.25, 1.5])
+        # unit weight, silent feedback, zero bias: the potential is the trace,
+        # from the line-space drive and from the neuron-space one
+        np.testing.assert_allclose(run.potentials[0, :, 0], [1.0, 0.5, 1.25, 1.5])
+        np.testing.assert_allclose(drive_from_counts(params, inputs)[0, :, 0],
+                                   [1.0, 0.5, 1.25, 1.5])
 
     def test_output_trace_strictly_past(self):
         # kernel (1, 0.5, 0.25, 0.125), bits 1, 0, 1, 0: the current bit
         # never contributes; at t=3 the trace is 0.5 * 1 + 0.25 * 0 + 0.125 * 1
         params = _unit_params(kernel_fb=_kernel(1.0, 0.5, 0.25, 0.125))
         bits = np.array([1, 0, 1, 0]).reshape(1, 4, 1)
-        run = _replay(params, np.zeros((1, 4, 1)), bits)
+        run, _ = _replay(params, np.zeros((1, 4, 1)), bits)
         np.testing.assert_allclose(run.fb_traces[0, :, 0], [0.0, 0.5, 0.25, 0.625])
 
     @pytest.mark.parametrize("taps", [(1.0, 0.6, 0.3, 0.1), (1.0, -0.7, 0.4, -1e-3, -0.2)])
@@ -149,7 +174,7 @@ class TestStateTraces:
         rng = np.random.default_rng(len(taps))
         bits = (rng.random((5, 9, 3)) < 0.4).astype(np.uint8)
         bits[0] = 0
-        run = _replay(params, rng.poisson(1.0, (5, 9, 2)), bits)
+        run, _ = _replay(params, rng.poisson(1.0, (5, 9, 2)), bits)
         expected = np.zeros_like(run.fb_traces)
         for t in range(bits.shape[1]):
             trace = np.zeros((bits.shape[0], bits.shape[2]))
@@ -163,8 +188,83 @@ class TestStateTraces:
 
     def test_history_before_time_zero_reads_zero(self):
         params = _unit_params(kernel_ff=_kernel(1.0, 1.0, 1.0, 1.0))
-        run = _replay(params, np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
-        np.testing.assert_allclose(run.ff_traces[0, 0], [1.0])
+        run, traces = _replay(params, np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
+        np.testing.assert_allclose(traces[0, 0], [1.0])
+        np.testing.assert_allclose(run.potentials[0, 0], [1.0])
+        np.testing.assert_allclose(drive_from_counts(params, np.ones((1, 1, 1)))[0, 0], [1.0])
+
+
+class TestDrives:
+    """Evaluation's neuron-space drive, a∗(W·x), against training's
+    line-space drive, W·(a∗x): the same products, summed in another order."""
+
+    STEPS, K, N = 20, 16, 9
+
+    @pytest.mark.parametrize("window", [1, 10, 25])
+    @pytest.mark.parametrize("lines", [512, 2048])
+    def test_counts_drive_equals_trace_drive_within_rounding(self, lines, window):
+        # Each drive sums lines * taps products weight * tap * count, with
+        # non-negative taps and counts, as two nested sums (over lines and
+        # over taps) of rounded products.  Each is within gamma_m =
+        # m*u / (1 - m*u) of the exact sum times the sum of the products'
+        # magnitudes, with u = 2**-53 and m = lines + taps + 2 roundings
+        # along any one product's path, so the two drives differ by at most
+        # twice that.  A window longer than T reads only T taps.
+        m = lines + min(window, self.STEPS) + 2
+        u = np.finfo(np.float64).eps / 2
+        gamma = m * u / (1.0 - m * u)
+        for seed in range(3):
+            rng = SeededRng(seed)
+            params = init_encoder_params(lines, self.K, rng.substream("init"),
+                                         kernel_ff=exponential_kernel(5.0, window))
+            rates = rng.substream("rates").uniform_range(0.0, 0.6, lines)
+            shape = (self.N, self.STEPS, lines)
+            counts = rng.substream("counts").poisson(np.broadcast_to(rates, shape))
+            counts = counts.astype(np.uint8)
+            traces = filter_inputs(counts, params.kernel_ff)
+            line_space = drive_from_traces(params, traces)
+            neuron_space = drive_from_counts(params, counts)
+            assert neuron_space.shape == line_space.shape == (self.N, self.STEPS, self.K)
+            magnitude = traces @ np.abs(params.ff_weights).T
+            assert (np.abs(neuron_space - line_space) <= 2 * gamma * magnitude).all()
+
+    def test_acceptance_criteria_roll_out_on_the_training_drive(self, monkeypatch):
+        # criteria 2-4's oracles must check the drive train_epoch makes:
+        # every rollout they run reads a drive_from_traces result, the very
+        # function train_epoch calls
+        import test_acceptance
+
+        assert test_acceptance.drive_from_traces is training.drive_from_traces
+        made, rolled = [], []
+
+        def drive(params, traces):
+            out = drive_from_traces(params, traces)
+            made.append(out)
+            return out
+
+        def checked_rollout(params, drive_arg, bits_at):
+            rolled.append(any(drive_arg is out for out in made))
+            return rollout(params, drive_arg, bits_at)
+
+        monkeypatch.setattr(test_acceptance, "drive_from_traces", drive)
+        monkeypatch.setattr(test_acceptance, "rollout", checked_rollout)
+        quiet = SimpleNamespace(disabled=contextlib.nullcontext)
+        for criterion in (test_acceptance.test_criterion_02_gradient_closed_forms,
+                          test_acceptance.test_criterion_03_score_function_unbiasedness,
+                          test_acceptance.test_criterion_04_sequence_log_likelihood_gradient):
+            criterion(quiet)
+        assert rolled and all(rolled)
+
+        monkeypatch.setattr(training, "drive_from_traces", drive)
+        made.clear()
+        counts = SeededRng(1).bernoulli(np.full((10, 4, 3), 0.5)).astype(np.uint8)
+        data = training.Dataset(counts[:6], np.arange(6) % 2, counts[6:], np.arange(4) % 2, 2)
+        params = _tiny_params()
+        training.filter_dataset(data, params.kernel_ff)
+        decoder = init_decoder_params(8, 2, SeededRng(2), hidden_dim=3)
+        training.train_epoch(params, decoder, data, RunConfig(batch_size=4, epsilon=0.1),
+                             SeededRng(3))
+        assert len(made) == 2
 
 
 class TestMembranePotential:
@@ -176,7 +276,7 @@ class TestMembranePotential:
             kernel_ff=_kernel(1.0, 0.5),
             kernel_fb=_kernel(1.0, 0.5),
         )
-        run = _replay(params, np.array([[[1.0, 1.0], [0.0, 1.0]]]), np.array([[[1], [0]]]))
+        run, _ = _replay(params, np.array([[[1.0, 1.0], [0.0, 1.0]]]), np.array([[[1], [0]]]))
         # step 1: ff trace (0.5, 1.5); fb trace 0.5 * 1
         np.testing.assert_allclose(
             run.potentials[0, :, 0],
@@ -194,7 +294,7 @@ class TestMembranePotential:
             seen.append((t, s.copy()))
             return s > 0.5
 
-        run = rollout(params, traces, rule)
+        run = _run(params, traces, rule)
         assert [t for t, _ in seen] == list(range(5))
         for t, s in seen:
             np.testing.assert_array_equal(run.spike_probs[:, t], s)
@@ -243,8 +343,8 @@ class TestPotentialGrads:
         rng = SeededRng(3)
         inputs = rng.bernoulli(np.full((2, 4, params.n_in), 0.5))
         bits = rng.bernoulli(np.full((2, 4, params.n_out), 0.5))
-        run = _replay(params, inputs, bits)
-        slopes = {"ff_weights": run.ff_traces, "fb_weights": run.fb_traces,
+        run, traces = _replay(params, inputs, bits)
+        slopes = {"ff_weights": traces, "fb_weights": run.fb_traces,
                   "bias": np.ones_like(run.fb_traces)}
         h = 1e-3
         for field in FIELDS:
@@ -253,7 +353,7 @@ class TestPotentialGrads:
                 for sign in (1.0, -1.0):
                     value = getattr(params, field).copy()
                     value[index] += sign * h
-                    u.append(_replay(replace(params, **{field: value}), inputs, bits).potentials)
+                    u.append(_replay(replace(params, **{field: value}), inputs, bits)[0].potentials)
                 expected = np.zeros_like(u[0])
                 column = index[1] if field == "ff_weights" else index[0]
                 expected[:, :, index[0]] = slopes[field][:, :, column]
@@ -264,15 +364,15 @@ class TestPotentialGrads:
         # confirming the traces in the score are the ones in the forward pass
         params = _tiny_params()
         traces = _traces(params, SeededRng(9).bernoulli(np.full((2, 3, params.n_in), 0.7)))
-        run = rollout(params, traces, lambda t, s: s > 0.5)
-        manual = (run.ff_traces @ params.ff_weights.T
+        run = _run(params, traces, lambda t, s: s > 0.5)
+        manual = (traces @ params.ff_weights.T
                   + params.fb_weights * run.fb_traces + params.bias)
         np.testing.assert_allclose(run.potentials, manual, rtol=1e-14)
 
 
 def _log_likelihood(params, inputs, bits, eps, weights):
     """sum_b weights[b] * log p(bits[b]), by replaying the bits."""
-    run = _replay(params, inputs, bits)
+    run, _ = _replay(params, inputs, bits)
     return float(weights @ log_prob_noisy(run.bits, run.potentials, eps).sum(axis=1))
 
 
@@ -287,7 +387,7 @@ class TestScoreGrads:
         inputs = rng.bernoulli(np.full((3, 4, params.n_in), 0.6))
         bits = rng.bernoulli(np.full((3, 4, params.n_out), 0.5))
         weights = np.array([1.0, -0.5, 2.0])
-        grads = score_grads(_replay(params, inputs, bits), eps, weights)
+        grads = score_grads(*_replay(params, inputs, bits), eps, weights)
         fd = _fd_grads(params, lambda p: _log_likelihood(p, inputs, bits, eps, weights))
         for field in FIELDS:
             scale = max(np.abs(fd[field]).max(), 1.0)
@@ -303,11 +403,11 @@ class TestScoreGrads:
         params = init_encoder_params(lines, k, rng.substream("init"))
         traces = _traces(params, rng.substream("x").bernoulli(np.full((n, steps, lines), 0.2)))
         draw = rng.substream("bits")
-        run = rollout(params, traces, lambda t, s: draw.bernoulli(s))
+        run = _run(params, traces, lambda t, s: draw.bernoulli(s))
         weights = rng.substream("w").uniform_range(-1.0, 1.0, n)
         score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
-        expected = np.einsum("b,btk,btn->kn", weights, score_u, run.ff_traces)
-        assert np.array_equal(score_grads(run, 0.1, weights).ff_weights, expected)
+        expected = np.einsum("b,btk,btn->kn", weights, score_u, traces)
+        assert np.array_equal(score_grads(run, traces, 0.1, weights).ff_weights, expected)
 
     def test_single_neuron_single_input(self):
         # smallest case with feedback active, eps = 0
@@ -320,7 +420,7 @@ class TestScoreGrads:
         )
         inputs = np.array([[[1.0], [0.0], [1.0]]])
         bits = np.array([[[1], [1], [0]]])
-        grads = score_grads(_replay(params, inputs, bits), 0.0, np.ones(1))
+        grads = score_grads(*_replay(params, inputs, bits), 0.0, np.ones(1))
         fd = _fd_grads(params, lambda p: _log_likelihood(p, inputs, bits, 0.0, np.ones(1)))
         for field in FIELDS:
             np.testing.assert_allclose(getattr(grads, field), fd[field], atol=1e-6)

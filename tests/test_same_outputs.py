@@ -33,7 +33,7 @@ def test_tree_matches_itself_on_tiny_configs(tmp_path):
         )
         assert match, line
         assert all(float(mb) > 1.0 for mb in match.groups()), line
-    for name in ("default-seed5", "sweep-snr-checkpoint"):
+    for name in ("default-seed5", "sweep-snr-checkpoint", "sweep-snr-large-test"):
         assert (tmp_path / "b" / name / "metrics.csv").stat().st_size > 0
     assert (tmp_path / "a" / "default-seed5" / "checkpoint.txt").exists()
 

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import evaluate_line_space
 
 from spikelink import training
 from spikelink.channel import log_prob_noisy, noisy_spike_prob, sample_noisy
@@ -25,6 +26,7 @@ from spikelink.decoder import (
 from spikelink.encoder import (
     EncoderGrads,
     EncoderParams,
+    drive_from_traces,
     filter_inputs,
     init_encoder_params,
     rollout,
@@ -73,10 +75,16 @@ def _traces(params, inputs):
     return filter_inputs(np.array(inputs, dtype=np.float64), params.kernel_ff)
 
 
+def _run(params, traces, bits_at):
+    """The training rollout: the drive train_epoch makes, then the recurrence."""
+    return rollout(params, drive_from_traces(params, traces), bits_at)
+
+
 def _replay(params, inputs, bits):
-    """One input sequence replayed against a batch of given received bits."""
+    """One input sequence replayed against a batch of given received bits;
+    returns the run and the traces its drive was made from."""
     traces = _traces(params, np.repeat(inputs[None], len(bits), axis=0))
-    return rollout(params, traces, lambda t, s: bits[:, t])
+    return _run(params, traces, lambda t, s: bits[:, t]), traces
 
 
 def _probability(run, eps):
@@ -125,7 +133,7 @@ class TestRegularizer:
         # enumerate the law: sum_z p(z) * regularizer(z) is a KL divergence
         params = _tiny_encoder(k=1, n_in=2, seed=3)
         inputs = SeededRng(11).bernoulli(np.full((3, 2), 0.5)).astype(np.float64)
-        run = _replay(params, inputs, _all_sequences(3, 1))
+        run, _ = _replay(params, inputs, _all_sequences(3, 1))
         p = _probability(run, eps)
         kl = p @ regularizer(run.bits, run.potentials, eps, PriorModel(0.3))
         # the autoregressive law must normalize, and the KL must be >= 0
@@ -192,9 +200,9 @@ class TestSequencePaths:
         params = _tiny_encoder(k=2, n_in=3, seed=5)
         rng = SeededRng(21)
         traces = _traces(params, rng.bernoulli(np.full((4, 5, 3), 0.6)))
-        run = rollout(params, traces, lambda t, s: sample_noisy(s, 0.2, rng))
-        replay = rollout(params, traces, lambda t, s: run.bits[:, t])
-        for name in ("bits", "potentials", "spike_probs", "ff_traces", "fb_traces"):
+        run = _run(params, traces, lambda t, s: sample_noisy(s, 0.2, rng))
+        replay = _run(params, traces, lambda t, s: run.bits[:, t])
+        for name in ("bits", "potentials", "spike_probs", "fb_traces"):
             np.testing.assert_array_equal(getattr(replay, name), getattr(run, name))
 
     def test_training_draws_follow_one_uniform_block(self):
@@ -203,7 +211,7 @@ class TestSequencePaths:
         params = _tiny_encoder(k=2, n_in=3, seed=6)
         traces = _traces(params, SeededRng(22).bernoulli(np.full((4, 5, 3), 0.6)))
         draw = SeededRng(23)
-        run = rollout(params, traces, lambda t, s: sample_noisy(s, 0.2, draw))
+        run = _run(params, traces, lambda t, s: sample_noisy(s, 0.2, draw))
         uniforms = SeededRng(23).uniform((5, 4, 2)).transpose(1, 0, 2)
         q = noisy_spike_prob(sigmoid(run.potentials), 0.2)
         np.testing.assert_array_equal(run.bits, uniforms < q)
@@ -213,19 +221,20 @@ class TestSequencePaths:
         # evaluation's rule: spike where the step's pre-drawn uniform is
         # below sigmoid(u); evaluate counts exactly these spikes
         params = _tiny_encoder(k=2, n_in=3, seed=5)
-        traces = _traces(params, SeededRng(1).bernoulli(np.full((1, 4, 3), 0.5)))
+        counts = SeededRng(1).bernoulli(np.full((1, 4, 3), 0.5))
+        traces = _traces(params, counts)
         spike_u = SeededRng(77).substream("eval", 0).uniform((4, 2))[None]
 
         def clean(t, s):
             return spike_u[:, t, :] < s
 
-        first = rollout(params, traces, clean)
-        second = rollout(params, traces, clean)
+        first = _run(params, traces, clean)
+        second = _run(params, traces, clean)
         assert first.bits.shape == (1, 4, 2) and first.potentials.shape == (1, 4, 2)
         np.testing.assert_array_equal(first.bits, second.bits)
         np.testing.assert_array_equal(first.potentials, second.potentials)
         decoder = init_decoder_params(8, 2, SeededRng(2), hidden_dim=3)
-        _, rate = evaluate(params, decoder, traces, np.array([0]), 0.1, 77)
+        _, rate = evaluate(params, decoder, counts, np.array([0]), 0.1, 77)
         assert rate == np.count_nonzero(first.bits) / 8
 
 
@@ -248,16 +257,16 @@ class TestUnbiasedness:
         )
 
     def _exact_expectation(self, params, decoder, inputs, eps, beta):
-        run = _replay(params, inputs, _all_sequences(3, 1))
+        run, _ = _replay(params, inputs, _all_sequences(3, 1))
         return float(_probability(run, eps) @ self._sample_losses(decoder, run, eps, beta))
 
     @pytest.mark.parametrize("eps", [0.0, 0.2])
     def test_enumerated_estimator_matches_finite_difference(self, eps):
         beta = 0.05
         params, decoder, inputs = self._setup()
-        run = _replay(params, inputs, _all_sequences(3, 1))
+        run, traces = _replay(params, inputs, _all_sequences(3, 1))
         f = self._sample_losses(decoder, run, eps, beta)
-        expected = score_grads(run, eps, _probability(run, eps) * f)
+        expected = score_grads(run, traces, eps, _probability(run, eps) * f)
 
         h = 1e-5
         for field in FIELDS:
@@ -275,28 +284,27 @@ class TestUnbiasedness:
         # E[grad log p] = 0: the identity that lets a baseline shift f freely
         params, _, inputs = self._setup(seed=2)
         eps = 0.15
-        run = _replay(params, inputs, _all_sequences(3, 1))
-        mean = score_grads(run, eps, _probability(run, eps))
+        run, traces = _replay(params, inputs, _all_sequences(3, 1))
+        mean = score_grads(run, traces, eps, _probability(run, eps))
         for field in FIELDS:
             np.testing.assert_allclose(getattr(mean, field), 0.0, atol=1e-12)
 
     def test_monte_carlo_mean_approaches_enumeration(self):
         eps, beta = 0.1, 0.05
         params, decoder, inputs = self._setup(seed=1)
-        run = _replay(params, inputs, _all_sequences(3, 1))
+        run, traces = _replay(params, inputs, _all_sequences(3, 1))
         p = _probability(run, eps)
         f = self._sample_losses(decoder, run, eps, beta)
-        per_sequence = [score_grads(run, eps, f * (np.arange(len(f)) == i)) for i in range(len(f))]
+        per_sequence = [score_grads(run, traces, eps, f * (np.arange(len(f)) == i))
+                        for i in range(len(f))]
 
         # the training rollout on 20k copies of the input, one batch
         draws = 20_000
         rng = SeededRng(777)
-        mc = rollout(
-            params,
-            _traces(params, np.repeat(inputs[None], draws, axis=0)),
-            lambda t, s: sample_noisy(s, eps, rng),
-        )
-        mean = score_grads(mc, eps, self._sample_losses(decoder, mc, eps, beta) / draws)
+        mc_traces = _traces(params, np.repeat(inputs[None], draws, axis=0))
+        mc = _run(params, mc_traces, lambda t, s: sample_noisy(s, eps, rng))
+        mean = score_grads(mc, mc_traces, eps,
+                           self._sample_losses(decoder, mc, eps, beta) / draws)
 
         for field in FIELDS:
             g = np.array([getattr(grads, field) for grads in per_sequence])
@@ -402,21 +410,22 @@ class TestEpochLoop:
 
 class TestFilterDataset:
     def test_filters_both_splits_once(self):
-        # the dataset keeps its uint8 counts until each split is replaced
-        # by its float64 traces
+        # the train split's uint8 counts are replaced by their float64
+        # traces, once; the test split keeps its counts, which evaluation
+        # reads
         data = _toy_counts()
         kernel = _kernel(1.0, 0.5)
-        counts = (data.train_inputs, data.test_inputs)
-        assert all(x.dtype == np.uint8 for x in counts)
-        expected = [filter_inputs(x, kernel) for x in counts]
+        test_counts = data.test_inputs
+        assert data.train_inputs.dtype == np.uint8 and test_counts.dtype == np.uint8
+        expected = filter_inputs(data.train_inputs, kernel)
         assert filter_dataset(data, kernel) is data
-        traces = (data.train_inputs, data.test_inputs)
+        traces = data.train_inputs
         # a second call with an equal kernel is a no-op
         filter_dataset(data, _kernel(1.0, 0.5))
         assert data.kernel == kernel
-        for got, was, want in zip((data.train_inputs, data.test_inputs), traces, expected):
-            assert got is was and got.dtype == np.float64
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert data.train_inputs is traces and traces.dtype == np.float64
+        assert np.array_equal(traces.view(np.uint64), expected.view(np.uint64))
+        assert data.test_inputs is test_counts
 
     def test_refuses_refiltering_with_another_kernel(self):
         data = filter_dataset(_toy_counts(), _kernel(1.0, 0.5))
@@ -466,27 +475,14 @@ class TestEvaluateGrid:
         assert grid == per_point
 
     def test_matches_per_sample_reference(self):
-        # the documented contract, one sample at a time: spike uniforms
-        # (steps x neurons) drive a batch-of-one rollout, then flip uniforms
-        data = _toy_dataset(n_test=24)
+        # the documented contract, one sample and one step at a time in
+        # line space (the oracle filters the counts into traces), against
+        # the neuron-space evaluation of the same uint8 counts
+        data = _toy_counts(n_test=24)
         enc, dec = _toy_models(data)
-        k, steps = enc.n_out, data.test_inputs.shape[1]
-        wrong = np.zeros(len(GRID), dtype=int)
-        spikes = 0
-        for i, (x, y) in enumerate(zip(data.test_inputs, data.test_labels)):
-            stream = SeededRng(9).substream("eval", i)
-            spike_u = stream.uniform((steps, k))
-            flip_u = stream.uniform((steps, k))
-            z = rollout(enc, x[None], lambda t, s: spike_u[t] < s).bits[0]
-            spikes += int(z.sum())
-            for j, eps in enumerate(GRID):
-                received = (z ^ (flip_u < eps)).reshape(1, -1).astype(np.float64)
-                _, _, _, probs = forward_batch(dec, received)
-                wrong[j] += int(np.argmax(probs) != y)
-        n = len(data.test_labels)
-        expected = [(w / n, spikes / (n * steps * k)) for w in wrong]
-        got = evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=9)
-        assert got == expected
+        counts, labels = data.test_inputs, data.test_labels
+        got = evaluate_grid(enc, dec, counts, labels, GRID, seed=9)
+        assert got == evaluate_line_space(enc, dec, counts, labels, GRID, seed=9)
 
     @pytest.mark.parametrize("chunk", [1, 3, None])
     def test_chunk_size_does_not_change_results(self, monkeypatch, chunk):
@@ -498,16 +494,15 @@ class TestEvaluateGrid:
         assert got == expected
 
     @pytest.mark.parametrize("chunk", [1, 7, None])
-    def test_counts_filtered_per_chunk_equal_traces(self, monkeypatch, chunk):
-        # with a kernel, each chunk of counts is filtered just before its
-        # rollout: the same answers as the whole split's traces
+    def test_chunks_match_line_space_oracle(self, monkeypatch, chunk):
+        # each chunk's drive is made from its counts in neuron space; the
+        # tallies equal the line-space oracle's at any chunk size
         data = _toy_counts(n_test=40)
         enc, dec = _toy_models(data)
         counts, labels = data.test_inputs, data.test_labels
-        traces = filter_inputs(counts, enc.kernel_ff)
         monkeypatch.setattr(training, "EVAL_CHUNK", chunk or len(counts))
-        got = evaluate_grid(enc, dec, counts, labels, GRID, seed=2, kernel=enc.kernel_ff)
-        assert got == evaluate_grid(enc, dec, traces, labels, GRID, seed=2)
+        got = evaluate_grid(enc, dec, counts, labels, GRID, seed=2)
+        assert got == evaluate_line_space(enc, dec, counts, labels, GRID, seed=2)
         assert len({error for error, _ in got}) > 1
 
     def test_spike_rate_same_at_every_point(self):
@@ -521,6 +516,22 @@ class TestEvaluateGrid:
         enc, dec = _toy_models(data)
         with pytest.raises(ValueError, match="empty"):
             evaluate_grid(enc, dec, data.test_inputs[:0], data.test_labels[:0], GRID, seed=0)
+
+    @pytest.mark.parametrize("failing", ["_eval_uniforms", "drive_from_counts", "rollout"])
+    def test_chunk_allocation_failure_names_the_chunk(self, monkeypatch, failing):
+        # a chunk's draws, drive and rollout are all (records, steps, k)
+        # float64 arrays; any of them failing is ChunkTooLarge, which the
+        # CLI turns into exit 2 naming T
+        data = _toy_counts(n_test=10)
+        enc, dec = _toy_models(data)
+
+        def refused(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(training, failing, refused)
+        with pytest.raises(training.ChunkTooLarge) as exc:
+            evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=0)
+        assert exc.value.shape == (10, 6, 4)
 
     def test_training_run_draws_each_sample_once(self, monkeypatch):
         # three epochs sharing one state evaluate three times, but create

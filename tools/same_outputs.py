@@ -9,8 +9,10 @@ per tree, in a child process with PYTHONPATH at that tree's src/,
 and its metrics.csv and checkpoint.txt are diffed byte for byte.  Beside
 each verdict it prints the two children's peak RSS (from wait4), so a
 memory change shows on every case.  The cases run in order, so
-`sweep-snr-checkpoint` evaluates the checkpoint TREE_A wrote in
-`default-seed5` on both trees: it compares evaluation alone.  The
+`sweep-snr-checkpoint` and `sweep-snr-large-test` evaluate the checkpoint
+TREE_A wrote in `default-seed5` on both trees: they compare evaluation
+alone, the second on 2048 test records at each of the 7 default grid
+points.  The
 `event-files` case trains on train and test event files that the tool
 writes once into the work directory, so both trees parse the same bytes.
 --tiny shrinks every case to a few samples and two epochs, for a smoke
@@ -41,9 +43,11 @@ CASES = (
     ("train-per-point", ["sweep-snr", "--train-per-point", "--ebn0-grid-db=0,2"], {"seed": 6}),
     ("mismatch", ["mismatch"], {"seed": 8}),
     ("sweep-snr-checkpoint", ["sweep-snr"], {"seed": 5}),
+    ("sweep-snr-large-test", ["sweep-snr"], {"seed": 5, "test_per_class": 512}),
     ("event-files", ["train"], {"seed": 9, "dataset": "events"}),
 )
 CHECKPOINT_FROM = "default-seed5"
+FROM_CHECKPOINT = ("sweep-snr-checkpoint", "sweep-snr-large-test")
 TINY = {"height": 8, "width": 8, "train_per_class": 4, "test_per_class": 3,
         "k": 4, "T": 6, "hidden": 8, "epochs": 2}
 COMPARED = ("metrics.csv", "checkpoint.txt")
@@ -134,7 +138,7 @@ def compare(tree_a: str, tree_b: str, tiny: bool, work: Path) -> bool:
         config = {**config, **TINY} if tiny else config
         if config.get("dataset") == "events":
             config = {**config, **event_files}
-        if name == "sweep-snr-checkpoint":
+        if name in FROM_CHECKPOINT:
             flags = flags + ["--checkpoint", str(work / "a" / CHECKPOINT_FROM / "checkpoint.txt")]
         runs = {side: run_case(src, work / side / name, flags, config)
                 for side, src in srcs.items()}
