@@ -10,6 +10,11 @@ Verbs:
 Every verb takes --config (flat key = value file) plus overriding flags and
 is reproducible: the same config and seed give the same outputs, apart from
 wall-clock seconds unless `timing = off`.
+
+Exit codes: 0 success, 1 filesystem trouble, 2 bad configuration or input,
+3 training diverged.  An array too large to allocate, whichever setting
+sized it (T, the splits, the sensor geometry, k, hidden or the class
+count), is bad input: main reports its shape, dtype and size in bytes.
 """
 
 from __future__ import annotations
@@ -23,21 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, build_run_config, parse_config_file
 from .decoder import init_decoder_params
 from .encoder import init_encoder_params
-from .events import EventFormatError, FramesTooLarge, load_frames, synthetic_frames
+from .events import load_frames, synthetic_frames
 from .metrics import MetricsRow, _atomic_open, export_metrics, read_metrics, write_metrics
 from .numerics import SeededRng, db_to_linear, ebn0_to_epsilon
-from .training import (
-    ChunkTooLarge,
-    Dataset,
-    TrainingDiverged,
-    evaluate_grid,
-    filter_dataset,
-    train_epoch,
-)
+from .training import Dataset, TrainingDiverged, evaluate_grid, filter_dataset, train_epoch
 
 DEFAULT_SNR_GRID_DB = (float("-inf"), -6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
 DEFAULT_MISMATCH_GRID = (0.05, 0.10, 0.15, 0.20, 0.25)
@@ -48,28 +46,15 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _too_large(cfg: RunConfig, what: str, shape, itemsize: int,
-               width: str = "lines") -> ConfigError:
-    return ConfigError(
-        f"T = {cfg.T} is too large: {what} of shape (records, T, {width}) = "
-        f"{tuple(shape)} cannot be allocated ({itemsize * math.prod(shape)} bytes)"
-    )
-
-
 def _split_inputs(cfg: RunConfig, tag: str):
     """uint8 frames (records, T, 2, h, w) and labels of the "train" or
     "test" split, binned as each record is drawn or parsed, so no split
-    holds its list of records.  A split too large to allocate is a
-    ConfigError naming T, the split's shape and its size, raised before
-    any record is drawn, or once an event file's first record is parsed."""
-    try:
-        if cfg.dataset == "synthetic":
-            per_class = cfg.train_per_class if tag == "train" else cfg.test_per_class
-            return synthetic_frames(cfg.synthetic_config(), per_class, cfg.seed, cfg.T, tag=tag)
-        frames, labels = load_frames(cfg.train_events if tag == "train" else cfg.test_events,
-                                     cfg.T)
-    except FramesTooLarge as exc:
-        raise _too_large(cfg, f"the {tag} split's inputs", exc.shape, 1) from exc
+    holds its list of records.  The frames are allocated before any record
+    is drawn, or once an event file's first record is parsed."""
+    if cfg.dataset == "synthetic":
+        per_class = cfg.train_per_class if tag == "train" else cfg.test_per_class
+        return synthetic_frames(cfg.synthetic_config(), per_class, cfg.seed, cfg.T, tag=tag)
+    frames, labels = load_frames(cfg.train_events if tag == "train" else cfg.test_events, cfg.T)
     if not len(labels):
         raise ConfigError("event files contain no records")
     return frames, labels
@@ -78,16 +63,6 @@ def _split_inputs(cfg: RunConfig, tag: str):
 def _flat(frames: np.ndarray) -> np.ndarray:
     """(records, T, 2, h, w) frames as (records, T, lines) counts, a view."""
     return frames.reshape(*frames.shape[:2], -1)
-
-
-def _filter_train(cfg: RunConfig, data: Dataset, kernel) -> None:
-    """filter_dataset; train traces too large to allocate are a ConfigError
-    naming T and the train split's shape."""
-    shape = data.train_inputs.shape
-    try:
-        filter_dataset(data, kernel)
-    except MemoryError as exc:
-        raise _too_large(cfg, "the train split's traces", shape, 8) from exc
 
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
@@ -133,7 +108,7 @@ def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int):
     """Full training loop; returns params and one metrics row per epoch."""
     eps = cfg.crossover()
     encoder, decoder = _init_models(cfg, data)
-    _filter_train(cfg, data, encoder.kernel_ff)
+    filter_dataset(data, encoder.kernel_ff)
     root = SeededRng(cfg.seed)
     opt_state: dict = {}
     rows = []
@@ -462,6 +437,7 @@ def _overrides(args) -> dict:
 def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
+    cfg = None
     try:
         if args.command == "export":
             return cmd_export(args)
@@ -476,14 +452,18 @@ def main(argv=None) -> int:
         if args.command == "sweep-beta":
             return cmd_sweep_beta(cfg, args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, CheckpointError, EventFormatError, ValueError) as exc:
+    except ValueError as exc:
         _log(f"error: {exc}")
         return 2
-    except ChunkTooLarge as exc:
-        # only evaluation raises it, after cfg is built: from an epoch's
-        # evaluation or from a grid's
-        error = _too_large(cfg, "a test chunk's drive", exc.shape, 8, "k")
-        _log(f"error: {error}")
+    except MemoryError as exc:
+        # NumPy's allocation error carries the array's shape and dtype
+        shape, dtype = getattr(exc, "shape", None), getattr(exc, "dtype", None)
+        what = "an array"
+        if shape is not None and dtype is not None:
+            size = math.prod(shape) * dtype.itemsize
+            what += f" of shape {tuple(shape)} and dtype {dtype} ({size} bytes)"
+        sizes = "" if cfg is None else f"; T = {cfg.T}, k = {cfg.k}, hidden = {cfg.hidden}"
+        _log(f"error: {what} is too large to allocate{sizes}")
         return 2
     except TrainingDiverged as exc:
         _log(f"error: {exc}")

@@ -107,6 +107,7 @@ class RunConfig:
             (self.eta > 0, f"eta must be positive, got {self.eta}"),
             (self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}"),
             (self.batch_size >= 1, f"batch_size must be positive, got {self.batch_size}"),
+            (self.seed >= 0, f"seed must be non-negative, got {self.seed}"),
             (0.0 < self.prior_rate < 1.0, "prior_rate must be in (0, 1)"),
             (0.0 <= self.momentum < 1.0, "momentum must be in [0, 1)"),
             (self.grad_clip >= 0.0, "grad_clip must be non-negative (0 disables)"),

@@ -7,9 +7,11 @@ are accumulated into a fixed number of uniform time bins per polarity and
 binarized into uint8 counts, which is the only preprocessing the encoder
 sees before its input filter.  synthetic_frames and load_frames bin a whole
 split as each record is drawn or parsed, into frames allocated first, so no
-list of records is ever held; synthetic_records and load_events return the
-records themselves, for export and tests.  Vendor formats are out of scope;
-converters should target the text format below.
+list of records is ever held; frames too large to allocate raise NumPy's
+own MemoryError, which carries their shape and dtype.  synthetic_records
+and load_events return the records themselves, for export and tests.
+Vendor formats are out of scope; converters should target the text format
+below.
 
 Text format, one record per block:
 
@@ -17,8 +19,9 @@ Text format, one record per block:
     <timestamp_us> <x> <y> <polarity>
     ...
 
-A blank line (or end of file) closes the record.  Event fields are decimal
-integers with an optional sign, at most 18 digits.
+A blank line (or end of file) closes the record.  Each header key is given
+once, and its value is a decimal integer within int64.  Event fields are
+decimal integers with an optional sign, at most 18 digits.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "EVENT_DTYPE",
     "EventRecord",
     "EventFormatError",
-    "FramesTooLarge",
     "SyntheticConfig",
     "class_rate_map",
     "synthetic_records",
@@ -52,15 +54,6 @@ EVENT_DTYPE = np.dtype(
 
 class EventFormatError(ValueError):
     """Raised on malformed event text, with the offending line number."""
-
-
-class FramesTooLarge(MemoryError):
-    """A split's uint8 frames cannot be allocated; shape is the split's
-    (records, steps, lines)."""
-
-    def __init__(self, shape: tuple[int, int, int]):
-        self.shape = shape
-        super().__init__(f"uint8 frames of shape {shape} cannot be allocated")
 
 
 @dataclass(eq=False)
@@ -108,13 +101,10 @@ class EventRecord:
 
 
 def _zero_frames(n: int, steps: int, height: int, width: int) -> np.ndarray:
-    """(n, steps, 2, height, width) uint8 zeros; FramesTooLarge if refused."""
+    """(n, steps, 2, height, width) uint8 zeros."""
     if steps < 1:
         raise ValueError("steps must be positive")
-    try:
-        return np.zeros((n, steps, 2, height, width), dtype=np.uint8)
-    except MemoryError as exc:
-        raise FramesTooLarge((n, steps, 2 * height * width)) from exc
+    return np.zeros((n, steps, 2, height, width), dtype=np.uint8)
 
 
 def _scatter(frames: np.ndarray, ts, x, y, pol, duration_us: int, steps: int) -> None:
@@ -339,10 +329,14 @@ def _parse_header(line: str, lineno: int) -> dict:
         key, sep, value = item.partition("=")
         if not sep:
             raise EventFormatError(f"line {lineno}: bad header field {item!r}")
+        if key in fields:
+            raise EventFormatError(f"line {lineno}: duplicate header key {key!r}")
         try:
             fields[key] = int(value)
         except ValueError:
             raise EventFormatError(f"line {lineno}: non-integer header value {item!r}")
+        if not -(2**63) <= fields[key] < 2**63:
+            raise EventFormatError(f"line {lineno}: header value {item!r} outside int64")
     missing = {"label", "w", "h", "dur_us"} - fields.keys()
     if missing:
         raise EventFormatError(f"line {lineno}: header missing {sorted(missing)}")

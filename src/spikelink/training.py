@@ -18,7 +18,9 @@ differ by that rounding.  Training keeps its line-space drive, so its
 trajectories stay bit for bit; moving it to neuron space too reorders its
 float sums and waits for a law-level check of such changes.
 train_epoch reads its settings by name from the run's RunConfig, whose
-validate() has already checked them.
+validate() has already checked them.  An array too large to allocate (the
+train split's traces, a test chunk's draws, drive or rollout) leaves as
+NumPy's own MemoryError, which carries its shape and dtype.
 
 Training mode draws the received bits directly from the marginalized law
 and feeds them back into the encoder's recurrence; that makes the sequence
@@ -64,7 +66,6 @@ __all__ = [
     "Dataset",
     "filter_dataset",
     "TrainingDiverged",
-    "ChunkTooLarge",
     "regularizer",
     "vdib_loss",
     "sgd_update",
@@ -76,16 +77,6 @@ __all__ = [
 
 class TrainingDiverged(RuntimeError):
     """Raised when a loss or gradient stops being finite."""
-
-
-class ChunkTooLarge(MemoryError):
-    """A test chunk's float64 (records, steps, k) arrays cannot be
-    allocated: its draws, its drive or its rollout.  shape is the chunk's
-    (records, steps, k)."""
-
-    def __init__(self, shape: tuple[int, int, int]):
-        self.shape = shape
-        super().__init__(f"a test chunk's drive of shape {shape} cannot be allocated")
 
 
 @dataclass(frozen=True)
@@ -352,8 +343,7 @@ def evaluate_grid(
     or of a chunk, is ever made.  The drive rounds differently from the
     line-space drive training uses; the tallies below are integers and
     equal the line-space evaluation's unless a spike uniform falls within
-    that rounding of its spike probability.  A chunk whose draws, drive or
-    rollout cannot be allocated raises ChunkTooLarge.
+    that rounding of its spike probability.
 
     Per-sample draw streams depend only on (seed, sample index), never on
     epsilon or the parameters, so repeated evaluations of one model across
@@ -389,22 +379,19 @@ def evaluate_grid(
         x = counts[start : start + EVAL_CHUNK]
         m = len(x)
         y = labels[start : start + m]
-        try:
-            if draws is None:
-                spike_u, flip_u = _eval_uniforms(root, start, m, steps, k)
-            else:
-                key = (seed, start, m, steps, k)
-                if key not in draws:
-                    draws[key] = _eval_uniforms(root, start, m, steps, k)
-                spike_u, flip_u = draws[key]
-            z = rollout(encoder, drive_from_counts(encoder, x),
-                        lambda t, s: spike_u[:, t, :] < s).bits
-            spikes += int(np.count_nonzero(z))
-            for i, eps in enumerate(epsilons):
-                zhat = transmit(z, eps, flip_u)
-                _, _, _, probs = forward_batch(decoder, zhat.reshape(m, -1).astype(np.float64))
-                wrong[i] += int(np.count_nonzero(np.argmax(probs, axis=1) != y))
-        except MemoryError as exc:
-            raise ChunkTooLarge((m, steps, k)) from exc
+        if draws is None:
+            spike_u, flip_u = _eval_uniforms(root, start, m, steps, k)
+        else:
+            key = (seed, start, m, steps, k)
+            if key not in draws:
+                draws[key] = _eval_uniforms(root, start, m, steps, k)
+            spike_u, flip_u = draws[key]
+        z = rollout(encoder, drive_from_counts(encoder, x),
+                    lambda t, s: spike_u[:, t, :] < s).bits
+        spikes += int(np.count_nonzero(z))
+        for i, eps in enumerate(epsilons):
+            zhat = transmit(z, eps, flip_u)
+            _, _, _, probs = forward_batch(decoder, zhat.reshape(m, -1).astype(np.float64))
+            wrong[i] += int(np.count_nonzero(np.argmax(probs, axis=1) != y))
     rate = spikes / (n * steps * k)
     return [(count / n, rate) for count in wrong]

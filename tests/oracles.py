@@ -1,6 +1,7 @@
-"""Independent oracles the test suites check the package against.
+"""Independent oracles the test suites check the package against, and the
+error NumPy raises for an array it cannot allocate.
 
-Nothing in the package calls these: each one recomputes a quantity the
+Nothing in the package calls these: each oracle recomputes a quantity the
 package produces by a separate, plainer route.
 """
 
@@ -88,3 +89,11 @@ def evaluate_line_space(encoder, decoder, counts, labels, epsilons, seed: int):
             _, _, _, probs = forward_batch(decoder, received)
             wrong[j] += int(np.argmax(probs) != labels[i])
     return [(count / n, spikes / (n * steps * k)) for count in wrong]
+
+
+def allocation_error(shape, dtype=np.float64) -> MemoryError:
+    """The MemoryError NumPy raises for an array of this shape and dtype
+    that cannot be allocated, so a test can fake a refusal it never makes."""
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    return _ArrayMemoryError(tuple(shape), np.dtype(dtype))

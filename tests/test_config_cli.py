@@ -7,10 +7,11 @@ from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import parse_kv_metrics
+from oracles import allocation_error, parse_kv_metrics
 
 import spikelink.cli as cli
 from spikelink import training
@@ -18,7 +19,7 @@ from spikelink.checkpoint import load_checkpoint, save_checkpoint
 from spikelink.cli import DEFAULT_MISMATCH_GRID, main
 from spikelink.config import ConfigError, RunConfig, build_run_config, parse_config_file
 from spikelink.encoder import filter_inputs
-from spikelink.events import synthetic_frames, synthetic_records
+from spikelink.events import SyntheticConfig, save_events, synthetic_frames, synthetic_records
 from spikelink.numerics import Kernel, SeededRng, exponential_kernel
 from spikelink.training import TrainingDiverged, evaluate_grid
 from spikelink.metrics import (
@@ -94,6 +95,19 @@ class TestBuildRunConfig:
     def test_events_dataset_needs_paths(self):
         with pytest.raises(ConfigError, match="events"):
             build_run_config({"dataset": "events"})
+
+    def test_seed_must_be_non_negative(self, tiny_config, tmp_path, capsys, monkeypatch):
+        with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+            build_run_config({"seed": -1})
+        # refused by name before any work, not by NumPy halfway through
+        # the dataset build
+        built = []
+        monkeypatch.setattr(cli, "_split_inputs", lambda cfg, tag: built.append(tag))
+        out = tmp_path / "o"
+        assert _run("train", "--config", str(tiny_config), "--out", str(out), "--seed=-1") == 2
+        assert _refusal(capsys) == "error: seed must be non-negative, got -1"
+        assert built == [] and not out.exists()
+        assert build_run_config({"seed": 0}).seed == 0
 
     @pytest.mark.parametrize("key", ["train_per_class", "test_per_class"])
     def test_synthetic_split_needs_a_record_per_class(self, tiny_config, tmp_path, capsys, key):
@@ -260,6 +274,14 @@ def tiny_config(tmp_path):
 
 def _run(*argv) -> int:
     return main(list(argv))
+
+
+def _refusal(capsys) -> str:
+    """The one line a refused run writes to stderr, which holds no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    return line
 
 
 class TestNonFiniteValues:
@@ -894,10 +916,11 @@ class TestCliErrors:
         finally:
             tracemalloc.stop()
         assert code == 2
-        err = capsys.readouterr().err
-        assert "T = 10000000000000 is too large" in err
-        assert ("train split's inputs of shape (records, T, lines) = (12, 10000000000000, 128) "
-                "cannot be allocated (15360000000000000 bytes)" in err)
+        assert _refusal(capsys) == (
+            "error: an array of shape (12, 10000000000000, 2, 8, 8) and dtype uint8 "
+            "(15360000000000000 bytes) is too large to allocate; "
+            "T = 10000000000000, k = 4, hidden = 8"
+        )
         assert not out.exists()
         # the counts are allocated before the first record is drawn
         assert drawn == []
@@ -907,20 +930,22 @@ class TestCliErrors:
         refused = 12 * 10**13 * 128
         assert peak - refused < 10**7, f"peak {peak - refused} bytes besides the refused request"
 
-    @pytest.mark.parametrize("split, calls", [("train", 0), ("test", 1)])
+    @pytest.mark.parametrize("split, calls, shape", [
+        ("train", 0, (12, 5, 128)), ("test", 1, (1, 5, 32)),
+    ], ids=["train-0", "test-1"])
     def test_traces_too_large_refused(self, tiny_config, tmp_path, capsys, monkeypatch,
-                                      split, calls):
+                                      split, calls, shape):
         # uint8 counts that fit can still have float64 arrays that do not:
         # the train split's traces (filter_dataset's first filter call), or
-        # a test chunk's drive in the first epoch's evaluation (the next
-        # call, from encoder.drive_from_counts); the failing allocation is
-        # simulated, never made
+        # a test chunk's drive of 8 records x k = 4 columns in the first
+        # epoch's evaluation (the next call, from encoder.drive_from_counts);
+        # the failing allocation is simulated, never made
         real = training.filter_inputs
         made = []
 
         def failing(counts, kernel):
             if len(made) == calls:
-                raise MemoryError("Unable to allocate")
+                raise allocation_error(np.shape(counts))
             made.append(len(counts))
             return real(counts, kernel)
 
@@ -928,13 +953,10 @@ class TestCliErrors:
         monkeypatch.setattr("spikelink.encoder.filter_inputs", failing)
         out = tmp_path / "o"
         assert _run("train", "--config", str(tiny_config), "--out", str(out)) == 2
-        expected = {
-            "train": "the train split's traces of shape (records, T, lines) = (12, 5, 128) "
-                     f"cannot be allocated ({12 * 5 * 128 * 8} bytes)",
-            "test": "a test chunk's drive of shape (records, T, k) = (8, 5, 4) "
-                    f"cannot be allocated ({8 * 5 * 4 * 8} bytes)",
-        }[split]
-        assert f"T = 5 is too large: {expected}" in capsys.readouterr().err
+        assert _refusal(capsys) == (
+            f"error: an array of shape {shape} and dtype float64 ({math.prod(shape) * 8} bytes) "
+            "is too large to allocate; T = 5, k = 4, hidden = 8"
+        )
         assert not (out / "metrics.csv").exists()
 
     def test_checkpoint_chunk_traces_too_large_refused(
@@ -945,17 +967,71 @@ class TestCliErrors:
                     "--epochs", "0") == 0
 
         def failing(counts, kernel):
-            raise MemoryError("Unable to allocate")
+            raise allocation_error(np.shape(counts))
 
-        # the chunk's drive filters its projected columns (drive_from_counts)
+        # the chunk's drive filters its projected columns (drive_from_counts):
+        # 8 records x k = 4, time-major
         monkeypatch.setattr("spikelink.encoder.filter_inputs", failing)
         code = _run("sweep-snr", "--config", str(tiny_config), "--out", str(tmp_path / "s"),
                     "--checkpoint", str(trained / "checkpoint.txt"))
         assert code == 2
-        assert ("T = 5 is too large: a test chunk's drive of shape "
-                "(records, T, k) = (8, 5, 4) cannot be allocated (1280 bytes)"
-                in capsys.readouterr().err)
+        assert _refusal(capsys) == (
+            "error: an array of shape (1, 5, 32) and dtype float64 (1280 bytes) "
+            "is too large to allocate; T = 5, k = 4, hidden = 8"
+        )
         assert not (tmp_path / "s" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("dataset, key, value, shape, dtype", [
+        # the frames of 12 synthetic or 4 event-file records
+        ("synthetic", "T", 10**13, (12, 10**13, 2, 8, 8), np.uint8),
+        ("events", "T", 10**13, (4, 10**13, 2, 4, 4), np.uint8),
+        # the encoder's feedforward weights (k, lines)
+        ("synthetic", "k", 10**13, (10**13, 128), np.float64),
+        # the decoder's first layer (hidden, k * T)
+        ("synthetic", "hidden", 10**13, (10**13, 20), np.float64),
+        # the decoder's last layer (classes, hidden): an event label sets
+        # the class count
+        ("events", "label", 10**15, (10**15 + 1, 8), np.float64),
+    ], ids=["T-synthetic", "T-events", "k", "hidden", "label"])
+    def test_every_size_refused_by_one_handler(self, tiny_config, tmp_path, capsys,
+                                               dataset, key, value, shape, dtype):
+        # each array is far beyond any address space, so NumPy refuses it
+        # without touching memory
+        text = tiny_config.read_text()
+        if dataset == "events":
+            geometry = SyntheticConfig(n_classes=2, width=4, height=4)
+            records = synthetic_records(geometry, 2, seed=1)
+            if key == "label":
+                records[-1].label = value
+            save_events(records, tmp_path / "train.events")
+            save_events(synthetic_records(geometry, 1, seed=2, tag="test"),
+                        tmp_path / "test.events")
+            text += (f"dataset = events\ntrain_events = {tmp_path / 'train.events'}\n"
+                     f"test_events = {tmp_path / 'test.events'}\n")
+        sizes = {"T": 5, "k": 4, "hidden": 8}
+        if key in sizes:
+            sizes[key] = value
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert _run("train", "--config", str(path), "--out", str(out)) == 2
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        assert _refusal(capsys) == (
+            f"error: an array of shape {shape} and dtype {np.dtype(dtype)} ({size} bytes) "
+            f"is too large to allocate; T = {sizes['T']}, k = {sizes['k']}, "
+            f"hidden = {sizes['hidden']}"
+        )
+        assert not (out / "metrics.csv").exists()
+
+    def test_bare_memory_error_refused_without_a_config(self, tmp_path, capsys, monkeypatch):
+        # export builds no config, and a bare MemoryError has no shape
+        def failing(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "read_metrics", failing)
+        assert _run("export", "--metrics", str(tmp_path / "m.csv")) == 2
+        assert _refusal(capsys) == "error: an array is too large to allocate"
 
     @pytest.mark.parametrize("values, message", [
         ({"tau_ff": 0.0}, "tau_ff and tau_fb must be positive"),

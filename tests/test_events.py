@@ -9,7 +9,6 @@ from spikelink.events import (
     EVENT_DTYPE,
     EventFormatError,
     EventRecord,
-    FramesTooLarge,
     SyntheticConfig,
     _draw_record,
     class_rate_map,
@@ -214,9 +213,11 @@ class TestSplitFrames:
         assert labels.dtype == expected.dtype and np.array_equal(labels, expected)
 
     def test_synthetic_frames_too_large_names_the_split(self):
-        with pytest.raises(FramesTooLarge) as exc:
+        # NumPy's own error leaves, carrying the split's frames' shape and
+        # dtype for the CLI to report
+        with pytest.raises(MemoryError) as exc:
             synthetic_frames(SyntheticConfig(), 3, seed=0, steps=10**13)
-        assert exc.value.shape == (12, 10**13, 512)
+        assert exc.value.shape == (12, 10**13, 2, 16, 16) and exc.value.dtype == np.uint8
 
     @pytest.mark.parametrize("steps", [1, 7, 20])
     def test_load_frames_equal_binned_records(self, tmp_path, steps):
@@ -271,9 +272,9 @@ class TestSplitFrames:
     def test_load_frames_too_large_names_the_split(self, tmp_path):
         path = tmp_path / "split.events"
         save_events(synthetic_records(SyntheticConfig(width=4, height=4), 2, seed=1), path)
-        with pytest.raises(FramesTooLarge) as exc:
+        with pytest.raises(MemoryError) as exc:
             load_frames(path, 10**13)
-        assert exc.value.shape == (8, 10**13, 32)
+        assert exc.value.shape == (8, 10**13, 2, 4, 4) and exc.value.dtype == np.uint8
 
 
 class TestSyntheticTask:
@@ -378,6 +379,25 @@ class TestTextFormat:
         path.write_text("# record label=0 w=4 h=4\n")
         with pytest.raises(EventFormatError, match="dur_us"):
             load_events(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("label=100000000000000000000000 w=4 h=4 dur_us=100",
+         "header value 'label=100000000000000000000000' outside int64"),
+        ("label=0 w=100000000000000000000 h=4 dur_us=100",
+         "header value 'w=100000000000000000000' outside int64"),
+        ("label=0 w=4 h=4 dur_us=-9223372036854775809",
+         "header value 'dur_us=-9223372036854775809' outside int64"),
+        ("label=0 w=4 h=4 w=5 dur_us=100", "duplicate header key 'w'"),
+    ], ids=["label-int64", "w-int64", "dur-int64", "duplicate"])
+    def test_rejects_bad_header_value(self, tmp_path, header, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# record label=0 w=4 h=4 dur_us=100\n\n# record {header}\n1 0 0 1\n")
+        for load in (load_events, lambda p: load_frames(p, 4)):
+            with pytest.raises(EventFormatError, match=f"^line 3: {message}$"):
+                load(path)
+        # the int64 bounds themselves are values
+        path.write_text("# record label=0 w=4 h=4 dur_us=9223372036854775807\n")
+        assert load_events(path)[0].duration_us == 2**63 - 1
 
     def test_rejects_non_integer_field(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import evaluate_line_space
+from oracles import allocation_error, evaluate_line_space
 
 from spikelink import training
 from spikelink.channel import log_prob_noisy, noisy_spike_prob, sample_noisy
@@ -520,18 +520,18 @@ class TestEvaluateGrid:
     @pytest.mark.parametrize("failing", ["_eval_uniforms", "drive_from_counts", "rollout"])
     def test_chunk_allocation_failure_names_the_chunk(self, monkeypatch, failing):
         # a chunk's draws, drive and rollout are all (records, steps, k)
-        # float64 arrays; any of them failing is ChunkTooLarge, which the
-        # CLI turns into exit 2 naming T
+        # float64 arrays; NumPy's error for any of them leaves as it is,
+        # shape and dtype intact, and the CLI turns it into exit 2
         data = _toy_counts(n_test=10)
         enc, dec = _toy_models(data)
 
         def refused(*args, **kwargs):
-            raise MemoryError("Unable to allocate")
+            raise allocation_error((10, 6, 4))
 
         monkeypatch.setattr(training, failing, refused)
-        with pytest.raises(training.ChunkTooLarge) as exc:
+        with pytest.raises(MemoryError) as exc:
             evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=0)
-        assert exc.value.shape == (10, 6, 4)
+        assert exc.value.shape == (10, 6, 4) and exc.value.dtype == np.float64
 
     def test_training_run_draws_each_sample_once(self, monkeypatch):
         # three epochs sharing one state evaluate three times, but create
