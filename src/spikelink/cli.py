@@ -11,10 +11,13 @@ Every verb takes --config (flat key = value file) plus overriding flags and
 is reproducible: the same config and seed give the same outputs, apart from
 wall-clock seconds unless `timing = off`.
 
-Exit codes: 0 success, 1 filesystem trouble, 2 bad configuration or input,
-3 training diverged.  An array too large to allocate, whichever setting
-sized it (T, the splits, the sensor geometry, k, hidden or the class
-count), is bad input: main reports its shape, dtype and size in bytes.
+The verbs return nothing; main alone maps an ending to an exit code: 0
+success, 1 filesystem trouble, 2 bad configuration or input, 3 training
+diverged.  An array too large to allocate, whichever setting sized it (T,
+the splits, the sensor geometry, k, hidden or the class count), is bad
+input: main names its shape, dtype and bytes where NumPy gives them.  A
+diverged run keeps the metrics rows its verb finished: each epoch of train
+and sweep-beta, each --train-per-point point, none of a one-model sweep.
 """
 
 from __future__ import annotations
@@ -104,19 +107,24 @@ def _init_models(cfg: RunConfig, data: Dataset):
     return encoder, decoder
 
 
-def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int):
-    """Full training loop; returns params and one metrics row per epoch."""
+def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
+               rows: list[MetricsRow]):
+    """Full training loop; appends each epoch's metrics row to `rows` as the
+    epoch ends and returns the params.  A divergence is raised again naming
+    the experiment, point and epoch."""
     eps = cfg.crossover()
     encoder, decoder = _init_models(cfg, data)
     filter_dataset(data, encoder.kernel_ff)
     root = SeededRng(cfg.seed)
     opt_state: dict = {}
-    rows = []
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        encoder, decoder, metrics = train_epoch(
-            encoder, decoder, data, cfg, root.substream("train", epoch), opt_state
-        )
+        try:
+            encoder, decoder, metrics = train_epoch(
+                encoder, decoder, data, cfg, root.substream("train", epoch), opt_state
+            )
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"{experiment} point {point} epoch {epoch}: {exc}") from exc
         seconds = time.perf_counter() - started if cfg.timing else 0.0
         rows.append(
             MetricsRow(
@@ -137,7 +145,7 @@ def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int):
             f"error={metrics.test_error:.4f} rate={metrics.spike_rate:.4f} "
             f"objective={metrics.objective:.4f}"
         )
-    return encoder, decoder, rows
+    return encoder, decoder
 
 
 def _parse_grid(args, mapping: str, epsilon_grid=(), ebn0_grid_db=()):
@@ -220,21 +228,11 @@ def _check_checkpoint(cfg: RunConfig, encoder, decoder, meta: dict, test_x, test
             _log(f"warning: checkpoint {name} differs from the config's; using the checkpoint's")
 
 
-def _aborted(out: Path, rows: list[MetricsRow], exc: TrainingDiverged, where: str = "") -> int:
-    """Keep the rows finished before training diverged; exit status 3."""
-    write_metrics(out / "metrics.csv", rows)
-    _log(f"training aborted{where}: {exc}")
-    return 3
-
-
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig, args, rows: list[MetricsRow]) -> None:
     cfg.training_crossover()
     data = _build_dataset(cfg)
     out = _out_dir(cfg)
-    try:
-        encoder, decoder, rows = _train_run(cfg, data, "train", 0)
-    except TrainingDiverged as exc:
-        return _aborted(out, [], exc)
+    encoder, decoder = _train_run(cfg, data, "train", 0, rows)
     write_metrics(out / "metrics.csv", rows)
     save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
     if rows:
@@ -242,22 +240,17 @@ def cmd_train(cfg: RunConfig) -> int:
               f"spike rate {rows[-1].spike_rate:.4f}")
     else:
         print("no epochs requested; wrote initial checkpoint")
-    return 0
 
 
-def _sweep_train_per_point(cfg: RunConfig, grid) -> int:
+def _sweep_train_per_point(cfg: RunConfig, grid, rows: list[MetricsRow]) -> None:
     # an Eb/N0 point keeps its dB value, so it trains through cfg.mapping
     changes = [{"epsilon": eps if db is None else None, "ebn0_db": db} for eps, db in grid]
     configs = _point_configs(cfg, "grid", changes)
     data = _build_dataset(cfg)
     out = _out_dir(cfg)
-    rows: list[MetricsRow] = []
     for i, ((eps, db), point_cfg) in enumerate(zip(grid, configs)):
         started = time.perf_counter()
-        try:
-            encoder, decoder, _ = _train_run(point_cfg, data, "sweep-snr", i)
-        except TrainingDiverged as exc:
-            return _aborted(out, rows, exc, f" at point {i}")
+        encoder, decoder = _train_run(point_cfg, data, "sweep-snr", i, [])
         [(error, rate)] = evaluate_grid(
             encoder, decoder, data.test_inputs, data.test_labels, [eps], cfg.seed
         )
@@ -268,10 +261,10 @@ def _sweep_train_per_point(cfg: RunConfig, grid) -> int:
         )
         _log(f"sweep-snr point={i} epsilon={eps:.6g} error={error:.4f}")
     write_metrics(out / "metrics.csv", rows)
-    return 0
 
 
-def _sweep_one_model(cfg: RunConfig, grid, experiment: str, checkpoint: str | None = None) -> int:
+def _sweep_one_model(cfg: RunConfig, grid, experiment: str, rows: list[MetricsRow],
+                     checkpoint: str | None = None) -> None:
     """Evaluate one model across the grid in one evaluate_grid call on the
     test split's counts: the checkpoint's model, or one trained here at the
     configured point (saved as checkpoint.txt).  Each row gets an even
@@ -287,63 +280,48 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, checkpoint: str | No
         cfg.training_crossover()
         data = _build_dataset(cfg)
         out = _out_dir(cfg)
-        try:
-            encoder, decoder, _ = _train_run(cfg, data, "train", 0)
-        except TrainingDiverged as exc:
-            return _aborted(out, [], exc)
+        encoder, decoder = _train_run(cfg, data, "train", 0, [])
         save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
         test_x, test_y = data.test_inputs, data.test_labels
     started = time.perf_counter()
     results = evaluate_grid(encoder, decoder, test_x, test_y, [eps for eps, _ in grid], cfg.seed)
     seconds = (time.perf_counter() - started) / len(grid) if cfg.timing else 0.0
-    rows = []
     for i, ((eps, db), (error, rate)) in enumerate(zip(grid, results)):
         rows.append(MetricsRow(experiment, i, cfg.epochs, eps, db, cfg.beta, cfg.k,
                                error, rate, seconds))
         _log(f"{experiment} point={i} epsilon={eps:.6g} error={error:.4f}")
     write_metrics(out / "metrics.csv", rows)
-    return 0
 
 
-def cmd_sweep_snr(cfg: RunConfig, args) -> int:
+def cmd_sweep_snr(cfg: RunConfig, args, rows: list[MetricsRow]) -> None:
     if args.train_per_point and args.checkpoint:
         raise ConfigError("give only one of --train-per-point and --checkpoint")
     grid = _parse_grid(args, cfg.mapping, ebn0_grid_db=DEFAULT_SNR_GRID_DB)
     if args.train_per_point:
-        code = _sweep_train_per_point(cfg, grid)
+        _sweep_train_per_point(cfg, grid, rows)
     else:
-        code = _sweep_one_model(cfg, grid, "sweep-snr", args.checkpoint)
-    if code == 0:
-        print(f"swept {len(grid)} channel points; metrics in {Path(cfg.out) / 'metrics.csv'}")
-    return code
+        _sweep_one_model(cfg, grid, "sweep-snr", rows, args.checkpoint)
+    print(f"swept {len(grid)} channel points; metrics in {Path(cfg.out) / 'metrics.csv'}")
 
 
-def cmd_mismatch(cfg: RunConfig, args) -> int:
+def cmd_mismatch(cfg: RunConfig, args, rows: list[MetricsRow]) -> None:
     grid = _parse_grid(args, cfg.mapping, epsilon_grid=DEFAULT_MISMATCH_GRID)
-    code = _sweep_one_model(cfg, grid, "mismatch")
-    if code == 0:
-        print(f"trained at epsilon {cfg.crossover():.6g}, evaluated {len(grid)} points")
-    return code
+    _sweep_one_model(cfg, grid, "mismatch", rows)
+    print(f"trained at epsilon {cfg.crossover():.6g}, evaluated {len(grid)} points")
 
 
-def cmd_sweep_beta(cfg: RunConfig, args) -> int:
+def cmd_sweep_beta(cfg: RunConfig, args, rows: list[MetricsRow]) -> None:
     betas = args.beta_grid or DEFAULT_BETA_GRID
     configs = _point_configs(cfg, "beta grid", [{"beta": beta} for beta in betas])
     data = _build_dataset(cfg)
     out = _out_dir(cfg)
-    rows: list[MetricsRow] = []
     for i, point_cfg in enumerate(configs):
-        try:
-            _, _, run_rows = _train_run(point_cfg, data, "sweep-beta", i)
-        except TrainingDiverged as exc:
-            return _aborted(out, rows, exc, f" at beta={point_cfg.beta}")
-        rows.extend(run_rows)
+        _train_run(point_cfg, data, "sweep-beta", i, rows)
     write_metrics(out / "metrics.csv", rows)
     print(f"swept {len(betas)} beta values; metrics in {out / 'metrics.csv'}")
-    return 0
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> None:
     rows = read_metrics(args.metrics)
     text = export_metrics(rows, args.format)
     if args.out:
@@ -353,7 +331,6 @@ def cmd_export(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
 def _float_list(raw: str) -> list[float]:
@@ -435,39 +412,42 @@ def _overrides(args) -> dict:
 
 
 def main(argv=None) -> int:
+    """Run one verb; the only place that turns its ending into an exit code."""
     parser = _make_parser()
     args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     cfg = None
+    rows: list[MetricsRow] = []
     try:
         if args.command == "export":
-            return cmd_export(args)
+            cmd_export(args)
+            return 0
         file_values = parse_config_file(args.config) if args.config else {}
         cfg = build_run_config(file_values, _overrides(args))
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "sweep-snr":
-            return cmd_sweep_snr(cfg, args)
-        if args.command == "mismatch":
-            return cmd_mismatch(cfg, args)
-        if args.command == "sweep-beta":
-            return cmd_sweep_beta(cfg, args)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ValueError as exc:
-        _log(f"error: {exc}")
+        verb = {"train": cmd_train, "sweep-snr": cmd_sweep_snr,
+                "mismatch": cmd_mismatch, "sweep-beta": cmd_sweep_beta}[args.command]
+        try:
+            verb(cfg, args, rows)
+        except TrainingDiverged as exc:
+            # keep the finished rows; a failed write is the OSError handler's
+            write_metrics(Path(cfg.out) / "metrics.csv", rows)
+            _log(f"training aborted at {exc}")
+            return 3
+        return 0
+    except (ValueError, MemoryError) as exc:
+        # NumPy's MemoryError carries the array's shape and dtype; its
+        # ValueError for a byte count or dimension that overflows does not
+        message = str(exc)
+        overflow = ("array is too big", "Maximum allowed dimension exceeded")
+        if isinstance(exc, MemoryError) or message.startswith(overflow):
+            shape, dtype = getattr(exc, "shape", None), getattr(exc, "dtype", None)
+            what = "an array"
+            if shape is not None and dtype is not None:
+                size = math.prod(shape) * dtype.itemsize
+                what += f" of shape {tuple(shape)} and dtype {dtype} ({size} bytes)"
+            sizes = "" if cfg is None else f"; T = {cfg.T}, k = {cfg.k}, hidden = {cfg.hidden}"
+            message = f"{what} is too large to allocate{sizes}"
+        _log(f"error: {message}")
         return 2
-    except MemoryError as exc:
-        # NumPy's allocation error carries the array's shape and dtype
-        shape, dtype = getattr(exc, "shape", None), getattr(exc, "dtype", None)
-        what = "an array"
-        if shape is not None and dtype is not None:
-            size = math.prod(shape) * dtype.itemsize
-            what += f" of shape {tuple(shape)} and dtype {dtype} ({size} bytes)"
-        sizes = "" if cfg is None else f"; T = {cfg.T}, k = {cfg.k}, hidden = {cfg.hidden}"
-        _log(f"error: {what} is too large to allocate{sizes}")
-        return 2
-    except TrainingDiverged as exc:
-        _log(f"error: {exc}")
-        return 3
     except OSError as exc:
         _log(f"error: {exc}")
         return 1

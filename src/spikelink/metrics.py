@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,14 +80,18 @@ def _atomic_open(path: Path, **kwargs):
         tmp.unlink(missing_ok=True)
 
 
+def _write_csv(fh, rows) -> None:
+    """The header and one line per row, quoted where a field needs it."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(row.to_fields() for row in rows)
+
+
 def write_metrics(path, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with _atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.to_fields())
+        _write_csv(fh, rows)
 
 
 def read_metrics(path) -> list[MetricsRow]:
@@ -105,10 +110,9 @@ def read_metrics(path) -> list[MetricsRow]:
 def export_metrics(rows, fmt: str = "csv") -> str:
     """Render rows as CSV (default) or `key=value` lines, one row per line."""
     if fmt == "csv":
-        lines = [",".join(CSV_HEADER)]
-        for row in rows:
-            lines.append(",".join(row.to_fields()))
-        return "\n".join(lines) + "\n"
+        text = io.StringIO()
+        _write_csv(text, rows)
+        return text.getvalue()
     if fmt == "kv":
         lines = []
         for row in rows:

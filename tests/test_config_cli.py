@@ -241,6 +241,16 @@ class TestMetricsFiles:
         write_metrics(path, rows)
         assert export_metrics(rows, "csv") == path.read_text()
 
+    def test_csv_export_quotes_like_the_file(self, tmp_path):
+        # a field holding the delimiter or a quote is quoted, so the
+        # exported text reads back as the same rows
+        rows = [replace(row, experiment='a,"b"') for row in self._rows()]
+        path = tmp_path / "exported.csv"
+        path.write_text(export_metrics(rows, "csv"))
+        assert read_metrics(path) == rows
+        write_metrics(tmp_path / "metrics.csv", rows)
+        assert (tmp_path / "metrics.csv").read_text() == path.read_text()
+
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             export_metrics([], "json")
@@ -350,6 +360,40 @@ class TestCliTrain:
         assert read_metrics(out / "metrics.csv") == []
         load_checkpoint(out / "checkpoint.txt")
         assert "no epochs" in capsys.readouterr().out
+
+    @staticmethod
+    def _blowing_up(tiny_config, tmp_path) -> Path:
+        # one batch per epoch: epoch 0 finishes with a single huge step,
+        # and epoch 1's first losses are no longer finite
+        path = tmp_path / "diverging.cfg"
+        text = tiny_config.read_text().replace("batch_size = 4", "batch_size = 12")
+        path.write_text(text + "eta = 1e200\n")
+        return path
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_keeps_finished_epochs(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "diverged"
+        config = self._blowing_up(tiny_config, tmp_path)
+        assert _run("train", "--config", str(config), "--out", str(out)) == 3
+        rows = read_metrics(out / "metrics.csv")
+        assert [(r.experiment, r.point, r.epoch) for r in rows] == [("train", 0, 0)]
+        assert not (out / "checkpoint.txt").exists()
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "training aborted at train point 0 epoch 1: non-finite sample loss"
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_divergence_write_is_io_error(self, tiny_config, tmp_path, capsys,
+                                                 monkeypatch):
+        def failing(path, rows):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_metrics", failing)
+        out = tmp_path / "diverged"
+        config = self._blowing_up(tiny_config, tmp_path)
+        assert _run("train", "--config", str(config), "--out", str(out)) == 1
+        assert _refusal(capsys) == "error: [Errno 28] No space left on device"
+        assert not (out / "metrics.csv").exists()
 
 
 class TestCliSweeps:
@@ -618,6 +662,48 @@ class TestCliSweeps:
         assert _run(verb, "--config", str(tiny_config), "--out", str(out)) == 3
         assert read_metrics(out / "metrics.csv") == []
         assert not (out / "checkpoint.txt").exists()
+
+    def test_beta_sweep_divergence_keeps_finished_epochs(
+        self, tiny_config, tmp_path, monkeypatch, capsys
+    ):
+        # diverge in the second epoch of the second beta point
+        real = cli.train_epoch
+        seen = []
+
+        def train_epoch(encoder, decoder, data, config, *rest):
+            seen.append(config.beta)
+            if seen.count(0.2) == 2:
+                raise TrainingDiverged("non-finite sample loss")
+            return real(encoder, decoder, data, config, *rest)
+
+        monkeypatch.setattr(cli, "train_epoch", train_epoch)
+        out = tmp_path / "beta"
+        code = _run("sweep-beta", "--config", str(tiny_config), "--out", str(out),
+                    "--beta-grid", "0.1,0.2,0.3")
+        assert code == 3
+        rows = read_metrics(out / "metrics.csv")
+        assert [(r.point, r.epoch, r.beta) for r in rows] == [
+            (0, 0, 0.1), (0, 1, 0.1), (1, 0, 0.2),
+        ]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "training aborted at sweep-beta point 1 epoch 1: non-finite sample loss"
+        )
+
+    @pytest.mark.parametrize("verb, flags, epsilon, where", [
+        ("sweep-snr", ["--train-per-point", "--epsilon-grid", "0.1,0.2"], 0.2,
+         "sweep-snr point 1 epoch 0"),
+        ("mismatch", [], None, "train point 0 epoch 0"),
+    ], ids=["train-per-point", "one-model"])
+    def test_abort_line_names_experiment_point_and_epoch(
+        self, tiny_config, tmp_path, monkeypatch, capsys, verb, flags, epsilon, where
+    ):
+        # a one-model sweep names the training run of its model
+        self._diverge_at(monkeypatch, epsilon)
+        out = tmp_path / "diverged"
+        assert _run(verb, "--config", str(tiny_config), "--out", str(out), *flags) == 3
+        aborted = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("training aborted")]
+        assert aborted == [f"training aborted at {where}: non-finite sample loss"]
 
     def test_checkpoint_sweep_never_holds_the_split_traces(self, tmp_path):
         # 2048 test records of 2 x 4 x 8 lines over 20 steps: their float64
@@ -992,7 +1078,15 @@ class TestCliErrors:
         # the decoder's last layer (classes, hidden): an event label sets
         # the class count
         ("events", "label", 10**15, (10**15 + 1, 8), np.float64),
-    ], ids=["T-synthetic", "T-events", "k", "hidden", "label"])
+        # arrays whose byte count overflows: NumPy refuses them with a
+        # ValueError that gives no shape
+        ("synthetic", "T", 10**18, None, None),
+        ("synthetic", "k", 10**18, None, None),
+        ("events", "w", 10**18, None, None),
+        # a dimension beyond int64
+        ("synthetic", "hidden", 10**19, None, None),
+    ], ids=["T-synthetic", "T-events", "k", "hidden", "label",
+            "T-overflow", "k-overflow", "w-overflow", "hidden-beyond-int64"])
     def test_every_size_refused_by_one_handler(self, tiny_config, tmp_path, capsys,
                                                dataset, key, value, shape, dtype):
         # each array is far beyond any address space, so NumPy refuses it
@@ -1003,6 +1097,8 @@ class TestCliErrors:
             records = synthetic_records(geometry, 2, seed=1)
             if key == "label":
                 records[-1].label = value
+            if key == "w":
+                records[0].width = value
             save_events(records, tmp_path / "train.events")
             save_events(synthetic_records(geometry, 1, seed=2, tag="test"),
                         tmp_path / "test.events")
@@ -1016,10 +1112,12 @@ class TestCliErrors:
         path.write_text(text)
         out = tmp_path / "o"
         assert _run("train", "--config", str(path), "--out", str(out)) == 2
-        size = math.prod(shape) * np.dtype(dtype).itemsize
+        what = "an array"
+        if shape is not None:
+            size = math.prod(shape) * np.dtype(dtype).itemsize
+            what += f" of shape {shape} and dtype {np.dtype(dtype)} ({size} bytes)"
         assert _refusal(capsys) == (
-            f"error: an array of shape {shape} and dtype {np.dtype(dtype)} ({size} bytes) "
-            f"is too large to allocate; T = {sizes['T']}, k = {sizes['k']}, "
+            f"error: {what} is too large to allocate; T = {sizes['T']}, k = {sizes['k']}, "
             f"hidden = {sizes['hidden']}"
         )
         assert not (out / "metrics.csv").exists()

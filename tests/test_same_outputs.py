@@ -36,6 +36,8 @@ def test_tree_matches_itself_on_tiny_configs(tmp_path):
     for name in ("default-seed5", "sweep-snr-checkpoint", "sweep-snr-large-test"):
         assert (tmp_path / "b" / name / "metrics.csv").stat().st_size > 0
     assert (tmp_path / "a" / "default-seed5" / "checkpoint.txt").exists()
+    # the diverged case exits 3 on both sides and keeps its epoch-0 row
+    assert len((tmp_path / "b" / "diverged" / "metrics.csv").read_text().splitlines()) == 2
 
 
 def test_differences_name_each_file(tmp_path):

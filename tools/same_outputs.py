@@ -5,8 +5,10 @@
 
 TREE_A and TREE_B are checkout roots.  Each case runs one CLI invocation
 per tree, in a child process with PYTHONPATH at that tree's src/,
-`timing = off` and BLAS at one thread; then its exit codes are compared
-and its metrics.csv and checkpoint.txt are diffed byte for byte.  Beside
+`timing = off` and BLAS at one thread; then its exit codes are compared,
+with each other and with the code the case expects (0, or 3 for the
+`diverged` case, whose learning rate blows training up), and its
+metrics.csv and checkpoint.txt are diffed byte for byte.  Beside
 each verdict it prints the two children's peak RSS (from wait4), so a
 memory change shows on every case.  The cases run in order, so
 `sweep-snr-checkpoint` and `sweep-snr-large-test` evaluate the checkpoint
@@ -45,7 +47,11 @@ CASES = (
     ("sweep-snr-checkpoint", ["sweep-snr"], {"seed": 5}),
     ("sweep-snr-large-test", ["sweep-snr"], {"seed": 5, "test_per_class": 512}),
     ("event-files", ["train"], {"seed": 9, "dataset": "events"}),
+    ("diverged", ["train"], {"seed": 10, "eta": 1e200}),
 )
+# the exit code each case should end with, if not 0: a diverged run exits 3
+# and keeps the rows it finished (none at full size, epoch 0 under --tiny)
+EXPECTED_EXIT = {"diverged": 3}
 CHECKPOINT_FROM = "default-seed5"
 FROM_CHECKPOINT = ("sweep-snr-checkpoint", "sweep-snr-large-test")
 TINY = {"height": 8, "width": 8, "train_per_class": 4, "test_per_class": 3,
@@ -146,7 +152,7 @@ def compare(tree_a: str, tree_b: str, tiny: bool, work: Path) -> bool:
         found = differences(work / "a" / name, work / "b" / name)
         if codes["a"] != codes["b"]:
             found.insert(0, f"exit {codes['a']} against {codes['b']}")
-        elif codes["a"] != 0:
+        elif codes["a"] != EXPECTED_EXIT.get(name, 0):
             found.insert(0, f"both exited {codes['a']}")
         same = same and not found
         verdict = "same" if not found else "; ".join(found)
