@@ -13,17 +13,20 @@ wall-clock seconds unless `timing = off`.
 
 The verbs return nothing; main alone maps an ending to an exit code: 0
 success, 1 filesystem trouble, 2 bad configuration or input, 3 training
-diverged.  An array too large to allocate, whichever setting sized it (T,
-the splits, the sensor geometry, k, hidden or the class count), is bad
-input: main names its shape, dtype and bytes where NumPy gives them.  A
-diverged run keeps the metrics rows its verb finished: each epoch of train
-and sweep-beta, each --train-per-point point, none of a one-model sweep.
+diverged, 130 interrupted (Ctrl-C, or SIGTERM while main runs).  An array
+too large to allocate, whichever setting sized it (T, the splits, the
+sensor geometry, k, hidden or the class count), is bad input: main names
+its shape, dtype and bytes where NumPy gives them.  A diverged or
+interrupted run keeps the metrics rows its verb finished: each epoch of
+train and sweep-beta, each --train-per-point point, none of a one-model
+sweep.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import signal
 import sys
 import time
 from dataclasses import replace
@@ -55,8 +58,7 @@ def _split_inputs(cfg: RunConfig, tag: str):
     holds its list of records.  The frames are allocated before any record
     is drawn, or once an event file's first record is parsed."""
     if cfg.dataset == "synthetic":
-        per_class = cfg.train_per_class if tag == "train" else cfg.test_per_class
-        return synthetic_frames(cfg.synthetic_config(), per_class, cfg.seed, cfg.T, tag=tag)
+        return synthetic_frames(cfg, tag)
     frames, labels = load_frames(cfg.train_events if tag == "train" else cfg.test_events, cfg.T)
     if not len(labels):
         raise ConfigError("event files contain no records")
@@ -81,7 +83,7 @@ def _build_dataset(cfg: RunConfig) -> Dataset:
         )
     train_x, test_x = _flat(train_x), _flat(test_x)
     if cfg.dataset == "synthetic":
-        n_classes = cfg.synthetic_config().n_classes
+        n_classes = cfg.classes
     else:
         n_classes = int(max(train_y.max(), test_y.max())) + 1
     return Dataset(train_x, train_y, test_x, test_y, n_classes)
@@ -110,8 +112,8 @@ def _init_models(cfg: RunConfig, data: Dataset):
 def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
                rows: list[MetricsRow]):
     """Full training loop; appends each epoch's metrics row to `rows` as the
-    epoch ends and returns the params.  A divergence is raised again naming
-    the experiment, point and epoch."""
+    epoch ends and returns the params.  A divergence or an interruption in
+    an epoch is raised again naming the experiment, point and epoch."""
     eps = cfg.crossover()
     encoder, decoder = _init_models(cfg, data)
     filter_dataset(data, encoder.kernel_ff)
@@ -125,6 +127,8 @@ def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
             )
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"{experiment} point {point} epoch {epoch}: {exc}") from exc
+        except KeyboardInterrupt:
+            raise KeyboardInterrupt(f"{experiment} point {point} epoch {epoch}") from None
         seconds = time.perf_counter() - started if cfg.timing else 0.0
         rows.append(
             MetricsRow(
@@ -411,12 +415,17 @@ def _overrides(args) -> dict:
     return over
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def main(argv=None) -> int:
     """Run one verb; the only place that turns its ending into an exit code."""
     parser = _make_parser()
     args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     cfg = None
     rows: list[MetricsRow] = []
+    previous = signal.signal(signal.SIGTERM, _interrupt)  # restored on return
     try:
         if args.command == "export":
             cmd_export(args)
@@ -432,7 +441,14 @@ def main(argv=None) -> int:
             write_metrics(Path(cfg.out) / "metrics.csv", rows)
             _log(f"training aborted at {exc}")
             return 3
+        except KeyboardInterrupt:
+            if rows:  # rows exist only once the verb made its output directory
+                write_metrics(Path(cfg.out) / "metrics.csv", rows)
+            raise
         return 0
+    except KeyboardInterrupt as exc:
+        _log(f"interrupted at {exc}" if exc.args else "interrupted")
+        return 130
     except (ValueError, MemoryError) as exc:
         # NumPy's MemoryError carries the array's shape and dtype; its
         # ValueError for a byte count or dimension that overflows does not
@@ -451,6 +467,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         _log(f"error: {exc}")
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

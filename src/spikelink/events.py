@@ -1,4 +1,4 @@
-"""Event streams: synthetic generation, text serialization, frame binning.
+"""Event streams: the synthetic bar task, text parsing, frame binning.
 
 An event is (timestamp in microseconds, x, y, polarity).  A record keeps
 its events as integer columns in one structured array of EVENT_DTYPE, so
@@ -8,8 +8,9 @@ binarized into uint8 counts, which is the only preprocessing the encoder
 sees before its input filter.  synthetic_frames and load_frames bin a whole
 split as each record is drawn or parsed, into frames allocated first, so no
 list of records is ever held; frames too large to allocate raise NumPy's
-own MemoryError, which carries their shape and dtype.  synthetic_records
-and load_events return the records themselves, for export and tests.
+own MemoryError, which carries their shape and dtype.  The bar task reads
+its settings from the RunConfig.  load_events and frames_to_inputs keep
+the record-list path for the benchmark's binning check and the tests.
 Vendor formats are out of scope; converters should target the text format
 below.
 
@@ -28,21 +29,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .numerics import SeededRng
 
+if TYPE_CHECKING:
+    from .config import RunConfig
+
 __all__ = [
     "EVENT_DTYPE",
     "EventRecord",
     "EventFormatError",
-    "SyntheticConfig",
     "class_rate_map",
-    "synthetic_records",
     "synthetic_frames",
     "frames_to_inputs",
-    "save_events",
     "load_events",
     "load_frames",
 ]
@@ -190,37 +192,15 @@ def frames_to_inputs(records, steps: int) -> tuple[np.ndarray, np.ndarray]:
 # synthetic task
 
 
-@dataclass(frozen=True)
-class SyntheticConfig:
-    """Poisson oriented-bar task.
+def class_rate_map(label: int, config: RunConfig) -> np.ndarray:
+    """Expected event counts per record of the Poisson oriented-bar task,
+    shape (2, height, width).
 
     Each class lights up one bar pattern; events_per_pixel is the expected
     event count per active pixel over the record, split across polarities
     by a class-dependent fraction, on top of a uniform background rate.
     """
-
-    n_classes: int = 4
-    width: int = 16
-    height: int = 16
-    duration_us: int = 20_000
-    events_per_pixel: float = 8.0
-    background_events: float = 0.3
-    bar_halfwidth: int = 2
-
-    def __post_init__(self):
-        if not 2 <= self.n_classes <= 4:
-            raise ValueError("the bar task defines 2 to 4 classes")
-        if self.width < 4 or self.height < 4:
-            raise ValueError("sensor too small for bar patterns")
-        if self.duration_us < 1:
-            raise ValueError("duration must be positive")
-        if self.events_per_pixel < 0 or self.background_events < 0:
-            raise ValueError("rates must be non-negative")
-
-
-def class_rate_map(label: int, config: SyntheticConfig) -> np.ndarray:
-    """Expected event counts per record, shape (2, height, width)."""
-    if not 0 <= label < config.n_classes:
+    if not 0 <= label < config.classes:
         raise ValueError(f"label {label} out of range")
     h, w = config.height, config.width
     ys, xs = np.mgrid[0:h, 0:w]
@@ -240,7 +220,7 @@ def class_rate_map(label: int, config: SyntheticConfig) -> np.ndarray:
     return rates
 
 
-def _draw_columns(rates: np.ndarray, config: SyntheticConfig, rng: SeededRng):
+def _draw_columns(rates: np.ndarray, config: RunConfig, rng: SeededRng):
     """One record's (timestamp, x, y, polarity) columns, unsorted: Poisson
     counts per cell, then one uniform timestamp per event."""
     counts = rng.poisson(rates)
@@ -250,73 +230,32 @@ def _draw_columns(rates: np.ndarray, config: SyntheticConfig, rng: SeededRng):
     return stamps, np.repeat(xs, reps), np.repeat(ys, reps), np.repeat(pol, reps)
 
 
-def _draw_record(
-    rates: np.ndarray, label: int, config: SyntheticConfig, rng: SeededRng
-) -> EventRecord:
-    """Draw one record: its columns sorted by timestamp, validated."""
-    columns = _draw_columns(rates, config, rng)
-    order = np.argsort(columns[0], kind="stable")
-    events = np.empty(order.size, dtype=EVENT_DTYPE)
-    for name, column in zip(EVENT_DTYPE.names, columns):
-        events[name] = column[order]
-    return EventRecord(events, label, config.width, config.height, config.duration_us)
+def synthetic_frames(config: RunConfig, tag: str) -> tuple[np.ndarray, np.ndarray]:
+    """The "train" or "test" split of the bar task, binned into config.T
+    steps as each record is drawn, with no record list.
 
-
-def _record_streams(config: SyntheticConfig, per_class: int, seed: int, tag: str):
-    """(label, rates, rng) of every record, class by class, each rng its
-    own (tag, class, index) stream."""
-    root = SeededRng(seed)
-    for label in range(config.n_classes):
+    Its per-class count is train_per_class or test_per_class; record idx
+    of class label draws from substream("data", tag, label, idx) of
+    config.seed.  Returns (records, T, 2, height, width) uint8 frames,
+    class by class, plus the labels.  The frames are allocated before any
+    record is drawn, and each record's columns are scattered and dropped:
+    binning does not depend on event order, and the draws are in range by
+    construction.
+    """
+    per_class = config.train_per_class if tag == "train" else config.test_per_class
+    frames = _zero_frames(config.classes * per_class, config.T, config.height, config.width)
+    root = SeededRng(config.seed)
+    for label in range(config.classes):
         rates = class_rate_map(label, config)
         for idx in range(per_class):
-            yield label, rates, root.substream("data", tag, label, idx)
-
-
-def synthetic_records(
-    config: SyntheticConfig, per_class: int, seed: int, tag: str = "train"
-) -> list[EventRecord]:
-    """per_class records for every class, each from its own (tag, class, index) stream."""
-    return [
-        _draw_record(rates, label, config, rng)
-        for label, rates, rng in _record_streams(config, per_class, seed, tag)
-    ]
-
-
-def synthetic_frames(
-    config: SyntheticConfig, per_class: int, seed: int, steps: int, tag: str = "train"
-) -> tuple[np.ndarray, np.ndarray]:
-    """synthetic_records binned as they are drawn, with no record list.
-
-    Returns (records, steps, 2, height, width) uint8 frames, which reshape
-    to frames_to_inputs(synthetic_records(...), steps)'s counts, plus the
-    labels.  The frames are allocated before any record is drawn, and each
-    record's columns are scattered and dropped: binning does not depend on
-    event order, and the draws are in range by construction.
-    """
-    n = config.n_classes * per_class
-    frames = _zero_frames(n, steps, config.height, config.width)
-    streams = _record_streams(config, per_class, seed, tag)
-    for i, (_, rates, rng) in enumerate(streams):
-        _scatter(frames[i], *_draw_columns(rates, config, rng), config.duration_us, steps)
-    labels = np.repeat(np.arange(config.n_classes, dtype=np.int64), per_class)
+            columns = _draw_columns(rates, config, root.substream("data", tag, label, idx))
+            _scatter(frames[label * per_class + idx], *columns, config.duration_us, config.T)
+    labels = np.repeat(np.arange(config.classes, dtype=np.int64), per_class)
     return frames, labels
 
 
 # ---------------------------------------------------------------------------
-# text serialization
-
-
-def save_events(records, path) -> None:
-    """Write records in the block text format; round-trips through load_events."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for rec in records:
-            fh.write(
-                f"# record label={rec.label} w={rec.width} h={rec.height} "
-                f"dur_us={rec.duration_us}\n"
-            )
-            fh.write("".join(f"{t} {x} {y} {p}\n" for t, x, y, p in rec.events.tolist()))
-            fh.write("\n")
+# text parsing
 
 
 def _parse_header(line: str, lineno: int) -> dict:
@@ -343,8 +282,8 @@ def _parse_header(line: str, lineno: int) -> dict:
     return fields
 
 
-# Byte classes of event lines.  A non-ASCII character arrives as "?", an
-# OTHER byte.
+# Byte classes of event lines.  A non-ASCII character, or an undecodable
+# byte (read as U+FFFD), arrives as "?", an OTHER byte.
 _SPACE, _NEWLINE, _DIGIT, _SIGN, _OTHER = range(5)
 _BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
 _BYTE_CLASS[list(b" \t\r\x0b\x0c")] = _SPACE
@@ -461,7 +400,7 @@ def _read_records(path, sink) -> None:
     a piece at a time.
     """
     reader = _BlockReader(sink)
-    with Path(path).open() as fh:
+    with Path(path).open(encoding="utf-8", errors="replace") as fh:
         carry = ""
         while piece := fh.read(_PIECE_CHARS):
             text = carry + piece

@@ -1,16 +1,23 @@
-"""Independent oracles the test suites check the package against, and the
-error NumPy raises for an array it cannot allocate.
+"""Independent oracles the test suites check the package against, event
+records and files to feed it, and the error NumPy raises for an array it
+cannot allocate.
 
 Nothing in the package calls these: each oracle recomputes a quantity the
-package produces by a separate, plainer route.
+package produces by a separate, plainer route.  The bar-task records come
+from the benchmark's reference (benchmarks/reference.py), which draws and
+bins the task without importing spikelink; `reference` is that module.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from spikelink.decoder import forward_batch
 from spikelink.encoder import filter_inputs
+from spikelink.events import EVENT_DTYPE, EventRecord
 from spikelink.metrics import CSV_HEADER, MetricsRow
 from spikelink.numerics import SeededRng, sigmoid
 
@@ -97,3 +104,39 @@ def allocation_error(shape, dtype=np.float64) -> MemoryError:
     from numpy._core._exceptions import _ArrayMemoryError
 
     return _ArrayMemoryError(tuple(shape), np.dtype(dtype))
+
+
+def _load_reference():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load_reference()
+
+
+def bar_records(count: int, seed: int, split: int = 0, **task) -> list[EventRecord]:
+    """`count` bar-task records with interleaved labels, drawn by
+    reference.wide_records from its own stream (seed, split); `task` sets
+    reference.BarTask's fields, named as in the config file."""
+    bar = reference.BarTask(**task)
+    records = []
+    for rec in reference.wide_records(bar, count, seed, split):
+        events = np.empty(len(rec.ts), dtype=EVENT_DTYPE)
+        for name, column in zip(EVENT_DTYPE.names, (rec.ts, rec.xs, rec.ys, rec.pol)):
+            events[name] = column
+        records.append(EventRecord(events, rec.label, bar.width, bar.height, bar.duration_us))
+    return records
+
+
+def write_events(path, records) -> None:
+    """Write EventRecords in the block text format that events.load_events reads."""
+    with Path(path).open("w") as fh:
+        for rec in records:
+            fh.write(f"# record label={rec.label} w={rec.width} h={rec.height} "
+                     f"dur_us={rec.duration_us}\n")
+            fh.write("".join(f"{t} {x} {y} {p}\n" for t, x, y, p in rec.events.tolist()))
+            fh.write("\n")

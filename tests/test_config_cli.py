@@ -1,7 +1,9 @@
 """Config files, metrics files, and the command-line verbs end to end."""
 
 import math
+import os
 import re
+import signal
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import allocation_error, parse_kv_metrics
+from oracles import allocation_error, bar_records, parse_kv_metrics, write_events
 
 import spikelink.cli as cli
 from spikelink import training
@@ -19,7 +21,7 @@ from spikelink.checkpoint import load_checkpoint, save_checkpoint
 from spikelink.cli import DEFAULT_MISMATCH_GRID, main
 from spikelink.config import ConfigError, RunConfig, build_run_config, parse_config_file
 from spikelink.encoder import filter_inputs
-from spikelink.events import SyntheticConfig, save_events, synthetic_frames, synthetic_records
+from spikelink.events import _draw_columns, class_rate_map, synthetic_frames
 from spikelink.numerics import Kernel, SeededRng, exponential_kernel
 from spikelink.training import TrainingDiverged, evaluate_grid
 from spikelink.metrics import (
@@ -95,6 +97,27 @@ class TestBuildRunConfig:
     def test_events_dataset_needs_paths(self):
         with pytest.raises(ConfigError, match="events"):
             build_run_config({"dataset": "events"})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("classes", 1, "the bar task defines 2 to 4 classes"),
+        ("classes", 5, "the bar task defines 2 to 4 classes"),
+        ("width", 3, "sensor too small for bar patterns"),
+        ("height", 3, "sensor too small for bar patterns"),
+        ("duration_us", 0, "duration must be positive"),
+        ("events_per_pixel", -1, "rates must be non-negative"),
+        ("background_events", -0.5, "rates must be non-negative"),
+    ], ids=["classes-1", "classes-5", "width", "height", "duration", "events", "background"])
+    def test_bar_task_checked_for_synthetic_data_only(self, tmp_path, capsys, key, value,
+                                                      message):
+        config = tmp_path / "bar.cfg"
+        config.write_text(f"{key} = {value}\n")
+        out = tmp_path / "o"
+        assert _run("train", "--config", str(config), "--out", str(out)) == 2
+        assert _refusal(capsys) == f"error: {message}"
+        assert not out.exists()
+        # event files bring their own geometry and rates: the keys are unused
+        events = {"dataset": "events", "train_events": "a", "test_events": "b"}
+        assert getattr(build_run_config({**events, key: value}), key) == value
 
     def test_seed_must_be_non_negative(self, tiny_config, tmp_path, capsys, monkeypatch):
         with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
@@ -436,9 +459,9 @@ class TestCliSweeps:
         assert _run("sweep-snr", "--config", str(tiny_config), "--out", str(trained), *grid) == 0
         tags = []
 
-        def recording(config, per_class, seed, steps, tag="train"):
+        def recording(cfg, tag):
             tags.append(tag)
-            return synthetic_frames(config, per_class, seed, steps, tag=tag)
+            return synthetic_frames(cfg, tag)
 
         monkeypatch.setattr(cli, "synthetic_frames", recording)
         swept = tmp_path / "swept"
@@ -557,11 +580,9 @@ class TestCliSweeps:
         assert "encoder.n_out = 4 does not match the config's k = 2" in capsys.readouterr().err
 
     def test_event_labels_must_fit_checkpoint_classes(self, tiny_checkpoint, tmp_path, capsys):
-        from spikelink.events import SyntheticConfig, save_events
-
-        syn = SyntheticConfig(n_classes=3, width=8, height=8, duration_us=4000)
         test_path = tmp_path / "test.events"
-        save_events(synthetic_records(syn, 2, seed=1, tag="test"), test_path)
+        write_events(test_path, bar_records(6, seed=1, classes=3, width=8, height=8,
+                                            duration_us=4000))
         config = tmp_path / "ev.cfg"
         config.write_text(
             f"dataset = events\ntrain_events = {test_path}\ntest_events = {test_path}\n"
@@ -705,6 +726,51 @@ class TestCliSweeps:
                    if line.startswith("training aborted")]
         assert aborted == [f"training aborted at {where}: non-finite sample loss"]
 
+    @pytest.mark.parametrize("verb, flags, calls, kept, where", [
+        ("train", ["--epochs", "3"], 3, 2, "train point 0 epoch 2"),
+        ("sweep-beta", ["--epochs", "3", "--beta-grid", "0.1,0.2"], 6, 5,
+         "sweep-beta point 1 epoch 2"),
+    ], ids=["train", "sweep-beta"])
+    @pytest.mark.parametrize("how", ["keyboard", "sigterm"])
+    def test_interruption_keeps_finished_rows(
+        self, tiny_config, tmp_path, monkeypatch, capsys, verb, flags, calls, kept, where, how
+    ):
+        # the interruption arrives in the third epoch of the last point
+        whole = tmp_path / "whole"
+        assert _run(verb, "--config", str(tiny_config), "--out", str(whole), *flags) == 0
+        real = cli.train_epoch
+        seen = []
+
+        def train_epoch(*args):
+            seen.append(1)
+            if len(seen) == calls:
+                if how == "keyboard":
+                    raise KeyboardInterrupt
+                os.kill(os.getpid(), signal.SIGTERM)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "train_epoch", train_epoch)
+        before = signal.getsignal(signal.SIGTERM)
+        out = tmp_path / "cut"
+        assert _run(verb, "--config", str(tiny_config), "--out", str(out), *flags) == 130
+        assert signal.getsignal(signal.SIGTERM) is before
+        assert read_metrics(out / "metrics.csv") == read_metrics(whole / "metrics.csv")[:kept]
+        assert not (out / "checkpoint.txt").exists()
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"interrupted at {where}" and "Traceback" not in err
+
+    def test_interruption_before_output_directory_writes_nothing(
+        self, tiny_config, tmp_path, monkeypatch, capsys
+    ):
+        def interrupted(cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_build_dataset", interrupted)
+        out = tmp_path / "o"
+        assert _run("train", "--config", str(tiny_config), "--out", str(out)) == 130
+        assert capsys.readouterr().err.splitlines() == ["interrupted"]
+        assert not out.exists()
+
     def test_checkpoint_sweep_never_holds_the_split_traces(self, tmp_path):
         # 2048 test records of 2 x 4 x 8 lines over 20 steps: their float64
         # traces would take 21 MB, their uint8 counts 2.6 MB
@@ -788,13 +854,17 @@ class TestCliSweeps:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        records = synthetic_records(cfg.synthetic_config(), 128, cfg.seed, tag="test")
-        one_record = max(r.events.nbytes for r in records)  # its four int64 columns
+        root = SeededRng(cfg.seed)
+        one_record = max(  # its four int64 columns
+            sum(column.nbytes for column in _draw_columns(
+                class_rate_map(label, cfg), cfg, root.substream("data", "test", label, idx)))
+            for label in range(cfg.classes) for idx in range(128)
+        )
         # besides the counts: one record's columns and the temporaries that
         # draw and bin it, and 64 bytes per record that tracemalloc keeps
         # counting after each Generator.poisson call (the process's RSS
         # does not grow by them)
-        assert peak < frames.nbytes + labels.nbytes + 4 * one_record + 64 * len(records), (
+        assert peak < frames.nbytes + labels.nbytes + 4 * one_record + 64 * len(labels), (
             f"peak {peak} bytes against {frames.nbytes} of counts"
         )
         assert frames.shape == (512, 20, 2, 16, 16) and labels.shape == (512,)
@@ -1093,15 +1163,14 @@ class TestCliErrors:
         # without touching memory
         text = tiny_config.read_text()
         if dataset == "events":
-            geometry = SyntheticConfig(n_classes=2, width=4, height=4)
-            records = synthetic_records(geometry, 2, seed=1)
+            geometry = dict(classes=2, width=4, height=4)
+            records = bar_records(4, seed=1, **geometry)
             if key == "label":
                 records[-1].label = value
             if key == "w":
                 records[0].width = value
-            save_events(records, tmp_path / "train.events")
-            save_events(synthetic_records(geometry, 1, seed=2, tag="test"),
-                        tmp_path / "test.events")
+            write_events(tmp_path / "train.events", records)
+            write_events(tmp_path / "test.events", bar_records(2, seed=2, **geometry))
             text += (f"dataset = events\ntrain_events = {tmp_path / 'train.events'}\n"
                      f"test_events = {tmp_path / 'test.events'}\n")
         sizes = {"T": 5, "k": 4, "hidden": 8}
@@ -1189,14 +1258,12 @@ class TestCliErrors:
 
 class TestEventsDatasetFlow:
     def test_train_on_event_files(self, tmp_path):
-        # save a synthetic corpus as event text, then train from the files
-        from spikelink.events import SyntheticConfig, save_events, synthetic_records
-
-        syn = SyntheticConfig(n_classes=2, width=8, height=8, duration_us=4000)
+        # write a bar-task corpus as event text, then train from the files
+        task = dict(classes=2, width=8, height=8, duration_us=4000)
         train_path = tmp_path / "train.events"
         test_path = tmp_path / "test.events"
-        save_events(synthetic_records(syn, 5, seed=2, tag="train"), train_path)
-        save_events(synthetic_records(syn, 3, seed=2, tag="test"), test_path)
+        write_events(train_path, bar_records(10, seed=2, split=0, **task))
+        write_events(test_path, bar_records(6, seed=2, split=1, **task))
         cfg_path = tmp_path / "ev.cfg"
         cfg_path.write_text(
             "dataset = events\n"
@@ -1221,13 +1288,12 @@ class TestEventsDatasetFlow:
     def test_train_and_test_geometries_must_match(
         self, tmp_path, capsys, verb, train_geometry, test_geometry
     ):
-        from spikelink.events import SyntheticConfig, save_events
-
         paths = {}
-        for tag, (w, h) in (("train", train_geometry), ("test", test_geometry)):
-            syn = SyntheticConfig(n_classes=2, width=w, height=h, duration_us=4000)
+        for split, (tag, (w, h)) in enumerate((("train", train_geometry),
+                                               ("test", test_geometry))):
             paths[tag] = tmp_path / f"{tag}.events"
-            save_events(synthetic_records(syn, 2, seed=2, tag=tag), paths[tag])
+            write_events(paths[tag], bar_records(4, seed=2, split=split, classes=2, width=w,
+                                                 height=h, duration_us=4000))
         cfg_path = tmp_path / "ev.cfg"
         cfg_path.write_text(
             f"dataset = events\ntrain_events = {paths['train']}\n"

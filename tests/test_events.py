@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import bar_records, reference, write_events
 
+from spikelink.config import ConfigError, RunConfig
 from spikelink.events import (
     EVENT_DTYPE,
     EventFormatError,
     EventRecord,
-    SyntheticConfig,
-    _draw_record,
+    _draw_columns,
     class_rate_map,
     frames_to_inputs,
     load_events,
     load_frames,
-    save_events,
     synthetic_frames,
-    synthetic_records,
 )
 from spikelink.numerics import SeededRng
 
@@ -155,8 +154,7 @@ class TestFramesToInputs:
     def test_equals_per_event_loop_oracle(self):
         # independent oracle: bin floor(ts*T/dur) clamped, line p*H*W + y*W + x,
         # one event at a time in Python integers
-        cfg = SyntheticConfig(width=6, height=5, duration_us=997)
-        recs = synthetic_records(cfg, 3, seed=4)
+        recs = bar_records(12, seed=4, width=6, height=5, duration_us=997)
         recs.append(_record([(0, 0, 0, 0), (1000, 3, 3, 1)], label=1, w=6, h=5, dur=1000))
         recs.append(_record([], label=2, w=6, h=5, dur=7))
         for steps in (1, 7, 20):
@@ -200,14 +198,18 @@ def _flat(frames):
 
 
 class TestSplitFrames:
-    """synthetic_frames and load_frames bin as they draw or parse, and give
-    frames_to_inputs' counts of the record list they never build."""
+    """synthetic_frames and load_frames bin as they draw or parse, with no
+    record list: the benchmark's reference draws and bins the same bar-task
+    split on its own, and load_frames gives frames_to_inputs' counts of
+    the records load_events parses."""
 
     @pytest.mark.parametrize("steps", [1, 7, 20])
     def test_synthetic_frames_equal_binned_records(self, steps):
-        cfg = SyntheticConfig(n_classes=3, width=6, height=5, duration_us=997)
-        frames, labels = synthetic_frames(cfg, 4, seed=4, steps=steps, tag="test")
-        inputs, expected = _binned(synthetic_records(cfg, 4, seed=4, tag="test"), steps)
+        task = dict(classes=3, width=6, height=5, duration_us=997)
+        cfg = RunConfig(**task, test_per_class=4, seed=4, T=steps).validate()
+        frames, labels = synthetic_frames(cfg, "test")
+        inputs, expected = reference.synthetic_inputs(reference.BarTask(**task), 4, 4, "test",
+                                                      steps)
         assert frames.shape == (12, steps, 2, 5, 6) and frames.dtype == np.uint8
         assert np.array_equal(_flat(frames), inputs)
         assert labels.dtype == expected.dtype and np.array_equal(labels, expected)
@@ -216,17 +218,16 @@ class TestSplitFrames:
         # NumPy's own error leaves, carrying the split's frames' shape and
         # dtype for the CLI to report
         with pytest.raises(MemoryError) as exc:
-            synthetic_frames(SyntheticConfig(), 3, seed=0, steps=10**13)
+            synthetic_frames(RunConfig(train_per_class=3, T=10**13), "train")
         assert exc.value.shape == (12, 10**13, 2, 16, 16) and exc.value.dtype == np.uint8
 
     @pytest.mark.parametrize("steps", [1, 7, 20])
     def test_load_frames_equal_binned_records(self, tmp_path, steps):
-        cfg = SyntheticConfig(width=6, height=5, duration_us=997)
         path = tmp_path / "split.events"
-        recs = synthetic_records(cfg, 3, seed=4)
+        recs = bar_records(12, seed=4, width=6, height=5, duration_us=997)
         recs.append(_record([(0, 0, 0, 0), (1000, 3, 3, 1)], label=1, w=6, h=5, dur=1000))
         recs.append(_record([], label=2, w=6, h=5, dur=7))
-        save_events(recs, path)
+        write_events(path, recs)
         frames, labels = load_frames(path, steps)
         inputs, expected = _binned(path, steps)
         assert frames.shape == (len(recs), steps, 2, 5, 6)
@@ -271,7 +272,7 @@ class TestSplitFrames:
 
     def test_load_frames_too_large_names_the_split(self, tmp_path):
         path = tmp_path / "split.events"
-        save_events(synthetic_records(SyntheticConfig(width=4, height=4), 2, seed=1), path)
+        write_events(path, bar_records(8, seed=1, width=4, height=4))
         with pytest.raises(MemoryError) as exc:
             load_frames(path, 10**13)
         assert exc.value.shape == (8, 10**13, 2, 4, 4) and exc.value.dtype == np.uint8
@@ -279,8 +280,8 @@ class TestSplitFrames:
 
 class TestSyntheticTask:
     def test_rate_map_geometry(self):
-        cfg = SyntheticConfig()
-        for label in range(cfg.n_classes):
+        cfg = RunConfig()
+        for label in range(cfg.classes):
             rates = class_rate_map(label, cfg)
             assert rates.shape == (2, cfg.height, cfg.width)
             assert (rates >= 0).all()
@@ -288,22 +289,22 @@ class TestSyntheticTask:
             assert rates.max() > cfg.background_events
 
     def test_rate_maps_distinguish_classes(self):
-        cfg = SyntheticConfig()
-        maps = [class_rate_map(lab, cfg) for lab in range(cfg.n_classes)]
+        cfg = RunConfig()
+        maps = [class_rate_map(lab, cfg) for lab in range(cfg.classes)]
         for i in range(len(maps)):
             for j in range(i + 1, len(maps)):
                 assert not np.allclose(maps[i], maps[j])
 
     def test_rate_map_rejects_bad_label(self):
         with pytest.raises(ValueError):
-            class_rate_map(4, SyntheticConfig())
+            class_rate_map(4, RunConfig())
 
     def test_generate_event_count_tracks_rates(self):
-        cfg = SyntheticConfig()
+        cfg = RunConfig()
         rates = class_rate_map(0, cfg)
         expected = rates.sum()
         counts = [
-            len(_draw_record(rates, 0, cfg, SeededRng(7).substream("d", i)).events)
+            _draw_columns(rates, cfg, SeededRng(7).substream("d", i))[0].size
             for i in range(50)
         ]
         mean = np.mean(counts)
@@ -312,42 +313,38 @@ class TestSyntheticTask:
         assert abs(mean - expected) < 5 * sd
 
     def test_generate_respects_record_invariants(self):
-        cfg = SyntheticConfig(n_classes=3)
-        rec = _draw_record(class_rate_map(2, cfg), 2, cfg, SeededRng(11))
-        # EventRecord.__post_init__ validates; reaching here means sorted/bounded
-        assert rec.label == 2
-        assert rec.duration_us == cfg.duration_us
+        cfg = RunConfig(classes=3, width=7, height=5)
+        ts, x, y, pol = _draw_columns(class_rate_map(2, cfg), cfg, SeededRng(11))
+        assert ts.size > 0 and x.size == y.size == pol.size == ts.size
+        assert ts.min() >= 0 and ts.max() <= cfg.duration_us
+        assert x.min() >= 0 and x.max() < 7 and y.min() >= 0 and y.max() < 5
+        assert set(pol.tolist()) == {0, 1}
 
-    def test_synthetic_records_shape_and_determinism(self):
-        cfg = SyntheticConfig()
-        recs1 = synthetic_records(cfg, 3, seed=5, tag="train")
-        recs2 = synthetic_records(cfg, 3, seed=5, tag="train")
-        assert len(recs1) == cfg.n_classes * 3
-        assert [r.label for r in recs1] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
-        for a, b in zip(recs1, recs2):
-            assert _same_events(a, b)
+    def test_synthetic_frames_shape_and_determinism(self):
+        cfg = RunConfig(train_per_class=3, seed=5)
+        frames, labels = synthetic_frames(cfg, "train")
+        again, _ = synthetic_frames(cfg, "train")
+        assert frames.shape == (cfg.classes * 3, cfg.T, 2, cfg.height, cfg.width)
+        assert labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+        assert frames.any() and np.array_equal(frames, again)
 
     def test_train_and_test_tags_differ(self):
-        cfg = SyntheticConfig()
-        train = synthetic_records(cfg, 2, seed=5, tag="train")
-        test = synthetic_records(cfg, 2, seed=5, tag="test")
-        assert not all(_same_events(a, b) for a, b in zip(train, test))
+        cfg = RunConfig(train_per_class=2, test_per_class=2, seed=5)
+        train, _ = synthetic_frames(cfg, "train")
+        test, _ = synthetic_frames(cfg, "test")
+        assert not np.array_equal(train, test)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SyntheticConfig(n_classes=5)
-        with pytest.raises(ValueError):
-            SyntheticConfig(width=2)
-        with pytest.raises(ValueError):
-            SyntheticConfig(events_per_pixel=-1.0)
+        for bad in ({"classes": 5}, {"width": 2}, {"events_per_pixel": -1.0}):
+            with pytest.raises(ConfigError):
+                RunConfig(**bad).validate()
 
 
 class TestTextFormat:
     def test_round_trip(self, tmp_path):
-        cfg = SyntheticConfig(width=8, height=8, duration_us=5000)
-        recs = synthetic_records(cfg, 2, seed=3)
+        recs = bar_records(8, seed=3, width=8, height=8, duration_us=5000)
         path = tmp_path / "events.txt"
-        save_events(recs, path)
+        write_events(path, recs)
         back = load_events(path)
         assert len(back) == len(recs)
         for a, b in zip(recs, back):
@@ -357,7 +354,7 @@ class TestTextFormat:
 
     def test_empty_record_round_trip(self, tmp_path):
         path = tmp_path / "e.txt"
-        save_events([_record([], label=3)], path)
+        write_events(path, [_record([], label=3)])
         back = load_events(path)
         assert len(back) == 1
         assert back[0].label == 3 and len(back[0].events) == 0
@@ -463,6 +460,18 @@ class TestTextFormat:
         with pytest.raises(EventFormatError, match=f"^{message}"):
             load_events(path)
 
+    def test_non_utf8_byte_is_named_by_its_line(self, tmp_path):
+        # an undecodable byte reads as "?", so its line fails the event grammar
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# record label=0 w=4 h=4 dur_us=100\n0 0 0 1\n\xff\n2 0 0 1\n")
+        for load in (load_events, lambda p: load_frames(p, 4)):
+            with pytest.raises(EventFormatError, match="^line 3: expected 4 fields, got 1$"):
+                load(path)
+        path.write_bytes(b"# record label=0 w=4 h=4 dur_us=100\n0 0 0 \xc3\n")
+        for load in (load_events, lambda p: load_frames(p, 4)):
+            with pytest.raises(EventFormatError, match="^line 2: non-integer event field$"):
+                load(path)
+
     def test_event_after_closed_record(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# record label=0 w=4 h=4 dur_us=100\n1 0 0 1\n\n2 0 0 1\n")
@@ -506,7 +515,7 @@ _PROPERTY = settings(
 @given(st.lists(_records(), min_size=1, max_size=4))
 def test_round_trip_is_exact(tmp_path, records):
     path = tmp_path / "rt.txt"
-    save_events(records, path)
+    write_events(path, records)
     back = load_events(path)
     assert len(back) == len(records)
     for a, b in zip(records, back):
@@ -515,7 +524,7 @@ def test_round_trip_is_exact(tmp_path, records):
         )
         assert _same_events(a, b)
     again = tmp_path / "again.txt"
-    save_events(back, again)
+    write_events(again, back)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -529,7 +538,7 @@ def test_damaged_line_is_named(tmp_path, records, data):
     if not records:
         records = [EventRecord([(0, 0, 0, 1)], 0, 1, 1, 1)]
     path = tmp_path / "fuzz.txt"
-    save_events(records, path)
+    write_events(path, records)
     lines = path.read_text().splitlines()
     # 1-based line numbers of each record's header and event lines
     targets, lineno = [], 1
@@ -570,7 +579,7 @@ def test_damaged_line_is_named(tmp_path, records, data):
 def test_load_frames_bins_as_frames_to_inputs(tmp_path, records, steps):
     # the same counts and labels, or the same error for a geometry mix
     path = tmp_path / "split.txt"
-    save_events(records, path)
+    write_events(path, records)
     try:
         inputs, labels = frames_to_inputs(records, steps)
     except ValueError as exc:
