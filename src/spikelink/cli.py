@@ -330,6 +330,8 @@ def cmd_export(args) -> None:
     text = export_metrics(rows, args.format)
     if args.out:
         out = Path(args.out)
+        if out.is_dir():
+            raise IsADirectoryError(f"--out {args.out} is a directory")
         out.parent.mkdir(parents=True, exist_ok=True)
         with _atomic_open(out) as fh:
             fh.write(text)
@@ -406,12 +408,10 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def _overrides(args) -> dict:
     over: dict = {}
-    for key in ("seed", "out", "epsilon", "beta", "k", "T", "epochs"):
+    for key in ("seed", "out", "epsilon", "ebn0_db", "beta", "k", "T", "epochs"):
         value = getattr(args, key, None)
         if value is not None:
             over[key] = value
-    if getattr(args, "ebn0_db", None) is not None:
-        over["ebn0_db"] = args.ebn0_db
     return over
 
 

@@ -166,49 +166,49 @@ def _check_inputs(params: EncoderParams, inputs: np.ndarray, what: str) -> None:
         )
 
 
+def _project(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+    """x[:, t, :] @ ff_weights.T for each step t of x (n, steps, lines), of
+    any real dtype, into a step-major (steps, n, k) array: one matmul per
+    step, as one over all n * steps rows rounds differently at small n.
+    """
+    n, steps, _ = x.shape
+    out = np.empty((steps, n, params.n_out))
+    for t in range(steps):
+        np.matmul(x[:, t, :], params.ff_weights.T, out=out[t])
+    return out
+
+
 def drive_from_traces(params: EncoderParams, traces) -> np.ndarray:
     """Feedforward drive of input traces (n, steps, lines), as (n, steps, k).
 
     The traces are the inputs already filtered with params.kernel_ff (see
-    filter_inputs).  Step t's drive is traces[:, t, :] @ ff_weights.T, one
-    matmul per step: a single matmul over all n * steps rows rounds
-    differently at small batches, and training keeps its bits.  The drive
-    is step-major under its (n, steps, k) view, so each step reads
-    contiguous rows.
+    filter_inputs).  Step t's drive is traces[:, t, :] @ ff_weights.T, bit
+    for bit (_project); it is step-major under its (n, steps, k) view, so
+    each step reads contiguous rows.
     """
     traces = np.asarray(traces, dtype=np.float64)
     _check_inputs(params, traces, "traces")
-    n, steps, _ = traces.shape
-    drive = np.empty((steps, n, params.n_out))
-    for t in range(steps):
-        drive[t] = traces[:, t, :] @ params.ff_weights.T
-    return drive.transpose(1, 0, 2)
+    return _project(params, traces).transpose(1, 0, 2)
 
 
 def drive_from_counts(params: EncoderParams, counts) -> np.ndarray:
     """Feedforward drive of input counts (n, steps, lines), as (n, steps, k),
     filtered in neuron space: a∗(W·x) in place of W·(a∗x).
 
-    Each step's counts are cast into one reused float64 (n, lines) buffer
-    and projected to the k neurons by one matmul; then filter_inputs runs
-    the taps over the n * k projected columns, time-major as a (1, steps,
-    n * k) array, so each tap reads contiguous rows.  No float64 array of
-    the counts' size is made.  The result equals drive_from_traces of the
-    counts' traces up to float rounding: the two sum the same products in
-    another order.
+    Each step's counts are projected to the k neurons (_project); then
+    filter_inputs runs the taps over the n * k projected columns,
+    time-major as a (1, steps, n * k) array, so each tap reads contiguous
+    rows.  No float64 array of the counts' size is made.  The result
+    equals drive_from_traces of the counts' traces up to float rounding:
+    the two sum the same products in another order.
     """
     counts = np.asarray(counts)
     if counts.dtype.kind not in "buif":
         raise ValueError("drive_from_counts needs a real array of counts")
     _check_inputs(params, counts, "counts")
-    n, steps, lines = counts.shape
+    n, steps, _ = counts.shape
     k = params.n_out
-    row = np.empty((n, lines))
-    projected = np.empty((steps, n, k))
-    for t in range(steps):
-        row[...] = counts[:, t, :]
-        np.matmul(row, params.ff_weights.T, out=projected[t])
-    drive = filter_inputs(projected.reshape(1, steps, n * k), params.kernel_ff)
+    drive = filter_inputs(_project(params, counts).reshape(1, steps, n * k), params.kernel_ff)
     return drive.reshape(steps, n, k).transpose(1, 0, 2)
 
 

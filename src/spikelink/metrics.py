@@ -104,7 +104,10 @@ def read_metrics(path) -> list[MetricsRow]:
             raise ValueError(f"{path}: empty metrics file")
         if tuple(header) != CSV_HEADER:
             raise ValueError(f"{path}: unexpected metrics header {header}")
-        return [MetricsRow.from_fields(row) for row in reader if row]
+        try:
+            return [MetricsRow.from_fields(row) for row in reader if row]
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def export_metrics(rows, fmt: str = "csv") -> str:

@@ -227,27 +227,24 @@ def train_epoch(
     data: Dataset,
     config: RunConfig,
     rng: SeededRng,
-    state: dict | None = None,
+    state: dict,
 ) -> tuple[EncoderParams, DecoderParams, EpochMetrics]:
     """One pass over the training set in shuffled minibatches.
 
     Returns updated parameters and the epoch's metrics (losses averaged
     over training samples; error and spike rate measured on the test set).
-    The optional state dict carries momentum velocities, the moving
-    baseline and the test samples' evaluation draws across epochs, so a
-    run that passes one state draws those uniforms in its first epoch
-    only; without a state, evaluation draws chunk by chunk and keeps
-    nothing.  The dataset's train split must hold traces filtered with the
-    encoder's kernel_ff (filter_dataset); its test split holds counts.
-    Of the config it reads the channel point, beta, eta, batch_size, seed,
-    prior_rate, momentum, grad_clip and baseline.
+    The state dict, empty at a run's first epoch, carries momentum
+    velocities, the moving baseline and the test samples' evaluation draws
+    across epochs, so a run draws those uniforms in its first epoch only.
+    The dataset's train split must hold traces filtered with the encoder's
+    kernel_ff (filter_dataset); its test split holds counts.  Of the config
+    it reads the channel point, beta, eta, batch_size, seed, prior_rate,
+    momentum, grad_clip and baseline.
     """
     eps = config.training_crossover()
     if data.kernel != encoder.kernel_ff:
         raise ValueError("train inputs are not traces filtered with the encoder's kernel_ff")
     prior = PriorModel(config.prior_rate)
-    eval_draws = None if state is None else state.setdefault("eval_draws", {})
-    state = state if state is not None else {}
     order = rng.substream("shuffle").permutation(len(data.train_inputs))
     draw = rng.substream("draws")
     task_sum = 0.0
@@ -290,7 +287,7 @@ def train_epoch(
     mean_rate = rate_sum / max(count, 1)
     test_error, test_rate = evaluate(
         encoder, decoder, data.test_inputs, data.test_labels, eps, config.seed,
-        draws=eval_draws,
+        draws=state.setdefault("eval_draws", {}),
     )
     metrics = EpochMetrics(
         task_loss=mean_task,

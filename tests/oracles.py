@@ -1,25 +1,90 @@
-"""Independent oracles the test suites check the package against, event
-records and files to feed it, and the error NumPy raises for an array it
-cannot allocate.
+"""Independent oracles the test suites check the package against, the
+training path they run them on, event records and files to feed it, and the
+error NumPy raises for an array it cannot allocate.
 
 Nothing in the package calls these: each oracle recomputes a quantity the
-package produces by a separate, plainer route.  The bar-task records come
-from the benchmark's reference (benchmarks/reference.py), which draws and
-bins the task without importing spikelink; `reference` is that module.
+package produces by a separate, plainer route.  `training_rollout` (and
+`replay`, which feeds given bits back through it) is the one place the
+tests compose the training path, filter_inputs then drive_from_traces then
+rollout, so the enumeration and finite-difference oracles check the drive
+train_epoch makes.  The bar-task records come from the benchmark's
+reference (benchmarks/reference.py), which draws and bins the task without
+importing spikelink; `reference` is that module.
 """
 
 import importlib.util
+import itertools
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from spikelink.decoder import forward_batch
-from spikelink.encoder import filter_inputs
+from spikelink.channel import log_prob_noisy
+from spikelink.decoder import forward_batch, losses_from_logits_batch
+from spikelink.encoder import drive_from_traces, filter_inputs, rollout
 from spikelink.events import EVENT_DTYPE, EventRecord
 from spikelink.metrics import CSV_HEADER, MetricsRow
-from spikelink.numerics import SeededRng, sigmoid
+from spikelink.numerics import Kernel, SeededRng, sigmoid
+from spikelink.training import regularizer
+
+# the encoder's learnable fields, in EncoderParams and EncoderGrads
+ENCODER_FIELDS = ("ff_weights", "fb_weights", "bias")
+
+
+def kernel(*taps) -> Kernel:
+    """A causal filter with these taps, the current step's first."""
+    return Kernel(np.array(taps, dtype=np.float64))
+
+
+def all_sequences(steps: int, k: int) -> np.ndarray:
+    """Every binary (steps, k) sequence, stacked into one uint8 batch."""
+    flat = itertools.product((0, 1), repeat=steps * k)
+    return np.array(list(flat), dtype=np.uint8).reshape(-1, steps, k)
+
+
+def training_rollout(params, inputs, bits_at):
+    """The training path on input counts of shape (n, steps, lines): their
+    traces (filter_inputs), the drive train_epoch makes from them
+    (drive_from_traces), then the recurrence with bits_at(t, s) choosing
+    each step's bits.  Returns the run and the traces, which score_grads
+    reads."""
+    traces = filter_inputs(np.asarray(inputs, dtype=np.float64), params.kernel_ff)
+    return rollout(params, drive_from_traces(params, traces), bits_at), traces
+
+
+def replay(params, inputs, bits):
+    """training_rollout with the given bits (n, steps, k) fed back.  The
+    inputs are (n, steps, lines), or one (steps, lines) sequence replayed
+    against every row of bits."""
+    bits = np.asarray(bits)
+    inputs = np.asarray(inputs)
+    if inputs.ndim == 2:
+        inputs = np.repeat(inputs[None], len(bits), axis=0)
+    return training_rollout(params, inputs, lambda t, s: bits[:, t])
+
+
+def log_likelihood(run, eps: float) -> np.ndarray:
+    """Exact channel-marginalized log-likelihood of each sequence of a run."""
+    return log_prob_noisy(run.bits, run.potentials, eps).sum(axis=1)
+
+
+def sample_losses(decoder, run, eps: float, beta: float, label: int, prior) -> np.ndarray:
+    """Per-sequence objective of a run whose inputs all carry `label`: the
+    decoder's loss plus beta times the rate term."""
+    n = len(run.bits)
+    _, _, logits, _ = forward_batch(decoder, run.bits.reshape(n, -1).astype(np.float64))
+    task = losses_from_logits_batch(decoder, logits, np.full(n, label))
+    return task + beta * regularizer(run.bits, run.potentials, eps, prior, run.spike_probs)
+
+
+def expected_objective(params, decoder, inputs, eps, beta, label, prior) -> float:
+    """Exact expectation of sample_losses over every bit sequence on one
+    (steps, lines) input sequence, by enumeration."""
+    run, _ = replay(params, inputs, all_sequences(len(inputs), params.n_out))
+    f = sample_losses(decoder, run, eps, beta, label, prior)
+    return float(np.exp(log_likelihood(run, eps)) @ f)
 
 
 def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
@@ -45,6 +110,19 @@ def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
             )
         grad[i] = (hi - lo) / (2.0 * h)
     return grad.reshape(x.shape)
+
+
+def fd_grads(params, objective, h: float = 1e-6) -> dict:
+    """finite_diff_grad of objective(params) along each learnable field of
+    an encoder, by field name."""
+    return {
+        field: finite_diff_grad(
+            lambda value: objective(replace(params, **{field: value})),
+            getattr(params, field),
+            h,
+        )
+        for field in ENCODER_FIELDS
+    }
 
 
 def parse_kv_metrics(text: str) -> list[MetricsRow]:

@@ -15,6 +15,17 @@ import time
 
 import numpy as np
 import pytest
+from oracles import (
+    ENCODER_FIELDS,
+    all_sequences,
+    expected_objective,
+    fd_grads,
+    kernel,
+    log_likelihood,
+    replay,
+    sample_losses,
+    training_rollout,
+)
 
 from spikelink.channel import log_prob_noisy, noisy_spike_prob, sample_noisy, transmit
 from spikelink.cli import DEFAULT_BETA_GRID, DEFAULT_SNR_GRID_DB, _build_dataset, _init_models
@@ -26,21 +37,8 @@ from spikelink.decoder import (
     init_decoder_params,
     losses_from_logits_batch,
 )
-from spikelink.encoder import (
-    EncoderParams,
-    drive_from_traces,
-    filter_inputs,
-    grad_u_log_prob_noisy,
-    rollout,
-    score_grads,
-)
-from spikelink.numerics import (
-    Kernel,
-    SeededRng,
-    db_to_linear,
-    ebn0_to_epsilon,
-    sigmoid,
-)
+from spikelink.encoder import EncoderParams, grad_u_log_prob_noisy, score_grads
+from spikelink.numerics import SeededRng, db_to_linear, ebn0_to_epsilon, sigmoid
 from spikelink.training import (
     PriorModel,
     evaluate,
@@ -74,71 +72,15 @@ def _report(capsys, number, label):
 # shared small-instance helpers
 
 
-def _kernel(*coeffs):
-    return Kernel(np.array(coeffs, dtype=np.float64))
-
-
 def _small_encoder(k, n_in, seed):
     rng = SeededRng(seed)
     return EncoderParams(
         ff_weights=rng.uniform_range(-0.9, 0.9, (k, n_in)),
         fb_weights=rng.uniform_range(-1.1, -0.2, k),
         bias=rng.uniform_range(-0.4, 0.4, k),
-        kernel_ff=_kernel(1.0, 0.5),
-        kernel_fb=_kernel(1.0, 0.7, 0.3),
+        kernel_ff=kernel(1.0, 0.5),
+        kernel_fb=kernel(1.0, 0.7, 0.3),
     )
-
-
-def _sequences(steps, k):
-    """Every binary (steps, k) sequence, stacked into one batch."""
-    flat = itertools.product((0, 1), repeat=steps * k)
-    return np.array(list(flat), dtype=np.uint8).reshape(-1, steps, k)
-
-
-def _traces(params, inputs, copies):
-    """copies of one input sequence, filtered with the encoder's kernel."""
-    return filter_inputs(np.repeat(inputs[None], copies, axis=0), params.kernel_ff)
-
-
-def _rollout(params, traces, bits_at):
-    """The training path's rollout: the drive train_epoch makes from the
-    traces, then the recurrence."""
-    return rollout(params, drive_from_traces(params, traces), bits_at)
-
-
-def _replay(params, inputs, zhat):
-    """One input sequence replayed against a batch of given received bits;
-    returns the run and the traces its drive was made from."""
-    traces = _traces(params, inputs, len(zhat))
-    return _rollout(params, traces, lambda t, s: zhat[:, t]), traces
-
-
-def _log_prob(run, eps):
-    """Exact log-likelihood of each replayed sequence."""
-    return log_prob_noisy(run.bits, run.potentials, eps).sum(axis=1)
-
-
-def _vdib_losses(decoder, run, eps, beta, label, prior):
-    """Per-sequence objective: decoder loss plus beta times the rate term."""
-    n = len(run.bits)
-    _, _, logits, _ = forward_batch(decoder, run.bits.reshape(n, -1).astype(np.float64))
-    task = losses_from_logits_batch(decoder, logits, np.full(n, label))
-    return task + beta * regularizer(run.bits, run.potentials, eps, prior, run.spike_probs)
-
-
-def _perturbed_encoder(params, field, index, delta):
-    arrays = {
-        "ff_weights": params.ff_weights.copy(),
-        "fb_weights": params.fb_weights.copy(),
-        "bias": params.bias.copy(),
-    }
-    arrays[field][index] += delta
-    return EncoderParams(
-        kernel_ff=params.kernel_ff, kernel_fb=params.kernel_fb, **arrays
-    )
-
-
-ENCODER_FIELDS = ("ff_weights", "fb_weights", "bias")
 
 
 def _train(cfg, epochs=None, stop_at=None):
@@ -248,12 +190,6 @@ def test_criterion_02_gradient_closed_forms(capsys):
         )
 
 
-def _expected_vdib_loss(params, decoder, inputs, eps, beta, label, prior):
-    run, _ = _replay(params, inputs, _sequences(inputs.shape[0], params.n_out))
-    f = _vdib_losses(decoder, run, eps, beta, label, prior)
-    return float(np.exp(_log_prob(run, eps)) @ f)
-
-
 def test_criterion_03_score_function_unbiasedness(capsys):
     with _report(capsys, 3, "estimator mean equals true gradient; MC within 3 SE") as info:
         started = time.perf_counter()
@@ -273,24 +209,18 @@ def test_criterion_03_score_function_unbiasedness(capsys):
             params = _small_encoder(k, n_in, seed)
             decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
             inputs = SeededRng(seed + 2).bernoulli(np.full((T, n_in), 0.5)).astype(np.float64)
-            run, traces = _replay(params, inputs, _sequences(T, k))
-            f = _vdib_losses(decoder, run, eps, beta, label, prior)
-            expected = score_grads(run, traces, eps, np.exp(_log_prob(run, eps)) * f)
-            h = 1e-5
+            run, traces = replay(params, inputs, all_sequences(T, k))
+            f = sample_losses(decoder, run, eps, beta, label, prior)
+            expected = score_grads(run, traces, eps, np.exp(log_likelihood(run, eps)) * f)
+            fd = fd_grads(
+                params,
+                lambda moved: expected_objective(moved, decoder, inputs, eps, beta, label, prior),
+                1e-5,
+            )
             for field in ENCODER_FIELDS:
-                for index in np.ndindex(getattr(params, field).shape):
-                    hi = _expected_vdib_loss(
-                        _perturbed_encoder(params, field, index, h),
-                        decoder, inputs, eps, beta, label, prior,
-                    )
-                    lo = _expected_vdib_loss(
-                        _perturbed_encoder(params, field, index, -h),
-                        decoder, inputs, eps, beta, label, prior,
-                    )
-                    fd = (hi - lo) / (2 * h)
-                    err = abs(getattr(expected, field)[index] - fd)
-                    worst = max(worst, err)
-                    assert err <= 1e-6
+                err = np.abs(getattr(expected, field) - fd[field]).max()
+                worst = max(worst, err)
+                assert err <= 1e-6
 
         # Monte Carlo part: 1e5 single-draw estimates on one instance, each
         # field entry within 3 exact standard errors of the enumerated mean
@@ -298,9 +228,9 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         params = _small_encoder(k, n_in, seed)
         decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
         inputs = SeededRng(seed + 2).bernoulli(np.full((T, n_in), 0.5)).astype(np.float64)
-        run, traces = _replay(params, inputs, _sequences(T, k))
-        p = np.exp(_log_prob(run, eps))
-        f = _vdib_losses(decoder, run, eps, beta, label, prior)
+        run, traces = replay(params, inputs, all_sequences(T, k))
+        p = np.exp(log_likelihood(run, eps))
+        f = sample_losses(decoder, run, eps, beta, label, prior)
         per_sequence = [score_grads(run, traces, eps, f * (np.arange(len(f)) == i))
                         for i in range(len(f))]
 
@@ -308,10 +238,10 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         # noisy rollout, the decoder loss, the rate term, the contraction
         draws = 100_000
         rng = SeededRng(775)
-        mc_traces = _traces(params, inputs, draws)
-        mc = _rollout(params, mc_traces, lambda t, s: sample_noisy(s, eps, rng))
+        mc, mc_traces = training_rollout(params, np.repeat(inputs[None], draws, axis=0),
+                                         lambda t, s: sample_noisy(s, eps, rng))
         mean = score_grads(mc, mc_traces, eps,
-                           _vdib_losses(decoder, mc, eps, beta, label, prior) / draws)
+                           sample_losses(decoder, mc, eps, beta, label, prior) / draws)
 
         worst_z = 0.0
         for field in ENCODER_FIELDS:
@@ -344,20 +274,13 @@ def test_criterion_04_sequence_log_likelihood_gradient(capsys):
             rng = SeededRng(seed + 10)
             inputs = rng.bernoulli(np.full((T, n_in), 0.6)).astype(np.float64)
             zhat = rng.bernoulli(np.full((1, T, k), 0.5))
-            score = score_grads(*_replay(params, inputs, zhat), eps, np.ones(1))
+            score = score_grads(*replay(params, inputs, zhat), eps, np.ones(1))
+            fd = fd_grads(
+                params, lambda moved: log_likelihood(replay(moved, inputs, zhat)[0], eps)[0], h
+            )
             for field in ENCODER_FIELDS:
-                base = getattr(params, field)
-                fd = np.zeros_like(base)
-                for index in np.ndindex(base.shape):
-                    hi = _log_prob(
-                        _replay(_perturbed_encoder(params, field, index, h), inputs, zhat)[0], eps
-                    )[0]
-                    lo = _log_prob(
-                        _replay(_perturbed_encoder(params, field, index, -h), inputs, zhat)[0], eps
-                    )[0]
-                    fd[index] = (hi - lo) / (2 * h)
-                scale = max(np.abs(fd).max(), 1e-12)
-                rel = np.abs(getattr(score, field) - fd).max() / scale
+                scale = max(np.abs(fd[field]).max(), 1e-12)
+                rel = np.abs(getattr(score, field) - fd[field]).max() / scale
                 worst = max(worst, rel)
                 assert rel <= 1e-5
         info["detail"] = f"max relative error {worst:.2e}"
@@ -401,9 +324,9 @@ def test_criterion_06_kl_nonnegativity(capsys):
         for k, T, n_in, seed in ((1, 3, 2, 71), (2, 2, 2, 72), (1, 4, 1, 73)):
             params = _small_encoder(k, n_in, seed)
             inputs = SeededRng(seed + 5).bernoulli(np.full((T, n_in), 0.5)).astype(np.float64)
-            run, _ = _replay(params, inputs, _sequences(T, k))
+            run, _ = replay(params, inputs, all_sequences(T, k))
             for eps in EPSILON_SET:
-                p = np.exp(_log_prob(run, eps))
+                p = np.exp(log_likelihood(run, eps))
                 norm = p.sum()
                 kl = p @ regularizer(run.bits, run.potentials, eps, prior)
                 assert abs(norm - 1.0) <= 1e-12

@@ -25,6 +25,7 @@ from spikelink.events import _draw_columns, class_rate_map, synthetic_frames
 from spikelink.numerics import Kernel, SeededRng, exponential_kernel
 from spikelink.training import TrainingDiverged, evaluate_grid
 from spikelink.metrics import (
+    CSV_HEADER,
     MetricsRow,
     export_metrics,
     read_metrics,
@@ -112,7 +113,7 @@ class TestBuildRunConfig:
         config = tmp_path / "bar.cfg"
         config.write_text(f"{key} = {value}\n")
         out = tmp_path / "o"
-        assert _run("train", "--config", str(config), "--out", str(out)) == 2
+        assert _main("train", "--config", str(config), "--out", str(out)) == 2
         assert _refusal(capsys) == f"error: {message}"
         assert not out.exists()
         # event files bring their own geometry and rates: the keys are unused
@@ -127,7 +128,7 @@ class TestBuildRunConfig:
         built = []
         monkeypatch.setattr(cli, "_split_inputs", lambda cfg, tag: built.append(tag))
         out = tmp_path / "o"
-        assert _run("train", "--config", str(tiny_config), "--out", str(out), "--seed=-1") == 2
+        assert _main("train", "--config", str(tiny_config), "--out", str(out), "--seed=-1") == 2
         assert _refusal(capsys) == "error: seed must be non-negative, got -1"
         assert built == [] and not out.exists()
         assert build_run_config({"seed": 0}).seed == 0
@@ -141,7 +142,7 @@ class TestBuildRunConfig:
         path = tmp_path / "zero.cfg"
         path.write_text(re.sub(rf"^{key} = .*$", f"{key} = 0", tiny_config.read_text(),
                                flags=re.M))
-        assert _run("train", "--config", str(path), "--out", str(out)) == 2
+        assert _main("train", "--config", str(path), "--out", str(out)) == 2
         assert f"{key} must be at least 1" in capsys.readouterr().err
         assert not out.exists()
         # event files bring their own records; the synthetic counts go unread
@@ -305,7 +306,7 @@ def tiny_config(tmp_path):
     return path
 
 
-def _run(*argv) -> int:
+def _main(*argv) -> int:
     return main(list(argv))
 
 
@@ -327,7 +328,7 @@ class TestNonFiniteValues:
         path = tmp_path / "bad.cfg"
         path.write_text(tiny_config.read_text() + line + "\n")
         out = tmp_path / "run"
-        code = _run("train", "--config", str(path), "--out", str(out))
+        code = _main("train", "--config", str(path), "--out", str(out))
         assert not (out / "metrics.csv").exists()
         return code
 
@@ -350,7 +351,7 @@ class TestNonFiniteValues:
 class TestCliTrain:
     def test_writes_metrics_and_checkpoint(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run1"
-        code = _run("train", "--config", str(tiny_config), "--out", str(out))
+        code = _main("train", "--config", str(tiny_config), "--out", str(out))
         assert code == 0
         rows = read_metrics(out / "metrics.csv")
         assert [r.epoch for r in rows] == [0, 1]
@@ -363,20 +364,20 @@ class TestCliTrain:
 
     def test_byte_identical_reruns(self, tiny_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert _run("train", "--config", str(tiny_config), "--out", str(out1)) == 0
-        assert _run("train", "--config", str(tiny_config), "--out", str(out2)) == 0
+        assert _main("train", "--config", str(tiny_config), "--out", str(out1)) == 0
+        assert _main("train", "--config", str(tiny_config), "--out", str(out2)) == 0
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
         assert (out1 / "checkpoint.txt").read_bytes() == (out2 / "checkpoint.txt").read_bytes()
 
     def test_seed_changes_outputs(self, tiny_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        _run("train", "--config", str(tiny_config), "--out", str(out1))
-        _run("train", "--config", str(tiny_config), "--out", str(out2), "--seed", "9")
+        _main("train", "--config", str(tiny_config), "--out", str(out1))
+        _main("train", "--config", str(tiny_config), "--out", str(out2), "--seed", "9")
         assert (out1 / "metrics.csv").read_bytes() != (out2 / "metrics.csv").read_bytes()
 
     def test_zero_epochs_writes_initial_checkpoint(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "zero"
-        code = _run(
+        code = _main(
             "train", "--config", str(tiny_config), "--out", str(out), "--epochs", "0"
         )
         assert code == 0
@@ -397,7 +398,7 @@ class TestCliTrain:
     def test_divergence_keeps_finished_epochs(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "diverged"
         config = self._blowing_up(tiny_config, tmp_path)
-        assert _run("train", "--config", str(config), "--out", str(out)) == 3
+        assert _main("train", "--config", str(config), "--out", str(out)) == 3
         rows = read_metrics(out / "metrics.csv")
         assert [(r.experiment, r.point, r.epoch) for r in rows] == [("train", 0, 0)]
         assert not (out / "checkpoint.txt").exists()
@@ -414,7 +415,7 @@ class TestCliTrain:
         monkeypatch.setattr(cli, "write_metrics", failing)
         out = tmp_path / "diverged"
         config = self._blowing_up(tiny_config, tmp_path)
-        assert _run("train", "--config", str(config), "--out", str(out)) == 1
+        assert _main("train", "--config", str(config), "--out", str(out)) == 1
         assert _refusal(capsys) == "error: [Errno 28] No space left on device"
         assert not (out / "metrics.csv").exists()
 
@@ -422,9 +423,9 @@ class TestCliTrain:
 class TestCliSweeps:
     def test_snr_sweep_from_checkpoint(self, tiny_config, tmp_path):
         train_out = tmp_path / "train"
-        _run("train", "--config", str(tiny_config), "--out", str(train_out))
+        _main("train", "--config", str(tiny_config), "--out", str(train_out))
         sweep_out = tmp_path / "sweep"
-        code = _run(
+        code = _main(
             "sweep-snr", "--config", str(tiny_config), "--out", str(sweep_out),
             "--checkpoint", str(train_out / "checkpoint.txt"),
             "--epsilon-grid", "0.0,0.25,0.5",
@@ -436,7 +437,7 @@ class TestCliSweeps:
 
     def test_snr_sweep_default_grid_maps_db(self, tiny_config, tmp_path):
         out = tmp_path / "sweep"
-        code = _run(
+        code = _main(
             "sweep-snr", "--config", str(tiny_config), "--out", str(out),
             "--epochs", "1",
         )
@@ -456,7 +457,7 @@ class TestCliSweeps:
         # sweeping in the process that trained gives the reference rows
         trained = tmp_path / "trained"
         grid = ("--epsilon-grid", "0.0,0.1,0.5")
-        assert _run("sweep-snr", "--config", str(tiny_config), "--out", str(trained), *grid) == 0
+        assert _main("sweep-snr", "--config", str(tiny_config), "--out", str(trained), *grid) == 0
         tags = []
 
         def recording(cfg, tag):
@@ -465,7 +466,7 @@ class TestCliSweeps:
 
         monkeypatch.setattr(cli, "synthetic_frames", recording)
         swept = tmp_path / "swept"
-        code = _run(
+        code = _main(
             "sweep-snr", "--config", str(tiny_config), "--out", str(swept),
             "--checkpoint", str(trained / "checkpoint.txt"), *grid,
         )
@@ -475,9 +476,9 @@ class TestCliSweeps:
 
     def test_ebn0_grid_readme_spelling(self, tiny_config, tmp_path):
         train_out = tmp_path / "train"
-        _run("train", "--config", str(tiny_config), "--out", str(train_out))
+        _main("train", "--config", str(tiny_config), "--out", str(train_out))
         out = tmp_path / "sweep"
-        code = _run(
+        code = _main(
             "sweep-snr", "--config", str(tiny_config), "--out", str(out),
             "--checkpoint", str(train_out / "checkpoint.txt"),
             "--ebn0-grid-db", "-inf,-2,0,2",
@@ -492,7 +493,7 @@ class TestCliSweeps:
         calls = []
         monkeypatch.setattr(cli, "train_epoch", lambda *a, **k: calls.append(a))
         out = tmp_path / "x"
-        code = _run(
+        code = _main(
             "sweep-snr", "--config", str(tiny_config), "--out", str(out),
             "--train-per-point", "--epsilon-grid", "0.1,0.5",
         )
@@ -505,7 +506,7 @@ class TestCliSweeps:
         cfg = tmp_path / "timed.cfg"
         cfg.write_text(tiny_config.read_text().replace("timing = off", f"timing = {timing}"))
         out = tmp_path / "tpp"
-        code = _run(
+        code = _main(
             "sweep-snr", "--config", str(cfg), "--out", str(out), "--epochs", "1",
             "--train-per-point", "--epsilon-grid", "0.1,0.2",
         )
@@ -519,8 +520,8 @@ class TestCliSweeps:
 
     def test_checkpoint_width_mismatch(self, tiny_config, tmp_path):
         train_out = tmp_path / "train"
-        _run("train", "--config", str(tiny_config), "--out", str(train_out))
-        code = _run(
+        _main("train", "--config", str(tiny_config), "--out", str(train_out))
+        code = _main(
             "sweep-snr", "--config", str(tiny_config), "--out", str(tmp_path / "y"),
             "--checkpoint", str(train_out / "checkpoint.txt"), "--T", "7",
         )
@@ -529,11 +530,11 @@ class TestCliSweeps:
     @pytest.fixture
     def tiny_checkpoint(self, tiny_config, tmp_path):
         out = tmp_path / "trained"
-        assert _run("train", "--config", str(tiny_config), "--out", str(out), "--epochs", "0") == 0
+        assert _main("train", "--config", str(tiny_config), "--out", str(out), "--epochs", "0") == 0
         return out / "checkpoint.txt"
 
     def _sweep(self, config, checkpoint, tmp_path, *flags) -> int:
-        return _run(
+        return _main(
             "sweep-snr", "--config", str(config), "--out", str(tmp_path / "sweep"),
             "--checkpoint", str(checkpoint), "--epsilon-grid", "0.1", *flags,
         )
@@ -567,7 +568,7 @@ class TestCliSweeps:
     def test_checkpoint_of_other_shape_against_config(self, tiny_config, tmp_path, capsys):
         other = tmp_path / "other"
         flags = ("--k", "2", "--T", "10", "--epochs", "0")
-        assert _run("train", "--config", str(tiny_config), "--out", str(other), *flags) == 0
+        assert _main("train", "--config", str(tiny_config), "--out", str(other), *flags) == 0
         assert self._sweep(tiny_config, other / "checkpoint.txt", tmp_path) == 2
         assert "checkpoint k = 2 does not match the config's k = 4" in capsys.readouterr().err
 
@@ -628,7 +629,7 @@ class TestCliSweeps:
         real = cli.filter_dataset
         monkeypatch.setattr(cli, "filter_dataset", lambda data, kernel: real(data, Kernel([1.0])))
         out = tmp_path / "refused"
-        assert _run("train", "--config", str(tiny_config), "--out", str(out)) == 2
+        assert _main("train", "--config", str(tiny_config), "--out", str(out)) == 2
         assert "kernel_ff" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
@@ -647,7 +648,7 @@ class TestCliSweeps:
         monkeypatch.setattr(training, "filter_inputs", spy)
         verb, *flags = argv
         out = tmp_path / "twice"
-        assert _run(verb, "--config", str(tiny_config), "--out", str(out), *flags) == 0
+        assert _main(verb, "--config", str(tiny_config), "--out", str(out), *flags) == 0
         # two training runs, but one filter call for the train split's
         # 2 * 6 records; the test split is never filtered into traces
         assert filtered == [12]
@@ -666,7 +667,7 @@ class TestCliSweeps:
     def test_train_per_point_divergence_keeps_rows(self, tiny_config, tmp_path, monkeypatch):
         self._diverge_at(monkeypatch, 0.2)
         out = tmp_path / "tpp"
-        code = _run(
+        code = _main(
             "sweep-snr", "--config", str(tiny_config), "--out", str(out),
             "--train-per-point", "--epsilon-grid", "0.1,0.2,0.3",
         )
@@ -680,7 +681,7 @@ class TestCliSweeps:
     ):
         self._diverge_at(monkeypatch, None)
         out = tmp_path / "diverged"
-        assert _run(verb, "--config", str(tiny_config), "--out", str(out)) == 3
+        assert _main(verb, "--config", str(tiny_config), "--out", str(out)) == 3
         assert read_metrics(out / "metrics.csv") == []
         assert not (out / "checkpoint.txt").exists()
 
@@ -699,7 +700,7 @@ class TestCliSweeps:
 
         monkeypatch.setattr(cli, "train_epoch", train_epoch)
         out = tmp_path / "beta"
-        code = _run("sweep-beta", "--config", str(tiny_config), "--out", str(out),
+        code = _main("sweep-beta", "--config", str(tiny_config), "--out", str(out),
                     "--beta-grid", "0.1,0.2,0.3")
         assert code == 3
         rows = read_metrics(out / "metrics.csv")
@@ -721,7 +722,7 @@ class TestCliSweeps:
         # a one-model sweep names the training run of its model
         self._diverge_at(monkeypatch, epsilon)
         out = tmp_path / "diverged"
-        assert _run(verb, "--config", str(tiny_config), "--out", str(out), *flags) == 3
+        assert _main(verb, "--config", str(tiny_config), "--out", str(out), *flags) == 3
         aborted = [line for line in capsys.readouterr().err.splitlines()
                    if line.startswith("training aborted")]
         assert aborted == [f"training aborted at {where}: non-finite sample loss"]
@@ -737,7 +738,7 @@ class TestCliSweeps:
     ):
         # the interruption arrives in the third epoch of the last point
         whole = tmp_path / "whole"
-        assert _run(verb, "--config", str(tiny_config), "--out", str(whole), *flags) == 0
+        assert _main(verb, "--config", str(tiny_config), "--out", str(whole), *flags) == 0
         real = cli.train_epoch
         seen = []
 
@@ -752,7 +753,7 @@ class TestCliSweeps:
         monkeypatch.setattr(cli, "train_epoch", train_epoch)
         before = signal.getsignal(signal.SIGTERM)
         out = tmp_path / "cut"
-        assert _run(verb, "--config", str(tiny_config), "--out", str(out), *flags) == 130
+        assert _main(verb, "--config", str(tiny_config), "--out", str(out), *flags) == 130
         assert signal.getsignal(signal.SIGTERM) is before
         assert read_metrics(out / "metrics.csv") == read_metrics(whole / "metrics.csv")[:kept]
         assert not (out / "checkpoint.txt").exists()
@@ -767,7 +768,7 @@ class TestCliSweeps:
 
         monkeypatch.setattr(cli, "_build_dataset", interrupted)
         out = tmp_path / "o"
-        assert _run("train", "--config", str(tiny_config), "--out", str(out)) == 130
+        assert _main("train", "--config", str(tiny_config), "--out", str(out)) == 130
         assert capsys.readouterr().err.splitlines() == ["interrupted"]
         assert not out.exists()
 
@@ -786,7 +787,7 @@ class TestCliSweeps:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            code = _run("sweep-snr", "--config", str(config), "--out", str(tmp_path / "s"),
+            code = _main("sweep-snr", "--config", str(config), "--out", str(tmp_path / "s"),
                         "--checkpoint", str(checkpoint), "--epsilon-grid", "0.0,0.2")
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -825,7 +826,7 @@ class TestCliSweeps:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            code = _run("train", "--config", str(config), "--out", str(tmp_path / "t"))
+            code = _main("train", "--config", str(config), "--out", str(tmp_path / "t"))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -871,7 +872,7 @@ class TestCliSweeps:
 
     def test_sweep_seconds_split_grid_time(self, tiny_config, tiny_checkpoint, tmp_path):
         config = self._edited(tiny_config, tmp_path, timing="on")
-        code = _run(
+        code = _main(
             "sweep-snr", "--config", str(config), "--out", str(tmp_path / "sweep"),
             "--checkpoint", str(tiny_checkpoint), "--epsilon-grid", "0.0,0.1,0.5",
         )
@@ -881,7 +882,7 @@ class TestCliSweeps:
 
     def test_mismatch_uses_default_grid(self, tiny_config, tmp_path):
         out = tmp_path / "mm"
-        code = _run(
+        code = _main(
             "mismatch", "--config", str(tiny_config), "--out", str(out), "--epochs", "1"
         )
         assert code == 0
@@ -889,7 +890,7 @@ class TestCliSweeps:
         assert [r.epsilon for r in rows] == list(DEFAULT_MISMATCH_GRID)
 
     def test_grid_flags_are_exclusive(self, tiny_config, tmp_path):
-        code = _run(
+        code = _main(
             "mismatch", "--config", str(tiny_config), "--out", str(tmp_path / "z"),
             "--epsilon-grid", "0.1", "--ebn0-grid-db", "0",
         )
@@ -897,7 +898,7 @@ class TestCliSweeps:
 
     def test_beta_sweep_rows(self, tiny_config, tmp_path):
         out = tmp_path / "beta"
-        code = _run(
+        code = _main(
             "sweep-beta", "--config", str(tiny_config), "--out", str(out),
             "--beta-grid", "0.001,0.01", "--epochs", "1",
         )
@@ -906,7 +907,7 @@ class TestCliSweeps:
         assert [(r.point, r.beta) for r in rows] == [(0, 0.001), (1, 0.01)]
 
     def test_beta_sweep_rejects_nonpositive(self, tiny_config, tmp_path):
-        code = _run(
+        code = _main(
             "sweep-beta", "--config", str(tiny_config), "--out", str(tmp_path / "nb"),
             "--beta-grid", "0.001,0",
         )
@@ -922,7 +923,7 @@ class TestCliSweeps:
         calls = []
         monkeypatch.setattr(cli, "train_epoch", lambda *a, **k: calls.append(a))
         out = tmp_path / "nb"
-        code = _run(
+        code = _main(
             "sweep-beta", "--config", str(tiny_config), "--out", str(out),
             "--beta-grid", f"0.001,{value}",
         )
@@ -933,7 +934,7 @@ class TestCliSweeps:
     @pytest.mark.parametrize("verb", ["sweep-snr", "mismatch"])
     def test_bad_grid_creates_no_output(self, tiny_config, tmp_path, capsys, verb):
         out = tmp_path / "grid"
-        code = _run(verb, "--config", str(tiny_config), "--out", str(out), "--epsilon-grid", "0.7")
+        code = _main(verb, "--config", str(tiny_config), "--out", str(out), "--epsilon-grid", "0.7")
         assert code == 2
         assert "grid epsilon 0.7 outside [0, 0.5]" in capsys.readouterr().err
         assert not out.exists()
@@ -942,19 +943,19 @@ class TestCliSweeps:
 class TestCliExport:
     def test_kv_export_round_trip(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
-        _run("train", "--config", str(tiny_config), "--out", str(out))
+        _main("train", "--config", str(tiny_config), "--out", str(out))
         rows = read_metrics(out / "metrics.csv")
         capsys.readouterr()  # drop the train verb's stdout
-        code = _run("export", "--metrics", str(out / "metrics.csv"), "--format", "kv")
+        code = _main("export", "--metrics", str(out / "metrics.csv"), "--format", "kv")
         assert code == 0
         text = capsys.readouterr().out
         assert parse_kv_metrics(text) == rows
 
     def test_csv_export_to_file_is_identity(self, tiny_config, tmp_path):
         out = tmp_path / "run"
-        _run("train", "--config", str(tiny_config), "--out", str(out))
+        _main("train", "--config", str(tiny_config), "--out", str(out))
         dest = tmp_path / "copy.csv"
-        code = _run(
+        code = _main(
             "export", "--metrics", str(out / "metrics.csv"),
             "--format", "csv", "--out", str(dest),
         )
@@ -963,33 +964,55 @@ class TestCliExport:
 
     def test_failed_write_keeps_previous_file(self, tiny_config, tmp_path, monkeypatch):
         out = tmp_path / "run"
-        _run("train", "--config", str(tiny_config), "--out", str(out))
+        _main("train", "--config", str(tiny_config), "--out", str(out))
         dest = tmp_path / "export" / "copy.kv"
-        assert _run("export", "--metrics", str(out / "metrics.csv"), "--format", "kv",
+        assert _main("export", "--metrics", str(out / "metrics.csv"), "--format", "kv",
                     "--out", str(dest)) == 0
         before = dest.read_bytes()
         # text that cannot be encoded fails its write after the output file
         # was opened; opening the target itself would already have emptied it
         monkeypatch.setattr(cli, "export_metrics", lambda rows, fmt: "partial\n\udcff\n")
-        code = _run("export", "--metrics", str(out / "metrics.csv"), "--format", "kv",
+        code = _main("export", "--metrics", str(out / "metrics.csv"), "--format", "kv",
                     "--out", str(dest))
         assert code == 2
         assert dest.read_bytes() == before
         assert list(dest.parent.iterdir()) == [dest]
 
     def test_missing_metrics_is_io_error(self, tmp_path):
-        code = _run("export", "--metrics", str(tmp_path / "none.csv"))
+        code = _main("export", "--metrics", str(tmp_path / "none.csv"))
         assert code == 1
+
+    @pytest.mark.parametrize("row, message", [
+        ("train,0,1", "expected 10 fields, got 3"),
+        ("train,a,1,0.1,,0.01,16,0.0,0.1,1.0", "invalid literal for int() with base 10: 'a'"),
+        ("train,0,1,x,,0.01,16,0.0,0.1,1.0", "could not convert string to float: 'x'"),
+        ("x" * 200_000, "field larger than field limit (131072)"),
+    ])
+    def test_malformed_row_names_file_and_line(self, tmp_path, capsys, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\ntrain,0,0,0.1,,0.01,16,0.5,0.1,1.0\n"
+                        + row + "\n")
+        assert _main("export", "--metrics", str(path)) == 2
+        assert _refusal(capsys) == f"error: {path}: line 3: {message}"
+
+    def test_out_naming_a_directory_is_refused(self, tmp_path, capsys):
+        metrics = tmp_path / "m.csv"
+        write_metrics(metrics, [])
+        dest = tmp_path / "x"
+        dest.mkdir()
+        assert _main("export", "--metrics", str(metrics), "--out", str(dest)) == 1
+        assert _refusal(capsys) == f"error: --out {dest} is a directory"
+        assert sorted(tmp_path.iterdir()) == [metrics, dest] and not any(dest.iterdir())
 
 
 class TestCliErrors:
     def test_bad_config_file(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense = 1\n")
-        assert _run("train", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert _main("train", "--config", str(path), "--out", str(tmp_path / "o")) == 2
 
     def test_conflicting_channel_flags(self, tiny_config, tmp_path):
-        code = _run(
+        code = _main(
             "train", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
             "--epsilon", "0.1", "--ebn0-db", "0",
         )
@@ -1005,12 +1028,12 @@ class TestCliErrors:
         path = tmp_path / "bad.cfg"
         path.write_text(tiny_config.read_text() + "epsilon = 0.1\n" + line + "\n")
         out = tmp_path / "o"
-        assert _run("train", "--config", str(path), "--out", str(out)) == 2
+        assert _main("train", "--config", str(path), "--out", str(out)) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_at_half_epsilon(self, tiny_config, tmp_path):
-        code = _run(
+        code = _main(
             "train", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
             "--epsilon", "0.5",
         )
@@ -1032,15 +1055,15 @@ class TestCliErrors:
         built = []
         monkeypatch.setattr(cli, "_build_dataset", lambda cfg: built.append(cfg))
         out = tmp_path / "o"
-        code = _run(argv[0], "--config", str(tiny_config), "--out", str(out), *argv[1:])
+        code = _main(argv[0], "--config", str(tiny_config), "--out", str(out), *argv[1:])
         assert code == 2
         assert message in capsys.readouterr().err
         assert built == [] and not out.exists()
 
     def test_checkpoint_sweep_may_carry_an_untrainable_point(self, tiny_config, tmp_path):
         trained = tmp_path / "t"
-        assert _run("train", "--config", str(tiny_config), "--out", str(trained)) == 0
-        code = _run(
+        assert _main("train", "--config", str(tiny_config), "--out", str(trained)) == 0
+        code = _main(
             "sweep-snr", "--config", str(tiny_config), "--out", str(tmp_path / "s"),
             "--epsilon", "0.5", "--checkpoint", str(trained / "checkpoint.txt"),
         )
@@ -1067,7 +1090,7 @@ class TestCliErrors:
         monkeypatch.setattr(SeededRng, "substream", substream)
         tracemalloc.start()
         try:
-            code = _run("train", "--config", str(path), "--out", str(out), "--T", str(10**13))
+            code = _main("train", "--config", str(path), "--out", str(out), "--T", str(10**13))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1108,7 +1131,7 @@ class TestCliErrors:
         monkeypatch.setattr(training, "filter_inputs", failing)
         monkeypatch.setattr("spikelink.encoder.filter_inputs", failing)
         out = tmp_path / "o"
-        assert _run("train", "--config", str(tiny_config), "--out", str(out)) == 2
+        assert _main("train", "--config", str(tiny_config), "--out", str(out)) == 2
         assert _refusal(capsys) == (
             f"error: an array of shape {shape} and dtype float64 ({math.prod(shape) * 8} bytes) "
             "is too large to allocate; T = 5, k = 4, hidden = 8"
@@ -1119,7 +1142,7 @@ class TestCliErrors:
         self, tiny_config, tmp_path, capsys, monkeypatch
     ):
         trained = tmp_path / "t"
-        assert _run("train", "--config", str(tiny_config), "--out", str(trained),
+        assert _main("train", "--config", str(tiny_config), "--out", str(trained),
                     "--epochs", "0") == 0
 
         def failing(counts, kernel):
@@ -1128,7 +1151,7 @@ class TestCliErrors:
         # the chunk's drive filters its projected columns (drive_from_counts):
         # 8 records x k = 4, time-major
         monkeypatch.setattr("spikelink.encoder.filter_inputs", failing)
-        code = _run("sweep-snr", "--config", str(tiny_config), "--out", str(tmp_path / "s"),
+        code = _main("sweep-snr", "--config", str(tiny_config), "--out", str(tmp_path / "s"),
                     "--checkpoint", str(trained / "checkpoint.txt"))
         assert code == 2
         assert _refusal(capsys) == (
@@ -1180,7 +1203,7 @@ class TestCliErrors:
         path = tmp_path / "run.cfg"
         path.write_text(text)
         out = tmp_path / "o"
-        assert _run("train", "--config", str(path), "--out", str(out)) == 2
+        assert _main("train", "--config", str(path), "--out", str(out)) == 2
         what = "an array"
         if shape is not None:
             size = math.prod(shape) * np.dtype(dtype).itemsize
@@ -1197,7 +1220,7 @@ class TestCliErrors:
             raise MemoryError
 
         monkeypatch.setattr(cli, "read_metrics", failing)
-        assert _run("export", "--metrics", str(tmp_path / "m.csv")) == 2
+        assert _main("export", "--metrics", str(tmp_path / "m.csv")) == 2
         assert _refusal(capsys) == "error: an array is too large to allocate"
 
     @pytest.mark.parametrize("values, message", [
@@ -1214,7 +1237,7 @@ class TestCliErrors:
         self, tiny_config, tmp_path, monkeypatch, capsys
     ):
         trained = tmp_path / "t"
-        assert _run("train", "--config", str(tiny_config), "--out", str(trained),
+        assert _main("train", "--config", str(tiny_config), "--out", str(trained),
                     "--epochs", "0") == 0
         tiny_checkpoint = trained / "checkpoint.txt"
         built = []
@@ -1222,7 +1245,7 @@ class TestCliErrors:
         monkeypatch.setattr(cli, "_split_inputs", lambda cfg, tag: built.append(tag))
         out = tmp_path / "o"
         for checkpoint in (tiny_checkpoint, tmp_path / "missing.txt"):
-            code = _run(
+            code = _main(
                 "sweep-snr", "--config", str(tiny_config), "--out", str(out),
                 "--train-per-point", "--checkpoint", str(checkpoint),
             )
@@ -1243,13 +1266,13 @@ class TestCliErrors:
         monkeypatch.setattr(cli, "_build_dataset", lambda cfg: built.append(cfg))
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
-            _run(verb, "--config", str(tiny_config), "--out", str(out), flag, value)
+            _main(verb, "--config", str(tiny_config), "--out", str(out), flag, value)
         assert exc.value.code == 2
         assert f"argument {flag}: the grid is empty" in capsys.readouterr().err
         assert built == [] and not out.exists()
 
     def test_missing_checkpoint_path(self, tiny_config, tmp_path):
-        code = _run(
+        code = _main(
             "sweep-snr", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
             "--checkpoint", str(tmp_path / "missing.txt"),
         )
@@ -1272,7 +1295,7 @@ class TestEventsDatasetFlow:
             "k = 4\nT = 5\nhidden = 8\nepochs = 1\nbatch_size = 4\ntiming = off\n"
         )
         out = tmp_path / "run"
-        assert _run("train", "--config", str(cfg_path), "--out", str(out)) == 0
+        assert _main("train", "--config", str(cfg_path), "--out", str(out)) == 0
         rows = read_metrics(out / "metrics.csv")
         assert len(rows) == 1
 
@@ -1301,7 +1324,7 @@ class TestEventsDatasetFlow:
             "k = 4\nT = 5\nhidden = 8\nepochs = 1\nbatch_size = 4\ntiming = off\n"
         )
         out = tmp_path / "run"
-        assert _run(verb, "--config", str(cfg_path), "--out", str(out)) == 2
+        assert _main(verb, "--config", str(cfg_path), "--out", str(out)) == 2
         (tw, th), (sw, sh) = train_geometry, test_geometry
         assert (f"error: train events have sensor geometry w={tw} h={th} "
                 f"but test events have w={sw} h={sh}") in capsys.readouterr().err

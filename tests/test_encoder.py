@@ -7,7 +7,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import finite_diff_grad
+import oracles
+from oracles import (
+    ENCODER_FIELDS,
+    fd_grads,
+    finite_diff_grad,
+    kernel,
+    log_likelihood,
+    replay,
+    training_rollout,
+)
 
 from spikelink import training
 from spikelink.channel import log_prob_noisy
@@ -23,13 +32,7 @@ from spikelink.encoder import (
     score_grads,
 )
 from spikelink.decoder import init_decoder_params
-from spikelink.numerics import Kernel, SeededRng, exponential_kernel, sigmoid
-
-FIELDS = ("ff_weights", "fb_weights", "bias")
-
-
-def _kernel(*coeffs):
-    return Kernel(np.array(coeffs, dtype=np.float64))
+from spikelink.numerics import SeededRng, exponential_kernel, sigmoid
 
 
 def _tiny_params(k=2, n_in=3, seed=0, kernel_ff=None, kernel_fb=None):
@@ -38,8 +41,8 @@ def _tiny_params(k=2, n_in=3, seed=0, kernel_ff=None, kernel_fb=None):
         ff_weights=rng.uniform_range(-0.8, 0.8, (k, n_in)),
         fb_weights=rng.uniform_range(-1.2, -0.3, k),
         bias=rng.uniform_range(-0.5, 0.5, k),
-        kernel_ff=kernel_ff or _kernel(1.0, 0.5, 0.25),
-        kernel_fb=kernel_fb or _kernel(1.0, 0.5),
+        kernel_ff=kernel_ff or kernel(1.0, 0.5, 0.25),
+        kernel_fb=kernel_fb or kernel(1.0, 0.5),
     )
 
 
@@ -49,39 +52,9 @@ def _unit_params(kernel_ff=None, kernel_fb=None):
         ff_weights=np.array([[1.0]]),
         fb_weights=np.array([1.0]),
         bias=np.array([0.0]),
-        kernel_ff=kernel_ff or _kernel(1.0),
-        kernel_fb=kernel_fb or _kernel(1.0),
+        kernel_ff=kernel_ff or kernel(1.0),
+        kernel_fb=kernel_fb or kernel(1.0),
     )
-
-
-def _traces(params, inputs):
-    """Input counts of shape (n, steps, lines) filtered with the encoder's kernel."""
-    return filter_inputs(np.array(inputs, dtype=np.float64), params.kernel_ff)
-
-
-def _run(params, traces, bits_at):
-    """The training rollout: the drive train_epoch makes, then the recurrence."""
-    return rollout(params, drive_from_traces(params, traces), bits_at)
-
-
-def _replay(params, inputs, bits):
-    """The rollout with the given bits fed back, shapes (n, steps, ...);
-    returns the run and the traces its drive was made from."""
-    bits = np.asarray(bits)
-    traces = _traces(params, inputs)
-    return _run(params, traces, lambda t, s: bits[:, t]), traces
-
-
-def _fd_grads(params, objective, h=1e-6):
-    """Central differences of objective(params) along every learnable entry."""
-    return {
-        field: finite_diff_grad(
-            lambda value: objective(replace(params, **{field: value})),
-            getattr(params, field),
-            h,
-        )
-        for field in FIELDS
-    }
 
 
 class TestParams:
@@ -91,16 +64,16 @@ class TestParams:
                 ff_weights=np.zeros(3),
                 fb_weights=np.zeros(3),
                 bias=np.zeros(3),
-                kernel_ff=_kernel(1.0),
-                kernel_fb=_kernel(1.0),
+                kernel_ff=kernel(1.0),
+                kernel_fb=kernel(1.0),
             )
         with pytest.raises(ValueError):
             EncoderParams(
                 ff_weights=np.zeros((2, 3)),
                 fb_weights=np.zeros(3),
                 bias=np.zeros(2),
-                kernel_ff=_kernel(1.0),
-                kernel_fb=_kernel(1.0),
+                kernel_ff=kernel(1.0),
+                kernel_fb=kernel(1.0),
             )
 
     def test_init_ranges(self):
@@ -146,9 +119,9 @@ class TestStateTraces:
     def test_input_trace_includes_current_step(self):
         # kernel (1, 0.5, 0.25), inputs 1, 0, 1, 1:
         # trace at t = x_t + 0.5 * x_{t-1} + 0.25 * x_{t-2}
-        params = _unit_params(kernel_ff=_kernel(1.0, 0.5, 0.25))
+        params = _unit_params(kernel_ff=kernel(1.0, 0.5, 0.25))
         inputs = np.array([1.0, 0.0, 1.0, 1.0]).reshape(1, 4, 1)
-        run, traces = _replay(params, inputs, np.zeros((1, 4, 1)))
+        run, traces = replay(params, inputs, np.zeros((1, 4, 1)))
         np.testing.assert_allclose(traces[0, :, 0], [1.0, 0.5, 1.25, 1.5])
         # unit weight, silent feedback, zero bias: the potential is the trace,
         # from the line-space drive and from the neuron-space one
@@ -159,9 +132,9 @@ class TestStateTraces:
     def test_output_trace_strictly_past(self):
         # kernel (1, 0.5, 0.25, 0.125), bits 1, 0, 1, 0: the current bit
         # never contributes; at t=3 the trace is 0.5 * 1 + 0.25 * 0 + 0.125 * 1
-        params = _unit_params(kernel_fb=_kernel(1.0, 0.5, 0.25, 0.125))
+        params = _unit_params(kernel_fb=kernel(1.0, 0.5, 0.25, 0.125))
         bits = np.array([1, 0, 1, 0]).reshape(1, 4, 1)
-        run, _ = _replay(params, np.zeros((1, 4, 1)), bits)
+        run, _ = replay(params, np.zeros((1, 4, 1)), bits)
         np.testing.assert_allclose(run.fb_traces[0, :, 0], [0.0, 0.5, 0.25, 0.625])
 
     @pytest.mark.parametrize("taps", [(1.0, 0.6, 0.3, 0.1), (1.0, -0.7, 0.4, -1e-3, -0.2)])
@@ -169,12 +142,11 @@ class TestStateTraces:
         # the oracle: fresh zeros, then each tap times the uint8 bits,
         # d = 1 first; the rollout's in-place trace must match every bit,
         # so a negative tap on a zero bit leaves +0.0, not -0.0
-        kernel = _kernel(*taps)
-        params = _tiny_params(k=3, n_in=2, kernel_fb=kernel)
+        params = _tiny_params(k=3, n_in=2, kernel_fb=kernel(*taps))
         rng = np.random.default_rng(len(taps))
         bits = (rng.random((5, 9, 3)) < 0.4).astype(np.uint8)
         bits[0] = 0
-        run, _ = _replay(params, rng.poisson(1.0, (5, 9, 2)), bits)
+        run, _ = replay(params, rng.poisson(1.0, (5, 9, 2)), bits)
         expected = np.zeros_like(run.fb_traces)
         for t in range(bits.shape[1]):
             trace = np.zeros((bits.shape[0], bits.shape[2]))
@@ -187,8 +159,8 @@ class TestStateTraces:
             assert arr.shape == (5, 9, 3) and arr.flags.c_contiguous
 
     def test_history_before_time_zero_reads_zero(self):
-        params = _unit_params(kernel_ff=_kernel(1.0, 1.0, 1.0, 1.0))
-        run, traces = _replay(params, np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
+        params = _unit_params(kernel_ff=kernel(1.0, 1.0, 1.0, 1.0))
+        run, traces = replay(params, np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
         np.testing.assert_allclose(traces[0, 0], [1.0])
         np.testing.assert_allclose(run.potentials[0, 0], [1.0])
         np.testing.assert_allclose(drive_from_counts(params, np.ones((1, 1, 1)))[0, 0], [1.0])
@@ -228,13 +200,35 @@ class TestDrives:
             magnitude = traces @ np.abs(params.ff_weights).T
             assert (np.abs(neuron_space - line_space) <= 2 * gamma * magnitude).all()
 
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_drives_project_one_step_at_a_time(self, n):
+        # training's bits rest on one matmul per step: at small batches a
+        # single matmul over all n * steps rows rounds differently
+        lines = 512
+        rng = SeededRng(n)
+        params = init_encoder_params(lines, self.K, rng.substream("init"))
+        counts = rng.substream("counts").bernoulli(np.full((n, self.STEPS, lines), 0.2))
+        traces = filter_inputs(counts, params.kernel_ff)
+        w = params.ff_weights.T
+        by_step = np.stack([traces[:, t, :] @ w for t in range(self.STEPS)], axis=1)
+        assert np.array_equal(drive_from_traces(params, traces).view(np.uint64),
+                              by_step.view(np.uint64))
+        x = counts.astype(np.float64)
+        projected = np.stack([x[:, t, :] @ w for t in range(self.STEPS)], axis=1)
+        expected = filter_inputs(projected, params.kernel_ff)
+        assert np.array_equal(drive_from_counts(params, counts).view(np.uint64),
+                              expected.view(np.uint64))
+
     def test_acceptance_criteria_roll_out_on_the_training_drive(self, monkeypatch):
-        # criteria 2-4's oracles must check the drive train_epoch makes:
-        # every rollout they run reads a drive_from_traces result, the very
-        # function train_epoch calls
+        # criteria 2-4's oracles must check the drive train_epoch makes: the
+        # gate composes no rollout of its own, and every rollout the harness
+        # runs for it reads a drive_from_traces result, the very function
+        # train_epoch calls
         import test_acceptance
 
-        assert test_acceptance.drive_from_traces is training.drive_from_traces
+        assert oracles.drive_from_traces is training.drive_from_traces
+        for name in ("filter_inputs", "drive_from_traces", "rollout"):
+            assert not hasattr(test_acceptance, name)
         made, rolled = [], []
 
         def drive(params, traces):
@@ -246,8 +240,8 @@ class TestDrives:
             rolled.append(any(drive_arg is out for out in made))
             return rollout(params, drive_arg, bits_at)
 
-        monkeypatch.setattr(test_acceptance, "drive_from_traces", drive)
-        monkeypatch.setattr(test_acceptance, "rollout", checked_rollout)
+        monkeypatch.setattr(oracles, "drive_from_traces", drive)
+        monkeypatch.setattr(oracles, "rollout", checked_rollout)
         quiet = SimpleNamespace(disabled=contextlib.nullcontext)
         for criterion in (test_acceptance.test_criterion_02_gradient_closed_forms,
                           test_acceptance.test_criterion_03_score_function_unbiasedness,
@@ -263,7 +257,7 @@ class TestDrives:
         training.filter_dataset(data, params.kernel_ff)
         decoder = init_decoder_params(8, 2, SeededRng(2), hidden_dim=3)
         training.train_epoch(params, decoder, data, RunConfig(batch_size=4, epsilon=0.1),
-                             SeededRng(3))
+                             SeededRng(3), {})
         assert len(made) == 2
 
 
@@ -273,10 +267,10 @@ class TestMembranePotential:
             ff_weights=np.array([[0.5, -0.25]]),
             fb_weights=np.array([-1.0]),
             bias=np.array([0.1]),
-            kernel_ff=_kernel(1.0, 0.5),
-            kernel_fb=_kernel(1.0, 0.5),
+            kernel_ff=kernel(1.0, 0.5),
+            kernel_fb=kernel(1.0, 0.5),
         )
-        run, _ = _replay(params, np.array([[[1.0, 1.0], [0.0, 1.0]]]), np.array([[[1], [0]]]))
+        run, _ = replay(params, np.array([[[1.0, 1.0], [0.0, 1.0]]]), np.array([[[1], [0]]]))
         # step 1: ff trace (0.5, 1.5); fb trace 0.5 * 1
         np.testing.assert_allclose(
             run.potentials[0, :, 0],
@@ -287,14 +281,14 @@ class TestMembranePotential:
         # the rule gets step t's spike probabilities before any later step
         # exists, and the bits it returns are the ones fed back and kept
         params = _tiny_params()
-        traces = _traces(params, SeededRng(4).bernoulli(np.full((3, 5, params.n_in), 0.5)))
+        inputs = SeededRng(4).bernoulli(np.full((3, 5, params.n_in), 0.5))
         seen = []
 
         def rule(t, s):
             seen.append((t, s.copy()))
             return s > 0.5
 
-        run = _run(params, traces, rule)
+        run, _ = training_rollout(params, inputs, rule)
         assert [t for t, _ in seen] == list(range(5))
         for t, s in seen:
             np.testing.assert_array_equal(run.spike_probs[:, t], s)
@@ -343,17 +337,17 @@ class TestPotentialGrads:
         rng = SeededRng(3)
         inputs = rng.bernoulli(np.full((2, 4, params.n_in), 0.5))
         bits = rng.bernoulli(np.full((2, 4, params.n_out), 0.5))
-        run, traces = _replay(params, inputs, bits)
+        run, traces = replay(params, inputs, bits)
         slopes = {"ff_weights": traces, "fb_weights": run.fb_traces,
                   "bias": np.ones_like(run.fb_traces)}
         h = 1e-3
-        for field in FIELDS:
+        for field in ENCODER_FIELDS:
             for index in np.ndindex(getattr(params, field).shape):
                 u = []
                 for sign in (1.0, -1.0):
                     value = getattr(params, field).copy()
                     value[index] += sign * h
-                    u.append(_replay(replace(params, **{field: value}), inputs, bits)[0].potentials)
+                    u.append(replay(replace(params, **{field: value}), inputs, bits)[0].potentials)
                 expected = np.zeros_like(u[0])
                 column = index[1] if field == "ff_weights" else index[0]
                 expected[:, :, index[0]] = slopes[field][:, :, column]
@@ -363,8 +357,8 @@ class TestPotentialGrads:
         # u must be exactly the parameter-gradient inner product plus bias,
         # confirming the traces in the score are the ones in the forward pass
         params = _tiny_params()
-        traces = _traces(params, SeededRng(9).bernoulli(np.full((2, 3, params.n_in), 0.7)))
-        run = _run(params, traces, lambda t, s: s > 0.5)
+        inputs = SeededRng(9).bernoulli(np.full((2, 3, params.n_in), 0.7))
+        run, traces = training_rollout(params, inputs, lambda t, s: s > 0.5)
         manual = (traces @ params.ff_weights.T
                   + params.fb_weights * run.fb_traces + params.bias)
         np.testing.assert_allclose(run.potentials, manual, rtol=1e-14)
@@ -372,8 +366,7 @@ class TestPotentialGrads:
 
 def _log_likelihood(params, inputs, bits, eps, weights):
     """sum_b weights[b] * log p(bits[b]), by replaying the bits."""
-    run, _ = _replay(params, inputs, bits)
-    return float(weights @ log_prob_noisy(run.bits, run.potentials, eps).sum(axis=1))
+    return float(weights @ log_likelihood(replay(params, inputs, bits)[0], eps))
 
 
 class TestScoreGrads:
@@ -387,9 +380,9 @@ class TestScoreGrads:
         inputs = rng.bernoulli(np.full((3, 4, params.n_in), 0.6))
         bits = rng.bernoulli(np.full((3, 4, params.n_out), 0.5))
         weights = np.array([1.0, -0.5, 2.0])
-        grads = score_grads(*_replay(params, inputs, bits), eps, weights)
-        fd = _fd_grads(params, lambda p: _log_likelihood(p, inputs, bits, eps, weights))
-        for field in FIELDS:
+        grads = score_grads(*replay(params, inputs, bits), eps, weights)
+        fd = fd_grads(params, lambda p: _log_likelihood(p, inputs, bits, eps, weights))
+        for field in ENCODER_FIELDS:
             scale = max(np.abs(fd[field]).max(), 1.0)
             np.testing.assert_allclose(getattr(grads, field), fd[field], rtol=0, atol=1e-5 * scale)
 
@@ -401,9 +394,9 @@ class TestScoreGrads:
         n, steps, k, lines = shape
         rng = SeededRng(n * steps + k)
         params = init_encoder_params(lines, k, rng.substream("init"))
-        traces = _traces(params, rng.substream("x").bernoulli(np.full((n, steps, lines), 0.2)))
+        inputs = rng.substream("x").bernoulli(np.full((n, steps, lines), 0.2))
         draw = rng.substream("bits")
-        run = _run(params, traces, lambda t, s: draw.bernoulli(s))
+        run, traces = training_rollout(params, inputs, lambda t, s: draw.bernoulli(s))
         weights = rng.substream("w").uniform_range(-1.0, 1.0, n)
         score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
         expected = np.einsum("b,btk,btn->kn", weights, score_u, traces)
@@ -415,12 +408,12 @@ class TestScoreGrads:
             ff_weights=np.array([[0.7]]),
             fb_weights=np.array([-0.9]),
             bias=np.array([0.2]),
-            kernel_ff=_kernel(1.0, 0.5),
-            kernel_fb=_kernel(1.0, 1.0),
+            kernel_ff=kernel(1.0, 0.5),
+            kernel_fb=kernel(1.0, 1.0),
         )
         inputs = np.array([[[1.0], [0.0], [1.0]]])
         bits = np.array([[[1], [1], [0]]])
-        grads = score_grads(*_replay(params, inputs, bits), 0.0, np.ones(1))
-        fd = _fd_grads(params, lambda p: _log_likelihood(p, inputs, bits, 0.0, np.ones(1)))
-        for field in FIELDS:
+        grads = score_grads(*replay(params, inputs, bits), 0.0, np.ones(1))
+        fd = fd_grads(params, lambda p: _log_likelihood(p, inputs, bits, 0.0, np.ones(1)))
+        for field in ENCODER_FIELDS:
             np.testing.assert_allclose(getattr(grads, field), fd[field], atol=1e-6)

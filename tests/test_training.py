@@ -6,33 +6,37 @@ its source: enumeration for unbiasedness and the KL sign, replay identity
 for the training rollout, and a per-sample reference for evaluation.
 """
 
-import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import allocation_error, evaluate_line_space
+from oracles import (
+    ENCODER_FIELDS,
+    all_sequences,
+    allocation_error,
+    evaluate_line_space,
+    expected_objective,
+    fd_grads,
+    kernel,
+    log_likelihood,
+    replay,
+    sample_losses,
+    training_rollout,
+)
 
 from spikelink import training
-from spikelink.channel import log_prob_noisy, noisy_spike_prob, sample_noisy
+from spikelink.channel import noisy_spike_prob, sample_noisy
 from spikelink.config import ConfigError, RunConfig
-from spikelink.decoder import (
-    forward_batch,
-    init_decoder_params,
-    losses_from_logits_batch,
-)
+from spikelink.decoder import init_decoder_params
 from spikelink.encoder import (
     EncoderGrads,
     EncoderParams,
-    drive_from_traces,
     filter_inputs,
     init_encoder_params,
-    rollout,
     score_grads,
 )
-from spikelink.numerics import Kernel, SeededRng, sigmoid
+from spikelink.numerics import SeededRng, sigmoid
 from spikelink.training import (
     Dataset,
     PriorModel,
@@ -46,55 +50,15 @@ from spikelink.training import (
     vdib_loss,
 )
 
-FIELDS = ("ff_weights", "fb_weights", "bias")
-
-
-def _kernel(*coeffs):
-    return Kernel(np.array(coeffs, dtype=np.float64))
-
-
 def _tiny_encoder(k=1, n_in=2, seed=0):
     rng = SeededRng(seed)
     return EncoderParams(
         ff_weights=rng.uniform_range(-0.9, 0.9, (k, n_in)),
         fb_weights=rng.uniform_range(-1.0, -0.2, k),
         bias=rng.uniform_range(-0.4, 0.4, k),
-        kernel_ff=_kernel(1.0, 0.5),
-        kernel_fb=_kernel(1.0, 0.7, 0.3),
+        kernel_ff=kernel(1.0, 0.5),
+        kernel_fb=kernel(1.0, 0.7, 0.3),
     )
-
-
-def _all_sequences(steps, k):
-    """Every binary (steps, k) sequence, stacked into one batch."""
-    flat = itertools.product((0, 1), repeat=steps * k)
-    return np.array(list(flat), dtype=np.uint8).reshape(-1, steps, k)
-
-
-def _traces(params, inputs):
-    """Input counts of shape (n, steps, lines) filtered with the encoder's kernel."""
-    return filter_inputs(np.array(inputs, dtype=np.float64), params.kernel_ff)
-
-
-def _run(params, traces, bits_at):
-    """The training rollout: the drive train_epoch makes, then the recurrence."""
-    return rollout(params, drive_from_traces(params, traces), bits_at)
-
-
-def _replay(params, inputs, bits):
-    """One input sequence replayed against a batch of given received bits;
-    returns the run and the traces its drive was made from."""
-    traces = _traces(params, np.repeat(inputs[None], len(bits), axis=0))
-    return _run(params, traces, lambda t, s: bits[:, t]), traces
-
-
-def _probability(run, eps):
-    return np.exp(log_prob_noisy(run.bits, run.potentials, eps).sum(axis=1))
-
-
-def _perturbed(params, field, index, delta):
-    value = getattr(params, field).copy()
-    value[index] += delta
-    return replace(params, **{field: value})
 
 
 class TestPriorModel:
@@ -119,7 +83,7 @@ class TestRegularizer:
 
     def test_zero_when_law_equals_reference(self):
         # sigma(u) = 0.3 and eps = 0 make every sequence's log-ratio vanish
-        zhat = _all_sequences(3, 1)
+        zhat = all_sequences(3, 1)
         u = np.full(zhat.shape, math.log(0.3 / 0.7))
         got = regularizer(zhat, u, 0.0, PriorModel(0.3))
         np.testing.assert_allclose(got, 0.0, atol=1e-13)
@@ -133,8 +97,8 @@ class TestRegularizer:
         # enumerate the law: sum_z p(z) * regularizer(z) is a KL divergence
         params = _tiny_encoder(k=1, n_in=2, seed=3)
         inputs = SeededRng(11).bernoulli(np.full((3, 2), 0.5)).astype(np.float64)
-        run, _ = _replay(params, inputs, _all_sequences(3, 1))
-        p = _probability(run, eps)
+        run, _ = replay(params, inputs, all_sequences(3, 1))
+        p = np.exp(log_likelihood(run, eps))
         kl = p @ regularizer(run.bits, run.potentials, eps, PriorModel(0.3))
         # the autoregressive law must normalize, and the KL must be >= 0
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -199,19 +163,19 @@ class TestSequencePaths:
         # it drew: same potentials and traces, hence same rate term and score
         params = _tiny_encoder(k=2, n_in=3, seed=5)
         rng = SeededRng(21)
-        traces = _traces(params, rng.bernoulli(np.full((4, 5, 3), 0.6)))
-        run = _run(params, traces, lambda t, s: sample_noisy(s, 0.2, rng))
-        replay = _run(params, traces, lambda t, s: run.bits[:, t])
+        inputs = rng.bernoulli(np.full((4, 5, 3), 0.6))
+        run, _ = training_rollout(params, inputs, lambda t, s: sample_noisy(s, 0.2, rng))
+        again, _ = replay(params, inputs, run.bits)
         for name in ("bits", "potentials", "spike_probs", "fb_traces"):
-            np.testing.assert_array_equal(getattr(replay, name), getattr(run, name))
+            np.testing.assert_array_equal(getattr(again, name), getattr(run, name))
 
     def test_training_draws_follow_one_uniform_block(self):
         # step t compares the t-th (n, k) block of one uniform stream with
         # the marginal spike probability
         params = _tiny_encoder(k=2, n_in=3, seed=6)
-        traces = _traces(params, SeededRng(22).bernoulli(np.full((4, 5, 3), 0.6)))
+        inputs = SeededRng(22).bernoulli(np.full((4, 5, 3), 0.6))
         draw = SeededRng(23)
-        run = _run(params, traces, lambda t, s: sample_noisy(s, 0.2, draw))
+        run, _ = training_rollout(params, inputs, lambda t, s: sample_noisy(s, 0.2, draw))
         uniforms = SeededRng(23).uniform((5, 4, 2)).transpose(1, 0, 2)
         q = noisy_spike_prob(sigmoid(run.potentials), 0.2)
         np.testing.assert_array_equal(run.bits, uniforms < q)
@@ -222,14 +186,13 @@ class TestSequencePaths:
         # below sigmoid(u); evaluate counts exactly these spikes
         params = _tiny_encoder(k=2, n_in=3, seed=5)
         counts = SeededRng(1).bernoulli(np.full((1, 4, 3), 0.5))
-        traces = _traces(params, counts)
         spike_u = SeededRng(77).substream("eval", 0).uniform((4, 2))[None]
 
         def clean(t, s):
             return spike_u[:, t, :] < s
 
-        first = _run(params, traces, clean)
-        second = _run(params, traces, clean)
+        first, _ = training_rollout(params, counts, clean)
+        second, _ = training_rollout(params, counts, clean)
         assert first.bits.shape == (1, 4, 2) and first.potentials.shape == (1, 4, 2)
         np.testing.assert_array_equal(first.bits, second.bits)
         np.testing.assert_array_equal(first.potentials, second.potentials)
@@ -241,6 +204,8 @@ class TestSequencePaths:
 class TestUnbiasedness:
     """Enumeration oracle: the score estimator's mean is the true gradient."""
 
+    LABEL, PRIOR = 1, PriorModel(0.3)
+
     def _setup(self, seed=0):
         params = _tiny_encoder(k=1, n_in=2, seed=seed)
         decoder = init_decoder_params(3, 2, SeededRng(seed + 50), hidden_dim=3)
@@ -248,65 +213,45 @@ class TestUnbiasedness:
         inputs = rng.bernoulli(np.full((3, 2), 0.5)).astype(np.float64)
         return params, decoder, inputs
 
-    def _sample_losses(self, decoder, run, eps, beta, label=1):
-        n = len(run.bits)
-        _, _, logits, _ = forward_batch(decoder, run.bits.reshape(n, -1).astype(np.float64))
-        task = losses_from_logits_batch(decoder, logits, np.full(n, label))
-        return task + beta * regularizer(
-            run.bits, run.potentials, eps, PriorModel(0.3), run.spike_probs
-        )
-
-    def _exact_expectation(self, params, decoder, inputs, eps, beta):
-        run, _ = _replay(params, inputs, _all_sequences(3, 1))
-        return float(_probability(run, eps) @ self._sample_losses(decoder, run, eps, beta))
-
     @pytest.mark.parametrize("eps", [0.0, 0.2])
     def test_enumerated_estimator_matches_finite_difference(self, eps):
         beta = 0.05
         params, decoder, inputs = self._setup()
-        run, traces = _replay(params, inputs, _all_sequences(3, 1))
-        f = self._sample_losses(decoder, run, eps, beta)
-        expected = score_grads(run, traces, eps, _probability(run, eps) * f)
-
-        h = 1e-5
-        for field in FIELDS:
-            for index in np.ndindex(getattr(params, field).shape):
-                hi = self._exact_expectation(
-                    _perturbed(params, field, index, h), decoder, inputs, eps, beta
-                )
-                lo = self._exact_expectation(
-                    _perturbed(params, field, index, -h), decoder, inputs, eps, beta
-                )
-                fd = (hi - lo) / (2 * h)
-                assert getattr(expected, field)[index] == pytest.approx(fd, abs=1e-6)
+        run, traces = replay(params, inputs, all_sequences(3, 1))
+        f = sample_losses(decoder, run, eps, beta, self.LABEL, self.PRIOR)
+        expected = score_grads(run, traces, eps, np.exp(log_likelihood(run, eps)) * f)
+        fd = fd_grads(params, lambda moved: expected_objective(
+            moved, decoder, inputs, eps, beta, self.LABEL, self.PRIOR), 1e-5)
+        for field in ENCODER_FIELDS:
+            np.testing.assert_allclose(getattr(expected, field), fd[field], rtol=0, atol=1e-6)
 
     def test_enumerated_score_has_zero_mean(self):
         # E[grad log p] = 0: the identity that lets a baseline shift f freely
         params, _, inputs = self._setup(seed=2)
         eps = 0.15
-        run, traces = _replay(params, inputs, _all_sequences(3, 1))
-        mean = score_grads(run, traces, eps, _probability(run, eps))
-        for field in FIELDS:
+        run, traces = replay(params, inputs, all_sequences(3, 1))
+        mean = score_grads(run, traces, eps, np.exp(log_likelihood(run, eps)))
+        for field in ENCODER_FIELDS:
             np.testing.assert_allclose(getattr(mean, field), 0.0, atol=1e-12)
 
     def test_monte_carlo_mean_approaches_enumeration(self):
         eps, beta = 0.1, 0.05
         params, decoder, inputs = self._setup(seed=1)
-        run, traces = _replay(params, inputs, _all_sequences(3, 1))
-        p = _probability(run, eps)
-        f = self._sample_losses(decoder, run, eps, beta)
+        run, traces = replay(params, inputs, all_sequences(3, 1))
+        p = np.exp(log_likelihood(run, eps))
+        f = sample_losses(decoder, run, eps, beta, self.LABEL, self.PRIOR)
         per_sequence = [score_grads(run, traces, eps, f * (np.arange(len(f)) == i))
                         for i in range(len(f))]
 
         # the training rollout on 20k copies of the input, one batch
         draws = 20_000
         rng = SeededRng(777)
-        mc_traces = _traces(params, np.repeat(inputs[None], draws, axis=0))
-        mc = _run(params, mc_traces, lambda t, s: sample_noisy(s, eps, rng))
-        mean = score_grads(mc, mc_traces, eps,
-                           self._sample_losses(decoder, mc, eps, beta) / draws)
+        mc, mc_traces = training_rollout(params, np.repeat(inputs[None], draws, axis=0),
+                                         lambda t, s: sample_noisy(s, eps, rng))
+        f_mc = sample_losses(decoder, mc, eps, beta, self.LABEL, self.PRIOR)
+        mean = score_grads(mc, mc_traces, eps, f_mc / draws)
 
-        for field in FIELDS:
+        for field in ENCODER_FIELDS:
             g = np.array([getattr(grads, field) for grads in per_sequence])
             exact = np.tensordot(p, g, axes=1)
             var = np.tensordot(p, g**2, axes=1) - exact**2
@@ -358,9 +303,10 @@ class TestEpochLoop:
         for _ in range(2):
             enc, dec = _toy_models(data)
             metrics = None
+            state: dict = {}
             for epoch in range(2):
                 enc, dec, metrics = train_epoch(
-                    enc, dec, data, cfg, SeededRng(0).substream("train", epoch)
+                    enc, dec, data, cfg, SeededRng(0).substream("train", epoch), state
                 )
             results.append((enc, dec, metrics))
         (e1, d1, m1), (e2, d2, m2) = results
@@ -373,8 +319,10 @@ class TestEpochLoop:
         enc, dec = _toy_models(data)
         cfg = RunConfig(epochs=8, batch_size=8, eta=0.2, epsilon=0.05)
         err = None
+        state: dict = {}
         for epoch in range(8):
-            enc, dec, m = train_epoch(enc, dec, data, cfg, SeededRng(0).substream("t", epoch))
+            rng = SeededRng(0).substream("t", epoch)
+            enc, dec, m = train_epoch(enc, dec, data, cfg, rng, state)
             err = m.test_error
         assert err <= 0.25
 
@@ -383,7 +331,7 @@ class TestEpochLoop:
         enc, dec = _toy_models(data)
         cfg = RunConfig(epsilon=0.5)
         with pytest.raises(ValueError, match="0.5"):
-            train_epoch(enc, dec, data, cfg, SeededRng(0))
+            train_epoch(enc, dec, data, cfg, SeededRng(0), {})
 
     def test_momentum_and_baseline_state_threading(self):
         data = _toy_dataset()
@@ -402,10 +350,10 @@ class TestEpochLoop:
         enc, dec = _toy_models(data)
         cfg = RunConfig(epsilon=0.1)
         with pytest.raises(ValueError, match="kernel_ff"):
-            train_epoch(enc, dec, data, cfg, SeededRng(0))
-        filter_dataset(data, _kernel(1.0, 0.5))
+            train_epoch(enc, dec, data, cfg, SeededRng(0), {})
+        filter_dataset(data, kernel(1.0, 0.5))
         with pytest.raises(ValueError, match="kernel_ff"):
-            train_epoch(enc, dec, data, cfg, SeededRng(0))
+            train_epoch(enc, dec, data, cfg, SeededRng(0), {})
 
 
 class TestFilterDataset:
@@ -414,24 +362,24 @@ class TestFilterDataset:
         # traces, once; the test split keeps its counts, which evaluation
         # reads
         data = _toy_counts()
-        kernel = _kernel(1.0, 0.5)
+        ff_kernel = kernel(1.0, 0.5)
         test_counts = data.test_inputs
         assert data.train_inputs.dtype == np.uint8 and test_counts.dtype == np.uint8
-        expected = filter_inputs(data.train_inputs, kernel)
-        assert filter_dataset(data, kernel) is data
+        expected = filter_inputs(data.train_inputs, ff_kernel)
+        assert filter_dataset(data, ff_kernel) is data
         traces = data.train_inputs
         # a second call with an equal kernel is a no-op
-        filter_dataset(data, _kernel(1.0, 0.5))
-        assert data.kernel == kernel
+        filter_dataset(data, kernel(1.0, 0.5))
+        assert data.kernel == ff_kernel
         assert data.train_inputs is traces and traces.dtype == np.float64
         assert np.array_equal(traces.view(np.uint64), expected.view(np.uint64))
         assert data.test_inputs is test_counts
 
     def test_refuses_refiltering_with_another_kernel(self):
-        data = filter_dataset(_toy_counts(), _kernel(1.0, 0.5))
+        data = filter_dataset(_toy_counts(), kernel(1.0, 0.5))
         before = data.train_inputs.copy()
         with pytest.raises(ValueError, match="different kernel"):
-            filter_dataset(data, _kernel(1.0, 0.25))
+            filter_dataset(data, kernel(1.0, 0.25))
         np.testing.assert_array_equal(data.train_inputs, before)
 
 
@@ -589,9 +537,10 @@ class TestEvaluateGrid:
         # a temporary the size of the whole set's traces would be 16 chunks' worth
         assert peak < 6 * chunk_traces, f"peak {peak} bytes"
 
-    def test_epoch_without_state_keeps_no_draws(self):
-        # a caller that threads no state cannot reuse the draws, so the
-        # epoch's evaluation must stay chunk-bounded like a one-shot call
+    def test_epoch_memory_beyond_its_draws_bounded_by_chunk(self):
+        # an epoch keeps the test set's uniforms in its state and nothing
+        # else of the test set's size: past them, its evaluation stays
+        # chunk-bounded like a one-shot call
         n, steps, lines, k = 2048, 20, 64, 16
         rng = SeededRng(1)
         counts = (rng.uniform((n + 8, steps, lines)) < 0.2).astype(np.float64)
@@ -604,12 +553,14 @@ class TestEvaluateGrid:
         )
         cfg = RunConfig(batch_size=8, epsilon=0.1)
         chunk_traces = training.EVAL_CHUNK * steps * lines * 8
+        state: dict = {}
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            train_epoch(enc, dec, data, cfg, SeededRng(0))
+            train_epoch(enc, dec, data, cfg, SeededRng(0), state)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the whole test set's spike and flip uniforms would be 8 chunks' worth
-        assert peak < 6 * chunk_traces, f"peak {peak} bytes"
+        kept = sum(u.nbytes for pair in state["eval_draws"].values() for u in pair)
+        assert kept == 2 * n * steps * k * 8
+        assert peak - kept < 6 * chunk_traces, f"peak {peak} bytes, {kept} kept"
