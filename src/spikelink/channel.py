@@ -2,14 +2,15 @@
 
 Every function takes the crossover probability itself; a run's channel
 point, set as epsilon or as Eb/N0 in dB, is resolved to one by
-RunConfig.crossover().
+RunConfig.crossover().  The two samplers, transmit and sample_noisy, take
+their uniform draws from the caller.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import SeededRng, log_sigmoid, sigmoid
+from .numerics import log_sigmoid, sigmoid
 
 __all__ = [
     "transmit",
@@ -71,12 +72,13 @@ def log_prob_noisy(zhat, u, epsilon: float, s=None):
     return np.sum(terms, axis=-1)
 
 
-def sample_noisy(s, epsilon: float, rng: SeededRng) -> np.ndarray:
-    """Draw received bits directly from the channel-marginalized law, given
-    spike probabilities s.
+def sample_noisy(s, epsilon: float, uniforms: np.ndarray) -> np.ndarray:
+    """Received bits drawn directly from the channel-marginalized law, given
+    spike probabilities s and one uniform draw per bit from the caller.
 
-    One Bernoulli per bit; the law is identical to sampling clean spikes and
-    pushing them through transmit, but costs a single draw.
+    A bit is 1 where its uniform falls below noisy_spike_prob(s, eps); the
+    law is identical to sampling clean spikes and pushing them through
+    transmit, but costs a single draw.
     """
     eps = _check_epsilon(epsilon)
-    return rng.bernoulli(noisy_spike_prob(s, eps))
+    return (uniforms < noisy_spike_prob(s, eps)).astype(np.uint8)

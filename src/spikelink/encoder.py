@@ -16,9 +16,9 @@ which that rounding moves only if a spike uniform falls between the two
 spike probabilities.  Training keeps the line-space drive, bit for bit,
 until a law-level check of changes that reorder float sums exists.
 `rollout` runs the recurrence on a drive, one step at a time, for a whole
-batch of sequences; it keeps the fed-back bits as float64 too, so the
-feedback trace reads them without a cast, and keeps the spike
-probabilities and feedback traces for `score_grads`.
+batch of sequences; it reads each feedback trace from a table of partial
+sums of the taps, indexed by the neuron's past 0/1 bits, and keeps the
+spike probabilities and feedback traces for `score_grads`.
 """
 
 from __future__ import annotations
@@ -212,21 +212,9 @@ def drive_from_counts(params: EncoderParams, counts) -> np.ndarray:
     return drive.reshape(steps, n, k).transpose(1, 0, 2)
 
 
-def _feedback_trace(bits: np.ndarray, t: int, kernel: Kernel) -> np.ndarray:
-    """Filtered own-bit history at step t for a batch of float64 bits of
-    shape (n, steps, k), strictly past bits.
-
-    coefficients[0] would pair with the not-yet-drawn bit of step t, so it
-    never contributes.  The taps are added d = 1 first onto +0.0, so a
-    negative tap on a zero bit adds -0.0 and leaves +0.0.
-    """
-    coeff = kernel.coefficients
-    trace = np.zeros((bits.shape[0], bits.shape[2]))
-    term = np.empty_like(trace)
-    for d in range(1, min(coeff.size, t + 1)):
-        np.multiply(bits[:, t - d, :], coeff[d], out=term)
-        trace += term
-    return trace
+# feedback taps read from a table of 2**m partial sums: 4096 entries (32 KB)
+# at most, so a window past 13 adds its further taps one at a time
+_FB_TABLE_TAPS = 12
 
 
 @dataclass
@@ -245,33 +233,49 @@ def rollout(params: EncoderParams, drive, bits_at) -> Rollout:
     The drive is the filtered input already projected onto the neurons
     (drive_from_traces or drive_from_counts).  At each step t, bits_at(t, s)
     turns that step's spike probabilities s = sigmoid(u), shape (n, k), into
-    its bits, which every later step feeds back.  Training draws them from
-    the channel-marginalized law (channel.sample_noisy), evaluation compares
-    pre-drawn spike uniforms with s, and the gradient oracles hand back
-    fixed bits to replay a given sequence.  A single sequence is a batch of
-    one.
+    its bits, which every later step feeds back.  Training compares its
+    batch's pre-drawn uniforms with the channel-marginalized spike
+    probability (channel.sample_noisy), evaluation compares pre-drawn spike
+    uniforms with s, and the gradient oracles hand back fixed bits to replay
+    a given sequence.  A single sequence is a batch of one.  The feedback
+    trace is read from a table indexed by past bits, so a bit other than 0
+    or 1 raises ValueError.
     """
     drive = np.asarray(drive, dtype=np.float64)
     k = params.n_out
     if drive.ndim != 3 or drive.shape[2] != k:
         raise ValueError(f"drive must have shape (n, steps, {k}), got {drive.shape}")
     n, steps, _ = drive.shape
+    coeff = params.kernel_fb.coefficients
+    m = min(coeff.size - 1, _FB_TABLE_TAPS)
+    # table[i] adds c_d for each set bit d - 1 of i, d = 1 first onto +0.0,
+    # the tap loop's own sum
+    table = np.zeros(1)
+    for d in range(1, m + 1):
+        table = np.concatenate([table, table + coeff[d]])
+    # bit d - 1 of history is the bit d steps back; steps before 0 read 0,
+    # which is exact, as the tap loop's +-0.0 terms never move its sum
+    history = np.zeros((n, k), dtype=np.intp)
+    mask = (1 << m) - 1
     bits = np.zeros((n, steps, k), dtype=np.uint8)
-    # the fed-back bits again as float64, so no tap casts, and step-major
-    # under an (n, steps, k) view, so each tap reads contiguous rows
-    fed = np.zeros((steps, n, k)).transpose(1, 0, 2)
     potentials = np.zeros((n, steps, k))
     spike_probs = np.zeros((n, steps, k))
     fb_traces = np.zeros((n, steps, k))
     for t in range(steps):
-        fb = _feedback_trace(fed, t, params.kernel_fb)
+        fb = table[history]
+        for d in range(m + 1, min(coeff.size, t + 1)):
+            fb += coeff[d] * bits[:, t - d, :]
         u = drive[:, t, :] + params.fb_weights * fb + params.bias
         s = sigmoid(u)
         bits[:, t, :] = bits_at(t, s)
-        fed[:, t, :] = bits[:, t, :]
+        history <<= 1
+        history |= bits[:, t, :]
+        history &= mask
         potentials[:, t, :] = u
         spike_probs[:, t, :] = s
         fb_traces[:, t, :] = fb
+    if bits.max(initial=0) > 1:
+        raise ValueError("bits_at must hand back bits of 0 or 1")
     return Rollout(bits, potentials, spike_probs, fb_traces)
 
 

@@ -99,15 +99,14 @@ def read_metrics(path) -> list[MetricsRow]:
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty metrics file")
-        if tuple(header) != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected metrics header {header}")
-        try:
-            return [MetricsRow.from_fields(row) for row in reader if row]
+            header = next(reader, None)
+            if header is not None and tuple(header) == CSV_HEADER:
+                return [MetricsRow.from_fields(row) for row in reader if row]
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise ValueError(f"{path}: empty metrics file")
+    raise ValueError(f"{path}: unexpected metrics header {header}")
 
 
 def export_metrics(rows, fmt: str = "csv") -> str:

@@ -25,11 +25,14 @@ NumPy's own MemoryError, which carries its shape and dtype.
 Training mode draws the received bits directly from the marginalized law
 and feeds them back into the encoder's recurrence; that makes the sequence
 likelihood an exact autoregressive product, which is what the score
-differentiates.  Evaluation mode runs the physical two-stage path: clean
-spikes drive the recurrence and the channel flips a copy.  Its uniforms
-depend only on the seed and the sample, so a training run draws them in
-its first epoch's evaluation and keeps them in the state train_epoch
-carries; one-shot evaluations draw them chunk by chunk.
+differentiates.  Each batch draws its (steps, n, k) uniforms from the
+epoch's "draws" stream in one call, the doubles a draw per step would
+give, and step t's bits are channel.sample_noisy of uniforms[t].
+Evaluation mode runs the physical two-stage path: clean spikes drive the
+recurrence and the channel flips a copy.  Its uniforms depend only on the
+seed and the sample, so a training run draws them in its first epoch's
+evaluation and keeps them in the state train_epoch carries; one-shot
+evaluations draw them chunk by chunk.
 """
 
 from __future__ import annotations
@@ -254,8 +257,9 @@ def train_epoch(
         batch = order[start : start + config.batch_size]
         xb = data.train_inputs[batch]
         yb = data.train_labels[batch]
+        uniforms = draw.uniform((xb.shape[1], len(batch), encoder.n_out))
         run = rollout(encoder, drive_from_traces(encoder, xb),
-                      lambda t, s: sample_noisy(s, eps, draw))
+                      lambda t, s: sample_noisy(s, eps, uniforms[t]))
         rate_losses = regularizer(run.bits, run.potentials, eps, prior, run.spike_probs)
         flat = run.bits.reshape(len(batch), -1).astype(np.float64)
         pre, hidden, logits, probs = forward_batch(decoder, flat)

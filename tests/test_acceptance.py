@@ -238,8 +238,9 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         # noisy rollout, the decoder loss, the rate term, the contraction
         draws = 100_000
         rng = SeededRng(775)
-        mc, mc_traces = training_rollout(params, np.repeat(inputs[None], draws, axis=0),
-                                         lambda t, s: sample_noisy(s, eps, rng))
+        mc, mc_traces = training_rollout(
+            params, np.repeat(inputs[None], draws, axis=0),
+            lambda t, s: sample_noisy(s, eps, rng.uniform(np.shape(s))))
         mean = score_grads(mc, mc_traces, eps,
                            sample_losses(decoder, mc, eps, beta, label, prior) / draws)
 
@@ -299,7 +300,8 @@ def test_criterion_05_channel_statistics(capsys):
         draws = 100_000
         u = np.array([0.0, 1.0])
         eps2 = 0.2
-        direct = sample_noisy(np.tile(sigmoid(u), (draws, 1)), eps2, SeededRng(613))
+        direct = sample_noisy(np.tile(sigmoid(u), (draws, 1)), eps2,
+                              SeededRng(613).uniform((draws, 2)))
         staged_rng = SeededRng(614)
         spikes = staged_rng.bernoulli(np.tile(sigmoid(u), (draws, 1)))
         staged = transmit(spikes, eps2, staged_rng.uniform(spikes.shape))

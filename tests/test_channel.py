@@ -152,13 +152,13 @@ class TestSampleNoisy:
     def test_extreme_potentials_at_zero_epsilon(self):
         rng = SeededRng(3)
         u = np.array([1e6, -1e6])
-        out = sample_noisy(sigmoid(u), 0.0, rng)
+        out = sample_noisy(sigmoid(u), 0.0, rng.uniform(np.shape(u)))
         np.testing.assert_array_equal(out, [1, 0])
 
     def test_epsilon_half_is_fair_coin_regardless_of_u(self):
         rng = SeededRng(4)
         u = np.full(200_000, 50.0)
-        draws = sample_noisy(sigmoid(u), 0.5, rng)
+        draws = sample_noisy(sigmoid(u), 0.5, rng.uniform(np.shape(u)))
         assert abs(draws.mean() - 0.5) < 5 * math.sqrt(0.25 / 200_000)
 
     def test_matches_two_stage_law_chi_square(self):
@@ -167,7 +167,7 @@ class TestSampleNoisy:
         n = 100_000
         u = np.array([0.0, 1.0])
         eps = 0.2
-        direct = sample_noisy(np.tile(sigmoid(u), (n, 1)), eps, SeededRng(100))
+        direct = sample_noisy(np.tile(sigmoid(u), (n, 1)), eps, SeededRng(100).uniform((n, 2)))
         stage_rng = SeededRng(200)
         spikes = stage_rng.bernoulli(np.tile(sigmoid(u), (n, 1)))
         staged = transmit(spikes, eps, stage_rng.uniform(spikes.shape))

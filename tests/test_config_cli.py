@@ -995,6 +995,14 @@ class TestCliExport:
         assert _main("export", "--metrics", str(path)) == 2
         assert _refusal(capsys) == f"error: {path}: line 3: {message}"
 
+    def test_oversized_header_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("x" * 200_000 + "\n")
+        assert _main("export", "--metrics", str(path)) == 2
+        assert _refusal(capsys) == (
+            f"error: {path}: line 1: field larger than field limit (131072)"
+        )
+
     def test_out_naming_a_directory_is_refused(self, tmp_path, capsys):
         metrics = tmp_path / "m.csv"
         write_metrics(metrics, [])

@@ -140,23 +140,44 @@ class TestStateTraces:
     @pytest.mark.parametrize("taps", [(1.0, 0.6, 0.3, 0.1), (1.0, -0.7, 0.4, -1e-3, -0.2)])
     def test_feedback_trace_equals_zeros_then_add(self, taps):
         # the oracle: fresh zeros, then each tap times the uint8 bits,
-        # d = 1 first; the rollout's in-place trace must match every bit,
-        # so a negative tap on a zero bit leaves +0.0, not -0.0
-        params = _tiny_params(k=3, n_in=2, kernel_fb=kernel(*taps))
+        # d = 1 first; the rollout's table of partial sums must match every
+        # bit, so a negative tap on a zero bit leaves +0.0, not -0.0.
+        # Windows 13, 14 and 25 fill the table and run past it, with
+        # negative taps and random feedback weights, at 1 and 16 rows.
         rng = np.random.default_rng(len(taps))
-        bits = (rng.random((5, 9, 3)) < 0.4).astype(np.uint8)
-        bits[0] = 0
-        run, _ = replay(params, rng.poisson(1.0, (5, 9, 2)), bits)
-        expected = np.zeros_like(run.fb_traces)
-        for t in range(bits.shape[1]):
-            trace = np.zeros((bits.shape[0], bits.shape[2]))
-            for d in range(1, min(len(taps), t + 1)):
-                trace += taps[d] * bits[:, t - d, :]
-            expected[:, t, :] = trace
-        assert np.array_equal(run.fb_traces.view(np.uint64), expected.view(np.uint64))
-        # score_grads contracts these in their (n, steps, k) C order
-        for arr in (run.potentials, run.spike_probs, run.fb_traces):
-            assert arr.shape == (5, 9, 3) and arr.flags.c_contiguous
+        cases = [(taps, 5, 9, None)] + [
+            ((1.0, *rng.normal(0.0, 0.5, window - 1)), n, 30, rng.normal(0.0, 1.0, 3))
+            for window in (13, 14, 25) for n in (1, 16)
+        ]
+        for case_taps, n, steps, fb_weights in cases:
+            params = _tiny_params(k=3, n_in=2, kernel_fb=kernel(*case_taps))
+            if fb_weights is not None:
+                params = replace(params, fb_weights=fb_weights)
+            bits = (rng.random((n, steps, 3)) < 0.4).astype(np.uint8)
+            bits[0, : steps // 2] = 0
+            run, traces = replay(params, rng.poisson(1.0, (n, steps, 2)), bits)
+            expected = np.zeros_like(run.fb_traces)
+            for t in range(steps):
+                trace = np.zeros((n, 3))
+                for d in range(1, min(len(case_taps), t + 1)):
+                    trace += case_taps[d] * bits[:, t - d, :]
+                expected[:, t, :] = trace
+            assert np.array_equal(run.fb_traces.view(np.uint64), expected.view(np.uint64))
+            u = drive_from_traces(params, traces) + params.fb_weights * expected + params.bias
+            assert np.array_equal(run.potentials.view(np.uint64), u.view(np.uint64))
+            # score_grads contracts these in their (n, steps, k) C order
+            for arr in (run.potentials, run.spike_probs, run.fb_traces):
+                assert arr.shape == (n, steps, 3) and arr.flags.c_contiguous
+
+    @pytest.mark.parametrize("bit", [2, 255])
+    def test_replayed_bit_other_than_zero_or_one_is_refused(self, bit):
+        # the feedback table reads a bit as one bit of an index: any other
+        # value must be refused, not read as a different history
+        params = _tiny_params(k=2, n_in=3, kernel_fb=kernel(1.0, 0.5, 0.25))
+        bits = np.zeros((2, 4, 2), dtype=np.uint8)
+        bits[1, 2, 0] = bit
+        with pytest.raises(ValueError, match="0 or 1"):
+            oracles.replay(params, np.ones((2, 4, 3)), bits)
 
     def test_history_before_time_zero_reads_zero(self):
         params = _unit_params(kernel_ff=kernel(1.0, 1.0, 1.0, 1.0))

@@ -14,7 +14,7 @@ import pytest
 from oracles import finite_diff_grad
 
 from spikelink import encoder
-from spikelink.encoder import _feedback_trace, filter_inputs
+from spikelink.encoder import EncoderParams, filter_inputs, rollout
 from spikelink.numerics import (
     Kernel,
     SeededRng,
@@ -139,10 +139,18 @@ def _step_ordered(x, coeff):
     return out
 
 
+def _feedback_traces(bits, kernel):
+    """The rollout's feedback traces (n, steps, neurons) with these bits fed
+    back, on a zero drive."""
+    k = bits.shape[2]
+    params = EncoderParams(np.zeros((k, 1)), np.zeros(k), np.zeros(k), kernel, kernel)
+    return rollout(params, np.zeros(bits.shape), lambda t, s: bits[:, t]).fb_traces
+
+
 class TestCausalConvolve:
     """(a*x)[t] = sum_d a[d] * x[t-d], as the encoder's filters compute it:
     the input filter over whole sequences of counts, the feedback filter at
-    one step from strictly past bits."""
+    each step from strictly past bits."""
 
     def test_hand_expanded_example(self):
         k = Kernel([0.5, 0.25])
@@ -162,7 +170,7 @@ class TestCausalConvolve:
         # the feedback trace at t=2 reads steps 0..1 only: d=1 pairs with
         # step 1, and the d=0 tap never meets step 2's bit
         bits = np.ones((1, 3, 1))
-        assert _feedback_trace(bits, 2, k)[0, 0] == pytest.approx(0.25)
+        assert _feedback_traces(bits, k)[0, 2, 0] == pytest.approx(0.25)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
@@ -173,10 +181,12 @@ class TestCausalConvolve:
         lhs = filter_inputs(a * s + b * r, k)
         rhs = a * filter_inputs(s.copy(), k) + b * filter_inputs(r.copy(), k)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-        for t in (0, 3, 8):
-            lhs = _feedback_trace(a * s + b * r, t, k)
-            rhs = a * _feedback_trace(s, t, k) + b * _feedback_trace(r, t, k)
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+        # the feedback trace reads bits, so it is linear over disjoint ones
+        bits = rng.random((2, 9, 3)) < 0.5
+        split = rng.random((2, 9, 3)) < 0.5
+        lhs = _feedback_traces(bits, k)
+        rhs = _feedback_traces(bits & split, k) + _feedback_traces(bits & ~split, k)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("block", [1, 3, None])
     @pytest.mark.parametrize("window", [4, 30])

@@ -164,7 +164,8 @@ class TestSequencePaths:
         params = _tiny_encoder(k=2, n_in=3, seed=5)
         rng = SeededRng(21)
         inputs = rng.bernoulli(np.full((4, 5, 3), 0.6))
-        run, _ = training_rollout(params, inputs, lambda t, s: sample_noisy(s, 0.2, rng))
+        run, _ = training_rollout(params, inputs,
+                                  lambda t, s: sample_noisy(s, 0.2, rng.uniform(np.shape(s))))
         again, _ = replay(params, inputs, run.bits)
         for name in ("bits", "potentials", "spike_probs", "fb_traces"):
             np.testing.assert_array_equal(getattr(again, name), getattr(run, name))
@@ -175,7 +176,8 @@ class TestSequencePaths:
         params = _tiny_encoder(k=2, n_in=3, seed=6)
         inputs = SeededRng(22).bernoulli(np.full((4, 5, 3), 0.6))
         draw = SeededRng(23)
-        run, _ = training_rollout(params, inputs, lambda t, s: sample_noisy(s, 0.2, draw))
+        run, _ = training_rollout(
+            params, inputs, lambda t, s: sample_noisy(s, 0.2, draw.uniform(np.shape(s))))
         uniforms = SeededRng(23).uniform((5, 4, 2)).transpose(1, 0, 2)
         q = noisy_spike_prob(sigmoid(run.potentials), 0.2)
         np.testing.assert_array_equal(run.bits, uniforms < q)
@@ -246,8 +248,9 @@ class TestUnbiasedness:
         # the training rollout on 20k copies of the input, one batch
         draws = 20_000
         rng = SeededRng(777)
-        mc, mc_traces = training_rollout(params, np.repeat(inputs[None], draws, axis=0),
-                                         lambda t, s: sample_noisy(s, eps, rng))
+        mc, mc_traces = training_rollout(
+            params, np.repeat(inputs[None], draws, axis=0),
+            lambda t, s: sample_noisy(s, eps, rng.uniform(np.shape(s))))
         f_mc = sample_losses(decoder, mc, eps, beta, self.LABEL, self.PRIOR)
         mean = score_grads(mc, mc_traces, eps, f_mc / draws)
 
@@ -340,6 +343,27 @@ class TestEpochLoop:
         state: dict = {}
         enc, dec, _ = train_epoch(enc, dec, data, cfg, SeededRng(0).substream("t", 0), state)
         assert "baseline" in state and "enc_vel" in state and "dec_vel" in state
+
+    def test_batch_draws_consume_one_stream_in_order(self, monkeypatch):
+        # each batch draws its uniforms at once; read in call order, batch
+        # by batch and step by step, they are one draw from the epoch's
+        # "draws" stream, the last batch partial (12 samples = 5 + 5 + 2)
+        data = _toy_dataset(n_train=12)
+        enc, dec = _toy_models(data)
+        seen = []
+        real = training.sample_noisy
+
+        def spy(s, eps, uniforms):
+            seen.append(np.array(uniforms))
+            return real(s, eps, uniforms)
+
+        monkeypatch.setattr(training, "sample_noisy", spy)
+        rng = SeededRng(0).substream("t", 0)
+        train_epoch(enc, dec, data, RunConfig(batch_size=5, epsilon=0.1), rng, {})
+        steps, k = data.train_inputs.shape[1], enc.n_out
+        assert [u.shape for u in seen] == [(5, k)] * (2 * steps) + [(2, k)] * steps
+        expected = rng.substream("draws").uniform((12 * steps * k,))
+        np.testing.assert_array_equal(np.concatenate([u.ravel() for u in seen]), expected)
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):

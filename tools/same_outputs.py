@@ -14,9 +14,11 @@ memory change shows on every case.  The cases run in order, so
 `sweep-snr-checkpoint` and `sweep-snr-large-test` evaluate the checkpoint
 TREE_A wrote in `default-seed5` on both trees: they compare evaluation
 alone, the second on 2048 test records at each of the 7 default grid
-points.  The
-`event-files` case trains on train and test event files that the tool
-writes once into the work directory, so both trees parse the same bytes.
+points.  The `event-files` case trains on train and test event files that
+the tool writes once into the work directory, so both trees parse the
+same bytes.  `long-feedback-window` trains at T = 30 with a feedback
+window of 25, the one case whose feedback taps run past the rollout's
+table of partial sums (12 taps); under --tiny, T = 6 cuts its window to 6.
 --tiny shrinks every case to a few samples and two epochs, for a smoke
 test.
 Exit status 0 when every case matches, 1 otherwise.
@@ -47,6 +49,7 @@ CASES = (
     ("sweep-snr-checkpoint", ["sweep-snr"], {"seed": 5}),
     ("sweep-snr-large-test", ["sweep-snr"], {"seed": 5, "test_per_class": 512}),
     ("event-files", ["train"], {"seed": 9, "dataset": "events"}),
+    ("long-feedback-window", ["train"], {"seed": 11, "T": 30, "window_fb": 25}),
     ("diverged", ["train"], {"seed": 10, "eta": 1e200}),
 )
 # the exit code each case should end with, if not 0: a diverged run exits 3
