@@ -50,9 +50,10 @@ def _write_block(fh, name: str, arr: np.ndarray) -> None:
     arr = np.asarray(arr, dtype=np.float64)
     dims = " ".join(str(d) for d in arr.shape)
     fh.write(f"block {name} {arr.ndim} {dims}\n")
-    flat = arr.reshape(-1)
-    for start in range(0, flat.size, _PER_LINE):
-        fh.write(" ".join(v.hex() for v in flat[start : start + _PER_LINE]))
+    # as Python floats: float.hex gives np.float64.hex's text without a scalar per value
+    flat = arr.reshape(-1).tolist()
+    for start in range(0, len(flat), _PER_LINE):
+        fh.write(" ".join(map(float.hex, flat[start : start + _PER_LINE])))
         fh.write("\n")
 
 

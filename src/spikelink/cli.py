@@ -71,8 +71,8 @@ def _flat(frames: np.ndarray) -> np.ndarray:
 
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
-    # the train counts are filtered into traces after model set-up
-    # (filter_dataset); the test counts stay as they are
+    """Both splits: the train counts filtered into traces under the config's
+    kernel_ff, once for every run on them, and the test counts as they are."""
     train_x, train_y = _split_inputs(cfg, "train")
     test_x, test_y = _split_inputs(cfg, "test")
     if train_x.shape[3:] != test_x.shape[3:]:
@@ -86,7 +86,7 @@ def _build_dataset(cfg: RunConfig) -> Dataset:
         n_classes = cfg.classes
     else:
         n_classes = int(max(train_y.max(), test_y.max())) + 1
-    return Dataset(train_x, train_y, test_x, test_y, n_classes)
+    return filter_dataset(Dataset(train_x, train_y, test_x, test_y, n_classes), cfg.kernel_ff())
 
 
 def _init_models(cfg: RunConfig, data: Dataset):
@@ -111,12 +111,12 @@ def _init_models(cfg: RunConfig, data: Dataset):
 
 def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
                rows: list[MetricsRow]):
-    """Full training loop; appends each epoch's metrics row to `rows` as the
-    epoch ends and returns the params.  A divergence or an interruption in
-    an epoch is raised again naming the experiment, point and epoch."""
+    """Full training loop on _build_dataset's traces; appends each epoch's
+    metrics row to `rows` as it ends and returns the params.  A divergence
+    or an interruption in an epoch is raised again naming the experiment,
+    point and epoch."""
     eps = cfg.crossover()
     encoder, decoder = _init_models(cfg, data)
-    filter_dataset(data, encoder.kernel_ff)
     root = SeededRng(cfg.seed)
     opt_state: dict = {}
     for epoch in range(cfg.epochs):
@@ -168,12 +168,12 @@ def _parse_grid(args, mapping: str, epsilon_grid=(), ebn0_grid_db=()):
 
 
 def _point_configs(cfg: RunConfig, what: str, changes: list[dict]) -> list[RunConfig]:
-    """The run config of each grid point, every one validated and checked
-    trainable before any work."""
+    """The run config of each grid point, every one built (so checked) and
+    checked trainable before any work."""
     configs = []
     for i, change in enumerate(changes):
         try:
-            point_cfg = replace(cfg, **change).validate()
+            point_cfg = replace(cfg, **change)
             point_cfg.training_crossover()
             configs.append(point_cfg)
         except ConfigError as exc:
@@ -197,28 +197,24 @@ def _checkpoint_meta(cfg: RunConfig, data: Dataset) -> dict:
     }
 
 
-def _check_checkpoint(cfg: RunConfig, encoder, decoder, meta: dict, test_x, test_y) -> None:
-    """Refuse a checkpoint that does not fit the config or the test split.
+def _check_checkpoint(cfg: RunConfig, encoder, decoder, test_x, test_y) -> None:
+    """Refuse a checkpoint whose arrays do not fit the config or the test split.
 
-    The meta lines k, T and hidden (and classes, for synthetic data) must
-    equal the config's, and the arrays must fit the config and the test
-    split; event-file labels must all be below the decoder's class count.
+    Each fact is read once, from the arrays: k (encoder.n_out), k * T
+    (decoder.input_dim), hidden, classes (for synthetic data) and the test
+    split's width (encoder.n_in).  The meta lines only describe the run.
+    Event-file labels must all be below the decoder's class count.
     Kernels that differ from the config's only warn: the checkpoint's are
     used, also to make the test split's drive.
     """
-    wanted = {"k": cfg.k, "T": cfg.T, "hidden": cfg.hidden}
-    if cfg.dataset == "synthetic":
-        wanted["classes"] = cfg.classes
-    checks = [(key, meta[key], str(value), f"config's {key}")
-              for key, value in wanted.items() if key in meta]
-    checks += [
-        ("encoder.n_in", encoder.n_in, test_x.shape[2], "test split's width"),
-        ("encoder.n_out", encoder.n_out, cfg.k, "config's k"),
-        ("decoder.input_dim", decoder.input_dim, cfg.k * cfg.T, "config's k * T"),
-        ("decoder.hidden_dim", decoder.hidden_dim, cfg.hidden, "config's hidden"),
+    checks = [
+        ("k", encoder.n_out, cfg.k, "config's k"),
+        ("k * T", decoder.input_dim, cfg.k * cfg.T, "config's k * T"),
+        ("hidden", decoder.hidden_dim, cfg.hidden, "config's hidden"),
     ]
     if cfg.dataset == "synthetic":
-        checks.append(("decoder.n_classes", decoder.n_classes, cfg.classes, "config's classes"))
+        checks.append(("classes", decoder.n_classes, cfg.classes, "config's classes"))
+    checks.append(("encoder.n_in", encoder.n_in, test_x.shape[2], "test split's width"))
     for name, got, want, source in checks:
         if got != want:
             raise ConfigError(f"checkpoint {name} = {got} does not match the {source} = {want}")
@@ -275,10 +271,10 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, rows: list[MetricsRo
     share of the grid's time.  From a checkpoint nothing trains, so only
     the test split is built."""
     if checkpoint:
-        encoder, decoder, meta = load_checkpoint(checkpoint)
+        encoder, decoder, _ = load_checkpoint(checkpoint)
         test_x, test_y = _split_inputs(cfg, "test")
         test_x = _flat(test_x)
-        _check_checkpoint(cfg, encoder, decoder, meta, test_x, test_y)
+        _check_checkpoint(cfg, encoder, decoder, test_x, test_y)
         out = _out_dir(cfg)
     else:
         cfg.training_crossover()

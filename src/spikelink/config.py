@@ -4,10 +4,10 @@ Every experiment is described by one RunConfig, the only settings object:
 training and the synthetic bar task (events.synthetic_frames) read its
 values by name, and crossover() resolves its channel point.  Files use
 `key = value` lines with `#` comments; unknown keys are rejected so typos
-fail loudly, each value is parsed by its field's annotated type, and
-validate() checks every value once, before any dataset, output directory
-or model state exists.  The bar task's settings are checked only for
-dataset = synthetic.
+fail loudly, and each value is parsed by its field's annotated type.
+A RunConfig checks every value as it is built (dataclasses.replace builds
+anew), before any dataset, output directory or model state exists.  The
+bar task's settings are checked only for dataset = synthetic.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class RunConfig:
     timing: bool = True
     out: str = "runs/latest"
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         if self.dataset not in ("synthetic", "events"):
             raise ConfigError(f"dataset must be synthetic or events, got {self.dataset!r}")
         if self.dataset == "events" and not (self.train_events and self.test_events):
@@ -93,7 +93,7 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         checks = [
             (min(self.k, self.T, self.hidden) >= 1, "k, T, and hidden must be positive"),
-            # the kernels are checked by value: validate builds nothing
+            # the kernels are checked by value: a config builds nothing
             # whose size a setting picks
             (self.tau_ff > 0 and self.tau_fb > 0, "tau_ff and tau_fb must be positive"),
             (min(self.window_ff, self.window_fb) >= 1, "window_ff and window_fb must be at least 1"),
@@ -129,7 +129,6 @@ class RunConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        return self
 
     def crossover(self) -> float:
         """The channel point as a crossover probability: epsilon, or ebn0_db through mapping."""
@@ -139,7 +138,7 @@ class RunConfig:
 
     def training_crossover(self) -> float:
         """crossover(), refused at 0.5 or more: there the received bits do
-        not depend on the encoder, so its score is undefined.  validate()
+        not depend on the encoder, so its score is undefined.  A RunConfig
         allows such a point, because a trained model may be evaluated there."""
         eps = self.crossover()
         if eps >= 0.5:
@@ -208,4 +207,4 @@ def build_run_config(file_values: dict | None = None, overrides: dict | None = N
     unknown = set(merged) - set(_KINDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(**merged).validate()
+    return RunConfig(**merged)

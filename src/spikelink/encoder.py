@@ -267,7 +267,11 @@ def rollout(params: EncoderParams, drive, bits_at) -> Rollout:
             fb += coeff[d] * bits[:, t - d, :]
         u = drive[:, t, :] + params.fb_weights * fb + params.bias
         s = sigmoid(u)
-        bits[:, t, :] = bits_at(t, s)
+        b = bits_at(t, s)
+        # a cast to uint8 would wrap other dtypes' values (256 to 0, 1.5 to 1)
+        if b.dtype != np.uint8 and b.dtype != np.bool_ and not np.all((b == 0) | (b == 1)):
+            raise ValueError("bits_at must hand back bits of 0 or 1")
+        bits[:, t, :] = b
         history <<= 1
         history |= bits[:, t, :]
         history &= mask

@@ -102,13 +102,6 @@ class EventRecord:
             raise ValueError(f"event {i} breaks timestamp order")
 
 
-def _zero_frames(n: int, steps: int, height: int, width: int) -> np.ndarray:
-    """(n, steps, 2, height, width) uint8 zeros."""
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    return np.zeros((n, steps, 2, height, width), dtype=np.uint8)
-
-
 def _scatter(frames: np.ndarray, ts, x, y, pol, duration_us: int, steps: int) -> None:
     """Set frames[bin, polarity, y, x] = 1 for every event of one record.
 
@@ -143,7 +136,8 @@ class _FrameSink:
 
     def __call__(self, record: EventRecord) -> None:
         if self.frames is None:
-            self.frames = _zero_frames(len(self.labels), self.steps, record.height, record.width)
+            self.frames = np.zeros((len(self.labels), self.steps, 2, record.height, record.width),
+                                   dtype=np.uint8)
         if self.frames.shape[3:] != (record.height, record.width):
             self.mixed = True
         elif self.too_long is None:
@@ -243,7 +237,8 @@ def synthetic_frames(config: RunConfig, tag: str) -> tuple[np.ndarray, np.ndarra
     construction.
     """
     per_class = config.train_per_class if tag == "train" else config.test_per_class
-    frames = _zero_frames(config.classes * per_class, config.T, config.height, config.width)
+    frames = np.zeros((config.classes * per_class, config.T, 2, config.height, config.width),
+                      dtype=np.uint8)
     root = SeededRng(config.seed)
     for label in range(config.classes):
         rates = class_rate_map(label, config)

@@ -6,20 +6,23 @@ import contextlib
 import csv
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 __all__ = ["MetricsRow", "write_metrics", "read_metrics", "export_metrics"]
 
-# column order is fixed; everything that writes or parses metrics uses this
-CSV_HEADER = (
-    "experiment", "point", "epoch", "epsilon", "ebn0_db", "beta", "k",
-    "error_rate", "spike_rate", "seconds",
-)
+# each column's text form by its field's annotated type, one table per
+# direction; repr round-trips float64 exactly, which keeps exports lossless
+_FORMAT = {"str": str, "int": str, "float": lambda v: repr(float(v)),
+           "float | None": lambda v: "" if v is None else repr(float(v))}
+_PARSE = {"str": str, "int": int, "float": float,
+          "float | None": lambda text: None if text == "" else float(text)}
 
 
 @dataclass(frozen=True)
 class MetricsRow:
+    """One metrics line; its fields, in order, are the columns."""
+
     experiment: str
     point: int
     epoch: int
@@ -32,36 +35,19 @@ class MetricsRow:
     seconds: float
 
     def to_fields(self) -> list[str]:
-        # repr round-trips float64 exactly, which keeps exports lossless
-        return [
-            self.experiment,
-            str(self.point),
-            str(self.epoch),
-            repr(float(self.epsilon)),
-            "" if self.ebn0_db is None else repr(float(self.ebn0_db)),
-            repr(float(self.beta)),
-            str(self.k),
-            repr(float(self.error_rate)),
-            repr(float(self.spike_rate)),
-            repr(float(self.seconds)),
-        ]
+        return [_FORMAT[kind](getattr(self, name)) for name, kind in _COLUMNS]
 
     @classmethod
     def from_fields(cls, fields: list[str]) -> "MetricsRow":
-        if len(fields) != len(CSV_HEADER):
-            raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(fields)}")
-        return cls(
-            experiment=fields[0],
-            point=int(fields[1]),
-            epoch=int(fields[2]),
-            epsilon=float(fields[3]),
-            ebn0_db=None if fields[4] == "" else float(fields[4]),
-            beta=float(fields[5]),
-            k=int(fields[6]),
-            error_rate=float(fields[7]),
-            spike_rate=float(fields[8]),
-            seconds=float(fields[9]),
-        )
+        if len(fields) != len(_COLUMNS):
+            raise ValueError(f"expected {len(_COLUMNS)} fields, got {len(fields)}")
+        return cls(**{name: _PARSE[kind](text) for (name, kind), text in zip(_COLUMNS, fields)})
+
+
+# (name, annotated type) of each column, in MetricsRow's field order, which
+# is the order everything that writes or parses metrics uses
+_COLUMNS = tuple((f.name, f.type) for f in fields(MetricsRow))
+CSV_HEADER = tuple(name for name, _ in _COLUMNS)
 
 
 @contextlib.contextmanager

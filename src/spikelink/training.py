@@ -5,22 +5,22 @@ times a rate term: the log-ratio between the channel-marginalized encoding
 law and a fixed Bernoulli reference over the received bits.  The decoder is
 updated with exact gradients; the encoder with the score-function estimator
 (one Monte Carlo draw per input), built from the input traces and the
-traces the rollout keeps.  A dataset holds the binned frames as uint8
-counts until filter_dataset replaces the train split with the encoder's
-float64 input traces, once, before the first epoch; every training rollout
-then reads them.  The test split stays uint8 counts: evaluate_grid makes
-each chunk's feedforward drive in neuron space (encoder.drive_from_counts),
-so no evaluation, in training or from a checkpoint, makes float64 test
-traces.  That drive differs from training's line-space one only by float
-rounding, and evaluation reports integer tallies (wrong answers, spikes),
-which move only if a spike uniform falls between two probabilities that
-differ by that rounding.  Training keeps its line-space drive, so its
-trajectories stay bit for bit; moving it to neuron space too reorders its
-float sums and waits for a law-level check of such changes.
-train_epoch reads its settings by name from the run's RunConfig, whose
-validate() has already checked them.  An array too large to allocate (the
-train split's traces, a test chunk's draws, drive or rollout) leaves as
-NumPy's own MemoryError, which carries its shape and dtype.
+traces the rollout keeps.  A dataset's train split is filtered once, by
+filter_dataset, from uint8 counts into the float64 input traces every
+training rollout reads.  The test split stays uint8 counts: evaluate_grid
+makes each chunk's feedforward drive in neuron space
+(encoder.drive_from_counts), so no evaluation, in training or from a
+checkpoint, makes float64 test traces.  That drive differs from
+training's line-space one only by float rounding, and evaluation reports
+integer tallies (wrong answers, spikes), which move only if a spike
+uniform falls between two probabilities that differ by that rounding.
+Training keeps its line-space drive, so its trajectories stay bit for
+bit; moving it to neuron space too reorders its float sums and waits for
+a law-level check of such changes.  train_epoch reads its settings by
+name from the run's RunConfig, which checked them when it was built.  An
+array too large to allocate (the train split's traces, a test chunk's
+draws, drive or rollout) leaves as NumPy's own MemoryError, which
+carries its shape and dtype.
 
 Training mode draws the received bits directly from the marginalized law
 and feeds them back into the encoder's recurrence; that makes the sequence
@@ -106,8 +106,8 @@ class Dataset:
 
     The inputs are frame counts, kept in the dtype they come in (uint8
     from the events module).  While kernel is None the train split is
-    counts too; filter_dataset replaces it with float64 input traces
-    filtered by kernel.  The test split always stays counts.
+    counts too; filter_dataset's copy holds float64 input traces filtered
+    by kernel instead.  The test split always stays counts.
     """
 
     train_inputs: np.ndarray
@@ -133,18 +133,12 @@ class Dataset:
 
 
 def filter_dataset(data: Dataset, kernel: Kernel) -> Dataset:
-    """Replace the train split's counts with their input traces under kernel.
-
-    The test split keeps its counts (evaluate_grid reads counts).
-    Filtering again with the same kernel does nothing; another kernel is
-    refused, because the train counts are gone.
-    """
-    if data.kernel is None:
-        data.train_inputs = filter_inputs(data.train_inputs, kernel)
-        data.kernel = kernel
-    elif data.kernel != kernel:
-        raise ValueError("dataset was already filtered with a different kernel")
-    return data
+    """A copy of data whose train split holds its counts' input traces
+    under kernel; the test split keeps its counts (evaluate_grid reads
+    them).  A dataset already filtered is refused: it holds no counts."""
+    if data.kernel is not None:
+        raise ValueError("dataset is already filtered")
+    return replace(data, train_inputs=filter_inputs(data.train_inputs, kernel), kernel=kernel)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ from spikelink.training import (
     PriorModel,
     evaluate,
     evaluate_grid,
-    filter_dataset,
     regularizer,
     train_epoch,
 )
@@ -87,7 +86,6 @@ def _train(cfg, epochs=None, stop_at=None):
     """Library-level training run; returns models, data, per-epoch metrics."""
     data = _build_dataset(cfg)
     encoder, decoder = _init_models(cfg, data)
-    filter_dataset(data, encoder.kernel_ff)
     total = epochs if epochs is not None else cfg.epochs
     root = SeededRng(cfg.seed)
     opt_state: dict = {}
@@ -347,7 +345,7 @@ def test_criterion_07_toy_convergence(capsys):
         reached = 0
         finals = []
         for seed in range(10):
-            cfg = RunConfig(seed=seed).validate()
+            cfg = RunConfig(seed=seed)
             _, _, _, history = _train(cfg, stop_at=0.10)
             best = min(m.test_error for m in history)
             finals.append(best)
@@ -361,7 +359,7 @@ def test_criterion_07_toy_convergence(capsys):
 
 def test_criterion_08_snr_sweep_shape(capsys):
     with _report(capsys, 8, "error non-increasing in Eb/N0; chance at epsilon 0.5") as info:
-        cfg = RunConfig(seed=0).validate()
+        cfg = RunConfig(seed=0)
         encoder, decoder, data, _ = _train(cfg)
         grid = [ebn0_to_epsilon(db_to_linear(db), form="linear") for db in DEFAULT_SNR_GRID_DB]
         errors = [
@@ -381,7 +379,7 @@ def test_criterion_08_snr_sweep_shape(capsys):
 
 def test_criterion_09_mismatch_robustness(capsys):
     with _report(capsys, 9, "one grid step of train/test mismatch costs <= 5 points") as info:
-        cfg = RunConfig(seed=0, epsilon=0.15).validate()
+        cfg = RunConfig(seed=0, epsilon=0.15)
         encoder, decoder, data, _ = _train(cfg)
         errs = {}
         for eps in (0.10, 0.15, 0.20):
@@ -406,7 +404,7 @@ def test_criterion_10_sparsity_tradeoff(capsys):
         for beta in DEFAULT_BETA_GRID:
             cfg = RunConfig(
                 seed=0, beta=beta, init_rate=0.3, baseline=True, epochs=40
-            ).validate()
+            )
             _, _, _, history = _train(cfg)
             rates.append(float(np.mean([m.spike_rate for m in history[-5:]])))
             errors.append(history[-1].test_error)

@@ -20,26 +20,26 @@ CHI2_99_DF3 = 11.344866730144373
 
 
 class TestChannelConfig:
-    """A run's channel point: RunConfig.validate and crossover()."""
+    """A run's channel point: RunConfig's construction checks and crossover()."""
 
     def test_exactly_one_source(self):
         with pytest.raises(ConfigError, match="exactly one"):
-            RunConfig(epsilon=0.1, ebn0_db=0.0).validate()
+            RunConfig(epsilon=0.1, ebn0_db=0.0)
         with pytest.raises(ConfigError, match="exactly one"):
-            RunConfig(epsilon=None).validate()
+            RunConfig(epsilon=None)
 
     def test_epsilon_range(self):
-        assert RunConfig(epsilon=0.5).validate().crossover() == 0.5
-        assert RunConfig(epsilon=0.0).validate().crossover() == 0.0
+        assert RunConfig(epsilon=0.5).crossover() == 0.5
+        assert RunConfig(epsilon=0.0).crossover() == 0.0
         with pytest.raises(ConfigError, match="epsilon"):
-            RunConfig(epsilon=0.51).validate()
+            RunConfig(epsilon=0.51)
         with pytest.raises(ConfigError, match="epsilon"):
-            RunConfig(epsilon=-0.01).validate()
+            RunConfig(epsilon=-0.01)
 
     def test_ebn0_resolution(self):
-        cfg = RunConfig(epsilon=None, ebn0_db=0.0).validate()
+        cfg = RunConfig(epsilon=None, ebn0_db=0.0)
         assert cfg.crossover() == pytest.approx(0.0227501319481792072, rel=1e-12)
-        assert RunConfig(epsilon=None, ebn0_db=float("-inf")).validate().crossover() == 0.5
+        assert RunConfig(epsilon=None, ebn0_db=float("-inf")).crossover() == 0.5
 
 
 class TestTransmit:

@@ -99,6 +99,14 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError, match="events"):
             build_run_config({"dataset": "events"})
 
+    def test_every_config_is_checked_as_it_is_built(self):
+        # a bare RunConfig and a replace() of one are checked too, not only
+        # configs that come through build_run_config
+        with pytest.raises(ConfigError, match="^k, T, and hidden must be positive$"):
+            replace(RunConfig(), k=0)
+        with pytest.raises(ConfigError, match="^beta must be a number, got nan$"):
+            RunConfig(beta=float("nan"))
+
     @pytest.mark.parametrize("key, value, message", [
         ("classes", 1, "the bar task defines 2 to 4 classes"),
         ("classes", 5, "the bar task defines 2 to 4 classes"),
@@ -578,7 +586,21 @@ class TestCliSweeps:
         lines = tiny_checkpoint.read_text().splitlines(keepends=True)
         tiny_checkpoint.write_text("".join(l for l in lines if not l.startswith("meta")))
         assert self._sweep(tiny_config, tiny_checkpoint, tmp_path, "--k", "2", "--T", "10") == 2
-        assert "encoder.n_out = 4 does not match the config's k = 2" in capsys.readouterr().err
+        assert "checkpoint k = 4 does not match the config's k = 2" in capsys.readouterr().err
+
+    def test_checkpoint_meta_lines_are_descriptive(
+        self, tiny_config, tiny_checkpoint, tmp_path
+    ):
+        # the arrays fit the config, so a hand-edited meta k line changes
+        # nothing: the sweep reads the arrays alone
+        assert self._sweep(tiny_config, tiny_checkpoint, tmp_path) == 0
+        unedited = (tmp_path / "sweep" / "metrics.csv").read_bytes()
+        text = tiny_checkpoint.read_text()
+        assert "meta k 4\n" in text
+        tiny_checkpoint.write_text(text.replace("meta k 4\n", "meta k 99\n"))
+        (tmp_path / "sweep" / "metrics.csv").unlink()
+        assert self._sweep(tiny_config, tiny_checkpoint, tmp_path) == 0
+        assert (tmp_path / "sweep" / "metrics.csv").read_bytes() == unedited
 
     def test_event_labels_must_fit_checkpoint_classes(self, tiny_checkpoint, tmp_path, capsys):
         test_path = tmp_path / "test.events"

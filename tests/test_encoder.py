@@ -169,12 +169,14 @@ class TestStateTraces:
             for arr in (run.potentials, run.spike_probs, run.fb_traces):
                 assert arr.shape == (n, steps, 3) and arr.flags.c_contiguous
 
-    @pytest.mark.parametrize("bit", [2, 255])
+    @pytest.mark.parametrize("bit", [2, 255, 256, -256, 0.5, 1.5])
     def test_replayed_bit_other_than_zero_or_one_is_refused(self, bit):
         # the feedback table reads a bit as one bit of an index: any other
-        # value must be refused, not read as a different history
+        # value must be refused, not read as a different history; 256,
+        # -256, 0.5 and 1.5 come in the smallest dtype that holds them,
+        # which a cast to uint8 would wrap to 0 or 1
         params = _tiny_params(k=2, n_in=3, kernel_fb=kernel(1.0, 0.5, 0.25))
-        bits = np.zeros((2, 4, 2), dtype=np.uint8)
+        bits = np.zeros((2, 4, 2), dtype=np.min_scalar_type(bit))
         bits[1, 2, 0] = bit
         with pytest.raises(ValueError, match="0 or 1"):
             oracles.replay(params, np.ones((2, 4, 3)), bits)
@@ -275,7 +277,7 @@ class TestDrives:
         counts = SeededRng(1).bernoulli(np.full((10, 4, 3), 0.5)).astype(np.uint8)
         data = training.Dataset(counts[:6], np.arange(6) % 2, counts[6:], np.arange(4) % 2, 2)
         params = _tiny_params()
-        training.filter_dataset(data, params.kernel_ff)
+        data = training.filter_dataset(data, params.kernel_ff)
         decoder = init_decoder_params(8, 2, SeededRng(2), hidden_dim=3)
         training.train_epoch(params, decoder, data, RunConfig(batch_size=4, epsilon=0.1),
                              SeededRng(3), {})

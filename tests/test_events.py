@@ -206,7 +206,7 @@ class TestSplitFrames:
     @pytest.mark.parametrize("steps", [1, 7, 20])
     def test_synthetic_frames_equal_binned_records(self, steps):
         task = dict(classes=3, width=6, height=5, duration_us=997)
-        cfg = RunConfig(**task, test_per_class=4, seed=4, T=steps).validate()
+        cfg = RunConfig(**task, test_per_class=4, seed=4, T=steps)
         frames, labels = synthetic_frames(cfg, "test")
         inputs, expected = reference.synthetic_inputs(reference.BarTask(**task), 4, 4, "test",
                                                       steps)
@@ -337,7 +337,7 @@ class TestSyntheticTask:
     def test_config_validation(self):
         for bad in ({"classes": 5}, {"width": 2}, {"events_per_pixel": -1.0}):
             with pytest.raises(ConfigError):
-                RunConfig(**bad).validate()
+                RunConfig(**bad)
 
 
 class TestTextFormat:

@@ -23,9 +23,11 @@ def test_tree_matches_itself_on_tiny_configs(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    lines = result.stdout.splitlines()
+    *lines, exported = result.stdout.splitlines()
     names = [name for name, _, _ in _tool().CASES]
     assert len(lines) == len(names)
+    # every case leaves a metrics.csv, whose exports match across the trees
+    assert exported == f"exports of {len(names)} metrics files: same"
     for line, name in zip(lines, names):
         # each verdict carries both children's peak RSS
         match = re.fullmatch(

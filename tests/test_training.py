@@ -147,14 +147,14 @@ class TestObjectiveAndUpdates:
 
     def test_train_config_validation(self):
         with pytest.raises(ConfigError, match="beta"):
-            RunConfig(beta=0.0).validate()
+            RunConfig(beta=0.0)
         with pytest.raises(ConfigError, match="momentum"):
-            RunConfig(momentum=1.0).validate()
+            RunConfig(momentum=1.0)
         with pytest.raises(ConfigError, match="prior_rate"):
-            RunConfig(prior_rate=1.0).validate()
+            RunConfig(prior_rate=1.0)
         for bad in ({"eta": 0.0}, {"epochs": -1}, {"batch_size": 0}, {"grad_clip": -1.0}):
             with pytest.raises(ConfigError, match=next(iter(bad))):
-                RunConfig(**bad).validate()
+                RunConfig(**bad)
 
 
 class TestSequencePaths:
@@ -375,35 +375,38 @@ class TestEpochLoop:
         cfg = RunConfig(epsilon=0.1)
         with pytest.raises(ValueError, match="kernel_ff"):
             train_epoch(enc, dec, data, cfg, SeededRng(0), {})
-        filter_dataset(data, kernel(1.0, 0.5))
+        data = filter_dataset(data, kernel(1.0, 0.5))
         with pytest.raises(ValueError, match="kernel_ff"):
             train_epoch(enc, dec, data, cfg, SeededRng(0), {})
 
 
 class TestFilterDataset:
     def test_filters_both_splits_once(self):
-        # the train split's uint8 counts are replaced by their float64
-        # traces, once; the test split keeps its counts, which evaluation
-        # reads
+        # a new dataset's train split holds the counts' float64 traces, and
+        # the input keeps its uint8 counts; the test split keeps its counts,
+        # which evaluation reads
         data = _toy_counts()
         ff_kernel = kernel(1.0, 0.5)
-        test_counts = data.test_inputs
-        assert data.train_inputs.dtype == np.uint8 and test_counts.dtype == np.uint8
-        expected = filter_inputs(data.train_inputs, ff_kernel)
-        assert filter_dataset(data, ff_kernel) is data
-        traces = data.train_inputs
-        # a second call with an equal kernel is a no-op
-        filter_dataset(data, kernel(1.0, 0.5))
-        assert data.kernel == ff_kernel
-        assert data.train_inputs is traces and traces.dtype == np.float64
-        assert np.array_equal(traces.view(np.uint64), expected.view(np.uint64))
-        assert data.test_inputs is test_counts
+        counts, test_counts = data.train_inputs.copy(), data.test_inputs
+        assert counts.dtype == np.uint8 and test_counts.dtype == np.uint8
+        expected = filter_inputs(counts, ff_kernel)
+        filtered = filter_dataset(data, ff_kernel)
+        assert filtered is not data and data.kernel is None
+        assert data.train_inputs.dtype == np.uint8
+        np.testing.assert_array_equal(data.train_inputs, counts)
+        assert filtered.kernel == ff_kernel
+        assert filtered.train_inputs.dtype == np.float64
+        assert np.array_equal(filtered.train_inputs.view(np.uint64), expected.view(np.uint64))
+        assert filtered.test_inputs is test_counts
 
     def test_refuses_refiltering_with_another_kernel(self):
+        # a filtered dataset holds no counts, so it is refused under any
+        # kernel, the one it was filtered with too
         data = filter_dataset(_toy_counts(), kernel(1.0, 0.5))
         before = data.train_inputs.copy()
-        with pytest.raises(ValueError, match="different kernel"):
-            filter_dataset(data, kernel(1.0, 0.25))
+        for other in (kernel(1.0, 0.25), kernel(1.0, 0.5)):
+            with pytest.raises(ValueError, match="already filtered"):
+                filter_dataset(data, other)
         np.testing.assert_array_equal(data.train_inputs, before)
 
 

@@ -19,9 +19,12 @@ the tool writes once into the work directory, so both trees parse the
 same bytes.  `long-feedback-window` trains at T = 30 with a feedback
 window of 25, the one case whose feedback taps run past the rollout's
 table of partial sums (12 taps); under --tiny, T = 6 cuts its window to 6.
---tiny shrinks every case to a few samples and two epochs, for a smoke
-test.
-Exit status 0 when every case matches, 1 otherwise.
+After the cases, one child per tree reads TREE_A's metrics.csv of every
+case and renders it through export_metrics as key=value and as CSV text;
+the two trees' texts must match, which checks the exporters and the
+metrics reader.  --tiny shrinks every case to a few samples and two
+epochs, for a smoke test.
+Exit status 0 when every case and the exports match, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -60,6 +63,15 @@ FROM_CHECKPOINT = ("sweep-snr-checkpoint", "sweep-snr-large-test")
 TINY = {"height": 8, "width": 8, "train_per_class": 4, "test_per_class": 3,
         "k": 4, "T": 6, "hidden": 8, "epochs": 2}
 COMPARED = ("metrics.csv", "checkpoint.txt")
+# reads each metrics file named on the command line and writes its kv and
+# csv exports to stdout
+EXPORT = """
+import sys
+from spikelink.metrics import export_metrics, read_metrics
+for path in sys.argv[1:]:
+    rows = read_metrics(path)
+    sys.stdout.write(export_metrics(rows, "kv") + export_metrics(rows, "csv"))
+"""
 
 
 def write_event_files(work: Path, tiny: bool) -> dict:
@@ -103,18 +115,23 @@ def source_dir(tree: str) -> Path:
     return src
 
 
+def child_env(src: Path) -> dict:
+    """The environment of a child that imports spikelink from src, BLAS at one thread."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
 def run_case(src: Path, out: Path, flags: list[str], config: dict) -> tuple[int, float]:
     """Exit code and peak RSS in MB of one CLI invocation."""
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / "run.cfg"
     cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in {**config, "timing": "off"}.items()))
-    env = dict(os.environ, PYTHONPATH=str(src))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
     cmd = [sys.executable, "-m", "spikelink.cli", *flags,
            "--config", str(cfg_path), "--out", str(out)]
     with (out / "stderr.txt").open("w") as err:
-        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        proc = subprocess.Popen(cmd, env=child_env(src), stdout=subprocess.DEVNULL, stderr=err)
         try:
             _, status, usage = os.wait4(proc.pid, 0)
         except BaseException:
@@ -136,6 +153,13 @@ def differences(a: Path, b: Path) -> list[str]:
         elif fa.exists() and fa.read_bytes() != fb.read_bytes():
             found.append(f"{name} differs")
     return found
+
+
+def exports(src: Path, paths: list[str]) -> tuple[int, bytes]:
+    """Exit code and output of one child rendering the metrics files' exports."""
+    proc = subprocess.run([sys.executable, "-c", EXPORT, *paths], env=child_env(src),
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    return proc.returncode, proc.stdout
 
 
 def compare(tree_a: str, tree_b: str, tiny: bool, work: Path) -> bool:
@@ -161,7 +185,15 @@ def compare(tree_a: str, tree_b: str, tiny: bool, work: Path) -> bool:
         verdict = "same" if not found else "; ".join(found)
         rss = f"peak RSS {runs['a'][1]:.1f} MB against {runs['b'][1]:.1f} MB"
         print(f"{name}: {verdict} ({rss})", flush=True)
-    return same
+    metrics = [work / "a" / name / "metrics.csv" for name, _, _ in CASES]
+    paths = [str(path) for path in metrics if path.exists()]
+    (code_a, text_a), (code_b, text_b) = (exports(src, paths) for src in srcs.values())
+    if code_a or code_b:
+        verdict = f"exit {code_a} against {code_b}"
+    else:
+        verdict = "same" if text_a == text_b else "differ"
+    print(f"exports of {len(paths)} metrics files: {verdict}", flush=True)
+    return same and verdict == "same"
 
 
 def main(argv=None) -> int:
