@@ -71,8 +71,8 @@ def _flat(frames: np.ndarray) -> np.ndarray:
 
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
-    """Both splits: the train counts filtered into traces under the config's
-    kernel_ff, once for every run on them, and the test counts as they are."""
+    """Both splits: the train counts as history codes, made once for every
+    run on them (filter_dataset), and the test counts as they are."""
     train_x, train_y = _split_inputs(cfg, "train")
     test_x, test_y = _split_inputs(cfg, "test")
     if train_x.shape[3:] != test_x.shape[3:]:
@@ -86,7 +86,7 @@ def _build_dataset(cfg: RunConfig) -> Dataset:
         n_classes = cfg.classes
     else:
         n_classes = int(max(train_y.max(), test_y.max())) + 1
-    return filter_dataset(Dataset(train_x, train_y, test_x, test_y, n_classes), cfg.kernel_ff())
+    return filter_dataset(Dataset(train_x, train_y, test_x, test_y, n_classes))
 
 
 def _init_models(cfg: RunConfig, data: Dataset):
@@ -111,7 +111,7 @@ def _init_models(cfg: RunConfig, data: Dataset):
 
 def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
                rows: list[MetricsRow]):
-    """Full training loop on _build_dataset's traces; appends each epoch's
+    """Full training loop on _build_dataset's dataset; appends each epoch's
     metrics row to `rows` as it ends and returns the params.  A divergence
     or an interruption in an epoch is raised again naming the experiment,
     point and epoch."""
@@ -328,6 +328,9 @@ def cmd_export(args) -> None:
         out = Path(args.out)
         if out.is_dir():
             raise IsADirectoryError(f"--out {args.out} is a directory")
+        # the write replaces the path: a link's target would stay untouched
+        if out.is_symlink() or (out.exists() and not out.is_file()):
+            raise OSError(f"--out {args.out} is not a regular file")
         out.parent.mkdir(parents=True, exist_ok=True)
         with _atomic_open(out) as fh:
             fh.write(text)

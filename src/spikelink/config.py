@@ -125,6 +125,12 @@ class RunConfig:
                 (self.duration_us >= 1, "duration must be positive"),
                 (min(self.events_per_pixel, self.background_events) >= 0,
                  "rates must be non-negative"),
+            ] + [
+                # Generator.poisson refuses a cell rate past about 9.2e18,
+                # and a record's event count is summed in int64
+                (getattr(self, key) * self.height * self.width <= 2.0**60,
+                 f"{key} = {getattr(self, key)} expects more than 2**60 events per record")
+                for key in ("events_per_pixel", "background_events")
             ]
         for ok, message in checks:
             if not ok:

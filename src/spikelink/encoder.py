@@ -5,16 +5,18 @@ feedforward weights, its own past spikes through a self-feedback weight, and
 a bias.  Spiking is Bernoulli in the sigmoid of that membrane potential.
 The filtered inputs reach the potential only as the feedforward drive
 W·(a∗x), the weights times the input trace, and the filter is linear, so
-there are two ways to make it.  Training filters the input lines
-(`filter_inputs`, counts to float64 traces, which are also the feedforward
-weights' gradient) and projects each step's traces (`drive_from_traces`).
-Evaluation projects each step's counts to the k neurons first and filters
-those k columns (`drive_from_counts`), a∗(W·x): no input trace is made, and
-the drive differs from the training one only by float rounding (at most
-about 1e-14 on drives of order 1).  Evaluation reports integer tallies,
-which that rounding moves only if a spike uniform falls between the two
-spike probabilities.  Training keeps the line-space drive, bit for bit,
-until a law-level check of changes that reorder float sums exists.
+there are two ways to make it.  Training projects each step's input
+traces (`drive_from_traces`), which are also the feedforward weights'
+gradient; it keeps its 0/1 counts as uint16 history codes
+(`history_codes`) and looks each batch's traces up from them
+(`code_traces`), `filter_inputs` of the counts bit for bit.  Evaluation
+projects each step's counts to the k neurons first and filters those k
+columns (`drive_from_counts`), a∗(W·x): no input trace is made, and the
+drive differs from the training one only by float rounding (at most about
+1e-14 on drives of order 1).  Evaluation reports integer tallies, which
+that rounding moves only if a spike uniform falls between the two spike
+probabilities.  Training keeps the line-space drive, bit for bit, until a
+law-level check of changes that reorder float sums exists.
 `rollout` runs the recurrence on a drive, one step at a time, for a whole
 batch of sequences; it reads each feedback trace from a table of partial
 sums of the taps, indexed by the neuron's past 0/1 bits, and keeps the
@@ -36,6 +38,8 @@ __all__ = [
     "EncoderGrads",
     "init_encoder_params",
     "filter_inputs",
+    "history_codes",
+    "code_traces",
     "drive_from_traces",
     "drive_from_counts",
     "rollout",
@@ -115,7 +119,8 @@ def init_encoder_params(
     )
 
 
-# counts per block of filter_inputs: bounds its working set, not its results
+# counts per block of filter_inputs and of code_traces' index: bounds their
+# working set, not their results
 FILTER_BLOCK = 1 << 16
 
 
@@ -157,6 +162,71 @@ def filter_inputs(counts: np.ndarray, kernel: Kernel) -> np.ndarray:
                 np.multiply(xb[:, :-d], coeff[d], out=tb[:, d:])
                 trace[:, d:] += tb[:, d:]
     return traces
+
+
+# bits per history code: a count and its 15 predecessors fill a uint16,
+# and the trace table then holds 2**17 - 2 partial sums (1 MB)
+_HISTORY_BITS = 16
+
+
+def history_codes(counts) -> np.ndarray:
+    """uint16 codes of 0/1 counts (n, steps, lines) of any real dtype: bit
+    d of codes[i, t, l] is counts[i, t - d, l], 0 before step 0.  Any other
+    count raises ValueError.  No kernel enters; code_traces filters them."""
+    counts = np.asarray(counts)
+    if counts.ndim != 3 or counts.dtype.kind not in "buif":
+        raise ValueError("history_codes needs a real array of shape (n, steps, lines)")
+    codes = np.empty(counts.shape, dtype=np.uint16)
+    for t in range(counts.shape[1]):
+        if not np.all((counts[:, t] == 0) | (counts[:, t] == 1)):
+            raise ValueError("history codes need counts of 0 or 1")
+        codes[:, t] = counts[:, t]
+        if t:
+            codes[:, t] |= codes[:, t - 1] << 1
+    return codes
+
+
+def code_traces(codes: np.ndarray, kernel: Kernel, batch_size: int):
+    """traces_of(rows): filter_inputs of the counts of codes[rows], bit for
+    bit, looked up from those history codes (n, steps, lines) in a table of
+    the kernel's partial sums, into a float64 buffer of min(batch_size, n)
+    samples that the next call reuses.
+
+    Level j of the table holds c0*b0 + ... + c_{j-1}*b_{j-1} for each j-bit
+    code, summed in filter_inputs' order, a zero bit adding its signed zero
+    c_d*0.0.  Step t reads level min(t + 1, m), m = min(taps, 16): there
+    filter_inputs adds no tap past t, and +0.0 would turn a -0.0 sum into
+    +0.0.  Taps past the 16th follow, d ascending, from bit 0 of older codes.
+    """
+    coeff = kernel.coefficients
+    n, steps, lines = codes.shape
+    m = min(coeff.size, _HISTORY_BITS)
+    levels = [coeff[0] * np.array([0.0, 1.0])]
+    for c in coeff[1:m]:
+        levels.append(np.concatenate([levels[-1] + c * 0.0, levels[-1] + c]))
+    table = np.concatenate(levels)
+    # level j starts at 2**j - 2; a block of samples' index stays in cache
+    # from its add to its lookup
+    offsets = np.left_shift(1, np.minimum(np.arange(1, steps + 1), m))[:, None] - 2
+    offsets = np.repeat(offsets, lines, axis=1)
+    block = max(FILTER_BLOCK // max(steps * lines, 1), 1)
+    batch = np.empty((min(batch_size, n), steps, lines), dtype=np.uint16)
+    index = np.empty((min(block, len(batch)), steps, lines), dtype=np.intp)
+    traces = np.empty(batch.shape)
+
+    def traces_of(samples) -> np.ndarray:
+        b = len(samples)
+        codes.take(samples, axis=0, out=batch[:b], mode="clip")
+        batch[:b] &= (1 << m) - 1
+        for i in range(0, b, block):
+            j = min(i + block, b)
+            np.add(batch[i:j], offsets, out=index[: j - i])
+            table.take(index[: j - i], out=traces[i:j], mode="clip")
+        for d in range(m, min(coeff.size, steps)):
+            traces[:b, d:] += coeff[d] * (batch[:b, :-d] & 1)
+        return traces[:b]
+
+    return traces_of
 
 
 def _check_inputs(params: EncoderParams, inputs: np.ndarray, what: str) -> None:
@@ -257,30 +327,31 @@ def rollout(params: EncoderParams, drive, bits_at) -> Rollout:
     # which is exact, as the tap loop's +-0.0 terms never move its sum
     history = np.zeros((n, k), dtype=np.intp)
     mask = (1 << m) - 1
-    bits = np.zeros((n, steps, k), dtype=np.uint8)
-    potentials = np.zeros((n, steps, k))
-    spike_probs = np.zeros((n, steps, k))
-    fb_traces = np.zeros((n, steps, k))
+    # steps write into contiguous slices of step-major arrays, handed back
+    # in the (n, steps, k) C order score_grads' einsums order their sums by
+    bits = np.empty((steps, n, k), dtype=np.uint8)
+    potentials, spike_probs, fb_traces = np.empty((3, steps, n, k))
     for t in range(steps):
-        fb = table[history]
+        fb, u, s = fb_traces[t], potentials[t], spike_probs[t]
+        table.take(history, out=fb, mode="clip")
         for d in range(m + 1, min(coeff.size, t + 1)):
-            fb += coeff[d] * bits[:, t - d, :]
-        u = drive[:, t, :] + params.fb_weights * fb + params.bias
-        s = sigmoid(u)
+            fb += coeff[d] * bits[t - d]
+        np.multiply(params.fb_weights, fb, out=u)
+        np.add(drive[:, t, :], u, out=u)
+        u += params.bias
+        sigmoid(u, out=s)
         b = bits_at(t, s)
         # a cast to uint8 would wrap other dtypes' values (256 to 0, 1.5 to 1)
         if b.dtype != np.uint8 and b.dtype != np.bool_ and not np.all((b == 0) | (b == 1)):
             raise ValueError("bits_at must hand back bits of 0 or 1")
-        bits[:, t, :] = b
+        bits[t] = b
         history <<= 1
-        history |= bits[:, t, :]
+        history |= bits[t]
         history &= mask
-        potentials[:, t, :] = u
-        spike_probs[:, t, :] = s
-        fb_traces[:, t, :] = fb
     if bits.max(initial=0) > 1:
         raise ValueError("bits_at must hand back bits of 0 or 1")
-    return Rollout(bits, potentials, spike_probs, fb_traces)
+    return Rollout(*(np.ascontiguousarray(a.transpose(1, 0, 2))
+                     for a in (bits, potentials, spike_probs, fb_traces)))
 
 
 def grad_u_log_prob_noisy(zhat, s, epsilon: float):

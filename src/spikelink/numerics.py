@@ -27,22 +27,28 @@ __all__ = [
 ]
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Logistic function 1 / (1 + exp(-x)), stable for |x| up to ~745.
 
-    Returns a float64 array of x's shape, 0-d for a scalar.  Large
-    positive x saturates to 1.0 and large negative x underflows to 0.0
-    without ever overflowing exp.  With e = exp(-x) where x >= 0 and
-    exp(x) elsewhere, it is 1 / (1 + e) where x >= 0 and e / (1 + e)
-    elsewhere: the operands of the two-branch form exactly, so selecting
-    with where instead of boolean masks changes no bit (a nan keeps its
+    Returns a float64 array of x's shape, 0-d for a scalar: out, when it is
+    given (it must not overlap x), which also holds the intermediates, so a
+    caller's loop can reuse one buffer.  Large positive x saturates to 1.0
+    and large negative x underflows to 0.0 without ever overflowing exp.
+    With e = exp(-x) where x >= 0 and exp(x) elsewhere, it is 1 / (1 + e)
+    where x >= 0 and e / (1 + e) elsewhere: the operands of the two-branch
+    form exactly, so selecting with masks changes no bit (a nan keeps its
     sign, which exp(-|x|) would flip).
     """
     arr = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(arr) if out is None else out
     pos = arr >= 0
-    e = np.exp(np.where(pos, -arr, arr))
-    denom = 1.0 + e
-    return np.where(pos, 1.0 / denom, e / denom)
+    # -x where x >= 0, else x; minimum hands back a nan x itself
+    np.negative(arr, out=out)
+    np.minimum(arr, out, out=out)
+    np.exp(out, out=out)
+    denom = 1.0 + out
+    np.copyto(out, 1.0, where=pos)
+    return np.divide(out, denom, out=out)
 
 
 def softplus(x):
@@ -179,13 +185,6 @@ class SeededRng:
 
     def uniform(self, size=None) -> np.ndarray:
         return self.generator.random(size)
-
-    def bernoulli(self, p, size=None) -> np.ndarray:
-        # strict "<" keeps the p=0 and p=1 endpoints exact
-        prob = np.asarray(p, dtype=np.float64)
-        if size is None:
-            size = prob.shape
-        return (self.generator.random(size) < prob).astype(np.uint8)
 
     def poisson(self, lam) -> np.ndarray:
         return self.generator.poisson(lam)

@@ -5,22 +5,18 @@ times a rate term: the log-ratio between the channel-marginalized encoding
 law and a fixed Bernoulli reference over the received bits.  The decoder is
 updated with exact gradients; the encoder with the score-function estimator
 (one Monte Carlo draw per input), built from the input traces and the
-traces the rollout keeps.  A dataset's train split is filtered once, by
-filter_dataset, from uint8 counts into the float64 input traces every
-training rollout reads.  The test split stays uint8 counts: evaluate_grid
-makes each chunk's feedforward drive in neuron space
-(encoder.drive_from_counts), so no evaluation, in training or from a
-checkpoint, makes float64 test traces.  That drive differs from
-training's line-space one only by float rounding, and evaluation reports
-integer tallies (wrong answers, spikes), which move only if a spike
-uniform falls between two probabilities that differ by that rounding.
-Training keeps its line-space drive, so its trajectories stay bit for
-bit; moving it to neuron space too reorders its float sums and waits for
-a law-level check of such changes.  train_epoch reads its settings by
-name from the run's RunConfig, which checked them when it was built.  An
-array too large to allocate (the train split's traces, a test chunk's
-draws, drive or rollout) leaves as NumPy's own MemoryError, which
-carries its shape and dtype.
+traces the rollout keeps.  filter_dataset turns a dataset's train split,
+once, from 0/1 counts into uint16 history codes, and each batch's float64
+input traces are looked up from them (encoder.code_traces) into a buffer
+the epoch reuses.  The test split stays uint8 counts, which evaluate_grid
+projects in neuron space (encoder.drive_from_counts): no evaluation makes
+float64 test traces, and its integer tallies can differ from a line-space
+evaluation's only where a spike uniform falls within float rounding of its
+spike probability (see encoder).  train_epoch reads its settings by name
+from the run's RunConfig, which checked them when it was built.  An array
+too large to allocate (the train split's codes, a batch's traces, a test
+chunk's draws, drive or rollout) leaves as NumPy's own MemoryError,
+which carries its shape and dtype.
 
 Training mode draws the received bits directly from the marginalized law
 and feeds them back into the encoder's recurrence; that makes the sequence
@@ -53,13 +49,14 @@ from .decoder import (
 )
 from .encoder import (
     EncoderParams,
+    code_traces,
     drive_from_counts,
     drive_from_traces,
-    filter_inputs,
+    history_codes,
     rollout,
     score_grads,
 )
-from .numerics import Kernel, SeededRng
+from .numerics import SeededRng
 
 # test samples per evaluation chunk: bounds evaluation memory, not results
 EVAL_CHUNK = 128
@@ -104,10 +101,10 @@ class PriorModel:
 class Dataset:
     """Encoder inputs split into train and test.
 
-    The inputs are frame counts, kept in the dtype they come in (uint8
-    from the events module).  While kernel is None the train split is
-    counts too; filter_dataset's copy holds float64 input traces filtered
-    by kernel instead.  The test split always stays counts.
+    The inputs are 0/1 frame counts, kept in the dtype they come in (uint8
+    from the events module).  filter_dataset's copy holds the train split's
+    uint16 history codes instead, which that dtype marks.  The test split
+    always stays counts.
     """
 
     train_inputs: np.ndarray
@@ -115,7 +112,6 @@ class Dataset:
     test_inputs: np.ndarray
     test_labels: np.ndarray
     n_classes: int
-    kernel: Kernel | None = None
 
     def __post_init__(self):
         self.train_inputs = np.asarray(self.train_inputs)
@@ -132,13 +128,14 @@ class Dataset:
         return self.train_inputs.shape[2]
 
 
-def filter_dataset(data: Dataset, kernel: Kernel) -> Dataset:
-    """A copy of data whose train split holds its counts' input traces
-    under kernel; the test split keeps its counts (evaluate_grid reads
-    them).  A dataset already filtered is refused: it holds no counts."""
-    if data.kernel is not None:
-        raise ValueError("dataset is already filtered")
-    return replace(data, train_inputs=filter_inputs(data.train_inputs, kernel), kernel=kernel)
+def filter_dataset(data: Dataset) -> Dataset:
+    """A copy of data whose train split holds its counts' history codes
+    (encoder.history_codes), from which train_epoch filters each batch's
+    input traces; the test split keeps its counts (evaluate_grid reads
+    them).  A dataset that holds codes already is refused."""
+    if data.train_inputs.dtype == np.uint16:
+        raise ValueError("dataset is already filtered into history codes")
+    return replace(data, train_inputs=history_codes(data.train_inputs))
 
 
 @dataclass(frozen=True)
@@ -233,14 +230,16 @@ def train_epoch(
     The state dict, empty at a run's first epoch, carries momentum
     velocities, the moving baseline and the test samples' evaluation draws
     across epochs, so a run draws those uniforms in its first epoch only.
-    The dataset's train split must hold traces filtered with the encoder's
-    kernel_ff (filter_dataset); its test split holds counts.  Of the config
+    The dataset's train split must hold history codes (filter_dataset),
+    from which each batch's input traces are looked up under the encoder's
+    kernel_ff (encoder.code_traces); its test split holds counts.  Of the config
     it reads the channel point, beta, eta, batch_size, seed, prior_rate,
     momentum, grad_clip and baseline.
     """
     eps = config.training_crossover()
-    if data.kernel != encoder.kernel_ff:
-        raise ValueError("train inputs are not traces filtered with the encoder's kernel_ff")
+    if data.train_inputs.dtype != np.uint16:
+        raise ValueError("train inputs are not history codes: make them with filter_dataset")
+    traces_of = code_traces(data.train_inputs, encoder.kernel_ff, config.batch_size)
     prior = PriorModel(config.prior_rate)
     order = rng.substream("shuffle").permutation(len(data.train_inputs))
     draw = rng.substream("draws")
@@ -249,7 +248,7 @@ def train_epoch(
     count = 0
     for start in range(0, len(order), config.batch_size):
         batch = order[start : start + config.batch_size]
-        xb = data.train_inputs[batch]
+        xb = traces_of(batch)
         yb = data.train_labels[batch]
         uniforms = draw.uniform((xb.shape[1], len(batch), encoder.n_out))
         run = rollout(encoder, drive_from_traces(encoder, xb),

@@ -1,15 +1,17 @@
 """Independent oracles the test suites check the package against, the
-training path they run them on, event records and files to feed it, and the
-error NumPy raises for an array it cannot allocate.
+training path they run them on, event records and files to feed it, the
+tests' 0/1 draws, and the error NumPy raises for an array it cannot
+allocate.
 
 Nothing in the package calls these: each oracle recomputes a quantity the
 package produces by a separate, plainer route.  `training_rollout` (and
 `replay`, which feeds given bits back through it) is the one place the
 tests compose the training path, filter_inputs then drive_from_traces then
 rollout, so the enumeration and finite-difference oracles check the drive
-train_epoch makes.  The bar-task records come from the benchmark's
-reference (benchmarks/reference.py), which draws and bins the task without
-importing spikelink; `reference` is that module.
+train_epoch makes (its traces, looked up from history codes, equal
+filter_inputs' byte for byte).  The bar-task records come from the
+benchmark's reference (benchmarks/reference.py), which draws and bins the
+task without importing spikelink; `reference` is that module.
 """
 
 import importlib.util
@@ -36,6 +38,13 @@ ENCODER_FIELDS = ("ff_weights", "fb_weights", "bias")
 def kernel(*taps) -> Kernel:
     """A causal filter with these taps, the current step's first."""
     return Kernel(np.array(taps, dtype=np.float64))
+
+
+def bernoulli(rng: SeededRng, p) -> np.ndarray:
+    """uint8 draws of 1 with probability p, of p's shape, from rng's
+    stream; the strict "<" keeps p = 0 and p = 1 exact."""
+    prob = np.asarray(p, dtype=np.float64)
+    return (rng.uniform(prob.shape) < prob).astype(np.uint8)
 
 
 def all_sequences(steps: int, k: int) -> np.ndarray:

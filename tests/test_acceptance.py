@@ -18,6 +18,7 @@ import pytest
 from oracles import (
     ENCODER_FIELDS,
     all_sequences,
+    bernoulli,
     expected_objective,
     fd_grads,
     kernel,
@@ -154,11 +155,11 @@ def test_criterion_02_gradient_closed_forms(capsys):
             root = SeededRng(4000 + draw)
             params = init_decoder_params(4, 2, root.substream("p"), hidden_dim=3)
             xs = root.substream("x")
-            x = xs.bernoulli(np.full(4, 0.5)).astype(np.float64)
+            x = bernoulli(xs, np.full(4, 0.5)).astype(np.float64)
             while not x.any():
                 # all-zero input with zero biases parks every ReLU exactly at
                 # its kink, where central differences are ill-defined
-                x = xs.bernoulli(np.full(4, 0.5)).astype(np.float64)
+                x = bernoulli(xs, np.full(4, 0.5)).astype(np.float64)
             label = int(root.substream("y").integers(0, 2))
             pre, hidden, _, probs = forward_batch(params, x[None])
             grads = backward_batch(params, x[None], pre, hidden, probs, np.array([label]))
@@ -206,7 +207,7 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         for k, T, n_in, eps, seed in instances:
             params = _small_encoder(k, n_in, seed)
             decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
-            inputs = SeededRng(seed + 2).bernoulli(np.full((T, n_in), 0.5)).astype(np.float64)
+            inputs = bernoulli(SeededRng(seed + 2), np.full((T, n_in), 0.5)).astype(np.float64)
             run, traces = replay(params, inputs, all_sequences(T, k))
             f = sample_losses(decoder, run, eps, beta, label, prior)
             expected = score_grads(run, traces, eps, np.exp(log_likelihood(run, eps)) * f)
@@ -225,7 +226,7 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         k, T, n_in, eps, seed = 1, 3, 2, 0.1, 31
         params = _small_encoder(k, n_in, seed)
         decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
-        inputs = SeededRng(seed + 2).bernoulli(np.full((T, n_in), 0.5)).astype(np.float64)
+        inputs = bernoulli(SeededRng(seed + 2), np.full((T, n_in), 0.5)).astype(np.float64)
         run, traces = replay(params, inputs, all_sequences(T, k))
         p = np.exp(log_likelihood(run, eps))
         f = sample_losses(decoder, run, eps, beta, label, prior)
@@ -271,8 +272,8 @@ def test_criterion_04_sequence_log_likelihood_gradient(capsys):
         for k, n_in, T, eps, seed in instances:
             params = _small_encoder(k, n_in, seed)
             rng = SeededRng(seed + 10)
-            inputs = rng.bernoulli(np.full((T, n_in), 0.6)).astype(np.float64)
-            zhat = rng.bernoulli(np.full((1, T, k), 0.5))
+            inputs = bernoulli(rng, np.full((T, n_in), 0.6)).astype(np.float64)
+            zhat = bernoulli(rng, np.full((1, T, k), 0.5))
             score = score_grads(*replay(params, inputs, zhat), eps, np.ones(1))
             fd = fd_grads(
                 params, lambda moved: log_likelihood(replay(moved, inputs, zhat)[0], eps)[0], h
@@ -301,7 +302,7 @@ def test_criterion_05_channel_statistics(capsys):
         direct = sample_noisy(np.tile(sigmoid(u), (draws, 1)), eps2,
                               SeededRng(613).uniform((draws, 2)))
         staged_rng = SeededRng(614)
-        spikes = staged_rng.bernoulli(np.tile(sigmoid(u), (draws, 1)))
+        spikes = bernoulli(staged_rng, np.tile(sigmoid(u), (draws, 1)))
         staged = transmit(spikes, eps2, staged_rng.uniform(spikes.shape))
         obs1 = np.bincount(direct[:, 0] * 2 + direct[:, 1], minlength=4).astype(float)
         obs2 = np.bincount(staged[:, 0] * 2 + staged[:, 1], minlength=4).astype(float)
@@ -323,7 +324,7 @@ def test_criterion_06_kl_nonnegativity(capsys):
         lowest = math.inf
         for k, T, n_in, seed in ((1, 3, 2, 71), (2, 2, 2, 72), (1, 4, 1, 73)):
             params = _small_encoder(k, n_in, seed)
-            inputs = SeededRng(seed + 5).bernoulli(np.full((T, n_in), 0.5)).astype(np.float64)
+            inputs = bernoulli(SeededRng(seed + 5), np.full((T, n_in), 0.5)).astype(np.float64)
             run, _ = replay(params, inputs, all_sequences(T, k))
             for eps in EPSILON_SET:
                 p = np.exp(log_likelihood(run, eps))

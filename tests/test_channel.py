@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import bernoulli
 
 from spikelink.channel import (
     log_prob_noisy,
@@ -44,12 +45,12 @@ class TestChannelConfig:
 
 class TestTransmit:
     def test_identity_at_zero(self):
-        bits = SeededRng(0).bernoulli(np.full(500, 0.4))
+        bits = bernoulli(SeededRng(0), np.full(500, 0.4))
         out = transmit(bits, 0.0, SeededRng(1).uniform(bits.shape))
         np.testing.assert_array_equal(out, bits)
 
     def test_complement_at_one(self):
-        bits = SeededRng(0).bernoulli(np.full(500, 0.4))
+        bits = bernoulli(SeededRng(0), np.full(500, 0.4))
         out = transmit(bits, 1.0, SeededRng(1).uniform(bits.shape))
         np.testing.assert_array_equal(out, 1 - bits)
 
@@ -100,7 +101,7 @@ class TestLogProbNoisy:
     def test_reduces_to_clean_at_zero(self):
         rng = SeededRng(2)
         u = rng.generator.normal(size=6)
-        bits = rng.bernoulli(np.full(6, 0.5))
+        bits = bernoulli(rng, np.full(6, 0.5))
         p = sigmoid(u)
         clean = np.sum(bits * np.log(p) + (1 - bits) * np.log(1 - p))
         assert log_prob_noisy(bits, u, 0.0) == pytest.approx(clean, rel=1e-13)
@@ -109,7 +110,7 @@ class TestLogProbNoisy:
         # a (samples, steps, neurons) batch gives one term per sample and step
         rng = SeededRng(3)
         u = rng.generator.normal(size=(2, 3, 4))
-        bits = rng.bernoulli(np.full((2, 3, 4), 0.5))
+        bits = bernoulli(rng, np.full((2, 3, 4), 0.5))
         for eps in (0.0, 0.2):
             got = log_prob_noisy(bits, u, eps)
             assert got.shape == (2, 3)
@@ -169,7 +170,7 @@ class TestSampleNoisy:
         eps = 0.2
         direct = sample_noisy(np.tile(sigmoid(u), (n, 1)), eps, SeededRng(100).uniform((n, 2)))
         stage_rng = SeededRng(200)
-        spikes = stage_rng.bernoulli(np.tile(sigmoid(u), (n, 1)))
+        spikes = bernoulli(stage_rng, np.tile(sigmoid(u), (n, 1)))
         staged = transmit(spikes, eps, stage_rng.uniform(spikes.shape))
         codes = direct[:, 0] * 2 + direct[:, 1]
         codes2 = staged[:, 0] * 2 + staged[:, 1]

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import signal
+import stat
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from spikelink.cli import DEFAULT_MISMATCH_GRID, main
 from spikelink.config import ConfigError, RunConfig, build_run_config, parse_config_file
 from spikelink.encoder import filter_inputs
 from spikelink.events import _draw_columns, class_rate_map, synthetic_frames
-from spikelink.numerics import Kernel, SeededRng, exponential_kernel
+from spikelink.numerics import SeededRng, exponential_kernel
 from spikelink.training import TrainingDiverged, evaluate_grid
 from spikelink.metrics import (
     CSV_HEADER,
@@ -127,6 +128,23 @@ class TestBuildRunConfig:
         # event files bring their own geometry and rates: the keys are unused
         events = {"dataset": "events", "train_events": "a", "test_events": "b"}
         assert getattr(build_run_config({**events, key: value}), key) == value
+
+    @pytest.mark.parametrize("key, value", [
+        ("events_per_pixel", "1e18"), ("events_per_pixel", "1e300"),
+        ("events_per_pixel", "inf"), ("background_events", "1e30"),
+    ])
+    def test_bar_task_rates_past_numpy_refused_by_key(self, tiny_config, tmp_path, capsys,
+                                                      key, value):
+        # NumPy's Poisson draw refuses such a rate, or the int64 sum of a
+        # record's counts wraps negative; the key is named instead
+        config = tmp_path / "rates.cfg"
+        config.write_text(tiny_config.read_text() + f"{key} = {value}\n")
+        out = tmp_path / "o"
+        assert _main("train", "--config", str(config), "--out", str(out)) == 2
+        assert _refusal(capsys) == (
+            f"error: {key} = {float(value)} expects more than 2**60 events per record"
+        )
+        assert not out.exists()
 
     def test_seed_must_be_non_negative(self, tiny_config, tmp_path, capsys, monkeypatch):
         with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
@@ -648,11 +666,15 @@ class TestCliSweeps:
     def test_dataset_filtered_with_another_kernel_is_refused(
         self, tiny_config, tmp_path, monkeypatch, capsys
     ):
-        real = cli.filter_dataset
-        monkeypatch.setattr(cli, "filter_dataset", lambda data, kernel: real(data, Kernel([1.0])))
+        # the train split reaches train_epoch as counts, not as the history
+        # codes it filters batch by batch under the encoder's own kernel_ff:
+        # refused, naming the call that makes the codes
+        monkeypatch.setattr(cli, "filter_dataset", lambda data: data)
         out = tmp_path / "refused"
         assert _main("train", "--config", str(tiny_config), "--out", str(out)) == 2
-        assert "kernel_ff" in capsys.readouterr().err
+        assert _refusal(capsys) == (
+            "error: train inputs are not history codes: make them with filter_dataset"
+        )
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -660,20 +682,20 @@ class TestCliSweeps:
         ("sweep-snr", "--train-per-point", "--epsilon-grid", "0.1,0.2"),
     ])
     def test_each_split_filtered_once_per_process(self, tiny_config, tmp_path, monkeypatch, argv):
-        filtered = []
-        real = training.filter_inputs
+        coded = []
+        real = training.history_codes
 
-        def spy(inputs, kernel):
-            filtered.append(len(inputs))
-            return real(inputs, kernel)
+        def spy(counts):
+            coded.append(len(counts))
+            return real(counts)
 
-        monkeypatch.setattr(training, "filter_inputs", spy)
+        monkeypatch.setattr(training, "history_codes", spy)
         verb, *flags = argv
         out = tmp_path / "twice"
         assert _main(verb, "--config", str(tiny_config), "--out", str(out), *flags) == 0
-        # two training runs, but one filter call for the train split's
-        # 2 * 6 records; the test split is never filtered into traces
-        assert filtered == [12]
+        # two training runs, but one history-codes call for the train
+        # split's 2 * 6 records; the test split is never coded
+        assert coded == [12]
 
     @staticmethod
     def _diverge_at(monkeypatch, epsilon):
@@ -823,7 +845,8 @@ class TestCliSweeps:
     def test_training_run_never_holds_the_test_split_traces(self, tmp_path, monkeypatch):
         # the same 2048 test records under two epochs of training: the
         # test split stays uint8 counts, and no filter call sees more than
-        # one chunk's projected drive, (1, T, records * k)
+        # one chunk's projected drive, (1, T, records * k); the train
+        # split's traces are looked up from its codes, never filtered
         config = tmp_path / "large.cfg"
         config.write_text("classes = 4\nheight = 4\nwidth = 8\ntrain_per_class = 2\n"
                           "test_per_class = 512\nk = 4\nT = 20\nhidden = 8\nepochs = 2\n"
@@ -834,7 +857,6 @@ class TestCliSweeps:
             filtered.append(inputs.shape)
             return filter_inputs(inputs, kernel)
 
-        monkeypatch.setattr(training, "filter_inputs", spy)
         monkeypatch.setattr("spikelink.encoder.filter_inputs", spy)
         test_dtypes = []
         real_epoch = cli.train_epoch
@@ -854,11 +876,10 @@ class TestCliSweeps:
             tracemalloc.stop()
         assert code == 0
         assert [dtype.name for dtype in test_dtypes] == ["uint8", "uint8"]
-        # the train split's 8 records, then chunk drives only
-        assert filtered[0] == (8, 20, 64)
+        # chunk drives only
         chunk_drive = training.EVAL_CHUNK * 20 * 4
-        assert all(shape[0] == 1 and math.prod(shape) <= chunk_drive for shape in filtered[1:])
-        assert len(filtered) == 1 + 2 * 2048 // training.EVAL_CHUNK
+        assert all(shape[0] == 1 and math.prod(shape) <= chunk_drive for shape in filtered)
+        assert len(filtered) == 2 * 2048 // training.EVAL_CHUNK
         # the counts, the kept uniforms (2.6 MB) and one chunk set the peak;
         # the split's traces alone would be 21 MB
         assert peak < traces / 2, f"peak {peak} bytes"
@@ -1034,6 +1055,26 @@ class TestCliExport:
         assert _refusal(capsys) == f"error: --out {dest} is a directory"
         assert sorted(tmp_path.iterdir()) == [metrics, dest] and not any(dest.iterdir())
 
+    @pytest.mark.parametrize("kind", ["symlink", "fifo"])
+    def test_out_naming_no_regular_file_is_refused(self, tmp_path, capsys, kind):
+        # writing would swap the path for a regular file: a link's target
+        # would be left as it was, a FIFO's readers never see the text
+        metrics = tmp_path / "m.csv"
+        write_metrics(metrics, [])
+        target = tmp_path / "target.txt"
+        target.write_text("kept\n")
+        dest = tmp_path / "x"
+        if kind == "symlink":
+            dest.symlink_to(target)
+        else:
+            os.mkfifo(dest)
+        assert _main("export", "--metrics", str(metrics), "--out", str(dest)) == 1
+        assert _refusal(capsys) == f"error: --out {dest} is not a regular file"
+        mode = dest.lstat().st_mode
+        assert stat.S_ISLNK(mode) if kind == "symlink" else stat.S_ISFIFO(mode)
+        assert target.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == sorted([metrics, target, dest])
+
 
 class TestCliErrors:
     def test_bad_config_file(self, tmp_path):
@@ -1139,31 +1180,34 @@ class TestCliErrors:
         refused = 12 * 10**13 * 128
         assert peak - refused < 10**7, f"peak {peak - refused} bytes besides the refused request"
 
-    @pytest.mark.parametrize("split, calls, shape", [
-        ("train", 0, (12, 5, 128)), ("test", 1, (1, 5, 32)),
+    @pytest.mark.parametrize("split, calls, shape, dtype", [
+        ("train", 0, (12, 5, 128), np.uint16), ("test", 1, (1, 5, 32), np.float64),
     ], ids=["train-0", "test-1"])
     def test_traces_too_large_refused(self, tiny_config, tmp_path, capsys, monkeypatch,
-                                      split, calls, shape):
-        # uint8 counts that fit can still have float64 arrays that do not:
-        # the train split's traces (filter_dataset's first filter call), or
-        # a test chunk's drive of 8 records x k = 4 columns in the first
-        # epoch's evaluation (the next call, from encoder.drive_from_counts);
-        # the failing allocation is simulated, never made
-        real = training.filter_inputs
+                                      split, calls, shape, dtype):
+        # uint8 counts that fit can still have larger arrays that do not:
+        # the train split's uint16 history codes (filter_dataset's call,
+        # the first), or a test chunk's float64 drive of 8 records x k = 4
+        # columns in the first epoch's evaluation (the next call, a filter
+        # from encoder.drive_from_counts); the failing allocation is
+        # simulated, never made
         made = []
 
-        def failing(counts, kernel):
-            if len(made) == calls:
-                raise allocation_error(np.shape(counts))
-            made.append(len(counts))
-            return real(counts, kernel)
+        def failing(real):
+            def call(counts, *kernel):
+                if len(made) == calls:
+                    raise allocation_error(np.shape(counts), dtype)
+                made.append(len(counts))
+                return real(counts, *kernel)
+            return call
 
-        monkeypatch.setattr(training, "filter_inputs", failing)
-        monkeypatch.setattr("spikelink.encoder.filter_inputs", failing)
+        monkeypatch.setattr(training, "history_codes", failing(training.history_codes))
+        monkeypatch.setattr("spikelink.encoder.filter_inputs", failing(filter_inputs))
         out = tmp_path / "o"
         assert _main("train", "--config", str(tiny_config), "--out", str(out)) == 2
+        size = math.prod(shape) * np.dtype(dtype).itemsize
         assert _refusal(capsys) == (
-            f"error: an array of shape {shape} and dtype float64 ({math.prod(shape) * 8} bytes) "
+            f"error: an array of shape {shape} and dtype {np.dtype(dtype)} ({size} bytes) "
             "is too large to allocate; T = 5, k = 4, hidden = 8"
         )
         assert not (out / "metrics.csv").exists()

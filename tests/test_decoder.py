@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import bernoulli
 
 from spikelink.decoder import (
     DecoderParams,
@@ -147,7 +148,7 @@ class TestLosses:
         # evaluation predicts the argmax; an all-zero decoder scores every
         # class alike, so every sample goes to class 0 and the error is the
         # share of other labels
-        inputs = SeededRng(1).bernoulli(np.full((16, 5, 3), 0.5))
+        inputs = bernoulli(SeededRng(1), np.full((16, 5, 3), 0.5))
         encoder = init_encoder_params(3, 2, SeededRng(2))
         flat = DecoderParams(
             w1=np.zeros((4, 10)), b1=np.zeros(4), w2=np.zeros((3, 4)), b2=np.zeros(3)
@@ -202,7 +203,7 @@ class TestBackward:
     def test_batched_forward_matches_reference(self):
         # each row of a batch equals that row run alone
         params = _params(input_dim=6, hidden=4, classes=3, seed=2)
-        x = SeededRng(8).bernoulli(np.full((5, 6), 0.5)).astype(np.float64)
+        x = bernoulli(SeededRng(8), np.full((5, 6), 0.5)).astype(np.float64)
         batch = forward_batch(params, x)
         for i in range(5):
             for got, alone in zip(batch, forward_batch(params, x[i : i + 1])):
@@ -211,7 +212,7 @@ class TestBackward:
     def test_batched_losses_match_reference(self):
         # per-row loss against the probability form written out row by row
         params = _params(input_dim=6, hidden=4, classes=3, seed=2)
-        x = SeededRng(9).bernoulli(np.full((5, 6), 0.5)).astype(np.float64)
+        x = bernoulli(SeededRng(9), np.full((5, 6), 0.5)).astype(np.float64)
         labels = np.array([0, 1, 2, 1, 0])
         _, _, logits, probs = forward_batch(params, x)
         batch = losses_from_logits_batch(params, logits, labels)
@@ -222,7 +223,7 @@ class TestBackward:
 
     def test_batched_backward_is_mean_of_reference(self):
         params = _params(input_dim=6, hidden=4, classes=3, seed=3)
-        x = SeededRng(10).bernoulli(np.full((4, 6), 0.5)).astype(np.float64)
+        x = bernoulli(SeededRng(10), np.full((4, 6), 0.5)).astype(np.float64)
         labels = np.array([2, 0, 1, 1])
         batch = _grads(params, x, labels)
         singles = [_grads(params, x[i : i + 1], labels[i : i + 1]) for i in range(4)]

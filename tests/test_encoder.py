@@ -10,6 +10,7 @@ import pytest
 import oracles
 from oracles import (
     ENCODER_FIELDS,
+    bernoulli,
     fd_grads,
     finite_diff_grad,
     kernel,
@@ -23,10 +24,12 @@ from spikelink.channel import log_prob_noisy
 from spikelink.config import RunConfig
 from spikelink.encoder import (
     EncoderParams,
+    code_traces,
     drive_from_counts,
     drive_from_traces,
     filter_inputs,
     grad_u_log_prob_noisy,
+    history_codes,
     init_encoder_params,
     rollout,
     score_grads,
@@ -230,7 +233,7 @@ class TestDrives:
         lines = 512
         rng = SeededRng(n)
         params = init_encoder_params(lines, self.K, rng.substream("init"))
-        counts = rng.substream("counts").bernoulli(np.full((n, self.STEPS, lines), 0.2))
+        counts = bernoulli(rng.substream("counts"), np.full((n, self.STEPS, lines), 0.2))
         traces = filter_inputs(counts, params.kernel_ff)
         w = params.ff_weights.T
         by_step = np.stack([traces[:, t, :] @ w for t in range(self.STEPS)], axis=1)
@@ -274,14 +277,67 @@ class TestDrives:
 
         monkeypatch.setattr(training, "drive_from_traces", drive)
         made.clear()
-        counts = SeededRng(1).bernoulli(np.full((10, 4, 3), 0.5)).astype(np.uint8)
+        counts = bernoulli(SeededRng(1), np.full((10, 4, 3), 0.5)).astype(np.uint8)
         data = training.Dataset(counts[:6], np.arange(6) % 2, counts[6:], np.arange(4) % 2, 2)
         params = _tiny_params()
-        data = training.filter_dataset(data, params.kernel_ff)
+        data = training.filter_dataset(data)
         decoder = init_decoder_params(8, 2, SeededRng(2), hidden_dim=3)
         training.train_epoch(params, decoder, data, RunConfig(batch_size=4, epsilon=0.1),
                              SeededRng(3), {})
         assert len(made) == 2
+
+
+class TestHistoryCodes:
+    """Training's input traces, looked up batch by batch from the train
+    split's history codes, against filter_inputs of the counts."""
+
+    STEPS, LINES, N = 30, 5, 150
+
+    @pytest.mark.parametrize("taps", ["exponential", "negative", "mixed"])
+    @pytest.mark.parametrize("window", [1, 2, 10, 16, 17, 25])
+    def test_traces_equal_filter_inputs(self, window, taps):
+        # byte for byte, signed zeros included: windows inside, at and past
+        # the 16-step history; random, all-zero and all-one counts; batches
+        # of 1, 16 and 128 rows in shuffled order, the last one ragged
+        rng = np.random.default_rng(window)
+        coeff = {"exponential": exponential_kernel(5.0, window).coefficients,
+                 "negative": -rng.uniform(0.1, 1.0, window),
+                 "mixed": rng.normal(0.0, 1.0, window)}[taps]
+        ff_kernel = kernel(*coeff)
+        shape = (self.N, self.STEPS, self.LINES)
+        for counts in (rng.random(shape) < 0.4, np.zeros(shape), np.ones(shape)):
+            counts = counts.astype(np.uint8)
+            expected = filter_inputs(counts, ff_kernel)
+            codes = history_codes(counts)
+            for batch_size in (1, 16, 128):
+                traces_of = code_traces(codes, ff_kernel, batch_size)
+                order = rng.permutation(self.N)
+                for start in range(0, self.N, batch_size):
+                    rows = order[start : start + batch_size]
+                    traces = traces_of(rows)
+                    assert np.array_equal(traces.view(np.uint64), expected[rows].view(np.uint64))
+
+    def test_bit_d_is_the_count_d_steps_back(self):
+        # for the last 16 steps, reading 0 before step 0, from 0/1 counts
+        # of any real dtype
+        counts = bernoulli(SeededRng(3), np.full((4, 20, 3), 0.5))
+        codes = history_codes(counts)
+        assert codes.dtype == np.uint16
+        for t in range(20):
+            for d in range(16):
+                back = counts[:, t - d] if t >= d else 0
+                assert np.array_equal((codes[:, t] >> d) & 1, np.broadcast_to(back, (4, 3)))
+        for dtype in (bool, np.int64, np.float32, np.float64):
+            assert np.array_equal(history_codes(counts.astype(dtype)), codes)
+
+    @pytest.mark.parametrize("value", [2, 255, -1, 256, 0.5, np.nan])
+    def test_counts_other_than_zero_or_one_are_refused(self, value):
+        # a code holds one bit per step: any other count would be read as
+        # another history
+        counts = np.zeros((2, 4, 3), dtype=np.min_scalar_type(value))
+        counts[1, 2, 0] = value
+        with pytest.raises(ValueError, match="0 or 1"):
+            history_codes(counts)
 
 
 class TestMembranePotential:
@@ -304,7 +360,7 @@ class TestMembranePotential:
         # the rule gets step t's spike probabilities before any later step
         # exists, and the bits it returns are the ones fed back and kept
         params = _tiny_params()
-        inputs = SeededRng(4).bernoulli(np.full((3, 5, params.n_in), 0.5))
+        inputs = bernoulli(SeededRng(4), np.full((3, 5, params.n_in), 0.5))
         seen = []
 
         def rule(t, s):
@@ -358,8 +414,8 @@ class TestPotentialGrads:
         # its slope along each weight is the trace that multiplies it
         params = _tiny_params()
         rng = SeededRng(3)
-        inputs = rng.bernoulli(np.full((2, 4, params.n_in), 0.5))
-        bits = rng.bernoulli(np.full((2, 4, params.n_out), 0.5))
+        inputs = bernoulli(rng, np.full((2, 4, params.n_in), 0.5))
+        bits = bernoulli(rng, np.full((2, 4, params.n_out), 0.5))
         run, traces = replay(params, inputs, bits)
         slopes = {"ff_weights": traces, "fb_weights": run.fb_traces,
                   "bias": np.ones_like(run.fb_traces)}
@@ -380,7 +436,7 @@ class TestPotentialGrads:
         # u must be exactly the parameter-gradient inner product plus bias,
         # confirming the traces in the score are the ones in the forward pass
         params = _tiny_params()
-        inputs = SeededRng(9).bernoulli(np.full((2, 3, params.n_in), 0.7))
+        inputs = bernoulli(SeededRng(9), np.full((2, 3, params.n_in), 0.7))
         run, traces = training_rollout(params, inputs, lambda t, s: s > 0.5)
         manual = (traces @ params.ff_weights.T
                   + params.fb_weights * run.fb_traces + params.bias)
@@ -400,8 +456,8 @@ class TestScoreGrads:
         # numerically differenced sequence log-likelihoods at 1e-5 relative
         params = _tiny_params(seed=seed)
         rng = SeededRng(100 + seed)
-        inputs = rng.bernoulli(np.full((3, 4, params.n_in), 0.6))
-        bits = rng.bernoulli(np.full((3, 4, params.n_out), 0.5))
+        inputs = bernoulli(rng, np.full((3, 4, params.n_in), 0.6))
+        bits = bernoulli(rng, np.full((3, 4, params.n_out), 0.5))
         weights = np.array([1.0, -0.5, 2.0])
         grads = score_grads(*replay(params, inputs, bits), eps, weights)
         fd = fd_grads(params, lambda p: _log_likelihood(p, inputs, bits, eps, weights))
@@ -417,9 +473,9 @@ class TestScoreGrads:
         n, steps, k, lines = shape
         rng = SeededRng(n * steps + k)
         params = init_encoder_params(lines, k, rng.substream("init"))
-        inputs = rng.substream("x").bernoulli(np.full((n, steps, lines), 0.2))
+        inputs = bernoulli(rng.substream("x"), np.full((n, steps, lines), 0.2))
         draw = rng.substream("bits")
-        run, traces = training_rollout(params, inputs, lambda t, s: draw.bernoulli(s))
+        run, traces = training_rollout(params, inputs, lambda t, s: bernoulli(draw, s))
         weights = rng.substream("w").uniform_range(-1.0, 1.0, n)
         score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
         expected = np.einsum("b,btk,btn->kn", weights, score_u, traces)

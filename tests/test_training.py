@@ -8,6 +8,7 @@ for the training rollout, and a per-sample reference for evaluation.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
     ENCODER_FIELDS,
     all_sequences,
     allocation_error,
+    bernoulli,
     evaluate_line_space,
     expected_objective,
     fd_grads,
@@ -32,7 +34,9 @@ from spikelink.decoder import init_decoder_params
 from spikelink.encoder import (
     EncoderGrads,
     EncoderParams,
+    code_traces,
     filter_inputs,
+    history_codes,
     init_encoder_params,
     score_grads,
 )
@@ -96,7 +100,7 @@ class TestRegularizer:
     def test_expectation_is_nonnegative(self, eps):
         # enumerate the law: sum_z p(z) * regularizer(z) is a KL divergence
         params = _tiny_encoder(k=1, n_in=2, seed=3)
-        inputs = SeededRng(11).bernoulli(np.full((3, 2), 0.5)).astype(np.float64)
+        inputs = bernoulli(SeededRng(11), np.full((3, 2), 0.5)).astype(np.float64)
         run, _ = replay(params, inputs, all_sequences(3, 1))
         p = np.exp(log_likelihood(run, eps))
         kl = p @ regularizer(run.bits, run.potentials, eps, PriorModel(0.3))
@@ -163,7 +167,7 @@ class TestSequencePaths:
         # it drew: same potentials and traces, hence same rate term and score
         params = _tiny_encoder(k=2, n_in=3, seed=5)
         rng = SeededRng(21)
-        inputs = rng.bernoulli(np.full((4, 5, 3), 0.6))
+        inputs = bernoulli(rng, np.full((4, 5, 3), 0.6))
         run, _ = training_rollout(params, inputs,
                                   lambda t, s: sample_noisy(s, 0.2, rng.uniform(np.shape(s))))
         again, _ = replay(params, inputs, run.bits)
@@ -174,7 +178,7 @@ class TestSequencePaths:
         # step t compares the t-th (n, k) block of one uniform stream with
         # the marginal spike probability
         params = _tiny_encoder(k=2, n_in=3, seed=6)
-        inputs = SeededRng(22).bernoulli(np.full((4, 5, 3), 0.6))
+        inputs = bernoulli(SeededRng(22), np.full((4, 5, 3), 0.6))
         draw = SeededRng(23)
         run, _ = training_rollout(
             params, inputs, lambda t, s: sample_noisy(s, 0.2, draw.uniform(np.shape(s))))
@@ -187,7 +191,7 @@ class TestSequencePaths:
         # evaluation's rule: spike where the step's pre-drawn uniform is
         # below sigmoid(u); evaluate counts exactly these spikes
         params = _tiny_encoder(k=2, n_in=3, seed=5)
-        counts = SeededRng(1).bernoulli(np.full((1, 4, 3), 0.5))
+        counts = bernoulli(SeededRng(1), np.full((1, 4, 3), 0.5))
         spike_u = SeededRng(77).substream("eval", 0).uniform((4, 2))[None]
 
         def clean(t, s):
@@ -212,7 +216,7 @@ class TestUnbiasedness:
         params = _tiny_encoder(k=1, n_in=2, seed=seed)
         decoder = init_decoder_params(3, 2, SeededRng(seed + 50), hidden_dim=3)
         rng = SeededRng(seed + 90)
-        inputs = rng.bernoulli(np.full((3, 2), 0.5)).astype(np.float64)
+        inputs = bernoulli(rng, np.full((3, 2), 0.5)).astype(np.float64)
         return params, decoder, inputs
 
     @pytest.mark.parametrize("eps", [0.0, 0.2])
@@ -278,7 +282,7 @@ def _toy_counts(seed=0, n_train=24, n_test=16, steps=6, lines=8):
                 probs[:half] = 0.8
             else:
                 probs[half:] = 0.8
-            inputs[i] = rng.bernoulli(np.tile(probs, (steps, 1)))
+            inputs[i] = bernoulli(rng, np.tile(probs, (steps, 1)))
         return inputs, labels
     xtr, ytr = draw(n_train)
     xte, yte = draw(n_test)
@@ -293,9 +297,8 @@ def _toy_models(data, seed=0, k=4, hidden=8):
 
 
 def _toy_dataset(**kwargs):
-    """The toy counts filtered with the toy encoder's kernel."""
-    data = _toy_counts(**kwargs)
-    return filter_dataset(data, _toy_models(data)[0].kernel_ff)
+    """The toy counts, their train split as history codes."""
+    return filter_dataset(_toy_counts(**kwargs))
 
 
 class TestEpochLoop:
@@ -365,48 +368,79 @@ class TestEpochLoop:
         expected = rng.substream("draws").uniform((12 * steps * k,))
         np.testing.assert_array_equal(np.concatenate([u.ravel() for u in seen]), expected)
 
+    def test_epoch_memory_bounded_by_batch_buffers(self):
+        # the train split is kept as 2-byte history codes and an epoch
+        # makes its traces a batch at a time into reused buffers: with the
+        # codes made, its peak stays within the codes, a few batches'
+        # buffers and the kept evaluation draws; the split's float64
+        # traces would be four times the codes
+        n, steps, lines, batch = 1024, 20, 64, 16
+        counts = (SeededRng(1).uniform((n + 8, steps, lines)) < 0.2).astype(np.uint8)
+        labels = np.arange(n + 8) % 4
+        root = SeededRng(0)
+        enc = init_encoder_params(lines, 4, root.substream("e"))
+        dec = init_decoder_params(4 * steps, 4, root.substream("d"), hidden_dim=8)
+        raw = Dataset(counts[:n], labels[:n], counts[n:], labels[n:], n_classes=4)
+        state: dict = {}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            data = filter_dataset(raw)
+            train_epoch(enc, dec, data, RunConfig(batch_size=batch, epsilon=0.1),
+                        SeededRng(0), state)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        codes = 2 * n * steps * lines
+        kept = sum(u.nbytes for pair in state["eval_draws"].values() for u in pair)
+        batch_traces = batch * steps * lines * 8
+        assert peak - codes - kept < 6 * batch_traces, f"peak {peak} bytes, {kept} kept"
+
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 3, 4)), np.zeros(3), np.zeros((1, 3, 4)), np.zeros(1), 2)
 
     def test_refuses_dataset_filtered_with_another_kernel(self):
+        # the train split must hold history codes, which depend on no
+        # kernel: counts, or float64 traces filtered under any kernel, are
+        # refused, naming the call that makes the codes
         data = _toy_counts()
         enc, dec = _toy_models(data)
         cfg = RunConfig(epsilon=0.1)
-        with pytest.raises(ValueError, match="kernel_ff"):
-            train_epoch(enc, dec, data, cfg, SeededRng(0), {})
-        data = filter_dataset(data, kernel(1.0, 0.5))
-        with pytest.raises(ValueError, match="kernel_ff"):
-            train_epoch(enc, dec, data, cfg, SeededRng(0), {})
+        for ff_kernel in (enc.kernel_ff, kernel(1.0, 0.5)):
+            traces = replace(data, train_inputs=filter_inputs(data.train_inputs, ff_kernel))
+            for refused in (data, traces):
+                with pytest.raises(ValueError, match="not history codes.*filter_dataset"):
+                    train_epoch(enc, dec, refused, cfg, SeededRng(0), {})
 
 
 class TestFilterDataset:
     def test_filters_both_splits_once(self):
-        # a new dataset's train split holds the counts' float64 traces, and
-        # the input keeps its uint8 counts; the test split keeps its counts,
+        # a new dataset's train split holds the counts' uint16 history
+        # codes, from which a batch's traces are the counts' own, and the
+        # input keeps its uint8 counts; the test split keeps its counts,
         # which evaluation reads
         data = _toy_counts()
-        ff_kernel = kernel(1.0, 0.5)
         counts, test_counts = data.train_inputs.copy(), data.test_inputs
         assert counts.dtype == np.uint8 and test_counts.dtype == np.uint8
-        expected = filter_inputs(counts, ff_kernel)
-        filtered = filter_dataset(data, ff_kernel)
-        assert filtered is not data and data.kernel is None
+        filtered = filter_dataset(data)
+        assert filtered is not data
         assert data.train_inputs.dtype == np.uint8
         np.testing.assert_array_equal(data.train_inputs, counts)
-        assert filtered.kernel == ff_kernel
-        assert filtered.train_inputs.dtype == np.float64
-        assert np.array_equal(filtered.train_inputs.view(np.uint64), expected.view(np.uint64))
+        assert filtered.train_inputs.dtype == np.uint16
+        np.testing.assert_array_equal(filtered.train_inputs, history_codes(counts))
+        ff_kernel = kernel(1.0, 0.5)
+        traces = code_traces(filtered.train_inputs, ff_kernel, len(counts))(np.arange(len(counts)))
+        expected = filter_inputs(counts, ff_kernel)
+        assert np.array_equal(traces.view(np.uint64), expected.view(np.uint64))
         assert filtered.test_inputs is test_counts
 
     def test_refuses_refiltering_with_another_kernel(self):
-        # a filtered dataset holds no counts, so it is refused under any
-        # kernel, the one it was filtered with too
-        data = filter_dataset(_toy_counts(), kernel(1.0, 0.5))
+        # a dataset of history codes holds no counts, so it is refused
+        data = filter_dataset(_toy_counts())
         before = data.train_inputs.copy()
-        for other in (kernel(1.0, 0.25), kernel(1.0, 0.5)):
-            with pytest.raises(ValueError, match="already filtered"):
-                filter_dataset(data, other)
+        with pytest.raises(ValueError, match="already filtered"):
+            filter_dataset(data)
         np.testing.assert_array_equal(data.train_inputs, before)
 
 
@@ -575,9 +609,7 @@ class TestEvaluateGrid:
         root = SeededRng(0)
         enc = init_encoder_params(lines, k, root.substream("e"))
         dec = init_decoder_params(k * steps, 4, root.substream("d"), hidden_dim=32)
-        data = filter_dataset(
-            Dataset(counts[:8], labels[:8], counts[8:], labels[8:], n_classes=4), enc.kernel_ff
-        )
+        data = filter_dataset(Dataset(counts[:8], labels[:8], counts[8:], labels[8:], n_classes=4))
         cfg = RunConfig(batch_size=8, epsilon=0.1)
         chunk_traces = training.EVAL_CHUNK * steps * lines * 8
         state: dict = {}

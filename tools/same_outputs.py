@@ -18,7 +18,10 @@ points.  The `event-files` case trains on train and test event files that
 the tool writes once into the work directory, so both trees parse the
 same bytes.  `long-feedback-window` trains at T = 30 with a feedback
 window of 25, the one case whose feedback taps run past the rollout's
-table of partial sums (12 taps); under --tiny, T = 6 cuts its window to 6.
+table of partial sums (12 taps).  `long-input-window` does the same with
+an input window of 25, the one case whose input taps run past the 16-step
+history codes that training looks its input traces up from.  Under
+--tiny, T = 6 cuts both windows to 6.
 After the cases, one child per tree reads TREE_A's metrics.csv of every
 case and renders it through export_metrics as key=value and as CSV text;
 the two trees' texts must match, which checks the exporters and the
@@ -53,6 +56,7 @@ CASES = (
     ("sweep-snr-large-test", ["sweep-snr"], {"seed": 5, "test_per_class": 512}),
     ("event-files", ["train"], {"seed": 9, "dataset": "events"}),
     ("long-feedback-window", ["train"], {"seed": 11, "T": 30, "window_fb": 25}),
+    ("long-input-window", ["train"], {"seed": 12, "T": 30, "window_ff": 25}),
     ("diverged", ["train"], {"seed": 10, "eta": 1e200}),
 )
 # the exit code each case should end with, if not 0: a diverged run exits 3
