@@ -2,8 +2,8 @@
 
 Every function takes the crossover probability itself; a run's channel
 point, set as epsilon or as Eb/N0 in dB, is resolved to one by
-RunConfig.crossover().  The two samplers, transmit and sample_noisy, take
-their uniform draws from the caller.
+RunConfig.crossover().  The samplers take their uniforms from the caller:
+transmit flips bits, spike_thresholds draws received bits by potential.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ __all__ = [
     "transmit",
     "noisy_spike_prob",
     "log_prob_noisy",
-    "sample_noisy",
+    "spike_thresholds",
 ]
 
 
@@ -72,13 +72,23 @@ def log_prob_noisy(zhat, u, epsilon: float, s=None):
     return np.sum(terms, axis=-1)
 
 
-def sample_noisy(s, epsilon: float, uniforms: np.ndarray) -> np.ndarray:
-    """Received bits drawn directly from the channel-marginalized law, given
-    spike probabilities s and one uniform draw per bit from the caller.
-
-    A bit is 1 where its uniform falls below noisy_spike_prob(s, eps); the
-    law is identical to sampling clean spikes and pushing them through
-    transmit, but costs a single draw.
+def spike_thresholds(uniforms, epsilon: float) -> np.ndarray:
+    """Potential thresholds, one per uniform draw U: a received bit is 1
+    where its potential u exceeds its threshold, the event U < q of the
+    marginalized law, q = eps + (1 - 2*eps) * sigmoid(u) (inverse-CDF
+    sampling).  The threshold is logit((U - eps) / (1 - 2*eps)): -inf where
+    U < eps, +inf where U >= 1 - eps, and logit(U) at eps = 0, evaluation's
+    clean spike.  It decides as U < q does except within float rounding of
+    q, where q rounds onto eps or sigmoid(u) underflows, and at u = -inf.
     """
-    eps = _check_epsilon(epsilon)
-    return (uniforms < noisy_spike_prob(s, eps)).astype(np.uint8)
+    eps = _check_epsilon(epsilon, high=0.5)
+    uniforms = np.asarray(uniforms, dtype=np.float64)
+    # log(p) - log1p(-p) of p = (U - eps) / (1 - 2*eps), in two buffers
+    thresholds, tail = np.empty(uniforms.shape), np.empty(uniforms.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(np.subtract(uniforms, eps, out=thresholds), 1.0 - 2.0 * eps, out=thresholds)
+        np.log1p(np.negative(thresholds, out=tail), out=tail)
+        np.subtract(np.log(thresholds, out=thresholds), tail, out=thresholds)
+    np.copyto(thresholds, -np.inf, where=uniforms < eps)
+    np.copyto(thresholds, np.inf, where=uniforms >= 1.0 - eps)
+    return thresholds

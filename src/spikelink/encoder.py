@@ -19,7 +19,8 @@ probabilities.  Training keeps the line-space drive, bit for bit, until a
 law-level check of changes that reorder float sums exists.
 `rollout` runs the recurrence on a drive, one step at a time, for a whole
 batch of sequences; it reads each feedback trace from a table of partial
-sums of the taps, indexed by the neuron's past 0/1 bits, and keeps the
+sums of the taps, indexed by the neuron's past 0/1 bits, sets each bit by
+its potential against a threshold drawn before the loop, and keeps the
 spike probabilities and feedback traces for `score_grads`.
 """
 
@@ -204,11 +205,13 @@ def code_traces(codes: np.ndarray, kernel: Kernel, batch_size: int):
     levels = [coeff[0] * np.array([0.0, 1.0])]
     for c in coeff[1:m]:
         levels.append(np.concatenate([levels[-1] + c * 0.0, levels[-1] + c]))
-    table = np.concatenate(levels)
-    # level j starts at 2**j - 2; a block of samples' index stays in cache
-    # from its add to its lookup
-    offsets = np.left_shift(1, np.minimum(np.arange(1, steps + 1), m))[:, None] - 2
-    offsets = np.repeat(offsets, lines, axis=1)
+    # level m first, so a code is its own index from step m - 1 on, and
+    # level j < m starts at 2**m + 2**j - 2 (one offset per line: adding
+    # a broadcast column is slower); a block of samples' index stays in
+    # cache from its cast to its lookup
+    table = np.concatenate([levels[-1], *levels[:-1]])
+    early = min(m - 1, steps)
+    offsets = np.repeat((1 << m) - 2 + (2 << np.arange(early)), lines).reshape(early, lines)
     block = max(FILTER_BLOCK // max(steps * lines, 1), 1)
     batch = np.empty((min(batch_size, n), steps, lines), dtype=np.uint16)
     index = np.empty((min(block, len(batch)), steps, lines), dtype=np.intp)
@@ -220,7 +223,8 @@ def code_traces(codes: np.ndarray, kernel: Kernel, batch_size: int):
         batch[:b] &= (1 << m) - 1
         for i in range(0, b, block):
             j = min(i + block, b)
-            np.add(batch[i:j], offsets, out=index[: j - i])
+            np.copyto(index[: j - i], batch[i:j])
+            index[: j - i, :early] += offsets
             table.take(index[: j - i], out=traces[i:j], mode="clip")
         for d in range(m, min(coeff.size, steps)):
             traces[:b, d:] += coeff[d] * (batch[:b, :-d] & 1)
@@ -297,25 +301,24 @@ class Rollout:
     fb_traces: np.ndarray    # (n, steps, k), own-bit history strictly before t
 
 
-def rollout(params: EncoderParams, drive, bits_at) -> Rollout:
+def rollout(params: EncoderParams, drive, thresholds) -> Rollout:
     """Run the recurrence over a feedforward drive of shape (n, steps, k).
 
     The drive is the filtered input already projected onto the neurons
-    (drive_from_traces or drive_from_counts).  At each step t, bits_at(t, s)
-    turns that step's spike probabilities s = sigmoid(u), shape (n, k), into
-    its bits, which every later step feeds back.  Training compares its
-    batch's pre-drawn uniforms with the channel-marginalized spike
-    probability (channel.sample_noisy), evaluation compares pre-drawn spike
-    uniforms with s, and the gradient oracles hand back fixed bits to replay
-    a given sequence.  A single sequence is a batch of one.  The feedback
-    trace is read from a table indexed by past bits, so a bit other than 0
-    or 1 raises ValueError.
+    (drive_from_traces or drive_from_counts).  Step t's bits are 1 where
+    its potentials exceed thresholds[t], of a step-major (steps, n, k)
+    array, and every later step feeds them back: training and evaluation
+    make thresholds with channel.spike_thresholds, and the gradient oracles
+    replay bits through -inf and +inf.  A single sequence is a batch of
+    one.  The spike probabilities are taken once, after the loop.
     """
     drive = np.asarray(drive, dtype=np.float64)
     k = params.n_out
     if drive.ndim != 3 or drive.shape[2] != k:
         raise ValueError(f"drive must have shape (n, steps, {k}), got {drive.shape}")
     n, steps, _ = drive.shape
+    if np.shape(thresholds) != (steps, n, k):
+        raise ValueError(f"thresholds must have shape {(steps, n, k)}, got {np.shape(thresholds)}")
     coeff = params.kernel_fb.coefficients
     m = min(coeff.size - 1, _FB_TABLE_TAPS)
     # table[i] adds c_d for each set bit d - 1 of i, d = 1 first onto +0.0,
@@ -330,28 +333,22 @@ def rollout(params: EncoderParams, drive, bits_at) -> Rollout:
     # steps write into contiguous slices of step-major arrays, handed back
     # in the (n, steps, k) C order score_grads' einsums order their sums by
     bits = np.empty((steps, n, k), dtype=np.uint8)
-    potentials, spike_probs, fb_traces = np.empty((3, steps, n, k))
+    potentials, fb_traces = np.empty((2, steps, n, k))
     for t in range(steps):
-        fb, u, s = fb_traces[t], potentials[t], spike_probs[t]
+        fb, u = fb_traces[t], potentials[t]
         table.take(history, out=fb, mode="clip")
         for d in range(m + 1, min(coeff.size, t + 1)):
             fb += coeff[d] * bits[t - d]
         np.multiply(params.fb_weights, fb, out=u)
         np.add(drive[:, t, :], u, out=u)
         u += params.bias
-        sigmoid(u, out=s)
-        b = bits_at(t, s)
-        # a cast to uint8 would wrap other dtypes' values (256 to 0, 1.5 to 1)
-        if b.dtype != np.uint8 and b.dtype != np.bool_ and not np.all((b == 0) | (b == 1)):
-            raise ValueError("bits_at must hand back bits of 0 or 1")
-        bits[t] = b
+        np.greater(u, thresholds[t], out=bits[t].view(np.bool_))
         history <<= 1
         history |= bits[t]
         history &= mask
-    if bits.max(initial=0) > 1:
-        raise ValueError("bits_at must hand back bits of 0 or 1")
-    return Rollout(*(np.ascontiguousarray(a.transpose(1, 0, 2))
-                     for a in (bits, potentials, spike_probs, fb_traces)))
+    bits, potentials, fb_traces = (np.ascontiguousarray(a.transpose(1, 0, 2))
+                                   for a in (bits, potentials, fb_traces))
+    return Rollout(bits, potentials, sigmoid(potentials), fb_traces)
 
 
 def grad_u_log_prob_noisy(zhat, s, epsilon: float):

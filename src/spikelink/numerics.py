@@ -27,20 +27,19 @@ __all__ = [
 ]
 
 
-def sigmoid(x, out=None):
+def sigmoid(x):
     """Logistic function 1 / (1 + exp(-x)), stable for |x| up to ~745.
 
-    Returns a float64 array of x's shape, 0-d for a scalar: out, when it is
-    given (it must not overlap x), which also holds the intermediates, so a
-    caller's loop can reuse one buffer.  Large positive x saturates to 1.0
-    and large negative x underflows to 0.0 without ever overflowing exp.
-    With e = exp(-x) where x >= 0 and exp(x) elsewhere, it is 1 / (1 + e)
-    where x >= 0 and e / (1 + e) elsewhere: the operands of the two-branch
-    form exactly, so selecting with masks changes no bit (a nan keeps its
-    sign, which exp(-|x|) would flip).
+    Returns a new float64 array of x's shape, 0-d for a scalar.  Large
+    positive x saturates to 1.0 and large negative x underflows to 0.0
+    without ever overflowing exp.  With e = exp(-x) where x >= 0 and
+    exp(x) elsewhere, it is 1 / (1 + e) where x >= 0 and e / (1 + e)
+    elsewhere: the operands of the two-branch form exactly, so selecting
+    with masks changes no bit (a nan keeps its sign, which exp(-|x|)
+    would flip).
     """
     arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr) if out is None else out
+    out = np.empty_like(arr)
     pos = arr >= 0
     # -x where x >= 0, else x; minimum hands back a nan x itself
     np.negative(arr, out=out)

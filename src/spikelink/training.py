@@ -9,10 +9,8 @@ traces the rollout keeps.  filter_dataset turns a dataset's train split,
 once, from 0/1 counts into uint16 history codes, and each batch's float64
 input traces are looked up from them (encoder.code_traces) into a buffer
 the epoch reuses.  The test split stays uint8 counts, which evaluate_grid
-projects in neuron space (encoder.drive_from_counts): no evaluation makes
-float64 test traces, and its integer tallies can differ from a line-space
-evaluation's only where a spike uniform falls within float rounding of its
-spike probability (see encoder).  train_epoch reads its settings by name
+projects in neuron space (encoder.drive_from_counts), making no float64
+test traces.  train_epoch reads its settings by name
 from the run's RunConfig, which checked them when it was built.  An array
 too large to allocate (the train split's codes, a batch's traces, a test
 chunk's draws, drive or rollout) leaves as NumPy's own MemoryError,
@@ -23,12 +21,12 @@ and feeds them back into the encoder's recurrence; that makes the sequence
 likelihood an exact autoregressive product, which is what the score
 differentiates.  Each batch draws its (steps, n, k) uniforms from the
 epoch's "draws" stream in one call, the doubles a draw per step would
-give, and step t's bits are channel.sample_noisy of uniforms[t].
+give, and the rollout's thresholds are channel.spike_thresholds of them.
 Evaluation mode runs the physical two-stage path: clean spikes drive the
-recurrence and the channel flips a copy.  Its uniforms depend only on the
-seed and the sample, so a training run draws them in its first epoch's
+recurrence and the channel flips a copy.  Its draws depend only on the
+seed and the sample, so a training run makes them in its first epoch's
 evaluation and keeps them in the state train_epoch carries; one-shot
-evaluations draw them chunk by chunk.
+evaluations make them chunk by chunk.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import log_prob_noisy, sample_noisy, transmit
+from .channel import log_prob_noisy, spike_thresholds, transmit
 from .config import RunConfig
 from .decoder import (
     DecoderParams,
@@ -251,8 +249,7 @@ def train_epoch(
         xb = traces_of(batch)
         yb = data.train_labels[batch]
         uniforms = draw.uniform((xb.shape[1], len(batch), encoder.n_out))
-        run = rollout(encoder, drive_from_traces(encoder, xb),
-                      lambda t, s: sample_noisy(s, eps, uniforms[t]))
+        run = rollout(encoder, drive_from_traces(encoder, xb), spike_thresholds(uniforms, eps))
         rate_losses = regularizer(run.bits, run.potentials, eps, prior, run.spike_probs)
         flat = run.bits.reshape(len(batch), -1).astype(np.float64)
         pre, hidden, logits, probs = forward_batch(decoder, flat)
@@ -297,14 +294,14 @@ def train_epoch(
 
 
 def _eval_uniforms(root: SeededRng, start: int, m: int, steps: int, k: int):
-    """Spike then flip uniforms, each (m, steps, k), of samples start .. start+m-1."""
-    spike_u = np.empty((m, steps, k))
-    flip_u = np.empty((m, steps, k))
+    """Spike thresholds (steps, m, k) of the spike uniforms, then flip
+    uniforms (m, steps, k), of samples start .. start+m-1."""
+    spike_u, flip_u = np.empty((steps, m, k)), np.empty((m, steps, k))
     for j in range(m):
         stream = root.substream("eval", start + j)
-        spike_u[j] = stream.uniform((steps, k))
+        spike_u[:, j] = stream.uniform((steps, k))
         flip_u[j] = stream.uniform((steps, k))
-    return spike_u, flip_u
+    return spike_thresholds(spike_u, 0.0), flip_u
 
 
 def evaluate(
@@ -344,7 +341,8 @@ def evaluate_grid(
     channel points share their randomness: a point evaluated twice gives
     identical answers, and sweeps vary only through the channel.  Each
     sample consumes spike uniforms first (steps x neurons) and flip
-    uniforms second, mirroring a per-step sample-then-transmit loop.
+    uniforms second, mirroring a per-step sample-then-transmit loop; a
+    spike uniform below sigmoid(u) spikes (spike_thresholds at epsilon 0).
 
     Clean spikes do not depend on epsilon, so each chunk of EVAL_CHUNK
     samples is rolled out once, and only the flips and the decoder run per
@@ -353,12 +351,11 @@ def evaluate_grid(
     depend on its row count), so under the same tally contract it does not
     change the results.
 
-    The uniforms depend on nothing but the seed, the sample index and the
-    shape, so a caller that evaluates the same test set again (training
-    does, every epoch) passes a dict as draws: each chunk's uniforms are
-    drawn into it on first use, keyed by seed, chunk and shape, and read
-    back afterwards.  Then it holds both uniform tensors of the whole test
-    set; without it, memory holds one chunk's.
+    A caller that evaluates the same test set again (training does, every
+    epoch) passes a dict as draws: each chunk's spike thresholds and flip
+    uniforms are made into it on first use, keyed by seed, chunk and
+    shape, and read back afterwards, so it holds them for the whole test
+    set, where a call without it holds one chunk's.
     """
     n, steps, _ = np.shape(counts)
     if n == 0:
@@ -373,15 +370,11 @@ def evaluate_grid(
         x = counts[start : start + EVAL_CHUNK]
         m = len(x)
         y = labels[start : start + m]
-        if draws is None:
-            spike_u, flip_u = _eval_uniforms(root, start, m, steps, k)
-        else:
-            key = (seed, start, m, steps, k)
-            if key not in draws:
-                draws[key] = _eval_uniforms(root, start, m, steps, k)
-            spike_u, flip_u = draws[key]
-        z = rollout(encoder, drive_from_counts(encoder, x),
-                    lambda t, s: spike_u[:, t, :] < s).bits
+        kept, key = {} if draws is None else draws, (seed, start, m, steps, k)
+        if key not in kept:
+            kept[key] = _eval_uniforms(root, start, m, steps, k)
+        thresholds, flip_u = kept[key]
+        z = rollout(encoder, drive_from_counts(encoder, x), thresholds).bits
         spikes += int(np.count_nonzero(z))
         for i, eps in enumerate(epsilons):
             zhat = transmit(z, eps, flip_u)

@@ -9,7 +9,9 @@ package produces by a separate, plainer route.  `training_rollout` (and
 tests compose the training path, filter_inputs then drive_from_traces then
 rollout, so the enumeration and finite-difference oracles check the drive
 train_epoch makes (its traces, looked up from history codes, equal
-filter_inputs' byte for byte).  The bar-task records come from the
+filter_inputs' byte for byte).  `sample_noisy` is the channel-marginalized
+law's plain sampler, U < q, that channel.spike_thresholds' decisions are
+pinned against.  The bar-task records come from the
 benchmark's reference (benchmarks/reference.py), which draws and bins the
 task without importing spikelink; `reference` is that module.
 """
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spikelink.channel import log_prob_noisy
+from spikelink.channel import log_prob_noisy, noisy_spike_prob
 from spikelink.decoder import forward_batch, losses_from_logits_batch
 from spikelink.encoder import drive_from_traces, filter_inputs, rollout
 from spikelink.events import EVENT_DTYPE, EventRecord
@@ -53,25 +55,40 @@ def all_sequences(steps: int, k: int) -> np.ndarray:
     return np.array(list(flat), dtype=np.uint8).reshape(-1, steps, k)
 
 
-def training_rollout(params, inputs, bits_at):
+def sample_noisy(s, epsilon: float, uniforms: np.ndarray) -> np.ndarray:
+    """Received bits drawn directly from the channel-marginalized law, given
+    spike probabilities s and one uniform draw per bit.
+
+    A bit is 1 where its uniform falls below noisy_spike_prob(s, eps); the
+    law is identical to sampling clean spikes and pushing them through
+    transmit, but costs a single draw.
+    """
+    return (uniforms < noisy_spike_prob(s, epsilon)).astype(np.uint8)
+
+
+def training_rollout(params, inputs, thresholds):
     """The training path on input counts of shape (n, steps, lines): their
     traces (filter_inputs), the drive train_epoch makes from them
-    (drive_from_traces), then the recurrence with bits_at(t, s) choosing
-    each step's bits.  Returns the run and the traces, which score_grads
-    reads."""
+    (drive_from_traces), then the recurrence, whose step-t bits are 1
+    where the potentials exceed thresholds[t] of a (steps, n, k) array.
+    Returns the run and the traces, which score_grads reads."""
     traces = filter_inputs(np.asarray(inputs, dtype=np.float64), params.kernel_ff)
-    return rollout(params, drive_from_traces(params, traces), bits_at), traces
+    return rollout(params, drive_from_traces(params, traces), thresholds), traces
 
 
 def replay(params, inputs, bits):
-    """training_rollout with the given bits (n, steps, k) fed back.  The
-    inputs are (n, steps, lines), or one (steps, lines) sequence replayed
-    against every row of bits."""
+    """training_rollout with the given bits (n, steps, k) fed back, through
+    thresholds of -inf where a bit is 1 and +inf where it is 0.  The inputs
+    are (n, steps, lines), or one (steps, lines) sequence replayed against
+    every row of bits.  A bit other than 0 or 1 raises ValueError."""
     bits = np.asarray(bits)
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ValueError("replayed bits must be 0 or 1")
     inputs = np.asarray(inputs)
     if inputs.ndim == 2:
         inputs = np.repeat(inputs[None], len(bits), axis=0)
-    return training_rollout(params, inputs, lambda t, s: bits[:, t])
+    thresholds = np.where(bits.transpose(1, 0, 2) == 1, -np.inf, np.inf)
+    return training_rollout(params, inputs, thresholds)
 
 
 def log_likelihood(run, eps: float) -> np.ndarray:

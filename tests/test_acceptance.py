@@ -28,7 +28,7 @@ from oracles import (
     training_rollout,
 )
 
-from spikelink.channel import log_prob_noisy, noisy_spike_prob, sample_noisy, transmit
+from spikelink.channel import log_prob_noisy, noisy_spike_prob, spike_thresholds, transmit
 from spikelink.cli import DEFAULT_BETA_GRID, DEFAULT_SNR_GRID_DB, _build_dataset, _init_models
 from spikelink.config import RunConfig
 from spikelink.decoder import (
@@ -234,12 +234,12 @@ def test_criterion_03_score_function_unbiasedness(capsys):
                         for i in range(len(f))]
 
         # the training path on 1e5 copies of the instance, one batch: the
-        # noisy rollout, the decoder loss, the rate term, the contraction
+        # sampler, the noisy rollout, the decoder loss, the rate term, the
+        # contraction
         draws = 100_000
-        rng = SeededRng(775)
-        mc, mc_traces = training_rollout(
-            params, np.repeat(inputs[None], draws, axis=0),
-            lambda t, s: sample_noisy(s, eps, rng.uniform(np.shape(s))))
+        thresholds = spike_thresholds(SeededRng(775).uniform((T, draws, k)), eps)
+        mc, mc_traces = training_rollout(params, np.repeat(inputs[None], draws, axis=0),
+                                         thresholds)
         mean = score_grads(mc, mc_traces, eps,
                            sample_losses(decoder, mc, eps, beta, label, prior) / draws)
 
@@ -299,8 +299,8 @@ def test_criterion_05_channel_statistics(capsys):
         draws = 100_000
         u = np.array([0.0, 1.0])
         eps2 = 0.2
-        direct = sample_noisy(np.tile(sigmoid(u), (draws, 1)), eps2,
-                              SeededRng(613).uniform((draws, 2)))
+        # the sampler training runs: a bit is 1 where u exceeds its threshold
+        direct = (u > spike_thresholds(SeededRng(613).uniform((draws, 2)), eps2)).view(np.uint8)
         staged_rng = SeededRng(614)
         spikes = bernoulli(staged_rng, np.tile(sigmoid(u), (draws, 1)))
         staged = transmit(spikes, eps2, staged_rng.uniform(spikes.shape))

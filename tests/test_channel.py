@@ -1,16 +1,18 @@
-"""Channel law: flips, marginalized statistics, normalization."""
+"""Channel law: flips, marginalized statistics, normalization, and the
+threshold sampler training runs, decision by decision against the plain
+U < q sampler."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
-from oracles import bernoulli
+from oracles import bernoulli, sample_noisy
 
 from spikelink.channel import (
     log_prob_noisy,
     noisy_spike_prob,
-    sample_noisy,
+    spike_thresholds,
     transmit,
 )
 from spikelink.config import ConfigError, RunConfig
@@ -182,3 +184,82 @@ class TestSampleNoisy:
             (obs2 - n * pooled) ** 2 / (n * pooled)
         )
         assert stat < CHI2_99_DF3
+
+
+# crossover points the threshold sampler is pinned at: clean, the default
+# training point, and just below the half where the law stops depending on u
+THRESHOLD_EPSILONS = (0.0, 0.1, 0.4999)
+EDGE_POTENTIALS = (40.0, -40.0, 800.0, -800.0, math.inf, -math.inf, math.nan)
+# (eps, U, u) edge pairs whose threshold decision differs from U < q
+EDGE_EXCEPTIONS = {
+    # sigmoid(-800) underflows to 0, so U < q reads 0 < 0; the threshold
+    # -inf keeps the exact q > 0
+    (0.0, 0.0, -800.0): "sigmoid underflows",
+    # eps + (1 - 2*eps) * sigmoid(u) rounds onto eps, so U < q reads
+    # eps < eps; the exact q exceeds eps
+    **{(eps, eps, u): "q rounds onto eps" for eps in (0.1, 0.4999) for u in (-40.0, -800.0)},
+    # a threshold of -inf cannot lie below u = -inf; no finite weights and
+    # inputs make that potential
+    **{(eps, 0.0, -math.inf): "u = -inf" for eps in (0.1, 0.4999)},
+}
+
+
+def _decisions(u, eps, uniforms):
+    """(threshold bits, reference U < q bits) of potentials u."""
+    return u > spike_thresholds(uniforms, eps), sample_noisy(sigmoid(u), eps, uniforms) == 1
+
+
+class TestSpikeThresholds:
+    """A bit is 1 where u exceeds its threshold: the event U < q, decided
+    the same as the plain sampler except within float rounding of q."""
+
+    def test_shape_and_infinite_ends(self):
+        uniforms = np.array([[0.0, 0.05, 0.1], [0.5, 0.9, np.nextafter(1.0, 0.0)]])
+        got = spike_thresholds(uniforms, 0.1)
+        assert got.shape == uniforms.shape
+        np.testing.assert_array_equal(got[0, :2], -np.inf)
+        np.testing.assert_array_equal(got[1, 1:], np.inf)
+        assert got[1, 0] == 0.0
+        assert spike_thresholds(0.25, 0.0) == pytest.approx(math.log(1.0 / 3.0), rel=1e-15)
+        with pytest.raises(ValueError, match="crossover"):
+            spike_thresholds(uniforms, 0.6)
+
+    @pytest.mark.parametrize("eps", THRESHOLD_EPSILONS)
+    def test_random_pairs_agree_with_reference(self, eps):
+        # 10^6 pairs, potentials at scales 1, 5 and 40: no decision differs
+        rng = SeededRng(41)
+        n = 1_000_000
+        scale = np.array([1.0, 5.0, 40.0])[rng.integers(0, 3, n)]
+        u = rng.generator.normal(size=n) * scale
+        bits, reference = _decisions(u, eps, rng.uniform(n))
+        assert np.count_nonzero(bits != reference) == 0
+        assert 0 < np.count_nonzero(bits) < n
+
+    @pytest.mark.parametrize("eps", THRESHOLD_EPSILONS)
+    def test_edge_values_match_or_are_listed(self, eps):
+        edges = (0.0, eps, np.nextafter(eps, 1.0), 0.5, np.nextafter(1.0 - eps, 0.0),
+                 1.0 - eps, np.nextafter(1.0, 0.0))
+        uniforms, u = (np.array(a).ravel() for a in np.meshgrid(edges, EDGE_POTENTIALS))
+        bits, reference = _decisions(u, eps, uniforms)
+        differ = {(eps, float(a), float(b)) for a, b in zip(uniforms[bits != reference],
+                                                            u[bits != reference])}
+        assert differ == {key for key in EDGE_EXCEPTIONS if key[0] == eps}
+
+    @pytest.mark.parametrize("eps", THRESHOLD_EPSILONS)
+    def test_disagreement_only_within_rounding_of_q(self, eps):
+        # uniforms j ulps of q either side of it, |j| <= 64: a decision may
+        # differ only within 2 ulps of q, widened at eps = 0 by the
+        # potential's own rounding to 2 * (1 + |u|) ulps, since q is then
+        # sigmoid(u) itself and may be as small as 1e-18
+        rng = SeededRng(42)
+        u = np.clip(rng.generator.normal(scale=10.0, size=2000), -40.0, 40.0)
+        q = noisy_spike_prob(sigmoid(u), eps)
+        j = np.arange(-64, 65)[:, None]
+        uniforms = q + j * np.spacing(q)
+        inside = (uniforms >= 0.0) & (uniforms < 1.0)
+        bits, reference = _decisions(u, eps, np.where(inside, uniforms, 0.5))
+        differ = (bits != reference) & inside
+        band = 2.0 * (1.0 + np.abs(u)) if eps == 0.0 else np.full_like(u, 2.0)
+        assert np.count_nonzero(differ) > 0
+        assert np.all(np.abs(np.broadcast_to(j, differ.shape)[differ])
+                      <= np.broadcast_to(band, differ.shape)[differ])

@@ -20,7 +20,7 @@ from oracles import (
 )
 
 from spikelink import training
-from spikelink.channel import log_prob_noisy
+from spikelink.channel import log_prob_noisy, spike_thresholds
 from spikelink.config import RunConfig
 from spikelink.encoder import (
     EncoderParams,
@@ -101,9 +101,7 @@ class TestParams:
 class TestStateTraces:
     def test_shape_checks(self):
         params = _tiny_params(k=2, n_in=3)
-
-        def silent(t, s):
-            return np.zeros_like(s)
+        silent = np.full((4, 1, 2), np.inf)
 
         # a drive has one column per neuron; traces and counts one per line
         with pytest.raises(ValueError, match="shape"):
@@ -115,9 +113,10 @@ class TestStateTraces:
                 drive(params, np.zeros((1, 4, 2)))
             with pytest.raises(ValueError, match="shape"):
                 drive(params, np.zeros((4, 3)))
-        # a bit rule must hand back one bit per sequence and neuron
-        with pytest.raises(ValueError):
-            rollout(params, np.zeros((1, 4, 2)), lambda t, s: np.zeros((1, 3)))
+        # thresholds are step-major, one per step, sequence and neuron
+        for thresholds in (np.zeros((1, 4, 2)), np.zeros((4, 1, 3)), np.zeros((4, 2))):
+            with pytest.raises(ValueError, match="thresholds must have shape"):
+                rollout(params, np.zeros((1, 4, 2)), thresholds)
 
     def test_input_trace_includes_current_step(self):
         # kernel (1, 0.5, 0.25), inputs 1, 0, 1, 1:
@@ -174,10 +173,10 @@ class TestStateTraces:
 
     @pytest.mark.parametrize("bit", [2, 255, 256, -256, 0.5, 1.5])
     def test_replayed_bit_other_than_zero_or_one_is_refused(self, bit):
-        # the feedback table reads a bit as one bit of an index: any other
-        # value must be refused, not read as a different history; 256,
-        # -256, 0.5 and 1.5 come in the smallest dtype that holds them,
-        # which a cast to uint8 would wrap to 0 or 1
+        # replay feeds bits back through -inf and +inf thresholds, which
+        # would read any value other than 1 as a 0: it must refuse it
+        # instead; 256, -256, 0.5 and 1.5 come in the smallest dtype that
+        # holds them, which a cast to uint8 would wrap to 0 or 1
         params = _tiny_params(k=2, n_in=3, kernel_fb=kernel(1.0, 0.5, 0.25))
         bits = np.zeros((2, 4, 2), dtype=np.min_scalar_type(bit))
         bits[1, 2, 0] = bit
@@ -262,9 +261,9 @@ class TestDrives:
             made.append(out)
             return out
 
-        def checked_rollout(params, drive_arg, bits_at):
+        def checked_rollout(params, drive_arg, thresholds):
             rolled.append(any(drive_arg is out for out in made))
-            return rollout(params, drive_arg, bits_at)
+            return rollout(params, drive_arg, thresholds)
 
         monkeypatch.setattr(oracles, "drive_from_traces", drive)
         monkeypatch.setattr(oracles, "rollout", checked_rollout)
@@ -357,22 +356,16 @@ class TestMembranePotential:
         )
 
     def test_bit_rule_sees_each_step_once(self):
-        # the rule gets step t's spike probabilities before any later step
-        # exists, and the bits it returns are the ones fed back and kept
+        # step t's bits are its potentials against thresholds[t] of a
+        # step-major array, and those are the bits fed back and kept
         params = _tiny_params()
         inputs = bernoulli(SeededRng(4), np.full((3, 5, params.n_in), 0.5))
-        seen = []
-
-        def rule(t, s):
-            seen.append((t, s.copy()))
-            return s > 0.5
-
-        run, _ = training_rollout(params, inputs, rule)
-        assert [t for t, _ in seen] == list(range(5))
-        for t, s in seen:
-            np.testing.assert_array_equal(run.spike_probs[:, t], s)
-            np.testing.assert_array_equal(run.bits[:, t], s > 0.5)
-        # whole-tensor sigmoid equals the per-step one bit for bit
+        thresholds = SeededRng(5).uniform_range(-2.0, 2.0, (5, 3, params.n_out))
+        run, _ = training_rollout(params, inputs, thresholds)
+        for t in range(5):
+            np.testing.assert_array_equal(run.bits[:, t], run.potentials[:, t] > thresholds[t])
+        assert 0 < np.count_nonzero(run.bits) < run.bits.size
+        # the spike probabilities are the sigmoid of the potentials, bit for bit
         np.testing.assert_array_equal(run.spike_probs, sigmoid(run.potentials))
 
 
@@ -437,7 +430,7 @@ class TestPotentialGrads:
         # confirming the traces in the score are the ones in the forward pass
         params = _tiny_params()
         inputs = bernoulli(SeededRng(9), np.full((2, 3, params.n_in), 0.7))
-        run, traces = training_rollout(params, inputs, lambda t, s: s > 0.5)
+        run, traces = training_rollout(params, inputs, np.zeros((3, 2, params.n_out)))
         manual = (traces @ params.ff_weights.T
                   + params.fb_weights * run.fb_traces + params.bias)
         np.testing.assert_allclose(run.potentials, manual, rtol=1e-14)
@@ -474,8 +467,8 @@ class TestScoreGrads:
         rng = SeededRng(n * steps + k)
         params = init_encoder_params(lines, k, rng.substream("init"))
         inputs = bernoulli(rng.substream("x"), np.full((n, steps, lines), 0.2))
-        draw = rng.substream("bits")
-        run, traces = training_rollout(params, inputs, lambda t, s: bernoulli(draw, s))
+        thresholds = spike_thresholds(rng.substream("bits").uniform((steps, n, k)), 0.0)
+        run, traces = training_rollout(params, inputs, thresholds)
         weights = rng.substream("w").uniform_range(-1.0, 1.0, n)
         score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
         expected = np.einsum("b,btk,btn->kn", weights, score_u, traces)

@@ -11,10 +11,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import bernoulli, finite_diff_grad
+from oracles import bernoulli, finite_diff_grad, replay
 
 from spikelink import encoder
-from spikelink.encoder import EncoderParams, filter_inputs, rollout
+from spikelink.encoder import EncoderParams, filter_inputs
 from spikelink.numerics import (
     Kernel,
     SeededRng,
@@ -142,9 +142,9 @@ def _step_ordered(x, coeff):
 def _feedback_traces(bits, kernel):
     """The rollout's feedback traces (n, steps, neurons) with these bits fed
     back, on a zero drive."""
-    k = bits.shape[2]
+    n, steps, k = bits.shape
     params = EncoderParams(np.zeros((k, 1)), np.zeros(k), np.zeros(k), kernel, kernel)
-    return rollout(params, np.zeros(bits.shape), lambda t, s: bits[:, t]).fb_traces
+    return replay(params, np.zeros((n, steps, 1)), bits)[0].fb_traces
 
 
 class TestCausalConvolve:

@@ -28,7 +28,7 @@ from oracles import (
 )
 
 from spikelink import training
-from spikelink.channel import noisy_spike_prob, sample_noisy
+from spikelink.channel import noisy_spike_prob, spike_thresholds
 from spikelink.config import ConfigError, RunConfig
 from spikelink.decoder import init_decoder_params
 from spikelink.encoder import (
@@ -168,23 +168,21 @@ class TestSequencePaths:
         params = _tiny_encoder(k=2, n_in=3, seed=5)
         rng = SeededRng(21)
         inputs = bernoulli(rng, np.full((4, 5, 3), 0.6))
-        run, _ = training_rollout(params, inputs,
-                                  lambda t, s: sample_noisy(s, 0.2, rng.uniform(np.shape(s))))
+        run, _ = training_rollout(params, inputs, spike_thresholds(rng.uniform((5, 4, 2)), 0.2))
         again, _ = replay(params, inputs, run.bits)
         for name in ("bits", "potentials", "spike_probs", "fb_traces"):
             np.testing.assert_array_equal(getattr(again, name), getattr(run, name))
 
     def test_training_draws_follow_one_uniform_block(self):
-        # step t compares the t-th (n, k) block of one uniform stream with
-        # the marginal spike probability
+        # step t's thresholds come from the t-th (n, k) block of one
+        # uniform block, and its bits are those uniforms below the marginal
+        # spike probability
         params = _tiny_encoder(k=2, n_in=3, seed=6)
         inputs = bernoulli(SeededRng(22), np.full((4, 5, 3), 0.6))
-        draw = SeededRng(23)
-        run, _ = training_rollout(
-            params, inputs, lambda t, s: sample_noisy(s, 0.2, draw.uniform(np.shape(s))))
-        uniforms = SeededRng(23).uniform((5, 4, 2)).transpose(1, 0, 2)
+        uniforms = SeededRng(23).uniform((5, 4, 2))
+        run, _ = training_rollout(params, inputs, spike_thresholds(uniforms, 0.2))
         q = noisy_spike_prob(sigmoid(run.potentials), 0.2)
-        np.testing.assert_array_equal(run.bits, uniforms < q)
+        np.testing.assert_array_equal(run.bits, uniforms.transpose(1, 0, 2) < q)
 
 
     def test_clean_run_shapes_and_determinism(self):
@@ -192,13 +190,10 @@ class TestSequencePaths:
         # below sigmoid(u); evaluate counts exactly these spikes
         params = _tiny_encoder(k=2, n_in=3, seed=5)
         counts = bernoulli(SeededRng(1), np.full((1, 4, 3), 0.5))
-        spike_u = SeededRng(77).substream("eval", 0).uniform((4, 2))[None]
-
-        def clean(t, s):
-            return spike_u[:, t, :] < s
-
-        first, _ = training_rollout(params, counts, clean)
-        second, _ = training_rollout(params, counts, clean)
+        spike_u = SeededRng(77).substream("eval", 0).uniform((4, 1, 2))
+        first, _ = training_rollout(params, counts, spike_thresholds(spike_u, 0.0))
+        second, _ = training_rollout(params, counts, spike_thresholds(spike_u, 0.0))
+        np.testing.assert_array_equal(first.bits, spike_u.transpose(1, 0, 2) < first.spike_probs)
         assert first.bits.shape == (1, 4, 2) and first.potentials.shape == (1, 4, 2)
         np.testing.assert_array_equal(first.bits, second.bits)
         np.testing.assert_array_equal(first.potentials, second.potentials)
@@ -251,10 +246,9 @@ class TestUnbiasedness:
 
         # the training rollout on 20k copies of the input, one batch
         draws = 20_000
-        rng = SeededRng(777)
+        uniforms = SeededRng(777).uniform((3, draws, 1))
         mc, mc_traces = training_rollout(
-            params, np.repeat(inputs[None], draws, axis=0),
-            lambda t, s: sample_noisy(s, eps, rng.uniform(np.shape(s))))
+            params, np.repeat(inputs[None], draws, axis=0), spike_thresholds(uniforms, eps))
         f_mc = sample_losses(decoder, mc, eps, beta, self.LABEL, self.PRIOR)
         mean = score_grads(mc, mc_traces, eps, f_mc / draws)
 
@@ -354,19 +348,20 @@ class TestEpochLoop:
         data = _toy_dataset(n_train=12)
         enc, dec = _toy_models(data)
         seen = []
-        real = training.sample_noisy
+        real = training.spike_thresholds
 
-        def spy(s, eps, uniforms):
+        def spy(uniforms, eps):
             seen.append(np.array(uniforms))
-            return real(s, eps, uniforms)
+            return real(uniforms, eps)
 
-        monkeypatch.setattr(training, "sample_noisy", spy)
+        monkeypatch.setattr(training, "spike_thresholds", spy)
         rng = SeededRng(0).substream("t", 0)
         train_epoch(enc, dec, data, RunConfig(batch_size=5, epsilon=0.1), rng, {})
         steps, k = data.train_inputs.shape[1], enc.n_out
-        assert [u.shape for u in seen] == [(5, k)] * (2 * steps) + [(2, k)] * steps
+        # the training batches' draws; the last call is evaluation's
+        assert [u.shape for u in seen[:-1]] == [(steps, 5, k)] * 2 + [(steps, 2, k)]
         expected = rng.substream("draws").uniform((12 * steps * k,))
-        np.testing.assert_array_equal(np.concatenate([u.ravel() for u in seen]), expected)
+        np.testing.assert_array_equal(np.concatenate([u.ravel() for u in seen[:-1]]), expected)
 
     def test_epoch_memory_bounded_by_batch_buffers(self):
         # the train split is kept as 2-byte history codes and an epoch
@@ -599,9 +594,9 @@ class TestEvaluateGrid:
         assert peak < 6 * chunk_traces, f"peak {peak} bytes"
 
     def test_epoch_memory_beyond_its_draws_bounded_by_chunk(self):
-        # an epoch keeps the test set's uniforms in its state and nothing
-        # else of the test set's size: past them, its evaluation stays
-        # chunk-bounded like a one-shot call
+        # an epoch keeps the test set's spike thresholds and flip uniforms
+        # in its state and nothing else of the test set's size: past them,
+        # its evaluation stays chunk-bounded like a one-shot call
         n, steps, lines, k = 2048, 20, 64, 16
         rng = SeededRng(1)
         counts = (rng.uniform((n + 8, steps, lines)) < 0.2).astype(np.float64)

@@ -21,7 +21,10 @@ window of 25, the one case whose feedback taps run past the rollout's
 table of partial sums (12 taps).  `long-input-window` does the same with
 an input window of 25, the one case whose input taps run past the 16-step
 history codes that training looks its input traces up from.  Under
---tiny, T = 6 cuts both windows to 6.
+--tiny, T = 6 cuts both windows to 6.  `high-crossover` trains at
+epsilon = 0.45, where 90% of the spike thresholds are infinite and the
+factor 1 - 2 * epsilon magnifies the rounding of the finite ones; every
+other training case runs at epsilon 0.1 or below.
 After the cases, one child per tree reads TREE_A's metrics.csv of every
 case and renders it through export_metrics as key=value and as CSV text;
 the two trees' texts must match, which checks the exporters and the
@@ -57,6 +60,7 @@ CASES = (
     ("event-files", ["train"], {"seed": 9, "dataset": "events"}),
     ("long-feedback-window", ["train"], {"seed": 11, "T": 30, "window_fb": 25}),
     ("long-input-window", ["train"], {"seed": 12, "T": 30, "window_ff": 25}),
+    ("high-crossover", ["train"], {"seed": 13, "epsilon": 0.45}),
     ("diverged", ["train"], {"seed": 10, "eta": 1e200}),
 )
 # the exit code each case should end with, if not 0: a diverged run exits 3
