@@ -63,8 +63,7 @@ def save_checkpoint(path, encoder: EncoderParams, decoder: DecoderParams,
     path = Path(path)
     with _atomic_open(path) as fh:
         fh.write(f"{_MAGIC} {_VERSION}\n")
-        items = dict(meta or {})
-        items.setdefault("output", decoder.output)
+        items = {"output": decoder.output, **(meta or {})}
         for key in sorted(items):
             key, value = str(key), str(items[key])
             if not (key and value) or any(c.isspace() for c in key + value):

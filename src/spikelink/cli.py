@@ -41,7 +41,9 @@ from .encoder import init_encoder_params
 from .events import load_frames, synthetic_frames
 from .metrics import MetricsRow, _atomic_open, export_metrics, read_metrics, write_metrics
 from .numerics import SeededRng, db_to_linear, ebn0_to_epsilon
-from .training import Dataset, TrainingDiverged, evaluate_grid, filter_dataset, train_epoch
+from .training import (
+    Dataset, TrainState, TrainingDiverged, evaluate_grid, filter_dataset, train_epoch,
+)
 
 DEFAULT_SNR_GRID_DB = (float("-inf"), -6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
 DEFAULT_MISMATCH_GRID = (0.05, 0.10, 0.15, 0.20, 0.25)
@@ -116,15 +118,13 @@ def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
     or an interruption in an epoch is raised again naming the experiment,
     point and epoch."""
     eps = cfg.crossover()
-    encoder, decoder = _init_models(cfg, data)
+    state = TrainState(*_init_models(cfg, data))
     root = SeededRng(cfg.seed)
-    opt_state: dict = {}
+    draws: dict = {}
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         try:
-            encoder, decoder, metrics = train_epoch(
-                encoder, decoder, data, cfg, root.substream("train", epoch), opt_state
-            )
+            state, metrics = train_epoch(state, data, cfg, root.substream("train", epoch), draws)
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"{experiment} point {point} epoch {epoch}: {exc}") from exc
         except KeyboardInterrupt:
@@ -149,7 +149,7 @@ def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
             f"error={metrics.test_error:.4f} rate={metrics.spike_rate:.4f} "
             f"objective={metrics.objective:.4f}"
         )
-    return encoder, decoder
+    return state.encoder, state.decoder
 
 
 def _parse_grid(args, mapping: str, epsilon_grid=(), ebn0_grid_db=()):

@@ -24,9 +24,12 @@ epoch's "draws" stream in one call, the doubles a draw per step would
 give, and the rollout's thresholds are channel.spike_thresholds of them.
 Evaluation mode runs the physical two-stage path: clean spikes drive the
 recurrence and the channel flips a copy.  Its draws depend only on the
-seed and the sample, so a training run makes them in its first epoch's
-evaluation and keeps them in the state train_epoch carries; one-shot
-evaluations make them chunk by chunk.
+seed and the sample, so they are a cache, not training state: a training
+run makes them into the draws dict it passes every epoch's train_epoch,
+in its first epoch's evaluation, and reads them back afterwards; one-shot
+evaluations make them chunk by chunk.  What an epoch carries to the next
+is a frozen TrainState: the two models, their momentum velocities and the
+moving baseline.
 """
 
 from __future__ import annotations
@@ -40,12 +43,14 @@ import numpy as np
 from .channel import log_prob_noisy, spike_thresholds, transmit
 from .config import RunConfig
 from .decoder import (
+    DecoderGrads,
     DecoderParams,
     backward_batch,
     forward_batch,
     losses_from_logits_batch,
 )
 from .encoder import (
+    EncoderGrads,
     EncoderParams,
     code_traces,
     drive_from_counts,
@@ -64,6 +69,7 @@ __all__ = [
     "Dataset",
     "filter_dataset",
     "TrainingDiverged",
+    "TrainState",
     "regularizer",
     "vdib_loss",
     "sgd_update",
@@ -137,6 +143,20 @@ def filter_dataset(data: Dataset) -> Dataset:
 
 
 @dataclass(frozen=True)
+class TrainState:
+    """What a training run carries from one epoch to the next: the two
+    models, their momentum velocities (None without momentum, and before
+    the first batch) and the moving baseline (None until a batch updates
+    it)."""
+
+    encoder: EncoderParams
+    decoder: DecoderParams
+    enc_vel: EncoderGrads | None = None
+    dec_vel: DecoderGrads | None = None
+    baseline: float | None = None
+
+
+@dataclass(frozen=True)
 class EpochMetrics:
     task_loss: float
     rate_loss: float
@@ -190,10 +210,11 @@ def _clip(grads, limit: float):
 
 def sgd_update(params, grads, eta: float, velocity=None, momentum: float = 0.0):
     """One plain (or momentum) SGD step; returns fresh params and the new
-    velocity, a dict by field name (empty without momentum).
+    velocity, of grads' type (None without momentum).
 
-    grads must carry a subset of params' array fields under the same names.
-    Non-finite gradients abort rather than poison the weights.
+    grads must carry a subset of params' array fields under the same names,
+    and velocity, when given, grads' fields.  Non-finite gradients abort
+    rather than poison the weights.
     """
     updates = {}
     new_velocity = {}
@@ -202,11 +223,11 @@ def sgd_update(params, grads, eta: float, velocity=None, momentum: float = 0.0):
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient in {f.name}")
         if momentum > 0.0:
-            v = momentum * (velocity or {}).get(f.name, 0.0) + g
+            v = momentum * (0.0 if velocity is None else getattr(velocity, f.name)) + g
             new_velocity[f.name] = v
             g = v
         updates[f.name] = getattr(params, f.name) - eta * g
-    return replace(params, **updates), new_velocity
+    return replace(params, **updates), type(grads)(**new_velocity) if momentum > 0.0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +235,22 @@ def sgd_update(params, grads, eta: float, velocity=None, momentum: float = 0.0):
 
 
 def train_epoch(
-    encoder: EncoderParams,
-    decoder: DecoderParams,
+    state: TrainState,
     data: Dataset,
     config: RunConfig,
     rng: SeededRng,
-    state: dict,
-) -> tuple[EncoderParams, DecoderParams, EpochMetrics]:
+    draws: dict,
+) -> tuple[TrainState, EpochMetrics]:
     """One pass over the training set in shuffled minibatches.
 
-    Returns updated parameters and the epoch's metrics (losses averaged
-    over training samples; error and spike rate measured on the test set).
-    The state dict, empty at a run's first epoch, carries momentum
-    velocities, the moving baseline and the test samples' evaluation draws
-    across epochs, so a run draws those uniforms in its first epoch only.
+    Returns the TrainState after the epoch's last batch and the epoch's
+    metrics (losses averaged over training samples; error and spike rate
+    measured on the test set).  The state passed in, TrainState(encoder,
+    decoder) at a run's first epoch, is read once and never changed, so an
+    epoch cut short leaves it as the last finished epoch returned it.
+    draws is the run's cache of evaluation draws (see evaluate_grid), empty
+    at its first epoch: the test samples' uniforms are made into it once
+    and read back every later epoch.
     The dataset's train split must hold history codes (filter_dataset),
     from which each batch's input traces are looked up under the encoder's
     kernel_ff (encoder.code_traces); its test split holds counts.  Of the config
@@ -237,6 +260,8 @@ def train_epoch(
     eps = config.training_crossover()
     if data.train_inputs.dtype != np.uint16:
         raise ValueError("train inputs are not history codes: make them with filter_dataset")
+    encoder, decoder = state.encoder, state.decoder
+    enc_vel, dec_vel, baseline = state.enc_vel, state.dec_vel, state.baseline
     traces_of = code_traces(data.train_inputs, encoder.kernel_ff, config.batch_size)
     prior = PriorModel(config.prior_rate)
     order = rng.substream("shuffle").permutation(len(data.train_inputs))
@@ -262,26 +287,21 @@ def train_epoch(
         count += len(batch)
         reinforce = sample_losses
         if config.baseline:
-            avg = state.get("baseline", float(sample_losses.mean()))
+            avg = float(sample_losses.mean()) if baseline is None else baseline
             reinforce = sample_losses - avg
-            state["baseline"] = 0.9 * avg + 0.1 * float(sample_losses.mean())
+            baseline = 0.9 * avg + 0.1 * float(sample_losses.mean())
         enc_grads = _clip(
             score_grads(run, xb, eps, reinforce / float(len(batch))), config.grad_clip
         )
         dec_grads = _clip(
             backward_batch(decoder, flat, pre, hidden, probs, yb), config.grad_clip
         )
-        encoder, state["enc_vel"] = sgd_update(
-            encoder, enc_grads, config.eta, state.get("enc_vel"), config.momentum
-        )
-        decoder, state["dec_vel"] = sgd_update(
-            decoder, dec_grads, config.eta, state.get("dec_vel"), config.momentum
-        )
+        encoder, enc_vel = sgd_update(encoder, enc_grads, config.eta, enc_vel, config.momentum)
+        decoder, dec_vel = sgd_update(decoder, dec_grads, config.eta, dec_vel, config.momentum)
     mean_task = task_sum / max(count, 1)
     mean_rate = rate_sum / max(count, 1)
     test_error, test_rate = evaluate(
-        encoder, decoder, data.test_inputs, data.test_labels, eps, config.seed,
-        draws=state.setdefault("eval_draws", {}),
+        encoder, decoder, data.test_inputs, data.test_labels, eps, config.seed, draws=draws
     )
     metrics = EpochMetrics(
         task_loss=mean_task,
@@ -290,7 +310,7 @@ def train_epoch(
         test_error=test_error,
         spike_rate=test_rate,
     )
-    return encoder, decoder, metrics
+    return TrainState(encoder, decoder, enc_vel, dec_vel, baseline), metrics
 
 
 def _eval_uniforms(root: SeededRng, start: int, m: int, steps: int, k: int):

@@ -42,6 +42,7 @@ from spikelink.encoder import EncoderParams, grad_u_log_prob_noisy, score_grads
 from spikelink.numerics import SeededRng, db_to_linear, ebn0_to_epsilon, sigmoid
 from spikelink.training import (
     PriorModel,
+    TrainState,
     evaluate,
     evaluate_grid,
     regularizer,
@@ -86,19 +87,17 @@ def _small_encoder(k, n_in, seed):
 def _train(cfg, epochs=None, stop_at=None):
     """Library-level training run; returns models, data, per-epoch metrics."""
     data = _build_dataset(cfg)
-    encoder, decoder = _init_models(cfg, data)
+    state = TrainState(*_init_models(cfg, data))
     total = epochs if epochs is not None else cfg.epochs
     root = SeededRng(cfg.seed)
-    opt_state: dict = {}
+    draws: dict = {}
     history = []
     for epoch in range(total):
-        encoder, decoder, metrics = train_epoch(
-            encoder, decoder, data, cfg, root.substream("train", epoch), opt_state
-        )
+        state, metrics = train_epoch(state, data, cfg, root.substream("train", epoch), draws)
         history.append(metrics)
         if stop_at is not None and metrics.test_error <= stop_at:
             break
-    return encoder, decoder, data, history
+    return state.encoder, state.decoder, data, history
 
 
 # ---------------------------------------------------------------------------

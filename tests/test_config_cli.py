@@ -701,10 +701,10 @@ class TestCliSweeps:
     def _diverge_at(monkeypatch, epsilon):
         real = cli.train_epoch
 
-        def train_epoch(encoder, decoder, data, config, *rest):
+        def train_epoch(state, data, config, *rest):
             if epsilon is None or config.crossover() == epsilon:
                 raise TrainingDiverged("non-finite sample loss")
-            return real(encoder, decoder, data, config, *rest)
+            return real(state, data, config, *rest)
 
         monkeypatch.setattr(cli, "train_epoch", train_epoch)
 
@@ -736,11 +736,11 @@ class TestCliSweeps:
         real = cli.train_epoch
         seen = []
 
-        def train_epoch(encoder, decoder, data, config, *rest):
+        def train_epoch(state, data, config, *rest):
             seen.append(config.beta)
             if seen.count(0.2) == 2:
                 raise TrainingDiverged("non-finite sample loss")
-            return real(encoder, decoder, data, config, *rest)
+            return real(state, data, config, *rest)
 
         monkeypatch.setattr(cli, "train_epoch", train_epoch)
         out = tmp_path / "beta"
@@ -861,9 +861,9 @@ class TestCliSweeps:
         test_dtypes = []
         real_epoch = cli.train_epoch
 
-        def train_epoch(encoder, decoder, data, *rest):
+        def train_epoch(state, data, config, *rest):
             test_dtypes.append(data.test_inputs.dtype)
-            return real_epoch(encoder, decoder, data, *rest)
+            return real_epoch(state, data, config, *rest)
 
         monkeypatch.setattr(cli, "train_epoch", train_epoch)
         traces = 2048 * 20 * 64 * 8

@@ -281,8 +281,8 @@ class TestDrives:
         params = _tiny_params()
         data = training.filter_dataset(data)
         decoder = init_decoder_params(8, 2, SeededRng(2), hidden_dim=3)
-        training.train_epoch(params, decoder, data, RunConfig(batch_size=4, epsilon=0.1),
-                             SeededRng(3), {})
+        training.train_epoch(training.TrainState(params, decoder), data,
+                             RunConfig(batch_size=4, epsilon=0.1), SeededRng(3), {})
         assert len(made) == 2
 
 

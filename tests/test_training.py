@@ -8,7 +8,7 @@ for the training rollout, and a per-sample reference for evaluation.
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from oracles import (
 from spikelink import training
 from spikelink.channel import noisy_spike_prob, spike_thresholds
 from spikelink.config import ConfigError, RunConfig
-from spikelink.decoder import init_decoder_params
+from spikelink.decoder import DecoderGrads, init_decoder_params
 from spikelink.encoder import (
     EncoderGrads,
     EncoderParams,
@@ -44,6 +44,7 @@ from spikelink.numerics import SeededRng, sigmoid
 from spikelink.training import (
     Dataset,
     PriorModel,
+    TrainState,
     TrainingDiverged,
     evaluate,
     evaluate_grid,
@@ -121,7 +122,7 @@ class TestObjectiveAndUpdates:
             bias=np.ones_like(params.bias),
         )
         updated, velocity = sgd_update(params, grads, eta=0.1)
-        assert velocity == {}
+        assert velocity is None
         np.testing.assert_allclose(updated.ff_weights, params.ff_weights - 0.1)
         np.testing.assert_allclose(updated.bias, params.bias - 0.1)
         # kernels ride along untouched
@@ -138,6 +139,8 @@ class TestObjectiveAndUpdates:
         p2, vel = sgd_update(p1, ones, eta=0.1, velocity=vel, momentum=0.5)
         # second step uses velocity 1.5: total displacement 0.1 * (1 + 1.5)
         np.testing.assert_allclose(p2.bias, params.bias - 0.25)
+        assert isinstance(vel, EncoderGrads)
+        np.testing.assert_allclose(vel.bias, 1.5)
 
     def test_sgd_rejects_non_finite(self):
         params = _tiny_encoder()
@@ -295,58 +298,135 @@ def _toy_dataset(**kwargs):
     return filter_dataset(_toy_counts(**kwargs))
 
 
+def _state_values(state):
+    """Copies of the arrays a TrainState holds and its baseline, by name."""
+    values = {"baseline": state.baseline}
+    for part in ("encoder", "decoder", "enc_vel", "dec_vel"):
+        held = getattr(state, part)
+        for f in fields(held) if held is not None else ():
+            value = getattr(held, f.name)
+            if isinstance(value, np.ndarray):
+                values[f"{part}.{f.name}"] = value.copy()
+    return values
+
+
+def _assert_bit_equal(got, want):
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert (got[name].dtype, got[name].shape) == (value.dtype, value.shape), name
+            assert got[name].tobytes() == value.tobytes(), name
+        else:
+            assert got[name] == value, name
+
+
 class TestEpochLoop:
     def test_deterministic_replay(self):
         data = _toy_dataset()
         cfg = RunConfig(epochs=2, batch_size=8, epsilon=0.1)
         results = []
         for _ in range(2):
-            enc, dec = _toy_models(data)
+            state = TrainState(*_toy_models(data))
             metrics = None
-            state: dict = {}
+            draws: dict = {}
             for epoch in range(2):
-                enc, dec, metrics = train_epoch(
-                    enc, dec, data, cfg, SeededRng(0).substream("train", epoch), state
+                state, metrics = train_epoch(
+                    state, data, cfg, SeededRng(0).substream("train", epoch), draws
                 )
-            results.append((enc, dec, metrics))
-        (e1, d1, m1), (e2, d2, m2) = results
-        np.testing.assert_array_equal(e1.ff_weights, e2.ff_weights)
-        np.testing.assert_array_equal(d1.w1, d2.w1)
+            results.append((state, metrics))
+        (s1, m1), (s2, m2) = results
+        np.testing.assert_array_equal(s1.encoder.ff_weights, s2.encoder.ff_weights)
+        np.testing.assert_array_equal(s1.decoder.w1, s2.decoder.w1)
         assert m1 == m2
 
     def test_learns_separable_task(self):
         data = _toy_dataset(n_train=48)
-        enc, dec = _toy_models(data)
+        state = TrainState(*_toy_models(data))
         cfg = RunConfig(epochs=8, batch_size=8, eta=0.2, epsilon=0.05)
         err = None
-        state: dict = {}
+        draws: dict = {}
         for epoch in range(8):
             rng = SeededRng(0).substream("t", epoch)
-            enc, dec, m = train_epoch(enc, dec, data, cfg, rng, state)
+            state, m = train_epoch(state, data, cfg, rng, draws)
             err = m.test_error
         assert err <= 0.25
 
     def test_rejects_untrainable_epsilon(self):
         data = _toy_dataset()
-        enc, dec = _toy_models(data)
+        state = TrainState(*_toy_models(data))
         cfg = RunConfig(epsilon=0.5)
         with pytest.raises(ValueError, match="0.5"):
-            train_epoch(enc, dec, data, cfg, SeededRng(0), {})
+            train_epoch(state, data, cfg, SeededRng(0), {})
 
     def test_momentum_and_baseline_state_threading(self):
+        # with momentum and the baseline on, an epoch returns velocities
+        # of the grads' types and a baseline; without them, None
         data = _toy_dataset()
-        enc, dec = _toy_models(data)
+        start = TrainState(*_toy_models(data))
+        rng = SeededRng(0).substream("t", 0)
         cfg = RunConfig(epochs=2, batch_size=8, momentum=0.9, baseline=True, epsilon=0.1)
-        state: dict = {}
-        enc, dec, _ = train_epoch(enc, dec, data, cfg, SeededRng(0).substream("t", 0), state)
-        assert "baseline" in state and "enc_vel" in state and "dec_vel" in state
+        state, _ = train_epoch(start, data, cfg, rng, {})
+        assert isinstance(state.enc_vel, EncoderGrads)
+        assert isinstance(state.dec_vel, DecoderGrads)
+        assert isinstance(state.baseline, float)
+        plain, _ = train_epoch(start, data, replace(cfg, momentum=0.0, baseline=False), rng, {})
+        assert (plain.enc_vel, plain.dec_vel, plain.baseline) == (None, None, None)
+
+    def test_interrupted_epoch_leaves_state_unchanged(self, monkeypatch):
+        # an epoch cut short in its second batch leaves the state it was
+        # given bit for bit: models, velocities and baseline
+        data = _toy_dataset()
+        cfg = RunConfig(batch_size=8, momentum=0.9, baseline=True, epsilon=0.1)
+        draws: dict = {}
+        state, _ = train_epoch(TrainState(*_toy_models(data)), data, cfg,
+                               SeededRng(0).substream("t", 0), draws)
+        before = _state_values(state)
+        assert {"baseline", "enc_vel.bias", "dec_vel.w1"} <= before.keys()
+        real = training.score_grads
+        calls = []
+
+        def interrupted(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(training, "score_grads", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            train_epoch(state, data, cfg, SeededRng(0).substream("t", 1), draws)
+        assert len(calls) == 2
+        _assert_bit_equal(_state_values(state), before)
+
+    def test_split_run_equals_unbroken_run(self):
+        # 4 epochs in one loop equal 2 + 2, the second loop given only the
+        # returned TrainState and a fresh draws dict: the state is all an
+        # epoch carries to the next, and the draws are a cache
+        data = _toy_dataset()
+        cfg = RunConfig(batch_size=8, momentum=0.9, baseline=True, epsilon=0.1)
+        root = SeededRng(0)
+
+        def run(state, epochs):
+            draws: dict = {}
+            history = []
+            for epoch in epochs:
+                state, metrics = train_epoch(state, data, cfg, root.substream("train", epoch), draws)
+                history.append(metrics)
+            return state, history
+
+        start = TrainState(*_toy_models(data))
+        whole, whole_metrics = run(start, range(4))
+        half, first = run(start, range(2))
+        split, second = run(half, range(2, 4))
+        assert whole.baseline is not None and whole.enc_vel is not None
+        assert first + second == whole_metrics
+        _assert_bit_equal(_state_values(split), _state_values(whole))
 
     def test_batch_draws_consume_one_stream_in_order(self, monkeypatch):
         # each batch draws its uniforms at once; read in call order, batch
         # by batch and step by step, they are one draw from the epoch's
         # "draws" stream, the last batch partial (12 samples = 5 + 5 + 2)
         data = _toy_dataset(n_train=12)
-        enc, dec = _toy_models(data)
+        state = TrainState(*_toy_models(data))
         seen = []
         real = training.spike_thresholds
 
@@ -356,8 +436,8 @@ class TestEpochLoop:
 
         monkeypatch.setattr(training, "spike_thresholds", spy)
         rng = SeededRng(0).substream("t", 0)
-        train_epoch(enc, dec, data, RunConfig(batch_size=5, epsilon=0.1), rng, {})
-        steps, k = data.train_inputs.shape[1], enc.n_out
+        train_epoch(state, data, RunConfig(batch_size=5, epsilon=0.1), rng, {})
+        steps, k = data.train_inputs.shape[1], state.encoder.n_out
         # the training batches' draws; the last call is evaluation's
         assert [u.shape for u in seen[:-1]] == [(steps, 5, k)] * 2 + [(steps, 2, k)]
         expected = rng.substream("draws").uniform((12 * steps * k,))
@@ -376,18 +456,18 @@ class TestEpochLoop:
         enc = init_encoder_params(lines, 4, root.substream("e"))
         dec = init_decoder_params(4 * steps, 4, root.substream("d"), hidden_dim=8)
         raw = Dataset(counts[:n], labels[:n], counts[n:], labels[n:], n_classes=4)
-        state: dict = {}
+        draws: dict = {}
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             data = filter_dataset(raw)
-            train_epoch(enc, dec, data, RunConfig(batch_size=batch, epsilon=0.1),
-                        SeededRng(0), state)
+            train_epoch(TrainState(enc, dec), data, RunConfig(batch_size=batch, epsilon=0.1),
+                        SeededRng(0), draws)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         codes = 2 * n * steps * lines
-        kept = sum(u.nbytes for pair in state["eval_draws"].values() for u in pair)
+        kept = sum(u.nbytes for pair in draws.values() for u in pair)
         batch_traces = batch * steps * lines * 8
         assert peak - codes - kept < 6 * batch_traces, f"peak {peak} bytes, {kept} kept"
 
@@ -406,7 +486,7 @@ class TestEpochLoop:
             traces = replace(data, train_inputs=filter_inputs(data.train_inputs, ff_kernel))
             for refused in (data, traces):
                 with pytest.raises(ValueError, match="not history codes.*filter_dataset"):
-                    train_epoch(enc, dec, refused, cfg, SeededRng(0), {})
+                    train_epoch(TrainState(enc, dec), refused, cfg, SeededRng(0), {})
 
 
 class TestFilterDataset:
@@ -538,7 +618,7 @@ class TestEvaluateGrid:
         assert exc.value.shape == (10, 6, 4) and exc.value.dtype == np.float64
 
     def test_training_run_draws_each_sample_once(self, monkeypatch):
-        # three epochs sharing one state evaluate three times, but create
+        # three epochs sharing one draws dict evaluate three times, but create
         # each test sample's "eval" substream in the first epoch only
         data = _toy_dataset(n_test=10)
         enc, dec = _toy_models(data)
@@ -553,9 +633,9 @@ class TestEvaluateGrid:
 
         monkeypatch.setattr(SeededRng, "substream", counting)
         monkeypatch.setattr(training, "EVAL_CHUNK", 4)
-        state: dict = {}
+        state, draws = TrainState(enc, dec), {}
         for epoch in range(3):
-            enc, dec, _ = train_epoch(enc, dec, data, cfg, SeededRng(0).substream("t", epoch), state)
+            state, _ = train_epoch(state, data, cfg, SeededRng(0).substream("t", epoch), draws)
             if epoch == 0:
                 assert sorted(made) == list(range(10))
         assert sorted(made) == list(range(10))
@@ -595,7 +675,7 @@ class TestEvaluateGrid:
 
     def test_epoch_memory_beyond_its_draws_bounded_by_chunk(self):
         # an epoch keeps the test set's spike thresholds and flip uniforms
-        # in its state and nothing else of the test set's size: past them,
+        # in the run's draws and nothing else of the test set's size: past them,
         # its evaluation stays chunk-bounded like a one-shot call
         n, steps, lines, k = 2048, 20, 64, 16
         rng = SeededRng(1)
@@ -607,14 +687,14 @@ class TestEvaluateGrid:
         data = filter_dataset(Dataset(counts[:8], labels[:8], counts[8:], labels[8:], n_classes=4))
         cfg = RunConfig(batch_size=8, epsilon=0.1)
         chunk_traces = training.EVAL_CHUNK * steps * lines * 8
-        state: dict = {}
+        draws: dict = {}
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            train_epoch(enc, dec, data, cfg, SeededRng(0), state)
+            train_epoch(TrainState(enc, dec), data, cfg, SeededRng(0), draws)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        kept = sum(u.nbytes for pair in state["eval_draws"].values() for u in pair)
+        kept = sum(u.nbytes for pair in draws.values() for u in pair)
         assert kept == 2 * n * steps * k * 8
         assert peak - kept < 6 * chunk_traces, f"peak {peak} bytes, {kept} kept"
