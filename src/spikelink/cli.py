@@ -112,15 +112,15 @@ def _init_models(cfg: RunConfig, data: Dataset):
 
 
 def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
-               rows: list[MetricsRow]):
+               rows: list[MetricsRow], draws: dict):
     """Full training loop on _build_dataset's dataset; appends each epoch's
-    metrics row to `rows` as it ends and returns the params.  A divergence
+    metrics row to `rows` as it ends and returns the params.  draws is the
+    command's one cache of evaluation draws (evaluate_grid).  A divergence
     or an interruption in an epoch is raised again naming the experiment,
     point and epoch."""
     eps = cfg.crossover()
     state = TrainState(*_init_models(cfg, data))
     root = SeededRng(cfg.seed)
-    draws: dict = {}
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         try:
@@ -232,7 +232,7 @@ def cmd_train(cfg: RunConfig, args, rows: list[MetricsRow]) -> None:
     cfg.training_crossover()
     data = _build_dataset(cfg)
     out = _out_dir(cfg)
-    encoder, decoder = _train_run(cfg, data, "train", 0, rows)
+    encoder, decoder = _train_run(cfg, data, "train", 0, rows, {})
     write_metrics(out / "metrics.csv", rows)
     save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
     if rows:
@@ -246,14 +246,17 @@ def _sweep_train_per_point(cfg: RunConfig, grid, rows: list[MetricsRow]) -> None
     # an Eb/N0 point keeps its dB value, so it trains through cfg.mapping
     changes = [{"epsilon": eps if db is None else None, "ebn0_db": db} for eps, db in grid]
     configs = _point_configs(cfg, "grid", changes)
-    data = _build_dataset(cfg)
+    data, draws = _build_dataset(cfg), {}
     out = _out_dir(cfg)
     for i, ((eps, db), point_cfg) in enumerate(zip(grid, configs)):
         started = time.perf_counter()
-        encoder, decoder = _train_run(point_cfg, data, "sweep-snr", i, [])
-        [(error, rate)] = evaluate_grid(
-            encoder, decoder, data.test_inputs, data.test_labels, [eps], cfg.seed
-        )
+        trained: list[MetricsRow] = []
+        encoder, decoder = _train_run(point_cfg, data, "sweep-snr", i, trained, draws)
+        if trained:  # the last epoch evaluated the point at its own crossover and seed
+            error, rate = trained[-1].error_rate, trained[-1].spike_rate
+        else:
+            [(error, rate)] = evaluate_grid(
+                encoder, decoder, data.test_inputs, data.test_labels, [eps], cfg.seed, draws)
         seconds = time.perf_counter() - started if cfg.timing else 0.0
         rows.append(
             MetricsRow("sweep-snr", i, cfg.epochs, eps, db, cfg.beta, cfg.k,
@@ -267,9 +270,10 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, rows: list[MetricsRo
                      checkpoint: str | None = None) -> None:
     """Evaluate one model across the grid in one evaluate_grid call on the
     test split's counts: the checkpoint's model, or one trained here at the
-    configured point (saved as checkpoint.txt).  Each row gets an even
-    share of the grid's time.  From a checkpoint nothing trains, so only
-    the test split is built."""
+    configured point (saved as checkpoint.txt), whose draws the grid reads
+    back.  Each row gets an even share of the grid's time.  From a
+    checkpoint nothing trains, so only the test split is built."""
+    draws = None
     if checkpoint:
         encoder, decoder, _ = load_checkpoint(checkpoint)
         test_x, test_y = _split_inputs(cfg, "test")
@@ -278,13 +282,13 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, rows: list[MetricsRo
         out = _out_dir(cfg)
     else:
         cfg.training_crossover()
-        data = _build_dataset(cfg)
+        data, draws = _build_dataset(cfg), {}
         out = _out_dir(cfg)
-        encoder, decoder = _train_run(cfg, data, "train", 0, [])
+        encoder, decoder = _train_run(cfg, data, "train", 0, [], draws)
         save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
         test_x, test_y = data.test_inputs, data.test_labels
     started = time.perf_counter()
-    results = evaluate_grid(encoder, decoder, test_x, test_y, [eps for eps, _ in grid], cfg.seed)
+    results = evaluate_grid(encoder, decoder, test_x, test_y, [e for e, _ in grid], cfg.seed, draws)
     seconds = (time.perf_counter() - started) / len(grid) if cfg.timing else 0.0
     for i, ((eps, db), (error, rate)) in enumerate(zip(grid, results)):
         rows.append(MetricsRow(experiment, i, cfg.epochs, eps, db, cfg.beta, cfg.k,
@@ -313,10 +317,10 @@ def cmd_mismatch(cfg: RunConfig, args, rows: list[MetricsRow]) -> None:
 def cmd_sweep_beta(cfg: RunConfig, args, rows: list[MetricsRow]) -> None:
     betas = args.beta_grid or DEFAULT_BETA_GRID
     configs = _point_configs(cfg, "beta grid", [{"beta": beta} for beta in betas])
-    data = _build_dataset(cfg)
+    data, draws = _build_dataset(cfg), {}
     out = _out_dir(cfg)
     for i, point_cfg in enumerate(configs):
-        _train_run(point_cfg, data, "sweep-beta", i, rows)
+        _train_run(point_cfg, data, "sweep-beta", i, rows, draws)
     write_metrics(out / "metrics.csv", rows)
     print(f"swept {len(betas)} beta values; metrics in {out / 'metrics.csv'}")
 

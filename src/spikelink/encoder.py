@@ -21,13 +21,15 @@ law-level check of changes that reorder float sums exists.
 batch of sequences; it reads each feedback trace from a table of partial
 sums of the taps, indexed by the neuron's past 0/1 bits, sets each bit by
 its potential against a threshold drawn before the loop, and keeps the
-spike probabilities and feedback traces for `score_grads`.
+potentials and feedback traces for training, which alone reads their
+sigmoid (`Rollout.spike_probs`, made on first read).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -297,8 +299,11 @@ class Rollout:
 
     bits: np.ndarray         # (n, steps, k) uint8, the bits fed back
     potentials: np.ndarray   # (n, steps, k)
-    spike_probs: np.ndarray  # (n, steps, k), sigmoid of the potentials
     fb_traces: np.ndarray    # (n, steps, k), own-bit history strictly before t
+
+    @cached_property
+    def spike_probs(self) -> np.ndarray:  # sigmoid(potentials); training alone reads it
+        return sigmoid(self.potentials)
 
 
 def rollout(params: EncoderParams, drive, thresholds) -> Rollout:
@@ -310,7 +315,7 @@ def rollout(params: EncoderParams, drive, thresholds) -> Rollout:
     array, and every later step feeds them back: training and evaluation
     make thresholds with channel.spike_thresholds, and the gradient oracles
     replay bits through -inf and +inf.  A single sequence is a batch of
-    one.  The spike probabilities are taken once, after the loop.
+    one.  No spike probability is taken here (Rollout.spike_probs).
     """
     drive = np.asarray(drive, dtype=np.float64)
     k = params.n_out
@@ -346,9 +351,8 @@ def rollout(params: EncoderParams, drive, thresholds) -> Rollout:
         history <<= 1
         history |= bits[t]
         history &= mask
-    bits, potentials, fb_traces = (np.ascontiguousarray(a.transpose(1, 0, 2))
-                                   for a in (bits, potentials, fb_traces))
-    return Rollout(bits, potentials, sigmoid(potentials), fb_traces)
+    return Rollout(*(np.ascontiguousarray(a.transpose(1, 0, 2))
+                     for a in (bits, potentials, fb_traces)))
 
 
 def grad_u_log_prob_noisy(zhat, s, epsilon: float):

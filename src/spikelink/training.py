@@ -8,13 +8,12 @@ updated with exact gradients; the encoder with the score-function estimator
 traces the rollout keeps.  filter_dataset turns a dataset's train split,
 once, from 0/1 counts into uint16 history codes, and each batch's float64
 input traces are looked up from them (encoder.code_traces) into a buffer
-the epoch reuses.  The test split stays uint8 counts, which evaluate_grid
-projects in neuron space (encoder.drive_from_counts), making no float64
-test traces.  train_epoch reads its settings by name
-from the run's RunConfig, which checked them when it was built.  An array
-too large to allocate (the train split's codes, a batch's traces, a test
-chunk's draws, drive or rollout) leaves as NumPy's own MemoryError,
-which carries its shape and dtype.
+the epoch reuses; the test split stays uint8 counts (evaluate_grid).
+train_epoch reads its settings by name from the run's RunConfig, which
+checked them when it was built.  An array too large to allocate (the
+train split's codes, a batch's traces, a test chunk's draws, drive or
+rollout) leaves as NumPy's own MemoryError, which carries its shape and
+dtype.
 
 Training mode draws the received bits directly from the marginalized law
 and feeds them back into the encoder's recurrence; that makes the sequence
@@ -24,12 +23,10 @@ epoch's "draws" stream in one call, the doubles a draw per step would
 give, and the rollout's thresholds are channel.spike_thresholds of them.
 Evaluation mode runs the physical two-stage path: clean spikes drive the
 recurrence and the channel flips a copy.  Its draws depend only on the
-seed and the sample, so they are a cache, not training state: a training
-run makes them into the draws dict it passes every epoch's train_epoch,
-in its first epoch's evaluation, and reads them back afterwards; one-shot
-evaluations make them chunk by chunk.  What an epoch carries to the next
-is a frozen TrainState: the two models, their momentum velocities and the
-moving baseline.
+seed and the sample, so they are a cache, not training state: one draws
+dict per command, which its training runs and grid evaluation share.
+What an epoch carries to the next is a frozen TrainState: the two models,
+their momentum velocities and the moving baseline.
 """
 
 from __future__ import annotations
@@ -248,9 +245,8 @@ def train_epoch(
     measured on the test set).  The state passed in, TrainState(encoder,
     decoder) at a run's first epoch, is read once and never changed, so an
     epoch cut short leaves it as the last finished epoch returned it.
-    draws is the run's cache of evaluation draws (see evaluate_grid), empty
-    at its first epoch: the test samples' uniforms are made into it once
-    and read back every later epoch.
+    draws is the command's cache of evaluation draws (see evaluate_grid):
+    the test samples' uniforms are made into it once and read back later.
     The dataset's train split must hold history codes (filter_dataset),
     from which each batch's input traces are looked up under the encoder's
     kernel_ff (encoder.code_traces); its test split holds counts.  Of the config
@@ -350,11 +346,9 @@ def evaluate_grid(
     two-stage channel path, from the test inputs' counts (n, steps, lines).
 
     Each chunk's feedforward drive is made from its counts in neuron space
-    (encoder.drive_from_counts), so no float64 input trace of the test set,
-    or of a chunk, is ever made.  The drive rounds differently from the
-    line-space drive training uses; the tallies below are integers and
-    equal the line-space evaluation's unless a spike uniform falls within
-    that rounding of its spike probability.
+    (encoder.drive_from_counts), so no float64 input trace is ever made;
+    its rounding moves the integer tallies only if a spike uniform falls
+    within it of its spike probability.
 
     Per-sample draw streams depend only on (seed, sample index), never on
     epsilon or the parameters, so repeated evaluations of one model across
@@ -367,15 +361,13 @@ def evaluate_grid(
     Clean spikes do not depend on epsilon, so each chunk of EVAL_CHUNK
     samples is rolled out once, and only the flips and the decoder run per
     point.  Memory is bounded by the chunk, not the test set.  The chunk
-    size can move a drive by float rounding only (a matmul's rounding may
-    depend on its row count), so under the same tally contract it does not
-    change the results.
+    size moves a drive by float rounding only (a matmul's rounding may
+    depend on its row count), under the same tally contract.
 
-    A caller that evaluates the same test set again (training does, every
-    epoch) passes a dict as draws: each chunk's spike thresholds and flip
-    uniforms are made into it on first use, keyed by seed, chunk and
-    shape, and read back afterwards, so it holds them for the whole test
-    set, where a call without it holds one chunk's.
+    A caller that evaluates the test set again (every epoch, every run of
+    a command) passes a dict as draws: each chunk's spike thresholds and
+    flip uniforms are made into it once, keyed by seed, chunk and shape, so
+    it holds the whole test set's, where a call without it holds one chunk's.
     """
     n, steps, _ = np.shape(counts)
     if n == 0:

@@ -923,6 +923,77 @@ class TestCliSweeps:
         seconds = {r.seconds for r in read_metrics(tmp_path / "sweep" / "metrics.csv")}
         assert len(seconds) == 1 and seconds.pop() > 0.0
 
+    @pytest.mark.parametrize("verb, flags", [
+        ("sweep-snr", ["--train-per-point", "--epsilon-grid", "0.1,0.2"]),
+        ("sweep-snr", ["--train-per-point", "--epsilon-grid", "0.1,0.2", "--epochs", "0"]),
+        ("sweep-beta", ["--beta-grid", "0.1,0.2"]),
+        ("mismatch", []),
+    ], ids=["train-per-point", "train-per-point-untrained", "sweep-beta", "mismatch"])
+    def test_command_draws_each_test_chunk_once(
+        self, tiny_config, tmp_path, monkeypatch, verb, flags
+    ):
+        # two points (trained for two epochs, or untrained), two betas, or
+        # one run and its grid evaluation share the command's draws: one
+        # pass over each of the 8 test samples' 3 chunks in all
+        starts = []
+        real = training._eval_uniforms
+
+        def recording(root, start, *rest):
+            starts.append(start)
+            return real(root, start, *rest)
+
+        monkeypatch.setattr(training, "_eval_uniforms", recording)
+        monkeypatch.setattr(training, "EVAL_CHUNK", 3)
+        assert _main(verb, "--config", str(tiny_config), "--out", str(tmp_path / "o"), *flags) == 0
+        assert sorted(starts) == [0, 3, 6]
+
+    def test_train_per_point_rows_are_last_epochs(self, tiny_config, tmp_path, monkeypatch):
+        # a point that trained is not evaluated again: its row is its last
+        # epoch's, which equals a fresh evaluation of the model it returned
+        grid_calls, runs = [], []
+
+        def grid_spy(*args):
+            grid_calls.append(args)
+            return evaluate_grid(*args)
+
+        monkeypatch.setattr(cli, "evaluate_grid", grid_spy)
+        real = cli._train_run
+
+        def recording(point_cfg, data, *rest):
+            runs.append((point_cfg, data, real(point_cfg, data, *rest)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(cli, "_train_run", recording)
+        out = tmp_path / "tpp"
+        assert _main("sweep-snr", "--config", str(tiny_config), "--out", str(out),
+                     "--train-per-point", "--epsilon-grid", "0.1,0.2") == 0
+        assert grid_calls == []
+        rows = read_metrics(out / "metrics.csv")
+        assert [(r.point, r.epoch) for r in rows] == [(0, 2), (1, 2)]
+        for row, (point_cfg, data, (encoder, decoder)) in zip(rows, runs, strict=True):
+            assert evaluate_grid(encoder, decoder, data.test_inputs, data.test_labels,
+                                 [row.epsilon], point_cfg.seed) == [(row.error_rate, row.spike_rate)]
+
+    @pytest.mark.parametrize("verb, flags, grid", [
+        ("sweep-snr", ["--train-per-point", "--epsilon-grid", "0.1,0.3"], (0.1, 0.3)),
+        ("mismatch", [], DEFAULT_MISMATCH_GRID),
+    ], ids=["train-per-point", "mismatch"])
+    def test_untrained_rows_evaluate_initial_models(self, tiny_config, tmp_path, verb, flags,
+                                                    grid):
+        out = tmp_path / "untrained"
+        assert _main(verb, "--config", str(tiny_config), "--out", str(out), "--epochs", "0",
+                     *flags) == 0
+        rows = read_metrics(out / "metrics.csv")
+        cfg = build_run_config(parse_config_file(tiny_config), {"epochs": 0})
+        data = cli._build_dataset(cfg)
+        encoder, decoder = cli._init_models(cfg, data)
+        expected = evaluate_grid(encoder, decoder, data.test_inputs, data.test_labels, grid,
+                                 cfg.seed)
+        assert [(r.point, r.epoch, r.epsilon) for r in rows] == [
+            (i, 0, eps) for i, eps in enumerate(grid)
+        ]
+        assert [(r.error_rate, r.spike_rate) for r in rows] == expected
+
     def test_mismatch_uses_default_grid(self, tiny_config, tmp_path):
         out = tmp_path / "mm"
         code = _main(

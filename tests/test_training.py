@@ -7,6 +7,7 @@ for the training rollout, and a per-sample reference for evaluation.
 """
 
 import math
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -27,7 +28,7 @@ from oracles import (
     training_rollout,
 )
 
-from spikelink import training
+from spikelink import numerics, training
 from spikelink.channel import noisy_spike_prob, spike_thresholds
 from spikelink.config import ConfigError, RunConfig
 from spikelink.decoder import DecoderGrads, init_decoder_params
@@ -639,6 +640,30 @@ class TestEvaluateGrid:
             if epoch == 0:
                 assert sorted(made) == list(range(10))
         assert sorted(made) == list(range(10))
+
+    def test_evaluation_takes_no_sigmoid(self, monkeypatch):
+        # evaluation reads a rollout's bits only; a softmax head leaves no
+        # other sigmoid, so every call would be the encoder's.  A training
+        # rollout takes its one sigmoid when its spike_probs is first read.
+        calls, real = [], numerics.sigmoid
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return real(x)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("spikelink") and vars(module).get("sigmoid") is real:
+                monkeypatch.setattr(module, "sigmoid", counting)
+        data = _toy_counts(n_test=20)
+        enc, dec = _toy_models(data)
+        evaluate_grid(enc, replace(dec, output="softmax"), data.test_inputs, data.test_labels,
+                      GRID, seed=3)
+        assert calls == []
+        run, _ = training_rollout(enc, data.test_inputs[:4],
+                                  spike_thresholds(SeededRng(4).uniform((6, 4, 4)), 0.1))
+        assert calls == []
+        assert run.spike_probs is run.spike_probs
+        assert calls == [(4, 6, 4)]
 
     def test_reused_draws_equal_fresh_evaluation(self):
         data = _toy_dataset(n_test=40)

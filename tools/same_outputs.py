@@ -25,6 +25,9 @@ history codes that training looks its input traces up from.  Under
 epsilon = 0.45, where 90% of the spike thresholds are infinite and the
 factor 1 - 2 * epsilon magnifies the rounding of the finite ones; every
 other training case runs at epsilon 0.1 or below.
+`train-per-point-untrained` runs --train-per-point at 0 epochs (a flag,
+so --tiny keeps it), where each point's row comes from evaluating its
+initial models rather than from its last epoch.
 After the cases, one child per tree reads TREE_A's metrics.csv of every
 case and renders it through export_metrics as key=value and as CSV text;
 the two trees' texts must match, which checks the exporters and the
@@ -54,6 +57,8 @@ CASES = (
      {"seed": 0, "beta": 0.1, "init_rate": 0.3, "baseline": "on", "epochs": 40}),
     ("sweep-beta", ["sweep-beta"], {"seed": 4, "momentum": 0.9, "baseline": "on"}),
     ("train-per-point", ["sweep-snr", "--train-per-point", "--ebn0-grid-db=0,2"], {"seed": 6}),
+    ("train-per-point-untrained",
+     ["sweep-snr", "--train-per-point", "--epsilon-grid=0.1,0.3", "--epochs=0"], {"seed": 6}),
     ("mismatch", ["mismatch"], {"seed": 8}),
     ("sweep-snr-checkpoint", ["sweep-snr"], {"seed": 5}),
     ("sweep-snr-large-test", ["sweep-snr"], {"seed": 5, "test_per_class": 512}),
