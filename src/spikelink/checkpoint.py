@@ -69,15 +69,12 @@ def save_checkpoint(path, encoder: EncoderParams, decoder: DecoderParams,
             if not (key and value) or any(c.isspace() for c in key + value):
                 raise CheckpointError(f"meta entries must be non-empty, without spaces: {key!r}")
             fh.write(f"meta {key} {value}\n")
-        _write_block(fh, "encoder.ff_weights", encoder.ff_weights)
-        _write_block(fh, "encoder.fb_weights", encoder.fb_weights)
-        _write_block(fh, "encoder.bias", encoder.bias)
+        for name, view in encoder.split(encoder.vector).items():
+            _write_block(fh, f"encoder.{name}", view)
         _write_block(fh, "encoder.kernel_ff", encoder.kernel_ff.coefficients)
         _write_block(fh, "encoder.kernel_fb", encoder.kernel_fb.coefficients)
-        _write_block(fh, "decoder.w1", decoder.w1)
-        _write_block(fh, "decoder.b1", decoder.b1)
-        _write_block(fh, "decoder.w2", decoder.w2)
-        _write_block(fh, "decoder.b2", decoder.b2)
+        for name, view in decoder.split(decoder.vector).items():
+            _write_block(fh, f"decoder.{name}", view)
         fh.write("end\n")
 
 
@@ -155,17 +152,12 @@ def load_checkpoint(path) -> tuple[EncoderParams, DecoderParams, dict]:
             raise CheckpointError(f"block {name}: expected {ndim} dimensions")
     try:
         encoder = EncoderParams(
-            ff_weights=blocks["encoder.ff_weights"],
-            fb_weights=blocks["encoder.fb_weights"],
-            bias=blocks["encoder.bias"],
+            **{name: blocks[f"encoder.{name}"] for name in EncoderParams.LEARNED},
             kernel_ff=Kernel(blocks["encoder.kernel_ff"]),
             kernel_fb=Kernel(blocks["encoder.kernel_fb"]),
         )
         decoder = DecoderParams(
-            w1=blocks["decoder.w1"],
-            b1=blocks["decoder.b1"],
-            w2=blocks["decoder.w2"],
-            b2=blocks["decoder.b2"],
+            **{name: blocks[f"decoder.{name}"] for name in DecoderParams.LEARNED},
             output=meta.get("output", "sigmoid"),
         )
     except ValueError as exc:

@@ -3,7 +3,8 @@
 Flatten -> dense ReLU -> dense sigmoid, with the loss treating the targets
 as one-hot bit vectors (binary cross entropy summed over classes).  A
 softmax head is available as a comparison option; both heads share the same
-output-layer gradient, so backward_batch has a single code path.
+output-layer gradient, so backward_batch has a single code path, into a
+gradient vector of the weights' flat layout (numerics.FlatParams).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeededRng, sigmoid, softplus
+from .numerics import FlatParams, SeededRng, sigmoid, softplus
 
 __all__ = [
     "DecoderParams",
@@ -27,7 +28,9 @@ OUTPUT_HEADS = ("sigmoid", "softmax")
 
 
 @dataclass
-class DecoderParams:
+class DecoderParams(FlatParams):
+    LEARNED = ("w1", "b1", "w2", "b2")
+
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -35,10 +38,7 @@ class DecoderParams:
     output: str = "sigmoid"
 
     def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
+        self._flatten()
         if self.output not in OUTPUT_HEADS:
             raise ValueError(f"output head must be one of {OUTPUT_HEADS}")
         hidden, n_in = self.w1.shape
@@ -59,14 +59,6 @@ class DecoderParams:
     @property
     def n_classes(self) -> int:
         return self.w2.shape[0]
-
-
-@dataclass
-class DecoderGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
 
 
 def init_decoder_params(
@@ -134,8 +126,8 @@ def backward_batch(
     hidden: np.ndarray,
     probs: np.ndarray,
     labels: np.ndarray,
-) -> DecoderGrads:
-    """Exact mean loss gradient over the batch.
+) -> np.ndarray:
+    """Exact mean loss gradient over the batch, as a vector of params' layout.
 
     Both heads give d(loss)/d(logits) = probs - onehot, so one chain covers
     sigmoid and softmax alike.
@@ -150,4 +142,4 @@ def backward_batch(
     d_hidden[pre <= 0.0] = 0.0
     d_w1 = d_hidden.T @ x
     d_b1 = d_hidden.sum(axis=0)
-    return DecoderGrads(w1=d_w1, b1=d_b1, w2=d_w2, b2=d_b2)
+    return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])

@@ -22,7 +22,8 @@ batch of sequences; it reads each feedback trace from a table of partial
 sums of the taps, indexed by the neuron's past 0/1 bits, sets each bit by
 its potential against a threshold drawn before the loop, and keeps the
 potentials and feedback traces for training, which alone reads their
-sigmoid (`Rollout.spike_probs`, made on first read).
+sigmoid (`Rollout.spike_probs`, made on first read).  `score_grads`
+returns a gradient vector of the weights' flat layout (numerics.FlatParams).
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ from functools import cached_property
 import numpy as np
 
 from .channel import noisy_spike_prob
-from .numerics import Kernel, SeededRng, exponential_kernel, sigmoid
+from .numerics import FlatParams, Kernel, SeededRng, exponential_kernel, sigmoid
 
 __all__ = [
     "EncoderParams",
-    "EncoderGrads",
     "init_encoder_params",
     "filter_inputs",
     "history_codes",
@@ -52,13 +52,15 @@ __all__ = [
 
 
 @dataclass
-class EncoderParams:
+class EncoderParams(FlatParams):
     """Learnable weights plus the fixed causal filters.
 
     ff_weights has one row per read-out neuron and one column per input
     line; fb_weights and bias hold one scalar per neuron.  The kernels are
     not trained.
     """
+
+    LEARNED = ("ff_weights", "fb_weights", "bias")
 
     ff_weights: np.ndarray
     fb_weights: np.ndarray
@@ -67,9 +69,7 @@ class EncoderParams:
     kernel_fb: Kernel
 
     def __post_init__(self):
-        self.ff_weights = np.asarray(self.ff_weights, dtype=np.float64)
-        self.fb_weights = np.asarray(self.fb_weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self._flatten()
         if self.ff_weights.ndim != 2:
             raise ValueError("ff_weights must be 2-d (neurons x inputs)")
         k = self.ff_weights.shape[0]
@@ -83,15 +83,6 @@ class EncoderParams:
     @property
     def n_in(self) -> int:
         return self.ff_weights.shape[1]
-
-
-@dataclass
-class EncoderGrads:
-    """Gradient container mirroring the learnable fields of EncoderParams."""
-
-    ff_weights: np.ndarray
-    fb_weights: np.ndarray
-    bias: np.ndarray
 
 
 def init_encoder_params(
@@ -379,8 +370,9 @@ def grad_u_log_prob_noisy(zhat, s, epsilon: float):
 
 
 def score_grads(run: Rollout, traces: np.ndarray, epsilon: float,
-                weights: np.ndarray) -> EncoderGrads:
-    """Parameter gradient of sum_b weights[b] * log p(run.bits[b]).
+                weights: np.ndarray) -> np.ndarray:
+    """Parameter gradient of sum_b weights[b] * log p(run.bits[b]), as one
+    vector of EncoderParams' layout (EncoderParams.split names its parts).
 
     p is the channel-marginalized law with run.bits fed back, so each
     sequence's log-likelihood is a sum of per-step terms.  A step's term
@@ -396,8 +388,8 @@ def score_grads(run: Rollout, traces: np.ndarray, epsilon: float,
     does not reproduce exactly.
     """
     score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, epsilon)
-    return EncoderGrads(
-        ff_weights=np.einsum("btk,btn->kn", weights[:, None, None] * score_u, traces),
-        fb_weights=np.einsum("b,btk,btk->k", weights, score_u, run.fb_traces),
-        bias=np.einsum("b,btk->k", weights, score_u),
-    )
+    return np.concatenate([
+        np.einsum("btk,btn->kn", weights[:, None, None] * score_u, traces).ravel(),
+        np.einsum("b,btk,btk->k", weights, score_u, run.fb_traces),
+        np.einsum("b,btk->k", weights, score_u),
+    ])

@@ -22,6 +22,7 @@ __all__ = [
     "ebn0_to_epsilon",
     "Kernel",
     "exponential_kernel",
+    "FlatParams",
     "fold_stream_id",
     "SeededRng",
 ]
@@ -133,6 +134,34 @@ def exponential_kernel(tau: float = 5.0, window: int = 10) -> Kernel:
     if tau <= 0 or window < 1:
         raise ValueError("tau must be positive and window at least 1")
     return Kernel(np.exp(-np.arange(window, dtype=np.float64) / float(tau)))
+
+
+class FlatParams:
+    """Base of a model whose learnable fields, named in order in LEARNED,
+    are views into one contiguous float64 `vector`, so an in-place change
+    to the vector changes them.  Gradients and velocities are vectors of
+    that layout, and split names their parts."""
+
+    LEARNED: tuple[str, ...] = ()
+
+    def _flatten(self) -> None:
+        """Pack the LEARNED fields as float64 into a fresh vector of views."""
+        arrays = [np.asarray(getattr(self, name), dtype=np.float64) for name in self.LEARNED]
+        self.vector = np.concatenate([a.ravel() for a in arrays])
+        for name, view in self.split(self.vector).items():
+            setattr(self, name, view)
+
+    def split(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a vector of this model's layout, by field name."""
+        if np.shape(vector) != self.vector.shape:
+            raise ValueError(f"expected a vector of shape {self.vector.shape}")
+        views, start = {}, 0
+        for name in self.LEARNED:
+            shape = np.shape(getattr(self, name))
+            size = math.prod(shape)
+            views[name] = vector[start : start + size].reshape(shape)
+            start += size
+        return views
 
 
 def fold_stream_id(*parts) -> int:

@@ -26,12 +26,12 @@ recurrence and the channel flips a copy.  Its draws depend only on the
 seed and the sample, so they are a cache, not training state: one draws
 dict per command, which its training runs and grid evaluation share.
 What an epoch carries to the next is a frozen TrainState: the two models,
-their momentum velocities and the moving baseline.
+their momentum velocities and the moving baseline.  An epoch updates copies
+of each model's flat vector (numerics.FlatParams) and velocity in place.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, replace
 
@@ -40,14 +40,12 @@ import numpy as np
 from .channel import log_prob_noisy, spike_thresholds, transmit
 from .config import RunConfig
 from .decoder import (
-    DecoderGrads,
     DecoderParams,
     backward_batch,
     forward_batch,
     losses_from_logits_batch,
 )
 from .encoder import (
-    EncoderGrads,
     EncoderParams,
     code_traces,
     drive_from_counts,
@@ -77,7 +75,7 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss or gradient stops being finite."""
+    """Raised when a loss or an updated weight stops being finite."""
 
 
 @dataclass(frozen=True)
@@ -142,14 +140,14 @@ def filter_dataset(data: Dataset) -> Dataset:
 @dataclass(frozen=True)
 class TrainState:
     """What a training run carries from one epoch to the next: the two
-    models, their momentum velocities (None without momentum, and before
-    the first batch) and the moving baseline (None until a batch updates
-    it)."""
+    models, their momentum velocities, each a vector of its model's
+    layout (None without momentum, and before the first batch), and the
+    moving baseline (None until a batch updates it)."""
 
     encoder: EncoderParams
     decoder: DecoderParams
-    enc_vel: EncoderGrads | None = None
-    dec_vel: DecoderGrads | None = None
+    enc_vel: np.ndarray | None = None
+    dec_vel: np.ndarray | None = None
     baseline: float | None = None
 
 
@@ -190,41 +188,36 @@ def vdib_loss(task_loss: float, rate_loss: float, beta: float) -> float:
     return float(task_loss) + float(beta) * float(rate_loss)
 
 
-def _clip(grads, limit: float):
+def _clip(params, grads: np.ndarray, limit: float) -> np.ndarray:
+    """grads, a vector of params' layout, scaled in place to norm limit if
+    its norm is above it (limit 0 disables).  The squares are summed field
+    by field, in field order: one sum over the vector would reorder them."""
     if limit <= 0.0:
         return grads
     sq = 0.0
-    for f in dataclasses.fields(grads):
-        sq += float(np.sum(np.square(getattr(grads, f.name))))
+    for part in params.split(grads).values():
+        sq += float(np.sum(np.square(part)))
     norm = math.sqrt(sq)
-    if norm <= limit:
-        return grads
-    scale = limit / norm
-    return type(grads)(
-        **{f.name: getattr(grads, f.name) * scale for f in dataclasses.fields(grads)}
-    )
+    if norm > limit:
+        grads *= limit / norm
+    return grads
 
 
-def sgd_update(params, grads, eta: float, velocity=None, momentum: float = 0.0):
-    """One plain (or momentum) SGD step; returns fresh params and the new
-    velocity, of grads' type (None without momentum).
-
-    grads must carry a subset of params' array fields under the same names,
-    and velocity, when given, grads' fields.  Non-finite gradients abort
-    rather than poison the weights.
-    """
-    updates = {}
-    new_velocity = {}
-    for f in dataclasses.fields(grads):
-        g = np.asarray(getattr(grads, f.name), dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(f"non-finite gradient in {f.name}")
-        if momentum > 0.0:
-            v = momentum * (0.0 if velocity is None else getattr(velocity, f.name)) + g
-            new_velocity[f.name] = v
-            g = v
-        updates[f.name] = getattr(params, f.name) - eta * g
-    return replace(params, **updates), type(grads)(**new_velocity) if momentum > 0.0 else None
+def sgd_update(params, grads: np.ndarray, eta: float, velocity=None, momentum: float = 0.0):
+    """One plain (or momentum) SGD step on params.vector, in place, from
+    grads of its layout; returns the velocity (None without momentum),
+    updated in place from a zero buffer, so the first step's is
+    momentum * 0.0 + grads (+0.0 for a -0.0 gradient).  A weight the step
+    leaves non-finite raises TrainingDiverged naming the model."""
+    if momentum > 0.0:
+        velocity = np.zeros_like(grads) if velocity is None else velocity
+        velocity *= momentum
+        velocity += grads
+        grads = velocity
+    params.vector -= eta * grads
+    if not np.all(np.isfinite(params.vector)):
+        raise TrainingDiverged(f"non-finite weight in {type(params).__name__} after the update")
+    return velocity
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +236,8 @@ def train_epoch(
     Returns the TrainState after the epoch's last batch and the epoch's
     metrics (losses averaged over training samples; error and spike rate
     measured on the test set).  The state passed in, TrainState(encoder,
-    decoder) at a run's first epoch, is read once and never changed, so an
-    epoch cut short leaves it as the last finished epoch returned it.
+    decoder) at a run's first epoch, is copied once and never changed, so
+    an epoch cut short leaves it as the last finished epoch returned it.
     draws is the command's cache of evaluation draws (see evaluate_grid):
     the test samples' uniforms are made into it once and read back later.
     The dataset's train split must hold history codes (filter_dataset),
@@ -256,8 +249,9 @@ def train_epoch(
     eps = config.training_crossover()
     if data.train_inputs.dtype != np.uint16:
         raise ValueError("train inputs are not history codes: make them with filter_dataset")
-    encoder, decoder = state.encoder, state.decoder
-    enc_vel, dec_vel, baseline = state.enc_vel, state.dec_vel, state.baseline
+    encoder, decoder = replace(state.encoder), replace(state.decoder)  # copies, updated in place
+    enc_vel, dec_vel = (None if v is None else v.copy() for v in (state.enc_vel, state.dec_vel))
+    baseline = state.baseline
     traces_of = code_traces(data.train_inputs, encoder.kernel_ff, config.batch_size)
     prior = PriorModel(config.prior_rate)
     order = rng.substream("shuffle").permutation(len(data.train_inputs))
@@ -287,13 +281,13 @@ def train_epoch(
             reinforce = sample_losses - avg
             baseline = 0.9 * avg + 0.1 * float(sample_losses.mean())
         enc_grads = _clip(
-            score_grads(run, xb, eps, reinforce / float(len(batch))), config.grad_clip
+            encoder, score_grads(run, xb, eps, reinforce / float(len(batch))), config.grad_clip
         )
         dec_grads = _clip(
-            backward_batch(decoder, flat, pre, hidden, probs, yb), config.grad_clip
+            decoder, backward_batch(decoder, flat, pre, hidden, probs, yb), config.grad_clip
         )
-        encoder, enc_vel = sgd_update(encoder, enc_grads, config.eta, enc_vel, config.momentum)
-        decoder, dec_vel = sgd_update(decoder, dec_grads, config.eta, dec_vel, config.momentum)
+        enc_vel = sgd_update(encoder, enc_grads, config.eta, enc_vel, config.momentum)
+        dec_vel = sgd_update(decoder, dec_grads, config.eta, dec_vel, config.momentum)
     mean_task = task_sum / max(count, 1)
     mean_rate = rate_sum / max(count, 1)
     test_error, test_rate = evaluate(

@@ -11,7 +11,10 @@ rollout, so the enumeration and finite-difference oracles check the drive
 train_epoch makes (its traces, looked up from history codes, equal
 filter_inputs' byte for byte).  `sample_noisy` is the channel-marginalized
 law's plain sampler, U < q, that channel.spike_thresholds' decisions are
-pinned against.  The bar-task records come from the
+pinned against.  `reference_clip` and `reference_sgd_update` are the
+gradient clip and the SGD step as walks over named fields, which the
+in-place updates on each model's flat vector are pinned to byte for byte.
+The bar-task records come from the
 benchmark's reference (benchmarks/reference.py), which draws and bins the
 task without importing spikelink; `reference` is that module.
 """
@@ -33,7 +36,8 @@ from spikelink.metrics import CSV_HEADER, MetricsRow
 from spikelink.numerics import Kernel, SeededRng, sigmoid
 from spikelink.training import regularizer
 
-# the encoder's learnable fields, in EncoderParams and EncoderGrads
+# the encoder's learnable fields, in the order EncoderParams lays them
+# out in its vector (and in its gradients' and velocity's)
 ENCODER_FIELDS = ("ff_weights", "fb_weights", "bias")
 
 
@@ -149,6 +153,36 @@ def fd_grads(params, objective, h: float = 1e-6) -> dict:
         )
         for field in ENCODER_FIELDS
     }
+
+
+def reference_clip(grads: dict, limit: float) -> dict:
+    """grads, arrays by field name in field order, scaled to norm limit
+    when their joint norm is above it (limit 0 disables), the squares
+    summed field by field."""
+    if limit <= 0.0:
+        return grads
+    sq = 0.0
+    for value in grads.values():
+        sq += float(np.sum(np.square(value)))
+    norm = math.sqrt(sq)
+    if norm <= limit:
+        return grads
+    scale = limit / norm
+    return {name: value * scale for name, value in grads.items()}
+
+
+def reference_sgd_update(params, grads: dict, eta: float, velocity=None,
+                         momentum: float = 0.0):
+    """One plain (or momentum) SGD step, field by field: fresh params, and
+    the new velocity by field name (None without momentum)."""
+    updates, new_velocity = {}, {}
+    for name, g in grads.items():
+        if momentum > 0.0:
+            v = momentum * (0.0 if velocity is None else velocity[name]) + g
+            new_velocity[name] = v
+            g = v
+        updates[name] = getattr(params, name) - eta * g
+    return replace(params, **updates), new_velocity if momentum > 0.0 else None
 
 
 def parse_kv_metrics(text: str) -> list[MetricsRow]:

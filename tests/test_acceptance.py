@@ -161,7 +161,8 @@ def test_criterion_02_gradient_closed_forms(capsys):
                 x = bernoulli(xs, np.full(4, 0.5)).astype(np.float64)
             label = int(root.substream("y").integers(0, 2))
             pre, hidden, _, probs = forward_batch(params, x[None])
-            grads = backward_batch(params, x[None], pre, hidden, probs, np.array([label]))
+            grads = params.split(
+                backward_batch(params, x[None], pre, hidden, probs, np.array([label])))
             for field in ("w1", "b1", "w2", "b2"):
                 base = getattr(params, field)
                 fd = np.zeros_like(base)
@@ -177,7 +178,7 @@ def test_criterion_02_gradient_closed_forms(capsys):
                         vals.append(losses_from_logits_batch(p, logits, np.array([label]))[0])
                     fd[index] = (vals[0] - vals[1]) / 2e-6
                 scale = max(np.abs(fd).max(), 1e-12)
-                rel = np.abs(getattr(grads, field) - fd).max() / scale
+                rel = np.abs(grads[field] - fd).max() / scale
                 worst_dec = max(worst_dec, rel)
                 assert rel <= 1e-6
         elapsed = time.perf_counter() - started
@@ -209,14 +210,15 @@ def test_criterion_03_score_function_unbiasedness(capsys):
             inputs = bernoulli(SeededRng(seed + 2), np.full((T, n_in), 0.5)).astype(np.float64)
             run, traces = replay(params, inputs, all_sequences(T, k))
             f = sample_losses(decoder, run, eps, beta, label, prior)
-            expected = score_grads(run, traces, eps, np.exp(log_likelihood(run, eps)) * f)
+            expected = params.split(
+                score_grads(run, traces, eps, np.exp(log_likelihood(run, eps)) * f))
             fd = fd_grads(
                 params,
                 lambda moved: expected_objective(moved, decoder, inputs, eps, beta, label, prior),
                 1e-5,
             )
             for field in ENCODER_FIELDS:
-                err = np.abs(getattr(expected, field) - fd[field]).max()
+                err = np.abs(expected[field] - fd[field]).max()
                 worst = max(worst, err)
                 assert err <= 1e-6
 
@@ -229,7 +231,7 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         run, traces = replay(params, inputs, all_sequences(T, k))
         p = np.exp(log_likelihood(run, eps))
         f = sample_losses(decoder, run, eps, beta, label, prior)
-        per_sequence = [score_grads(run, traces, eps, f * (np.arange(len(f)) == i))
+        per_sequence = [params.split(score_grads(run, traces, eps, f * (np.arange(len(f)) == i)))
                         for i in range(len(f))]
 
         # the training path on 1e5 copies of the instance, one batch: the
@@ -239,16 +241,16 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         thresholds = spike_thresholds(SeededRng(775).uniform((T, draws, k)), eps)
         mc, mc_traces = training_rollout(params, np.repeat(inputs[None], draws, axis=0),
                                          thresholds)
-        mean = score_grads(mc, mc_traces, eps,
-                           sample_losses(decoder, mc, eps, beta, label, prior) / draws)
+        mean = params.split(score_grads(
+            mc, mc_traces, eps, sample_losses(decoder, mc, eps, beta, label, prior) / draws))
 
         worst_z = 0.0
         for field in ENCODER_FIELDS:
-            g = np.array([getattr(grads, field) for grads in per_sequence])
+            g = np.array([grads[field] for grads in per_sequence])
             exact = np.tensordot(p, g, axes=1)
             var = np.tensordot(p, g**2, axes=1) - exact**2
             se = np.sqrt(np.maximum(var, 1e-300) / draws)
-            z = np.abs(getattr(mean, field) - exact) / se
+            z = np.abs(mean[field] - exact) / se
             worst_z = max(worst_z, float(z.max()))
             assert (z <= 3.0).all()
         elapsed = time.perf_counter() - started
@@ -273,13 +275,13 @@ def test_criterion_04_sequence_log_likelihood_gradient(capsys):
             rng = SeededRng(seed + 10)
             inputs = bernoulli(rng, np.full((T, n_in), 0.6)).astype(np.float64)
             zhat = bernoulli(rng, np.full((1, T, k), 0.5))
-            score = score_grads(*replay(params, inputs, zhat), eps, np.ones(1))
+            score = params.split(score_grads(*replay(params, inputs, zhat), eps, np.ones(1)))
             fd = fd_grads(
                 params, lambda moved: log_likelihood(replay(moved, inputs, zhat)[0], eps)[0], h
             )
             for field in ENCODER_FIELDS:
                 scale = max(np.abs(fd[field]).max(), 1e-12)
-                rel = np.abs(getattr(score, field) - fd[field]).max() / scale
+                rel = np.abs(score[field] - fd[field]).max() / scale
                 worst = max(worst, rel)
                 assert rel <= 1e-5
         info["detail"] = f"max relative error {worst:.2e}"

@@ -433,6 +433,24 @@ class TestCliTrain:
         )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_update_diverges_without_checkpoint(self, tmp_path, capsys):
+        # one batch, one epoch: a finite gradient times eta = 1.7e308
+        # overflows an encoder weight to +-inf; the run must not end 0
+        # with a checkpoint that load_checkpoint then refuses
+        config = tmp_path / "overflow.cfg"
+        config.write_text("height = 8\nwidth = 8\ntrain_per_class = 4\ntest_per_class = 3\n"
+                          "k = 4\nT = 6\nhidden = 8\nbatch_size = 64\nepochs = 1\n"
+                          "eta = 1.7e308\ntiming = off\n")
+        out = tmp_path / "overflow"
+        assert _main("train", "--config", str(config), "--out", str(out)) == 3
+        assert read_metrics(out / "metrics.csv") == []
+        assert not (out / "checkpoint.txt").exists()
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "training aborted at train point 0 epoch 0: "
+            "non-finite weight in EncoderParams after the update"
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_divergence_write_is_io_error(self, tiny_config, tmp_path, capsys,
                                                  monkeypatch):
         def failing(path, rows):

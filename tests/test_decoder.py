@@ -35,8 +35,9 @@ def _loss(params, x, label):
 
 
 def _grads(params, x, labels):
+    """backward_batch's gradient vector, split into params' named views."""
     pre, hidden, _, probs = forward_batch(params, x)
-    return backward_batch(params, x, pre, hidden, probs, np.asarray(labels))
+    return params.split(backward_batch(params, x, pre, hidden, probs, np.asarray(labels)))
 
 
 class TestParamsAndBuffer:
@@ -185,7 +186,7 @@ class TestBackward:
         for field in FIELDS:
             scale = max(np.abs(fd[field]).max(), 1e-12)
             np.testing.assert_allclose(
-                getattr(grads, field), fd[field], rtol=0, atol=1e-6 * scale
+                grads[field], fd[field], rtol=0, atol=1e-6 * scale
             )
 
     def test_relu_gate_blocks_gradient(self):
@@ -195,10 +196,10 @@ class TestBackward:
             w2=np.array([[2.0]]), b2=np.array([0.0]),
         )
         grads = _grads(params, np.array([[1.0]]), [0])
-        assert grads.w1[0, 0] == 0.0
-        assert grads.b1[0] == 0.0
-        assert grads.w2[0, 0] == 0.0  # hidden is 0, so w2 grad is 0 too
-        assert grads.b2[0] != 0.0
+        assert grads["w1"][0, 0] == 0.0
+        assert grads["b1"][0] == 0.0
+        assert grads["w2"][0, 0] == 0.0  # hidden is 0, so w2 grad is 0 too
+        assert grads["b2"][0] != 0.0
 
     def test_batched_forward_matches_reference(self):
         # each row of a batch equals that row run alone
@@ -228,5 +229,5 @@ class TestBackward:
         batch = _grads(params, x, labels)
         singles = [_grads(params, x[i : i + 1], labels[i : i + 1]) for i in range(4)]
         for field in FIELDS:
-            mean = sum(getattr(g, field) for g in singles) / 4.0
-            np.testing.assert_allclose(getattr(batch, field), mean, atol=1e-14)
+            mean = sum(g[field] for g in singles) / 4.0
+            np.testing.assert_allclose(batch[field], mean, atol=1e-14)

@@ -452,11 +452,11 @@ class TestScoreGrads:
         inputs = bernoulli(rng, np.full((3, 4, params.n_in), 0.6))
         bits = bernoulli(rng, np.full((3, 4, params.n_out), 0.5))
         weights = np.array([1.0, -0.5, 2.0])
-        grads = score_grads(*replay(params, inputs, bits), eps, weights)
+        grads = params.split(score_grads(*replay(params, inputs, bits), eps, weights))
         fd = fd_grads(params, lambda p: _log_likelihood(p, inputs, bits, eps, weights))
         for field in ENCODER_FIELDS:
             scale = max(np.abs(fd[field]).max(), 1.0)
-            np.testing.assert_allclose(getattr(grads, field), fd[field], rtol=0, atol=1e-5 * scale)
+            np.testing.assert_allclose(grads[field], fd[field], rtol=0, atol=1e-5 * scale)
 
     @pytest.mark.parametrize("shape", [(16, 20, 16, 512), (7, 5, 3, 9), (1, 1, 1, 1)])
     def test_ff_contraction_equals_three_operand_einsum(self, shape):
@@ -472,7 +472,8 @@ class TestScoreGrads:
         weights = rng.substream("w").uniform_range(-1.0, 1.0, n)
         score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
         expected = np.einsum("b,btk,btn->kn", weights, score_u, traces)
-        assert np.array_equal(score_grads(run, traces, 0.1, weights).ff_weights, expected)
+        grads = params.split(score_grads(run, traces, 0.1, weights))
+        assert np.array_equal(grads["ff_weights"], expected)
 
     def test_single_neuron_single_input(self):
         # smallest case with feedback active, eps = 0
@@ -485,7 +486,7 @@ class TestScoreGrads:
         )
         inputs = np.array([[[1.0], [0.0], [1.0]]])
         bits = np.array([[[1], [1], [0]]])
-        grads = score_grads(*replay(params, inputs, bits), 0.0, np.ones(1))
+        grads = params.split(score_grads(*replay(params, inputs, bits), 0.0, np.ones(1)))
         fd = fd_grads(params, lambda p: _log_likelihood(p, inputs, bits, 0.0, np.ones(1)))
         for field in ENCODER_FIELDS:
-            np.testing.assert_allclose(getattr(grads, field), fd[field], atol=1e-6)
+            np.testing.assert_allclose(grads[field], fd[field], atol=1e-6)

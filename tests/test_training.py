@@ -9,7 +9,7 @@ for the training rollout, and a per-sample reference for evaluation.
 import math
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,8 @@ from oracles import (
     fd_grads,
     kernel,
     log_likelihood,
+    reference_clip,
+    reference_sgd_update,
     replay,
     sample_losses,
     training_rollout,
@@ -31,9 +33,8 @@ from oracles import (
 from spikelink import numerics, training
 from spikelink.channel import noisy_spike_prob, spike_thresholds
 from spikelink.config import ConfigError, RunConfig
-from spikelink.decoder import DecoderGrads, init_decoder_params
+from spikelink.decoder import init_decoder_params
 from spikelink.encoder import (
-    EncoderGrads,
     EncoderParams,
     code_traces,
     filter_inputs,
@@ -117,41 +118,93 @@ class TestObjectiveAndUpdates:
 
     def test_sgd_plain_step(self):
         params = _tiny_encoder()
-        grads = EncoderGrads(
-            ff_weights=np.ones_like(params.ff_weights),
-            fb_weights=np.ones_like(params.fb_weights),
-            bias=np.ones_like(params.bias),
-        )
-        updated, velocity = sgd_update(params, grads, eta=0.1)
+        start = replace(params)
+        velocity = sgd_update(params, np.ones_like(params.vector), eta=0.1)
         assert velocity is None
-        np.testing.assert_allclose(updated.ff_weights, params.ff_weights - 0.1)
-        np.testing.assert_allclose(updated.bias, params.bias - 0.1)
-        # kernels ride along untouched
-        assert updated.kernel_ff is params.kernel_ff
+        np.testing.assert_allclose(params.ff_weights, start.ff_weights - 0.1)
+        np.testing.assert_allclose(params.bias, start.bias - 0.1)
+        # the step is made in place: the fields stay views of the vector
+        assert all(np.shares_memory(view, params.vector)
+                   for view in (params.ff_weights, params.fb_weights, params.bias))
 
     def test_sgd_momentum_accumulates(self):
         params = _tiny_encoder()
-        ones = EncoderGrads(
-            ff_weights=np.ones_like(params.ff_weights),
-            fb_weights=np.ones_like(params.fb_weights),
-            bias=np.ones_like(params.bias),
-        )
-        p1, vel = sgd_update(params, ones, eta=0.1, velocity=None, momentum=0.5)
-        p2, vel = sgd_update(p1, ones, eta=0.1, velocity=vel, momentum=0.5)
+        start = replace(params)
+        ones = np.ones_like(params.vector)
+        vel = sgd_update(params, ones, eta=0.1, velocity=None, momentum=0.5)
+        vel = sgd_update(params, ones, eta=0.1, velocity=vel, momentum=0.5)
         # second step uses velocity 1.5: total displacement 0.1 * (1 + 1.5)
-        np.testing.assert_allclose(p2.bias, params.bias - 0.25)
-        assert isinstance(vel, EncoderGrads)
-        np.testing.assert_allclose(vel.bias, 1.5)
+        np.testing.assert_allclose(params.bias, start.bias - 0.25)
+        assert vel.shape == params.vector.shape
+        np.testing.assert_allclose(params.split(vel)["bias"], 1.5)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sgd_rejects_non_finite(self):
+        # a nan gradient, and a finite one whose step overflows a weight
         params = _tiny_encoder()
-        bad = EncoderGrads(
-            ff_weights=np.full_like(params.ff_weights, np.nan),
-            fb_weights=np.zeros_like(params.fb_weights),
-            bias=np.zeros_like(params.bias),
-        )
-        with pytest.raises(TrainingDiverged):
+        bad = np.zeros_like(params.vector)
+        params.split(bad)["ff_weights"][:] = np.nan
+        with pytest.raises(TrainingDiverged, match="EncoderParams"):
             sgd_update(params, bad, eta=0.1)
+        decoder = init_decoder_params(3, 2, SeededRng(1), hidden_dim=2)
+        with pytest.raises(TrainingDiverged, match="DecoderParams"):
+            sgd_update(decoder, np.full_like(decoder.vector, -2.0), eta=1.7e308)
+
+    @staticmethod
+    def _update_case(model):
+        """A model whose fields start with two -0.0 weights, and three
+        steps of gradients, by field name, whose fields start with -0.0
+        and +0.0 there."""
+        rng = np.random.default_rng(5)
+        # near the default sizes, so a sum over the whole vector rounds
+        # unlike the field-by-field one
+        if model == "encoder":
+            params = init_encoder_params(512, 16, SeededRng(4))
+        else:
+            params = init_decoder_params(320, 4, SeededRng(4), hidden_dim=64)
+        values = {name: view.copy() for name, view in params.split(params.vector).items()}
+        for value in values.values():
+            value.flat[:2] = -0.0
+        steps = []
+        for _ in range(3):
+            grads = {name: rng.normal(size=value.shape) for name, value in values.items()}
+            for g in grads.values():
+                g.flat[:2] = (-0.0, 0.0)
+            steps.append(grads)
+        return replace(params, **values), steps
+
+    @pytest.mark.parametrize("model", ["encoder", "decoder"])
+    @pytest.mark.parametrize("momentum, clip", [
+        (0.0, None), (0.9, None), (0.0, "fires"), (0.9, "fires"), (0.9, "idle"),
+    ])
+    def test_update_matches_field_walk(self, model, momentum, clip):
+        # three steps of the in-place vector path (_clip, then sgd_update)
+        # against the field-by-field reference, byte for byte after each:
+        # plain SGD, the first momentum step from None with -0.0 gradient
+        # entries, later momentum steps, and a clip that fires or does not
+        start, steps = self._update_case(model)
+        norms = [math.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
+                 for grads in steps]
+        limit = {None: 0.0, "fires": 0.5 * min(norms), "idle": 2.0 * max(norms)}[clip]
+        params, velocity = replace(start), None
+        ref, ref_velocity = start, None
+        for grads in steps:
+            vector = np.concatenate([g.ravel() for g in grads.values()])
+            clipped = training._clip(params, vector.copy(), limit)
+            assert np.array_equal(clipped, vector) == (clip != "fires")
+            velocity = sgd_update(params, clipped, 0.3, velocity, momentum)
+            ref, ref_velocity = reference_sgd_update(
+                ref, reference_clip(grads, limit), 0.3, ref_velocity, momentum)
+            for name, view in params.split(params.vector).items():
+                assert view.tobytes() == getattr(ref, name).tobytes(), name
+            if momentum == 0.0:
+                assert velocity is None and ref_velocity is None
+                continue
+            for name, view in params.split(velocity).items():
+                assert view.tobytes() == ref_velocity[name].tobytes(), name
+        # the -0.0 weights and gradients made signed zeros that the
+        # comparison above read
+        assert np.any(np.signbit(params.vector) & (params.vector == 0.0))
 
     def test_train_config_validation(self):
         with pytest.raises(ConfigError, match="beta"):
@@ -224,20 +277,21 @@ class TestUnbiasedness:
         params, decoder, inputs = self._setup()
         run, traces = replay(params, inputs, all_sequences(3, 1))
         f = sample_losses(decoder, run, eps, beta, self.LABEL, self.PRIOR)
-        expected = score_grads(run, traces, eps, np.exp(log_likelihood(run, eps)) * f)
+        expected = params.split(
+            score_grads(run, traces, eps, np.exp(log_likelihood(run, eps)) * f))
         fd = fd_grads(params, lambda moved: expected_objective(
             moved, decoder, inputs, eps, beta, self.LABEL, self.PRIOR), 1e-5)
         for field in ENCODER_FIELDS:
-            np.testing.assert_allclose(getattr(expected, field), fd[field], rtol=0, atol=1e-6)
+            np.testing.assert_allclose(expected[field], fd[field], rtol=0, atol=1e-6)
 
     def test_enumerated_score_has_zero_mean(self):
         # E[grad log p] = 0: the identity that lets a baseline shift f freely
         params, _, inputs = self._setup(seed=2)
         eps = 0.15
         run, traces = replay(params, inputs, all_sequences(3, 1))
-        mean = score_grads(run, traces, eps, np.exp(log_likelihood(run, eps)))
+        mean = params.split(score_grads(run, traces, eps, np.exp(log_likelihood(run, eps))))
         for field in ENCODER_FIELDS:
-            np.testing.assert_allclose(getattr(mean, field), 0.0, atol=1e-12)
+            np.testing.assert_allclose(mean[field], 0.0, atol=1e-12)
 
     def test_monte_carlo_mean_approaches_enumeration(self):
         eps, beta = 0.1, 0.05
@@ -245,7 +299,7 @@ class TestUnbiasedness:
         run, traces = replay(params, inputs, all_sequences(3, 1))
         p = np.exp(log_likelihood(run, eps))
         f = sample_losses(decoder, run, eps, beta, self.LABEL, self.PRIOR)
-        per_sequence = [score_grads(run, traces, eps, f * (np.arange(len(f)) == i))
+        per_sequence = [params.split(score_grads(run, traces, eps, f * (np.arange(len(f)) == i)))
                         for i in range(len(f))]
 
         # the training rollout on 20k copies of the input, one batch
@@ -254,14 +308,14 @@ class TestUnbiasedness:
         mc, mc_traces = training_rollout(
             params, np.repeat(inputs[None], draws, axis=0), spike_thresholds(uniforms, eps))
         f_mc = sample_losses(decoder, mc, eps, beta, self.LABEL, self.PRIOR)
-        mean = score_grads(mc, mc_traces, eps, f_mc / draws)
+        mean = params.split(score_grads(mc, mc_traces, eps, f_mc / draws))
 
         for field in ENCODER_FIELDS:
-            g = np.array([getattr(grads, field) for grads in per_sequence])
+            g = np.array([grads[field] for grads in per_sequence])
             exact = np.tensordot(p, g, axes=1)
             var = np.tensordot(p, g**2, axes=1) - exact**2
             se = np.sqrt(np.maximum(var, 0.0) / draws)
-            diff = np.abs(getattr(mean, field) - exact)
+            diff = np.abs(mean[field] - exact)
             assert (diff <= 4.0 * se + 1e-12).all()
 
 
@@ -300,14 +354,13 @@ def _toy_dataset(**kwargs):
 
 
 def _state_values(state):
-    """Copies of the arrays a TrainState holds and its baseline, by name."""
-    values = {"baseline": state.baseline}
-    for part in ("encoder", "decoder", "enc_vel", "dec_vel"):
-        held = getattr(state, part)
-        for f in fields(held) if held is not None else ():
-            value = getattr(held, f.name)
-            if isinstance(value, np.ndarray):
-                values[f"{part}.{f.name}"] = value.copy()
+    """Copies of the vectors a TrainState holds, its models' and its
+    velocities', and its baseline, by name."""
+    values = {"baseline": state.baseline, "encoder": state.encoder.vector.copy(),
+              "decoder": state.decoder.vector.copy()}
+    for part in ("enc_vel", "dec_vel"):
+        if getattr(state, part) is not None:
+            values[part] = getattr(state, part).copy()
     return values
 
 
@@ -361,14 +414,14 @@ class TestEpochLoop:
 
     def test_momentum_and_baseline_state_threading(self):
         # with momentum and the baseline on, an epoch returns velocities
-        # of the grads' types and a baseline; without them, None
+        # of the models' vector layouts and a baseline; without them, None
         data = _toy_dataset()
         start = TrainState(*_toy_models(data))
         rng = SeededRng(0).substream("t", 0)
         cfg = RunConfig(epochs=2, batch_size=8, momentum=0.9, baseline=True, epsilon=0.1)
         state, _ = train_epoch(start, data, cfg, rng, {})
-        assert isinstance(state.enc_vel, EncoderGrads)
-        assert isinstance(state.dec_vel, DecoderGrads)
+        assert state.enc_vel.shape == state.encoder.vector.shape
+        assert state.dec_vel.shape == state.decoder.vector.shape
         assert isinstance(state.baseline, float)
         plain, _ = train_epoch(start, data, replace(cfg, momentum=0.0, baseline=False), rng, {})
         assert (plain.enc_vel, plain.dec_vel, plain.baseline) == (None, None, None)
@@ -382,7 +435,7 @@ class TestEpochLoop:
         state, _ = train_epoch(TrainState(*_toy_models(data)), data, cfg,
                                SeededRng(0).substream("t", 0), draws)
         before = _state_values(state)
-        assert {"baseline", "enc_vel.bias", "dec_vel.w1"} <= before.keys()
+        assert before.keys() == {"baseline", "encoder", "decoder", "enc_vel", "dec_vel"}
         real = training.score_grads
         calls = []
 
