@@ -41,9 +41,7 @@ from .encoder import init_encoder_params
 from .events import load_frames, synthetic_frames
 from .metrics import MetricsRow, _atomic_open, export_metrics, read_metrics, write_metrics
 from .numerics import SeededRng, db_to_linear, ebn0_to_epsilon
-from .training import (
-    Dataset, TrainState, TrainingDiverged, evaluate_grid, filter_dataset, train_epoch,
-)
+from .training import Dataset, TrainState, TrainingDiverged, evaluate, train_epoch
 
 DEFAULT_SNR_GRID_DB = (float("-inf"), -6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
 DEFAULT_MISMATCH_GRID = (0.05, 0.10, 0.15, 0.20, 0.25)
@@ -73,8 +71,8 @@ def _flat(frames: np.ndarray) -> np.ndarray:
 
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
-    """Both splits: the train counts as history codes, made once for every
-    run on them (filter_dataset), and the test counts as they are."""
+    """Both splits, as one Dataset for every run of a command: it codes the
+    train counts into history codes once, and keeps the test counts."""
     train_x, train_y = _split_inputs(cfg, "train")
     test_x, test_y = _split_inputs(cfg, "test")
     if train_x.shape[3:] != test_x.shape[3:]:
@@ -88,7 +86,7 @@ def _build_dataset(cfg: RunConfig) -> Dataset:
         n_classes = cfg.classes
     else:
         n_classes = int(max(train_y.max(), test_y.max())) + 1
-    return filter_dataset(Dataset(train_x, train_y, test_x, test_y, n_classes))
+    return Dataset(train_x, train_y, test_x, test_y, n_classes)
 
 
 def _init_models(cfg: RunConfig, data: Dataset):
@@ -115,7 +113,7 @@ def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
                rows: list[MetricsRow], draws: dict):
     """Full training loop on _build_dataset's dataset; appends each epoch's
     metrics row to `rows` as it ends and returns the params.  draws is the
-    command's one cache of evaluation draws (evaluate_grid).  A divergence
+    command's one cache of evaluation draws (evaluate).  A divergence
     or an interruption in an epoch is raised again naming the experiment,
     point and epoch."""
     eps = cfg.crossover()
@@ -255,7 +253,7 @@ def _sweep_train_per_point(cfg: RunConfig, grid, rows: list[MetricsRow]) -> None
         if trained:  # the last epoch evaluated the point at its own crossover and seed
             error, rate = trained[-1].error_rate, trained[-1].spike_rate
         else:
-            [(error, rate)] = evaluate_grid(
+            [(error, rate)] = evaluate(
                 encoder, decoder, data.test_inputs, data.test_labels, [eps], cfg.seed, draws)
         seconds = time.perf_counter() - started if cfg.timing else 0.0
         rows.append(
@@ -268,7 +266,7 @@ def _sweep_train_per_point(cfg: RunConfig, grid, rows: list[MetricsRow]) -> None
 
 def _sweep_one_model(cfg: RunConfig, grid, experiment: str, rows: list[MetricsRow],
                      checkpoint: str | None = None) -> None:
-    """Evaluate one model across the grid in one evaluate_grid call on the
+    """Evaluate one model across the grid in one evaluate call on the
     test split's counts: the checkpoint's model, or one trained here at the
     configured point (saved as checkpoint.txt), whose draws the grid reads
     back.  Each row gets an even share of the grid's time.  From a
@@ -288,7 +286,7 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, rows: list[MetricsRo
         save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
         test_x, test_y = data.test_inputs, data.test_labels
     started = time.perf_counter()
-    results = evaluate_grid(encoder, decoder, test_x, test_y, [e for e, _ in grid], cfg.seed, draws)
+    results = evaluate(encoder, decoder, test_x, test_y, [e for e, _ in grid], cfg.seed, draws)
     seconds = (time.perf_counter() - started) / len(grid) if cfg.timing else 0.0
     for i, ((eps, db), (error, rate)) in enumerate(zip(grid, results)):
         rows.append(MetricsRow(experiment, i, cfg.epochs, eps, db, cfg.beta, cfg.k,

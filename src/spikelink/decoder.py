@@ -65,7 +65,7 @@ def init_decoder_params(
     input_dim: int,
     n_classes: int,
     rng: SeededRng,
-    hidden_dim: int = 1024,
+    hidden_dim: int,
     output: str = "sigmoid",
 ) -> DecoderParams:
     """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases."""

@@ -7,8 +7,8 @@ The filtered inputs reach the potential only as the feedforward drive
 W·(a∗x), the weights times the input trace, and the filter is linear, so
 there are two ways to make it.  Training projects each step's input
 traces (`drive_from_traces`), which are also the feedforward weights'
-gradient; it keeps its 0/1 counts as uint16 history codes
-(`history_codes`) and looks each batch's traces up from them
+gradient; its dataset keeps the 0/1 counts as uint16 history codes
+(`history_codes`), and each batch's traces are looked up from them
 (`code_traces`), `filter_inputs` of the counts bit for bit.  Evaluation
 projects each step's counts to the k neurons first and filters those k
 columns (`drive_from_counts`), a∗(W·x): no input trace is made, and the
@@ -113,11 +113,6 @@ def init_encoder_params(
     )
 
 
-# counts per block of filter_inputs and of code_traces' index: bounds their
-# working set, not their results
-FILTER_BLOCK = 1 << 16
-
-
 def filter_inputs(counts: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Input traces of counts of shape (n, steps, lines), as a new float64
     array of that shape.
@@ -125,36 +120,18 @@ def filter_inputs(counts: np.ndarray, kernel: Kernel) -> np.ndarray:
     The trace at step t is c0*x_t + c1*x_{t-1} + ..., added in that order,
     with history before step 0 reading zero.  The counts may have any real
     dtype: a count cast to float64 is exact, so a uint8 count times a tap is
-    the float64 count's product.  The taps go one at a time over a block:
-    its traces start as c0*x, and tap d adds c_d*x to the traces d steps
-    later, which keeps each element's addition order.  A block is as many
-    whole samples as fit in FILTER_BLOCK counts or, when one sample does
-    not fit, a slice of one sample's lines; its counts are cast once, so the
-    working set is two float64 buffers of the block's size.
+    the float64 count's product.  The traces start as c0*x, and tap d adds
+    c_d*x to the traces d steps later, which keeps each element's addition
+    order; each tap's products are one temporary of the traces' size at
+    most.
     """
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.dtype.kind not in "buif":
         raise ValueError("filter_inputs needs a real array of shape (n, steps, lines)")
     coeff = kernel.coefficients
-    n, steps, lines = counts.shape
-    traces = np.empty((n, steps, lines))
-    if steps * lines <= FILTER_BLOCK:
-        samples, width = FILTER_BLOCK // max(steps * lines, 1), max(lines, 1)
-    else:
-        samples, width = 1, max(FILTER_BLOCK // steps, 1)
-    x = np.empty((min(samples, n), steps, min(width, lines)))
-    term = np.empty_like(x)
-    for start in range(0, n, samples):
-        for left in range(0, lines, width):
-            block = counts[start : start + samples, :, left : left + width]
-            trace = traces[start : start + samples, :, left : left + width]
-            m, _, w = block.shape
-            xb, tb = x[:m, :, :w], term[:m, :, :w]
-            xb[...] = block
-            np.multiply(xb, coeff[0], out=trace)
-            for d in range(1, min(coeff.size, steps)):
-                np.multiply(xb[:, :-d], coeff[d], out=tb[:, d:])
-                trace[:, d:] += tb[:, d:]
+    traces = np.multiply(counts, coeff[0], dtype=np.float64)
+    for d in range(1, min(coeff.size, counts.shape[1])):
+        traces[:, d:] += coeff[d] * counts[:, :-d]
     return traces
 
 
@@ -178,6 +155,11 @@ def history_codes(counts) -> np.ndarray:
         if t:
             codes[:, t] |= codes[:, t - 1] << 1
     return codes
+
+
+# counts per block of code_traces' index: bounds its working set, not its
+# results
+FILTER_BLOCK = 1 << 16
 
 
 def code_traces(codes: np.ndarray, kernel: Kernel, batch_size: int):

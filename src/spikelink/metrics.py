@@ -96,15 +96,15 @@ def read_metrics(path) -> list[MetricsRow]:
 
 
 def export_metrics(rows, fmt: str = "csv") -> str:
-    """Render rows as CSV (default) or `key=value` lines, one row per line."""
+    """Render rows as CSV (default) or `key=value` lines, one row per line
+    (no rows: the CSV header alone, or no key=value text at all)."""
     if fmt == "csv":
         text = io.StringIO()
         _write_csv(text, rows)
         return text.getvalue()
     if fmt == "kv":
-        lines = []
-        for row in rows:
-            pairs = zip(CSV_HEADER, row.to_fields())
-            lines.append(" ".join(f"{k}={v}" for k, v in pairs))
-        return "\n".join(lines) + "\n"
+        return "".join(
+            " ".join(f"{k}={v}" for k, v in zip(CSV_HEADER, row.to_fields())) + "\n"
+            for row in rows
+        )
     raise ValueError(f"unknown export format {fmt!r}")

@@ -5,10 +5,10 @@ times a rate term: the log-ratio between the channel-marginalized encoding
 law and a fixed Bernoulli reference over the received bits.  The decoder is
 updated with exact gradients; the encoder with the score-function estimator
 (one Monte Carlo draw per input), built from the input traces and the
-traces the rollout keeps.  filter_dataset turns a dataset's train split,
-once, from 0/1 counts into uint16 history codes, and each batch's float64
+traces the rollout keeps.  A Dataset codes its train split's 0/1 counts
+into uint16 history codes once, as it is built, and each batch's float64
 input traces are looked up from them (encoder.code_traces) into a buffer
-the epoch reuses; the test split stays uint8 counts (evaluate_grid).
+the epoch reuses; the test split stays uint8 counts (evaluate).
 train_epoch reads its settings by name from the run's RunConfig, which
 checked them when it was built.  An array too large to allocate (the
 train split's codes, a batch's traces, a test chunk's draws, drive or
@@ -24,7 +24,7 @@ give, and the rollout's thresholds are channel.spike_thresholds of them.
 Evaluation mode runs the physical two-stage path: clean spikes drive the
 recurrence and the channel flips a copy.  Its draws depend only on the
 seed and the sample, so they are a cache, not training state: one draws
-dict per command, which its training runs and grid evaluation share.
+dict per command, which its training runs and evaluation share.
 What an epoch carries to the next is a frozen TrainState: the two models,
 their momentum velocities and the moving baseline.  An epoch updates copies
 of each model's flat vector (numerics.FlatParams) and velocity in place.
@@ -33,7 +33,7 @@ of each model's flat vector (numerics.FlatParams) and velocity in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -62,7 +62,6 @@ EVAL_CHUNK = 128
 __all__ = [
     "PriorModel",
     "Dataset",
-    "filter_dataset",
     "TrainingDiverged",
     "TrainState",
     "regularizer",
@@ -70,7 +69,6 @@ __all__ = [
     "sgd_update",
     "train_epoch",
     "evaluate",
-    "evaluate_grid",
 ]
 
 
@@ -100,41 +98,35 @@ class PriorModel:
 class Dataset:
     """Encoder inputs split into train and test.
 
-    The inputs are 0/1 frame counts, kept in the dtype they come in (uint8
-    from the events module).  filter_dataset's copy holds the train split's
-    uint16 history codes instead, which that dtype marks.  The test split
-    always stays counts.
+    The train split comes in as 0/1 frame counts of any real dtype and is
+    kept only as their uint16 history codes (encoder.history_codes), from
+    which train_epoch looks up each batch's input traces; the caller's
+    counts are left as they are.  The test split stays counts, in the dtype
+    they come in (uint8 from the events module), which evaluate reads.
+    replace() needs the train counts again, so no Dataset is coded twice.
     """
 
-    train_inputs: np.ndarray
+    train_counts: InitVar[np.ndarray]
     train_labels: np.ndarray
     test_inputs: np.ndarray
     test_labels: np.ndarray
     n_classes: int
+    train_codes: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        self.train_inputs = np.asarray(self.train_inputs)
+    def __post_init__(self, train_counts):
+        train_counts = np.asarray(train_counts)
         self.test_inputs = np.asarray(self.test_inputs)
-        if self.train_inputs.ndim != 3 or self.test_inputs.ndim != 3:
+        if train_counts.ndim != 3 or self.test_inputs.ndim != 3:
             raise ValueError("inputs must be (samples, steps, lines)")
-        if len(self.train_labels) != len(self.train_inputs):
+        if len(self.train_labels) != len(train_counts):
             raise ValueError("train labels do not match inputs")
         if len(self.test_labels) != len(self.test_inputs):
             raise ValueError("test labels do not match inputs")
+        self.train_codes = history_codes(train_counts)
 
     @property
     def input_dim(self) -> int:
-        return self.train_inputs.shape[2]
-
-
-def filter_dataset(data: Dataset) -> Dataset:
-    """A copy of data whose train split holds its counts' history codes
-    (encoder.history_codes), from which train_epoch filters each batch's
-    input traces; the test split keeps its counts (evaluate_grid reads
-    them).  A dataset that holds codes already is refused."""
-    if data.train_inputs.dtype == np.uint16:
-        raise ValueError("dataset is already filtered into history codes")
-    return replace(data, train_inputs=history_codes(data.train_inputs))
+        return self.train_codes.shape[2]
 
 
 @dataclass(frozen=True)
@@ -238,23 +230,20 @@ def train_epoch(
     measured on the test set).  The state passed in, TrainState(encoder,
     decoder) at a run's first epoch, is copied once and never changed, so
     an epoch cut short leaves it as the last finished epoch returned it.
-    draws is the command's cache of evaluation draws (see evaluate_grid):
-    the test samples' uniforms are made into it once and read back later.
-    The dataset's train split must hold history codes (filter_dataset),
-    from which each batch's input traces are looked up under the encoder's
-    kernel_ff (encoder.code_traces); its test split holds counts.  Of the config
+    draws is the command's cache of evaluation draws (see evaluate): the
+    test samples' uniforms are made into it once and read back later.  Each
+    batch's input traces are looked up from the dataset's train codes under
+    the encoder's kernel_ff (encoder.code_traces).  Of the config
     it reads the channel point, beta, eta, batch_size, seed, prior_rate,
     momentum, grad_clip and baseline.
     """
     eps = config.training_crossover()
-    if data.train_inputs.dtype != np.uint16:
-        raise ValueError("train inputs are not history codes: make them with filter_dataset")
     encoder, decoder = replace(state.encoder), replace(state.decoder)  # copies, updated in place
     enc_vel, dec_vel = (None if v is None else v.copy() for v in (state.enc_vel, state.dec_vel))
     baseline = state.baseline
-    traces_of = code_traces(data.train_inputs, encoder.kernel_ff, config.batch_size)
+    traces_of = code_traces(data.train_codes, encoder.kernel_ff, config.batch_size)
     prior = PriorModel(config.prior_rate)
-    order = rng.substream("shuffle").permutation(len(data.train_inputs))
+    order = rng.substream("shuffle").permutation(len(data.train_codes))
     draw = rng.substream("draws")
     task_sum = 0.0
     rate_sum = 0.0
@@ -290,8 +279,8 @@ def train_epoch(
         dec_vel = sgd_update(decoder, dec_grads, config.eta, dec_vel, config.momentum)
     mean_task = task_sum / max(count, 1)
     mean_rate = rate_sum / max(count, 1)
-    test_error, test_rate = evaluate(
-        encoder, decoder, data.test_inputs, data.test_labels, eps, config.seed, draws=draws
+    [(test_error, test_rate)] = evaluate(
+        encoder, decoder, data.test_inputs, data.test_labels, [eps], config.seed, draws
     )
     metrics = EpochMetrics(
         task_loss=mean_task,
@@ -319,25 +308,13 @@ def evaluate(
     decoder: DecoderParams,
     counts: np.ndarray,
     labels: np.ndarray,
-    epsilon: float,
-    seed: int,
-    draws: dict | None = None,
-) -> tuple[float, float]:
-    """Test error and clean spike rate at one channel point (see evaluate_grid)."""
-    return evaluate_grid(encoder, decoder, counts, labels, [epsilon], seed, draws)[0]
-
-
-def evaluate_grid(
-    encoder: EncoderParams,
-    decoder: DecoderParams,
-    counts: np.ndarray,
-    labels: np.ndarray,
     epsilons,
     seed: int,
     draws: dict | None = None,
 ) -> list[tuple[float, float]]:
-    """(test error, clean spike rate) at each channel point, under the
-    two-stage channel path, from the test inputs' counts (n, steps, lines).
+    """(test error, clean spike rate) at each channel point of epsilons, in
+    order (one point is a grid of one), under the two-stage channel path,
+    from the test inputs' counts (n, steps, lines).
 
     Each chunk's feedforward drive is made from its counts in neuron space
     (encoder.drive_from_counts), so no float64 input trace is ever made;

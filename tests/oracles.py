@@ -199,7 +199,7 @@ def parse_kv_metrics(text: str) -> list[MetricsRow]:
 
 def evaluate_line_space(encoder, decoder, counts, labels, epsilons, seed: int):
     """(test error, clean spike rate) at each channel point, as
-    training.evaluate_grid documents them, one sample and one step at a
+    training.evaluate documents them, one sample and one step at a
     time in line space.
 
     Each sample's counts become input traces (filter_inputs), and step t's

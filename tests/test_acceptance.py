@@ -44,7 +44,6 @@ from spikelink.training import (
     PriorModel,
     TrainState,
     evaluate,
-    evaluate_grid,
     regularizer,
     train_epoch,
 )
@@ -365,7 +364,7 @@ def test_criterion_08_snr_sweep_shape(capsys):
         encoder, decoder, data, _ = _train(cfg)
         grid = [ebn0_to_epsilon(db_to_linear(db), form="linear") for db in DEFAULT_SNR_GRID_DB]
         errors = [
-            err for err, _ in evaluate_grid(
+            err for err, _ in evaluate(
                 encoder, decoder, data.test_inputs, data.test_labels, grid, cfg.seed
             )
         ]
@@ -385,8 +384,8 @@ def test_criterion_09_mismatch_robustness(capsys):
         encoder, decoder, data, _ = _train(cfg)
         errs = {}
         for eps in (0.10, 0.15, 0.20):
-            errs[eps], _ = evaluate(
-                encoder, decoder, data.test_inputs, data.test_labels, eps, cfg.seed
+            [(errs[eps], _)] = evaluate(
+                encoder, decoder, data.test_inputs, data.test_labels, [eps], cfg.seed
             )
         degradation = max(errs[0.10] - errs[0.15], errs[0.20] - errs[0.15])
         assert degradation <= 0.05

@@ -28,12 +28,13 @@ def _child():
     return module
 
 
-@pytest.mark.parametrize("verb, stop", [("train", "filter_dataset"),
-                                        ("sweep-snr", "evaluate_grid")])
+@pytest.mark.parametrize("verb, stop", [("train", "train_epoch"),
+                                        ("sweep-snr", "evaluate")])
 def test_setup_stops_at_the_first_training_call(tmp_path, monkeypatch, verb, stop):
     # the benchmark's setup mode ends set-up at the CLI's first call into
-    # spikelink.training: after both splits are built when training, at
-    # the grid's evaluation from a checkpoint
+    # spikelink.training: at the first epoch, after both splits are built
+    # and the train split coded, when training; at the grid's evaluation
+    # from a checkpoint
     import spikelink.cli as cli
     import spikelink.training as training
 

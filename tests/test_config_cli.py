@@ -24,7 +24,7 @@ from spikelink.config import ConfigError, RunConfig, build_run_config, parse_con
 from spikelink.encoder import filter_inputs
 from spikelink.events import _draw_columns, class_rate_map, synthetic_frames
 from spikelink.numerics import SeededRng, exponential_kernel
-from spikelink.training import TrainingDiverged, evaluate_grid
+from spikelink.training import TrainingDiverged, evaluate
 from spikelink.metrics import (
     CSV_HEADER,
     MetricsRow,
@@ -674,26 +674,12 @@ class TestCliSweeps:
 
         def swept(kernel):
             test_x, test_y = cli._split_inputs(cfg, "test")
-            return evaluate_grid(replace(encoder, kernel_ff=kernel), decoder, cli._flat(test_x),
-                                 test_y, [0.0, 0.2], cfg.seed)
+            return evaluate(replace(encoder, kernel_ff=kernel), decoder, cli._flat(test_x),
+                            test_y, [0.0, 0.2], cfg.seed)
 
         rows = read_metrics(tmp_path / "sweep" / "metrics.csv")
         assert [(r.error_rate, r.spike_rate) for r in rows] == swept(encoder.kernel_ff)
         assert swept(encoder.kernel_ff) != swept(cfg.kernel_ff())
-
-    def test_dataset_filtered_with_another_kernel_is_refused(
-        self, tiny_config, tmp_path, monkeypatch, capsys
-    ):
-        # the train split reaches train_epoch as counts, not as the history
-        # codes it filters batch by batch under the encoder's own kernel_ff:
-        # refused, naming the call that makes the codes
-        monkeypatch.setattr(cli, "filter_dataset", lambda data: data)
-        out = tmp_path / "refused"
-        assert _main("train", "--config", str(tiny_config), "--out", str(out)) == 2
-        assert _refusal(capsys) == (
-            "error: train inputs are not history codes: make them with filter_dataset"
-        )
-        assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ("sweep-beta", "--beta-grid", "0.001,0.01"),
@@ -972,9 +958,9 @@ class TestCliSweeps:
 
         def grid_spy(*args):
             grid_calls.append(args)
-            return evaluate_grid(*args)
+            return evaluate(*args)
 
-        monkeypatch.setattr(cli, "evaluate_grid", grid_spy)
+        monkeypatch.setattr(cli, "evaluate", grid_spy)
         real = cli._train_run
 
         def recording(point_cfg, data, *rest):
@@ -989,8 +975,8 @@ class TestCliSweeps:
         rows = read_metrics(out / "metrics.csv")
         assert [(r.point, r.epoch) for r in rows] == [(0, 2), (1, 2)]
         for row, (point_cfg, data, (encoder, decoder)) in zip(rows, runs, strict=True):
-            assert evaluate_grid(encoder, decoder, data.test_inputs, data.test_labels,
-                                 [row.epsilon], point_cfg.seed) == [(row.error_rate, row.spike_rate)]
+            assert evaluate(encoder, decoder, data.test_inputs, data.test_labels,
+                            [row.epsilon], point_cfg.seed) == [(row.error_rate, row.spike_rate)]
 
     @pytest.mark.parametrize("verb, flags, grid", [
         ("sweep-snr", ["--train-per-point", "--epsilon-grid", "0.1,0.3"], (0.1, 0.3)),
@@ -1005,8 +991,8 @@ class TestCliSweeps:
         cfg = build_run_config(parse_config_file(tiny_config), {"epochs": 0})
         data = cli._build_dataset(cfg)
         encoder, decoder = cli._init_models(cfg, data)
-        expected = evaluate_grid(encoder, decoder, data.test_inputs, data.test_labels, grid,
-                                 cfg.seed)
+        expected = evaluate(encoder, decoder, data.test_inputs, data.test_labels, grid,
+                            cfg.seed)
         assert [(r.point, r.epoch, r.epsilon) for r in rows] == [
             (i, 0, eps) for i, eps in enumerate(grid)
         ]
@@ -1082,6 +1068,20 @@ class TestCliExport:
         assert code == 0
         text = capsys.readouterr().out
         assert parse_kv_metrics(text) == rows
+
+    def test_export_of_no_rows(self, tiny_config, tmp_path, capsys):
+        # a run of 0 epochs writes the header alone: its CSV export is that
+        # header and its key=value export is empty, not one blank line
+        out = tmp_path / "zero"
+        assert _main("train", "--config", str(tiny_config), "--out", str(out),
+                     "--epochs", "0") == 0
+        capsys.readouterr()
+        exported = {}
+        for fmt in ("csv", "kv"):
+            assert _main("export", "--metrics", str(out / "metrics.csv"), "--format", fmt) == 0
+            exported[fmt] = capsys.readouterr().out
+        assert exported == {"csv": (out / "metrics.csv").read_text(), "kv": ""}
+        assert exported["csv"] == ",".join(CSV_HEADER) + "\n"
 
     def test_csv_export_to_file_is_identity(self, tiny_config, tmp_path):
         out = tmp_path / "run"
@@ -1275,8 +1275,8 @@ class TestCliErrors:
     def test_traces_too_large_refused(self, tiny_config, tmp_path, capsys, monkeypatch,
                                       split, calls, shape, dtype):
         # uint8 counts that fit can still have larger arrays that do not:
-        # the train split's uint16 history codes (filter_dataset's call,
-        # the first), or a test chunk's float64 drive of 8 records x k = 4
+        # the train split's uint16 history codes (the Dataset's call, the
+        # first), or a test chunk's float64 drive of 8 records x k = 4
         # columns in the first epoch's evaluation (the next call, a filter
         # from encoder.drive_from_counts); the failing allocation is
         # simulated, never made

@@ -18,7 +18,7 @@ from spikelink.decoder import (
 )
 from spikelink.encoder import init_encoder_params
 from spikelink.numerics import SeededRng, sigmoid
-from spikelink.training import evaluate_grid
+from spikelink.training import evaluate
 
 FIELDS = ("w1", "b1", "w2", "b2")
 
@@ -155,7 +155,7 @@ class TestLosses:
             w1=np.zeros((4, 10)), b1=np.zeros(4), w2=np.zeros((3, 4)), b2=np.zeros(3)
         )
         labels = np.arange(16) % 3
-        [(err, _)] = evaluate_grid(encoder, flat, inputs, labels, [0.1], seed=0)
+        [(err, _)] = evaluate(encoder, flat, inputs, labels, [0.1], seed=0)
         assert err == np.mean(labels != 0)
 
 

@@ -279,7 +279,6 @@ class TestDrives:
         counts = bernoulli(SeededRng(1), np.full((10, 4, 3), 0.5)).astype(np.uint8)
         data = training.Dataset(counts[:6], np.arange(6) % 2, counts[6:], np.arange(4) % 2, 2)
         params = _tiny_params()
-        data = training.filter_dataset(data)
         decoder = init_decoder_params(8, 2, SeededRng(2), hidden_dim=3)
         training.train_epoch(training.TrainState(params, decoder), data,
                              RunConfig(batch_size=4, epsilon=0.1), SeededRng(3), {})

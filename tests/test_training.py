@@ -49,8 +49,6 @@ from spikelink.training import (
     TrainState,
     TrainingDiverged,
     evaluate,
-    evaluate_grid,
-    filter_dataset,
     regularizer,
     sgd_update,
     train_epoch,
@@ -255,7 +253,7 @@ class TestSequencePaths:
         np.testing.assert_array_equal(first.bits, second.bits)
         np.testing.assert_array_equal(first.potentials, second.potentials)
         decoder = init_decoder_params(8, 2, SeededRng(2), hidden_dim=3)
-        _, rate = evaluate(params, decoder, counts, np.array([0]), 0.1, 77)
+        [(_, rate)] = evaluate(params, decoder, counts, np.array([0]), [0.1], 77)
         assert rate == np.count_nonzero(first.bits) / 8
 
 
@@ -320,7 +318,8 @@ class TestUnbiasedness:
 
 
 def _toy_counts(seed=0, n_train=24, n_test=16, steps=6, lines=8):
-    # two linearly separable spike-rate patterns, as unfiltered uint8 counts
+    # two linearly separable spike-rate patterns, as uint8 counts: the
+    # train split's, the test split's, and their labels
     rng = SeededRng(seed)
     half = lines // 2
     def draw(n):
@@ -338,19 +337,19 @@ def _toy_counts(seed=0, n_train=24, n_test=16, steps=6, lines=8):
         return inputs, labels
     xtr, ytr = draw(n_train)
     xte, yte = draw(n_test)
-    return Dataset(xtr, ytr, xte, yte, n_classes=2)
+    return xtr, ytr, xte, yte
 
 
 def _toy_models(data, seed=0, k=4, hidden=8):
     root = SeededRng(seed)
     enc = init_encoder_params(data.input_dim, k, root.substream("e"))
-    dec = init_decoder_params(k * data.train_inputs.shape[1], data.n_classes, root.substream("d"), hidden_dim=hidden)
+    dec = init_decoder_params(k * data.train_codes.shape[1], data.n_classes, root.substream("d"), hidden_dim=hidden)
     return enc, dec
 
 
 def _toy_dataset(**kwargs):
-    """The toy counts, their train split as history codes."""
-    return filter_dataset(_toy_counts(**kwargs))
+    """The toy counts as a Dataset, its train split coded."""
+    return Dataset(*_toy_counts(**kwargs), n_classes=2)
 
 
 def _state_values(state):
@@ -491,7 +490,7 @@ class TestEpochLoop:
         monkeypatch.setattr(training, "spike_thresholds", spy)
         rng = SeededRng(0).substream("t", 0)
         train_epoch(state, data, RunConfig(batch_size=5, epsilon=0.1), rng, {})
-        steps, k = data.train_inputs.shape[1], state.encoder.n_out
+        steps, k = data.train_codes.shape[1], state.encoder.n_out
         # the training batches' draws; the last call is evaluation's
         assert [u.shape for u in seen[:-1]] == [(steps, 5, k)] * 2 + [(steps, 2, k)]
         expected = rng.substream("draws").uniform((12 * steps * k,))
@@ -499,22 +498,21 @@ class TestEpochLoop:
 
     def test_epoch_memory_bounded_by_batch_buffers(self):
         # the train split is kept as 2-byte history codes and an epoch
-        # makes its traces a batch at a time into reused buffers: with the
-        # codes made, its peak stays within the codes, a few batches'
-        # buffers and the kept evaluation draws; the split's float64
-        # traces would be four times the codes
+        # makes its traces a batch at a time into reused buffers: from the
+        # counts, building the Dataset and its epoch peak within the codes,
+        # a few batches' buffers and the kept evaluation draws; the split's
+        # float64 traces would be four times the codes
         n, steps, lines, batch = 1024, 20, 64, 16
         counts = (SeededRng(1).uniform((n + 8, steps, lines)) < 0.2).astype(np.uint8)
         labels = np.arange(n + 8) % 4
         root = SeededRng(0)
         enc = init_encoder_params(lines, 4, root.substream("e"))
         dec = init_decoder_params(4 * steps, 4, root.substream("d"), hidden_dim=8)
-        raw = Dataset(counts[:n], labels[:n], counts[n:], labels[n:], n_classes=4)
         draws: dict = {}
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            data = filter_dataset(raw)
+            data = Dataset(counts[:n], labels[:n], counts[n:], labels[n:], n_classes=4)
             train_epoch(TrainState(enc, dec), data, RunConfig(batch_size=batch, epsilon=0.1),
                         SeededRng(0), draws)
             peak = tracemalloc.get_traced_memory()[1] - base
@@ -529,56 +527,41 @@ class TestEpochLoop:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 3, 4)), np.zeros(3), np.zeros((1, 3, 4)), np.zeros(1), 2)
 
-    def test_refuses_dataset_filtered_with_another_kernel(self):
-        # the train split must hold history codes, which depend on no
-        # kernel: counts, or float64 traces filtered under any kernel, are
-        # refused, naming the call that makes the codes
-        data = _toy_counts()
-        enc, dec = _toy_models(data)
-        cfg = RunConfig(epsilon=0.1)
-        for ff_kernel in (enc.kernel_ff, kernel(1.0, 0.5)):
-            traces = replace(data, train_inputs=filter_inputs(data.train_inputs, ff_kernel))
-            for refused in (data, traces):
-                with pytest.raises(ValueError, match="not history codes.*filter_dataset"):
-                    train_epoch(TrainState(enc, dec), refused, cfg, SeededRng(0), {})
 
-
-class TestFilterDataset:
-    def test_filters_both_splits_once(self):
-        # a new dataset's train split holds the counts' uint16 history
-        # codes, from which a batch's traces are the counts' own, and the
-        # input keeps its uint8 counts; the test split keeps its counts,
-        # which evaluation reads
-        data = _toy_counts()
-        counts, test_counts = data.train_inputs.copy(), data.test_inputs
-        assert counts.dtype == np.uint8 and test_counts.dtype == np.uint8
-        filtered = filter_dataset(data)
-        assert filtered is not data
-        assert data.train_inputs.dtype == np.uint8
-        np.testing.assert_array_equal(data.train_inputs, counts)
-        assert filtered.train_inputs.dtype == np.uint16
-        np.testing.assert_array_equal(filtered.train_inputs, history_codes(counts))
+class TestDataset:
+    def test_codes_the_train_split(self):
+        # the train split is kept as its counts' uint16 history codes, from
+        # which a batch's traces are the counts' own; the caller's counts
+        # are left as they are, and the test split is the array given
+        counts, labels, test_counts, test_labels = _toy_counts()
+        before = counts.copy()
+        data = Dataset(counts, labels, test_counts, test_labels, n_classes=2)
+        assert data.train_codes.dtype == np.uint16
+        np.testing.assert_array_equal(data.train_codes, history_codes(counts))
+        assert counts.dtype == np.uint8 and counts.tobytes() == before.tobytes()
+        assert data.test_inputs is test_counts
         ff_kernel = kernel(1.0, 0.5)
-        traces = code_traces(filtered.train_inputs, ff_kernel, len(counts))(np.arange(len(counts)))
+        traces = code_traces(data.train_codes, ff_kernel, len(counts))(np.arange(len(counts)))
         expected = filter_inputs(counts, ff_kernel)
         assert np.array_equal(traces.view(np.uint64), expected.view(np.uint64))
-        assert filtered.test_inputs is test_counts
 
-    def test_refuses_refiltering_with_another_kernel(self):
-        # a dataset of history codes holds no counts, so it is refused
-        data = filter_dataset(_toy_counts())
-        before = data.train_inputs.copy()
-        with pytest.raises(ValueError, match="already filtered"):
-            filter_dataset(data)
-        np.testing.assert_array_equal(data.train_inputs, before)
+    def test_replace_without_counts_is_refused(self):
+        # a Dataset holds no counts to code again: replace needs them
+        data = _toy_dataset()
+        with pytest.raises(ValueError, match="train_counts"):
+            replace(data, n_classes=3)
+        counts, labels, test_counts, test_labels = _toy_counts(seed=1)
+        other = replace(data, train_counts=counts, train_labels=labels)
+        np.testing.assert_array_equal(other.train_codes, history_codes(counts))
+        assert other.test_inputs is data.test_inputs
 
 
 class TestEvaluate:
     def test_repeat_evaluation_identical(self):
         data = _toy_dataset()
         enc, dec = _toy_models(data)
-        a = evaluate(enc, dec, data.test_inputs, data.test_labels, 0.1, seed=0)
-        b = evaluate(enc, dec, data.test_inputs, data.test_labels, 0.1, seed=0)
+        a = evaluate(enc, dec, data.test_inputs, data.test_labels, [0.1], seed=0)
+        b = evaluate(enc, dec, data.test_inputs, data.test_labels, [0.1], seed=0)
         assert a == b
 
     def test_epsilon_zero_matches_vanishing_epsilon(self):
@@ -586,15 +569,15 @@ class TestEvaluate:
         # crossover must reproduce the clean result exactly
         data = _toy_dataset()
         enc, dec = _toy_models(data)
-        a = evaluate(enc, dec, data.test_inputs, data.test_labels, 0.0, seed=3)
-        b = evaluate(enc, dec, data.test_inputs, data.test_labels, 1e-300, seed=3)
+        a = evaluate(enc, dec, data.test_inputs, data.test_labels, [0.0], seed=3)
+        b = evaluate(enc, dec, data.test_inputs, data.test_labels, [1e-300], seed=3)
         assert a == b
 
     def test_spike_rate_is_channel_independent(self):
         data = _toy_dataset()
         enc, dec = _toy_models(data)
-        _, r1 = evaluate(enc, dec, data.test_inputs, data.test_labels, 0.0, seed=0)
-        _, r2 = evaluate(enc, dec, data.test_inputs, data.test_labels, 0.4, seed=0)
+        [(_, r1)] = evaluate(enc, dec, data.test_inputs, data.test_labels, [0.0], seed=0)
+        [(_, r2)] = evaluate(enc, dec, data.test_inputs, data.test_labels, [0.4], seed=0)
         assert r1 == r2
 
 
@@ -605,9 +588,9 @@ class TestEvaluateGrid:
     def test_matches_per_point_evaluate(self):
         data = _toy_dataset(n_test=40)
         enc, dec = _toy_models(data)
-        grid = evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=4)
+        grid = evaluate(enc, dec, data.test_inputs, data.test_labels, GRID, seed=4)
         per_point = [
-            evaluate(enc, dec, data.test_inputs, data.test_labels, eps, seed=4)
+            evaluate(enc, dec, data.test_inputs, data.test_labels, [eps], seed=4)[0]
             for eps in GRID
         ]
         assert grid == per_point
@@ -616,51 +599,51 @@ class TestEvaluateGrid:
         # the documented contract, one sample and one step at a time in
         # line space (the oracle filters the counts into traces), against
         # the neuron-space evaluation of the same uint8 counts
-        data = _toy_counts(n_test=24)
+        data = _toy_dataset(n_test=24)
         enc, dec = _toy_models(data)
         counts, labels = data.test_inputs, data.test_labels
-        got = evaluate_grid(enc, dec, counts, labels, GRID, seed=9)
+        got = evaluate(enc, dec, counts, labels, GRID, seed=9)
         assert got == evaluate_line_space(enc, dec, counts, labels, GRID, seed=9)
 
     @pytest.mark.parametrize("chunk", [1, 3, None])
     def test_chunk_size_does_not_change_results(self, monkeypatch, chunk):
         data = _toy_dataset(n_test=40)
         enc, dec = _toy_models(data)
-        expected = evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=2)
+        expected = evaluate(enc, dec, data.test_inputs, data.test_labels, GRID, seed=2)
         monkeypatch.setattr(training, "EVAL_CHUNK", chunk or len(data.test_inputs))
-        got = evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=2)
+        got = evaluate(enc, dec, data.test_inputs, data.test_labels, GRID, seed=2)
         assert got == expected
 
     @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_chunks_match_line_space_oracle(self, monkeypatch, chunk):
         # each chunk's drive is made from its counts in neuron space; the
         # tallies equal the line-space oracle's at any chunk size
-        data = _toy_counts(n_test=40)
+        data = _toy_dataset(n_test=40)
         enc, dec = _toy_models(data)
         counts, labels = data.test_inputs, data.test_labels
         monkeypatch.setattr(training, "EVAL_CHUNK", chunk or len(counts))
-        got = evaluate_grid(enc, dec, counts, labels, GRID, seed=2)
+        got = evaluate(enc, dec, counts, labels, GRID, seed=2)
         assert got == evaluate_line_space(enc, dec, counts, labels, GRID, seed=2)
         assert len({error for error, _ in got}) > 1
 
     def test_spike_rate_same_at_every_point(self):
         data = _toy_dataset(n_test=40)
         enc, dec = _toy_models(data)
-        results = evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=0)
+        results = evaluate(enc, dec, data.test_inputs, data.test_labels, GRID, seed=0)
         assert len({rate for _, rate in results}) == 1
 
     def test_rejects_empty_test_set(self):
         data = _toy_dataset()
         enc, dec = _toy_models(data)
         with pytest.raises(ValueError, match="empty"):
-            evaluate_grid(enc, dec, data.test_inputs[:0], data.test_labels[:0], GRID, seed=0)
+            evaluate(enc, dec, data.test_inputs[:0], data.test_labels[:0], GRID, seed=0)
 
     @pytest.mark.parametrize("failing", ["_eval_uniforms", "drive_from_counts", "rollout"])
     def test_chunk_allocation_failure_names_the_chunk(self, monkeypatch, failing):
         # a chunk's draws, drive and rollout are all (records, steps, k)
         # float64 arrays; NumPy's error for any of them leaves as it is,
         # shape and dtype intact, and the CLI turns it into exit 2
-        data = _toy_counts(n_test=10)
+        data = _toy_dataset(n_test=10)
         enc, dec = _toy_models(data)
 
         def refused(*args, **kwargs):
@@ -668,7 +651,7 @@ class TestEvaluateGrid:
 
         monkeypatch.setattr(training, failing, refused)
         with pytest.raises(MemoryError) as exc:
-            evaluate_grid(enc, dec, data.test_inputs, data.test_labels, GRID, seed=0)
+            evaluate(enc, dec, data.test_inputs, data.test_labels, GRID, seed=0)
         assert exc.value.shape == (10, 6, 4) and exc.value.dtype == np.float64
 
     def test_training_run_draws_each_sample_once(self, monkeypatch):
@@ -707,10 +690,10 @@ class TestEvaluateGrid:
         for name, module in list(sys.modules.items()):
             if name.startswith("spikelink") and vars(module).get("sigmoid") is real:
                 monkeypatch.setattr(module, "sigmoid", counting)
-        data = _toy_counts(n_test=20)
+        data = _toy_dataset(n_test=20)
         enc, dec = _toy_models(data)
-        evaluate_grid(enc, replace(dec, output="softmax"), data.test_inputs, data.test_labels,
-                      GRID, seed=3)
+        evaluate(enc, replace(dec, output="softmax"), data.test_inputs, data.test_labels,
+                 GRID, seed=3)
         assert calls == []
         run, _ = training_rollout(enc, data.test_inputs[:4],
                                   spike_thresholds(SeededRng(4).uniform((6, 4, 4)), 0.1))
@@ -725,10 +708,10 @@ class TestEvaluateGrid:
         draws: dict = {}
         args = (data.test_inputs, data.test_labels, GRID)
         for e, d in ((enc, dec), (other_enc, other_dec), (enc, dec)):
-            fresh = evaluate_grid(e, d, *args, seed=6)
-            assert evaluate_grid(e, d, *args, seed=6, draws=draws) == fresh
+            fresh = evaluate(e, d, *args, seed=6)
+            assert evaluate(e, d, *args, seed=6, draws=draws) == fresh
         # draws for another seed are drawn afresh, not read from the dict
-        assert evaluate_grid(enc, dec, *args, seed=7, draws=draws) == evaluate_grid(
+        assert evaluate(enc, dec, *args, seed=7, draws=draws) == evaluate(
             enc, dec, *args, seed=7
         )
 
@@ -744,7 +727,7 @@ class TestEvaluateGrid:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            evaluate_grid(enc, dec, inputs, labels, GRID, seed=0)
+            evaluate(enc, dec, inputs, labels, GRID, seed=0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -762,7 +745,7 @@ class TestEvaluateGrid:
         root = SeededRng(0)
         enc = init_encoder_params(lines, k, root.substream("e"))
         dec = init_decoder_params(k * steps, 4, root.substream("d"), hidden_dim=32)
-        data = filter_dataset(Dataset(counts[:8], labels[:8], counts[8:], labels[8:], n_classes=4))
+        data = Dataset(counts[:8], labels[:8], counts[8:], labels[8:], n_classes=4)
         cfg = RunConfig(batch_size=8, epsilon=0.1)
         chunk_traces = training.EVAL_CHUNK * steps * lines * 8
         draws: dict = {}

@@ -21,10 +21,15 @@ window of 25, the one case whose feedback taps run past the rollout's
 table of partial sums (12 taps).  `long-input-window` does the same with
 an input window of 25, the one case whose input taps run past the 16-step
 history codes that training looks its input traces up from.  Under
---tiny, T = 6 cuts both windows to 6.  `high-crossover` trains at
-epsilon = 0.45, where 90% of the spike thresholds are infinite and the
-factor 1 - 2 * epsilon magnifies the rounding of the finite ones; every
-other training case runs at epsilon 0.1 or below.  `momentum-clip` is the
+--tiny, T = 6 cuts both windows to 6.  `wide-drive` trains at k = 32:
+a 128-record evaluation chunk's projected drive, which filter_inputs
+filters, holds 128 * 32 * 20 = 81,920 values, past the 65,536 (1 << 16)
+above which filter_inputs once worked in line slices; every other case
+stays at or below 61,440 (under --tiny, k = 4 does too).
+`high-crossover` trains at epsilon = 0.45, where 90% of the spike
+thresholds are infinite and the factor 1 - 2 * epsilon magnifies the
+rounding of the finite ones; every other training case runs at epsilon
+0.1 or below.  `momentum-clip` is the
 one case whose clipped gradients feed a momentum velocity (sigmoid head,
 baseline on), where `softmax-clip` has no momentum and `momentum-baseline`
 no clip: at its grad_clip of 0.5 the clip fires on 107 of the 480
@@ -71,6 +76,7 @@ CASES = (
     ("event-files", ["train"], {"seed": 9, "dataset": "events"}),
     ("long-feedback-window", ["train"], {"seed": 11, "T": 30, "window_fb": 25}),
     ("long-input-window", ["train"], {"seed": 12, "T": 30, "window_ff": 25}),
+    ("wide-drive", ["train"], {"seed": 11, "k": 32}),
     ("high-crossover", ["train"], {"seed": 13, "epsilon": 0.45}),
     ("diverged", ["train"], {"seed": 10, "eta": 1e200}),
 )
