@@ -51,5 +51,24 @@ def test_differences_name_each_file(tmp_path):
     (b / "metrics.csv").write_text("y\n")
     (a / "checkpoint.txt").write_text("c\n")
     assert _tool().differences(a, b) == [
-        "metrics.csv differs", "checkpoint.txt exists on one side only",
+        "metrics.csv differs from line 1", "checkpoint.txt exists on one side only",
     ]
+    # the first differing line is named, a missing last line too
+    (a / "metrics.csv").write_text("x\ny\nz\n")
+    (b / "metrics.csv").write_text("x\ny\nw\n")
+    assert _tool().differences(a, b)[0] == "metrics.csv differs from line 3"
+    (b / "metrics.csv").write_text("x\ny\n")
+    assert _tool().differences(a, b)[0] == "metrics.csv differs from line 3"
+    (b / "metrics.csv").write_text("x\ny\nz")
+    assert _tool().differences(a, b)[0] == "metrics.csv differs from line 3"
+
+
+def test_export_difference_names_the_metrics_file(tmp_path):
+    tool = _tool()
+    head = f"== {tmp_path / 'a' / 'one' / 'metrics.csv'}\nk=1\n"
+    second = f"== {tmp_path / 'a' / 'two' / 'metrics.csv'}\n"
+    text_a = (head + second + "k=2\nk=3\n").encode()
+    assert tool.export_difference(text_a, text_a, tmp_path) == "same"
+    text_b = (head + second + "k=2\nk=4\n").encode()
+    assert tool.export_difference(text_a, text_b, tmp_path) == (
+        "differ from line 2 of the export of a/two/metrics.csv")

@@ -8,8 +8,9 @@ per tree, in a child process with PYTHONPATH at that tree's src/,
 `timing = off` and BLAS at one thread; then its exit codes are compared,
 with each other and with the code the case expects (0, or 3 for the
 `diverged` case, whose learning rate blows training up), and its
-metrics.csv and checkpoint.txt are diffed byte for byte.  Beside
-each verdict it prints the two children's peak RSS (from wait4), so a
+metrics.csv and checkpoint.txt are diffed byte for byte; a file that
+differs is named with its first differing line.  Beside each verdict it
+prints the two children's peak RSS (from wait4), so a
 memory change shows on every case.  The cases run in order, so
 `sweep-snr-checkpoint` and `sweep-snr-large-test` evaluate the checkpoint
 TREE_A wrote in `default-seed5` on both trees: they compare evaluation
@@ -19,8 +20,9 @@ the tool writes once into the work directory, so both trees parse the
 same bytes.  `long-feedback-window` trains at T = 30 with a feedback
 window of 25, the one case whose feedback taps run past the rollout's
 table of partial sums (12 taps).  `long-input-window` does the same with
-an input window of 25, the one case whose input taps run past the 16-step
-history codes that training looks its input traces up from.  Under
+an input window of 25, the one case whose input taps span nearly the whole
+sequence, in the drive's filter and in the score's adjoint filter, which
+runs them backward in time; every other case keeps the default 10.  Under
 --tiny, T = 6 cuts both windows to 6.  `wide-drive` trains at k = 32:
 a 128-record evaluation chunk's projected drive, which filter_inputs
 filters, holds 128 * 32 * 20 = 81,920 values, past the 65,536 (1 << 16)
@@ -40,7 +42,8 @@ initial models rather than from its last epoch.
 After the cases, one child per tree reads TREE_A's metrics.csv of every
 case and renders it through export_metrics as key=value and as CSV text;
 the two trees' texts must match, which checks the exporters and the
-metrics reader.  --tiny shrinks every case to a few samples and two
+metrics reader; if they do not, the first differing line and the metrics
+file it comes from are named.  --tiny shrinks every case to a few samples and two
 epochs, for a smoke test.
 Exit status 0 when every case and the exports match, 1 otherwise.
 """
@@ -88,14 +91,14 @@ FROM_CHECKPOINT = ("sweep-snr-checkpoint", "sweep-snr-large-test")
 TINY = {"height": 8, "width": 8, "train_per_class": 4, "test_per_class": 3,
         "k": 4, "T": 6, "hidden": 8, "epochs": 2}
 COMPARED = ("metrics.csv", "checkpoint.txt")
-# reads each metrics file named on the command line and writes its kv and
-# csv exports to stdout
+# reads each metrics file named on the command line and writes a "== path"
+# line, then its kv and csv exports, to stdout
 EXPORT = """
 import sys
 from spikelink.metrics import export_metrics, read_metrics
 for path in sys.argv[1:]:
     rows = read_metrics(path)
-    sys.stdout.write(export_metrics(rows, "kv") + export_metrics(rows, "csv"))
+    sys.stdout.write(f"== {path}\\n" + export_metrics(rows, "kv") + export_metrics(rows, "csv"))
 """
 
 
@@ -168,16 +171,42 @@ def run_case(src: Path, out: Path, flags: list[str], config: dict) -> tuple[int,
     return proc.returncode, usage.ru_maxrss / 1024.0
 
 
+def first_difference(a: bytes, b: bytes) -> int | None:
+    """1-based number of the first line at which two texts differ (a line
+    one text lacks counts), or None if they are equal."""
+    lines_a, lines_b = a.splitlines(keepends=True), b.splitlines(keepends=True)
+    for number, (line_a, line_b) in enumerate(zip(lines_a, lines_b), 1):
+        if line_a != line_b:
+            return number
+    return None if len(lines_a) == len(lines_b) else min(len(lines_a), len(lines_b)) + 1
+
+
 def differences(a: Path, b: Path) -> list[str]:
-    """Names of the compared files that differ or exist on one side only."""
+    """Names of the compared files that differ, with the first differing
+    line, or exist on one side only."""
     found = []
     for name in COMPARED:
         fa, fb = a / name, b / name
         if fa.exists() != fb.exists():
             found.append(f"{name} exists on one side only")
-        elif fa.exists() and fa.read_bytes() != fb.read_bytes():
-            found.append(f"{name} differs")
+        elif fa.exists():
+            line = first_difference(fa.read_bytes(), fb.read_bytes())
+            if line is not None:
+                found.append(f"{name} differs from line {line}")
     return found
+
+
+def export_difference(text_a: bytes, text_b: bytes, work: Path) -> str:
+    """Where two exports texts first differ: the line of the metrics file's
+    export, and the file, named relative to the work directory."""
+    line = first_difference(text_a, text_b)
+    if line is None:
+        return "same"
+    path, start = "?", 0
+    for number, text in enumerate(text_a.splitlines()[: line - 1], 1):
+        if text.startswith(b"== "):
+            path, start = text[3:].decode(), number
+    return f"differ from line {line - start} of the export of {Path(path).relative_to(work)}"
 
 
 def exports(src: Path, paths: list[str]) -> tuple[int, bytes]:
@@ -216,7 +245,7 @@ def compare(tree_a: str, tree_b: str, tiny: bool, work: Path) -> bool:
     if code_a or code_b:
         verdict = f"exit {code_a} against {code_b}"
     else:
-        verdict = "same" if text_a == text_b else "differ"
+        verdict = export_difference(text_a, text_b, work)
     print(f"exports of {len(paths)} metrics files: {verdict}", flush=True)
     return same and verdict == "same"
 
