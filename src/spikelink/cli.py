@@ -71,8 +71,7 @@ def _flat(frames: np.ndarray) -> np.ndarray:
 
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
-    """Both splits, as one Dataset for every run of a command: it codes the
-    train counts into history codes once, and keeps the test counts."""
+    """Both splits' counts, as one Dataset for every run of a command."""
     train_x, train_y = _split_inputs(cfg, "train")
     test_x, test_y = _split_inputs(cfg, "test")
     if train_x.shape[3:] != test_x.shape[3:]:

@@ -4,19 +4,12 @@ Each of the k read-out neurons integrates filtered input spikes through its
 feedforward weights, its own past spikes through a self-feedback weight, and
 a bias.  Spiking is Bernoulli in the sigmoid of that membrane potential.
 The filtered inputs reach the potential only as the feedforward drive
-W·(a∗x), the weights times the input trace, and the filter is linear, so
-there are two ways to make it.  Training projects each step's input
-traces (`drive_from_traces`), which are also the feedforward weights'
-gradient; its dataset keeps the 0/1 counts as uint16 history codes
-(`history_codes`), and each batch's traces are looked up from them
-(`code_traces`), `filter_inputs` of the counts bit for bit.  Evaluation
-projects each step's counts to the k neurons first and filters those k
-columns (`drive_from_counts`), a∗(W·x): no input trace is made, and the
-drive differs from the training one only by float rounding (at most about
-1e-14 on drives of order 1).  Evaluation reports integer tallies, which
-that rounding moves only if a spike uniform falls between the two spike
-probabilities.  Training keeps the line-space drive, bit for bit, until a
-law-level check of changes that reorder float sums exists.
+W·(a∗x), and the filter is linear, so training and evaluation make it in
+neuron space, a∗(W·x): each step's counts are projected to the k neurons
+and those k columns are filtered (`drive_from_counts`).  No input trace is
+made.  The same linearity gives the feedforward weights' gradient:
+Σ_t g_t ⊗ (a∗x)_t equals Σ_t (a⋆g)_t ⊗ x_t, the score filtered backward in
+time and then one matmul with the counts (`score_grads`).
 `rollout` runs the recurrence on a drive, one step at a time, for a whole
 batch of sequences; it reads each feedback trace from a table of partial
 sums of the taps, indexed by the neuron's past 0/1 bits, sets each bit by
@@ -41,9 +34,6 @@ __all__ = [
     "EncoderParams",
     "init_encoder_params",
     "filter_inputs",
-    "history_codes",
-    "code_traces",
-    "drive_from_traces",
     "drive_from_counts",
     "rollout",
     "grad_u_log_prob_noisy",
@@ -114,8 +104,9 @@ def init_encoder_params(
 
 
 def filter_inputs(counts: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Input traces of counts of shape (n, steps, lines), as a new float64
-    array of that shape.
+    """Causal filter of counts of shape (n, steps, columns), as a new float64
+    array of that shape: the drive's projected columns, or the score's,
+    time reversed, for its adjoint.
 
     The trace at step t is c0*x_t + c1*x_{t-1} + ..., added in that order,
     with history before step 0 reading zero.  The counts may have any real
@@ -127,85 +118,12 @@ def filter_inputs(counts: np.ndarray, kernel: Kernel) -> np.ndarray:
     """
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.dtype.kind not in "buif":
-        raise ValueError("filter_inputs needs a real array of shape (n, steps, lines)")
+        raise ValueError("filter_inputs needs a real array of shape (n, steps, columns)")
     coeff = kernel.coefficients
     traces = np.multiply(counts, coeff[0], dtype=np.float64)
     for d in range(1, min(coeff.size, counts.shape[1])):
         traces[:, d:] += coeff[d] * counts[:, :-d]
     return traces
-
-
-# bits per history code: a count and its 15 predecessors fill a uint16,
-# and the trace table then holds 2**17 - 2 partial sums (1 MB)
-_HISTORY_BITS = 16
-
-
-def history_codes(counts) -> np.ndarray:
-    """uint16 codes of 0/1 counts (n, steps, lines) of any real dtype: bit
-    d of codes[i, t, l] is counts[i, t - d, l], 0 before step 0.  Any other
-    count raises ValueError.  No kernel enters; code_traces filters them."""
-    counts = np.asarray(counts)
-    if counts.ndim != 3 or counts.dtype.kind not in "buif":
-        raise ValueError("history_codes needs a real array of shape (n, steps, lines)")
-    codes = np.empty(counts.shape, dtype=np.uint16)
-    for t in range(counts.shape[1]):
-        if not np.all((counts[:, t] == 0) | (counts[:, t] == 1)):
-            raise ValueError("history codes need counts of 0 or 1")
-        codes[:, t] = counts[:, t]
-        if t:
-            codes[:, t] |= codes[:, t - 1] << 1
-    return codes
-
-
-# counts per block of code_traces' index: bounds its working set, not its
-# results
-FILTER_BLOCK = 1 << 16
-
-
-def code_traces(codes: np.ndarray, kernel: Kernel, batch_size: int):
-    """traces_of(rows): filter_inputs of the counts of codes[rows], bit for
-    bit, looked up from those history codes (n, steps, lines) in a table of
-    the kernel's partial sums, into a float64 buffer of min(batch_size, n)
-    samples that the next call reuses.
-
-    Level j of the table holds c0*b0 + ... + c_{j-1}*b_{j-1} for each j-bit
-    code, summed in filter_inputs' order, a zero bit adding its signed zero
-    c_d*0.0.  Step t reads level min(t + 1, m), m = min(taps, 16): there
-    filter_inputs adds no tap past t, and +0.0 would turn a -0.0 sum into
-    +0.0.  Taps past the 16th follow, d ascending, from bit 0 of older codes.
-    """
-    coeff = kernel.coefficients
-    n, steps, lines = codes.shape
-    m = min(coeff.size, _HISTORY_BITS)
-    levels = [coeff[0] * np.array([0.0, 1.0])]
-    for c in coeff[1:m]:
-        levels.append(np.concatenate([levels[-1] + c * 0.0, levels[-1] + c]))
-    # level m first, so a code is its own index from step m - 1 on, and
-    # level j < m starts at 2**m + 2**j - 2 (one offset per line: adding
-    # a broadcast column is slower); a block of samples' index stays in
-    # cache from its cast to its lookup
-    table = np.concatenate([levels[-1], *levels[:-1]])
-    early = min(m - 1, steps)
-    offsets = np.repeat((1 << m) - 2 + (2 << np.arange(early)), lines).reshape(early, lines)
-    block = max(FILTER_BLOCK // max(steps * lines, 1), 1)
-    batch = np.empty((min(batch_size, n), steps, lines), dtype=np.uint16)
-    index = np.empty((min(block, len(batch)), steps, lines), dtype=np.intp)
-    traces = np.empty(batch.shape)
-
-    def traces_of(samples) -> np.ndarray:
-        b = len(samples)
-        codes.take(samples, axis=0, out=batch[:b], mode="clip")
-        batch[:b] &= (1 << m) - 1
-        for i in range(0, b, block):
-            j = min(i + block, b)
-            np.copyto(index[: j - i], batch[i:j])
-            index[: j - i, :early] += offsets
-            table.take(index[: j - i], out=traces[i:j], mode="clip")
-        for d in range(m, min(coeff.size, steps)):
-            traces[:b, d:] += coeff[d] * (batch[:b, :-d] & 1)
-        return traces[:b]
-
-    return traces_of
 
 
 def _check_inputs(params: EncoderParams, inputs: np.ndarray, what: str) -> None:
@@ -227,29 +145,14 @@ def _project(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def drive_from_traces(params: EncoderParams, traces) -> np.ndarray:
-    """Feedforward drive of input traces (n, steps, lines), as (n, steps, k).
-
-    The traces are the inputs already filtered with params.kernel_ff (see
-    filter_inputs).  Step t's drive is traces[:, t, :] @ ff_weights.T, bit
-    for bit (_project); it is step-major under its (n, steps, k) view, so
-    each step reads contiguous rows.
-    """
-    traces = np.asarray(traces, dtype=np.float64)
-    _check_inputs(params, traces, "traces")
-    return _project(params, traces).transpose(1, 0, 2)
-
-
 def drive_from_counts(params: EncoderParams, counts) -> np.ndarray:
     """Feedforward drive of input counts (n, steps, lines), as (n, steps, k),
-    filtered in neuron space: a∗(W·x) in place of W·(a∗x).
+    filtered in neuron space: a∗(W·x), which is W·(a∗x) up to float rounding.
 
     Each step's counts are projected to the k neurons (_project); then
     filter_inputs runs the taps over the n * k projected columns,
     time-major as a (1, steps, n * k) array, so each tap reads contiguous
-    rows.  No float64 array of the counts' size is made.  The result
-    equals drive_from_traces of the counts' traces up to float rounding:
-    the two sum the same products in another order.
+    rows.  No float64 array of the counts' size is made.
     """
     counts = np.asarray(counts)
     if counts.dtype.kind not in "buif":
@@ -283,12 +186,12 @@ def rollout(params: EncoderParams, drive, thresholds) -> Rollout:
     """Run the recurrence over a feedforward drive of shape (n, steps, k).
 
     The drive is the filtered input already projected onto the neurons
-    (drive_from_traces or drive_from_counts).  Step t's bits are 1 where
-    its potentials exceed thresholds[t], of a step-major (steps, n, k)
-    array, and every later step feeds them back: training and evaluation
-    make thresholds with channel.spike_thresholds, and the gradient oracles
-    replay bits through -inf and +inf.  A single sequence is a batch of
-    one.  No spike probability is taken here (Rollout.spike_probs).
+    (drive_from_counts).  Step t's bits are 1 where its potentials exceed
+    thresholds[t], of a step-major (steps, n, k) array, and every later
+    step feeds them back: training and evaluation make thresholds with
+    channel.spike_thresholds, and the gradient oracles replay bits through
+    -inf and +inf.  A single sequence is a batch of one.  No spike
+    probability is taken here (Rollout.spike_probs).
     """
     drive = np.asarray(drive, dtype=np.float64)
     k = params.n_out
@@ -351,7 +254,7 @@ def grad_u_log_prob_noisy(zhat, s, epsilon: float):
     return (1.0 - 2.0 * eps) * s * (1.0 - s) * (zhat / q - (1.0 - zhat) / (1.0 - q))
 
 
-def score_grads(run: Rollout, traces: np.ndarray, epsilon: float,
+def score_grads(run: Rollout, counts: np.ndarray, kernel: Kernel, epsilon: float,
                 weights: np.ndarray) -> np.ndarray:
     """Parameter gradient of sum_b weights[b] * log p(run.bits[b]), as one
     vector of EncoderParams' layout (EncoderParams.split names its parts).
@@ -359,19 +262,19 @@ def score_grads(run: Rollout, traces: np.ndarray, epsilon: float,
     p is the channel-marginalized law with run.bits fed back, so each
     sequence's log-likelihood is a sum of per-step terms.  A step's term
     depends on the parameters only through u, whose parameter gradients
-    are the traces that built it: the input traces (n, steps, lines) the
-    run's drive was made from (drive_from_traces) for the feedforward row,
-    the feedback trace for the feedback weight, and 1 for the bias.
-
-    The feedforward contraction takes the weights folded into the score
-    first; with this NumPy's einsum loop order that equals the
-    three-operand form bit for bit, and is several times faster.  The two
-    small contractions keep the three-operand form, which the folded one
-    does not reproduce exactly.
+    are the traces that built it: the input traces, the counts (n, steps,
+    lines) the run's drive was made from filtered by kernel, for the
+    feedforward row; the feedback trace for the feedback weight; and 1 for
+    the bias.  The filter is linear, so the feedforward row is made without
+    the input traces: the weighted score filtered backward in time (the
+    adjoint filter: filter_inputs of it, time reversed), then one matmul
+    with the counts.
     """
     score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, epsilon)
+    n, steps, k = score_u.shape
+    adjoint = filter_inputs((weights[:, None, None] * score_u)[:, ::-1], kernel)[:, ::-1]
     return np.concatenate([
-        np.einsum("btk,btn->kn", weights[:, None, None] * score_u, traces).ravel(),
+        (adjoint.reshape(n * steps, k).T @ counts.reshape(n * steps, -1)).ravel(),
         np.einsum("b,btk,btk->k", weights, score_u, run.fb_traces),
         np.einsum("b,btk->k", weights, score_u),
     ])

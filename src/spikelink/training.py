@@ -4,16 +4,14 @@ The objective per sample is the decoder's classification loss plus beta
 times a rate term: the log-ratio between the channel-marginalized encoding
 law and a fixed Bernoulli reference over the received bits.  The decoder is
 updated with exact gradients; the encoder with the score-function estimator
-(one Monte Carlo draw per input), built from the input traces and the
-traces the rollout keeps.  A Dataset codes its train split's 0/1 counts
-into uint16 history codes once, as it is built, and each batch's float64
-input traces are looked up from them (encoder.code_traces) into a buffer
-the epoch reuses; the test split stays uint8 counts (evaluate).
+(one Monte Carlo draw per input), built from the input counts and the
+traces the rollout keeps.  Both splits stay uint8 counts, and training and
+evaluation make each batch's feedforward drive from them the one way
+(encoder.drive_from_counts), so no float64 input trace is ever made.
 train_epoch reads its settings by name from the run's RunConfig, which
-checked them when it was built.  An array too large to allocate (the
-train split's codes, a batch's traces, a test chunk's draws, drive or
-rollout) leaves as NumPy's own MemoryError, which carries its shape and
-dtype.
+checked them when it was built.  An array too large to allocate (a
+batch's drive or rollout, a test chunk's draws, drive or rollout) leaves
+as NumPy's own MemoryError, which carries its shape and dtype.
 
 Training mode draws the received bits directly from the marginalized law
 and feeds them back into the encoder's recurrence; that makes the sequence
@@ -33,7 +31,7 @@ of each model's flat vector (numerics.FlatParams) and velocity in place.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,10 +45,7 @@ from .decoder import (
 )
 from .encoder import (
     EncoderParams,
-    code_traces,
     drive_from_counts,
-    drive_from_traces,
-    history_codes,
     rollout,
     score_grads,
 )
@@ -96,37 +91,29 @@ class PriorModel:
 
 @dataclass
 class Dataset:
-    """Encoder inputs split into train and test.
+    """Encoder inputs split into train and test: frame counts (samples,
+    steps, lines), kept in the dtype they come in (uint8 from the events
+    module), which train_epoch and evaluate read."""
 
-    The train split comes in as 0/1 frame counts of any real dtype and is
-    kept only as their uint16 history codes (encoder.history_codes), from
-    which train_epoch looks up each batch's input traces; the caller's
-    counts are left as they are.  The test split stays counts, in the dtype
-    they come in (uint8 from the events module), which evaluate reads.
-    replace() needs the train counts again, so no Dataset is coded twice.
-    """
-
-    train_counts: InitVar[np.ndarray]
+    train_counts: np.ndarray
     train_labels: np.ndarray
     test_inputs: np.ndarray
     test_labels: np.ndarray
     n_classes: int
-    train_codes: np.ndarray = field(init=False)
 
-    def __post_init__(self, train_counts):
-        train_counts = np.asarray(train_counts)
+    def __post_init__(self):
+        self.train_counts = np.asarray(self.train_counts)
         self.test_inputs = np.asarray(self.test_inputs)
-        if train_counts.ndim != 3 or self.test_inputs.ndim != 3:
+        if self.train_counts.ndim != 3 or self.test_inputs.ndim != 3:
             raise ValueError("inputs must be (samples, steps, lines)")
-        if len(self.train_labels) != len(train_counts):
+        if len(self.train_labels) != len(self.train_counts):
             raise ValueError("train labels do not match inputs")
         if len(self.test_labels) != len(self.test_inputs):
             raise ValueError("test labels do not match inputs")
-        self.train_codes = history_codes(train_counts)
 
     @property
     def input_dim(self) -> int:
-        return self.train_codes.shape[2]
+        return self.train_counts.shape[2]
 
 
 @dataclass(frozen=True)
@@ -232,28 +219,27 @@ def train_epoch(
     an epoch cut short leaves it as the last finished epoch returned it.
     draws is the command's cache of evaluation draws (see evaluate): the
     test samples' uniforms are made into it once and read back later.  Each
-    batch's input traces are looked up from the dataset's train codes under
-    the encoder's kernel_ff (encoder.code_traces).  Of the config
-    it reads the channel point, beta, eta, batch_size, seed, prior_rate,
-    momentum, grad_clip and baseline.
+    batch's drive is made from its train counts (encoder.drive_from_counts),
+    as evaluation makes a chunk's.  Of the config it reads the channel
+    point, beta, eta, batch_size, seed, prior_rate, momentum, grad_clip and
+    baseline.
     """
     eps = config.training_crossover()
     encoder, decoder = replace(state.encoder), replace(state.decoder)  # copies, updated in place
     enc_vel, dec_vel = (None if v is None else v.copy() for v in (state.enc_vel, state.dec_vel))
     baseline = state.baseline
-    traces_of = code_traces(data.train_codes, encoder.kernel_ff, config.batch_size)
     prior = PriorModel(config.prior_rate)
-    order = rng.substream("shuffle").permutation(len(data.train_codes))
+    order = rng.substream("shuffle").permutation(len(data.train_counts))
     draw = rng.substream("draws")
     task_sum = 0.0
     rate_sum = 0.0
     count = 0
     for start in range(0, len(order), config.batch_size):
         batch = order[start : start + config.batch_size]
-        xb = traces_of(batch)
+        xb = data.train_counts[batch]
         yb = data.train_labels[batch]
         uniforms = draw.uniform((xb.shape[1], len(batch), encoder.n_out))
-        run = rollout(encoder, drive_from_traces(encoder, xb), spike_thresholds(uniforms, eps))
+        run = rollout(encoder, drive_from_counts(encoder, xb), spike_thresholds(uniforms, eps))
         rate_losses = regularizer(run.bits, run.potentials, eps, prior, run.spike_probs)
         flat = run.bits.reshape(len(batch), -1).astype(np.float64)
         pre, hidden, logits, probs = forward_batch(decoder, flat)
@@ -270,7 +256,8 @@ def train_epoch(
             reinforce = sample_losses - avg
             baseline = 0.9 * avg + 0.1 * float(sample_losses.mean())
         enc_grads = _clip(
-            encoder, score_grads(run, xb, eps, reinforce / float(len(batch))), config.grad_clip
+            encoder, score_grads(run, xb, encoder.kernel_ff, eps, reinforce / float(len(batch))),
+            config.grad_clip,
         )
         dec_grads = _clip(
             decoder, backward_batch(decoder, flat, pre, hidden, probs, yb), config.grad_clip
@@ -317,9 +304,9 @@ def evaluate(
     from the test inputs' counts (n, steps, lines).
 
     Each chunk's feedforward drive is made from its counts in neuron space
-    (encoder.drive_from_counts), so no float64 input trace is ever made;
-    its rounding moves the integer tallies only if a spike uniform falls
-    within it of its spike probability.
+    (encoder.drive_from_counts), as training makes a batch's; its rounding
+    against the line-space drive W·(a∗x) moves the integer tallies only if
+    a spike uniform falls within it of its spike probability.
 
     Per-sample draw streams depend only on (seed, sample index), never on
     epsilon or the parameters, so repeated evaluations of one model across

@@ -6,10 +6,11 @@ allocate.
 Nothing in the package calls these: each oracle recomputes a quantity the
 package produces by a separate, plainer route.  `training_rollout` (and
 `replay`, which feeds given bits back through it) is the one place the
-tests compose the training path, filter_inputs then drive_from_traces then
-rollout, so the enumeration and finite-difference oracles check the drive
-train_epoch makes (its traces, looked up from history codes, equal
-filter_inputs' byte for byte).  `sample_noisy` is the channel-marginalized
+tests compose the training path, drive_from_counts then rollout, so the
+enumeration and finite-difference oracles check the drive train_epoch
+makes.  `ff_score_line_space` is the feedforward row of the score made in
+line space, from the input traces, that score_grads' adjoint filter and
+matmul are pinned to.  `sample_noisy` is the channel-marginalized
 law's plain sampler, U < q, that channel.spike_thresholds' decisions are
 pinned against.  `reference_clip` and `reference_sgd_update` are the
 gradient clip and the SGD step as walks over named fields, which the
@@ -30,7 +31,7 @@ import numpy as np
 
 from spikelink.channel import log_prob_noisy, noisy_spike_prob
 from spikelink.decoder import forward_batch, losses_from_logits_batch
-from spikelink.encoder import drive_from_traces, filter_inputs, rollout
+from spikelink.encoder import drive_from_counts, filter_inputs, grad_u_log_prob_noisy, rollout
 from spikelink.events import EVENT_DTYPE, EventRecord
 from spikelink.metrics import CSV_HEADER, MetricsRow
 from spikelink.numerics import Kernel, SeededRng, sigmoid
@@ -71,13 +72,22 @@ def sample_noisy(s, epsilon: float, uniforms: np.ndarray) -> np.ndarray:
 
 
 def training_rollout(params, inputs, thresholds):
-    """The training path on input counts of shape (n, steps, lines): their
-    traces (filter_inputs), the drive train_epoch makes from them
-    (drive_from_traces), then the recurrence, whose step-t bits are 1
-    where the potentials exceed thresholds[t] of a (steps, n, k) array.
-    Returns the run and the traces, which score_grads reads."""
-    traces = filter_inputs(np.asarray(inputs, dtype=np.float64), params.kernel_ff)
-    return rollout(params, drive_from_traces(params, traces), thresholds), traces
+    """The training path on input counts of shape (n, steps, lines): the
+    drive train_epoch makes from them (drive_from_counts), then the
+    recurrence, whose step-t bits are 1 where the potentials exceed
+    thresholds[t] of a (steps, n, k) array.  Returns the run and the
+    inputs, which score_grads reads."""
+    inputs = np.asarray(inputs)
+    return rollout(params, drive_from_counts(params, inputs), thresholds), inputs
+
+
+def ff_score_line_space(run, counts, kernel, epsilon: float, weights) -> np.ndarray:
+    """The feedforward row of score_grads, (k, lines), contracted in line
+    space: the counts' input traces (filter_inputs), then
+    sum_b sum_t weights[b] * score[b, t] ⊗ traces[b, t] in one einsum."""
+    score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, epsilon)
+    traces = filter_inputs(counts, kernel)
+    return np.einsum("btk,btn->kn", weights[:, None, None] * score_u, traces)
 
 
 def replay(params, inputs, bits):

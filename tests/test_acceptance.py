@@ -207,10 +207,10 @@ def test_criterion_03_score_function_unbiasedness(capsys):
             params = _small_encoder(k, n_in, seed)
             decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
             inputs = bernoulli(SeededRng(seed + 2), np.full((T, n_in), 0.5)).astype(np.float64)
-            run, traces = replay(params, inputs, all_sequences(T, k))
+            run, counts = replay(params, inputs, all_sequences(T, k))
             f = sample_losses(decoder, run, eps, beta, label, prior)
-            expected = params.split(
-                score_grads(run, traces, eps, np.exp(log_likelihood(run, eps)) * f))
+            expected = params.split(score_grads(
+                run, counts, params.kernel_ff, eps, np.exp(log_likelihood(run, eps)) * f))
             fd = fd_grads(
                 params,
                 lambda moved: expected_objective(moved, decoder, inputs, eps, beta, label, prior),
@@ -227,10 +227,11 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         params = _small_encoder(k, n_in, seed)
         decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
         inputs = bernoulli(SeededRng(seed + 2), np.full((T, n_in), 0.5)).astype(np.float64)
-        run, traces = replay(params, inputs, all_sequences(T, k))
+        run, counts = replay(params, inputs, all_sequences(T, k))
         p = np.exp(log_likelihood(run, eps))
         f = sample_losses(decoder, run, eps, beta, label, prior)
-        per_sequence = [params.split(score_grads(run, traces, eps, f * (np.arange(len(f)) == i)))
+        per_sequence = [params.split(score_grads(run, counts, params.kernel_ff, eps,
+                                                 f * (np.arange(len(f)) == i)))
                         for i in range(len(f))]
 
         # the training path on 1e5 copies of the instance, one batch: the
@@ -238,10 +239,10 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         # contraction
         draws = 100_000
         thresholds = spike_thresholds(SeededRng(775).uniform((T, draws, k)), eps)
-        mc, mc_traces = training_rollout(params, np.repeat(inputs[None], draws, axis=0),
+        mc, mc_counts = training_rollout(params, np.repeat(inputs[None], draws, axis=0),
                                          thresholds)
-        mean = params.split(score_grads(
-            mc, mc_traces, eps, sample_losses(decoder, mc, eps, beta, label, prior) / draws))
+        mean = params.split(score_grads(mc, mc_counts, params.kernel_ff, eps,
+                                        sample_losses(decoder, mc, eps, beta, label, prior) / draws))
 
         worst_z = 0.0
         for field in ENCODER_FIELDS:
@@ -274,7 +275,8 @@ def test_criterion_04_sequence_log_likelihood_gradient(capsys):
             rng = SeededRng(seed + 10)
             inputs = bernoulli(rng, np.full((T, n_in), 0.6)).astype(np.float64)
             zhat = bernoulli(rng, np.full((1, T, k), 0.5))
-            score = params.split(score_grads(*replay(params, inputs, zhat), eps, np.ones(1)))
+            score = params.split(
+                score_grads(*replay(params, inputs, zhat), params.kernel_ff, eps, np.ones(1)))
             fd = fd_grads(
                 params, lambda moved: log_likelihood(replay(moved, inputs, zhat)[0], eps)[0], h
             )

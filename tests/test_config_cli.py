@@ -686,20 +686,21 @@ class TestCliSweeps:
         ("sweep-snr", "--train-per-point", "--epsilon-grid", "0.1,0.2"),
     ])
     def test_each_split_filtered_once_per_process(self, tiny_config, tmp_path, monkeypatch, argv):
-        coded = []
-        real = training.history_codes
+        built = []
+        real = cli._split_inputs
 
-        def spy(counts):
-            coded.append(len(counts))
-            return real(counts)
+        def spy(cfg, tag):
+            frames, labels = real(cfg, tag)
+            built.append((tag, len(labels)))
+            return frames, labels
 
-        monkeypatch.setattr(training, "history_codes", spy)
+        monkeypatch.setattr(cli, "_split_inputs", spy)
         verb, *flags = argv
         out = tmp_path / "twice"
         assert _main(verb, "--config", str(tiny_config), "--out", str(out), *flags) == 0
-        # two training runs, but one history-codes call for the train
-        # split's 2 * 6 records; the test split is never coded
-        assert coded == [12]
+        # two training runs, but one build of the train split's 2 * 6
+        # records and one of the test split's 2 * 4
+        assert built == [("train", 12), ("test", 8)]
 
     @staticmethod
     def _diverge_at(monkeypatch, epsilon):
@@ -849,8 +850,9 @@ class TestCliSweeps:
     def test_training_run_never_holds_the_test_split_traces(self, tmp_path, monkeypatch):
         # the same 2048 test records under two epochs of training: the
         # test split stays uint8 counts, and no filter call sees more than
-        # one chunk's projected drive, (1, T, records * k); the train
-        # split's traces are looked up from its codes, never filtered
+        # one chunk's projected drive, (1, T, records * k); a training
+        # batch filters its projected drive and its score's adjoint, k
+        # columns each, never the input lines
         config = tmp_path / "large.cfg"
         config.write_text("classes = 4\nheight = 4\nwidth = 8\ntrain_per_class = 2\n"
                           "test_per_class = 512\nk = 4\nT = 20\nhidden = 8\nepochs = 2\n"
@@ -880,10 +882,13 @@ class TestCliSweeps:
             tracemalloc.stop()
         assert code == 0
         assert [dtype.name for dtype in test_dtypes] == ["uint8", "uint8"]
-        # chunk drives only
+        # k = 4 columns a record: the one training batch of 8 records makes
+        # a drive (1, T, 8 * k) and an adjoint (8, T, k), then each test
+        # chunk a drive, in each epoch
         chunk_drive = training.EVAL_CHUNK * 20 * 4
-        assert all(shape[0] == 1 and math.prod(shape) <= chunk_drive for shape in filtered)
-        assert len(filtered) == 2 * 2048 // training.EVAL_CHUNK
+        assert all(shape[2] % 4 == 0 and math.prod(shape) <= chunk_drive for shape in filtered)
+        assert filtered[:2] == [(1, 20, 8 * 4), (8, 20, 4)]
+        assert len(filtered) == 2 * (2 + 2048 // training.EVAL_CHUNK)
         # the counts, the kept uniforms (2.6 MB) and one chunk set the peak;
         # the split's traces alone would be 21 MB
         assert peak < traces / 2, f"peak {peak} bytes"
@@ -1269,34 +1274,31 @@ class TestCliErrors:
         refused = 12 * 10**13 * 128
         assert peak - refused < 10**7, f"peak {peak - refused} bytes besides the refused request"
 
-    @pytest.mark.parametrize("split, calls, shape, dtype", [
-        ("train", 0, (12, 5, 128), np.uint16), ("test", 1, (1, 5, 32), np.float64),
+    @pytest.mark.parametrize("split, shape", [
+        ("train", (1, 5, 16)), ("test", (1, 5, 32)),
     ], ids=["train-0", "test-1"])
     def test_traces_too_large_refused(self, tiny_config, tmp_path, capsys, monkeypatch,
-                                      split, calls, shape, dtype):
+                                      split, shape):
         # uint8 counts that fit can still have larger arrays that do not:
-        # the train split's uint16 history codes (the Dataset's call, the
-        # first), or a test chunk's float64 drive of 8 records x k = 4
-        # columns in the first epoch's evaluation (the next call, a filter
-        # from encoder.drive_from_counts); the failing allocation is
-        # simulated, never made
+        # the first training batch's float64 drive of 4 records x k = 4
+        # columns (the first filter call, from encoder.drive_from_counts),
+        # or the first test chunk's, of 8 records, in the first epoch's
+        # evaluation, after the epoch's 3 batches each filtered a drive and
+        # an adjoint; the failing allocation is simulated, never made
         made = []
 
-        def failing(real):
-            def call(counts, *kernel):
-                if len(made) == calls:
-                    raise allocation_error(np.shape(counts), dtype)
-                made.append(len(counts))
-                return real(counts, *kernel)
-            return call
+        def failing(counts, kernel):
+            if np.shape(counts) == shape:
+                raise allocation_error(shape)
+            made.append(np.shape(counts))
+            return filter_inputs(counts, kernel)
 
-        monkeypatch.setattr(training, "history_codes", failing(training.history_codes))
-        monkeypatch.setattr("spikelink.encoder.filter_inputs", failing(filter_inputs))
+        monkeypatch.setattr("spikelink.encoder.filter_inputs", failing)
         out = tmp_path / "o"
         assert _main("train", "--config", str(tiny_config), "--out", str(out)) == 2
-        size = math.prod(shape) * np.dtype(dtype).itemsize
+        assert len(made) == {"train": 0, "test": 6}[split]
         assert _refusal(capsys) == (
-            f"error: an array of shape {shape} and dtype {np.dtype(dtype)} ({size} bytes) "
+            f"error: an array of shape {shape} and dtype float64 ({math.prod(shape) * 8} bytes) "
             "is too large to allocate; T = 5, k = 4, hidden = 8"
         )
         assert not (out / "metrics.csv").exists()

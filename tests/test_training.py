@@ -36,9 +36,6 @@ from spikelink.config import ConfigError, RunConfig
 from spikelink.decoder import init_decoder_params
 from spikelink.encoder import (
     EncoderParams,
-    code_traces,
-    filter_inputs,
-    history_codes,
     init_encoder_params,
     score_grads,
 )
@@ -273,10 +270,10 @@ class TestUnbiasedness:
     def test_enumerated_estimator_matches_finite_difference(self, eps):
         beta = 0.05
         params, decoder, inputs = self._setup()
-        run, traces = replay(params, inputs, all_sequences(3, 1))
+        run, counts = replay(params, inputs, all_sequences(3, 1))
         f = sample_losses(decoder, run, eps, beta, self.LABEL, self.PRIOR)
-        expected = params.split(
-            score_grads(run, traces, eps, np.exp(log_likelihood(run, eps)) * f))
+        expected = params.split(score_grads(
+            run, counts, params.kernel_ff, eps, np.exp(log_likelihood(run, eps)) * f))
         fd = fd_grads(params, lambda moved: expected_objective(
             moved, decoder, inputs, eps, beta, self.LABEL, self.PRIOR), 1e-5)
         for field in ENCODER_FIELDS:
@@ -286,27 +283,29 @@ class TestUnbiasedness:
         # E[grad log p] = 0: the identity that lets a baseline shift f freely
         params, _, inputs = self._setup(seed=2)
         eps = 0.15
-        run, traces = replay(params, inputs, all_sequences(3, 1))
-        mean = params.split(score_grads(run, traces, eps, np.exp(log_likelihood(run, eps))))
+        run, counts = replay(params, inputs, all_sequences(3, 1))
+        mean = params.split(score_grads(run, counts, params.kernel_ff, eps,
+                                        np.exp(log_likelihood(run, eps))))
         for field in ENCODER_FIELDS:
             np.testing.assert_allclose(mean[field], 0.0, atol=1e-12)
 
     def test_monte_carlo_mean_approaches_enumeration(self):
         eps, beta = 0.1, 0.05
         params, decoder, inputs = self._setup(seed=1)
-        run, traces = replay(params, inputs, all_sequences(3, 1))
+        run, counts = replay(params, inputs, all_sequences(3, 1))
         p = np.exp(log_likelihood(run, eps))
         f = sample_losses(decoder, run, eps, beta, self.LABEL, self.PRIOR)
-        per_sequence = [params.split(score_grads(run, traces, eps, f * (np.arange(len(f)) == i)))
+        per_sequence = [params.split(score_grads(run, counts, params.kernel_ff, eps,
+                                                 f * (np.arange(len(f)) == i)))
                         for i in range(len(f))]
 
         # the training rollout on 20k copies of the input, one batch
         draws = 20_000
         uniforms = SeededRng(777).uniform((3, draws, 1))
-        mc, mc_traces = training_rollout(
+        mc, mc_counts = training_rollout(
             params, np.repeat(inputs[None], draws, axis=0), spike_thresholds(uniforms, eps))
         f_mc = sample_losses(decoder, mc, eps, beta, self.LABEL, self.PRIOR)
-        mean = params.split(score_grads(mc, mc_traces, eps, f_mc / draws))
+        mean = params.split(score_grads(mc, mc_counts, params.kernel_ff, eps, f_mc / draws))
 
         for field in ENCODER_FIELDS:
             g = np.array([grads[field] for grads in per_sequence])
@@ -343,12 +342,13 @@ def _toy_counts(seed=0, n_train=24, n_test=16, steps=6, lines=8):
 def _toy_models(data, seed=0, k=4, hidden=8):
     root = SeededRng(seed)
     enc = init_encoder_params(data.input_dim, k, root.substream("e"))
-    dec = init_decoder_params(k * data.train_codes.shape[1], data.n_classes, root.substream("d"), hidden_dim=hidden)
+    dec = init_decoder_params(k * data.train_counts.shape[1], data.n_classes,
+                              root.substream("d"), hidden_dim=hidden)
     return enc, dec
 
 
 def _toy_dataset(**kwargs):
-    """The toy counts as a Dataset, its train split coded."""
+    """The toy counts as a Dataset."""
     return Dataset(*_toy_counts(**kwargs), n_classes=2)
 
 
@@ -490,18 +490,21 @@ class TestEpochLoop:
         monkeypatch.setattr(training, "spike_thresholds", spy)
         rng = SeededRng(0).substream("t", 0)
         train_epoch(state, data, RunConfig(batch_size=5, epsilon=0.1), rng, {})
-        steps, k = data.train_codes.shape[1], state.encoder.n_out
+        steps, k = data.train_counts.shape[1], state.encoder.n_out
         # the training batches' draws; the last call is evaluation's
         assert [u.shape for u in seen[:-1]] == [(steps, 5, k)] * 2 + [(steps, 2, k)]
         expected = rng.substream("draws").uniform((12 * steps * k,))
         np.testing.assert_array_equal(np.concatenate([u.ravel() for u in seen[:-1]]), expected)
 
     def test_epoch_memory_bounded_by_batch_buffers(self):
-        # the train split is kept as 2-byte history codes and an epoch
-        # makes its traces a batch at a time into reused buffers: from the
-        # counts, building the Dataset and its epoch peak within the codes,
-        # a few batches' buffers and the kept evaluation draws; the split's
-        # float64 traces would be four times the codes
+        # the Dataset keeps the caller's counts, and an epoch makes no
+        # array of the split's size: its largest temporary is the float64
+        # copy of one batch's uint8 counts that the feedforward gradient's
+        # matmul casts, 8 bytes a count; the rest of a batch is its counts
+        # (1 byte a count) and arrays k = 4 columns wide.  So from the
+        # counts, building the Dataset and its epoch peak within a few
+        # batch copies and the kept evaluation draws; the split's float64
+        # traces would be 64 batch copies
         n, steps, lines, batch = 1024, 20, 64, 16
         counts = (SeededRng(1).uniform((n + 8, steps, lines)) < 0.2).astype(np.uint8)
         labels = np.arange(n + 8) % 4
@@ -518,10 +521,9 @@ class TestEpochLoop:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        codes = 2 * n * steps * lines
         kept = sum(u.nbytes for pair in draws.values() for u in pair)
-        batch_traces = batch * steps * lines * 8
-        assert peak - codes - kept < 6 * batch_traces, f"peak {peak} bytes, {kept} kept"
+        batch_copy = batch * steps * lines * 8
+        assert peak - kept < 3 * batch_copy, f"peak {peak} bytes, {kept} kept"
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
@@ -530,30 +532,16 @@ class TestEpochLoop:
 
 class TestDataset:
     def test_codes_the_train_split(self):
-        # the train split is kept as its counts' uint16 history codes, from
-        # which a batch's traces are the counts' own; the caller's counts
-        # are left as they are, and the test split is the array given
+        # both splits are kept as the arrays given, uint8 counts from the
+        # events module: train_epoch and evaluate read them as they are,
+        # and replace() works as on any dataclass
         counts, labels, test_counts, test_labels = _toy_counts()
-        before = counts.copy()
         data = Dataset(counts, labels, test_counts, test_labels, n_classes=2)
-        assert data.train_codes.dtype == np.uint16
-        np.testing.assert_array_equal(data.train_codes, history_codes(counts))
-        assert counts.dtype == np.uint8 and counts.tobytes() == before.tobytes()
-        assert data.test_inputs is test_counts
-        ff_kernel = kernel(1.0, 0.5)
-        traces = code_traces(data.train_codes, ff_kernel, len(counts))(np.arange(len(counts)))
-        expected = filter_inputs(counts, ff_kernel)
-        assert np.array_equal(traces.view(np.uint64), expected.view(np.uint64))
-
-    def test_replace_without_counts_is_refused(self):
-        # a Dataset holds no counts to code again: replace needs them
-        data = _toy_dataset()
-        with pytest.raises(ValueError, match="train_counts"):
-            replace(data, n_classes=3)
-        counts, labels, test_counts, test_labels = _toy_counts(seed=1)
-        other = replace(data, train_counts=counts, train_labels=labels)
-        np.testing.assert_array_equal(other.train_codes, history_codes(counts))
-        assert other.test_inputs is data.test_inputs
+        assert data.train_counts is counts and data.test_inputs is test_counts
+        assert counts.dtype == np.uint8 and data.input_dim == counts.shape[2]
+        other_counts, other_labels, _, _ = _toy_counts(seed=1)
+        other = replace(data, train_counts=other_counts, train_labels=other_labels)
+        assert other.train_counts is other_counts and other.test_inputs is test_counts
 
 
 class TestEvaluate:
