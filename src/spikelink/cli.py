@@ -285,7 +285,13 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, rows: list[MetricsRo
         save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
         test_x, test_y = data.test_inputs, data.test_labels
     started = time.perf_counter()
-    results = evaluate(encoder, decoder, test_x, test_y, [e for e, _ in grid], cfg.seed, draws)
+    try:
+        results = evaluate(encoder, decoder, test_x, test_y, [e for e, _ in grid], cfg.seed, draws)
+    except TrainingDiverged as exc:
+        if not checkpoint:
+            raise
+        # a loaded model whose drive overflows is bad input, not a training run
+        raise ConfigError(f"checkpoint {checkpoint}: {exc}") from exc
     seconds = (time.perf_counter() - started) / len(grid) if cfg.timing else 0.0
     for i, ((eps, db), (error, rate)) in enumerate(zip(grid, results)):
         rows.append(MetricsRow(experiment, i, cfg.epochs, eps, db, cfg.beta, cfg.k,

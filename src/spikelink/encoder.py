@@ -9,7 +9,9 @@ neuron space, a∗(W·x): each step's counts are projected to the k neurons
 and those k columns are filtered (`drive_from_counts`).  No input trace is
 made.  The same linearity gives the feedforward weights' gradient:
 Σ_t g_t ⊗ (a∗x)_t equals Σ_t (a⋆g)_t ⊗ x_t, the score filtered backward in
-time and then one matmul with the counts (`score_grads`).
+time and then one matmul with the counts (`score_grads`).  Both filters are
+one matrix product with the kernel's cached Toeplitz matrix
+(`Kernel.matrix`), the adjoint with its transpose.
 `rollout` runs the recurrence on a drive, one step at a time, for a whole
 batch of sequences; it reads each feedback trace from a table of partial
 sums of the taps, indexed by the neuron's past 0/1 bits, sets each bit by
@@ -103,27 +105,59 @@ def init_encoder_params(
     )
 
 
+# above this many steps a filter runs block by block against one band of
+# the kernel's matrix, so no (steps, steps) matrix is ever made
+FILTER_BLOCK = 64
+
+
 def filter_inputs(counts: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Causal filter of counts of shape (n, steps, columns), as a new float64
-    array of that shape: the drive's projected columns, or the score's,
-    time reversed, for its adjoint.
+    array of that shape: the drive's projected columns.
 
-    The trace at step t is c0*x_t + c1*x_{t-1} + ..., added in that order,
-    with history before step 0 reading zero.  The counts may have any real
-    dtype: a count cast to float64 is exact, so a uint8 count times a tap is
-    the float64 count's product.  The traces start as c0*x, and tap d adds
-    c_d*x to the traces d steps later, which keeps each element's addition
-    order; each tap's products are one temporary of the traces' size at
-    most.
+    The trace at step t is c0*x_t + c1*x_{t-1} + ..., with history before
+    step 0 reading zero: one matrix product with the kernel's
+    lower-triangular Toeplitz matrix (Kernel.matrix), in blocks of
+    FILTER_BLOCK steps above that many (_filter).  The counts may have any
+    real dtype: a count cast to float64 is exact, so a uint8 count filters
+    as the float64 count does.  The product multiplies the matrix's zeros
+    too, so a non-finite value anywhere in a column may make every value of
+    that column non-finite, earlier steps included: a caller must treat a
+    drive with any non-finite value as diverged, never read its finite part.
     """
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.dtype.kind not in "buif":
         raise ValueError("filter_inputs needs a real array of shape (n, steps, columns)")
-    coeff = kernel.coefficients
-    traces = np.multiply(counts, coeff[0], dtype=np.float64)
-    for d in range(1, min(coeff.size, counts.shape[1])):
-        traces[:, d:] += coeff[d] * counts[:, :-d]
-    return traces
+    return _filter(kernel, counts.astype(np.float64, copy=False))
+
+
+def _filter(kernel: Kernel, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """kernel.matrix(steps) times float64 x of shape (n, steps, columns)
+    along its steps, or the matrix's transpose times x (the adjoint filter,
+    backward in time), as a new array of x's shape.
+
+    Above FILTER_BLOCK steps the same product runs in blocks of rows, with
+    taps = min(kernel size, steps): each block of FILTER_BLOCK output steps
+    is the band kernel.matrix(FILTER_BLOCK, taps - 1) times the block's
+    steps and the taps - 1 before them; the transpose adds the band's
+    transpose times each block onto those steps.
+    """
+    steps = x.shape[1]
+    if steps <= FILTER_BLOCK:
+        mat = kernel.matrix(steps)
+        return np.matmul(mat.T if transpose else mat, x)
+    lag = min(kernel.coefficients.size, steps) - 1
+    band = kernel.matrix(FILTER_BLOCK, lag)
+    out = np.zeros(x.shape) if transpose else np.empty(x.shape)
+    for start in range(0, steps, FILTER_BLOCK):
+        stop = min(start + FILTER_BLOCK, steps)
+        first = max(start - lag, 0)
+        rows = stop - start
+        part = band[:rows, first - start + lag : rows + lag]
+        if transpose:
+            out[:, first:stop] += np.matmul(part.T, x[:, start:stop])
+        else:
+            np.matmul(part, x[:, first:stop], out=out[:, start:stop])
+    return out
 
 
 def _check_inputs(params: EncoderParams, inputs: np.ndarray, what: str) -> None:
@@ -150,9 +184,9 @@ def drive_from_counts(params: EncoderParams, counts) -> np.ndarray:
     filtered in neuron space: a∗(W·x), which is W·(a∗x) up to float rounding.
 
     Each step's counts are projected to the k neurons (_project); then
-    filter_inputs runs the taps over the n * k projected columns,
-    time-major as a (1, steps, n * k) array, so each tap reads contiguous
-    rows.  No float64 array of the counts' size is made.
+    filter_inputs filters the n * k projected columns, time-major as a
+    (1, steps, n * k) array, in one matrix product.  No float64 array of
+    the counts' size is made.
     """
     counts = np.asarray(counts)
     if counts.dtype.kind not in "buif":
@@ -267,12 +301,12 @@ def score_grads(run: Rollout, counts: np.ndarray, kernel: Kernel, epsilon: float
     feedforward row; the feedback trace for the feedback weight; and 1 for
     the bias.  The filter is linear, so the feedforward row is made without
     the input traces: the weighted score filtered backward in time (the
-    adjoint filter: filter_inputs of it, time reversed), then one matmul
-    with the counts.
+    adjoint filter, the transposed filter matrix times it), then one matmul
+    with the counts, read in the dtype they come in.
     """
     score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, epsilon)
     n, steps, k = score_u.shape
-    adjoint = filter_inputs((weights[:, None, None] * score_u)[:, ::-1], kernel)[:, ::-1]
+    adjoint = _filter(kernel, weights[:, None, None] * score_u, transpose=True)
     return np.concatenate([
         (adjoint.reshape(n * steps, k).T @ counts.reshape(n * steps, -1)).ravel(),
         np.einsum("b,btk,btk->k", weights, score_u, run.fb_traces),

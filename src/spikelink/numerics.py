@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,26 +29,18 @@ __all__ = [
 
 
 def sigmoid(x):
-    """Logistic function 1 / (1 + exp(-x)), stable for |x| up to ~745.
+    """Logistic function 1 / (1 + exp(-x)), as that one expression.
 
-    Returns a new float64 array of x's shape, 0-d for a scalar.  Large
-    positive x saturates to 1.0 and large negative x underflows to 0.0
-    without ever overflowing exp.  With e = exp(-x) where x >= 0 and
-    exp(x) elsewhere, it is 1 / (1 + e) where x >= 0 and e / (1 + e)
-    elsewhere: the operands of the two-branch form exactly, so selecting
-    with masks changes no bit (a nan keeps its sign, which exp(-|x|)
-    would flip).
+    Returns a new float64 array of x's shape, a float64 for a scalar.
+    Below about -709.78, exp(-x) overflows to inf and the result is 0.0,
+    where the exact value is subnormal (the overflow is not reported);
+    large positive x gives 1.0.  For x < 0 it differs from the two-branch
+    form e / (1 + e), e = exp(x), by float rounding alone: each is within a
+    few ulp of the exact value.
     """
     arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    # -x where x >= 0, else x; minimum hands back a nan x itself
-    np.negative(arr, out=out)
-    np.minimum(arr, out, out=out)
-    np.exp(out, out=out)
-    denom = 1.0 + out
-    np.copyto(out, 1.0, where=pos)
-    return np.divide(out, denom, out=out)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-arr))
 
 
 def softplus(x):
@@ -110,10 +102,13 @@ def ebn0_to_epsilon(ebn0_linear: float, form: str = "linear") -> float:
 class Kernel:
     """Finite causal filter; coefficients[d] weighs the value d steps back.
 
-    Two kernels are equal when their coefficients are.
+    Two kernels are equal when their coefficients are.  The filter's
+    matrices (Kernel.matrix) are built once per shape and kept on the
+    kernel, so every copy of a model that shares the kernel reads them.
     """
 
     coefficients: np.ndarray
+    _matrices: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         coeff = np.asarray(self.coefficients, dtype=np.float64)
@@ -127,6 +122,25 @@ class Kernel:
         if not isinstance(other, Kernel):
             return NotImplemented
         return np.array_equal(self.coefficients, other.coefficients)
+
+    def matrix(self, steps: int, history: int = 0) -> np.ndarray:
+        """The filter over `steps` steps as a C-contiguous, read-only float64
+        (steps, history + steps) matrix whose columns are the `history`
+        values before the first step and then the steps' own:
+        mat[t, history + t - d] = coefficients[d] wherever that column
+        exists, zeros elsewhere.  At history 0 it is the (steps, steps)
+        lower-triangular Toeplitz matrix, mat[t, t - d] = coefficients[d]
+        for d < min(size, steps).
+        """
+        key = (steps, history)
+        mat = self._matrices.get(key)
+        if mat is None:
+            lag = history + np.arange(steps)[:, None] - np.arange(history + steps)
+            taps = np.append(self.coefficients, 0.0)
+            mat = taps[np.where((lag >= 0) & (lag < taps.size - 1), lag, -1)]
+            mat.flags.writeable = False
+            self._matrices[key] = mat
+        return mat
 
 
 def exponential_kernel(tau: float = 5.0, window: int = 10) -> Kernel:

@@ -68,7 +68,20 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss or an updated weight stops being finite."""
+    """Raised when a loss, an updated weight or a feedforward drive stops
+    being finite."""
+
+
+def _drive(encoder: EncoderParams, counts: np.ndarray) -> np.ndarray:
+    """encoder.drive_from_counts of counts, refused with TrainingDiverged if
+    any value is not finite: weights large enough to overflow the projection
+    spread nan through the filter's product (encoder.filter_inputs), and
+    that refusal stands in for NumPy's overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        drive = drive_from_counts(encoder, counts)
+    if not np.isfinite(drive).all():
+        raise TrainingDiverged("non-finite feedforward drive")
+    return drive
 
 
 @dataclass(frozen=True)
@@ -147,19 +160,14 @@ def regularizer(bits, potentials, epsilon: float, prior: PriorModel,
     minus their log-probability under the fixed reference.  Its expectation
     under the encoding law is a KL divergence, hence non-negative.
     spike_probs, when given, must be sigmoid(potentials) (a rollout keeps
-    them).
+    them).  The steps are added in one NumPy sum.
     """
     bits = np.asarray(bits, dtype=np.float64)
     potentials = np.asarray(potentials, dtype=np.float64)
     if bits.shape != potentials.shape:
         raise ValueError("bits and potentials must align")
     per_step = log_prob_noisy(bits, potentials, epsilon, spike_probs) - prior.log_prob(bits)
-    # added step by step, so the float sum does not depend on NumPy's
-    # reduction order
-    total = np.zeros(per_step.shape[0])
-    for t in range(per_step.shape[1]):
-        total += per_step[:, t]
-    return total
+    return per_step.sum(axis=1)
 
 
 def vdib_loss(task_loss: float, rate_loss: float, beta: float) -> float:
@@ -220,9 +228,10 @@ def train_epoch(
     draws is the command's cache of evaluation draws (see evaluate): the
     test samples' uniforms are made into it once and read back later.  Each
     batch's drive is made from its train counts (encoder.drive_from_counts),
-    as evaluation makes a chunk's.  Of the config it reads the channel
-    point, beta, eta, batch_size, seed, prior_rate, momentum, grad_clip and
-    baseline.
+    as evaluation makes a chunk's; a drive with a non-finite value raises
+    TrainingDiverged, in training and in the epoch's evaluation.  Of the
+    config it reads the channel point, beta, eta, batch_size, seed,
+    prior_rate, momentum, grad_clip and baseline.
     """
     eps = config.training_crossover()
     encoder, decoder = replace(state.encoder), replace(state.decoder)  # copies, updated in place
@@ -239,7 +248,7 @@ def train_epoch(
         xb = data.train_counts[batch]
         yb = data.train_labels[batch]
         uniforms = draw.uniform((xb.shape[1], len(batch), encoder.n_out))
-        run = rollout(encoder, drive_from_counts(encoder, xb), spike_thresholds(uniforms, eps))
+        run = rollout(encoder, _drive(encoder, xb), spike_thresholds(uniforms, eps))
         rate_losses = regularizer(run.bits, run.potentials, eps, prior, run.spike_probs)
         flat = run.bits.reshape(len(batch), -1).astype(np.float64)
         pre, hidden, logits, probs = forward_batch(decoder, flat)
@@ -306,7 +315,9 @@ def evaluate(
     Each chunk's feedforward drive is made from its counts in neuron space
     (encoder.drive_from_counts), as training makes a batch's; its rounding
     against the line-space drive W·(a∗x) moves the integer tallies only if
-    a spike uniform falls within it of its spike probability.
+    a spike uniform falls within it of its spike probability.  A chunk
+    whose drive holds a non-finite value (weights that overflow the
+    projection) raises TrainingDiverged: no row is read from it.
 
     Per-sample draw streams depend only on (seed, sample index), never on
     epsilon or the parameters, so repeated evaluations of one model across
@@ -344,7 +355,7 @@ def evaluate(
         if key not in kept:
             kept[key] = _eval_uniforms(root, start, m, steps, k)
         thresholds, flip_u = kept[key]
-        z = rollout(encoder, drive_from_counts(encoder, x), thresholds).bits
+        z = rollout(encoder, _drive(encoder, x), thresholds).bits
         spikes += int(np.count_nonzero(z))
         for i, eps in enumerate(epsilons):
             zhat = transmit(z, eps, flip_u)

@@ -12,7 +12,10 @@ makes.  `ff_score_line_space` is the feedforward row of the score made in
 line space, from the input traces, that score_grads' adjoint filter and
 matmul are pinned to.  `sample_noisy` is the channel-marginalized
 law's plain sampler, U < q, that channel.spike_thresholds' decisions are
-pinned against.  `reference_clip` and `reference_sgd_update` are the
+pinned against.  `tap_loop_filter` is the causal filter as a loop over
+steps and taps, and `two_branch_sigmoid` the logistic function in its
+guarded two-branch form: the references the filter's matrix product and
+the one-expression sigmoid are pinned to within rounding.  `reference_clip` and `reference_sgd_update` are the
 gradient clip and the SGD step as walks over named fields, which the
 in-place updates on each model's flat vector are pinned to byte for byte.
 The bar-task records come from the
@@ -69,6 +72,30 @@ def sample_noisy(s, epsilon: float, uniforms: np.ndarray) -> np.ndarray:
     transmit, but costs a single draw.
     """
     return (uniforms < noisy_spike_prob(s, epsilon)).astype(np.uint8)
+
+
+def tap_loop_filter(x: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """The causal filter of x (n, steps, columns) written out: step t is
+    c0*x_t first, then c1*x_{t-1}, and so on, history before step 0
+    reading zero."""
+    out = np.empty(x.shape)
+    for t in range(x.shape[1]):
+        acc = coeff[0] * x[:, t]
+        for d in range(1, min(coeff.size, t + 1)):
+            acc = acc + coeff[d] * x[:, t - d]
+        out[:, t] = acc
+    return out
+
+
+def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) where x >= 0, else e / (1 + e) with e = exp(x), so
+    exp never overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def training_rollout(params, inputs, thresholds):

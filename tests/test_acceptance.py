@@ -206,7 +206,7 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         for k, T, n_in, eps, seed in instances:
             params = _small_encoder(k, n_in, seed)
             decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
-            inputs = bernoulli(SeededRng(seed + 2), np.full((T, n_in), 0.5)).astype(np.float64)
+            inputs = bernoulli(SeededRng(seed + 2), np.full((T, n_in), 0.5))
             run, counts = replay(params, inputs, all_sequences(T, k))
             f = sample_losses(decoder, run, eps, beta, label, prior)
             expected = params.split(score_grads(
@@ -226,7 +226,7 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         k, T, n_in, eps, seed = 1, 3, 2, 0.1, 31
         params = _small_encoder(k, n_in, seed)
         decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
-        inputs = bernoulli(SeededRng(seed + 2), np.full((T, n_in), 0.5)).astype(np.float64)
+        inputs = bernoulli(SeededRng(seed + 2), np.full((T, n_in), 0.5))
         run, counts = replay(params, inputs, all_sequences(T, k))
         p = np.exp(log_likelihood(run, eps))
         f = sample_losses(decoder, run, eps, beta, label, prior)
@@ -273,7 +273,7 @@ def test_criterion_04_sequence_log_likelihood_gradient(capsys):
         for k, n_in, T, eps, seed in instances:
             params = _small_encoder(k, n_in, seed)
             rng = SeededRng(seed + 10)
-            inputs = bernoulli(rng, np.full((T, n_in), 0.6)).astype(np.float64)
+            inputs = bernoulli(rng, np.full((T, n_in), 0.6))
             zhat = bernoulli(rng, np.full((1, T, k), 0.5))
             score = params.split(
                 score_grads(*replay(params, inputs, zhat), params.kernel_ff, eps, np.ones(1)))
@@ -326,7 +326,7 @@ def test_criterion_06_kl_nonnegativity(capsys):
         lowest = math.inf
         for k, T, n_in, seed in ((1, 3, 2, 71), (2, 2, 2, 72), (1, 4, 1, 73)):
             params = _small_encoder(k, n_in, seed)
-            inputs = bernoulli(SeededRng(seed + 5), np.full((T, n_in), 0.5)).astype(np.float64)
+            inputs = bernoulli(SeededRng(seed + 5), np.full((T, n_in), 0.5))
             run, _ = replay(params, inputs, all_sequences(T, k))
             for eps in EPSILON_SET:
                 p = np.exp(log_likelihood(run, eps))

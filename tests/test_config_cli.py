@@ -681,6 +681,20 @@ class TestCliSweeps:
         assert [(r.error_rate, r.spike_rate) for r in rows] == swept(encoder.kernel_ff)
         assert swept(encoder.kernel_ff) != swept(cfg.kernel_ff())
 
+    def test_checkpoint_whose_drive_overflows_refused(
+        self, tiny_config, tiny_checkpoint, tmp_path, capsys
+    ):
+        # finite weights of 1e308 overflow the test split's projection, and
+        # the filter's product spreads the inf as nan: the sweep exits 2
+        # with one line naming the checkpoint, and writes no row
+        encoder, decoder, meta = load_checkpoint(tiny_checkpoint)
+        encoder.ff_weights[:] = 1e308
+        huge = tmp_path / "huge.txt"
+        save_checkpoint(huge, encoder, decoder, meta)
+        assert self._sweep(tiny_config, huge, tmp_path) == 2
+        assert _refusal(capsys) == f"error: checkpoint {huge}: non-finite feedforward drive"
+        assert not (tmp_path / "sweep" / "metrics.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ("sweep-beta", "--beta-grid", "0.001,0.01"),
         ("sweep-snr", "--train-per-point", "--epsilon-grid", "0.1,0.2"),
@@ -851,8 +865,9 @@ class TestCliSweeps:
         # the same 2048 test records under two epochs of training: the
         # test split stays uint8 counts, and no filter call sees more than
         # one chunk's projected drive, (1, T, records * k); a training
-        # batch filters its projected drive and its score's adjoint, k
-        # columns each, never the input lines
+        # batch filters its projected drive, k columns a record, never the
+        # input lines (its score's adjoint is the transposed product, no
+        # filter_inputs call)
         config = tmp_path / "large.cfg"
         config.write_text("classes = 4\nheight = 4\nwidth = 8\ntrain_per_class = 2\n"
                           "test_per_class = 512\nk = 4\nT = 20\nhidden = 8\nepochs = 2\n"
@@ -883,12 +898,11 @@ class TestCliSweeps:
         assert code == 0
         assert [dtype.name for dtype in test_dtypes] == ["uint8", "uint8"]
         # k = 4 columns a record: the one training batch of 8 records makes
-        # a drive (1, T, 8 * k) and an adjoint (8, T, k), then each test
-        # chunk a drive, in each epoch
+        # a drive (1, T, 8 * k), then each test chunk a drive, in each epoch
         chunk_drive = training.EVAL_CHUNK * 20 * 4
         assert all(shape[2] % 4 == 0 and math.prod(shape) <= chunk_drive for shape in filtered)
-        assert filtered[:2] == [(1, 20, 8 * 4), (8, 20, 4)]
-        assert len(filtered) == 2 * (2 + 2048 // training.EVAL_CHUNK)
+        assert filtered[:2] == [(1, 20, 8 * 4), (1, 20, training.EVAL_CHUNK * 4)]
+        assert len(filtered) == 2 * (1 + 2048 // training.EVAL_CHUNK)
         # the counts, the kept uniforms (2.6 MB) and one chunk set the peak;
         # the split's traces alone would be 21 MB
         assert peak < traces / 2, f"peak {peak} bytes"
@@ -1283,8 +1297,8 @@ class TestCliErrors:
         # the first training batch's float64 drive of 4 records x k = 4
         # columns (the first filter call, from encoder.drive_from_counts),
         # or the first test chunk's, of 8 records, in the first epoch's
-        # evaluation, after the epoch's 3 batches each filtered a drive and
-        # an adjoint; the failing allocation is simulated, never made
+        # evaluation, after the epoch's 3 batches each filtered a drive; the
+        # failing allocation is simulated, never made
         made = []
 
         def failing(counts, kernel):
@@ -1296,7 +1310,7 @@ class TestCliErrors:
         monkeypatch.setattr("spikelink.encoder.filter_inputs", failing)
         out = tmp_path / "o"
         assert _main("train", "--config", str(tiny_config), "--out", str(out)) == 2
-        assert len(made) == {"train": 0, "test": 6}[split]
+        assert len(made) == {"train": 0, "test": 3}[split]
         assert _refusal(capsys) == (
             f"error: an array of shape {shape} and dtype float64 ({math.prod(shape) * 8} bytes) "
             "is too large to allocate; T = 5, k = 4, hidden = 8"

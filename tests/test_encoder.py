@@ -240,20 +240,22 @@ class TestDrives:
                               expected.view(np.uint64))
 
     def test_acceptance_criteria_roll_out_on_the_training_drive(self, monkeypatch):
-        # criteria 2-4's oracles must check the drive train_epoch makes: the
-        # gate composes no rollout of its own, and every rollout the harness
-        # runs for it reads a drive_from_counts result, the very function
-        # train_epoch and evaluate call
+        # criteria 2-4 and 6's oracles must check the drive train_epoch
+        # makes: the gate composes no rollout of its own, and every rollout
+        # the harness runs for it reads a drive_from_counts result, the very
+        # function train_epoch and evaluate call, made from uint8 counts, the
+        # Dataset's dtype, which score_grads' matmul then reads as training's
         import test_acceptance
 
         assert oracles.drive_from_counts is training.drive_from_counts
         for name in ("filter_inputs", "drive_from_counts", "rollout"):
             assert not hasattr(test_acceptance, name)
-        made, rolled = [], []
+        made, rolled, dtypes = [], [], set()
 
         def drive(params, counts):
             out = drive_from_counts(params, counts)
             made.append(out)
+            dtypes.add(np.asarray(counts).dtype)
             return out
 
         def checked_rollout(params, drive_arg, thresholds):
@@ -265,9 +267,11 @@ class TestDrives:
         quiet = SimpleNamespace(disabled=contextlib.nullcontext)
         for criterion in (test_acceptance.test_criterion_02_gradient_closed_forms,
                           test_acceptance.test_criterion_03_score_function_unbiasedness,
-                          test_acceptance.test_criterion_04_sequence_log_likelihood_gradient):
+                          test_acceptance.test_criterion_04_sequence_log_likelihood_gradient,
+                          test_acceptance.test_criterion_06_kl_nonnegativity):
             criterion(quiet)
         assert rolled and all(rolled)
+        assert dtypes == {np.dtype(np.uint8)}
 
         monkeypatch.setattr(training, "drive_from_counts", drive)
         made.clear()
@@ -428,6 +432,41 @@ class TestScoreGrads:
         magnitude = np.einsum("btk,btn->kn", np.abs(weights[:, None, None] * score_u),
                               filter_inputs(counts, kernel(*np.abs(coeff))))
         assert got["ff_weights"].shape == expected.shape == (k, lines)
+        assert (np.abs(got["ff_weights"] - expected) <= 1e-12 * magnitude).all()
+
+    def test_adjoint_is_the_transposed_matrix_product(self):
+        # up to FILTER_BLOCK steps the adjoint filter is the transposed
+        # filter matrix times the weighted score, one product, bit for bit:
+        # criterion 10's trajectory rests on this float order
+        steps, lines, k, n = 30, 12, 4, 5
+        rng = np.random.default_rng(3)
+        params = init_encoder_params(lines, k, SeededRng(3))
+        counts = (rng.random((n, steps, lines)) < 0.2).astype(np.uint8)
+        run, _ = training_rollout(params, counts, spike_thresholds(rng.random((steps, n, k)), 0.1))
+        weights = rng.uniform(-1.0, 1.0, n)
+        got = params.split(score_grads(run, counts, params.kernel_ff, 0.1, weights))
+        score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
+        adjoint = np.matmul(params.kernel_ff.matrix(steps).T, weights[:, None, None] * score_u)
+        want = adjoint.reshape(n * steps, k).T @ counts.reshape(n * steps, lines)
+        assert np.array_equal(got["ff_weights"].view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("steps, window", [(65, 10), (200, 80)])
+    def test_ff_row_at_blocked_lengths(self, steps, window):
+        # past FILTER_BLOCK steps the adjoint adds the band's transpose
+        # times each block of the score: against the line-space contraction
+        # as above, with at most n * steps + taps = 680 roundings a sum
+        lines, k, n = 20, 4, 3
+        rng = np.random.default_rng(steps)
+        params = init_encoder_params(lines, k, SeededRng(steps),
+                                     kernel_ff=exponential_kernel(5.0, window))
+        counts = (rng.random((n, steps, lines)) < 0.2).astype(np.uint8)
+        run, _ = training_rollout(params, counts, spike_thresholds(rng.random((steps, n, k)), 0.1))
+        weights = rng.uniform(-1.0, 1.0, n)
+        got = params.split(score_grads(run, counts, params.kernel_ff, 0.1, weights))
+        expected = oracles.ff_score_line_space(run, counts, params.kernel_ff, 0.1, weights)
+        score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
+        magnitude = np.einsum("btk,btn->kn", np.abs(weights[:, None, None] * score_u),
+                              filter_inputs(counts, params.kernel_ff))
         assert (np.abs(got["ff_weights"] - expected) <= 1e-12 * magnitude).all()
 
     def test_single_neuron_single_input(self):

@@ -11,9 +11,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import bernoulli, finite_diff_grad, replay
+from oracles import bernoulli, finite_diff_grad, replay, tap_loop_filter, two_branch_sigmoid
 
-from spikelink.encoder import EncoderParams, filter_inputs
+from spikelink.encoder import FILTER_BLOCK, EncoderParams, filter_inputs
 from spikelink.numerics import (
     Kernel,
     SeededRng,
@@ -46,26 +46,28 @@ class TestSigmoid:
             assert sigmoid(745.0) == 1.0
             assert sigmoid(-745.0) >= 0.0
 
-    @staticmethod
-    def _two_branch(x):
-        # the masked form: 1/(1+exp(-x)) where x >= 0, else exp(x)/(1+exp(x))
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-
-    def test_equals_two_branch_form_bit_for_bit(self):
-        tiny = np.finfo(np.float64).smallest_subnormal
+    def test_within_rounding_of_the_two_branch_form(self):
+        # x >= 0: the same expression, bit for bit.  x < 0: with exp within
+        # 1 ulp (2u relative, u = eps / 2), 1 / (1 + exp(-x)) is within 4u
+        # of the exact value and the oracle's e / (1 + e) within 5u, so the
+        # two lie within 9u = 4.5 eps of each other, relative to the
+        # oracle's value (first order; 5 eps allows the rest).  Where the
+        # exact value is below the smallest normal, exp(-x) may overflow
+        # to inf and give 0.0: both read below it.  A nan stays a nan.
+        tiny = np.finfo(np.float64).tiny
         special = np.array([0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf,
-                            np.nan, -np.nan, tiny, -tiny, 1e-310, -1e-310, 36.7, -36.7])
+                            np.nan, -np.nan, 5e-324, -5e-324, 1e-310, -1e-310, 36.7, -36.7,
+                            -708.0, -720.0])
         rng = np.random.default_rng(5)
         for x in (special, rng.normal(0, 4, (128, 16)), rng.normal(0, 400, (16, 16))):
-            got = sigmoid(x)
-            # array_equal with equal_nan compares values; the views compare
-            # every bit, signs of zero and nan payloads included
-            assert np.array_equal(got.view(np.uint64), self._two_branch(x).view(np.uint64))
+            got, want = sigmoid(x), two_branch_sigmoid(x)
+            pos, normal = x >= 0, want >= tiny
+            assert np.array_equal(got[pos].view(np.uint64), want[pos].view(np.uint64))
+            bound = 5 * np.finfo(np.float64).eps * want[normal]
+            assert (np.abs(got[normal] - want[normal]) <= bound).all()
+            low = ~pos & ~normal & ~np.isnan(x)
+            assert ((got[low] >= 0.0) & (got[low] < tiny)).all()
+            assert np.array_equal(np.isnan(got), np.isnan(x))
 
     def test_log_sigmoid_matches_log_of_sigmoid(self):
         # absolute tolerance: near saturation the naive log loses relative
@@ -127,15 +129,17 @@ class TestEbn0Mapping:
         assert db_to_linear(float("-inf")) == 0.0
 
 
-def _step_ordered(x, coeff):
-    """The filter written out: c0*x_t first, then c1*x_{t-1}, and so on."""
-    out = np.empty_like(x)
-    for t in range(x.shape[1]):
-        acc = coeff[0] * x[:, t]
-        for d in range(1, min(coeff.size, t + 1)):
-            acc = acc + coeff[d] * x[:, t - d]
-        out[:, t] = acc
-    return out
+def _rounding_bound(x, coeff):
+    """Bound on the difference of two evaluations of the filter of x with
+    these taps that each sum one step's products in some order: each is
+    within gamma_m of the exact sum times the sum of the products'
+    magnitudes, with m = taps + 1 roundings along any one product's path
+    (its product and at most taps additions), so the two differ by at most
+    twice that."""
+    m = coeff.size + 1
+    u = np.finfo(np.float64).eps / 2
+    gamma = m * u / (1.0 - m * u)
+    return 2 * gamma * tap_loop_filter(np.abs(x), np.abs(coeff))
 
 
 def _feedback_traces(bits, kernel):
@@ -190,14 +194,16 @@ class TestCausalConvolve:
     @pytest.mark.parametrize("samples", [1, 3, None])
     @pytest.mark.parametrize("window", [4, 30])
     def test_in_place_filter_equals_step_order(self, samples, window):
-        # 1, 3 or all 40 samples of 12 steps by 256 lines: bit for bit, for
-        # windows shorter and longer than the 12 steps, and with at most
-        # one float64 array of the traces' size made besides them, and
-        # NumPy's ufunc buffers: two of getbufsize() float64s at most
+        # 1, 3 or all 40 samples of 12 steps by 256 lines: within rounding
+        # of the tap loop, for windows shorter and longer than the 12 steps,
+        # and with at most one float64 array of the traces' size made
+        # besides them (the counts cast to float64), and NumPy's ufunc
+        # buffers: two of getbufsize() float64s at most
         rng = np.random.default_rng(window)
         counts = rng.poisson(0.7, size=(40, 12, 256)).astype(np.uint8)[:samples]
         kernel = exponential_kernel(3.0, window)
-        expected = _step_ordered(counts.astype(np.float64), kernel.coefficients)
+        x = counts.astype(np.float64)
+        expected = tap_loop_filter(x, kernel.coefficients)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -206,16 +212,17 @@ class TestCausalConvolve:
         finally:
             tracemalloc.stop()
         assert out.dtype == np.float64 and out.shape == counts.shape
-        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert (np.abs(out - expected) <= _rounding_bound(x, kernel.coefficients)).all()
         buffers = 2 * np.getbufsize() * out.itemsize
         assert peak - out.nbytes <= out.nbytes + buffers, f"peak {peak - out.nbytes} bytes"
 
     @pytest.mark.parametrize("part", ["below one sample", "3 samples", "all samples"])
     @pytest.mark.parametrize("window", [5, 30])
     def test_uint8_counts_filter_as_float64_counts(self, part, window):
-        # random taps of both signs, the first negative, so -0.0 traces
-        # occur and the uint64 views tell them from +0.0; the counts are 7
-        # of one sample's 40 lines, 3 of the 10 samples, or all of them
+        # random taps of both signs, the first negative; the counts are 7
+        # of one sample's 40 lines, 3 of the 10 samples, or all of them:
+        # uint8 and float64 counts filter to the same bytes, within
+        # rounding of the tap loop
         n, steps, lines = 10, 12, 40
         rng = np.random.default_rng(window)
         counts = rng.poisson(0.7, size=(n, steps, lines)).astype(np.uint8)
@@ -224,13 +231,55 @@ class TestCausalConvolve:
         kernel = Kernel(taps)
         counts = {"below one sample": counts[:1, :, :7], "3 samples": counts[:3],
                   "all samples": counts}[part]
-        expected = _step_ordered(counts.astype(np.float64), kernel.coefficients)
+        x = counts.astype(np.float64)
+        expected = tap_loop_filter(x, kernel.coefficients)
         from_bytes = filter_inputs(counts, kernel)
-        from_floats = filter_inputs(counts.astype(np.float64), kernel)
+        from_floats = filter_inputs(x, kernel)
         assert from_bytes.dtype == np.float64
-        assert np.array_equal(from_bytes.view(np.uint64), expected.view(np.uint64))
-        assert np.array_equal(from_floats.view(np.uint64), expected.view(np.uint64))
-        assert np.signbit(expected[expected == 0]).any()
+        assert np.array_equal(from_bytes.view(np.uint64), from_floats.view(np.uint64))
+        assert (np.abs(from_bytes - expected) <= _rounding_bound(x, taps)).all()
+
+    @pytest.mark.parametrize("steps", [1, 12, FILTER_BLOCK])
+    def test_filter_is_one_product_with_the_cached_matrix(self, steps):
+        # up to FILTER_BLOCK steps the filter is the kernel's (steps, steps)
+        # lower-triangular Toeplitz matrix times the counts, bit for bit;
+        # the matrix is built once, C-contiguous and read-only
+        kernel = exponential_kernel(3.0, 10)
+        mat = kernel.matrix(steps)
+        assert kernel.matrix(steps) is mat
+        assert mat.flags.c_contiguous and not mat.flags.writeable
+        assert mat.dtype == np.float64 and mat.shape == (steps, steps)
+        lag = np.subtract.outer(np.arange(steps), np.arange(steps))
+        taps = np.append(kernel.coefficients, np.zeros(steps))
+        assert np.array_equal(mat, np.where(lag >= 0, taps[np.maximum(lag, 0)], 0.0))
+        counts = np.random.default_rng(steps).poisson(0.7, (3, steps, 5)).astype(np.uint8)
+        got = filter_inputs(counts, kernel)
+        want = np.matmul(mat, counts.astype(np.float64))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("steps, window", [
+        (FILTER_BLOCK + 1, 10), (200, 80), (4096, 10),
+    ])
+    def test_long_sequences_filter_in_blocks(self, steps, window):
+        # past FILTER_BLOCK steps the product runs block by block against
+        # one (FILTER_BLOCK, FILTER_BLOCK + taps - 1) band, within rounding
+        # of the tap loop; at T = 4096 a (T, T) matrix would be 128 MB,
+        # where the counts cast to float64 and the traces take 0.5 MB
+        rng = np.random.default_rng(steps)
+        counts = rng.poisson(0.7, size=(2, steps, 8)).astype(np.uint8)
+        kernel = exponential_kernel(3.0, window)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = filter_inputs(counts, kernel)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        x = counts.astype(np.float64)
+        assert out.shape == counts.shape
+        assert (np.abs(out - tap_loop_filter(x, kernel.coefficients))
+                <= _rounding_bound(x, kernel.coefficients)).all()
+        assert peak - 2 * out.nbytes <= 2**18, f"peak {peak} bytes"
 
     def test_filter_refuses_arrays_it_cannot_overwrite(self):
         # counts of any real dtype are read; anything else is refused

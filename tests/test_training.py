@@ -544,6 +544,30 @@ class TestDataset:
         assert other.train_counts is other_counts and other.test_inputs is test_counts
 
 
+class TestNonFiniteDrive:
+    """Finite feedforward weights of 1e308 overflow a step's projection to
+    inf, and the filter's product turns the column's other steps to nan:
+    training and evaluation refuse any drive with a non-finite value."""
+
+    @staticmethod
+    def _overflowing():
+        data = _toy_dataset()
+        enc, dec = _toy_models(data)
+        enc.ff_weights[:] = 1e308
+        return data, enc, dec
+
+    def test_training_raises(self):
+        data, enc, dec = self._overflowing()
+        cfg = RunConfig(batch_size=8, epsilon=0.1)
+        with pytest.raises(TrainingDiverged, match="^non-finite feedforward drive$"):
+            train_epoch(TrainState(enc, dec), data, cfg, SeededRng(0), {})
+
+    def test_evaluation_raises(self):
+        data, enc, dec = self._overflowing()
+        with pytest.raises(TrainingDiverged, match="^non-finite feedforward drive$"):
+            evaluate(enc, dec, data.test_inputs, data.test_labels, [0.0, 0.1], seed=0)
+
+
 class TestEvaluate:
     def test_repeat_evaluation_identical(self):
         data = _toy_dataset()
