@@ -5,14 +5,17 @@ line with the measured numbers (visible live in the terminal even under
 pytest's capture).  Property criteria 1-6 are exact-oracle checks:
 enumeration, finite differences, and frozen statistical bounds.  Criteria
 7-10 run the desk-scale experiments with every seed and protocol pinned,
-so they are deterministic end to end.
+so they are deterministic end to end; tools/criteria.py holds their
+protocols and pass rules, which tools/same_law.py shares.
 """
 
 import contextlib
 import itertools
 import math
 import time
+from dataclasses import asdict
 
+import criteria
 import numpy as np
 import pytest
 from oracles import (
@@ -27,9 +30,10 @@ from oracles import (
     sample_losses,
     training_rollout,
 )
+from same_outputs import write_config
 
+from spikelink import cli
 from spikelink.channel import log_prob_noisy, noisy_spike_prob, spike_thresholds, transmit
-from spikelink.cli import DEFAULT_BETA_GRID, DEFAULT_SNR_GRID_DB, _build_dataset, _init_models
 from spikelink.config import RunConfig
 from spikelink.decoder import (
     DecoderParams,
@@ -39,14 +43,8 @@ from spikelink.decoder import (
     losses_from_logits_batch,
 )
 from spikelink.encoder import EncoderParams, grad_u_log_prob_noisy, score_grads
-from spikelink.numerics import SeededRng, db_to_linear, ebn0_to_epsilon, sigmoid
-from spikelink.training import (
-    PriorModel,
-    TrainState,
-    evaluate,
-    regularizer,
-    train_epoch,
-)
+from spikelink.numerics import SeededRng, sigmoid
+from spikelink.training import PriorModel, regularizer
 
 EPSILON_SET = (0.0, 0.1, 0.25, 0.4)
 
@@ -57,15 +55,14 @@ CHI2_99_DF3 = 11.344866730144373
 @contextlib.contextmanager
 def _report(capsys, number, label):
     info = {"detail": ""}
+    verdict = "FAIL"
     try:
         yield info
-    except BaseException:
-        with capsys.disabled():
-            print(f"[criterion {number:2d}] FAIL {label}")
-        raise
-    with capsys.disabled():
+        verdict = "PASS"
+    finally:
         suffix = f": {info['detail']}" if info["detail"] else ""
-        print(f"[criterion {number:2d}] PASS {label}{suffix}")
+        with capsys.disabled():
+            print(f"[criterion {number:2d}] {verdict} {label}{suffix}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,22 +78,6 @@ def _small_encoder(k, n_in, seed):
         kernel_ff=kernel(1.0, 0.5),
         kernel_fb=kernel(1.0, 0.7, 0.3),
     )
-
-
-def _train(cfg, epochs=None, stop_at=None):
-    """Library-level training run; returns models, data, per-epoch metrics."""
-    data = _build_dataset(cfg)
-    state = TrainState(*_init_models(cfg, data))
-    total = epochs if epochs is not None else cfg.epochs
-    root = SeededRng(cfg.seed)
-    draws: dict = {}
-    history = []
-    for epoch in range(total):
-        state, metrics = train_epoch(state, data, cfg, root.substream("train", epoch), draws)
-        history.append(metrics)
-        if stop_at is not None and metrics.test_error <= stop_at:
-            break
-    return state.encoder, state.decoder, data, history
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +323,29 @@ def test_criterion_06_kl_nonnegativity(capsys):
 # desk-scale behavioral criteria
 
 
+class _Reached(Exception):
+    pass
+
+
+class _StopAtBound(list):
+    """Rows that end cli._train_run's loop once one reaches criterion 7's
+    bound: the rest of the run cannot change its verdict."""
+
+    def append(self, row):
+        super().append(row)
+        if row.error_rate <= criteria.C7_ERROR:
+            raise _Reached
+
+
+def _cli_rows(tmp_path, number):
+    """The metrics rows of criterion `number`'s protocol at seed 0, run
+    through cli.main in process."""
+    flags, config, _ = criteria.PROTOCOLS[number]
+    cfg_path = write_config(tmp_path, {**config, "seed": 0})
+    assert cli.main([*flags, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    return criteria.read_rows(tmp_path / "metrics.csv")
+
+
 def test_criterion_07_toy_convergence(capsys):
     with _report(capsys, 7, "default 4-class task, <=10% error within 30 epochs, 9/10 seeds") as info:
         started = time.perf_counter()
@@ -349,77 +353,53 @@ def test_criterion_07_toy_convergence(capsys):
         finals = []
         for seed in range(10):
             cfg = RunConfig(seed=seed)
-            _, _, _, history = _train(cfg, stop_at=0.10)
-            best = min(m.test_error for m in history)
-            finals.append(best)
-            if best <= 0.10:
-                reached += 1
+            rows = _StopAtBound()
+            with contextlib.suppress(_Reached):
+                cli._train_run(cfg, cli._build_dataset(cfg), "train", 0, rows, {})
+            numbers, passed = criteria.convergence([asdict(row) for row in rows])
+            finals.append(numbers["best error"])
+            reached += passed
         elapsed = time.perf_counter() - started
+        info["detail"] = f"{reached}/10 seeds converged, best errors {finals}, {elapsed:.0f}s"
         assert reached >= 9
         assert elapsed < 300.0
-        info["detail"] = f"{reached}/10 seeds converged, best errors {finals}, {elapsed:.0f}s"
 
 
-def test_criterion_08_snr_sweep_shape(capsys):
+def test_criterion_08_snr_sweep_shape(capsys, tmp_path):
     with _report(capsys, 8, "error non-increasing in Eb/N0; chance at epsilon 0.5") as info:
-        cfg = RunConfig(seed=0)
-        encoder, decoder, data, _ = _train(cfg)
-        grid = [ebn0_to_epsilon(db_to_linear(db), form="linear") for db in DEFAULT_SNR_GRID_DB]
-        errors = [
-            err for err, _ in evaluate(
-                encoder, decoder, data.test_inputs, data.test_labels, grid, cfg.seed
-            )
-        ]
-        for a, b in zip(errors, errors[1:]):
-            assert b <= a + 0.03
-        chance = 1.0 - 1.0 / data.n_classes
-        assert abs(errors[0] - chance) <= 0.05
+        numbers, passed = criteria.snr_sweep(_cli_rows(tmp_path, 8))
+        errors = list(numbers.values())
         info["detail"] = (
             "errors " + " ".join(f"{e:.3f}" for e in errors)
-            + f" over {len(errors)} points, chance point {errors[0]:.3f} vs {chance:.2f}"
+            + f" over {len(errors)} points, "
+            f"chance point {errors[0]:.3f} vs {criteria.CHANCE:.2f}"
         )
+        assert passed
 
 
-def test_criterion_09_mismatch_robustness(capsys):
+def test_criterion_09_mismatch_robustness(capsys, tmp_path):
     with _report(capsys, 9, "one grid step of train/test mismatch costs <= 5 points") as info:
-        cfg = RunConfig(seed=0, epsilon=0.15)
-        encoder, decoder, data, _ = _train(cfg)
-        errs = {}
-        for eps in (0.10, 0.15, 0.20):
-            [(errs[eps], _)] = evaluate(
-                encoder, decoder, data.test_inputs, data.test_labels, [eps], cfg.seed
-            )
-        degradation = max(errs[0.10] - errs[0.15], errs[0.20] - errs[0.15])
-        assert degradation <= 0.05
+        numbers, passed = criteria.mismatch(_cli_rows(tmp_path, 9))
+        low, trained, high = numbers.values()
+        points = "/".join(name.split()[1] for name in numbers)
         info["detail"] = (
-            f"err at 0.10/0.15/0.20 = {errs[0.10]:.3f}/{errs[0.15]:.3f}/{errs[0.20]:.3f}, "
-            f"worst degradation {degradation:+.3f}"
+            f"err at {points} = {low:.3f}/{trained:.3f}/{high:.3f}, "
+            f"worst degradation {max(low - trained, high - trained):+.3f}"
         )
+        assert passed
 
 
-def test_criterion_10_sparsity_tradeoff(capsys):
+def test_criterion_10_sparsity_tradeoff(capsys, tmp_path):
     with _report(capsys, 10, "spike rate non-increasing in beta; accuracy within 3 points") as info:
-        # protocol: dense initial firing (init_rate 0.3) so the unregularized
-        # operating point sits above the rate the reference pulls toward;
-        # moving-average baseline on to keep the estimator drift-free
-        rates = []
-        errors = []
-        for beta in DEFAULT_BETA_GRID:
-            cfg = RunConfig(
-                seed=0, beta=beta, init_rate=0.3, baseline=True, epochs=40
-            )
-            _, _, _, history = _train(cfg)
-            rates.append(float(np.mean([m.spike_rate for m in history[-5:]])))
-            errors.append(history[-1].test_error)
-        for a, b in zip(rates, rates[1:]):
-            assert b <= a + 0.02
-        spread = max(errors) - min(errors)
-        assert spread <= 0.03
+        numbers, passed = criteria.sparsity(_cli_rows(tmp_path, 10))
+        rates = [v for name, v in numbers.items() if name.startswith("rate")]
+        errors = [v for name, v in numbers.items() if name.startswith("error")]
         info["detail"] = (
             "rates " + "/".join(f"{r:.3f}" for r in rates)
             + ", errors " + "/".join(f"{e:.3f}" for e in errors)
-            + f", spread {spread:.3f}"
+            + f", spread {max(errors) - min(errors):.3f}"
         )
+        assert passed
 
 
 if __name__ == "__main__":

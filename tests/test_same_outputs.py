@@ -1,20 +1,14 @@
 """tools/same_outputs.py: the byte-for-byte comparison of two source trees."""
 
-import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import same_outputs
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "same_outputs.py"
-
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_tree_matches_itself_on_tiny_configs(tmp_path):
@@ -24,7 +18,7 @@ def test_tree_matches_itself_on_tiny_configs(tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     *lines, exported = result.stdout.splitlines()
-    names = [name for name, _, _ in _tool().CASES]
+    names = [name for name, _, _ in same_outputs.CASES]
     assert len(lines) == len(names)
     # every case leaves a metrics.csv, whose exports match across the trees
     assert exported == f"exports of {len(names)} metrics files: same"
@@ -47,28 +41,27 @@ def test_differences_name_each_file(tmp_path):
     for side in (a, b):
         side.mkdir()
         (side / "metrics.csv").write_text("x\n")
-    assert _tool().differences(a, b) == []
+    assert same_outputs.differences(a, b) == []
     (b / "metrics.csv").write_text("y\n")
     (a / "checkpoint.txt").write_text("c\n")
-    assert _tool().differences(a, b) == [
+    assert same_outputs.differences(a, b) == [
         "metrics.csv differs from line 1", "checkpoint.txt exists on one side only",
     ]
     # the first differing line is named, a missing last line too
     (a / "metrics.csv").write_text("x\ny\nz\n")
     (b / "metrics.csv").write_text("x\ny\nw\n")
-    assert _tool().differences(a, b)[0] == "metrics.csv differs from line 3"
+    assert same_outputs.differences(a, b)[0] == "metrics.csv differs from line 3"
     (b / "metrics.csv").write_text("x\ny\n")
-    assert _tool().differences(a, b)[0] == "metrics.csv differs from line 3"
+    assert same_outputs.differences(a, b)[0] == "metrics.csv differs from line 3"
     (b / "metrics.csv").write_text("x\ny\nz")
-    assert _tool().differences(a, b)[0] == "metrics.csv differs from line 3"
+    assert same_outputs.differences(a, b)[0] == "metrics.csv differs from line 3"
 
 
 def test_export_difference_names_the_metrics_file(tmp_path):
-    tool = _tool()
     head = f"== {tmp_path / 'a' / 'one' / 'metrics.csv'}\nk=1\n"
     second = f"== {tmp_path / 'a' / 'two' / 'metrics.csv'}\n"
     text_a = (head + second + "k=2\nk=3\n").encode()
-    assert tool.export_difference(text_a, text_a, tmp_path) == "same"
+    assert same_outputs.export_difference(text_a, text_a, tmp_path) == "same"
     text_b = (head + second + "k=2\nk=4\n").encode()
-    assert tool.export_difference(text_a, text_b, tmp_path) == (
+    assert same_outputs.export_difference(text_a, text_b, tmp_path) == (
         "differ from line 2 of the export of a/two/metrics.csv")

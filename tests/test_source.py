@@ -8,7 +8,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spikelink"
 
 # functions no code in src/ names, each kept for a reader outside it:
 # benchmarks/run.py's binning check imports both to compare spikelink's
-# event parsing with the benchmark's own (ROADMAP item 9 moves them out)
+# event parsing with the benchmark's own (ROADMAP item 7 moves them out)
 READ_OUTSIDE_SRC = {"events.load_events", "events.frames_to_inputs"}
 
 

@@ -6,29 +6,15 @@
 PARENT and CHILD are checkout roots.  A change that reorders float sums
 moves every sampled trajectory, so the two trees' outputs differ byte for
 byte (tools/same_outputs.py) even when nothing is wrong.  This tool asks a
-weaker question: do the two trees pass the behavioural criteria 7-10 of
-tests/test_acceptance.py as often, and read the same numbers up to the
-spread the parent already shows across seeds?
+weaker question: do the two trees pass the behavioural criteria 7-10 as
+often, and read the same numbers up to the spread the parent already shows
+across seeds?  tools/criteria.py holds each criterion's protocol and its
+pass rule, which tests/test_acceptance.py gates on at seed 0.
 
-For each seed 0 .. N-1 (N = 10 by default) and each tree, it drives the CLI
-in child processes with PYTHONPATH at that tree's src/, `timing = off` and
-BLAS at one thread, and reads metrics.csv:
-
-    criterion 7   `train` at the default config.  The best test error up to
-                  the first epoch at or below 0.10; it passes at or below
-                  0.10.
-    criterion 8   `sweep-snr` over the default Eb/N0 grid.  The error at
-                  each point; it passes when no point's error rises more
-                  than 0.03 over the previous one and the first (epsilon
-                  0.5) lies within 0.05 of chance, 1 - 1/classes.
-    criterion 9   `mismatch --epsilon 0.15 --epsilon-grid=0.10,0.15,0.20`.
-                  The three errors; it passes when neither neighbour's
-                  error exceeds the trained point's by more than 0.05.
-    criterion 10  `sweep-beta` with init_rate = 0.3, baseline = on and
-                  epochs = 40.  Per beta, the mean spike rate of the last 5
-                  epochs and the last epoch's error; it passes when no rate
-                  rises more than 0.02 from one beta to the next and the
-                  errors spread at most 0.03.
+For each seed 0 .. N-1 (N = 10 by default) and each tree, it runs each
+criterion's protocol through the CLI in child processes with PYTHONPATH at
+that tree's src/, `timing = off` and BLAS at one thread, and reads the
+criterion's numbers and verdict from metrics.csv by its pass rule.
 
 It prints every number each criterion reads, per seed and per tree, with
 its pass or fail; then each criterion's pass counts, and for each number
@@ -59,74 +45,17 @@ smoke test.  Exit status 0 when the law is the same, 1 otherwise.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import statistics
 import sys
 import tempfile
 from pathlib import Path
 
+from criteria import PROTOCOLS, read_rows
 from same_outputs import TINY, run_case, source_dir
 
 SEEDS = 10
-SNR_GRID = ("-inf", "-6", "-4", "-2", "0", "2", "4")
-MISMATCH_GRID = ("0.10", "0.15", "0.20")
-BETA_GRID = ("0.0001", "0.001", "0.01", "0.1")
-CLASSES = 4
 P_VALUE = 0.05
-# (criterion, verb and flags, config values); every run also gets its seed
-# and timing = off
-RUNS = (
-    (7, ["train"], {}),
-    (8, ["sweep-snr"], {}),
-    (9, ["mismatch", "--epsilon", "0.15", f"--epsilon-grid={','.join(MISMATCH_GRID)}"], {}),
-    (10, ["sweep-beta"], {"init_rate": 0.3, "baseline": "on", "epochs": 40}),
-)
-
-
-def read_rows(path: Path) -> list[dict]:
-    with path.open(newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def criterion_7(rows):
-    """Best error up to the first epoch at or below 0.10, and whether it got there."""
-    best = math.inf
-    for row in rows:
-        best = min(best, float(row["error_rate"]))
-        if best <= 0.10:
-            break
-    return {"best error": best}, best <= 0.10
-
-
-def criterion_8(rows):
-    errors = [float(row["error_rate"]) for row in rows]
-    shape = all(b <= a + 0.03 for a, b in zip(errors, errors[1:]))
-    chance = abs(errors[0] - (1.0 - 1.0 / CLASSES)) <= 0.05
-    return {f"error {db} dB": e for db, e in zip(SNR_GRID, errors)}, shape and chance
-
-
-def criterion_9(rows):
-    low, trained, high = (float(row["error_rate"]) for row in rows)
-    return ({f"error {eps}": e for eps, e in zip(MISMATCH_GRID, (low, trained, high))},
-            max(low - trained, high - trained) <= 0.05)
-
-
-def criterion_10(rows):
-    rates, errors = [], []
-    for point in range(len(BETA_GRID)):
-        run = [row for row in rows if int(row["point"]) == point]
-        last = [float(row["spike_rate"]) for row in run[-5:]]
-        rates.append(sum(last) / len(last))
-        errors.append(float(run[-1]["error_rate"]))
-    spread = max(errors) - min(errors)
-    passed = all(b <= a + 0.02 for a, b in zip(rates, rates[1:])) and spread <= 0.03
-    numbers = {f"rate beta={b}": r for b, r in zip(BETA_GRID, rates)}
-    numbers.update({f"error beta={b}": e for b, e in zip(BETA_GRID, errors)})
-    return numbers, passed
-
-
-READ = {7: criterion_7, 8: criterion_8, 9: criterion_9, 10: criterion_10}
 
 
 def fisher_lower(parent: int, child: int, n: int) -> float:
@@ -140,14 +69,14 @@ def fisher_lower(parent: int, child: int, n: int) -> float:
 def run_seed(src: Path, out: Path, seed: int, tiny: bool) -> dict:
     """criterion -> (numbers by name, or {} if its run failed; passed) at one seed."""
     results = {}
-    for number, flags, config in RUNS:
+    for number, (flags, config, rule) in PROTOCOLS.items():
         config = {**config, "seed": seed, **(TINY if tiny else {})}
         case = out / f"c{number}"
         code, _ = run_case(src, case, flags, config)
         if code != 0:
             results[number] = ({}, False)
             continue
-        results[number] = READ[number](read_rows(case / "metrics.csv"))
+        results[number] = rule(read_rows(case / "metrics.csv"))
     return results
 
 
@@ -168,7 +97,7 @@ def compare(parent: str, child: str, seeds: int, tiny: bool, work: Path) -> bool
     falls = []
     print()
     print("criterion  parent  child  Fisher p  (a)")
-    for number, _, _ in RUNS:
+    for number in PROTOCOLS:
         counts = [sum(r[number][1] for r in results[side]) for side in srcs]
         p = fisher_lower(*counts, seeds)
         ok = p >= P_VALUE
@@ -181,7 +110,7 @@ def compare(parent: str, child: str, seeds: int, tiny: bool, work: Path) -> bool
     print()
     print("number                    parent median  child median  median diff  "
           "parent q1-q3     q3-q1  (b)")
-    for number, _, _ in RUNS:
+    for number in PROTOCOLS:
         names = next((list(r[number][0]) for side in srcs for r in results[side]
                       if r[number][0]), [])
         for name in names:

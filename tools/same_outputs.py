@@ -151,11 +151,17 @@ def child_env(src: Path) -> dict:
     return env
 
 
-def run_case(src: Path, out: Path, flags: list[str], config: dict) -> tuple[int, float]:
-    """Exit code and peak RSS in MB of one CLI invocation."""
+def write_config(out: Path, config: dict) -> Path:
+    """out/run.cfg holding the config values and `timing = off`."""
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / "run.cfg"
     cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in {**config, "timing": "off"}.items()))
+    return cfg_path
+
+
+def run_case(src: Path, out: Path, flags: list[str], config: dict) -> tuple[int, float]:
+    """Exit code and peak RSS in MB of one CLI invocation."""
+    cfg_path = write_config(out, config)
     cmd = [sys.executable, "-m", "spikelink.cli", *flags,
            "--config", str(cfg_path), "--out", str(out)]
     with (out / "stderr.txt").open("w") as err:
