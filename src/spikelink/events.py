@@ -9,7 +9,9 @@ sees before its input filter.  synthetic_frames and load_frames bin a whole
 split as each record is drawn or parsed, into frames allocated first, so no
 list of records is ever held; frames too large to allocate raise NumPy's
 own MemoryError, which carries their shape and dtype.  The bar task reads
-its settings from the RunConfig.  load_events and frames_to_inputs keep
+its settings from the RunConfig; each synthetic record draws from its own
+seeded stream, and the streams of a class are seeded a block at a time
+(numerics.SeededRng.substreams).  load_events and frames_to_inputs keep
 the record-list path for the benchmark's binning check and the tests.
 Vendor formats are out of scope; converters should target the text format
 below.
@@ -102,18 +104,24 @@ class EventRecord:
             raise ValueError(f"event {i} breaks timestamp order")
 
 
-def _scatter(frames: np.ndarray, ts, x, y, pol, duration_us: int, steps: int) -> None:
-    """Set frames[bin, polarity, y, x] = 1 for every event of one record.
+_INT64_MAX = 2**63 - 1
 
-    The events come as columns, in any order.  The bin is
-    floor(ts * steps / duration) clamped to the last bin, so a timestamp
-    equal to the duration still lands in-range.  Integer math keeps the
-    edges exact; ts <= duration bounds the product.
+
+def _bins(ts, duration_us: int, steps: int) -> np.ndarray:
+    """The time bin of each timestamp: floor(ts * steps / duration) clamped
+    to the last bin, so a timestamp equal to the duration still lands
+    in-range.  Integer math keeps the edges exact; ts <= duration bounds
+    the product.
     """
-    if duration_us > np.iinfo(np.int64).max // steps:
+    if duration_us > _INT64_MAX // steps:
         raise ValueError("record duration too long to bin in 64-bit integers")
-    bins = np.minimum(ts * steps // duration_us, steps - 1)
-    frames[bins, pol, y, x] = 1
+    return np.minimum(ts * steps // duration_us, steps - 1)
+
+
+def _scatter(frames: np.ndarray, ts, x, y, pol, duration_us: int, steps: int) -> None:
+    """Set frames[bin, polarity, y, x] = 1 for every event of one record,
+    given as columns in any order."""
+    frames[_bins(ts, duration_us, steps), pol, y, x] = 1
 
 
 class _FrameSink:
@@ -214,14 +222,15 @@ def class_rate_map(label: int, config: RunConfig) -> np.ndarray:
     return rates
 
 
-def _draw_columns(rates: np.ndarray, config: RunConfig, rng: SeededRng):
-    """One record's (timestamp, x, y, polarity) columns, unsorted: Poisson
-    counts per cell, then one uniform timestamp per event."""
-    counts = rng.poisson(rates)
-    pol, ys, xs = np.nonzero(counts)
-    reps = counts[pol, ys, xs]
-    stamps = rng.integers(0, config.duration_us + 1, size=int(reps.sum()))
-    return stamps, np.repeat(xs, reps), np.repeat(ys, reps), np.repeat(pol, reps)
+def _draw_cells(rates: np.ndarray, config: RunConfig, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One record's events from rng (a Generator or a SeededRng): Poisson
+    counts per cell of rates, then one uniform timestamp per event.
+    Returns the timestamps and each event's flat cell index into rates,
+    the cells in C order."""
+    counts = rng.poisson(rates).ravel()
+    cells = np.flatnonzero(counts)
+    events = np.repeat(cells, counts[cells])
+    return rng.integers(0, config.duration_us + 1, size=len(events)), events
 
 
 def synthetic_frames(config: RunConfig, tag: str) -> tuple[np.ndarray, np.ndarray]:
@@ -230,21 +239,25 @@ def synthetic_frames(config: RunConfig, tag: str) -> tuple[np.ndarray, np.ndarra
 
     Its per-class count is train_per_class or test_per_class; record idx
     of class label draws from substream("data", tag, label, idx) of
-    config.seed.  Returns (records, T, 2, height, width) uint8 frames,
-    class by class, plus the labels.  The frames are allocated before any
-    record is drawn, and each record's columns are scattered and dropped:
-    binning does not depend on event order, and the draws are in range by
-    construction.
+    config.seed, whose Generator SeededRng.substreams seeds a block at a
+    time.  Returns (records, T, 2, height, width) uint8 frames, class by
+    class, plus the labels.  The frames are allocated before any record is
+    drawn, and each record's events are stored into its frames through
+    flat (bin, cell) indices and dropped: binning does not depend on event
+    order, and the draws are in range by construction.
     """
     per_class = config.train_per_class if tag == "train" else config.test_per_class
     frames = np.zeros((config.classes * per_class, config.T, 2, config.height, config.width),
                       dtype=np.uint8)
+    lines = 2 * config.height * config.width
+    flat = frames.reshape(len(frames), -1)
     root = SeededRng(config.seed)
     for label in range(config.classes):
         rates = class_rate_map(label, config)
-        for idx in range(per_class):
-            columns = _draw_columns(rates, config, root.substream("data", tag, label, idx))
-            _scatter(frames[label * per_class + idx], *columns, config.duration_us, config.T)
+        streams = root.substreams("data", tag, label, indices=range(per_class))
+        for record, gen in enumerate(streams, start=label * per_class):
+            stamps, cells = _draw_cells(rates, config, gen)
+            flat[record][_bins(stamps, config.duration_us, config.T) * lines + cells] = 1
     labels = np.repeat(np.arange(config.classes, dtype=np.int64), per_class)
     return frames, labels
 

@@ -3,10 +3,18 @@
 Everything downstream (encoder, channel, decoder, trainer) pulls its math
 from here so that stability fixes and reproducibility rules live in one
 place.  All float work is double precision.
+
+A random stream (seed, stream_id) is NumPy's
+Generator(PCG64(SeedSequence([seed, stream_id]))), draw for draw, but
+SeededRng seeds it without NumPy's per-stream constructors: SeedSequence's
+mix and PCG64's seeding run here, in uint32 array arithmetic over a block
+of streams, so a split or an evaluation chunk, one stream per record or
+sample, pays for its seeding a block at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -24,6 +32,7 @@ __all__ = [
     "exponential_kernel",
     "FlatParams",
     "fold_stream_id",
+    "SEED_BLOCK",
     "SeededRng",
 ]
 
@@ -178,27 +187,160 @@ class FlatParams:
         return views
 
 
+def _stream_hash(*parts, prefix=None):
+    """blake2b state after the type-tagged encodings of parts, so ("a", 1)
+    and ("a1",) cannot collide; given a prefix state, a copy of it goes on
+    with parts."""
+    h = hashlib.blake2b(digest_size=8) if prefix is None else prefix.copy()
+    for part in parts:
+        if isinstance(part, (bool, np.bool_)):
+            raise TypeError("stream id parts must be ints or strings")
+        if isinstance(part, (int, np.integer)):
+            h.update(b"i" + int(part).to_bytes(16, "big", signed=True))
+        elif isinstance(part, str):
+            data = part.encode("utf-8")
+            h.update(b"s" + len(data).to_bytes(4, "big") + data)
+        else:
+            raise TypeError(f"cannot fold {type(part).__name__} into a stream id")
+    return h
+
+
+def _stream_id(h) -> int:
+    return int.from_bytes(h.digest(), "big")
+
+
 def fold_stream_id(*parts) -> int:
     """Fold strings and ints into a stable 64-bit stream id.
 
     Uses blake2b over type-tagged encodings, so ("a", 1) and ("a1",) cannot
     collide and the result never depends on the process hash seed.
     """
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        if isinstance(part, (bool, np.bool_)):
-            raise TypeError("stream id parts must be ints or strings")
-        if isinstance(part, (int, np.integer)):
-            h.update(b"i")
-            h.update(int(part).to_bytes(16, "big", signed=True))
-        elif isinstance(part, str):
-            data = part.encode("utf-8")
-            h.update(b"s")
-            h.update(len(data).to_bytes(4, "big"))
-            h.update(data)
+    return _stream_id(_stream_hash(*parts))
+
+
+# Replicated from NumPy, so that a block of streams is seeded in array
+# arithmetic: SeedSequence's pool size, shift, hash and mix constants
+# (numpy/random/bit_generator.pyx), and PCG64's multiplier and seeding
+# (pcg64_set_seed, numpy/random/src/pcg64): from generate_state(4, uint64)
+# words w, initstate = w[0] << 64 | w[1], initseq = w[2] << 64 | w[3],
+# inc = (initseq << 1) | 1 and state = ((inc + initstate) * mult + inc)
+# mod 2**128.  Checked against NumPy 2.4.6, whose wheels ship no .pyx
+# sources; tests/test_numerics.py pins the streams to NumPy's constructors.
+_POOL_SIZE, _XSHIFT = 4, 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+# streams seeded together: bounds the states held at once
+SEED_BLOCK = 64
+
+
+def _words(n: int) -> list[int]:
+    """n as little-endian 32-bit words, [0] for 0, as SeedSequence reads it."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_calls(init: int, mult: int, calls) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Read-only (xor, multiplier) uint32 columns for each list of hash
+    call numbers in calls: call j of a hash sequence from init xors in
+    init * mult**j and then multiplies by init * mult**(j + 1), mod 2**32."""
+    consts = [init]
+    for _ in range(max(max(c) for c in calls) + 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    pairs = [(column[list(c)], column[[j + 1 for j in c]]) for c in calls]
+    for xor, mult in pairs:
+        xor.flags.writeable = mult.flags.writeable = False
+    return pairs
+
+
+@functools.cache
+def _mix_calls(size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The hash constants of SeedSequence's mix of size entropy words, one
+    column pair per step: filling the pool, then each source word src in
+    turn, hashed once for each pool word it is mixed into (for a pool
+    word, the three others in order, and a stand-in for its own row)."""
+    pool = range(_POOL_SIZE)
+    cross = [[_POOL_SIZE + (_POOL_SIZE - 1) * src + dst - (dst >= src) for dst in pool]
+             for src in pool]
+    extra = [[_POOL_SIZE * src + dst for dst in pool] for src in range(_POOL_SIZE, size)]
+    return _hash_calls(_INIT_A, _MULT_A, [pool, *cross, *extra])
+
+
+# generate_state's 8 words of 32 bits, read from the pool twice over
+_STATE_CALLS = _hash_calls(_INIT_B, _MULT_B, [range(2 * _POOL_SIZE)])[0]
+
+
+def _hash(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    out = (values ^ xor) * mult
+    return out ^ (out >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return out ^ (out >> _XSHIFT)
+
+
+def _seed_state_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) of each row of a
+    (streams, words) uint32 entropy array, as (streams, 4) little-endian
+    uint64 words.  The pool is held as (4, streams), and each step of
+    SeedSequence's mix is one array operation over the streams and the
+    pool words it reaches."""
+    words = entropy.T
+    fill, *steps = _mix_calls(len(words))
+    pool = np.zeros((_POOL_SIZE, len(entropy)), dtype=np.uint32)
+    pool[: len(words)] = words[:_POOL_SIZE]
+    pool = _hash(pool, *fill)
+    for src, consts in enumerate(steps):
+        if src < _POOL_SIZE:
+            mixed = _mix(pool, _hash(pool[src], *consts))
+            mixed[src] = pool[src]
+            pool = mixed
         else:
-            raise TypeError(f"cannot fold {type(part).__name__} into a stream id")
-    return int.from_bytes(h.digest(), "big")
+            pool = _mix(pool, _hash(words[src], *consts))
+    state = _hash(np.tile(pool, (2, 1)), *_STATE_CALLS)
+    return state.T.astype("<u4", order="C").view("<u8")
+
+
+def _pcg64_states(seed: int, stream_ids) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence([seed, i])) for each i of the
+    list stream_ids, in order.  The streams are seeded together, grouped by
+    their entropy's word count; a negative seed or id raises ValueError,
+    as SeedSequence does."""
+    head = _words(seed)
+    groups: dict[int, list[tuple[int, list[int]]]] = {}
+    for row, stream_id in enumerate(stream_ids):
+        entropy = head + _words(stream_id)
+        groups.setdefault(len(entropy), []).append((row, entropy))
+    states = [None] * len(stream_ids)
+    for rows in groups.values():
+        words = _seed_state_words(np.array([entropy for _, entropy in rows], dtype=np.uint32))
+        for (row, _), (s0, s1, q0, q1) in zip(rows, words.tolist()):
+            inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+            states[row] = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc
+    return states
+
+
+def _generators(seed: int, id_blocks):
+    """For each block of stream ids in turn, seed the block at once and
+    yield the Generator of each (seed, id) stream.  One PCG64 and its
+    Generator are made per call and reloaded for each stream (its 32-bit
+    buffer emptied), so a yielded Generator is valid until the next one."""
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for ids in id_blocks:
+        for state, inc in _pcg64_states(seed, ids):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            yield gen
 
 
 class SeededRng:
@@ -207,7 +349,8 @@ class SeededRng:
     The same pair always replays the identical draw sequence; distinct
     stream ids under one seed give statistically independent streams.
     Substreams are derived by hash-folding structured tags, which keeps
-    per-sample and per-epoch draws decoupled from loop order.
+    per-sample and per-epoch draws decoupled from loop order.  A stream's
+    Generator equals NumPy's PCG64(SeedSequence([seed, stream_id])).
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -218,9 +361,18 @@ class SeededRng:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            seq = np.random.SeedSequence([self.seed, self.stream_id])
-            self._gen = np.random.Generator(np.random.PCG64(seq))
+            self._gen = next(_generators(self.seed, [[self.stream_id]]))
         return self._gen
+
+    def substreams(self, *parts, indices: range):
+        """Yield the Generator of substream(*parts, i) for each i of
+        indices, in order, each valid until the next is yielded.  The
+        tagged prefix is hashed once, and SEED_BLOCK streams are seeded at
+        a time."""
+        prefix = _stream_hash(self.stream_id, *parts)
+        blocks = ([_stream_id(_stream_hash(i, prefix=prefix)) for i in indices[b : b + SEED_BLOCK]]
+                  for b in range(0, len(indices), SEED_BLOCK))
+        return _generators(self.seed, blocks)
 
     def substream(self, *parts) -> "SeededRng":
         return SeededRng(self.seed, fold_stream_id(self.stream_id, *parts))

@@ -290,12 +290,14 @@ def train_epoch(
 
 def _eval_uniforms(root: SeededRng, start: int, m: int, steps: int, k: int):
     """Spike thresholds (steps, m, k) of the spike uniforms, then flip
-    uniforms (m, steps, k), of samples start .. start+m-1."""
+    uniforms (m, steps, k), of samples start .. start+m-1.  Sample i draws
+    from substream("eval", i) of root, whose Generator
+    SeededRng.substreams seeds a block of samples at a time."""
     spike_u, flip_u = np.empty((steps, m, k)), np.empty((m, steps, k))
-    for j in range(m):
-        stream = root.substream("eval", start + j)
-        spike_u[:, j] = stream.uniform((steps, k))
-        flip_u[j] = stream.uniform((steps, k))
+    streams = root.substreams("eval", indices=range(start, start + m))
+    for j, gen in enumerate(streams):
+        spike_u[:, j] = gen.random((steps, k))
+        flip_u[j] = gen.random((steps, k))
     return spike_thresholds(spike_u, 0.0), flip_u
 
 

@@ -18,7 +18,9 @@ guarded two-branch form: the references the filter's matrix product and
 the one-expression sigmoid are pinned to within rounding.  `reference_clip` and `reference_sgd_update` are the
 gradient clip and the SGD step as walks over named fields, which the
 in-place updates on each model's flat vector are pinned to byte for byte.
-The bar-task records come from the
+`numpy_generator` is NumPy's own Generator(PCG64(SeedSequence([seed,
+stream_id]))), which the block seeding of numerics.SeededRng is pinned to
+draw for draw.  The bar-task records come from the
 benchmark's reference (benchmarks/reference.py), which draws and bins the
 task without importing spikelink; `reference` is that module.
 """
@@ -37,7 +39,7 @@ from spikelink.decoder import forward_batch, losses_from_logits_batch
 from spikelink.encoder import drive_from_counts, filter_inputs, grad_u_log_prob_noisy, rollout
 from spikelink.events import EVENT_DTYPE, EventRecord
 from spikelink.metrics import CSV_HEADER, MetricsRow
-from spikelink.numerics import Kernel, SeededRng, sigmoid
+from spikelink.numerics import Kernel, SeededRng, fold_stream_id, sigmoid
 from spikelink.training import regularizer
 
 # the encoder's learnable fields, in the order EncoderParams lays them
@@ -55,6 +57,11 @@ def bernoulli(rng: SeededRng, p) -> np.ndarray:
     stream; the strict "<" keeps p = 0 and p = 1 exact."""
     prob = np.asarray(p, dtype=np.float64)
     return (rng.uniform(prob.shape) < prob).astype(np.uint8)
+
+
+def numpy_generator(seed: int, stream_id: int) -> np.random.Generator:
+    """The stream (seed, stream_id) as NumPy builds it: SeededRng's contract."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream_id])))
 
 
 def all_sequences(steps: int, k: int) -> np.ndarray:
@@ -255,9 +262,9 @@ def evaluate_line_space(encoder, decoder, counts, labels, epsilons, seed: int):
     spikes = 0
     for i in range(n):
         traces = filter_inputs(counts[i : i + 1], encoder.kernel_ff)[0]
-        stream = SeededRng(seed).substream("eval", i)
-        spike_u = stream.uniform((steps, k))
-        flip_u = stream.uniform((steps, k))
+        stream = numpy_generator(seed, fold_stream_id(0, "eval", i))
+        spike_u = stream.random((steps, k))
+        flip_u = stream.random((steps, k))
         z = np.zeros((steps, k), dtype=np.uint8)
         for t in range(steps):
             fb = np.zeros(k)

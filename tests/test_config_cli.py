@@ -22,7 +22,7 @@ from spikelink.checkpoint import load_checkpoint, save_checkpoint
 from spikelink.cli import DEFAULT_MISMATCH_GRID, main
 from spikelink.config import ConfigError, RunConfig, build_run_config, parse_config_file
 from spikelink.encoder import filter_inputs
-from spikelink.events import _draw_columns, class_rate_map, synthetic_frames
+from spikelink.events import _draw_cells, class_rate_map, synthetic_frames
 from spikelink.numerics import SeededRng, exponential_kernel
 from spikelink.training import TrainingDiverged, evaluate
 from spikelink.metrics import (
@@ -922,9 +922,9 @@ class TestCliSweeps:
         finally:
             tracemalloc.stop()
         root = SeededRng(cfg.seed)
-        one_record = max(  # its four int64 columns
-            sum(column.nbytes for column in _draw_columns(
-                class_rate_map(label, cfg), cfg, root.substream("data", "test", label, idx)))
+        one_record = max(  # its four int64 columns (timestamp, x, y, polarity)
+            4 * _draw_cells(class_rate_map(label, cfg), cfg,
+                            root.substream("data", "test", label, idx))[0].nbytes
             for label in range(cfg.classes) for idx in range(128)
         )
         # besides the counts: one record's columns and the temporaries that
@@ -1257,16 +1257,17 @@ class TestCliErrors:
         path.write_text(tiny_config.read_text() + "window_ff = 10000000000000\n"
                         "window_fb = 10000000000000\n")
         out = tmp_path / "o"
-        # every synthetic record is drawn from its own ("data", ...) stream
+        # every synthetic record is drawn from its own ("data", ...) stream,
+        # seeded by SeededRng.substreams
         drawn = []
-        real = SeededRng.substream
+        real = SeededRng.substreams
 
-        def substream(self, *parts):
+        def substreams(self, *parts, indices):
             if parts[0] == "data":
                 drawn.append(parts)
-            return real(self, *parts)
+            return real(self, *parts, indices=indices)
 
-        monkeypatch.setattr(SeededRng, "substream", substream)
+        monkeypatch.setattr(SeededRng, "substreams", substreams)
         tracemalloc.start()
         try:
             code = _main("train", "--config", str(path), "--out", str(out), "--T", str(10**13))

@@ -11,7 +11,7 @@ from spikelink.events import (
     EVENT_DTYPE,
     EventFormatError,
     EventRecord,
-    _draw_columns,
+    _draw_cells,
     class_rate_map,
     frames_to_inputs,
     load_events,
@@ -203,14 +203,21 @@ class TestSplitFrames:
     split on its own, and load_frames gives frames_to_inputs' counts of
     the records load_events parses."""
 
-    @pytest.mark.parametrize("steps", [1, 7, 20])
-    def test_synthetic_frames_equal_binned_records(self, steps):
+    @pytest.mark.parametrize("steps, seed, per_class", [
+        pytest.param(1, 4, 4, id="1"),
+        pytest.param(7, 4, 4, id="7"),
+        pytest.param(20, 4, 4, id="20"),
+        # a seed of three 32-bit words, and classes that cross a seeding block
+        pytest.param(7, 2**64 + 4, 4, id="seed-2^64+4"),
+        pytest.param(7, 4, 70, id="70-per-class"),
+    ])
+    def test_synthetic_frames_equal_binned_records(self, steps, seed, per_class):
         task = dict(classes=3, width=6, height=5, duration_us=997)
-        cfg = RunConfig(**task, test_per_class=4, seed=4, T=steps)
+        cfg = RunConfig(**task, test_per_class=per_class, seed=seed, T=steps)
         frames, labels = synthetic_frames(cfg, "test")
-        inputs, expected = reference.synthetic_inputs(reference.BarTask(**task), 4, 4, "test",
-                                                      steps)
-        assert frames.shape == (12, steps, 2, 5, 6) and frames.dtype == np.uint8
+        inputs, expected = reference.synthetic_inputs(reference.BarTask(**task), per_class, seed,
+                                                      "test", steps)
+        assert frames.shape == (3 * per_class, steps, 2, 5, 6) and frames.dtype == np.uint8
         assert np.array_equal(_flat(frames), inputs)
         assert labels.dtype == expected.dtype and np.array_equal(labels, expected)
 
@@ -304,7 +311,7 @@ class TestSyntheticTask:
         rates = class_rate_map(0, cfg)
         expected = rates.sum()
         counts = [
-            _draw_columns(rates, cfg, SeededRng(7).substream("d", i))[0].size
+            _draw_cells(rates, cfg, SeededRng(7).substream("d", i))[0].size
             for i in range(50)
         ]
         mean = np.mean(counts)
@@ -314,7 +321,8 @@ class TestSyntheticTask:
 
     def test_generate_respects_record_invariants(self):
         cfg = RunConfig(classes=3, width=7, height=5)
-        ts, x, y, pol = _draw_columns(class_rate_map(2, cfg), cfg, SeededRng(11))
+        ts, cells = _draw_cells(class_rate_map(2, cfg), cfg, SeededRng(11))
+        pol, y, x = np.unravel_index(cells, (2, 5, 7))
         assert ts.size > 0 and x.size == y.size == pol.size == ts.size
         assert ts.min() >= 0 and ts.max() <= cfg.duration_us
         assert x.min() >= 0 and x.max() < 7 and y.min() >= 0 and y.max() < 5

@@ -11,12 +11,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import bernoulli, finite_diff_grad, replay, tap_loop_filter, two_branch_sigmoid
+from oracles import (
+    bernoulli,
+    finite_diff_grad,
+    numpy_generator,
+    replay,
+    tap_loop_filter,
+    two_branch_sigmoid,
+)
 
 from spikelink.encoder import FILTER_BLOCK, EncoderParams, filter_inputs
 from spikelink.numerics import (
+    SEED_BLOCK,
     Kernel,
     SeededRng,
+    _generators,
     db_to_linear,
     ebn0_to_epsilon,
     exponential_kernel,
@@ -340,7 +349,59 @@ class TestFiniteDiff:
             finite_diff_grad(lambda v: 0.0, np.array([0.0]), 0.0)
 
 
+# 1 to 7 words of 32 bits; with an id of 1 or 2 words, SeedSequence's
+# entropy runs from 2 words to 9, past its pool of 4
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200 + 12345]
+STREAM_IDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _draws(gen) -> list[np.ndarray]:
+    """Draws of each kind the program takes.  An odd count of bounded
+    integers leaves half of a 64-bit draw buffered, and the first integers
+    of a stream would read such a half left by the stream before."""
+    return [gen.integers(0, 20001, size=3), gen.random(4), gen.poisson([0.5, 30.0]),
+            gen.integers(0, 20001, size=5)]
+
+
+def _assert_same_draws(gen, expected) -> None:
+    for got, want in zip(_draws(gen), _draws(expected), strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestSeededRng:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_seeding_equals_numpy(self, seed):
+        # stream ids handed to the seeding straight, in two blocks
+        blocks = [STREAM_IDS[:4], STREAM_IDS[4:]]
+        for stream_id, gen in zip(STREAM_IDS, _generators(seed, blocks), strict=True):
+            _assert_same_draws(gen, numpy_generator(seed, stream_id))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_generator_equals_numpy(self, seed):
+        for stream_id in STREAM_IDS:
+            _assert_same_draws(SeededRng(seed, stream_id).generator,
+                               numpy_generator(seed, stream_id))
+
+    @pytest.mark.parametrize("indices", [range(0), range(5, 6),
+                                         range(SEED_BLOCK - 4, 2 * SEED_BLOCK + 3)],
+                             ids=["none", "one", "across-blocks"])
+    def test_substreams_equal_numpy(self, indices):
+        root = SeededRng(2**64 + 1, 7)
+        streams = root.substreams("data", "test", 2, indices=indices)
+        for i, gen in zip(indices, streams, strict=True):
+            stream_id = root.substream("data", "test", 2, i).stream_id
+            assert stream_id == fold_stream_id(7, "data", "test", 2, i)
+            _assert_same_draws(gen, numpy_generator(2**64 + 1, stream_id))
+
+    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (0, -1), (-(2**70), 2**70)])
+    def test_negative_seed_or_id_refused_as_numpy_does(self, seed, stream_id):
+        with pytest.raises(ValueError):
+            numpy_generator(seed, stream_id)
+        with pytest.raises(ValueError):
+            SeededRng(seed, stream_id).uniform()
+        if seed < 0:  # a substream's id is a blake2b fold, never negative
+            with pytest.raises(ValueError):
+                next(SeededRng(seed, stream_id).substreams("eval", indices=range(3)))
     def test_same_pair_replays_identical_sequence(self):
         a = SeededRng(42, 7).uniform(100)
         b = SeededRng(42, 7).uniform(100)

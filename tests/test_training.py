@@ -673,14 +673,14 @@ class TestEvaluateGrid:
         enc, dec = _toy_models(data)
         cfg = RunConfig(batch_size=8, epsilon=0.1)
         made = []
-        substream = SeededRng.substream
+        substreams = SeededRng.substreams
 
-        def counting(self, *parts):
-            if parts[:1] == ("eval",):
-                made.append(parts[1])
-            return substream(self, *parts)
+        def counting(self, *parts, indices):
+            if parts == ("eval",):
+                made.extend(indices)
+            return substreams(self, *parts, indices=indices)
 
-        monkeypatch.setattr(SeededRng, "substream", counting)
+        monkeypatch.setattr(SeededRng, "substreams", counting)
         monkeypatch.setattr(training, "EVAL_CHUNK", 4)
         state, draws = TrainState(enc, dec), {}
         for epoch in range(3):
