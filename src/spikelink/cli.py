@@ -93,7 +93,7 @@ def _init_models(cfg: RunConfig, data: Dataset):
     encoder = init_encoder_params(
         data.input_dim,
         cfg.k,
-        root.substream("init", "encoder"),
+        root.substream("init", "encoder").generator,
         kernel_ff=cfg.kernel_ff(),
         kernel_fb=cfg.kernel_fb(),
         init_rate=cfg.init_rate,
@@ -101,7 +101,7 @@ def _init_models(cfg: RunConfig, data: Dataset):
     decoder = init_decoder_params(
         cfg.k * cfg.T,
         data.n_classes,
-        root.substream("init", "decoder"),
+        root.substream("init", "decoder").generator,
         hidden_dim=cfg.hidden,
         output=cfg.output,
     )
@@ -109,19 +109,18 @@ def _init_models(cfg: RunConfig, data: Dataset):
 
 
 def _train_run(cfg: RunConfig, data: Dataset, experiment: str, point: int,
-               rows: list[MetricsRow], draws: dict):
-    """Full training loop on _build_dataset's dataset; appends each epoch's
-    metrics row to `rows` as it ends and returns the params.  draws is the
-    command's one cache of evaluation draws (evaluate).  A divergence
-    or an interruption in an epoch is raised again naming the experiment,
-    point and epoch."""
+               rows: list[MetricsRow]):
+    """Full training loop on _build_dataset's dataset, whose evaluation
+    draws every run of the command shares; appends each epoch's metrics row
+    to `rows` as it ends and returns the params.  A divergence or an
+    interruption in an epoch is raised again naming the experiment, point
+    and epoch."""
     eps = cfg.crossover()
     state = TrainState(*_init_models(cfg, data))
-    root = SeededRng(cfg.seed)
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         try:
-            state, metrics = train_epoch(state, data, cfg, root.substream("train", epoch), draws)
+            state, metrics = train_epoch(state, data, cfg)
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"{experiment} point {point} epoch {epoch}: {exc}") from exc
         except KeyboardInterrupt:
@@ -201,8 +200,8 @@ def _check_checkpoint(cfg: RunConfig, encoder, decoder, test_x, test_y) -> None:
     (decoder.input_dim), hidden, classes (for synthetic data) and the test
     split's width (encoder.n_in).  The meta lines only describe the run.
     Event-file labels must all be below the decoder's class count.
-    Kernels that differ from the config's only warn: the checkpoint's are
-    used, also to make the test split's drive.
+    A kernel or output head that differs from the config's only warns: the
+    checkpoint's is used, also to make the test split's drive.
     """
     checks = [
         ("k", encoder.n_out, cfg.k, "config's k"),
@@ -220,8 +219,10 @@ def _check_checkpoint(cfg: RunConfig, encoder, decoder, test_x, test_y) -> None:
         raise ConfigError(
             f"test label {top} is not below the checkpoint's classes = {decoder.n_classes}"
         )
-    for name, kernel in (("kernel_ff", cfg.kernel_ff()), ("kernel_fb", cfg.kernel_fb())):
-        if getattr(encoder, name) != kernel:
+    for name, got, want in (("kernel_ff", encoder.kernel_ff, cfg.kernel_ff()),
+                            ("kernel_fb", encoder.kernel_fb, cfg.kernel_fb()),
+                            ("output", decoder.output, cfg.output)):
+        if got != want:
             _log(f"warning: checkpoint {name} differs from the config's; using the checkpoint's")
 
 
@@ -229,7 +230,7 @@ def cmd_train(cfg: RunConfig, args, rows: list[MetricsRow]) -> None:
     cfg.training_crossover()
     data = _build_dataset(cfg)
     out = _out_dir(cfg)
-    encoder, decoder = _train_run(cfg, data, "train", 0, rows, {})
+    encoder, decoder = _train_run(cfg, data, "train", 0, rows)
     write_metrics(out / "metrics.csv", rows)
     save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
     if rows:
@@ -243,17 +244,17 @@ def _sweep_train_per_point(cfg: RunConfig, grid, rows: list[MetricsRow]) -> None
     # an Eb/N0 point keeps its dB value, so it trains through cfg.mapping
     changes = [{"epsilon": eps if db is None else None, "ebn0_db": db} for eps, db in grid]
     configs = _point_configs(cfg, "grid", changes)
-    data, draws = _build_dataset(cfg), {}
+    data = _build_dataset(cfg)
     out = _out_dir(cfg)
     for i, ((eps, db), point_cfg) in enumerate(zip(grid, configs)):
         started = time.perf_counter()
         trained: list[MetricsRow] = []
-        encoder, decoder = _train_run(point_cfg, data, "sweep-snr", i, trained, draws)
+        encoder, decoder = _train_run(point_cfg, data, "sweep-snr", i, trained)
         if trained:  # the last epoch evaluated the point at its own crossover and seed
             error, rate = trained[-1].error_rate, trained[-1].spike_rate
         else:
             [(error, rate)] = evaluate(
-                encoder, decoder, data.test_inputs, data.test_labels, [eps], cfg.seed, draws)
+                encoder, decoder, data.test_inputs, data.test_labels, [eps], cfg.seed, data.draws)
         seconds = time.perf_counter() - started if cfg.timing else 0.0
         rows.append(
             MetricsRow("sweep-snr", i, cfg.epochs, eps, db, cfg.beta, cfg.k,
@@ -267,10 +268,9 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, rows: list[MetricsRo
                      checkpoint: str | None = None) -> None:
     """Evaluate one model across the grid in one evaluate call on the
     test split's counts: the checkpoint's model, or one trained here at the
-    configured point (saved as checkpoint.txt), whose draws the grid reads
-    back.  Each row gets an even share of the grid's time.  From a
-    checkpoint nothing trains, so only the test split is built."""
-    draws = None
+    configured point (saved as checkpoint.txt), whose Dataset's draws the
+    grid reads back.  Each row gets an even share of the grid's time.  From
+    a checkpoint nothing trains, so only the test split is built."""
     if checkpoint:
         encoder, decoder, _ = load_checkpoint(checkpoint)
         test_x, test_y = _split_inputs(cfg, "test")
@@ -279,14 +279,15 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, rows: list[MetricsRo
         out = _out_dir(cfg)
     else:
         cfg.training_crossover()
-        data, draws = _build_dataset(cfg), {}
+        data = _build_dataset(cfg)
         out = _out_dir(cfg)
-        encoder, decoder = _train_run(cfg, data, "train", 0, [], draws)
+        encoder, decoder = _train_run(cfg, data, "train", 0, [])
         save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
         test_x, test_y = data.test_inputs, data.test_labels
     started = time.perf_counter()
     try:
-        results = evaluate(encoder, decoder, test_x, test_y, [e for e, _ in grid], cfg.seed, draws)
+        results = evaluate(encoder, decoder, test_x, test_y, [e for e, _ in grid], cfg.seed,
+                           None if checkpoint else data.draws)
     except TrainingDiverged as exc:
         if not checkpoint:
             raise
@@ -320,10 +321,10 @@ def cmd_mismatch(cfg: RunConfig, args, rows: list[MetricsRow]) -> None:
 def cmd_sweep_beta(cfg: RunConfig, args, rows: list[MetricsRow]) -> None:
     betas = args.beta_grid or DEFAULT_BETA_GRID
     configs = _point_configs(cfg, "beta grid", [{"beta": beta} for beta in betas])
-    data, draws = _build_dataset(cfg), {}
+    data = _build_dataset(cfg)
     out = _out_dir(cfg)
     for i, point_cfg in enumerate(configs):
-        _train_run(point_cfg, data, "sweep-beta", i, rows, draws)
+        _train_run(point_cfg, data, "sweep-beta", i, rows)
     write_metrics(out / "metrics.csv", rows)
     print(f"swept {len(betas)} beta values; metrics in {out / 'metrics.csv'}")
 

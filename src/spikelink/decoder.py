@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FlatParams, SeededRng, sigmoid, softplus
+from .numerics import FlatParams, sigmoid, softplus
 
 __all__ = [
     "DecoderParams",
@@ -64,19 +64,19 @@ class DecoderParams(FlatParams):
 def init_decoder_params(
     input_dim: int,
     n_classes: int,
-    rng: SeededRng,
+    rng: np.random.Generator,
     hidden_dim: int,
     output: str = "sigmoid",
 ) -> DecoderParams:
-    """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases."""
+    """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))) from rng, w1 then w2; zero biases."""
     if input_dim < 1 or n_classes < 1 or hidden_dim < 1:
         raise ValueError("all layer sizes must be positive")
     r1 = math.sqrt(6.0 / (input_dim + hidden_dim))
     r2 = math.sqrt(6.0 / (hidden_dim + n_classes))
     return DecoderParams(
-        w1=rng.uniform_range(-r1, r1, (hidden_dim, input_dim)),
+        w1=rng.uniform(-r1, r1, (hidden_dim, input_dim)),
         b1=np.zeros(hidden_dim),
-        w2=rng.uniform_range(-r2, r2, (n_classes, hidden_dim)),
+        w2=rng.uniform(-r2, r2, (n_classes, hidden_dim)),
         b2=np.zeros(n_classes),
         output=output,
     )

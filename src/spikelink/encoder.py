@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import noisy_spike_prob
-from .numerics import FlatParams, Kernel, SeededRng, exponential_kernel, sigmoid
+from .numerics import FlatParams, Kernel, exponential_kernel, sigmoid
 
 __all__ = [
     "EncoderParams",
@@ -80,16 +80,16 @@ class EncoderParams(FlatParams):
 def init_encoder_params(
     n_in: int,
     n_out: int,
-    rng: SeededRng,
+    rng: np.random.Generator,
     kernel_ff: Kernel | None = None,
     kernel_fb: Kernel | None = None,
     init_rate: float = 0.1,
 ) -> EncoderParams:
     """Fresh encoder weights.
 
-    Feedforward weights are uniform in +-1/sqrt(n_in), the self-feedback
-    weight starts at -1 (a soft refractory pull), and the bias is set so a
-    silent network spikes at init_rate.
+    Feedforward weights are drawn from rng uniform in +-1/sqrt(n_in), the
+    self-feedback weight starts at -1 (a soft refractory pull), and the
+    bias is set so a silent network spikes at init_rate.
     """
     if n_in < 1 or n_out < 1:
         raise ValueError("need at least one input and one neuron")
@@ -97,7 +97,7 @@ def init_encoder_params(
         raise ValueError("init_rate must be in (0, 1)")
     bound = 1.0 / math.sqrt(n_in)
     return EncoderParams(
-        ff_weights=rng.uniform_range(-bound, bound, (n_out, n_in)),
+        ff_weights=rng.uniform(-bound, bound, (n_out, n_in)),
         fb_weights=np.full(n_out, -1.0),
         bias=np.full(n_out, math.log(init_rate / (1.0 - init_rate))),
         kernel_ff=kernel_ff or exponential_kernel(),

@@ -222,11 +222,11 @@ def class_rate_map(label: int, config: RunConfig) -> np.ndarray:
     return rates
 
 
-def _draw_cells(rates: np.ndarray, config: RunConfig, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One record's events from rng (a Generator or a SeededRng): Poisson
-    counts per cell of rates, then one uniform timestamp per event.
-    Returns the timestamps and each event's flat cell index into rates,
-    the cells in C order."""
+def _draw_cells(rates: np.ndarray, config: RunConfig,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One record's events from rng: Poisson counts per cell of rates, then
+    one uniform timestamp per event.  Returns the timestamps and each
+    event's flat cell index into rates, the cells in C order."""
     counts = rng.poisson(rates).ravel()
     cells = np.flatnonzero(counts)
     events = np.repeat(cells, counts[cells])

@@ -5,7 +5,9 @@ from here so that stability fixes and reproducibility rules live in one
 place.  All float work is double precision.
 
 A random stream (seed, stream_id) is NumPy's
-Generator(PCG64(SeedSequence([seed, stream_id]))), draw for draw, but
+Generator(PCG64(SeedSequence([seed, stream_id]))), draw for draw.  SeededRng
+is such an address and draws nothing itself: it hands out the stream's
+Generator, and every function that draws takes a numpy.random.Generator.
 SeededRng seeds it without NumPy's per-stream constructors: SeedSequence's
 mix and PCG64's seeding run here, in uint32 array arithmetic over a block
 of streams, so a split or an evaluation chunk, one stream per record or
@@ -72,8 +74,12 @@ def gaussian_q(x: float) -> float:
 
 
 def db_to_linear(db: float) -> float:
-    """Decibel to linear power ratio; -inf dB maps to 0."""
-    return float(10.0 ** (float(db) / 10.0))
+    """Decibel to linear power ratio; -inf dB maps to 0, and a ratio past
+    the float range (above about 3,083 dB) to inf, as +inf dB does."""
+    try:
+        return float(10.0 ** (float(db) / 10.0))
+    except OverflowError:
+        return math.inf
 
 
 # the forms ebn0_to_epsilon knows
@@ -344,13 +350,15 @@ def _generators(seed: int, id_blocks):
 
 
 class SeededRng:
-    """Deterministic random stream addressed by (seed, stream_id).
+    """The address (seed, stream_id) of a deterministic random stream.
 
     The same pair always replays the identical draw sequence; distinct
     stream ids under one seed give statistically independent streams.
     Substreams are derived by hash-folding structured tags, which keeps
-    per-sample and per-epoch draws decoupled from loop order.  A stream's
-    Generator equals NumPy's PCG64(SeedSequence([seed, stream_id])).
+    per-sample and per-epoch draws decoupled from loop order.  It draws
+    nothing itself: generator is the stream's numpy.random.Generator, made
+    on first read, which equals NumPy's PCG64(SeedSequence([seed,
+    stream_id])), and substreams yields a block of substreams' Generators.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -376,21 +384,6 @@ class SeededRng:
 
     def substream(self, *parts) -> "SeededRng":
         return SeededRng(self.seed, fold_stream_id(self.stream_id, *parts))
-
-    def uniform(self, size=None) -> np.ndarray:
-        return self.generator.random(size)
-
-    def poisson(self, lam) -> np.ndarray:
-        return self.generator.poisson(lam)
-
-    def integers(self, low, high, size=None) -> np.ndarray:
-        return self.generator.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.generator.permutation(n)
-
-    def uniform_range(self, low: float, high: float, size=None) -> np.ndarray:
-        return self.generator.uniform(low, high, size)
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, stream_id={self.stream_id})"

@@ -16,22 +16,23 @@ as NumPy's own MemoryError, which carries its shape and dtype.
 Training mode draws the received bits directly from the marginalized law
 and feeds them back into the encoder's recurrence; that makes the sequence
 likelihood an exact autoregressive product, which is what the score
-differentiates.  Each batch draws its (steps, n, k) uniforms from the
-epoch's "draws" stream in one call, the doubles a draw per step would
-give, and the rollout's thresholds are channel.spike_thresholds of them.
-Evaluation mode runs the physical two-stage path: clean spikes drive the
-recurrence and the channel flips a copy.  Its draws depend only on the
-seed and the sample, so they are a cache, not training state: one draws
-dict per command, which its training runs and evaluation share.
-What an epoch carries to the next is a frozen TrainState: the two models,
-their momentum velocities and the moving baseline.  An epoch updates copies
-of each model's flat vector (numerics.FlatParams) and velocity in place.
+differentiates.  Epoch e draws from substream("train", e) of the seed:
+its order from "shuffle", and each batch's (steps, n, k) uniforms from
+"draws" in one call, the doubles a draw per step would give, which
+channel.spike_thresholds makes the rollout's thresholds.  Evaluation mode
+runs the physical two-stage path: clean spikes drive the recurrence and
+the channel flips a copy.  Sample i draws from substream("eval", i), so
+the draws are a cache, not training state, which the command's one
+Dataset keeps for all its runs.  What an epoch carries to the next is a
+frozen TrainState: the two models, their momentum velocities, the moving
+baseline and the epoch count.  An epoch updates copies of each model's
+flat vector (numerics.FlatParams) and velocity in place.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,13 +107,15 @@ class PriorModel:
 class Dataset:
     """Encoder inputs split into train and test: frame counts (samples,
     steps, lines), kept in the dtype they come in (uint8 from the events
-    module), which train_epoch and evaluate read."""
+    module), which train_epoch and evaluate read.  draws caches the test
+    split's evaluation draws (evaluate); dataclasses.replace starts afresh."""
 
     train_counts: np.ndarray
     train_labels: np.ndarray
     test_inputs: np.ndarray
     test_labels: np.ndarray
     n_classes: int
+    draws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.train_counts = np.asarray(self.train_counts)
@@ -133,14 +136,16 @@ class Dataset:
 class TrainState:
     """What a training run carries from one epoch to the next: the two
     models, their momentum velocities, each a vector of its model's
-    layout (None without momentum, and before the first batch), and the
-    moving baseline (None until a batch updates it)."""
+    layout (None without momentum, and before the first batch), the
+    moving baseline (None until a batch updates it) and the epochs done,
+    which name the next epoch's stream (train_epoch)."""
 
     encoder: EncoderParams
     decoder: DecoderParams
     enc_vel: np.ndarray | None = None
     dec_vel: np.ndarray | None = None
     baseline: float | None = None
+    epoch: int = 0
 
 
 @dataclass(frozen=True)
@@ -211,24 +216,20 @@ def sgd_update(params, grads: np.ndarray, eta: float, velocity=None, momentum: f
 # epoch loop and evaluation
 
 
-def train_epoch(
-    state: TrainState,
-    data: Dataset,
-    config: RunConfig,
-    rng: SeededRng,
-    draws: dict,
-) -> tuple[TrainState, EpochMetrics]:
+def train_epoch(state: TrainState, data: Dataset,
+                config: RunConfig) -> tuple[TrainState, EpochMetrics]:
     """One pass over the training set in shuffled minibatches.
 
-    Returns the TrainState after the epoch's last batch and the epoch's
-    metrics (losses averaged over training samples; error and spike rate
-    measured on the test set).  The state passed in, TrainState(encoder,
-    decoder) at a run's first epoch, is copied once and never changed, so
-    an epoch cut short leaves it as the last finished epoch returned it.
-    draws is the command's cache of evaluation draws (see evaluate): the
-    test samples' uniforms are made into it once and read back later.  Each
-    batch's drive is made from its train counts (encoder.drive_from_counts),
-    as evaluation makes a chunk's; a drive with a non-finite value raises
+    Returns the TrainState after the epoch's last batch, its epoch one
+    more, and the epoch's metrics (losses averaged over training samples;
+    error and spike rate measured on the test set).  The epoch draws from
+    substream("train", state.epoch) of config.seed.  The state passed in,
+    TrainState(encoder, decoder) at a run's first epoch, is copied once and
+    never changed, so an epoch cut short leaves it as the last finished
+    epoch returned it.  The test samples' evaluation uniforms are made into
+    data.draws once and read back later (see evaluate).  Each batch's drive
+    is made from its train counts (encoder.drive_from_counts), as
+    evaluation makes a chunk's; a drive with a non-finite value raises
     TrainingDiverged, in training and in the epoch's evaluation.  Of the
     config it reads the channel point, beta, eta, batch_size, seed,
     prior_rate, momentum, grad_clip and baseline.
@@ -238,8 +239,9 @@ def train_epoch(
     enc_vel, dec_vel = (None if v is None else v.copy() for v in (state.enc_vel, state.dec_vel))
     baseline = state.baseline
     prior = PriorModel(config.prior_rate)
-    order = rng.substream("shuffle").permutation(len(data.train_counts))
-    draw = rng.substream("draws")
+    rng = SeededRng(config.seed).substream("train", state.epoch)
+    order = rng.substream("shuffle").generator.permutation(len(data.train_counts))
+    draw = rng.substream("draws").generator
     task_sum = 0.0
     rate_sum = 0.0
     count = 0
@@ -247,7 +249,7 @@ def train_epoch(
         batch = order[start : start + config.batch_size]
         xb = data.train_counts[batch]
         yb = data.train_labels[batch]
-        uniforms = draw.uniform((xb.shape[1], len(batch), encoder.n_out))
+        uniforms = draw.random((xb.shape[1], len(batch), encoder.n_out))
         run = rollout(encoder, _drive(encoder, xb), spike_thresholds(uniforms, eps))
         rate_losses = regularizer(run.bits, run.potentials, eps, prior, run.spike_probs)
         flat = run.bits.reshape(len(batch), -1).astype(np.float64)
@@ -276,7 +278,7 @@ def train_epoch(
     mean_task = task_sum / max(count, 1)
     mean_rate = rate_sum / max(count, 1)
     [(test_error, test_rate)] = evaluate(
-        encoder, decoder, data.test_inputs, data.test_labels, [eps], config.seed, draws
+        encoder, decoder, data.test_inputs, data.test_labels, [eps], config.seed, data.draws
     )
     metrics = EpochMetrics(
         task_loss=mean_task,
@@ -285,7 +287,7 @@ def train_epoch(
         test_error=test_error,
         spike_rate=test_rate,
     )
-    return TrainState(encoder, decoder, enc_vel, dec_vel, baseline), metrics
+    return TrainState(encoder, decoder, enc_vel, dec_vel, baseline, state.epoch + 1), metrics
 
 
 def _eval_uniforms(root: SeededRng, start: int, m: int, steps: int, k: int):

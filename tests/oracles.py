@@ -52,11 +52,11 @@ def kernel(*taps) -> Kernel:
     return Kernel(np.array(taps, dtype=np.float64))
 
 
-def bernoulli(rng: SeededRng, p) -> np.ndarray:
-    """uint8 draws of 1 with probability p, of p's shape, from rng's
-    stream; the strict "<" keeps p = 0 and p = 1 exact."""
+def bernoulli(rng: np.random.Generator, p) -> np.ndarray:
+    """uint8 draws of 1 with probability p, of p's shape, from rng; the
+    strict "<" keeps p = 0 and p = 1 exact."""
     prob = np.asarray(p, dtype=np.float64)
-    return (rng.uniform(prob.shape) < prob).astype(np.uint8)
+    return (rng.random(prob.shape) < prob).astype(np.uint8)
 
 
 def numpy_generator(seed: int, stream_id: int) -> np.random.Generator:

@@ -70,11 +70,11 @@ def _report(capsys, number, label):
 
 
 def _small_encoder(k, n_in, seed):
-    rng = SeededRng(seed)
+    rng = SeededRng(seed).generator
     return EncoderParams(
-        ff_weights=rng.uniform_range(-0.9, 0.9, (k, n_in)),
-        fb_weights=rng.uniform_range(-1.1, -0.2, k),
-        bias=rng.uniform_range(-0.4, 0.4, k),
+        ff_weights=rng.uniform(-0.9, 0.9, (k, n_in)),
+        fb_weights=rng.uniform(-1.1, -0.2, k),
+        bias=rng.uniform(-0.4, 0.4, k),
         kernel_ff=kernel(1.0, 0.5),
         kernel_fb=kernel(1.0, 0.7, 0.3),
     )
@@ -132,14 +132,14 @@ def test_criterion_02_gradient_closed_forms(capsys):
         worst_dec = 0.0
         for draw in range(100):
             root = SeededRng(4000 + draw)
-            params = init_decoder_params(4, 2, root.substream("p"), hidden_dim=3)
-            xs = root.substream("x")
+            params = init_decoder_params(4, 2, root.substream("p").generator, hidden_dim=3)
+            xs = root.substream("x").generator
             x = bernoulli(xs, np.full(4, 0.5)).astype(np.float64)
             while not x.any():
                 # all-zero input with zero biases parks every ReLU exactly at
                 # its kink, where central differences are ill-defined
                 x = bernoulli(xs, np.full(4, 0.5)).astype(np.float64)
-            label = int(root.substream("y").integers(0, 2))
+            label = int(root.substream("y").generator.integers(0, 2))
             pre, hidden, _, probs = forward_batch(params, x[None])
             grads = params.split(
                 backward_batch(params, x[None], pre, hidden, probs, np.array([label])))
@@ -186,8 +186,8 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         )
         for k, T, n_in, eps, seed in instances:
             params = _small_encoder(k, n_in, seed)
-            decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
-            inputs = bernoulli(SeededRng(seed + 2), np.full((T, n_in), 0.5))
+            decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1).generator, hidden_dim=3)
+            inputs = bernoulli(SeededRng(seed + 2).generator, np.full((T, n_in), 0.5))
             run, counts = replay(params, inputs, all_sequences(T, k))
             f = sample_losses(decoder, run, eps, beta, label, prior)
             expected = params.split(score_grads(
@@ -206,8 +206,8 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         # field entry within 3 exact standard errors of the enumerated mean
         k, T, n_in, eps, seed = 1, 3, 2, 0.1, 31
         params = _small_encoder(k, n_in, seed)
-        decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1), hidden_dim=3)
-        inputs = bernoulli(SeededRng(seed + 2), np.full((T, n_in), 0.5))
+        decoder = init_decoder_params(k * T, 2, SeededRng(seed + 1).generator, hidden_dim=3)
+        inputs = bernoulli(SeededRng(seed + 2).generator, np.full((T, n_in), 0.5))
         run, counts = replay(params, inputs, all_sequences(T, k))
         p = np.exp(log_likelihood(run, eps))
         f = sample_losses(decoder, run, eps, beta, label, prior)
@@ -219,7 +219,7 @@ def test_criterion_03_score_function_unbiasedness(capsys):
         # sampler, the noisy rollout, the decoder loss, the rate term, the
         # contraction
         draws = 100_000
-        thresholds = spike_thresholds(SeededRng(775).uniform((T, draws, k)), eps)
+        thresholds = spike_thresholds(SeededRng(775).generator.random((T, draws, k)), eps)
         mc, mc_counts = training_rollout(params, np.repeat(inputs[None], draws, axis=0),
                                          thresholds)
         mean = params.split(score_grads(mc, mc_counts, params.kernel_ff, eps,
@@ -253,7 +253,7 @@ def test_criterion_04_sequence_log_likelihood_gradient(capsys):
         h = 1e-6
         for k, n_in, T, eps, seed in instances:
             params = _small_encoder(k, n_in, seed)
-            rng = SeededRng(seed + 10)
+            rng = SeededRng(seed + 10).generator
             inputs = bernoulli(rng, np.full((T, n_in), 0.6))
             zhat = bernoulli(rng, np.full((1, T, k), 0.5))
             score = params.split(
@@ -274,7 +274,7 @@ def test_criterion_05_channel_statistics(capsys):
         n = 1_000_000
         eps = 0.1
         bits = np.zeros(n, dtype=np.uint8)
-        flipped = transmit(bits, eps, SeededRng(612).uniform(n))
+        flipped = transmit(bits, eps, SeededRng(612).generator.random(n))
         rate = float(flipped.mean())
         sigma = math.sqrt(eps * (1 - eps) / n)
         assert abs(rate - eps) <= 3 * sigma
@@ -283,10 +283,10 @@ def test_criterion_05_channel_statistics(capsys):
         u = np.array([0.0, 1.0])
         eps2 = 0.2
         # the sampler training runs: a bit is 1 where u exceeds its threshold
-        direct = (u > spike_thresholds(SeededRng(613).uniform((draws, 2)), eps2)).view(np.uint8)
-        staged_rng = SeededRng(614)
+        direct = (u > spike_thresholds(SeededRng(613).generator.random((draws, 2)), eps2)).view(np.uint8)
+        staged_rng = SeededRng(614).generator
         spikes = bernoulli(staged_rng, np.tile(sigmoid(u), (draws, 1)))
-        staged = transmit(spikes, eps2, staged_rng.uniform(spikes.shape))
+        staged = transmit(spikes, eps2, staged_rng.random(spikes.shape))
         obs1 = np.bincount(direct[:, 0] * 2 + direct[:, 1], minlength=4).astype(float)
         obs2 = np.bincount(staged[:, 0] * 2 + staged[:, 1], minlength=4).astype(float)
         pooled = (obs1 + obs2) / (2 * draws)
@@ -307,7 +307,7 @@ def test_criterion_06_kl_nonnegativity(capsys):
         lowest = math.inf
         for k, T, n_in, seed in ((1, 3, 2, 71), (2, 2, 2, 72), (1, 4, 1, 73)):
             params = _small_encoder(k, n_in, seed)
-            inputs = bernoulli(SeededRng(seed + 5), np.full((T, n_in), 0.5))
+            inputs = bernoulli(SeededRng(seed + 5).generator, np.full((T, n_in), 0.5))
             run, _ = replay(params, inputs, all_sequences(T, k))
             for eps in EPSILON_SET:
                 p = np.exp(log_likelihood(run, eps))
@@ -355,7 +355,7 @@ def test_criterion_07_toy_convergence(capsys):
             cfg = RunConfig(seed=seed)
             rows = _StopAtBound()
             with contextlib.suppress(_Reached):
-                cli._train_run(cfg, cli._build_dataset(cfg), "train", 0, rows, {})
+                cli._train_run(cfg, cli._build_dataset(cfg), "train", 0, rows)
             numbers, passed = criteria.convergence([asdict(row) for row in rows])
             finals.append(numbers["best error"])
             reached += passed

@@ -47,20 +47,20 @@ class TestChannelConfig:
 
 class TestTransmit:
     def test_identity_at_zero(self):
-        bits = bernoulli(SeededRng(0), np.full(500, 0.4))
-        out = transmit(bits, 0.0, SeededRng(1).uniform(bits.shape))
+        bits = bernoulli(SeededRng(0).generator, np.full(500, 0.4))
+        out = transmit(bits, 0.0, SeededRng(1).generator.random(bits.shape))
         np.testing.assert_array_equal(out, bits)
 
     def test_complement_at_one(self):
-        bits = bernoulli(SeededRng(0), np.full(500, 0.4))
-        out = transmit(bits, 1.0, SeededRng(1).uniform(bits.shape))
+        bits = bernoulli(SeededRng(0).generator, np.full(500, 0.4))
+        out = transmit(bits, 1.0, SeededRng(1).generator.random(bits.shape))
         np.testing.assert_array_equal(out, 1 - bits)
 
     def test_flip_rate_within_three_sigma(self):
         n = 1_000_000
         eps = 0.1
         bits = np.zeros(n, dtype=np.uint8)
-        out = transmit(bits, eps, SeededRng(123).uniform(n))
+        out = transmit(bits, eps, SeededRng(123).generator.random(n))
         rate = out.mean()
         sigma = math.sqrt(eps * (1 - eps) / n)
         assert abs(rate - eps) < 3 * sigma
@@ -101,8 +101,8 @@ class TestNoisySpikeProb:
 
 class TestLogProbNoisy:
     def test_reduces_to_clean_at_zero(self):
-        rng = SeededRng(2)
-        u = rng.generator.normal(size=6)
+        rng = SeededRng(2).generator
+        u = rng.normal(size=6)
         bits = bernoulli(rng, np.full(6, 0.5))
         p = sigmoid(u)
         clean = np.sum(bits * np.log(p) + (1 - bits) * np.log(1 - p))
@@ -110,8 +110,8 @@ class TestLogProbNoisy:
 
     def test_sums_over_neurons_only(self):
         # a (samples, steps, neurons) batch gives one term per sample and step
-        rng = SeededRng(3)
-        u = rng.generator.normal(size=(2, 3, 4))
+        rng = SeededRng(3).generator
+        u = rng.normal(size=(2, 3, 4))
         bits = bernoulli(rng, np.full((2, 3, 4), 0.5))
         for eps in (0.0, 0.2):
             got = log_prob_noisy(bits, u, eps)
@@ -153,15 +153,15 @@ class TestLogProbNoisy:
 
 class TestSampleNoisy:
     def test_extreme_potentials_at_zero_epsilon(self):
-        rng = SeededRng(3)
+        rng = SeededRng(3).generator
         u = np.array([1e6, -1e6])
-        out = sample_noisy(sigmoid(u), 0.0, rng.uniform(np.shape(u)))
+        out = sample_noisy(sigmoid(u), 0.0, rng.random(np.shape(u)))
         np.testing.assert_array_equal(out, [1, 0])
 
     def test_epsilon_half_is_fair_coin_regardless_of_u(self):
-        rng = SeededRng(4)
+        rng = SeededRng(4).generator
         u = np.full(200_000, 50.0)
-        draws = sample_noisy(sigmoid(u), 0.5, rng.uniform(np.shape(u)))
+        draws = sample_noisy(sigmoid(u), 0.5, rng.random(np.shape(u)))
         assert abs(draws.mean() - 0.5) < 5 * math.sqrt(0.25 / 200_000)
 
     def test_matches_two_stage_law_chi_square(self):
@@ -170,10 +170,10 @@ class TestSampleNoisy:
         n = 100_000
         u = np.array([0.0, 1.0])
         eps = 0.2
-        direct = sample_noisy(np.tile(sigmoid(u), (n, 1)), eps, SeededRng(100).uniform((n, 2)))
-        stage_rng = SeededRng(200)
+        direct = sample_noisy(np.tile(sigmoid(u), (n, 1)), eps, SeededRng(100).generator.random((n, 2)))
+        stage_rng = SeededRng(200).generator
         spikes = bernoulli(stage_rng, np.tile(sigmoid(u), (n, 1)))
-        staged = transmit(spikes, eps, stage_rng.uniform(spikes.shape))
+        staged = transmit(spikes, eps, stage_rng.random(spikes.shape))
         codes = direct[:, 0] * 2 + direct[:, 1]
         codes2 = staged[:, 0] * 2 + staged[:, 1]
         obs1 = np.bincount(codes, minlength=4).astype(float)
@@ -227,11 +227,11 @@ class TestSpikeThresholds:
     @pytest.mark.parametrize("eps", THRESHOLD_EPSILONS)
     def test_random_pairs_agree_with_reference(self, eps):
         # 10^6 pairs, potentials at scales 1, 5 and 40: no decision differs
-        rng = SeededRng(41)
+        rng = SeededRng(41).generator
         n = 1_000_000
         scale = np.array([1.0, 5.0, 40.0])[rng.integers(0, 3, n)]
-        u = rng.generator.normal(size=n) * scale
-        bits, reference = _decisions(u, eps, rng.uniform(n))
+        u = rng.normal(size=n) * scale
+        bits, reference = _decisions(u, eps, rng.random(n))
         assert np.count_nonzero(bits != reference) == 0
         assert 0 < np.count_nonzero(bits) < n
 
@@ -251,8 +251,8 @@ class TestSpikeThresholds:
         # differ only within 2 ulps of q, widened at eps = 0 by the
         # potential's own rounding to 2 * (1 + |u|) ulps, since q is then
         # sigmoid(u) itself and may be as small as 1e-18
-        rng = SeededRng(42)
-        u = np.clip(rng.generator.normal(scale=10.0, size=2000), -40.0, 40.0)
+        rng = SeededRng(42).generator
+        u = np.clip(rng.normal(scale=10.0, size=2000), -40.0, 40.0)
         q = noisy_spike_prob(sigmoid(u), eps)
         j = np.arange(-64, 65)[:, None]
         uniforms = q + j * np.spacing(q)

@@ -15,8 +15,8 @@ from spikelink.numerics import Kernel, SeededRng
 
 def _models(seed=0, output="sigmoid"):
     root = SeededRng(seed)
-    enc = init_encoder_params(6, 3, root.substream("e"))
-    dec = init_decoder_params(3 * 4, 2, root.substream("d"), hidden_dim=5, output=output)
+    enc = init_encoder_params(6, 3, root.substream("e").generator)
+    dec = init_decoder_params(3 * 4, 2, root.substream("d").generator, hidden_dim=5, output=output)
     return enc, dec
 
 

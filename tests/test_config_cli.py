@@ -531,6 +531,17 @@ class TestCliSweeps:
         rows = read_metrics(out / "metrics.csv")
         assert [r.ebn0_db for r in rows] == [float("-inf"), -2.0, 0.0, 2.0]
 
+    def test_ebn0_past_float_range_is_noiseless(self, tiny_config, tiny_checkpoint, tmp_path):
+        # 4000 dB overflows a float as a linear ratio: that point reads
+        # epsilon 0, as +inf dB does, and decodes the same
+        out = tmp_path / "sweep"
+        code = _main("sweep-snr", "--config", str(tiny_config), "--out", str(out),
+                     "--checkpoint", str(tiny_checkpoint), "--ebn0-grid-db", "inf,4000")
+        assert code == 0
+        rows = read_metrics(out / "metrics.csv")
+        assert [(r.ebn0_db, r.epsilon) for r in rows] == [(math.inf, 0.0), (4000.0, 0.0)]
+        assert rows[0].error_rate == rows[1].error_rate
+
     def test_train_per_point_rejects_half(
         self, tiny_config, tmp_path, monkeypatch
     ):
@@ -650,13 +661,25 @@ class TestCliSweeps:
         assert self._sweep(config, tiny_checkpoint, tmp_path) == 2
         assert "test label 2 is not below the checkpoint's classes = 2" in capsys.readouterr().err
 
-    def test_checkpoint_kernel_mismatch_warns(self, tiny_config, tiny_checkpoint, tmp_path, capsys):
-        config = self._edited(tiny_config, tmp_path, tau_fb=2.0)
+    @pytest.mark.parametrize("edit, name", [
+        ({"tau_fb": 2.0}, "kernel_fb"),
+        ({"output": "softmax"}, "output"),
+    ], ids=["kernel_fb", "output"])
+    def test_checkpoint_kernel_mismatch_warns(
+        self, tiny_config, tiny_checkpoint, tmp_path, capsys, edit, name
+    ):
+        # the checkpoint's kernel or head is used: the rows equal a sweep
+        # under the config that trained it
+        assert self._sweep(tiny_config, tiny_checkpoint, tmp_path) == 0
+        matching = (tmp_path / "sweep" / "metrics.csv").read_bytes()
+        capsys.readouterr()
+        config = self._edited(tiny_config, tmp_path, **edit)
         assert self._sweep(config, tiny_checkpoint, tmp_path) == 0
         warnings = [l for l in capsys.readouterr().err.splitlines() if "warning" in l]
         assert warnings == [
-            "warning: checkpoint kernel_fb differs from the config's; using the checkpoint's"
+            f"warning: checkpoint {name} differs from the config's; using the checkpoint's"
         ]
+        assert (tmp_path / "sweep" / "metrics.csv").read_bytes() == matching
 
     def test_checkpoint_kernel_filters_the_test_split(
         self, tiny_config, tiny_checkpoint, tmp_path, capsys
@@ -720,10 +743,10 @@ class TestCliSweeps:
     def _diverge_at(monkeypatch, epsilon):
         real = cli.train_epoch
 
-        def train_epoch(state, data, config, *rest):
+        def train_epoch(state, data, config):
             if epsilon is None or config.crossover() == epsilon:
                 raise TrainingDiverged("non-finite sample loss")
-            return real(state, data, config, *rest)
+            return real(state, data, config)
 
         monkeypatch.setattr(cli, "train_epoch", train_epoch)
 
@@ -755,11 +778,11 @@ class TestCliSweeps:
         real = cli.train_epoch
         seen = []
 
-        def train_epoch(state, data, config, *rest):
+        def train_epoch(state, data, config):
             seen.append(config.beta)
             if seen.count(0.2) == 2:
                 raise TrainingDiverged("non-finite sample loss")
-            return real(state, data, config, *rest)
+            return real(state, data, config)
 
         monkeypatch.setattr(cli, "train_epoch", train_epoch)
         out = tmp_path / "beta"
@@ -882,9 +905,9 @@ class TestCliSweeps:
         test_dtypes = []
         real_epoch = cli.train_epoch
 
-        def train_epoch(state, data, config, *rest):
+        def train_epoch(state, data, config):
             test_dtypes.append(data.test_inputs.dtype)
-            return real_epoch(state, data, config, *rest)
+            return real_epoch(state, data, config)
 
         monkeypatch.setattr(cli, "train_epoch", train_epoch)
         traces = 2048 * 20 * 64 * 8
@@ -924,7 +947,7 @@ class TestCliSweeps:
         root = SeededRng(cfg.seed)
         one_record = max(  # its four int64 columns (timestamp, x, y, polarity)
             4 * _draw_cells(class_rate_map(label, cfg), cfg,
-                            root.substream("data", "test", label, idx))[0].nbytes
+                            root.substream("data", "test", label, idx).generator)[0].nbytes
             for label in range(cfg.classes) for idx in range(128)
         )
         # besides the counts: one record's columns and the temporaries that

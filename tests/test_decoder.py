@@ -25,7 +25,7 @@ FIELDS = ("w1", "b1", "w2", "b2")
 
 def _params(input_dim=4, hidden=3, classes=2, seed=0, output="sigmoid"):
     return init_decoder_params(
-        input_dim, classes, SeededRng(seed), hidden_dim=hidden, output=output
+        input_dim, classes, SeededRng(seed).generator, hidden_dim=hidden, output=output
     )
 
 
@@ -119,8 +119,8 @@ class TestLosses:
         assert loss == pytest.approx(math.log(2.0), rel=1e-13)
 
     def test_logit_form_matches_probability_form(self):
-        rng = SeededRng(4)
-        logits = rng.generator.normal(size=(5, 5))
+        rng = SeededRng(4).generator
+        logits = rng.normal(size=(5, 5))
         labels = np.arange(5)
         onehot = np.eye(5)
         for output in ("sigmoid", "softmax"):
@@ -149,8 +149,8 @@ class TestLosses:
         # evaluation predicts the argmax; an all-zero decoder scores every
         # class alike, so every sample goes to class 0 and the error is the
         # share of other labels
-        inputs = bernoulli(SeededRng(1), np.full((16, 5, 3), 0.5))
-        encoder = init_encoder_params(3, 2, SeededRng(2))
+        inputs = bernoulli(SeededRng(1).generator, np.full((16, 5, 3), 0.5))
+        encoder = init_encoder_params(3, 2, SeededRng(2).generator)
         flat = DecoderParams(
             w1=np.zeros((4, 10)), b1=np.zeros(4), w2=np.zeros((3, 4)), b2=np.zeros(3)
         )
@@ -204,7 +204,7 @@ class TestBackward:
     def test_batched_forward_matches_reference(self):
         # each row of a batch equals that row run alone
         params = _params(input_dim=6, hidden=4, classes=3, seed=2)
-        x = bernoulli(SeededRng(8), np.full((5, 6), 0.5)).astype(np.float64)
+        x = bernoulli(SeededRng(8).generator, np.full((5, 6), 0.5)).astype(np.float64)
         batch = forward_batch(params, x)
         for i in range(5):
             for got, alone in zip(batch, forward_batch(params, x[i : i + 1])):
@@ -213,7 +213,7 @@ class TestBackward:
     def test_batched_losses_match_reference(self):
         # per-row loss against the probability form written out row by row
         params = _params(input_dim=6, hidden=4, classes=3, seed=2)
-        x = bernoulli(SeededRng(9), np.full((5, 6), 0.5)).astype(np.float64)
+        x = bernoulli(SeededRng(9).generator, np.full((5, 6), 0.5)).astype(np.float64)
         labels = np.array([0, 1, 2, 1, 0])
         _, _, logits, probs = forward_batch(params, x)
         batch = losses_from_logits_batch(params, logits, labels)
@@ -224,7 +224,7 @@ class TestBackward:
 
     def test_batched_backward_is_mean_of_reference(self):
         params = _params(input_dim=6, hidden=4, classes=3, seed=3)
-        x = bernoulli(SeededRng(10), np.full((4, 6), 0.5)).astype(np.float64)
+        x = bernoulli(SeededRng(10).generator, np.full((4, 6), 0.5)).astype(np.float64)
         labels = np.array([2, 0, 1, 1])
         batch = _grads(params, x, labels)
         singles = [_grads(params, x[i : i + 1], labels[i : i + 1]) for i in range(4)]

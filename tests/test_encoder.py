@@ -37,11 +37,11 @@ from spikelink.numerics import SeededRng, exponential_kernel, sigmoid
 
 
 def _tiny_params(k=2, n_in=3, seed=0, kernel_ff=None, kernel_fb=None):
-    rng = SeededRng(seed)
+    rng = SeededRng(seed).generator
     return EncoderParams(
-        ff_weights=rng.uniform_range(-0.8, 0.8, (k, n_in)),
-        fb_weights=rng.uniform_range(-1.2, -0.3, k),
-        bias=rng.uniform_range(-0.5, 0.5, k),
+        ff_weights=rng.uniform(-0.8, 0.8, (k, n_in)),
+        fb_weights=rng.uniform(-1.2, -0.3, k),
+        bias=rng.uniform(-0.5, 0.5, k),
         kernel_ff=kernel_ff or kernel(1.0, 0.5, 0.25),
         kernel_fb=kernel_fb or kernel(1.0, 0.5),
     )
@@ -78,7 +78,7 @@ class TestParams:
             )
 
     def test_init_ranges(self):
-        params = init_encoder_params(9, 5, SeededRng(1))
+        params = init_encoder_params(9, 5, SeededRng(1).generator)
         assert params.ff_weights.shape == (5, 9)
         assert np.abs(params.ff_weights).max() <= 1.0 / 3.0
         np.testing.assert_array_equal(params.fb_weights, -1.0)
@@ -86,14 +86,14 @@ class TestParams:
         np.testing.assert_allclose(params.bias, -2.1972245773362193828, rtol=1e-15)
 
     def test_init_rate_sets_bias(self):
-        params = init_encoder_params(4, 2, SeededRng(1), init_rate=0.3)
+        params = init_encoder_params(4, 2, SeededRng(1).generator, init_rate=0.3)
         np.testing.assert_allclose(sigmoid(params.bias), 0.3, rtol=1e-12)
 
     def test_init_validation(self):
         with pytest.raises(ValueError):
-            init_encoder_params(0, 2, SeededRng(0))
+            init_encoder_params(0, 2, SeededRng(0).generator)
         with pytest.raises(ValueError):
-            init_encoder_params(3, 2, SeededRng(0), init_rate=1.0)
+            init_encoder_params(3, 2, SeededRng(0).generator, init_rate=1.0)
 
 
 class TestStateTraces:
@@ -211,11 +211,11 @@ class TestDrives:
         gamma = m * u / (1.0 - m * u)
         for seed in range(3):
             rng = SeededRng(seed)
-            params = init_encoder_params(lines, self.K, rng.substream("init"),
+            params = init_encoder_params(lines, self.K, rng.substream("init").generator,
                                          kernel_ff=exponential_kernel(5.0, window))
-            rates = rng.substream("rates").uniform_range(0.0, 0.6, lines)
+            rates = rng.substream("rates").generator.uniform(0.0, 0.6, lines)
             shape = (self.N, self.STEPS, lines)
-            counts = rng.substream("counts").poisson(np.broadcast_to(rates, shape))
+            counts = rng.substream("counts").generator.poisson(np.broadcast_to(rates, shape))
             counts = counts.astype(np.uint8)
             traces = filter_inputs(counts, params.kernel_ff)
             line_space = traces @ params.ff_weights.T
@@ -230,8 +230,8 @@ class TestDrives:
         # single matmul over all n * steps rows rounds differently
         lines = 512
         rng = SeededRng(n)
-        params = init_encoder_params(lines, self.K, rng.substream("init"))
-        counts = bernoulli(rng.substream("counts"), np.full((n, self.STEPS, lines), 0.2))
+        params = init_encoder_params(lines, self.K, rng.substream("init").generator)
+        counts = bernoulli(rng.substream("counts").generator, np.full((n, self.STEPS, lines), 0.2))
         w = params.ff_weights.T
         x = counts.astype(np.float64)
         projected = np.stack([x[:, t, :] @ w for t in range(self.STEPS)], axis=1)
@@ -275,12 +275,12 @@ class TestDrives:
 
         monkeypatch.setattr(training, "drive_from_counts", drive)
         made.clear()
-        counts = bernoulli(SeededRng(1), np.full((10, 4, 3), 0.5)).astype(np.uint8)
+        counts = bernoulli(SeededRng(1).generator, np.full((10, 4, 3), 0.5)).astype(np.uint8)
         data = training.Dataset(counts[:6], np.arange(6) % 2, counts[6:], np.arange(4) % 2, 2)
         params = _tiny_params()
-        decoder = init_decoder_params(8, 2, SeededRng(2), hidden_dim=3)
+        decoder = init_decoder_params(8, 2, SeededRng(2).generator, hidden_dim=3)
         training.train_epoch(training.TrainState(params, decoder), data,
-                             RunConfig(batch_size=4, epsilon=0.1), SeededRng(3), {})
+                             RunConfig(batch_size=4, epsilon=0.1))
         # two training batches, then one evaluation chunk
         assert [len(out) for out in made] == [4, 2, 4]
 
@@ -305,8 +305,8 @@ class TestMembranePotential:
         # step t's bits are its potentials against thresholds[t] of a
         # step-major array, and those are the bits fed back and kept
         params = _tiny_params()
-        inputs = bernoulli(SeededRng(4), np.full((3, 5, params.n_in), 0.5))
-        thresholds = SeededRng(5).uniform_range(-2.0, 2.0, (5, 3, params.n_out))
+        inputs = bernoulli(SeededRng(4).generator, np.full((3, 5, params.n_in), 0.5))
+        thresholds = SeededRng(5).generator.uniform(-2.0, 2.0, (5, 3, params.n_out))
         run, _ = training_rollout(params, inputs, thresholds)
         for t in range(5):
             np.testing.assert_array_equal(run.bits[:, t], run.potentials[:, t] > thresholds[t])
@@ -352,7 +352,7 @@ class TestPotentialGrads:
         # with the bits fixed, u is linear in each neuron's own weights, and
         # its slope along each weight is the trace that multiplies it
         params = _tiny_params()
-        rng = SeededRng(3)
+        rng = SeededRng(3).generator
         inputs = bernoulli(rng, np.full((2, 4, params.n_in), 0.5))
         bits = bernoulli(rng, np.full((2, 4, params.n_out), 0.5))
         run, _ = replay(params, inputs, bits)
@@ -376,7 +376,7 @@ class TestPotentialGrads:
         # u must be exactly the parameter-gradient inner product plus bias,
         # confirming the traces in the score are the ones in the forward pass
         params = _tiny_params()
-        inputs = bernoulli(SeededRng(9), np.full((2, 3, params.n_in), 0.7))
+        inputs = bernoulli(SeededRng(9).generator, np.full((2, 3, params.n_in), 0.7))
         run, _ = training_rollout(params, inputs, np.zeros((3, 2, params.n_out)))
         manual = (filter_inputs(inputs, params.kernel_ff) @ params.ff_weights.T
                   + params.fb_weights * run.fb_traces + params.bias)
@@ -395,7 +395,7 @@ class TestScoreGrads:
         # k=2, n_in=3, T=4, three weighted sequences: the score against
         # numerically differenced sequence log-likelihoods at 1e-5 relative
         params = _tiny_params(seed=seed)
-        rng = SeededRng(100 + seed)
+        rng = SeededRng(100 + seed).generator
         inputs = bernoulli(rng, np.full((3, 4, params.n_in), 0.6))
         bits = bernoulli(rng, np.full((3, 4, params.n_out), 0.5))
         weights = np.array([1.0, -0.5, 2.0])
@@ -421,7 +421,7 @@ class TestScoreGrads:
         coeff = {"exponential": exponential_kernel(5.0, window).coefficients,
                  "negative": -rng.uniform(0.1, 1.0, window),
                  "mixed": rng.normal(0.0, 1.0, window)}[taps]
-        params = init_encoder_params(lines, k, SeededRng(window), kernel_ff=kernel(*coeff))
+        params = init_encoder_params(lines, k, SeededRng(window).generator, kernel_ff=kernel(*coeff))
         counts = (rng.random((n, steps, lines)) < 0.2).astype(np.uint8)
         thresholds = spike_thresholds(rng.random((steps, n, k)), 0.1)
         run, _ = training_rollout(params, counts, thresholds)
@@ -440,7 +440,7 @@ class TestScoreGrads:
         # criterion 10's trajectory rests on this float order
         steps, lines, k, n = 30, 12, 4, 5
         rng = np.random.default_rng(3)
-        params = init_encoder_params(lines, k, SeededRng(3))
+        params = init_encoder_params(lines, k, SeededRng(3).generator)
         counts = (rng.random((n, steps, lines)) < 0.2).astype(np.uint8)
         run, _ = training_rollout(params, counts, spike_thresholds(rng.random((steps, n, k)), 0.1))
         weights = rng.uniform(-1.0, 1.0, n)
@@ -457,7 +457,7 @@ class TestScoreGrads:
         # as above, with at most n * steps + taps = 680 roundings a sum
         lines, k, n = 20, 4, 3
         rng = np.random.default_rng(steps)
-        params = init_encoder_params(lines, k, SeededRng(steps),
+        params = init_encoder_params(lines, k, SeededRng(steps).generator,
                                      kernel_ff=exponential_kernel(5.0, window))
         counts = (rng.random((n, steps, lines)) < 0.2).astype(np.uint8)
         run, _ = training_rollout(params, counts, spike_thresholds(rng.random((steps, n, k)), 0.1))

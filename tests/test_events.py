@@ -311,7 +311,7 @@ class TestSyntheticTask:
         rates = class_rate_map(0, cfg)
         expected = rates.sum()
         counts = [
-            _draw_cells(rates, cfg, SeededRng(7).substream("d", i))[0].size
+            _draw_cells(rates, cfg, SeededRng(7).substream("d", i).generator)[0].size
             for i in range(50)
         ]
         mean = np.mean(counts)
@@ -321,7 +321,7 @@ class TestSyntheticTask:
 
     def test_generate_respects_record_invariants(self):
         cfg = RunConfig(classes=3, width=7, height=5)
-        ts, cells = _draw_cells(class_rate_map(2, cfg), cfg, SeededRng(11))
+        ts, cells = _draw_cells(class_rate_map(2, cfg), cfg, SeededRng(11).generator)
         pol, y, x = np.unravel_index(cells, (2, 5, 7))
         assert ts.size > 0 and x.size == y.size == pol.size == ts.size
         assert ts.min() >= 0 and ts.max() <= cfg.duration_us

@@ -136,6 +136,12 @@ class TestEbn0Mapping:
         assert db_to_linear(0.0) == 1.0
         assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
         assert db_to_linear(float("-inf")) == 0.0
+        # past the float range (about 3,083 dB) the ratio is inf, as at +inf
+        # dB, so the channel is noiseless
+        for db in (float("inf"), 3100.0, 4000.0, 1e308):
+            assert db_to_linear(db) == math.inf
+            assert ebn0_to_epsilon(db_to_linear(db)) == 0.0
+        assert db_to_linear(3080.0) == pytest.approx(1e308, rel=1e-13)
 
 
 def _rounding_bound(x, coeff):
@@ -398,23 +404,23 @@ class TestSeededRng:
         with pytest.raises(ValueError):
             numpy_generator(seed, stream_id)
         with pytest.raises(ValueError):
-            SeededRng(seed, stream_id).uniform()
+            SeededRng(seed, stream_id).generator
         if seed < 0:  # a substream's id is a blake2b fold, never negative
             with pytest.raises(ValueError):
                 next(SeededRng(seed, stream_id).substreams("eval", indices=range(3)))
     def test_same_pair_replays_identical_sequence(self):
-        a = SeededRng(42, 7).uniform(100)
-        b = SeededRng(42, 7).uniform(100)
+        a = SeededRng(42, 7).generator.random(100)
+        b = SeededRng(42, 7).generator.random(100)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = SeededRng(42, 0).uniform(100)
-        b = SeededRng(42, 1).uniform(100)
+        a = SeededRng(42, 0).generator.random(100)
+        b = SeededRng(42, 1).generator.random(100)
         assert not np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = SeededRng(1).uniform(100)
-        b = SeededRng(2).uniform(100)
+        a = SeededRng(1).generator.random(100)
+        b = SeededRng(2).generator.random(100)
         assert not np.array_equal(a, b)
 
     def test_substream_tags_are_order_sensitive(self):
@@ -429,12 +435,12 @@ class TestSeededRng:
             fold_stream_id(1.5)
 
     def test_bernoulli_endpoints_exact(self):
-        rng = SeededRng(0)
+        rng = SeededRng(0).generator
         assert bernoulli(rng, np.zeros(1000)).sum() == 0
         assert bernoulli(rng, np.ones(1000)).sum() == 1000
 
     def test_bernoulli_frequency(self):
-        rng = SeededRng(11)
+        rng = SeededRng(11).generator
         draws = bernoulli(rng, np.full(200_000, 0.3))
         # 5 sigma band around 0.3 with n = 2e5
         assert abs(draws.mean() - 0.3) < 5 * math.sqrt(0.3 * 0.7 / 200_000)

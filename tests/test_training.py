@@ -33,13 +33,13 @@ from oracles import (
 from spikelink import numerics, training
 from spikelink.channel import noisy_spike_prob, spike_thresholds
 from spikelink.config import ConfigError, RunConfig
-from spikelink.decoder import init_decoder_params
+from spikelink.decoder import DecoderParams, init_decoder_params
 from spikelink.encoder import (
     EncoderParams,
     init_encoder_params,
     score_grads,
 )
-from spikelink.numerics import SeededRng, sigmoid
+from spikelink.numerics import Kernel, SeededRng, sigmoid
 from spikelink.training import (
     Dataset,
     PriorModel,
@@ -53,11 +53,11 @@ from spikelink.training import (
 )
 
 def _tiny_encoder(k=1, n_in=2, seed=0):
-    rng = SeededRng(seed)
+    rng = SeededRng(seed).generator
     return EncoderParams(
-        ff_weights=rng.uniform_range(-0.9, 0.9, (k, n_in)),
-        fb_weights=rng.uniform_range(-1.0, -0.2, k),
-        bias=rng.uniform_range(-0.4, 0.4, k),
+        ff_weights=rng.uniform(-0.9, 0.9, (k, n_in)),
+        fb_weights=rng.uniform(-1.0, -0.2, k),
+        bias=rng.uniform(-0.4, 0.4, k),
         kernel_ff=kernel(1.0, 0.5),
         kernel_fb=kernel(1.0, 0.7, 0.3),
     )
@@ -98,7 +98,7 @@ class TestRegularizer:
     def test_expectation_is_nonnegative(self, eps):
         # enumerate the law: sum_z p(z) * regularizer(z) is a KL divergence
         params = _tiny_encoder(k=1, n_in=2, seed=3)
-        inputs = bernoulli(SeededRng(11), np.full((3, 2), 0.5)).astype(np.float64)
+        inputs = bernoulli(SeededRng(11).generator, np.full((3, 2), 0.5)).astype(np.float64)
         run, _ = replay(params, inputs, all_sequences(3, 1))
         p = np.exp(log_likelihood(run, eps))
         kl = p @ regularizer(run.bits, run.potentials, eps, PriorModel(0.3))
@@ -141,7 +141,7 @@ class TestObjectiveAndUpdates:
         params.split(bad)["ff_weights"][:] = np.nan
         with pytest.raises(TrainingDiverged, match="EncoderParams"):
             sgd_update(params, bad, eta=0.1)
-        decoder = init_decoder_params(3, 2, SeededRng(1), hidden_dim=2)
+        decoder = init_decoder_params(3, 2, SeededRng(1).generator, hidden_dim=2)
         with pytest.raises(TrainingDiverged, match="DecoderParams"):
             sgd_update(decoder, np.full_like(decoder.vector, -2.0), eta=1.7e308)
 
@@ -154,9 +154,9 @@ class TestObjectiveAndUpdates:
         # near the default sizes, so a sum over the whole vector rounds
         # unlike the field-by-field one
         if model == "encoder":
-            params = init_encoder_params(512, 16, SeededRng(4))
+            params = init_encoder_params(512, 16, SeededRng(4).generator)
         else:
-            params = init_decoder_params(320, 4, SeededRng(4), hidden_dim=64)
+            params = init_decoder_params(320, 4, SeededRng(4).generator, hidden_dim=64)
         values = {name: view.copy() for name, view in params.split(params.vector).items()}
         for value in values.values():
             value.flat[:2] = -0.0
@@ -218,9 +218,9 @@ class TestSequencePaths:
         # a training rollout must equal an after-the-fact replay of the bits
         # it drew: same potentials and traces, hence same rate term and score
         params = _tiny_encoder(k=2, n_in=3, seed=5)
-        rng = SeededRng(21)
+        rng = SeededRng(21).generator
         inputs = bernoulli(rng, np.full((4, 5, 3), 0.6))
-        run, _ = training_rollout(params, inputs, spike_thresholds(rng.uniform((5, 4, 2)), 0.2))
+        run, _ = training_rollout(params, inputs, spike_thresholds(rng.random((5, 4, 2)), 0.2))
         again, _ = replay(params, inputs, run.bits)
         for name in ("bits", "potentials", "spike_probs", "fb_traces"):
             np.testing.assert_array_equal(getattr(again, name), getattr(run, name))
@@ -230,8 +230,8 @@ class TestSequencePaths:
         # uniform block, and its bits are those uniforms below the marginal
         # spike probability
         params = _tiny_encoder(k=2, n_in=3, seed=6)
-        inputs = bernoulli(SeededRng(22), np.full((4, 5, 3), 0.6))
-        uniforms = SeededRng(23).uniform((5, 4, 2))
+        inputs = bernoulli(SeededRng(22).generator, np.full((4, 5, 3), 0.6))
+        uniforms = SeededRng(23).generator.random((5, 4, 2))
         run, _ = training_rollout(params, inputs, spike_thresholds(uniforms, 0.2))
         q = noisy_spike_prob(sigmoid(run.potentials), 0.2)
         np.testing.assert_array_equal(run.bits, uniforms.transpose(1, 0, 2) < q)
@@ -241,15 +241,15 @@ class TestSequencePaths:
         # evaluation's rule: spike where the step's pre-drawn uniform is
         # below sigmoid(u); evaluate counts exactly these spikes
         params = _tiny_encoder(k=2, n_in=3, seed=5)
-        counts = bernoulli(SeededRng(1), np.full((1, 4, 3), 0.5))
-        spike_u = SeededRng(77).substream("eval", 0).uniform((4, 1, 2))
+        counts = bernoulli(SeededRng(1).generator, np.full((1, 4, 3), 0.5))
+        spike_u = SeededRng(77).substream("eval", 0).generator.random((4, 1, 2))
         first, _ = training_rollout(params, counts, spike_thresholds(spike_u, 0.0))
         second, _ = training_rollout(params, counts, spike_thresholds(spike_u, 0.0))
         np.testing.assert_array_equal(first.bits, spike_u.transpose(1, 0, 2) < first.spike_probs)
         assert first.bits.shape == (1, 4, 2) and first.potentials.shape == (1, 4, 2)
         np.testing.assert_array_equal(first.bits, second.bits)
         np.testing.assert_array_equal(first.potentials, second.potentials)
-        decoder = init_decoder_params(8, 2, SeededRng(2), hidden_dim=3)
+        decoder = init_decoder_params(8, 2, SeededRng(2).generator, hidden_dim=3)
         [(_, rate)] = evaluate(params, decoder, counts, np.array([0]), [0.1], 77)
         assert rate == np.count_nonzero(first.bits) / 8
 
@@ -261,8 +261,8 @@ class TestUnbiasedness:
 
     def _setup(self, seed=0):
         params = _tiny_encoder(k=1, n_in=2, seed=seed)
-        decoder = init_decoder_params(3, 2, SeededRng(seed + 50), hidden_dim=3)
-        rng = SeededRng(seed + 90)
+        decoder = init_decoder_params(3, 2, SeededRng(seed + 50).generator, hidden_dim=3)
+        rng = SeededRng(seed + 90).generator
         inputs = bernoulli(rng, np.full((3, 2), 0.5)).astype(np.float64)
         return params, decoder, inputs
 
@@ -301,7 +301,7 @@ class TestUnbiasedness:
 
         # the training rollout on 20k copies of the input, one batch
         draws = 20_000
-        uniforms = SeededRng(777).uniform((3, draws, 1))
+        uniforms = SeededRng(777).generator.random((3, draws, 1))
         mc, mc_counts = training_rollout(
             params, np.repeat(inputs[None], draws, axis=0), spike_thresholds(uniforms, eps))
         f_mc = sample_losses(decoder, mc, eps, beta, self.LABEL, self.PRIOR)
@@ -319,7 +319,7 @@ class TestUnbiasedness:
 def _toy_counts(seed=0, n_train=24, n_test=16, steps=6, lines=8):
     # two linearly separable spike-rate patterns, as uint8 counts: the
     # train split's, the test split's, and their labels
-    rng = SeededRng(seed)
+    rng = SeededRng(seed).generator
     half = lines // 2
     def draw(n):
         inputs = np.zeros((n, steps, lines), dtype=np.uint8)
@@ -341,9 +341,9 @@ def _toy_counts(seed=0, n_train=24, n_test=16, steps=6, lines=8):
 
 def _toy_models(data, seed=0, k=4, hidden=8):
     root = SeededRng(seed)
-    enc = init_encoder_params(data.input_dim, k, root.substream("e"))
+    enc = init_encoder_params(data.input_dim, k, root.substream("e").generator)
     dec = init_decoder_params(k * data.train_counts.shape[1], data.n_classes,
-                              root.substream("d"), hidden_dim=hidden)
+                              root.substream("d").generator, hidden_dim=hidden)
     return enc, dec
 
 
@@ -354,13 +354,27 @@ def _toy_dataset(**kwargs):
 
 def _state_values(state):
     """Copies of the vectors a TrainState holds, its models' and its
-    velocities', and its baseline, by name."""
-    values = {"baseline": state.baseline, "encoder": state.encoder.vector.copy(),
-              "decoder": state.decoder.vector.copy()}
+    velocities', and its baseline and epoch, by name."""
+    values = {"baseline": state.baseline, "epoch": state.epoch,
+              "encoder": state.encoder.vector.copy(), "decoder": state.decoder.vector.copy()}
     for part in ("enc_vel", "dec_vel"):
         if getattr(state, part) is not None:
             values[part] = getattr(state, part).copy()
     return values
+
+
+def _rebuilt(state):
+    """A TrainState made from copies of what a state file and a checkpoint
+    hold: each model's vector split into its arrays, the kernels'
+    coefficients, the output head, the velocities, baseline and epoch."""
+    enc, dec = state.encoder, state.decoder
+    arrays = [{name: part.copy() for name, part in model.split(model.vector).items()}
+              for model in (enc, dec)]
+    encoder = EncoderParams(**arrays[0], kernel_ff=Kernel(enc.kernel_ff.coefficients.copy()),
+                            kernel_fb=Kernel(enc.kernel_fb.coefficients.copy()))
+    decoder = DecoderParams(**arrays[1], output=dec.output)
+    return TrainState(encoder, decoder, state.enc_vel.copy(), state.dec_vel.copy(),
+                      state.baseline, state.epoch)
 
 
 def _assert_bit_equal(got, want):
@@ -381,11 +395,9 @@ class TestEpochLoop:
         for _ in range(2):
             state = TrainState(*_toy_models(data))
             metrics = None
-            draws: dict = {}
-            for epoch in range(2):
-                state, metrics = train_epoch(
-                    state, data, cfg, SeededRng(0).substream("train", epoch), draws
-                )
+            fresh = replace(data)  # its own evaluation draws
+            for _ in range(2):
+                state, metrics = train_epoch(state, fresh, cfg)
             results.append((state, metrics))
         (s1, m1), (s2, m2) = results
         np.testing.assert_array_equal(s1.encoder.ff_weights, s2.encoder.ff_weights)
@@ -397,10 +409,8 @@ class TestEpochLoop:
         state = TrainState(*_toy_models(data))
         cfg = RunConfig(epochs=8, batch_size=8, eta=0.2, epsilon=0.05)
         err = None
-        draws: dict = {}
-        for epoch in range(8):
-            rng = SeededRng(0).substream("t", epoch)
-            state, m = train_epoch(state, data, cfg, rng, draws)
+        for _ in range(8):
+            state, m = train_epoch(state, data, cfg)
             err = m.test_error
         assert err <= 0.25
 
@@ -409,32 +419,31 @@ class TestEpochLoop:
         state = TrainState(*_toy_models(data))
         cfg = RunConfig(epsilon=0.5)
         with pytest.raises(ValueError, match="0.5"):
-            train_epoch(state, data, cfg, SeededRng(0), {})
+            train_epoch(state, data, cfg)
 
     def test_momentum_and_baseline_state_threading(self):
         # with momentum and the baseline on, an epoch returns velocities
-        # of the models' vector layouts and a baseline; without them, None
+        # of the models' vector layouts and a baseline; without them, None.
+        # Either way the epoch count goes from 0 to 1
         data = _toy_dataset()
         start = TrainState(*_toy_models(data))
-        rng = SeededRng(0).substream("t", 0)
         cfg = RunConfig(epochs=2, batch_size=8, momentum=0.9, baseline=True, epsilon=0.1)
-        state, _ = train_epoch(start, data, cfg, rng, {})
+        state, _ = train_epoch(start, data, cfg)
         assert state.enc_vel.shape == state.encoder.vector.shape
         assert state.dec_vel.shape == state.decoder.vector.shape
         assert isinstance(state.baseline, float)
-        plain, _ = train_epoch(start, data, replace(cfg, momentum=0.0, baseline=False), rng, {})
+        plain, _ = train_epoch(start, data, replace(cfg, momentum=0.0, baseline=False))
         assert (plain.enc_vel, plain.dec_vel, plain.baseline) == (None, None, None)
+        assert (start.epoch, state.epoch, plain.epoch) == (0, 1, 1)
 
     def test_interrupted_epoch_leaves_state_unchanged(self, monkeypatch):
         # an epoch cut short in its second batch leaves the state it was
-        # given bit for bit: models, velocities and baseline
+        # given bit for bit: models, velocities, baseline and epoch
         data = _toy_dataset()
         cfg = RunConfig(batch_size=8, momentum=0.9, baseline=True, epsilon=0.1)
-        draws: dict = {}
-        state, _ = train_epoch(TrainState(*_toy_models(data)), data, cfg,
-                               SeededRng(0).substream("t", 0), draws)
+        state, _ = train_epoch(TrainState(*_toy_models(data)), data, cfg)
         before = _state_values(state)
-        assert before.keys() == {"baseline", "encoder", "decoder", "enc_vel", "dec_vel"}
+        assert before.keys() == {"baseline", "epoch", "encoder", "decoder", "enc_vel", "dec_vel"}
         real = training.score_grads
         calls = []
 
@@ -446,38 +455,43 @@ class TestEpochLoop:
 
         monkeypatch.setattr(training, "score_grads", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            train_epoch(state, data, cfg, SeededRng(0).substream("t", 1), draws)
+            train_epoch(state, data, cfg)
         assert len(calls) == 2
         _assert_bit_equal(_state_values(state), before)
 
     def test_split_run_equals_unbroken_run(self):
         # 4 epochs in one loop equal 2 + 2, the second loop given only the
-        # returned TrainState and a fresh draws dict: the state is all an
-        # epoch carries to the next, and the draws are a cache
+        # returned TrainState, or one rebuilt from copies of its fields, and
+        # a fresh evaluation cache: the state is all an epoch carries to the
+        # next, it has no hidden part (a kernel's cached matrices, views
+        # aliased across states), and the draws are a cache
         data = _toy_dataset()
         cfg = RunConfig(batch_size=8, momentum=0.9, baseline=True, epsilon=0.1)
-        root = SeededRng(0)
 
         def run(state, epochs):
-            draws: dict = {}
+            fresh = replace(data)
             history = []
-            for epoch in epochs:
-                state, metrics = train_epoch(state, data, cfg, root.substream("train", epoch), draws)
+            for _ in range(epochs):
+                state, metrics = train_epoch(state, fresh, cfg)
                 history.append(metrics)
             return state, history
 
         start = TrainState(*_toy_models(data))
-        whole, whole_metrics = run(start, range(4))
-        half, first = run(start, range(2))
-        split, second = run(half, range(2, 4))
+        whole, whole_metrics = run(start, 4)
+        half, first = run(start, 2)
+        rebuilt = _rebuilt(half)
         assert whole.baseline is not None and whole.enc_vel is not None
-        assert first + second == whole_metrics
-        _assert_bit_equal(_state_values(split), _state_values(whole))
+        assert (start.epoch, half.epoch, whole.epoch) == (0, 2, 4)
+        for resumed in (half, rebuilt):
+            split, second = run(resumed, 2)
+            assert first + second == whole_metrics
+            _assert_bit_equal(_state_values(split), _state_values(whole))
 
     def test_batch_draws_consume_one_stream_in_order(self, monkeypatch):
         # each batch draws its uniforms at once; read in call order, batch
-        # by batch and step by step, they are one draw from the epoch's
-        # "draws" stream, the last batch partial (12 samples = 5 + 5 + 2)
+        # by batch and step by step, they are one draw from the "draws"
+        # substream of the epoch's stream, substream("train", 0) of the
+        # seed, the last batch partial (12 samples = 5 + 5 + 2)
         data = _toy_dataset(n_train=12)
         state = TrainState(*_toy_models(data))
         seen = []
@@ -488,12 +502,13 @@ class TestEpochLoop:
             return real(uniforms, eps)
 
         monkeypatch.setattr(training, "spike_thresholds", spy)
-        rng = SeededRng(0).substream("t", 0)
-        train_epoch(state, data, RunConfig(batch_size=5, epsilon=0.1), rng, {})
+        cfg = RunConfig(batch_size=5, epsilon=0.1)
+        train_epoch(state, data, cfg)
         steps, k = data.train_counts.shape[1], state.encoder.n_out
         # the training batches' draws; the last call is evaluation's
         assert [u.shape for u in seen[:-1]] == [(steps, 5, k)] * 2 + [(steps, 2, k)]
-        expected = rng.substream("draws").uniform((12 * steps * k,))
+        epoch = SeededRng(cfg.seed).substream("train", 0)
+        expected = epoch.substream("draws").generator.random(12 * steps * k)
         np.testing.assert_array_equal(np.concatenate([u.ravel() for u in seen[:-1]]), expected)
 
     def test_epoch_memory_bounded_by_batch_buffers(self):
@@ -506,22 +521,20 @@ class TestEpochLoop:
         # batch copies and the kept evaluation draws; the split's float64
         # traces would be 64 batch copies
         n, steps, lines, batch = 1024, 20, 64, 16
-        counts = (SeededRng(1).uniform((n + 8, steps, lines)) < 0.2).astype(np.uint8)
+        counts = (SeededRng(1).generator.random((n + 8, steps, lines)) < 0.2).astype(np.uint8)
         labels = np.arange(n + 8) % 4
         root = SeededRng(0)
-        enc = init_encoder_params(lines, 4, root.substream("e"))
-        dec = init_decoder_params(4 * steps, 4, root.substream("d"), hidden_dim=8)
-        draws: dict = {}
+        enc = init_encoder_params(lines, 4, root.substream("e").generator)
+        dec = init_decoder_params(4 * steps, 4, root.substream("d").generator, hidden_dim=8)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             data = Dataset(counts[:n], labels[:n], counts[n:], labels[n:], n_classes=4)
-            train_epoch(TrainState(enc, dec), data, RunConfig(batch_size=batch, epsilon=0.1),
-                        SeededRng(0), draws)
+            train_epoch(TrainState(enc, dec), data, RunConfig(batch_size=batch, epsilon=0.1))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        kept = sum(u.nbytes for pair in draws.values() for u in pair)
+        kept = sum(u.nbytes for pair in data.draws.values() for u in pair)
         batch_copy = batch * steps * lines * 8
         assert peak - kept < 3 * batch_copy, f"peak {peak} bytes, {kept} kept"
 
@@ -534,14 +547,16 @@ class TestDataset:
     def test_codes_the_train_split(self):
         # both splits are kept as the arrays given, uint8 counts from the
         # events module: train_epoch and evaluate read them as they are,
-        # and replace() works as on any dataclass
+        # and replace() works as on any dataclass, with an empty draws cache
         counts, labels, test_counts, test_labels = _toy_counts()
         data = Dataset(counts, labels, test_counts, test_labels, n_classes=2)
         assert data.train_counts is counts and data.test_inputs is test_counts
         assert counts.dtype == np.uint8 and data.input_dim == counts.shape[2]
+        data.draws["kept"] = None
         other_counts, other_labels, _, _ = _toy_counts(seed=1)
         other = replace(data, train_counts=other_counts, train_labels=other_labels)
         assert other.train_counts is other_counts and other.test_inputs is test_counts
+        assert other.draws == {}
 
 
 class TestNonFiniteDrive:
@@ -560,7 +575,7 @@ class TestNonFiniteDrive:
         data, enc, dec = self._overflowing()
         cfg = RunConfig(batch_size=8, epsilon=0.1)
         with pytest.raises(TrainingDiverged, match="^non-finite feedforward drive$"):
-            train_epoch(TrainState(enc, dec), data, cfg, SeededRng(0), {})
+            train_epoch(TrainState(enc, dec), data, cfg)
 
     def test_evaluation_raises(self):
         data, enc, dec = self._overflowing()
@@ -667,7 +682,7 @@ class TestEvaluateGrid:
         assert exc.value.shape == (10, 6, 4) and exc.value.dtype == np.float64
 
     def test_training_run_draws_each_sample_once(self, monkeypatch):
-        # three epochs sharing one draws dict evaluate three times, but create
+        # three epochs on one Dataset evaluate three times, but create
         # each test sample's "eval" substream in the first epoch only
         data = _toy_dataset(n_test=10)
         enc, dec = _toy_models(data)
@@ -682,9 +697,9 @@ class TestEvaluateGrid:
 
         monkeypatch.setattr(SeededRng, "substreams", counting)
         monkeypatch.setattr(training, "EVAL_CHUNK", 4)
-        state, draws = TrainState(enc, dec), {}
+        state = TrainState(enc, dec)
         for epoch in range(3):
-            state, _ = train_epoch(state, data, cfg, SeededRng(0).substream("t", epoch), draws)
+            state, _ = train_epoch(state, data, cfg)
             if epoch == 0:
                 assert sorted(made) == list(range(10))
         assert sorted(made) == list(range(10))
@@ -708,7 +723,7 @@ class TestEvaluateGrid:
                  GRID, seed=3)
         assert calls == []
         run, _ = training_rollout(enc, data.test_inputs[:4],
-                                  spike_thresholds(SeededRng(4).uniform((6, 4, 4)), 0.1))
+                                  spike_thresholds(SeededRng(4).generator.random((6, 4, 4)), 0.1))
         assert calls == []
         assert run.spike_probs is run.spike_probs
         assert calls == [(4, 6, 4)]
@@ -729,12 +744,12 @@ class TestEvaluateGrid:
 
     def test_memory_bounded_by_chunk(self):
         n, steps, lines, k = 2048, 20, 64, 16
-        rng = SeededRng(1)
-        inputs = (rng.uniform((n, steps, lines)) < 0.2).astype(np.float64)
+        rng = SeededRng(1).generator
+        inputs = (rng.random((n, steps, lines)) < 0.2).astype(np.float64)
         labels = np.arange(n) % 4
         root = SeededRng(0)
-        enc = init_encoder_params(lines, k, root.substream("e"))
-        dec = init_decoder_params(k * steps, 4, root.substream("d"), hidden_dim=32)
+        enc = init_encoder_params(lines, k, root.substream("e").generator)
+        dec = init_decoder_params(k * steps, 4, root.substream("d").generator, hidden_dim=32)
         chunk_traces = training.EVAL_CHUNK * steps * lines * 8
         tracemalloc.start()
         try:
@@ -748,26 +763,25 @@ class TestEvaluateGrid:
 
     def test_epoch_memory_beyond_its_draws_bounded_by_chunk(self):
         # an epoch keeps the test set's spike thresholds and flip uniforms
-        # in the run's draws and nothing else of the test set's size: past them,
+        # in the Dataset's draws and nothing else of the test set's size: past them,
         # its evaluation stays chunk-bounded like a one-shot call
         n, steps, lines, k = 2048, 20, 64, 16
-        rng = SeededRng(1)
-        counts = (rng.uniform((n + 8, steps, lines)) < 0.2).astype(np.float64)
+        rng = SeededRng(1).generator
+        counts = (rng.random((n + 8, steps, lines)) < 0.2).astype(np.float64)
         labels = np.arange(n + 8) % 4
         root = SeededRng(0)
-        enc = init_encoder_params(lines, k, root.substream("e"))
-        dec = init_decoder_params(k * steps, 4, root.substream("d"), hidden_dim=32)
+        enc = init_encoder_params(lines, k, root.substream("e").generator)
+        dec = init_decoder_params(k * steps, 4, root.substream("d").generator, hidden_dim=32)
         data = Dataset(counts[:8], labels[:8], counts[8:], labels[8:], n_classes=4)
         cfg = RunConfig(batch_size=8, epsilon=0.1)
         chunk_traces = training.EVAL_CHUNK * steps * lines * 8
-        draws: dict = {}
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            train_epoch(TrainState(enc, dec), data, cfg, SeededRng(0), draws)
+            train_epoch(TrainState(enc, dec), data, cfg)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        kept = sum(u.nbytes for pair in draws.values() for u in pair)
+        kept = sum(u.nbytes for pair in data.draws.values() for u in pair)
         assert kept == 2 * n * steps * k * 8
         assert peak - kept < 6 * chunk_traces, f"peak {peak} bytes, {kept} kept"
