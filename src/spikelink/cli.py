@@ -37,7 +37,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, build_run_config, parse_config_file
 from .decoder import init_decoder_params
-from .encoder import init_encoder_params
+from .encoder import ActiveCounts, init_encoder_params
 from .events import load_frames, synthetic_frames
 from .metrics import MetricsRow, _atomic_open, export_metrics, read_metrics, write_metrics
 from .numerics import SeededRng, db_to_linear, ebn0_to_epsilon
@@ -70,17 +70,23 @@ def _flat(frames: np.ndarray) -> np.ndarray:
     return frames.reshape(*frames.shape[:2], -1)
 
 
+def _indexed(cfg: RunConfig, tag: str):
+    """The split's (h, w) geometry, the index of its counts (records, T,
+    lines) and its labels.  The split's frames are freed once indexed."""
+    frames, labels = _split_inputs(cfg, tag)
+    return frames.shape[3:], ActiveCounts.of(_flat(frames)), labels
+
+
 def _build_dataset(cfg: RunConfig) -> Dataset:
     """Both splits' counts, as one Dataset for every run of a command."""
-    train_x, train_y = _split_inputs(cfg, "train")
-    test_x, test_y = _split_inputs(cfg, "test")
-    if train_x.shape[3:] != test_x.shape[3:]:
-        (train_h, train_w), (test_h, test_w) = train_x.shape[3:], test_x.shape[3:]
+    train_geometry, train_x, train_y = _indexed(cfg, "train")
+    test_geometry, test_x, test_y = _indexed(cfg, "test")
+    if train_geometry != test_geometry:
+        (train_h, train_w), (test_h, test_w) = train_geometry, test_geometry
         raise ConfigError(
             f"train events have sensor geometry w={train_w} h={train_h} "
             f"but test events have w={test_w} h={test_h}"
         )
-    train_x, test_x = _flat(train_x), _flat(test_x)
     if cfg.dataset == "synthetic":
         n_classes = cfg.classes
     else:
@@ -158,6 +164,9 @@ def _parse_grid(args, mapping: str, epsilon_grid=(), ebn0_grid_db=()):
     for eps in epsilon_grid:
         if not 0.0 <= eps <= 0.5:
             raise ConfigError(f"grid epsilon {eps} outside [0, 0.5]")
+    for i, db in enumerate(ebn0_grid_db):
+        if math.isnan(db):
+            raise ConfigError(f"--ebn0-grid-db point {i}: Eb/N0 must be a number of dB, got {db}")
     return [(eps, None) for eps in epsilon_grid] + [
         (ebn0_to_epsilon(db_to_linear(db), form=mapping), db) for db in ebn0_grid_db
     ]
@@ -230,9 +239,13 @@ def cmd_train(cfg: RunConfig, args, rows: list[MetricsRow]) -> None:
     cfg.training_crossover()
     data = _build_dataset(cfg)
     out = _out_dir(cfg)
+    meta = _checkpoint_meta(cfg, data)
     encoder, decoder = _train_run(cfg, data, "train", 0, rows)
+    # nothing evaluates after the last epoch: free the splits' indexes and
+    # the evaluation draws before the writes make their temporaries
+    del data
     write_metrics(out / "metrics.csv", rows)
-    save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
+    save_checkpoint(out / "checkpoint.txt", encoder, decoder, meta)
     if rows:
         print(f"final test error {rows[-1].error_rate:.4f}, "
               f"spike rate {rows[-1].spike_rate:.4f}")
@@ -273,8 +286,7 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, rows: list[MetricsRo
     a checkpoint nothing trains, so only the test split is built."""
     if checkpoint:
         encoder, decoder, _ = load_checkpoint(checkpoint)
-        test_x, test_y = _split_inputs(cfg, "test")
-        test_x = _flat(test_x)
+        _, test_x, test_y = _indexed(cfg, "test")
         _check_checkpoint(cfg, encoder, decoder, test_x, test_y)
         out = _out_dir(cfg)
     else:

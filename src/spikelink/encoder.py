@@ -3,15 +3,19 @@
 Each of the k read-out neurons integrates filtered input spikes through its
 feedforward weights, its own past spikes through a self-feedback weight, and
 a bias.  Spiking is Bernoulli in the sigmoid of that membrane potential.
-The filtered inputs reach the potential only as the feedforward drive
-W·(a∗x), and the filter is linear, so training and evaluation make it in
-neuron space, a∗(W·x): each step's counts are projected to the k neurons
-and those k columns are filtered (`drive_from_counts`).  No input trace is
-made.  The same linearity gives the feedforward weights' gradient:
+The encoder reads its input counts (records, steps, lines) only through
+their active entries: `ActiveCounts` indexes a split's nonzero counts once,
+each entry's line and, where some count is not 1, its value, row by
+record-step row.  The filtered inputs reach the potential only as the
+feedforward drive W·(a∗x), and the filter is linear, so training and
+evaluation make it in neuron space, a∗(W·x): each row's active weight
+columns are gathered and summed, and those k columns are filtered
+(`drive_from_counts`).  No input trace is made, and no inactive line is
+read.  The same linearity gives the feedforward weights' gradient:
 Σ_t g_t ⊗ (a∗x)_t equals Σ_t (a⋆g)_t ⊗ x_t, the score filtered backward in
-time and then one matmul with the counts (`score_grads`).  Both filters are
-one matrix product with the kernel's cached Toeplitz matrix
-(`Kernel.matrix`), the adjoint with its transpose.
+time and then added into the active lines of each row (`score_grads`).
+Both filters are one matrix product with the kernel's cached Toeplitz
+matrix (`Kernel.matrix`), the adjoint with its transpose.
 `rollout` runs the recurrence on a drive, one step at a time, for a whole
 batch of sequences; it reads each feedback trace from a table of partial
 sums of the taps, indexed by the neuron's past 0/1 bits, sets each bit by
@@ -33,6 +37,7 @@ from .channel import noisy_spike_prob
 from .numerics import FlatParams, Kernel, exponential_kernel, sigmoid
 
 __all__ = [
+    "ActiveCounts",
     "EncoderParams",
     "init_encoder_params",
     "filter_inputs",
@@ -41,6 +46,99 @@ __all__ = [
     "grad_u_log_prob_noisy",
     "score_grads",
 ]
+
+
+# counts scanned per block when an array is indexed (ActiveCounts.of)
+INDEX_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class ActiveCounts:
+    """The nonzero entries of input counts of shape (records, steps, lines).
+
+    Row r = record * steps + step holds entries offsets[r]:offsets[r + 1],
+    in line order: each entry's line (int32) and, only when some count is
+    not 1, its value (float64; None means every value is 1, as in every
+    binned split).  So a split of 0/1 counts takes 4 bytes a nonzero count
+    and 8 a row.  Dense counts enter only through ActiveCounts.of; an
+    index's records are read as an array's are: len, index[start:stop] (a
+    view of the entries) and index[records] for an integer array (a copy).
+    """
+
+    shape: tuple[int, int, int]
+    lines: np.ndarray
+    offsets: np.ndarray
+    values: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, counts) -> ActiveCounts:
+        """counts as an index: an ActiveCounts as it is, or a real array
+        (records, steps, lines) indexed in one pass, INDEX_BLOCK counts at a
+        time, so the pass adds little beyond the index itself.  A block of
+        one-byte counts that are all 0 or 1 is scanned as booleans."""
+        if isinstance(counts, cls):
+            return counts
+        counts = np.asarray(counts)
+        if counts.ndim != 3 or counts.dtype.kind not in "buif":
+            raise ValueError(
+                f"counts must be a real array of shape (records, steps, lines), got {counts.shape}")
+        n, steps, width = counts.shape
+        rows = counts.reshape(n * steps, width)
+        total = np.count_nonzero(counts)
+        lines = np.empty(total, dtype=np.int32)
+        offsets = np.zeros(n * steps + 1, dtype=np.intp)
+        values = None
+        one_byte = counts.dtype.itemsize == 1 and counts.dtype.kind in "bu"
+        per_block = max(INDEX_BLOCK // max(width, 1), 1)
+        done = 0
+        for first in range(0, n * steps, per_block):
+            part = rows[first : first + per_block]
+            if one_byte and part.max(initial=0) <= 1:
+                flat = np.flatnonzero(part.view(np.bool_))
+            else:
+                flat = np.flatnonzero(part)
+                found = part.ravel()[flat]
+                if values is None and (found != 1).any():
+                    values = np.ones(total)  # the entries before this block are all 1
+                if values is not None:
+                    values[done : done + flat.size] = found
+            ends = offsets[first + 1 : first + 1 + len(part)]
+            ends[:] = np.searchsorted(flat, np.arange(1, len(part) + 1) * width)
+            ends += done
+            np.remainder(flat, width, out=flat)
+            lines[done : done + flat.size] = flat
+            done += flat.size
+        return cls((n, steps, width), lines, offsets, values)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, records) -> ActiveCounts:
+        n, steps, width = self.shape
+        if isinstance(records, slice):
+            start, stop, stride = records.indices(n)
+            if stride != 1:
+                raise ValueError("an index slices its records with step 1")
+            count = max(stop - start, 0)
+            rows = self.offsets[start * steps : (start + count) * steps + 1]
+            entries = slice(rows[0], rows[-1])
+            return ActiveCounts((count, steps, width), self.lines[entries], rows - rows[0],
+                                None if self.values is None else self.values[entries])
+        records = np.asarray(records, dtype=np.intp).reshape(-1)
+        if ((records < -n) | (records >= n)).any():
+            raise IndexError(f"record index out of range for {n} records")
+        records = np.where(records < 0, records + n, records)
+        rows = (records[:, None] * steps + np.arange(steps)).ravel()
+        offsets = np.zeros(rows.size + 1, dtype=np.intp)
+        np.cumsum(self.offsets[rows + 1] - self.offsets[rows], out=offsets[1:])
+        spans = [slice(first, last) for first, last in zip(
+            self.offsets[records * steps].tolist(), self.offsets[(records + 1) * steps].tolist())]
+
+        def gather(entries: np.ndarray) -> np.ndarray:
+            return np.concatenate([entries[:0], *(entries[span] for span in spans)])
+
+        return ActiveCounts((records.size, steps, width), gather(self.lines), offsets,
+                            None if self.values is None else gather(self.values))
 
 
 @dataclass
@@ -160,41 +258,55 @@ def _filter(kernel: Kernel, x: np.ndarray, transpose: bool = False) -> np.ndarra
     return out
 
 
-def _check_inputs(params: EncoderParams, inputs: np.ndarray, what: str) -> None:
-    if inputs.ndim != 3 or inputs.shape[2] != params.n_in:
-        raise ValueError(
-            f"{what} must have shape (n, steps, {params.n_in}), got {inputs.shape}"
-        )
-
-
-def _project(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """x[:, t, :] @ ff_weights.T for each step t of x (n, steps, lines), of
-    any real dtype, into a step-major (steps, n, k) array: one matmul per
-    step, as one over all n * steps rows rounds differently at small n.
-    """
-    n, steps, _ = x.shape
-    out = np.empty((steps, n, params.n_out))
-    for t in range(steps):
-        np.matmul(x[:, t, :], params.ff_weights.T, out=out[t])
-    return out
+# a projection gathers at most this many weights at a time, k an entry
+# (512 KB of float64), so its temporaries stay small however many records
+# a chunk holds
+GATHER_BLOCK = 1 << 16
 
 
 def drive_from_counts(params: EncoderParams, counts) -> np.ndarray:
-    """Feedforward drive of input counts (n, steps, lines), as (n, steps, k),
-    filtered in neuron space: a∗(W·x), which is W·(a∗x) up to float rounding.
+    """Feedforward drive of input counts (n, steps, lines), an ActiveCounts
+    or an array that ActiveCounts.of indexes, as (n, steps, k), filtered in
+    neuron space: a∗(W·x), which is W·(a∗x) up to float rounding.
 
-    Each step's counts are projected to the k neurons (_project); then
-    filter_inputs filters the n * k projected columns, time-major as a
-    (1, steps, n * k) array, in one matrix product.  No float64 array of
-    the counts' size is made.
+    Each record-step row is projected to the k neurons from its active
+    entries alone: their weight columns, gathered in line order (times
+    their values, if any count is not 1), summed by one np.add.reduceat;
+    a row with no active entry projects to +0.0.  Rows are gathered
+    GATHER_BLOCK weights at a time.  Then filter_inputs filters the n * k
+    projected columns, time-major as a (1, steps, n * k) array, in one
+    matrix product.  So a record's drive does not depend on the other
+    records of its batch or chunk, and no array of the counts' size is made.
     """
-    counts = np.asarray(counts)
-    if counts.dtype.kind not in "buif":
-        raise ValueError("drive_from_counts needs a real array of counts")
-    _check_inputs(params, counts, "counts")
-    n, steps, _ = counts.shape
+    counts = ActiveCounts.of(counts)
+    n, steps, width = counts.shape
+    if width != params.n_in:
+        raise ValueError(f"counts must have shape (n, steps, {params.n_in}), got {counts.shape}")
     k = params.n_out
-    drive = filter_inputs(_project(params, counts).reshape(1, steps, n * k), params.kernel_ff)
+    rows = n * steps
+    offsets = counts.offsets
+    projected = np.empty((k, rows))
+    per_block = max(GATHER_BLOCK // k, 1)
+    first = 0
+    while first < rows:
+        # the rows whose entries fit one block; a row past it goes alone
+        last = int(np.searchsorted(offsets, offsets[first] + per_block, side="right")) - 1
+        last = min(max(last, first + 1), rows)
+        lo, hi = offsets[first], offsets[last]
+        if hi > lo:
+            gathered = params.ff_weights.take(counts.lines[lo:hi], axis=1)
+            if counts.values is not None:
+                gathered *= counts.values[lo:hi]
+            # the rows after the block's last entry are empty, zeroed below
+            starts = offsets[first:last] - lo
+            filled = int(np.searchsorted(starts, hi - lo))
+            np.add.reduceat(gathered, starts[:filled], axis=1,
+                            out=projected[:, first : first + filled])
+        first = last
+    # reduceat reads an empty row as the next row's first entry
+    projected[:, offsets[1:] == offsets[:-1]] = 0.0
+    columns = projected.reshape(k, n, steps).transpose(2, 1, 0).reshape(1, steps, n * k)
+    drive = filter_inputs(columns, params.kernel_ff)
     return drive.reshape(steps, n, k).transpose(1, 0, 2)
 
 
@@ -288,7 +400,7 @@ def grad_u_log_prob_noisy(zhat, s, epsilon: float):
     return (1.0 - 2.0 * eps) * s * (1.0 - s) * (zhat / q - (1.0 - zhat) / (1.0 - q))
 
 
-def score_grads(run: Rollout, counts: np.ndarray, kernel: Kernel, epsilon: float,
+def score_grads(run: Rollout, counts, kernel: Kernel, epsilon: float,
                 weights: np.ndarray) -> np.ndarray:
     """Parameter gradient of sum_b weights[b] * log p(run.bits[b]), as one
     vector of EncoderParams' layout (EncoderParams.split names its parts).
@@ -297,18 +409,30 @@ def score_grads(run: Rollout, counts: np.ndarray, kernel: Kernel, epsilon: float
     sequence's log-likelihood is a sum of per-step terms.  A step's term
     depends on the parameters only through u, whose parameter gradients
     are the traces that built it: the input traces, the counts (n, steps,
-    lines) the run's drive was made from filtered by kernel, for the
-    feedforward row; the feedback trace for the feedback weight; and 1 for
-    the bias.  The filter is linear, so the feedforward row is made without
-    the input traces: the weighted score filtered backward in time (the
-    adjoint filter, the transposed filter matrix times it), then one matmul
-    with the counts, read in the dtype they come in.
+    lines) the run's drive was made from (an ActiveCounts, or an array
+    that ActiveCounts.of indexes) filtered by kernel, for the feedforward
+    row; the feedback trace for the feedback weight; and 1 for the bias.
+    The filter is linear, so the feedforward row is made without the input
+    traces: the weighted score filtered backward in time (the adjoint
+    filter, the transposed filter matrix times it), then each row's
+    adjoint score, times the entry's value if any count is not 1, added
+    into each of the row's active lines, entry by entry (one np.bincount a
+    neuron).
     """
+    counts = ActiveCounts.of(counts)
     score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, epsilon)
     n, steps, k = score_u.shape
+    if counts.shape[:2] != (n, steps):
+        raise ValueError(
+            f"counts of shape {counts.shape} do not match a run of shape {score_u.shape}")
     adjoint = _filter(kernel, weights[:, None, None] * score_u, transpose=True)
+    entry_rows = np.repeat(np.arange(n * steps), np.diff(counts.offsets))
+    per_entry = adjoint.reshape(n * steps, k).T.take(entry_rows, axis=1)
+    if counts.values is not None:
+        per_entry *= counts.values
+    lines = counts.lines.astype(np.intp)
     return np.concatenate([
-        (adjoint.reshape(n * steps, k).T @ counts.reshape(n * steps, -1)).ravel(),
+        *(np.bincount(lines, weights=w, minlength=counts.shape[2]) for w in per_entry),
         np.einsum("b,btk,btk->k", weights, score_u, run.fb_traces),
         np.einsum("b,btk->k", weights, score_u),
     ])

@@ -4,8 +4,9 @@ An event is (timestamp in microseconds, x, y, polarity).  A record keeps
 its events as integer columns in one structured array of EVENT_DTYPE, so
 generation, validation, parsing and binning are array operations.  Records
 are accumulated into a fixed number of uniform time bins per polarity and
-binarized into uint8 counts, which is the only preprocessing the encoder
-sees before its input filter.  synthetic_frames and load_frames bin a whole
+binarized into uint8 counts, whose nonzero entries the CLI then indexes
+once (encoder.ActiveCounts): the only preprocessing the encoder sees
+before its input filter.  synthetic_frames and load_frames bin a whole
 split as each record is drawn or parsed, into frames allocated first, so no
 list of records is ever held; frames too large to allocate raise NumPy's
 own MemoryError, which carries their shape and dtype.  The bar task reads

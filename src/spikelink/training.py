@@ -5,9 +5,12 @@ times a rate term: the log-ratio between the channel-marginalized encoding
 law and a fixed Bernoulli reference over the received bits.  The decoder is
 updated with exact gradients; the encoder with the score-function estimator
 (one Monte Carlo draw per input), built from the input counts and the
-traces the rollout keeps.  Both splits stay uint8 counts, and training and
-evaluation make each batch's feedforward drive from them the one way
-(encoder.drive_from_counts), so no float64 input trace is ever made.
+traces the rollout keeps.  The Dataset holds each split's counts as an
+index of their nonzero entries (encoder.ActiveCounts), built once:
+train_epoch gathers a batch's records from it and evaluate slices a
+chunk's, and both make the feedforward drive the one way
+(encoder.drive_from_counts), reading only the active counts, so no float64
+input trace, and no dense copy of the counts, is ever made.
 train_epoch reads its settings by name from the run's RunConfig, which
 checked them when it was built.  An array too large to allocate (a
 batch's drive or rollout, a test chunk's draws, drive or rollout) leaves
@@ -45,6 +48,7 @@ from .decoder import (
     losses_from_logits_batch,
 )
 from .encoder import (
+    ActiveCounts,
     EncoderParams,
     drive_from_counts,
     rollout,
@@ -52,7 +56,8 @@ from .encoder import (
 )
 from .numerics import SeededRng
 
-# test samples per evaluation chunk: bounds evaluation memory, not results
+# test samples per evaluation chunk: bounds evaluation memory; a sample's
+# drive and bits do not depend on it
 EVAL_CHUNK = 128
 
 __all__ = [
@@ -73,11 +78,12 @@ class TrainingDiverged(RuntimeError):
     being finite."""
 
 
-def _drive(encoder: EncoderParams, counts: np.ndarray) -> np.ndarray:
+def _drive(encoder: EncoderParams, counts: ActiveCounts) -> np.ndarray:
     """encoder.drive_from_counts of counts, refused with TrainingDiverged if
-    any value is not finite: weights large enough to overflow the projection
-    spread nan through the filter's product (encoder.filter_inputs), and
-    that refusal stands in for NumPy's overflow warnings."""
+    any value is not finite: weights large enough to overflow a row's sum of
+    its active weights spread nan through the filter's product
+    (encoder.filter_inputs), and that refusal stands in for NumPy's
+    overflow warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
         drive = drive_from_counts(encoder, counts)
     if not np.isfinite(drive).all():
@@ -105,23 +111,23 @@ class PriorModel:
 
 @dataclass
 class Dataset:
-    """Encoder inputs split into train and test: frame counts (samples,
-    steps, lines), kept in the dtype they come in (uint8 from the events
-    module), which train_epoch and evaluate read.  draws caches the test
-    split's evaluation draws (evaluate); dataclasses.replace starts afresh."""
+    """Encoder inputs split into train and test: each split's counts
+    (samples, steps, lines), given as an ActiveCounts or as an array, held
+    as an index of their nonzero entries (encoder.ActiveCounts.of, built
+    here once, an index kept as it is), which train_epoch gathers per
+    batch and evaluate slices per chunk.  draws caches the test split's
+    evaluation draws (evaluate); dataclasses.replace starts afresh."""
 
-    train_counts: np.ndarray
+    train_counts: ActiveCounts
     train_labels: np.ndarray
-    test_inputs: np.ndarray
+    test_inputs: ActiveCounts
     test_labels: np.ndarray
     n_classes: int
     draws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.train_counts = np.asarray(self.train_counts)
-        self.test_inputs = np.asarray(self.test_inputs)
-        if self.train_counts.ndim != 3 or self.test_inputs.ndim != 3:
-            raise ValueError("inputs must be (samples, steps, lines)")
+        self.train_counts = ActiveCounts.of(self.train_counts)
+        self.test_inputs = ActiveCounts.of(self.test_inputs)
         if len(self.train_labels) != len(self.train_counts):
             raise ValueError("train labels do not match inputs")
         if len(self.test_labels) != len(self.test_inputs):
@@ -227,8 +233,9 @@ def train_epoch(state: TrainState, data: Dataset,
     TrainState(encoder, decoder) at a run's first epoch, is copied once and
     never changed, so an epoch cut short leaves it as the last finished
     epoch returned it.  The test samples' evaluation uniforms are made into
-    data.draws once and read back later (see evaluate).  Each batch's drive
-    is made from its train counts (encoder.drive_from_counts), as
+    data.draws once and read back later (see evaluate).  Each batch's
+    records are gathered from the train split's index, and its drive is
+    made from their active counts (encoder.drive_from_counts), as
     evaluation makes a chunk's; a drive with a non-finite value raises
     TrainingDiverged, in training and in the epoch's evaluation.  Of the
     config it reads the channel point, beta, eta, batch_size, seed,
@@ -306,7 +313,7 @@ def _eval_uniforms(root: SeededRng, start: int, m: int, steps: int, k: int):
 def evaluate(
     encoder: EncoderParams,
     decoder: DecoderParams,
-    counts: np.ndarray,
+    counts,
     labels: np.ndarray,
     epsilons,
     seed: int,
@@ -314,14 +321,15 @@ def evaluate(
 ) -> list[tuple[float, float]]:
     """(test error, clean spike rate) at each channel point of epsilons, in
     order (one point is a grid of one), under the two-stage channel path,
-    from the test inputs' counts (n, steps, lines).
+    from the test inputs' counts (n, steps, lines): an ActiveCounts, or an
+    array that ActiveCounts.of indexes.
 
-    Each chunk's feedforward drive is made from its counts in neuron space
-    (encoder.drive_from_counts), as training makes a batch's; its rounding
-    against the line-space drive W·(a∗x) moves the integer tallies only if
-    a spike uniform falls within it of its spike probability.  A chunk
-    whose drive holds a non-finite value (weights that overflow the
-    projection) raises TrainingDiverged: no row is read from it.
+    Each chunk's feedforward drive is made from its active counts in neuron
+    space (encoder.drive_from_counts), as training makes a batch's; its
+    rounding against the line-space drive W·(a∗x) moves the integer tallies
+    only if a spike uniform falls within it of its spike probability.  A
+    chunk whose drive holds a non-finite value (weights that overflow a
+    row's projection) raises TrainingDiverged: no row is read from it.
 
     Per-sample draw streams depend only on (seed, sample index), never on
     epsilon or the parameters, so repeated evaluations of one model across
@@ -333,16 +341,19 @@ def evaluate(
 
     Clean spikes do not depend on epsilon, so each chunk of EVAL_CHUNK
     samples is rolled out once, and only the flips and the decoder run per
-    point.  Memory is bounded by the chunk, not the test set.  The chunk
-    size moves a drive by float rounding only (a matmul's rounding may
-    depend on its row count), under the same tally contract.
+    point.  Past the counts' index (built here once if the counts come as
+    an array), memory is bounded by the chunk, not the test set.  A sample's
+    drive, and so its clean bits, are bitwise the same at any chunk size;
+    the chunk size can move only the decoder's logits, by float rounding
+    (a matmul's rounding may depend on its row count).
 
     A caller that evaluates the test set again (every epoch, every run of
     a command) passes a dict as draws: each chunk's spike thresholds and
     flip uniforms are made into it once, keyed by seed, chunk and shape, so
     it holds the whole test set's, where a call without it holds one chunk's.
     """
-    n, steps, _ = np.shape(counts)
+    counts = ActiveCounts.of(counts)
+    n, steps, _ = counts.shape
     if n == 0:
         raise ValueError("cannot evaluate an empty test set")
     labels = np.asarray(labels)

@@ -6,11 +6,14 @@ allocate.
 Nothing in the package calls these: each oracle recomputes a quantity the
 package produces by a separate, plainer route.  `training_rollout` (and
 `replay`, which feeds given bits back through it) is the one place the
-tests compose the training path, drive_from_counts then rollout, so the
-enumeration and finite-difference oracles check the drive train_epoch
-makes.  `ff_score_line_space` is the feedforward row of the score made in
-line space, from the input traces, that score_grads' adjoint filter and
-matmul are pinned to.  `sample_noisy` is the channel-marginalized
+tests compose the training path, the counts' index (ActiveCounts.of),
+drive_from_counts then rollout, so the enumeration and finite-difference
+oracles check the drive train_epoch makes.  `dense_counts` rebuilds the
+counts an index holds.  `drive_line_space` and `ff_score_line_space` are
+the drive and the feedforward row of the score made in line space, one
+record at a time, from each record's dense counts and input traces: the
+references the event-driven drive and score_grads' adjoint filter and
+scatter-add are pinned to.  `sample_noisy` is the channel-marginalized
 law's plain sampler, U < q, that channel.spike_thresholds' decisions are
 pinned against.  `tap_loop_filter` is the causal filter as a loop over
 steps and taps, and `two_branch_sigmoid` the logistic function in its
@@ -36,7 +39,13 @@ import numpy as np
 
 from spikelink.channel import log_prob_noisy, noisy_spike_prob
 from spikelink.decoder import forward_batch, losses_from_logits_batch
-from spikelink.encoder import drive_from_counts, filter_inputs, grad_u_log_prob_noisy, rollout
+from spikelink.encoder import (
+    ActiveCounts,
+    drive_from_counts,
+    filter_inputs,
+    grad_u_log_prob_noisy,
+    rollout,
+)
 from spikelink.events import EVENT_DTYPE, EventRecord
 from spikelink.metrics import CSV_HEADER, MetricsRow
 from spikelink.numerics import Kernel, SeededRng, fold_stream_id, sigmoid
@@ -106,22 +115,48 @@ def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def training_rollout(params, inputs, thresholds):
-    """The training path on input counts of shape (n, steps, lines): the
-    drive train_epoch makes from them (drive_from_counts), then the
-    recurrence, whose step-t bits are 1 where the potentials exceed
-    thresholds[t] of a (steps, n, k) array.  Returns the run and the
-    inputs, which score_grads reads."""
-    inputs = np.asarray(inputs)
-    return rollout(params, drive_from_counts(params, inputs), thresholds), inputs
+    """The training path on input counts of shape (n, steps, lines): their
+    index, as the Dataset holds it (ActiveCounts.of), the drive train_epoch
+    makes from it (drive_from_counts), then the recurrence, whose step-t
+    bits are 1 where the potentials exceed thresholds[t] of a (steps, n, k)
+    array.  Returns the run and the index, which score_grads reads."""
+    index = ActiveCounts.of(inputs)
+    return rollout(params, drive_from_counts(params, index), thresholds), index
+
+
+def dense_counts(counts) -> np.ndarray:
+    """The float64 counts (n, steps, lines) an ActiveCounts holds, each
+    entry written at its row and line; an array comes back as float64."""
+    if not isinstance(counts, ActiveCounts):
+        return np.asarray(counts, dtype=np.float64)
+    n, steps, width = counts.shape
+    dense = np.zeros((n * steps, width))
+    rows = np.repeat(np.arange(n * steps), np.diff(counts.offsets))
+    dense[rows, counts.lines] = 1.0 if counts.values is None else counts.values
+    return dense.reshape(counts.shape)
+
+
+def drive_line_space(params, counts) -> np.ndarray:
+    """The feedforward drive W·(a∗x), (n, steps, k), one record at a time:
+    the record's dense counts filtered into input traces (filter_inputs),
+    times the transposed weights."""
+    dense = dense_counts(counts)
+    return np.stack([filter_inputs(dense[b : b + 1], params.kernel_ff)[0] @ params.ff_weights.T
+                     for b in range(len(dense))])
 
 
 def ff_score_line_space(run, counts, kernel, epsilon: float, weights) -> np.ndarray:
     """The feedforward row of score_grads, (k, lines), contracted in line
-    space: the counts' input traces (filter_inputs), then
-    sum_b sum_t weights[b] * score[b, t] ⊗ traces[b, t] in one einsum."""
+    space, one record at a time: the record's dense counts filtered into
+    input traces (filter_inputs), then weights[b] * score[b] contracted
+    with them over the steps, added up record by record."""
     score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, epsilon)
-    traces = filter_inputs(counts, kernel)
-    return np.einsum("btk,btn->kn", weights[:, None, None] * score_u, traces)
+    dense = dense_counts(counts)
+    total = np.zeros((score_u.shape[2], dense.shape[2]))
+    for b in range(len(dense)):
+        traces = filter_inputs(dense[b : b + 1], kernel)[0]
+        total += weights[b] * score_u[b].T @ traces
+    return total
 
 
 def replay(params, inputs, bits):
@@ -246,7 +281,8 @@ def evaluate_line_space(encoder, decoder, counts, labels, epsilons, seed: int):
     training.evaluate documents them, one sample and one step at a
     time in line space.
 
-    Each sample's counts become input traces (filter_inputs), and step t's
+    Each sample's dense counts (dense_counts: the test split's index or an
+    array) become input traces (filter_inputs), and step t's
     potential is traces[t] @ ff_weights.T, W·(a∗x), plus the feedback
     weight times the filtered own-bit history and the bias.  Each sample
     draws from its own stream ("eval", index) of the seed: spike uniforms
@@ -254,7 +290,7 @@ def evaluate_line_space(encoder, decoder, counts, labels, epsilons, seed: int):
     spike uniform is below sigmoid(u), and a bit flips where its flip
     uniform is below epsilon.
     """
-    counts = np.asarray(counts)
+    counts = dense_counts(counts)
     n, steps, _ = counts.shape
     k = encoder.n_out
     taps = encoder.kernel_fb.coefficients

@@ -6,6 +6,7 @@ import re
 import signal
 import stat
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,7 +22,7 @@ from spikelink import training
 from spikelink.checkpoint import load_checkpoint, save_checkpoint
 from spikelink.cli import DEFAULT_MISMATCH_GRID, main
 from spikelink.config import ConfigError, RunConfig, build_run_config, parse_config_file
-from spikelink.encoder import filter_inputs
+from spikelink.encoder import ActiveCounts, filter_inputs
 from spikelink.events import _draw_cells, class_rate_map, synthetic_frames
 from spikelink.numerics import SeededRng, exponential_kernel
 from spikelink.training import TrainingDiverged, evaluate
@@ -410,6 +411,31 @@ class TestCliTrain:
         assert read_metrics(out / "metrics.csv") == []
         load_checkpoint(out / "checkpoint.txt")
         assert "no epochs" in capsys.readouterr().out
+
+    def test_dataset_is_released_before_the_writes(self, tiny_config, tmp_path, monkeypatch):
+        # nothing evaluates after the last epoch, so the command's Dataset
+        # (its splits' indexes and evaluation draws) is gone before
+        # metrics.csv and checkpoint.txt make their temporaries
+        built, alive = [], []
+        real_build = cli._build_dataset
+
+        def build(cfg):
+            data = real_build(cfg)
+            built.append(weakref.ref(data))
+            return data
+
+        def spy(real):
+            def write(*args):
+                alive.append(built[0]() is not None)
+                return real(*args)
+            return write
+
+        monkeypatch.setattr(cli, "_build_dataset", build)
+        monkeypatch.setattr(cli, "write_metrics", spy(cli.write_metrics))
+        monkeypatch.setattr(cli, "save_checkpoint", spy(cli.save_checkpoint))
+        assert _main("train", "--config", str(tiny_config), "--out", str(tmp_path / "t")) == 0
+        assert alive == [False, False]
+        assert load_checkpoint(tmp_path / "t" / "checkpoint.txt")[2]["input_dim"] == "128"
 
     @staticmethod
     def _blowing_up(tiny_config, tmp_path) -> Path:
@@ -886,11 +912,11 @@ class TestCliSweeps:
 
     def test_training_run_never_holds_the_test_split_traces(self, tmp_path, monkeypatch):
         # the same 2048 test records under two epochs of training: the
-        # test split stays uint8 counts, and no filter call sees more than
-        # one chunk's projected drive, (1, T, records * k); a training
-        # batch filters its projected drive, k columns a record, never the
-        # input lines (its score's adjoint is the transposed product, no
-        # filter_inputs call)
+        # test split is held as the index of its counts, and no filter call
+        # sees more than one chunk's projected drive, (1, T, records * k);
+        # a training batch filters its projected drive, k columns a record,
+        # never the input lines (its score's adjoint is the transposed
+        # product, no filter_inputs call)
         config = tmp_path / "large.cfg"
         config.write_text("classes = 4\nheight = 4\nwidth = 8\ntrain_per_class = 2\n"
                           "test_per_class = 512\nk = 4\nT = 20\nhidden = 8\nepochs = 2\n"
@@ -902,11 +928,11 @@ class TestCliSweeps:
             return filter_inputs(inputs, kernel)
 
         monkeypatch.setattr("spikelink.encoder.filter_inputs", spy)
-        test_dtypes = []
+        test_types = []
         real_epoch = cli.train_epoch
 
         def train_epoch(state, data, config):
-            test_dtypes.append(data.test_inputs.dtype)
+            test_types.append(type(data.test_inputs))
             return real_epoch(state, data, config)
 
         monkeypatch.setattr(cli, "train_epoch", train_epoch)
@@ -919,7 +945,7 @@ class TestCliSweeps:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert [dtype.name for dtype in test_dtypes] == ["uint8", "uint8"]
+        assert test_types == [ActiveCounts, ActiveCounts]
         # k = 4 columns a record: the one training batch of 8 records makes
         # a drive (1, T, 8 * k), then each test chunk a drive, in each epoch
         chunk_drive = training.EVAL_CHUNK * 20 * 4
@@ -1090,6 +1116,16 @@ class TestCliSweeps:
         assert code == 2
         assert message in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("verb", ["sweep-snr", "mismatch"])
+    def test_nan_db_grid_point_names_the_flag(self, tiny_config, tmp_path, capsys, verb):
+        out = tmp_path / "grid"
+        code = _main(verb, "--config", str(tiny_config), "--out", str(out),
+                     "--ebn0-grid-db", "0,nan")
+        assert code == 2
+        assert _refusal(capsys) == (
+            "error: --ebn0-grid-db point 1: Eb/N0 must be a number of dB, got nan")
+        assert not out.exists()
 
     @pytest.mark.parametrize("verb", ["sweep-snr", "mismatch"])
     def test_bad_grid_creates_no_output(self, tiny_config, tmp_path, capsys, verb):

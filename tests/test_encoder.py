@@ -20,10 +20,11 @@ from oracles import (
     training_rollout,
 )
 
-from spikelink import training
+from spikelink import encoder, training
 from spikelink.channel import log_prob_noisy, spike_thresholds
 from spikelink.config import RunConfig
 from spikelink.encoder import (
+    ActiveCounts,
     EncoderParams,
     drive_from_counts,
     filter_inputs,
@@ -96,6 +97,62 @@ class TestParams:
             init_encoder_params(3, 2, SeededRng(0).generator, init_rate=1.0)
 
 
+class TestActiveCounts:
+    """The index of a split's nonzero counts: what it holds, and its records
+    read back as an array's would be."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.float64, np.int64])
+    def test_holds_the_counts(self, dtype):
+        rng = np.random.default_rng(0)
+        counts = (rng.random((7, 5, 11)) < 0.3).astype(dtype)
+        counts[2] = 0  # a record with no active count
+        index = ActiveCounts.of(counts)
+        assert index.shape == counts.shape and len(index) == 7
+        assert index.lines.dtype == np.int32 and index.values is None
+        assert index.offsets.size == 7 * 5 + 1
+        assert np.array_equal(oracles.dense_counts(index), counts)
+        assert ActiveCounts.of(index) is index
+
+    def test_keeps_values_only_when_some_count_is_not_one(self):
+        counts = np.zeros((2, 3, 4), dtype=np.uint8)
+        counts[0, 1, 2] = 1
+        counts[1, 2, 3] = 3
+        index = ActiveCounts.of(counts)
+        np.testing.assert_array_equal(index.values, [1.0, 3.0])
+        np.testing.assert_array_equal(index.lines, [2, 3])
+        np.testing.assert_array_equal(index.offsets, [0, 0, 1, 1, 1, 1, 2])
+        assert np.array_equal(oracles.dense_counts(index), counts)
+        # a value past 1 in a later scan block keeps the ones before it
+        wide = np.ones((2, 1, encoder.INDEX_BLOCK), dtype=np.uint8)
+        wide[1, 0, 5] = 2
+        index = ActiveCounts.of(wide)
+        assert index.values.sum() == wide.sum()
+        assert np.array_equal(oracles.dense_counts(index), wide)
+        assert ActiveCounts.of(counts * 0.5).values is not None
+
+    def test_reads_records_as_an_array_does(self):
+        rng = np.random.default_rng(1)
+        counts = rng.poisson(0.4, (9, 4, 6))
+        counts[[0, 8]] = 0
+        index = ActiveCounts.of(counts)
+        for records in ([3], [8, 0, 3, 3], np.arange(9)[::-1], [], [-1, -9, 2]):
+            assert np.array_equal(oracles.dense_counts(index[records]), counts[records])
+        for records in ([9], [0, -10]):
+            with pytest.raises(IndexError, match="out of range for 9 records"):
+                index[records]
+        for start, stop in ((0, 9), (2, 5), (8, 20), (5, 2), (-3, None)):
+            part = index[start:stop]
+            assert np.array_equal(oracles.dense_counts(part), counts[start:stop])
+            assert len(part) == len(counts[start:stop])
+        with pytest.raises(ValueError, match="step 1"):
+            index[::2]
+
+    def test_refuses_what_is_not_counts(self):
+        for counts in (np.zeros((4, 3)), np.zeros((1, 2, 3), dtype=complex), [["a"]]):
+            with pytest.raises(ValueError, match="shape \\(records, steps, lines\\)"):
+                ActiveCounts.of(counts)
+
+
 class TestStateTraces:
     def test_shape_checks(self):
         params = _tiny_params(k=2, n_in=3)
@@ -110,6 +167,10 @@ class TestStateTraces:
             drive_from_counts(params, np.zeros((1, 4, 2)))
         with pytest.raises(ValueError, match="shape"):
             drive_from_counts(params, np.zeros((4, 3)))
+        # the score's counts have the run's records and steps
+        run, _ = training_rollout(params, np.ones((2, 4, 3)), np.zeros((4, 2, 2)))
+        with pytest.raises(ValueError, match="do not match a run of shape"):
+            score_grads(run, np.ones((2, 5, 3)), params.kernel_ff, 0.1, np.ones(2))
         # thresholds are step-major, one per step, sequence and neuron
         for thresholds in (np.zeros((1, 4, 2)), np.zeros((4, 1, 3)), np.zeros((4, 2))):
             with pytest.raises(ValueError, match="thresholds must have shape"):
@@ -183,8 +244,8 @@ class TestStateTraces:
 
     def test_history_before_time_zero_reads_zero(self):
         params = _unit_params(kernel_ff=kernel(1.0, 1.0, 1.0, 1.0))
-        run, inputs = replay(params, np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
-        np.testing.assert_allclose(filter_inputs(inputs, params.kernel_ff)[0, 0], [1.0])
+        run, _ = replay(params, np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
+        np.testing.assert_allclose(filter_inputs(np.ones((1, 1, 1)), params.kernel_ff)[0, 0], [1.0])
         np.testing.assert_allclose(run.potentials[0, 0], [1.0])
         np.testing.assert_allclose(drive_from_counts(params, np.ones((1, 1, 1)))[0, 0], [1.0])
 
@@ -226,36 +287,101 @@ class TestDrives:
 
     @pytest.mark.parametrize("n", [4, 16])
     def test_drives_project_one_step_at_a_time(self, n):
-        # training's bits rest on one matmul per step: at small batches a
-        # single matmul over all n * steps rows rounds differently
+        # training's bits rest on this float order: each record-step row is
+        # projected alone, its active lines' weight columns in line order
+        # summed by one reduceat (+0.0 for a row with none), and the n * k
+        # projected columns are filtered time-major in one product
         lines = 512
         rng = SeededRng(n)
         params = init_encoder_params(lines, self.K, rng.substream("init").generator)
         counts = bernoulli(rng.substream("counts").generator, np.full((n, self.STEPS, lines), 0.2))
-        w = params.ff_weights.T
-        x = counts.astype(np.float64)
-        projected = np.stack([x[:, t, :] @ w for t in range(self.STEPS)], axis=1)
-        expected = filter_inputs(projected, params.kernel_ff)
+        counts[0, 3] = 0
+        projected = np.zeros((self.STEPS, n, self.K))
+        for b in range(n):
+            for t in range(self.STEPS):
+                active = np.flatnonzero(counts[b, t])
+                if active.size:
+                    columns = params.ff_weights[:, active]
+                    projected[t, b] = np.add.reduceat(columns, [0], axis=1)[:, 0]
+        expected = filter_inputs(projected.reshape(1, self.STEPS, n * self.K), params.kernel_ff)
+        expected = expected.reshape(self.STEPS, n, self.K).transpose(1, 0, 2)
         assert np.array_equal(drive_from_counts(params, counts).view(np.uint64),
                               expected.view(np.uint64))
+
+    @pytest.mark.parametrize("gather_block", [1 << 16, 40])
+    def test_record_drive_does_not_depend_on_its_batch(self, monkeypatch, gather_block):
+        # a record's drive is bitwise the same projected alone, in any
+        # training batch gathered from the split's index, and at any
+        # offset of an evaluation chunk sliced from it, however the rows
+        # are split into gather blocks (40 weights: a few entries a block)
+        monkeypatch.setattr(encoder, "GATHER_BLOCK", gather_block)
+        n, lines = 300, 512
+        rng = SeededRng(5)
+        params = init_encoder_params(lines, self.K, rng.substream("init").generator)
+        counts = bernoulli(rng.substream("counts").generator, np.full((n, self.STEPS, lines), 0.05))
+        index = ActiveCounts.of(counts)
+        alone = np.stack([drive_from_counts(params, index[[b]])[0] for b in range(n)])
+        order = rng.substream("order").generator.permutation(n)
+        for start in range(0, n, 16):
+            batch = order[start : start + 16]
+            assert np.array_equal(drive_from_counts(params, index[batch]).view(np.uint64),
+                                  alone[batch].view(np.uint64))
+        for start in (0, 1, 37, 172, n - 1):
+            chunk = drive_from_counts(params, index[start : start + training.EVAL_CHUNK])
+            assert np.array_equal(chunk.view(np.uint64),
+                                  alone[start : start + training.EVAL_CHUNK].view(np.uint64))
+
+    @pytest.mark.parametrize("rate", [0.05, 0.6])
+    def test_drive_and_gradient_match_the_per_record_oracle(self, rate):
+        # Poisson counts (values past 1 are kept with their entries) and
+        # 0/1 counts against the line-space products made one record at a
+        # time from dense counts: the drive within the rounding bound above
+        # (m = lines + taps + 2), the feedforward row within 1e-12 of the
+        # sum of its products' magnitudes
+        lines, n, window = 256, 6, 10
+        m = lines + window + 2
+        u = np.finfo(np.float64).eps / 2
+        gamma = m * u / (1.0 - m * u)
+        rng = SeededRng(int(rate * 100))
+        params = init_encoder_params(lines, self.K, rng.substream("init").generator,
+                                     kernel_ff=exponential_kernel(5.0, window))
+        draw = rng.substream("counts").generator
+        for counts in (draw.poisson(rate, (n, self.STEPS, lines)).astype(np.uint8),
+                       bernoulli(draw, np.full((n, self.STEPS, lines), rate))):
+            index = ActiveCounts.of(counts)
+            assert (index.values is None) == bool(counts.max() <= 1)
+            dense = counts.astype(np.float64)
+            traces = filter_inputs(dense, params.kernel_ff)
+            drive = drive_from_counts(params, index)
+            assert (np.abs(drive - oracles.drive_line_space(params, index))
+                    <= 2 * gamma * (traces @ np.abs(params.ff_weights).T)).all()
+            thresholds = spike_thresholds(draw.random((self.STEPS, n, self.K)), 0.1)
+            run = rollout(params, drive, thresholds)
+            weights = draw.uniform(-1.0, 1.0, n)
+            got = params.split(score_grads(run, index, params.kernel_ff, 0.1, weights))
+            expected = oracles.ff_score_line_space(run, index, params.kernel_ff, 0.1, weights)
+            score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
+            magnitude = np.einsum("btk,btn->kn", np.abs(weights[:, None, None] * score_u), traces)
+            assert (np.abs(got["ff_weights"] - expected) <= 1e-12 * magnitude).all()
 
     def test_acceptance_criteria_roll_out_on_the_training_drive(self, monkeypatch):
         # criteria 2-4 and 6's oracles must check the drive train_epoch
         # makes: the gate composes no rollout of its own, and every rollout
         # the harness runs for it reads a drive_from_counts result, the very
-        # function train_epoch and evaluate call, made from uint8 counts, the
-        # Dataset's dtype, which score_grads' matmul then reads as training's
+        # function train_epoch and evaluate call, made from an ActiveCounts,
+        # the index the Dataset holds, which score_grads then reads as
+        # training's
         import test_acceptance
 
         assert oracles.drive_from_counts is training.drive_from_counts
         for name in ("filter_inputs", "drive_from_counts", "rollout"):
             assert not hasattr(test_acceptance, name)
-        made, rolled, dtypes = [], [], set()
+        made, rolled, types = [], [], set()
 
         def drive(params, counts):
             out = drive_from_counts(params, counts)
             made.append(out)
-            dtypes.add(np.asarray(counts).dtype)
+            types.add(type(counts))
             return out
 
         def checked_rollout(params, drive_arg, thresholds):
@@ -271,7 +397,7 @@ class TestDrives:
                           test_acceptance.test_criterion_06_kl_nonnegativity):
             criterion(quiet)
         assert rolled and all(rolled)
-        assert dtypes == {np.dtype(np.uint8)}
+        assert types == {ActiveCounts}
 
         monkeypatch.setattr(training, "drive_from_counts", drive)
         made.clear()
@@ -437,7 +563,9 @@ class TestScoreGrads:
     def test_adjoint_is_the_transposed_matrix_product(self):
         # up to FILTER_BLOCK steps the adjoint filter is the transposed
         # filter matrix times the weighted score, one product, bit for bit:
-        # criterion 10's trajectory rests on this float order
+        # criterion 10's trajectory rests on this float order.  Then each
+        # active entry, in (record, step, line) order, adds its row's
+        # adjoint score into its line's column, onto +0.0
         steps, lines, k, n = 30, 12, 4, 5
         rng = np.random.default_rng(3)
         params = init_encoder_params(lines, k, SeededRng(3).generator)
@@ -447,7 +575,9 @@ class TestScoreGrads:
         got = params.split(score_grads(run, counts, params.kernel_ff, 0.1, weights))
         score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
         adjoint = np.matmul(params.kernel_ff.matrix(steps).T, weights[:, None, None] * score_u)
-        want = adjoint.reshape(n * steps, k).T @ counts.reshape(n * steps, lines)
+        want = np.zeros((k, lines))
+        for b, t, line in zip(*np.nonzero(counts)):
+            want[:, line] += adjoint[b, t]
         assert np.array_equal(got["ff_weights"].view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("steps, window", [(65, 10), (200, 80)])

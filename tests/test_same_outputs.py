@@ -23,12 +23,14 @@ def test_tree_matches_itself_on_tiny_configs(tmp_path):
     # every case leaves a metrics.csv, whose exports match across the trees
     assert exported == f"exports of {len(names)} metrics files: same"
     for line, name in zip(lines, names):
-        # each verdict carries both children's peak RSS
+        # each verdict carries both children's peak RSS and CPU seconds
         match = re.fullmatch(
-            rf"{re.escape(name)}: same \(peak RSS (\d+\.\d) MB against (\d+\.\d) MB\)", line
+            rf"{re.escape(name)}: same \(peak RSS (\d+\.\d) MB against (\d+\.\d) MB, "
+            rf"CPU (\d+\.\d\d) s against (\d+\.\d\d) s\)", line
         )
         assert match, line
-        assert all(float(mb) > 1.0 for mb in match.groups()), line
+        assert all(float(mb) > 1.0 for mb in match.groups()[:2]), line
+        assert all(float(cpu) > 0.0 for cpu in match.groups()[2:]), line
     for name in ("default-seed5", "sweep-snr-checkpoint", "sweep-snr-large-test"):
         assert (tmp_path / "b" / name / "metrics.csv").stat().st_size > 0
     assert (tmp_path / "a" / "default-seed5" / "checkpoint.txt").exists()

@@ -18,6 +18,7 @@ from oracles import (
     all_sequences,
     allocation_error,
     bernoulli,
+    dense_counts,
     evaluate_line_space,
     expected_objective,
     fd_grads,
@@ -35,6 +36,7 @@ from spikelink.channel import noisy_spike_prob, spike_thresholds
 from spikelink.config import ConfigError, RunConfig
 from spikelink.decoder import DecoderParams, init_decoder_params
 from spikelink.encoder import (
+    ActiveCounts,
     EncoderParams,
     init_encoder_params,
     score_grads,
@@ -512,14 +514,13 @@ class TestEpochLoop:
         np.testing.assert_array_equal(np.concatenate([u.ravel() for u in seen[:-1]]), expected)
 
     def test_epoch_memory_bounded_by_batch_buffers(self):
-        # the Dataset keeps the caller's counts, and an epoch makes no
-        # array of the split's size: its largest temporary is the float64
-        # copy of one batch's uint8 counts that the feedforward gradient's
-        # matmul casts, 8 bytes a count; the rest of a batch is its counts
-        # (1 byte a count) and arrays k = 4 columns wide.  So from the
-        # counts, building the Dataset and its epoch peak within a few
-        # batch copies and the kept evaluation draws; the split's float64
-        # traces would be 64 batch copies
+        # the Dataset indexes the caller's counts once and keeps the index,
+        # at most 4 bytes a nonzero count and 8 a record-step row (plus the
+        # closing offset), and an epoch makes no array of the split's size:
+        # a batch gathers its entries and arrays k = 4 columns wide.  So
+        # from the counts, building the Dataset and its epoch peak within a
+        # few float64 batch copies besides the kept index and evaluation
+        # draws; the split's float64 traces would be 64 batch copies
         n, steps, lines, batch = 1024, 20, 64, 16
         counts = (SeededRng(1).generator.random((n + 8, steps, lines)) < 0.2).astype(np.uint8)
         labels = np.arange(n + 8) % 4
@@ -534,7 +535,13 @@ class TestEpochLoop:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        kept = sum(u.nbytes for pair in data.draws.values() for u in pair)
+        index_bytes = 0
+        for index, split in ((data.train_counts, counts[:n]), (data.test_inputs, counts[n:])):
+            arrays = (index.lines, index.offsets, index.values)
+            size = sum(a.nbytes for a in arrays if a is not None)
+            assert size <= 4 * np.count_nonzero(split) + 8 * (split.shape[0] * steps + 1)
+            index_bytes += size
+        kept = index_bytes + sum(u.nbytes for pair in data.draws.values() for u in pair)
         batch_copy = batch * steps * lines * 8
         assert peak - kept < 3 * batch_copy, f"peak {peak} bytes, {kept} kept"
 
@@ -545,17 +552,23 @@ class TestEpochLoop:
 
 class TestDataset:
     def test_codes_the_train_split(self):
-        # both splits are kept as the arrays given, uint8 counts from the
-        # events module: train_epoch and evaluate read them as they are,
-        # and replace() works as on any dataclass, with an empty draws cache
+        # both splits are held as the indexes of the counts given (uint8
+        # counts from the events module), built once: train_epoch gathers
+        # batches from them and evaluate slices chunks.  replace() works as
+        # on any dataclass, keeping an index it is given as it is, with an
+        # empty draws cache
         counts, labels, test_counts, test_labels = _toy_counts()
         data = Dataset(counts, labels, test_counts, test_labels, n_classes=2)
-        assert data.train_counts is counts and data.test_inputs is test_counts
+        assert isinstance(data.train_counts, ActiveCounts)
+        assert isinstance(data.test_inputs, ActiveCounts)
+        assert np.array_equal(dense_counts(data.train_counts), counts)
+        assert np.array_equal(dense_counts(data.test_inputs), test_counts)
         assert counts.dtype == np.uint8 and data.input_dim == counts.shape[2]
         data.draws["kept"] = None
         other_counts, other_labels, _, _ = _toy_counts(seed=1)
         other = replace(data, train_counts=other_counts, train_labels=other_labels)
-        assert other.train_counts is other_counts and other.test_inputs is test_counts
+        assert np.array_equal(dense_counts(other.train_counts), other_counts)
+        assert other.test_inputs is data.test_inputs
         assert other.draws == {}
 
 

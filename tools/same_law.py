@@ -72,7 +72,7 @@ def run_seed(src: Path, out: Path, seed: int, tiny: bool) -> dict:
     for number, (flags, config, rule) in PROTOCOLS.items():
         config = {**config, "seed": seed, **(TINY if tiny else {})}
         case = out / f"c{number}"
-        code, _ = run_case(src, case, flags, config)
+        code, _, _ = run_case(src, case, flags, config)
         if code != 0:
             results[number] = ({}, False)
             continue

@@ -10,8 +10,9 @@ with each other and with the code the case expects (0, or 3 for the
 `diverged` case, whose learning rate blows training up), and its
 metrics.csv and checkpoint.txt are diffed byte for byte; a file that
 differs is named with its first differing line.  Beside each verdict it
-prints the two children's peak RSS (from wait4), so a
-memory change shows on every case.  The cases run in order, so
+prints the two children's peak RSS and CPU seconds (user plus system,
+from the same wait4), so a memory or cost change shows on every case,
+also on the cases that no benchmark workload runs.  The cases run in order, so
 `sweep-snr-checkpoint` and `sweep-snr-large-test` evaluate the checkpoint
 TREE_A wrote in `default-seed5` on both trees: they compare evaluation
 alone, the second on 2048 test records at each of the 7 default grid
@@ -159,8 +160,10 @@ def write_config(out: Path, config: dict) -> Path:
     return cfg_path
 
 
-def run_case(src: Path, out: Path, flags: list[str], config: dict) -> tuple[int, float]:
-    """Exit code and peak RSS in MB of one CLI invocation."""
+def run_case(src: Path, out: Path, flags: list[str],
+             config: dict) -> tuple[int, float, float]:
+    """Exit code, peak RSS in MB and CPU seconds (user plus system) of one
+    CLI invocation."""
     cfg_path = write_config(out, config)
     cmd = [sys.executable, "-m", "spikelink.cli", *flags,
            "--config", str(cfg_path), "--out", str(out)]
@@ -174,7 +177,7 @@ def run_case(src: Path, out: Path, flags: list[str], config: dict) -> tuple[int,
             raise
     # reaped here, so Popen must not wait for it again
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_maxrss / 1024.0
+    return proc.returncode, usage.ru_maxrss / 1024.0, usage.ru_utime + usage.ru_stime
 
 
 def first_difference(a: bytes, b: bytes) -> int | None:
@@ -235,7 +238,7 @@ def compare(tree_a: str, tree_b: str, tiny: bool, work: Path) -> bool:
             flags = flags + ["--checkpoint", str(work / "a" / CHECKPOINT_FROM / "checkpoint.txt")]
         runs = {side: run_case(src, work / side / name, flags, config)
                 for side, src in srcs.items()}
-        codes = {side: code for side, (code, _) in runs.items()}
+        codes = {side: code for side, (code, _, _) in runs.items()}
         found = differences(work / "a" / name, work / "b" / name)
         if codes["a"] != codes["b"]:
             found.insert(0, f"exit {codes['a']} against {codes['b']}")
@@ -244,7 +247,8 @@ def compare(tree_a: str, tree_b: str, tiny: bool, work: Path) -> bool:
         same = same and not found
         verdict = "same" if not found else "; ".join(found)
         rss = f"peak RSS {runs['a'][1]:.1f} MB against {runs['b'][1]:.1f} MB"
-        print(f"{name}: {verdict} ({rss})", flush=True)
+        cpu = f"CPU {runs['a'][2]:.2f} s against {runs['b'][2]:.2f} s"
+        print(f"{name}: {verdict} ({rss}, {cpu})", flush=True)
     metrics = [work / "a" / name / "metrics.csv" for name, _, _ in CASES]
     paths = [str(path) for path in metrics if path.exists()]
     (code_a, text_a), (code_b, text_b) = (exports(src, paths) for src in srcs.values())
