@@ -16,10 +16,11 @@ success, 1 filesystem trouble, 2 bad configuration or input, 3 training
 diverged, 130 interrupted (Ctrl-C, or SIGTERM while main runs).  An array
 too large to allocate, whichever setting sized it (T, the splits, the
 sensor geometry, k, hidden or the class count), is bad input: main names
-its shape, dtype and bytes where NumPy gives them.  A diverged or
+its shape, dtype and bytes where NumPy gives them, and a geometry of more
+lines than a split's index numbers by its w and h.  A diverged or
 interrupted run keeps the metrics rows its verb finished: each epoch of
 train and sweep-beta, each --train-per-point point, none of a one-model
-sweep.
+sweep.  Each split is binned straight into the index of its counts.
 """
 
 from __future__ import annotations
@@ -32,12 +33,10 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, build_run_config, parse_config_file
 from .decoder import init_decoder_params
-from .encoder import ActiveCounts, init_encoder_params
+from .encoder import init_encoder_params
 from .events import load_frames, synthetic_frames
 from .metrics import MetricsRow, _atomic_open, export_metrics, read_metrics, write_metrics
 from .numerics import SeededRng, db_to_linear, ebn0_to_epsilon
@@ -52,35 +51,22 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
-def _split_inputs(cfg: RunConfig, tag: str):
-    """uint8 frames (records, T, 2, h, w) and labels of the "train" or
-    "test" split, binned as each record is drawn or parsed, so no split
-    holds its list of records.  The frames are allocated before any record
-    is drawn, or once an event file's first record is parsed."""
+def _split(cfg: RunConfig, tag: str):
+    """The "train" or "test" split's (h, w) geometry, the index of its
+    counts (records, T, lines) and its labels, binned as each record is
+    drawn or parsed: no split holds its records or dense counts."""
     if cfg.dataset == "synthetic":
         return synthetic_frames(cfg, tag)
-    frames, labels = load_frames(cfg.train_events if tag == "train" else cfg.test_events, cfg.T)
-    if not len(labels):
+    split = load_frames(cfg.train_events if tag == "train" else cfg.test_events, cfg.T)
+    if not len(split[2]):
         raise ConfigError("event files contain no records")
-    return frames, labels
-
-
-def _flat(frames: np.ndarray) -> np.ndarray:
-    """(records, T, 2, h, w) frames as (records, T, lines) counts, a view."""
-    return frames.reshape(*frames.shape[:2], -1)
-
-
-def _indexed(cfg: RunConfig, tag: str):
-    """The split's (h, w) geometry, the index of its counts (records, T,
-    lines) and its labels.  The split's frames are freed once indexed."""
-    frames, labels = _split_inputs(cfg, tag)
-    return frames.shape[3:], ActiveCounts.of(_flat(frames)), labels
+    return split
 
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
     """Both splits' counts, as one Dataset for every run of a command."""
-    train_geometry, train_x, train_y = _indexed(cfg, "train")
-    test_geometry, test_x, test_y = _indexed(cfg, "test")
+    train_geometry, train_x, train_y = _split(cfg, "train")
+    test_geometry, test_x, test_y = _split(cfg, "test")
     if train_geometry != test_geometry:
         (train_h, train_w), (test_h, test_w) = train_geometry, test_geometry
         raise ConfigError(
@@ -286,7 +272,7 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, rows: list[MetricsRo
     a checkpoint nothing trains, so only the test split is built."""
     if checkpoint:
         encoder, decoder, _ = load_checkpoint(checkpoint)
-        _, test_x, test_y = _indexed(cfg, "test")
+        _, test_x, test_y = _split(cfg, "test")
         _check_checkpoint(cfg, encoder, decoder, test_x, test_y)
         out = _out_dir(cfg)
     else:

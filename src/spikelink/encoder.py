@@ -50,6 +50,7 @@ __all__ = [
 
 # counts scanned per block when an array is indexed (ActiveCounts.of)
 INDEX_BLOCK = 1 << 16
+MAX_LINES = np.iinfo(np.int32).max  # an index's lines are int32
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +61,11 @@ class ActiveCounts:
     in line order: each entry's line (int32) and, only when some count is
     not 1, its value (float64; None means every value is 1, as in every
     binned split).  So a split of 0/1 counts takes 4 bytes a nonzero count
-    and 8 a row.  Dense counts enter only through ActiveCounts.of; an
-    index's records are read as an array's are: len, index[start:stop] (a
-    view of the entries) and index[records] for an integer array (a copy).
+    and 8 a row.  Splits are binned straight into an index (events), an
+    array of counts is indexed by ActiveCounts.of, and either way a width
+    past MAX_LINES is refused.  An index's records are read as an array's
+    are: len, index[start:stop] (a view of the entries) and index[records]
+    for an integer array (a copy).
     """
 
     shape: tuple[int, int, int]
@@ -70,12 +73,20 @@ class ActiveCounts:
     offsets: np.ndarray
     values: np.ndarray | None = None
 
+    def __post_init__(self):
+        self.check_width(self.shape[2])
+
+    @staticmethod
+    def check_width(width: int, what: str = "") -> None:
+        if width > MAX_LINES:
+            raise ValueError(
+                f"{what}{width} input lines exceed the {MAX_LINES} an index numbers in int32")
+
     @classmethod
     def of(cls, counts) -> ActiveCounts:
         """counts as an index: an ActiveCounts as it is, or a real array
         (records, steps, lines) indexed in one pass, INDEX_BLOCK counts at a
-        time, so the pass adds little beyond the index itself.  A block of
-        one-byte counts that are all 0 or 1 is scanned as booleans."""
+        time, so the pass adds little beyond the index itself."""
         if isinstance(counts, cls):
             return counts
         counts = np.asarray(counts)
@@ -88,20 +99,16 @@ class ActiveCounts:
         lines = np.empty(total, dtype=np.int32)
         offsets = np.zeros(n * steps + 1, dtype=np.intp)
         values = None
-        one_byte = counts.dtype.itemsize == 1 and counts.dtype.kind in "bu"
         per_block = max(INDEX_BLOCK // max(width, 1), 1)
         done = 0
         for first in range(0, n * steps, per_block):
             part = rows[first : first + per_block]
-            if one_byte and part.max(initial=0) <= 1:
-                flat = np.flatnonzero(part.view(np.bool_))
-            else:
-                flat = np.flatnonzero(part)
-                found = part.ravel()[flat]
-                if values is None and (found != 1).any():
-                    values = np.ones(total)  # the entries before this block are all 1
-                if values is not None:
-                    values[done : done + flat.size] = found
+            flat = np.flatnonzero(part)
+            found = part.ravel()[flat]
+            if values is None and (found != 1).any():
+                values = np.ones(total)  # the entries before this block are all 1
+            if values is not None:
+                values[done : done + flat.size] = found
             ends = offsets[first + 1 : first + 1 + len(part)]
             ends[:] = np.searchsorted(flat, np.arange(1, len(part) + 1) * width)
             ends += done

@@ -1,21 +1,21 @@
-"""Event streams: the synthetic bar task, text parsing, frame binning.
+"""Event streams: the synthetic bar task, text parsing, binning.
 
 An event is (timestamp in microseconds, x, y, polarity).  A record keeps
 its events as integer columns in one structured array of EVENT_DTYPE, so
 generation, validation, parsing and binning are array operations.  Records
 are accumulated into a fixed number of uniform time bins per polarity and
-binarized into uint8 counts, whose nonzero entries the CLI then indexes
-once (encoder.ActiveCounts): the only preprocessing the encoder sees
-before its input filter.  synthetic_frames and load_frames bin a whole
-split as each record is drawn or parsed, into frames allocated first, so no
-list of records is ever held; frames too large to allocate raise NumPy's
-own MemoryError, which carries their shape and dtype.  The bar task reads
-its settings from the RunConfig; each synthetic record draws from its own
-seeded stream, and the streams of a class are seeded a block at a time
-(numerics.SeededRng.substreams).  load_events and frames_to_inputs keep
-the record-list path for the benchmark's binning check and the tests.
-Vendor formats are out of scope; converters should target the text format
-below.
+binarized: a count is 1 where an event fell.  synthetic_frames and
+load_frames bin a split as each record is drawn or parsed, straight into
+the index of its nonzero counts (encoder.ActiveCounts), the only
+preprocessing the encoder sees before its input filter: no list of records
+and no dense counts are held.  A scratch buffer too large to allocate
+raises NumPy's own MemoryError, which carries its shape and dtype.  The
+bar task reads its settings from the RunConfig; each synthetic record
+draws from its own seeded stream, and the streams of a class are seeded a
+block at a time (numerics.SeededRng.substreams).  load_events and
+frames_to_inputs (a record list's index written out as dense uint8
+counts) are kept for the benchmark's binning check and the tests.  Vendor
+formats are out of scope; converters should target the text format below.
 
 Text format, one record per block:
 
@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .encoder import ActiveCounts
 from .numerics import SeededRng
 
 if TYPE_CHECKING:
@@ -119,76 +120,90 @@ def _bins(ts, duration_us: int, steps: int) -> np.ndarray:
     return np.minimum(ts * steps // duration_us, steps - 1)
 
 
-def _scatter(frames: np.ndarray, ts, x, y, pol, duration_us: int, steps: int) -> None:
-    """Set frames[bin, polarity, y, x] = 1 for every event of one record,
-    given as columns in any order."""
-    frames[_bins(ts, duration_us, steps), pol, y, x] = 1
+class _IndexSink:
+    """Bins records straight into the index of their counts
+    (encoder.ActiveCounts).
 
-
-class _FrameSink:
-    """Bins each record it is handed into frames for up to `capacity`
-    records, allocated when the first record arrives.
-
-    A mix of geometries, or a duration too long to bin, is raised by
-    result(), so every record is seen (and, when parsing, every line
-    checked) first.
+    open refuses a geometry of more lines than an index numbers, then fixes
+    the geometry and allocates one (steps, lines) bool scratch buffer, in
+    which add marks a record's (bin, line) positions, reads them back in
+    order and clears them; they are kept offset by the record's place in
+    the split.  record is the parser's way in: a mix of geometries, or a
+    duration too long to bin, is raised by result(), so every record is
+    seen (and, when parsing, every line checked) first.
     """
 
-    def __init__(self, capacity: int, steps: int):
+    def __init__(self, steps: int):
         if steps < 1:
             raise ValueError("steps must be positive")
-        self.steps = steps
-        self.frames: np.ndarray | None = None
-        self.labels = np.empty(capacity, dtype=np.int64)
-        self.n = 0
+        self.steps, self.geometry = steps, None
+        self.positions, self.labels = [], []  # each record's positions and label
         self.mixed, self.too_long = False, None
 
-    def __call__(self, record: EventRecord) -> None:
-        if self.frames is None:
-            self.frames = np.zeros((len(self.labels), self.steps, 2, record.height, record.width),
-                                   dtype=np.uint8)
-        if self.frames.shape[3:] != (record.height, record.width):
+    def open(self, height: int, width: int) -> None:
+        ActiveCounts.check_width(2 * height * width, f"sensor geometry w={width} h={height}: ")
+        self.geometry = (height, width)
+        self.marks = np.zeros((self.steps, 2 * height * width), dtype=bool).reshape(-1)
+
+    def add(self, bins: np.ndarray, lines: np.ndarray, label: int) -> None:
+        """One record, as each event's time bin and line."""
+        self.marks[bins * (self.marks.size // self.steps) + lines] = True
+        found = np.flatnonzero(self.marks)
+        self.marks[found] = False
+        self.positions.append(found + len(self.labels) * self.marks.size)
+        self.labels.append(label)
+
+    def record(self, record: EventRecord) -> None:
+        if self.geometry is None:
+            self.open(record.height, record.width)
+        if (record.height, record.width) != self.geometry:
             self.mixed = True
         elif self.too_long is None:
-            ev = record.events
+            (h, w), ev = self.geometry, record.events
             try:
-                _scatter(self.frames[self.n], ev["timestamp"], ev["x"], ev["y"], ev["polarity"],
-                         record.duration_us, self.steps)
+                bins = _bins(ev["timestamp"], record.duration_us, self.steps)
             except ValueError as exc:
                 self.too_long = exc
-        self.labels[self.n] = record.label
-        self.n += 1
+            else:
+                self.add(bins, (ev["polarity"] * h + ev["y"]) * w + ev["x"], record.label)
 
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        """(records, steps, 2, h, w) frames and labels of the records seen;
-        no record gives zero frames of geometry 0 x 0."""
+    def result(self) -> tuple[tuple[int, int], ActiveCounts, np.ndarray]:
+        """The (h, w) geometry, the index of the (records, steps, lines)
+        counts and the labels of the records seen; no record gives an
+        empty index of geometry 0 x 0."""
         if self.mixed:
             raise ValueError("records mix sensor geometries")
         if self.too_long is not None:
             raise self.too_long
-        if self.frames is None:
-            return np.zeros((0, self.steps, 2, 0, 0), dtype=np.uint8), self.labels[:0]
-        if self.n < len(self.labels):
-            return self.frames[: self.n].copy(), self.labels[: self.n].copy()
-        return self.frames, self.labels
+        h, w = self.geometry or (0, 0)
+        n, lines = len(self.labels), 2 * h * w
+        positions = np.concatenate([np.empty(0, dtype=np.intp), *self.positions])
+        self.positions = []  # freed before the lines are made
+        offsets = np.searchsorted(positions, np.arange(n * self.steps + 1) * lines)
+        line_of = np.remainder(positions, lines, out=np.empty(positions.size, dtype=np.int32))
+        return ((h, w), ActiveCounts((n, self.steps, lines), line_of, offsets),
+                np.array(self.labels, dtype=np.int64))
 
 
 def frames_to_inputs(records, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Stack records into (n, steps, 2*H*W) uint8 counts plus labels.
 
-    All records must share one sensor geometry.  Every record is binned
-    straight into the one tensor, whose counts are 0 or 1: a byte each,
-    where float64 traces take eight (encoder.filter_inputs makes those).
-    One record is a batch of one.
+    All records must share one sensor geometry.  They are binned into
+    their index, as load_frames bins a file's, which is written out as
+    counts of 0 or 1, a byte each.  One record is a batch of one.
     """
     records = list(records)
-    sink = _FrameSink(len(records), steps)
+    sink = _IndexSink(steps)
     if not records:
         raise ValueError("no records")
     for record in records:
-        sink(record)
-    frames, labels = sink.result()
-    return frames.reshape(len(records), steps, -1), labels
+        sink.record(record)
+    _, index, labels = sink.result()
+    counts = np.zeros(index.shape, dtype=np.uint8)
+    for r, record in enumerate(counts):  # no temporary of the split's size
+        part = index[r : r + 1]
+        record[np.repeat(np.arange(steps), np.diff(part.offsets)), part.lines] = 1
+    return counts, labels
 
 
 # ---------------------------------------------------------------------------
@@ -234,33 +249,29 @@ def _draw_cells(rates: np.ndarray, config: RunConfig,
     return rng.integers(0, config.duration_us + 1, size=len(events)), events
 
 
-def synthetic_frames(config: RunConfig, tag: str) -> tuple[np.ndarray, np.ndarray]:
+def synthetic_frames(config: RunConfig,
+                     tag: str) -> tuple[tuple[int, int], ActiveCounts, np.ndarray]:
     """The "train" or "test" split of the bar task, binned into config.T
-    steps as each record is drawn, with no record list.
+    steps as each record is drawn: the (height, width) geometry, the index
+    of the (records, T, lines) counts, class by class, and the labels.
 
     Its per-class count is train_per_class or test_per_class; record idx
     of class label draws from substream("data", tag, label, idx) of
     config.seed, whose Generator SeededRng.substreams seeds a block at a
-    time.  Returns (records, T, 2, height, width) uint8 frames, class by
-    class, plus the labels.  The frames are allocated before any record is
-    drawn, and each record's events are stored into its frames through
-    flat (bin, cell) indices and dropped: binning does not depend on event
-    order, and the draws are in range by construction.
+    time.  The scratch buffer is allocated before any record is drawn.
+    Binning does not depend on event order, and the draws are in range by
+    construction.
     """
     per_class = config.train_per_class if tag == "train" else config.test_per_class
-    frames = np.zeros((config.classes * per_class, config.T, 2, config.height, config.width),
-                      dtype=np.uint8)
-    lines = 2 * config.height * config.width
-    flat = frames.reshape(len(frames), -1)
+    sink = _IndexSink(config.T)
+    sink.open(config.height, config.width)
     root = SeededRng(config.seed)
     for label in range(config.classes):
         rates = class_rate_map(label, config)
-        streams = root.substreams("data", tag, label, indices=range(per_class))
-        for record, gen in enumerate(streams, start=label * per_class):
+        for gen in root.substreams("data", tag, label, indices=range(per_class)):
             stamps, cells = _draw_cells(rates, config, gen)
-            flat[record][_bins(stamps, config.duration_us, config.T) * lines + cells] = 1
-    labels = np.repeat(np.arange(config.classes, dtype=np.int64), per_class)
-    return frames, labels
+            sink.add(_bins(stamps, config.duration_us, config.T), cells, label)
+    return sink.result()
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +439,11 @@ def load_events(path) -> list[EventRecord]:
     return records
 
 
-def load_frames(path, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """load_events binned as each record is parsed, with no record list.
-
-    Returns frames_to_inputs(load_events(path), steps)'s counts as
-    (records, steps, 2, h, w) uint8 frames, plus the labels, and raises
-    its errors in the same order.  Every header holds a "#", so the file's
-    "#" count bounds its records: the frames are sized by it when the
-    first record closes, and cut to the records parsed.
-    """
-    with Path(path).open("rb") as fh:
-        capacity = sum(piece.count(b"#") for piece in iter(lambda: fh.read(_PIECE_CHARS), b""))
-    sink = _FrameSink(capacity, steps)
-    _read_records(path, sink)
+def load_frames(path, steps: int) -> tuple[tuple[int, int], ActiveCounts, np.ndarray]:
+    """load_events binned as each record is parsed, with no record list:
+    the (h, w) geometry, the index of frames_to_inputs(load_events(path),
+    steps)'s counts and the labels, raising its errors in the same order.
+    The scratch buffer is allocated when the first record closes."""
+    sink = _IndexSink(steps)
+    _read_records(path, sink.record)
     return sink.result()

@@ -6,7 +6,8 @@ law and a fixed Bernoulli reference over the received bits.  The decoder is
 updated with exact gradients; the encoder with the score-function estimator
 (one Monte Carlo draw per input), built from the input counts and the
 traces the rollout keeps.  The Dataset holds each split's counts as an
-index of their nonzero entries (encoder.ActiveCounts), built once:
+index of their nonzero entries (encoder.ActiveCounts), binned straight
+from its events (events.synthetic_frames, events.load_frames):
 train_epoch gathers a batch's records from it and evaluate slices a
 chunk's, and both make the feedforward drive the one way
 (encoder.drive_from_counts), reading only the active counts, so no float64

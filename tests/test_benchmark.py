@@ -53,9 +53,8 @@ def test_setup_stops_at_the_first_training_call(tmp_path, monkeypatch, verb, sto
         monkeypatch.setattr(cli, attr, fn)
     monkeypatch.setattr(training, "evaluate", training.evaluate)
     built = []
-    split_inputs = cli._split_inputs
-    monkeypatch.setattr(cli, "_split_inputs",
-                        lambda cfg, tag: built.append(tag) or split_inputs(cfg, tag))
+    split = cli._split
+    monkeypatch.setattr(cli, "_split", lambda cfg, tag: built.append(tag) or split(cfg, tag))
     rec = child.Recorder()
     child.install_marks(rec, stop_at_first=True)
     with pytest.raises(child.SetupDone):

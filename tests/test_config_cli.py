@@ -23,7 +23,7 @@ from spikelink.checkpoint import load_checkpoint, save_checkpoint
 from spikelink.cli import DEFAULT_MISMATCH_GRID, main
 from spikelink.config import ConfigError, RunConfig, build_run_config, parse_config_file
 from spikelink.encoder import ActiveCounts, filter_inputs
-from spikelink.events import _draw_cells, class_rate_map, synthetic_frames
+from spikelink.events import synthetic_frames
 from spikelink.numerics import SeededRng, exponential_kernel
 from spikelink.training import TrainingDiverged, evaluate
 from spikelink.metrics import (
@@ -153,7 +153,7 @@ class TestBuildRunConfig:
         # refused by name before any work, not by NumPy halfway through
         # the dataset build
         built = []
-        monkeypatch.setattr(cli, "_split_inputs", lambda cfg, tag: built.append(tag))
+        monkeypatch.setattr(cli, "_split", lambda cfg, tag: built.append(tag))
         out = tmp_path / "o"
         assert _main("train", "--config", str(tiny_config), "--out", str(out), "--seed=-1") == 2
         assert _refusal(capsys) == "error: seed must be non-negative, got -1"
@@ -722,9 +722,9 @@ class TestCliSweeps:
         encoder, decoder, _ = load_checkpoint(tiny_checkpoint)
 
         def swept(kernel):
-            test_x, test_y = cli._split_inputs(cfg, "test")
-            return evaluate(replace(encoder, kernel_ff=kernel), decoder, cli._flat(test_x),
-                            test_y, [0.0, 0.2], cfg.seed)
+            _, test_x, test_y = cli._split(cfg, "test")
+            return evaluate(replace(encoder, kernel_ff=kernel), decoder, test_x, test_y,
+                            [0.0, 0.2], cfg.seed)
 
         rows = read_metrics(tmp_path / "sweep" / "metrics.csv")
         assert [(r.error_rate, r.spike_rate) for r in rows] == swept(encoder.kernel_ff)
@@ -750,14 +750,14 @@ class TestCliSweeps:
     ])
     def test_each_split_filtered_once_per_process(self, tiny_config, tmp_path, monkeypatch, argv):
         built = []
-        real = cli._split_inputs
+        real = cli._split
 
         def spy(cfg, tag):
-            frames, labels = real(cfg, tag)
+            geometry, counts, labels = real(cfg, tag)
             built.append((tag, len(labels)))
-            return frames, labels
+            return geometry, counts, labels
 
-        monkeypatch.setattr(cli, "_split_inputs", spy)
+        monkeypatch.setattr(cli, "_split", spy)
         verb, *flags = argv
         out = tmp_path / "twice"
         assert _main(verb, "--config", str(tiny_config), "--out", str(out), *flags) == 0
@@ -956,34 +956,42 @@ class TestCliSweeps:
         # the split's traces alone would be 21 MB
         assert peak < traces / 2, f"peak {peak} bytes"
 
-    def test_synthetic_split_build_holds_no_record_list(self, tmp_path):
-        # 512 records of 16 x 16 pixels over 20 steps: 5.2 MB of counts.
-        # Their EventRecord list would take 32 bytes an event, about 7.4 MB.
-        config = tmp_path / "split.cfg"
-        config.write_text("test_per_class = 128\nT = 20\n")
-        cfg = build_run_config(parse_config_file(config))
-        cli._split_inputs(replace(cfg, test_per_class=1), "test")  # imports and caches
+    @staticmethod
+    def _split_peak(cfg, tag):
+        """The split cli._split builds, and its tracemalloc peak."""
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            frames, labels = cli._split_inputs(cfg, "test")
+            split = cli._split(cfg, tag)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        root = SeededRng(cfg.seed)
-        one_record = max(  # its four int64 columns (timestamp, x, y, polarity)
-            4 * _draw_cells(class_rate_map(label, cfg), cfg,
-                            root.substream("data", "test", label, idx).generator)[0].nbytes
-            for label in range(cfg.classes) for idx in range(128)
-        )
-        # besides the counts: one record's columns and the temporaries that
-        # draw and bin it, and 64 bytes per record that tracemalloc keeps
-        # counting after each Generator.poisson call (the process's RSS
-        # does not grow by them)
-        assert peak < frames.nbytes + labels.nbytes + 4 * one_record + 64 * len(labels), (
-            f"peak {peak} bytes against {frames.nbytes} of counts"
-        )
-        assert frames.shape == (512, 20, 2, 16, 16) and labels.shape == (512,)
+        return split, peak
+
+    def test_synthetic_split_build_holds_no_record_list(self, tmp_path):
+        # 512 records of 16 x 16 pixels over 20 steps: 5.2 MB of dense
+        # uint8 counts, and their EventRecord list would take 32 bytes an
+        # event, about 7.4 MB.  The split is binned straight into its index.
+        config = tmp_path / "split.cfg"
+        config.write_text("test_per_class = 128\nT = 20\n")
+        cfg = build_run_config(parse_config_file(config))
+        cli._split(replace(cfg, test_per_class=1), "test")  # imports and caches
+        (_, index, labels), peak = self._split_peak(cfg, "test")
+        assert index.shape == (512, 20, 512) and labels.shape == (512,)
+        dense = math.prod(index.shape)
+        assert peak < dense, f"peak {peak} bytes against {dense} of dense counts"
+
+    def test_event_split_build_holds_no_record_list(self, tmp_path):
+        # the same 512-record split shape read from an event file: the
+        # records are binned into the index as they are parsed
+        path = tmp_path / "split.events"
+        write_events(path, bar_records(512, seed=1, width=16, height=16))
+        cfg = build_run_config({"dataset": "events", "train_events": str(path),
+                                "test_events": str(path), "T": 20})
+        (geometry, index, labels), peak = self._split_peak(cfg, "test")
+        assert geometry == (16, 16) and index.shape == (512, 20, 512) and labels.shape == (512,)
+        dense = math.prod(index.shape)
+        assert peak < dense, f"peak {peak} bytes against {dense} of dense counts"
 
     def test_sweep_seconds_split_grid_time(self, tiny_config, tiny_checkpoint, tmp_path):
         config = self._edited(tiny_config, tmp_path, timing="on")
@@ -1309,9 +1317,10 @@ class TestCliErrors:
 
     def test_huge_T_refused_without_allocating(self, tiny_config, tmp_path, capsys,
                                                monkeypatch):
-        # 10**13 steps of 12 records x 128 lines: far beyond any address
-        # space, so NumPy refuses the allocation without touching memory.
-        # The windows of 10**13 taps are checked by value, never built.
+        # the binning's scratch buffer of 10**13 steps x 128 lines: far
+        # beyond any address space, so NumPy refuses the allocation without
+        # touching memory.  The windows of 10**13 taps are checked by value,
+        # never built.
         path = tmp_path / "huge.cfg"
         path.write_text(tiny_config.read_text() + "window_ff = 10000000000000\n"
                         "window_fb = 10000000000000\n")
@@ -1335,17 +1344,17 @@ class TestCliErrors:
             tracemalloc.stop()
         assert code == 2
         assert _refusal(capsys) == (
-            "error: an array of shape (12, 10000000000000, 2, 8, 8) and dtype uint8 "
-            "(15360000000000000 bytes) is too large to allocate; "
+            "error: an array of shape (10000000000000, 128) and dtype bool "
+            "(1280000000000000 bytes) is too large to allocate; "
             "T = 10000000000000, k = 4, hidden = 8"
         )
         assert not out.exists()
-        # the counts are allocated before the first record is drawn
+        # the scratch buffer is allocated before the first record is drawn
         assert drawn == []
         # NumPy's allocation tracing records the refused request's size
         # (at address 0) although no memory came back; all else is small.
-        # The counts are uint8, a byte each.
-        refused = 12 * 10**13 * 128
+        # The scratch buffer is bool, a byte a (step, line).
+        refused = 10**13 * 128
         assert peak - refused < 10**7, f"peak {peak - refused} bytes besides the refused request"
 
     @pytest.mark.parametrize("split, shape", [
@@ -1400,9 +1409,10 @@ class TestCliErrors:
         assert not (tmp_path / "s" / "metrics.csv").exists()
 
     @pytest.mark.parametrize("dataset, key, value, shape, dtype", [
-        # the frames of 12 synthetic or 4 event-file records
-        ("synthetic", "T", 10**13, (12, 10**13, 2, 8, 8), np.uint8),
-        ("events", "T", 10**13, (4, 10**13, 2, 4, 4), np.uint8),
+        # the (T, lines) scratch buffer that bins the synthetic or the
+        # event-file records
+        ("synthetic", "T", 10**13, (10**13, 128), np.bool_),
+        ("events", "T", 10**13, (10**13, 32), np.bool_),
         # the encoder's feedforward weights (k, lines)
         ("synthetic", "k", 10**13, (10**13, 128), np.float64),
         # the decoder's first layer (hidden, k * T)
@@ -1414,6 +1424,8 @@ class TestCliErrors:
         # ValueError that gives no shape
         ("synthetic", "T", 10**18, None, None),
         ("synthetic", "k", 10**18, None, None),
+        # a geometry of more lines than an index numbers: refused by name,
+        # before any array is sized by it
         ("events", "w", 10**18, None, None),
         # a dimension beyond int64
         ("synthetic", "hidden", 10**19, None, None),
@@ -1447,11 +1459,36 @@ class TestCliErrors:
         if shape is not None:
             size = math.prod(shape) * np.dtype(dtype).itemsize
             what += f" of shape {shape} and dtype {np.dtype(dtype)} ({size} bytes)"
-        assert _refusal(capsys) == (
-            f"error: {what} is too large to allocate; T = {sizes['T']}, k = {sizes['k']}, "
-            f"hidden = {sizes['hidden']}"
-        )
+        expected = (f"error: {what} is too large to allocate; T = {sizes['T']}, "
+                    f"k = {sizes['k']}, hidden = {sizes['hidden']}")
+        if key == "w":
+            expected = (f"error: sensor geometry w={value} h=4: {8 * value} input lines "
+                        "exceed the 2147483647 an index numbers in int32")
+        assert _refusal(capsys) == expected
         assert not (out / "metrics.csv").exists()
+
+    def test_too_wide_geometry_refused_by_name(self, tiny_config, tmp_path, capsys):
+        # w = 2**31 gives 2**32 lines, more than an index's int32 lines
+        # number: one line naming w and h, and nothing sized by the width
+        wide = tmp_path / "wide.events"
+        wide.write_text("# record label=0 w=2147483648 h=1 dur_us=10\n0 0 0 1\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(tiny_config.read_text() + f"dataset = events\ntrain_events = {wide}\n"
+                        f"test_events = {wide}\n")
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = _main("train", "--config", str(path), "--out", str(out), "--T", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert _refusal(capsys) == (
+            "error: sensor geometry w=2147483648 h=1: 4294967296 input lines exceed the "
+            "2147483647 an index numbers in int32"
+        )
+        assert peak < 10**7, f"peak {peak} bytes"
+        assert not out.exists()
 
     def test_bare_memory_error_refused_without_a_config(self, tmp_path, capsys, monkeypatch):
         # export builds no config, and a bare MemoryError has no shape
@@ -1481,7 +1518,7 @@ class TestCliErrors:
         tiny_checkpoint = trained / "checkpoint.txt"
         built = []
         monkeypatch.setattr(cli, "_build_dataset", lambda cfg: built.append(cfg))
-        monkeypatch.setattr(cli, "_split_inputs", lambda cfg, tag: built.append(tag))
+        monkeypatch.setattr(cli, "_split", lambda cfg, tag: built.append(tag))
         out = tmp_path / "o"
         for checkpoint in (tiny_checkpoint, tmp_path / "missing.txt"):
             code = _main(

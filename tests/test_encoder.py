@@ -147,6 +147,13 @@ class TestActiveCounts:
         with pytest.raises(ValueError, match="step 1"):
             index[::2]
 
+    def test_refuses_a_width_int32_cannot_number(self):
+        # refused by its shape alone: nothing is sized by the width
+        lines, offsets = np.zeros(0, dtype=np.int32), np.zeros(2, dtype=np.intp)
+        with pytest.raises(ValueError, match="^2147483648 input lines exceed the 2147483647 "):
+            ActiveCounts((1, 1, 2**31), lines, offsets)
+        assert ActiveCounts((1, 1, 2**31 - 1), lines, offsets).shape == (1, 1, 2**31 - 1)
+
     def test_refuses_what_is_not_counts(self):
         for counts in (np.zeros((4, 3)), np.zeros((1, 2, 3), dtype=complex), [["a"]]):
             with pytest.raises(ValueError, match="shape \\(records, steps, lines\\)"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import bar_records, reference, write_events
+from oracles import bar_records, dense_counts, reference, write_events
 
 from spikelink.config import ConfigError, RunConfig
 from spikelink.events import (
@@ -193,15 +193,19 @@ def _binned(path_or_records, steps):
     return frames_to_inputs(records, steps)
 
 
-def _flat(frames):
-    return frames.reshape(*frames.shape[:2], -1)
+def _reference_binned(records, steps):
+    """The benchmark's own binning (reference.bin_events) of EventRecords,
+    record by record, and their labels."""
+    inputs = [reference.bin_events(*(r.events[name] for name in EVENT_DTYPE.names),
+                                   r.width, r.height, r.duration_us, steps) for r in records]
+    return np.stack(inputs), np.array([r.label for r in records], dtype=np.int64)
 
 
 class TestSplitFrames:
-    """synthetic_frames and load_frames bin as they draw or parse, with no
-    record list: the benchmark's reference draws and bins the same bar-task
-    split on its own, and load_frames gives frames_to_inputs' counts of
-    the records load_events parses."""
+    """synthetic_frames and load_frames bin as they draw or parse, straight
+    into the index of the split's counts, with no record list and no dense
+    counts: the benchmark's reference draws and bins the same bar-task
+    split, or bins the records of the same event file, on its own."""
 
     @pytest.mark.parametrize("steps, seed, per_class", [
         pytest.param(1, 4, 4, id="1"),
@@ -214,45 +218,55 @@ class TestSplitFrames:
     def test_synthetic_frames_equal_binned_records(self, steps, seed, per_class):
         task = dict(classes=3, width=6, height=5, duration_us=997)
         cfg = RunConfig(**task, test_per_class=per_class, seed=seed, T=steps)
-        frames, labels = synthetic_frames(cfg, "test")
+        geometry, index, labels = synthetic_frames(cfg, "test")
         inputs, expected = reference.synthetic_inputs(reference.BarTask(**task), per_class, seed,
                                                       "test", steps)
-        assert frames.shape == (3 * per_class, steps, 2, 5, 6) and frames.dtype == np.uint8
-        assert np.array_equal(_flat(frames), inputs)
+        assert geometry == (5, 6) and index.shape == (3 * per_class, steps, 60)
+        assert index.lines.dtype == np.int32 and index.values is None
+        assert np.array_equal(dense_counts(index), inputs)
         assert labels.dtype == expected.dtype and np.array_equal(labels, expected)
 
     def test_synthetic_frames_too_large_names_the_split(self):
-        # NumPy's own error leaves, carrying the split's frames' shape and
-        # dtype for the CLI to report
+        # NumPy's own error leaves, carrying the shape and dtype of the
+        # binning's (T, lines) scratch buffer for the CLI to report
         with pytest.raises(MemoryError) as exc:
             synthetic_frames(RunConfig(train_per_class=3, T=10**13), "train")
-        assert exc.value.shape == (12, 10**13, 2, 16, 16) and exc.value.dtype == np.uint8
+        assert exc.value.shape == (10**13, 512) and exc.value.dtype == np.bool_
 
     @pytest.mark.parametrize("steps", [1, 7, 20])
     def test_load_frames_equal_binned_records(self, tmp_path, steps):
+        # the benchmark's own records and file writer, and its binning
+        task = reference.BarTask(width=6, height=5, duration_us=997)
+        records = reference.wide_records(task, 12, seed=4, split=0)
         path = tmp_path / "split.events"
-        recs = bar_records(12, seed=4, width=6, height=5, duration_us=997)
-        recs.append(_record([(0, 0, 0, 0), (1000, 3, 3, 1)], label=1, w=6, h=5, dur=1000))
-        recs.append(_record([], label=2, w=6, h=5, dur=7))
-        write_events(path, recs)
-        frames, labels = load_frames(path, steps)
-        inputs, expected = _binned(path, steps)
-        assert frames.shape == (len(recs), steps, 2, 5, 6)
-        assert np.array_equal(_flat(frames), inputs) and np.array_equal(labels, expected)
+        reference.write_event_file(path, records, task)
+        geometry, index, labels = load_frames(path, steps)
+        inputs, expected = reference.bin_records(records, task, steps)
+        assert geometry == (5, 6) and index.shape == (12, steps, 60) and index.values is None
+        assert np.array_equal(dense_counts(index), inputs) and np.array_equal(labels, expected)
+        # an event at the record's duration, an empty record, and another duration
+        edges = [_record([(0, 0, 0, 0), (1000, 3, 3, 1)], label=1, w=6, h=5, dur=1000),
+                 _record([], label=2, w=6, h=5, dur=7)]
+        write_events(path, edges)
+        _, index, labels = load_frames(path, steps)
+        inputs, expected = _reference_binned(edges, steps)
+        assert np.array_equal(dense_counts(index), inputs) and np.array_equal(labels, expected)
 
     def test_load_frames_cut_to_the_records_parsed(self, tmp_path):
-        # a header key may hold a "#", so the "#" count only bounds the records
+        # a header key may hold a "#": the labels are gathered as records
+        # are parsed, and no array is sized by a count of "#"s
         path = tmp_path / "hash.events"
         path.write_text("# record label=1 w=2 h=3 dur_us=10 #note=4\n3 1 2 1\n")
-        frames, labels = load_frames(path, 2)
-        assert frames.shape == (1, 2, 2, 3, 2) and frames.flags.owndata
-        assert np.array_equal(_flat(frames), _binned(path, 2)[0]) and labels.tolist() == [1]
+        geometry, index, labels = load_frames(path, 2)
+        assert geometry == (3, 2) and index.shape == (1, 2, 12) and labels.tolist() == [1]
+        assert np.array_equal(dense_counts(index), _reference_binned(load_events(path), 2)[0])
 
     def test_load_frames_of_no_records(self, tmp_path):
         path = tmp_path / "empty.events"
         path.write_text("\n")
-        frames, labels = load_frames(path, 3)
-        assert frames.shape == (0, 3, 2, 0, 0) and labels.shape == (0,)
+        geometry, index, labels = load_frames(path, 3)
+        assert geometry == (0, 0) and index.shape == (0, 3, 0) and labels.shape == (0,)
+        assert index.lines.size == 0 and index.offsets.tolist() == [0]
 
     @pytest.mark.parametrize("text, error, message", [
         # the mix is found at record 2, but the parse error of record 3 wins,
@@ -282,7 +296,7 @@ class TestSplitFrames:
         write_events(path, bar_records(8, seed=1, width=4, height=4))
         with pytest.raises(MemoryError) as exc:
             load_frames(path, 10**13)
-        assert exc.value.shape == (8, 10**13, 2, 4, 4) and exc.value.dtype == np.uint8
+        assert exc.value.shape == (10**13, 32) and exc.value.dtype == np.bool_
 
 
 class TestSyntheticTask:
@@ -330,17 +344,18 @@ class TestSyntheticTask:
 
     def test_synthetic_frames_shape_and_determinism(self):
         cfg = RunConfig(train_per_class=3, seed=5)
-        frames, labels = synthetic_frames(cfg, "train")
-        again, _ = synthetic_frames(cfg, "train")
-        assert frames.shape == (cfg.classes * 3, cfg.T, 2, cfg.height, cfg.width)
+        geometry, index, labels = synthetic_frames(cfg, "train")
+        _, again, _ = synthetic_frames(cfg, "train")
+        assert geometry == (cfg.height, cfg.width)
+        assert index.shape == (cfg.classes * 3, cfg.T, 2 * cfg.height * cfg.width)
         assert labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
-        assert frames.any() and np.array_equal(frames, again)
+        assert index.lines.size and np.array_equal(dense_counts(index), dense_counts(again))
 
     def test_train_and_test_tags_differ(self):
         cfg = RunConfig(train_per_class=2, test_per_class=2, seed=5)
-        train, _ = synthetic_frames(cfg, "train")
-        test, _ = synthetic_frames(cfg, "test")
-        assert not np.array_equal(train, test)
+        _, train, _ = synthetic_frames(cfg, "train")
+        _, test, _ = synthetic_frames(cfg, "test")
+        assert not np.array_equal(dense_counts(train), dense_counts(test))
 
     def test_config_validation(self):
         for bad in ({"classes": 5}, {"width": 2}, {"events_per_pixel": -1.0}):
@@ -585,7 +600,8 @@ def test_damaged_line_is_named(tmp_path, records, data):
 @_PROPERTY
 @given(st.lists(_records(), min_size=1, max_size=4), st.integers(1, 9))
 def test_load_frames_bins_as_frames_to_inputs(tmp_path, records, steps):
-    # the same counts and labels, or the same error for a geometry mix
+    # the benchmark's binning of the records, or frames_to_inputs' error
+    # for a geometry mix
     path = tmp_path / "split.txt"
     write_events(path, records)
     try:
@@ -594,5 +610,7 @@ def test_load_frames_bins_as_frames_to_inputs(tmp_path, records, steps):
         with pytest.raises(ValueError, match=f"^{exc}$"):
             load_frames(path, steps)
         return
-    frames, got = load_frames(path, steps)
-    assert np.array_equal(_flat(frames), inputs) and np.array_equal(got, labels)
+    _, index, got = load_frames(path, steps)
+    expected, expected_labels = _reference_binned(records, steps)
+    assert np.array_equal(dense_counts(index), expected) and np.array_equal(inputs, expected)
+    assert np.array_equal(got, expected_labels) and np.array_equal(labels, expected_labels)
