@@ -253,7 +253,7 @@ def _sweep_train_per_point(cfg: RunConfig, grid, rows: list[MetricsRow]) -> None
             error, rate = trained[-1].error_rate, trained[-1].spike_rate
         else:
             [(error, rate)] = evaluate(
-                encoder, decoder, data.test_inputs, data.test_labels, [eps], cfg.seed, data.draws)
+                encoder, decoder, data.test_counts, data.test_labels, [eps], cfg.seed, data.draws)
         seconds = time.perf_counter() - started if cfg.timing else 0.0
         rows.append(
             MetricsRow("sweep-snr", i, cfg.epochs, eps, db, cfg.beta, cfg.k,
@@ -281,7 +281,7 @@ def _sweep_one_model(cfg: RunConfig, grid, experiment: str, rows: list[MetricsRo
         out = _out_dir(cfg)
         encoder, decoder = _train_run(cfg, data, "train", 0, [])
         save_checkpoint(out / "checkpoint.txt", encoder, decoder, _checkpoint_meta(cfg, data))
-        test_x, test_y = data.test_inputs, data.test_labels
+        test_x, test_y = data.test_counts, data.test_labels
     started = time.perf_counter()
     try:
         results = evaluate(encoder, decoder, test_x, test_y, [e for e, _ in grid], cfg.seed,

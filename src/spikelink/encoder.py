@@ -3,17 +3,17 @@
 Each of the k read-out neurons integrates filtered input spikes through its
 feedforward weights, its own past spikes through a self-feedback weight, and
 a bias.  Spiking is Bernoulli in the sigmoid of that membrane potential.
-The encoder reads its input counts (records, steps, lines) only through
-their active entries: `ActiveCounts` indexes a split's nonzero counts once,
-each entry's line and, where some count is not 1, its value, row by
-record-step row.  The filtered inputs reach the potential only as the
-feedforward drive W·(a∗x), and the filter is linear, so training and
-evaluation make it in neuron space, a∗(W·x): each row's active weight
-columns are gathered and summed, and those k columns are filtered
-(`drive_from_counts`).  No input trace is made, and no inactive line is
-read.  The same linearity gives the feedforward weights' gradient:
-Σ_t g_t ⊗ (a∗x)_t equals Σ_t (a⋆g)_t ⊗ x_t, the score filtered backward in
-time and then added into the active lines of each row (`score_grads`).
+The encoder reads its 0/1 input counts (records, steps, lines) only
+through an `ActiveCounts`, the line of each count of 1, row by record-step
+row, which events bins a split straight into; no other type is taken.
+The filtered inputs reach the potential only as the feedforward drive
+W·(a∗x), and the filter is linear, so training and evaluation make it in
+neuron space, a∗(W·x): each row's active weight columns are gathered and
+summed, and those k columns are filtered (`drive_from_counts`).  No input
+trace is made, and no inactive line is read.  The same linearity gives
+the feedforward weights' gradient: Σ_t g_t ⊗ (a∗x)_t equals
+Σ_t (a⋆g)_t ⊗ x_t, the score filtered backward in time and then added
+into the active lines of each row (`score_grads`).
 Both filters are one matrix product with the kernel's cached Toeplitz
 matrix (`Kernel.matrix`), the adjoint with its transpose.
 `rollout` runs the recurrence on a drive, one step at a time, for a whole
@@ -48,30 +48,25 @@ __all__ = [
 ]
 
 
-# counts scanned per block when an array is indexed (ActiveCounts.of)
-INDEX_BLOCK = 1 << 16
 MAX_LINES = np.iinfo(np.int32).max  # an index's lines are int32
 
 
 @dataclass(frozen=True, eq=False)
 class ActiveCounts:
-    """The nonzero entries of input counts of shape (records, steps, lines).
+    """The positions of 0/1 input counts of shape (records, steps, lines):
+    where a count is 1.
 
     Row r = record * steps + step holds entries offsets[r]:offsets[r + 1],
-    in line order: each entry's line (int32) and, only when some count is
-    not 1, its value (float64; None means every value is 1, as in every
-    binned split).  So a split of 0/1 counts takes 4 bytes a nonzero count
-    and 8 a row.  Splits are binned straight into an index (events), an
-    array of counts is indexed by ActiveCounts.of, and either way a width
-    past MAX_LINES is refused.  An index's records are read as an array's
-    are: len, index[start:stop] (a view of the entries) and index[records]
-    for an integer array (a copy).
+    each the line (int32) of a count of 1, in line order.  So a split takes
+    4 bytes a count of 1 and 8 a row.  Splits are binned straight into an
+    index (events), and a width past MAX_LINES is refused.  An index's
+    records are read as an array's are: len, index[start:stop] (a view of
+    the entries) and index[records] for an integer array (a copy).
     """
 
     shape: tuple[int, int, int]
     lines: np.ndarray
     offsets: np.ndarray
-    values: np.ndarray | None = None
 
     def __post_init__(self):
         self.check_width(self.shape[2])
@@ -81,41 +76,6 @@ class ActiveCounts:
         if width > MAX_LINES:
             raise ValueError(
                 f"{what}{width} input lines exceed the {MAX_LINES} an index numbers in int32")
-
-    @classmethod
-    def of(cls, counts) -> ActiveCounts:
-        """counts as an index: an ActiveCounts as it is, or a real array
-        (records, steps, lines) indexed in one pass, INDEX_BLOCK counts at a
-        time, so the pass adds little beyond the index itself."""
-        if isinstance(counts, cls):
-            return counts
-        counts = np.asarray(counts)
-        if counts.ndim != 3 or counts.dtype.kind not in "buif":
-            raise ValueError(
-                f"counts must be a real array of shape (records, steps, lines), got {counts.shape}")
-        n, steps, width = counts.shape
-        rows = counts.reshape(n * steps, width)
-        total = np.count_nonzero(counts)
-        lines = np.empty(total, dtype=np.int32)
-        offsets = np.zeros(n * steps + 1, dtype=np.intp)
-        values = None
-        per_block = max(INDEX_BLOCK // max(width, 1), 1)
-        done = 0
-        for first in range(0, n * steps, per_block):
-            part = rows[first : first + per_block]
-            flat = np.flatnonzero(part)
-            found = part.ravel()[flat]
-            if values is None and (found != 1).any():
-                values = np.ones(total)  # the entries before this block are all 1
-            if values is not None:
-                values[done : done + flat.size] = found
-            ends = offsets[first + 1 : first + 1 + len(part)]
-            ends[:] = np.searchsorted(flat, np.arange(1, len(part) + 1) * width)
-            ends += done
-            np.remainder(flat, width, out=flat)
-            lines[done : done + flat.size] = flat
-            done += flat.size
-        return cls((n, steps, width), lines, offsets, values)
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -128,9 +88,8 @@ class ActiveCounts:
                 raise ValueError("an index slices its records with step 1")
             count = max(stop - start, 0)
             rows = self.offsets[start * steps : (start + count) * steps + 1]
-            entries = slice(rows[0], rows[-1])
-            return ActiveCounts((count, steps, width), self.lines[entries], rows - rows[0],
-                                None if self.values is None else self.values[entries])
+            return ActiveCounts((count, steps, width), self.lines[rows[0] : rows[-1]],
+                                rows - rows[0])
         records = np.asarray(records, dtype=np.intp).reshape(-1)
         if ((records < -n) | (records >= n)).any():
             raise IndexError(f"record index out of range for {n} records")
@@ -138,14 +97,19 @@ class ActiveCounts:
         rows = (records[:, None] * steps + np.arange(steps)).ravel()
         offsets = np.zeros(rows.size + 1, dtype=np.intp)
         np.cumsum(self.offsets[rows + 1] - self.offsets[rows], out=offsets[1:])
-        spans = [slice(first, last) for first, last in zip(
-            self.offsets[records * steps].tolist(), self.offsets[(records + 1) * steps].tolist())]
+        lines = np.concatenate([self.lines[:0], *(
+            self.lines[first:last] for first, last in zip(
+                self.offsets[records * steps].tolist(),
+                self.offsets[(records + 1) * steps].tolist()))])
+        return ActiveCounts((records.size, steps, width), lines, offsets)
 
-        def gather(entries: np.ndarray) -> np.ndarray:
-            return np.concatenate([entries[:0], *(entries[span] for span in spans)])
 
-        return ActiveCounts((records.size, steps, width), gather(self.lines), offsets,
-                            None if self.values is None else gather(self.values))
+def _require_index(counts, what: str = "counts") -> ActiveCounts:
+    """counts as it is if it is an ActiveCounts; anything else, a dense
+    array too, is refused with a TypeError."""
+    if not isinstance(counts, ActiveCounts):
+        raise TypeError(f"{what} must be an ActiveCounts, got {type(counts).__name__}")
+    return counts
 
 
 @dataclass
@@ -272,21 +236,20 @@ GATHER_BLOCK = 1 << 16
 
 
 def drive_from_counts(params: EncoderParams, counts) -> np.ndarray:
-    """Feedforward drive of input counts (n, steps, lines), an ActiveCounts
-    or an array that ActiveCounts.of indexes, as (n, steps, k), filtered in
-    neuron space: a∗(W·x), which is W·(a∗x) up to float rounding.
+    """Feedforward drive of the 0/1 input counts (n, steps, lines) an
+    ActiveCounts holds, as (n, steps, k), filtered in neuron space:
+    a∗(W·x), which is W·(a∗x) up to float rounding.
 
     Each record-step row is projected to the k neurons from its active
-    entries alone: their weight columns, gathered in line order (times
-    their values, if any count is not 1), summed by one np.add.reduceat;
-    a row with no active entry projects to +0.0.  Rows are gathered
-    GATHER_BLOCK weights at a time.  Then filter_inputs filters the n * k
-    projected columns, time-major as a (1, steps, n * k) array, in one
-    matrix product.  So a record's drive does not depend on the other
-    records of its batch or chunk, and no array of the counts' size is made.
+    entries alone: their weight columns, gathered in line order and summed
+    by one np.add.reduceat; a row with no active entry projects to +0.0.
+    Rows are gathered GATHER_BLOCK weights at a time.  Then filter_inputs
+    filters the n * k projected columns, time-major as a (1, steps, n * k)
+    array, in one matrix product.  So a record's drive does not depend on
+    the other records of its batch or chunk, and no array of the counts'
+    size is made.
     """
-    counts = ActiveCounts.of(counts)
-    n, steps, width = counts.shape
+    n, steps, width = _require_index(counts).shape
     if width != params.n_in:
         raise ValueError(f"counts must have shape (n, steps, {params.n_in}), got {counts.shape}")
     k = params.n_out
@@ -302,8 +265,6 @@ def drive_from_counts(params: EncoderParams, counts) -> np.ndarray:
         lo, hi = offsets[first], offsets[last]
         if hi > lo:
             gathered = params.ff_weights.take(counts.lines[lo:hi], axis=1)
-            if counts.values is not None:
-                gathered *= counts.values[lo:hi]
             # the rows after the block's last entry are empty, zeroed below
             starts = offsets[first:last] - lo
             filled = int(np.searchsorted(starts, hi - lo))
@@ -415,18 +376,16 @@ def score_grads(run: Rollout, counts, kernel: Kernel, epsilon: float,
     p is the channel-marginalized law with run.bits fed back, so each
     sequence's log-likelihood is a sum of per-step terms.  A step's term
     depends on the parameters only through u, whose parameter gradients
-    are the traces that built it: the input traces, the counts (n, steps,
-    lines) the run's drive was made from (an ActiveCounts, or an array
-    that ActiveCounts.of indexes) filtered by kernel, for the feedforward
-    row; the feedback trace for the feedback weight; and 1 for the bias.
-    The filter is linear, so the feedforward row is made without the input
-    traces: the weighted score filtered backward in time (the adjoint
-    filter, the transposed filter matrix times it), then each row's
-    adjoint score, times the entry's value if any count is not 1, added
-    into each of the row's active lines, entry by entry (one np.bincount a
-    neuron).
+    are the traces that built it: the input traces, the 0/1 counts (n,
+    steps, lines) of the ActiveCounts the run's drive was made from,
+    filtered by kernel, for the feedforward row; the feedback trace for the
+    feedback weight; and 1 for the bias.  The filter is linear, so the
+    feedforward row is made without the input traces: the weighted score
+    filtered backward in time (the adjoint filter, the transposed filter
+    matrix times it), then each row's adjoint score added into each of the
+    row's active lines, entry by entry (one np.bincount a neuron).
     """
-    counts = ActiveCounts.of(counts)
+    counts = _require_index(counts)
     score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, epsilon)
     n, steps, k = score_u.shape
     if counts.shape[:2] != (n, steps):
@@ -435,8 +394,6 @@ def score_grads(run: Rollout, counts, kernel: Kernel, epsilon: float,
     adjoint = _filter(kernel, weights[:, None, None] * score_u, transpose=True)
     entry_rows = np.repeat(np.arange(n * steps), np.diff(counts.offsets))
     per_entry = adjoint.reshape(n * steps, k).T.take(entry_rows, axis=1)
-    if counts.values is not None:
-        per_entry *= counts.values
     lines = counts.lines.astype(np.intp)
     return np.concatenate([
         *(np.bincount(lines, weights=w, minlength=counts.shape[2]) for w in per_entry),

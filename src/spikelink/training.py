@@ -5,13 +5,14 @@ times a rate term: the log-ratio between the channel-marginalized encoding
 law and a fixed Bernoulli reference over the received bits.  The decoder is
 updated with exact gradients; the encoder with the score-function estimator
 (one Monte Carlo draw per input), built from the input counts and the
-traces the rollout keeps.  The Dataset holds each split's counts as an
-index of their nonzero entries (encoder.ActiveCounts), binned straight
-from its events (events.synthetic_frames, events.load_frames):
-train_epoch gathers a batch's records from it and evaluate slices a
-chunk's, and both make the feedforward drive the one way
-(encoder.drive_from_counts), reading only the active counts, so no float64
-input trace, and no dense copy of the counts, is ever made.
+traces the rollout keeps.  The Dataset holds each split's 0/1 counts as
+the index of their positions (encoder.ActiveCounts, the one type the
+encoder and evaluate take), binned straight from its events
+(events.synthetic_frames, events.load_frames): train_epoch gathers a
+batch's records from it and evaluate slices a chunk's, and both make the
+feedforward drive the one way (encoder.drive_from_counts), reading only
+the active counts, so no float64 input trace, and no dense copy of the
+counts, is ever made.
 train_epoch reads its settings by name from the run's RunConfig, which
 checked them when it was built.  An array too large to allocate (a
 batch's drive or rollout, a test chunk's draws, drive or rollout) leaves
@@ -51,6 +52,7 @@ from .decoder import (
 from .encoder import (
     ActiveCounts,
     EncoderParams,
+    _require_index,
     drive_from_counts,
     rollout,
     score_grads,
@@ -112,26 +114,26 @@ class PriorModel:
 
 @dataclass
 class Dataset:
-    """Encoder inputs split into train and test: each split's counts
-    (samples, steps, lines), given as an ActiveCounts or as an array, held
-    as an index of their nonzero entries (encoder.ActiveCounts.of, built
-    here once, an index kept as it is), which train_epoch gathers per
-    batch and evaluate slices per chunk.  draws caches the test split's
-    evaluation draws (evaluate); dataclasses.replace starts afresh."""
+    """Encoder inputs split into train and test: each split's 0/1 counts
+    (samples, steps, lines) as the ActiveCounts its events were binned
+    into (events.synthetic_frames, events.load_frames), which train_epoch
+    gathers per batch and evaluate slices per chunk; any other type is
+    refused with a TypeError.  draws caches the test split's evaluation
+    draws (evaluate); dataclasses.replace starts afresh."""
 
     train_counts: ActiveCounts
     train_labels: np.ndarray
-    test_inputs: ActiveCounts
+    test_counts: ActiveCounts
     test_labels: np.ndarray
     n_classes: int
     draws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.train_counts = ActiveCounts.of(self.train_counts)
-        self.test_inputs = ActiveCounts.of(self.test_inputs)
+        _require_index(self.train_counts, "train_counts")
+        _require_index(self.test_counts, "test_counts")
         if len(self.train_labels) != len(self.train_counts):
             raise ValueError("train labels do not match inputs")
-        if len(self.test_labels) != len(self.test_inputs):
+        if len(self.test_labels) != len(self.test_counts):
             raise ValueError("test labels do not match inputs")
 
     @property
@@ -286,7 +288,7 @@ def train_epoch(state: TrainState, data: Dataset,
     mean_task = task_sum / max(count, 1)
     mean_rate = rate_sum / max(count, 1)
     [(test_error, test_rate)] = evaluate(
-        encoder, decoder, data.test_inputs, data.test_labels, [eps], config.seed, data.draws
+        encoder, decoder, data.test_counts, data.test_labels, [eps], config.seed, data.draws
     )
     metrics = EpochMetrics(
         task_loss=mean_task,
@@ -322,8 +324,8 @@ def evaluate(
 ) -> list[tuple[float, float]]:
     """(test error, clean spike rate) at each channel point of epsilons, in
     order (one point is a grid of one), under the two-stage channel path,
-    from the test inputs' counts (n, steps, lines): an ActiveCounts, or an
-    array that ActiveCounts.of indexes.
+    from the ActiveCounts of the test inputs' 0/1 counts (n, steps, lines);
+    any other type is refused with a TypeError.
 
     Each chunk's feedforward drive is made from its active counts in neuron
     space (encoder.drive_from_counts), as training makes a batch's; its
@@ -342,19 +344,18 @@ def evaluate(
 
     Clean spikes do not depend on epsilon, so each chunk of EVAL_CHUNK
     samples is rolled out once, and only the flips and the decoder run per
-    point.  Past the counts' index (built here once if the counts come as
-    an array), memory is bounded by the chunk, not the test set.  A sample's
-    drive, and so its clean bits, are bitwise the same at any chunk size;
-    the chunk size can move only the decoder's logits, by float rounding
-    (a matmul's rounding may depend on its row count).
+    point.  Past the counts' index, memory is bounded by the chunk, not the
+    test set.  A sample's drive, and so its clean bits, are bitwise the
+    same at any chunk size; the chunk size can move only the decoder's
+    logits, by float rounding (a matmul's rounding may depend on its row
+    count).
 
     A caller that evaluates the test set again (every epoch, every run of
     a command) passes a dict as draws: each chunk's spike thresholds and
     flip uniforms are made into it once, keyed by seed, chunk and shape, so
     it holds the whole test set's, where a call without it holds one chunk's.
     """
-    counts = ActiveCounts.of(counts)
-    n, steps, _ = counts.shape
+    n, steps, _ = _require_index(counts).shape
     if n == 0:
         raise ValueError("cannot evaluate an empty test set")
     labels = np.asarray(labels)

@@ -6,11 +6,12 @@ allocate.
 Nothing in the package calls these: each oracle recomputes a quantity the
 package produces by a separate, plainer route.  `training_rollout` (and
 `replay`, which feeds given bits back through it) is the one place the
-tests compose the training path, the counts' index (ActiveCounts.of),
-drive_from_counts then rollout, so the enumeration and finite-difference
-oracles check the drive train_epoch makes.  `dense_counts` rebuilds the
-counts an index holds.  `drive_line_space` and `ff_score_line_space` are
-the drive and the feedforward row of the score made in line space, one
+tests compose the training path, the counts' index, drive_from_counts
+then rollout, so the enumeration and finite-difference oracles check the
+drive train_epoch makes.  `index` is the tests' one way from a 0/1 array
+to the ActiveCounts every layer takes, and `dense_counts` its way back.
+`drive_line_space` and `ff_score_line_space` are the drive and the
+feedforward row of the score made in line space, one
 record at a time, from each record's dense counts and input traces: the
 references the event-driven drive and score_grads' adjoint filter and
 scatter-add are pinned to.  `sample_noisy` is the channel-marginalized
@@ -114,25 +115,52 @@ def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def index(counts) -> ActiveCounts:
+    """The ActiveCounts of a 0/1 array of counts (n, steps, lines), of any
+    real dtype: the positions events bins a split into, found by one
+    np.flatnonzero pass a record, so no transient of the split's size is
+    made.  An ActiveCounts comes back as it is.  An array that is not 3-d,
+    or holds a count other than 0 or 1, raises ValueError: nothing is
+    binarized here."""
+    if isinstance(counts, ActiveCounts):
+        return counts
+    counts = np.asarray(counts)
+    if counts.ndim != 3:
+        raise ValueError(f"counts must be (n, steps, lines), got shape {counts.shape}")
+    n, steps, width = counts.shape
+    lines = np.empty(np.count_nonzero(counts), dtype=np.int32)
+    offsets = np.zeros(n * steps + 1, dtype=np.intp)
+    done = 0
+    for r, record in enumerate(counts):
+        if not np.all((record == 0) | (record == 1)):
+            raise ValueError(f"record {r} holds a count other than 0 or 1")
+        flat = np.flatnonzero(record)
+        ends = np.searchsorted(flat, np.arange(1, steps + 1) * width)
+        offsets[r * steps + 1 : (r + 1) * steps + 1] = done + ends
+        lines[done : done + flat.size] = flat % max(width, 1)
+        done += flat.size
+    return ActiveCounts((n, steps, width), lines, offsets)
+
+
 def training_rollout(params, inputs, thresholds):
-    """The training path on input counts of shape (n, steps, lines): their
-    index, as the Dataset holds it (ActiveCounts.of), the drive train_epoch
+    """The training path on 0/1 input counts of shape (n, steps, lines):
+    their index, as the Dataset holds it (index), the drive train_epoch
     makes from it (drive_from_counts), then the recurrence, whose step-t
     bits are 1 where the potentials exceed thresholds[t] of a (steps, n, k)
     array.  Returns the run and the index, which score_grads reads."""
-    index = ActiveCounts.of(inputs)
-    return rollout(params, drive_from_counts(params, index), thresholds), index
+    counts = index(inputs)
+    return rollout(params, drive_from_counts(params, counts), thresholds), counts
 
 
 def dense_counts(counts) -> np.ndarray:
-    """The float64 counts (n, steps, lines) an ActiveCounts holds, each
-    entry written at its row and line; an array comes back as float64."""
-    if not isinstance(counts, ActiveCounts):
-        return np.asarray(counts, dtype=np.float64)
+    """The float64 0/1 counts (n, steps, lines) an ActiveCounts holds (or
+    index builds from an array), a 1 written at each entry's row and
+    line."""
+    counts = index(counts)
     n, steps, width = counts.shape
     dense = np.zeros((n * steps, width))
     rows = np.repeat(np.arange(n * steps), np.diff(counts.offsets))
-    dense[rows, counts.lines] = 1.0 if counts.values is None else counts.values
+    dense[rows, counts.lines] = 1.0
     return dense.reshape(counts.shape)
 
 
@@ -281,8 +309,8 @@ def evaluate_line_space(encoder, decoder, counts, labels, epsilons, seed: int):
     training.evaluate documents them, one sample and one step at a
     time in line space.
 
-    Each sample's dense counts (dense_counts: the test split's index or an
-    array) become input traces (filter_inputs), and step t's
+    Each sample's dense counts (dense_counts: the test split's index or a
+    0/1 array) become input traces (filter_inputs), and step t's
     potential is traces[t] @ ff_weights.T, W·(a∗x), plus the feedback
     weight times the filtered own-bit history and the bias.  Each sample
     draws from its own stream ("eval", index) of the seed: spike uniforms

@@ -932,7 +932,7 @@ class TestCliSweeps:
         real_epoch = cli.train_epoch
 
         def train_epoch(state, data, config):
-            test_types.append(type(data.test_inputs))
+            test_types.append(type(data.test_counts))
             return real_epoch(state, data, config)
 
         monkeypatch.setattr(cli, "train_epoch", train_epoch)
@@ -1051,7 +1051,7 @@ class TestCliSweeps:
         rows = read_metrics(out / "metrics.csv")
         assert [(r.point, r.epoch) for r in rows] == [(0, 2), (1, 2)]
         for row, (point_cfg, data, (encoder, decoder)) in zip(rows, runs, strict=True):
-            assert evaluate(encoder, decoder, data.test_inputs, data.test_labels,
+            assert evaluate(encoder, decoder, data.test_counts, data.test_labels,
                             [row.epsilon], point_cfg.seed) == [(row.error_rate, row.spike_rate)]
 
     @pytest.mark.parametrize("verb, flags, grid", [
@@ -1067,7 +1067,7 @@ class TestCliSweeps:
         cfg = build_run_config(parse_config_file(tiny_config), {"epochs": 0})
         data = cli._build_dataset(cfg)
         encoder, decoder = cli._init_models(cfg, data)
-        expected = evaluate(encoder, decoder, data.test_inputs, data.test_labels, grid,
+        expected = evaluate(encoder, decoder, data.test_counts, data.test_labels, grid,
                             cfg.seed)
         assert [(r.point, r.epoch, r.epsilon) for r in rows] == [
             (i, 0, eps) for i, eps in enumerate(grid)

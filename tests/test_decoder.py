@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import oracles
 from oracles import bernoulli
 
 from spikelink.decoder import (
@@ -155,7 +156,7 @@ class TestLosses:
             w1=np.zeros((4, 10)), b1=np.zeros(4), w2=np.zeros((3, 4)), b2=np.zeros(3)
         )
         labels = np.arange(16) % 3
-        [(err, _)] = evaluate(encoder, flat, inputs, labels, [0.1], seed=0)
+        [(err, _)] = evaluate(encoder, flat, oracles.index(inputs), labels, [0.1], seed=0)
         assert err == np.mean(labels != 0)
 
 

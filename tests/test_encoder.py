@@ -3,7 +3,7 @@ score-function gradient against finite differences and the line-space
 contraction."""
 
 import contextlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,43 +98,66 @@ class TestParams:
 
 
 class TestActiveCounts:
-    """The index of a split's nonzero counts: what it holds, and its records
-    read back as an array's would be."""
+    """The positions of a split's 0/1 counts: what an index holds, its
+    records read back as an array's would be, and the tests' one way in
+    from an array (oracles.index)."""
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.float64, np.int64])
     def test_holds_the_counts(self, dtype):
+        # oracles.index and oracles.dense_counts round-trip 0/1 counts of
+        # any real dtype
         rng = np.random.default_rng(0)
         counts = (rng.random((7, 5, 11)) < 0.3).astype(dtype)
         counts[2] = 0  # a record with no active count
-        index = ActiveCounts.of(counts)
+        index = oracles.index(counts)
         assert index.shape == counts.shape and len(index) == 7
-        assert index.lines.dtype == np.int32 and index.values is None
+        assert index.lines.dtype == np.int32
         assert index.offsets.size == 7 * 5 + 1
         assert np.array_equal(oracles.dense_counts(index), counts)
-        assert ActiveCounts.of(index) is index
+        assert oracles.index(index) is index
 
-    def test_keeps_values_only_when_some_count_is_not_one(self):
+    def test_index_refuses_counts_other_than_zero_or_one(self):
+        # no test binarizes silently: a count of 2 or 0.5 is refused
         counts = np.zeros((2, 3, 4), dtype=np.uint8)
         counts[0, 1, 2] = 1
-        counts[1, 2, 3] = 3
-        index = ActiveCounts.of(counts)
-        np.testing.assert_array_equal(index.values, [1.0, 3.0])
-        np.testing.assert_array_equal(index.lines, [2, 3])
-        np.testing.assert_array_equal(index.offsets, [0, 0, 1, 1, 1, 1, 2])
-        assert np.array_equal(oracles.dense_counts(index), counts)
-        # a value past 1 in a later scan block keeps the ones before it
-        wide = np.ones((2, 1, encoder.INDEX_BLOCK), dtype=np.uint8)
-        wide[1, 0, 5] = 2
-        index = ActiveCounts.of(wide)
-        assert index.values.sum() == wide.sum()
-        assert np.array_equal(oracles.dense_counts(index), wide)
-        assert ActiveCounts.of(counts * 0.5).values is not None
+        index = oracles.index(counts)
+        np.testing.assert_array_equal(index.lines, [2])
+        np.testing.assert_array_equal(index.offsets, [0, 0, 1, 1, 1, 1, 1])
+        for bad in (2, 0.5):
+            other = counts.astype(np.min_scalar_type(bad))
+            other[1, 2, 3] = bad
+            with pytest.raises(ValueError, match="count other than 0 or 1"):
+                oracles.index(other)
+
+    def test_has_no_array_way_in(self):
+        # an index is made by binning events (or, in the tests, by
+        # oracles.index): it holds positions only, and indexes no array
+        assert [f.name for f in fields(ActiveCounts)] == ["shape", "lines", "offsets"]
+        assert not hasattr(ActiveCounts, "of") and not hasattr(ActiveCounts, "values")
+        assert not hasattr(oracles.index(np.zeros((1, 2, 3))), "values")
+
+    @pytest.mark.parametrize("layer", ["drive_from_counts", "score_grads", "evaluate", "Dataset"])
+    def test_layers_refuse_a_dense_array(self, layer):
+        # each layer takes an ActiveCounts only, and names what it got
+        params = _tiny_params()
+        counts = np.ones((2, 4, 3), dtype=np.uint8)
+        run, _ = training_rollout(params, counts, np.zeros((4, 2, 2)))
+        decoder = init_decoder_params(8, 2, SeededRng(2).generator, hidden_dim=3)
+        calls = {
+            "drive_from_counts": lambda: drive_from_counts(params, counts),
+            "score_grads": lambda: score_grads(run, counts, params.kernel_ff, 0.1, np.ones(2)),
+            "evaluate": lambda: training.evaluate(params, decoder, counts, np.zeros(2), [0.0], 0),
+            "Dataset": lambda: training.Dataset(counts, np.zeros(2), oracles.index(counts),
+                                                np.zeros(2), 2),
+        }
+        with pytest.raises(TypeError, match="must be an ActiveCounts, got ndarray"):
+            calls[layer]()
 
     def test_reads_records_as_an_array_does(self):
         rng = np.random.default_rng(1)
-        counts = rng.poisson(0.4, (9, 4, 6))
+        counts = rng.poisson(0.4, (9, 4, 6)) > 0  # binarized, as events bins
         counts[[0, 8]] = 0
-        index = ActiveCounts.of(counts)
+        index = oracles.index(counts)
         for records in ([3], [8, 0, 3, 3], np.arange(9)[::-1], [], [-1, -9, 2]):
             assert np.array_equal(oracles.dense_counts(index[records]), counts[records])
         for records in ([9], [0, -10]):
@@ -155,9 +178,9 @@ class TestActiveCounts:
         assert ActiveCounts((1, 1, 2**31 - 1), lines, offsets).shape == (1, 1, 2**31 - 1)
 
     def test_refuses_what_is_not_counts(self):
-        for counts in (np.zeros((4, 3)), np.zeros((1, 2, 3), dtype=complex), [["a"]]):
-            with pytest.raises(ValueError, match="shape \\(records, steps, lines\\)"):
-                ActiveCounts.of(counts)
+        for counts in (np.zeros((4, 3)), np.zeros(3), [["a"]]):
+            with pytest.raises(ValueError, match="counts must be \\(n, steps, lines\\)"):
+                oracles.index(counts)
 
 
 class TestStateTraces:
@@ -171,13 +194,11 @@ class TestStateTraces:
         with pytest.raises(ValueError, match="shape"):
             rollout(params, np.zeros((1, 4, 3)), silent)
         with pytest.raises(ValueError, match="shape"):
-            drive_from_counts(params, np.zeros((1, 4, 2)))
-        with pytest.raises(ValueError, match="shape"):
-            drive_from_counts(params, np.zeros((4, 3)))
+            drive_from_counts(params, oracles.index(np.zeros((1, 4, 2))))
         # the score's counts have the run's records and steps
         run, _ = training_rollout(params, np.ones((2, 4, 3)), np.zeros((4, 2, 2)))
         with pytest.raises(ValueError, match="do not match a run of shape"):
-            score_grads(run, np.ones((2, 5, 3)), params.kernel_ff, 0.1, np.ones(2))
+            score_grads(run, oracles.index(np.ones((2, 5, 3))), params.kernel_ff, 0.1, np.ones(2))
         # thresholds are step-major, one per step, sequence and neuron
         for thresholds in (np.zeros((1, 4, 2)), np.zeros((4, 1, 3)), np.zeros((4, 2))):
             with pytest.raises(ValueError, match="thresholds must have shape"):
@@ -194,7 +215,7 @@ class TestStateTraces:
         # unit weight, silent feedback, zero bias: the potential is the trace,
         # which the neuron-space drive makes
         np.testing.assert_allclose(run.potentials[0, :, 0], [1.0, 0.5, 1.25, 1.5])
-        np.testing.assert_allclose(drive_from_counts(params, inputs)[0, :, 0],
+        np.testing.assert_allclose(drive_from_counts(params, oracles.index(inputs))[0, :, 0],
                                    [1.0, 0.5, 1.25, 1.5])
 
     def test_output_trace_strictly_past(self):
@@ -223,7 +244,7 @@ class TestStateTraces:
                 params = replace(params, fb_weights=fb_weights)
             bits = (rng.random((n, steps, 3)) < 0.4).astype(np.uint8)
             bits[0, : steps // 2] = 0
-            run, counts = replay(params, rng.poisson(1.0, (n, steps, 2)), bits)
+            run, counts = replay(params, rng.poisson(1.0, (n, steps, 2)) > 0, bits)
             expected = np.zeros_like(run.fb_traces)
             for t in range(steps):
                 trace = np.zeros((n, 3))
@@ -254,7 +275,8 @@ class TestStateTraces:
         run, _ = replay(params, np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
         np.testing.assert_allclose(filter_inputs(np.ones((1, 1, 1)), params.kernel_ff)[0, 0], [1.0])
         np.testing.assert_allclose(run.potentials[0, 0], [1.0])
-        np.testing.assert_allclose(drive_from_counts(params, np.ones((1, 1, 1)))[0, 0], [1.0])
+        np.testing.assert_allclose(
+            drive_from_counts(params, oracles.index(np.ones((1, 1, 1))))[0, 0], [1.0])
 
 
 class TestDrives:
@@ -284,10 +306,10 @@ class TestDrives:
             rates = rng.substream("rates").generator.uniform(0.0, 0.6, lines)
             shape = (self.N, self.STEPS, lines)
             counts = rng.substream("counts").generator.poisson(np.broadcast_to(rates, shape))
-            counts = counts.astype(np.uint8)
+            counts = (counts > 0).astype(np.uint8)
             traces = filter_inputs(counts, params.kernel_ff)
             line_space = traces @ params.ff_weights.T
-            neuron_space = drive_from_counts(params, counts)
+            neuron_space = drive_from_counts(params, oracles.index(counts))
             assert neuron_space.shape == line_space.shape == (self.N, self.STEPS, self.K)
             magnitude = traces @ np.abs(params.ff_weights).T
             assert (np.abs(neuron_space - line_space) <= 2 * gamma * magnitude).all()
@@ -312,7 +334,7 @@ class TestDrives:
                     projected[t, b] = np.add.reduceat(columns, [0], axis=1)[:, 0]
         expected = filter_inputs(projected.reshape(1, self.STEPS, n * self.K), params.kernel_ff)
         expected = expected.reshape(self.STEPS, n, self.K).transpose(1, 0, 2)
-        assert np.array_equal(drive_from_counts(params, counts).view(np.uint64),
+        assert np.array_equal(drive_from_counts(params, oracles.index(counts)).view(np.uint64),
                               expected.view(np.uint64))
 
     @pytest.mark.parametrize("gather_block", [1 << 16, 40])
@@ -326,7 +348,7 @@ class TestDrives:
         rng = SeededRng(5)
         params = init_encoder_params(lines, self.K, rng.substream("init").generator)
         counts = bernoulli(rng.substream("counts").generator, np.full((n, self.STEPS, lines), 0.05))
-        index = ActiveCounts.of(counts)
+        index = oracles.index(counts)
         alone = np.stack([drive_from_counts(params, index[[b]])[0] for b in range(n)])
         order = rng.substream("order").generator.permutation(n)
         for start in range(0, n, 16):
@@ -340,11 +362,12 @@ class TestDrives:
 
     @pytest.mark.parametrize("rate", [0.05, 0.6])
     def test_drive_and_gradient_match_the_per_record_oracle(self, rate):
-        # Poisson counts (values past 1 are kept with their entries) and
-        # 0/1 counts against the line-space products made one record at a
-        # time from dense counts: the drive within the rounding bound above
-        # (m = lines + taps + 2), the feedforward row within 1e-12 of the
-        # sum of its products' magnitudes
+        # binarized Poisson counts (a bin spikes if it holds at least one
+        # event, as events bins) and 0/1 draws against the line-space
+        # products made one record at a time from dense counts: the drive
+        # within the rounding bound above (m = lines + taps + 2), the
+        # feedforward row within 1e-12 of the sum of its products'
+        # magnitudes
         lines, n, window = 256, 6, 10
         m = lines + window + 2
         u = np.finfo(np.float64).eps / 2
@@ -353,10 +376,9 @@ class TestDrives:
         params = init_encoder_params(lines, self.K, rng.substream("init").generator,
                                      kernel_ff=exponential_kernel(5.0, window))
         draw = rng.substream("counts").generator
-        for counts in (draw.poisson(rate, (n, self.STEPS, lines)).astype(np.uint8),
+        for counts in ((draw.poisson(rate, (n, self.STEPS, lines)) > 0).astype(np.uint8),
                        bernoulli(draw, np.full((n, self.STEPS, lines), rate))):
-            index = ActiveCounts.of(counts)
-            assert (index.values is None) == bool(counts.max() <= 1)
+            index = oracles.index(counts)
             dense = counts.astype(np.float64)
             traces = filter_inputs(dense, params.kernel_ff)
             drive = drive_from_counts(params, index)
@@ -409,7 +431,8 @@ class TestDrives:
         monkeypatch.setattr(training, "drive_from_counts", drive)
         made.clear()
         counts = bernoulli(SeededRng(1).generator, np.full((10, 4, 3), 0.5)).astype(np.uint8)
-        data = training.Dataset(counts[:6], np.arange(6) % 2, counts[6:], np.arange(4) % 2, 2)
+        data = training.Dataset(oracles.index(counts[:6]), np.arange(6) % 2,
+                                oracles.index(counts[6:]), np.arange(4) % 2, 2)
         params = _tiny_params()
         decoder = init_decoder_params(8, 2, SeededRng(2).generator, hidden_dim=3)
         training.train_epoch(training.TrainState(params, decoder), data,
@@ -557,9 +580,9 @@ class TestScoreGrads:
         params = init_encoder_params(lines, k, SeededRng(window).generator, kernel_ff=kernel(*coeff))
         counts = (rng.random((n, steps, lines)) < 0.2).astype(np.uint8)
         thresholds = spike_thresholds(rng.random((steps, n, k)), 0.1)
-        run, _ = training_rollout(params, counts, thresholds)
+        run, index = training_rollout(params, counts, thresholds)
         weights = rng.uniform(-1.0, 1.0, n)
-        got = params.split(score_grads(run, counts, params.kernel_ff, 0.1, weights))
+        got = params.split(score_grads(run, index, params.kernel_ff, 0.1, weights))
         expected = oracles.ff_score_line_space(run, counts, params.kernel_ff, 0.1, weights)
         score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
         magnitude = np.einsum("btk,btn->kn", np.abs(weights[:, None, None] * score_u),
@@ -577,9 +600,10 @@ class TestScoreGrads:
         rng = np.random.default_rng(3)
         params = init_encoder_params(lines, k, SeededRng(3).generator)
         counts = (rng.random((n, steps, lines)) < 0.2).astype(np.uint8)
-        run, _ = training_rollout(params, counts, spike_thresholds(rng.random((steps, n, k)), 0.1))
+        thresholds = spike_thresholds(rng.random((steps, n, k)), 0.1)
+        run, index = training_rollout(params, counts, thresholds)
         weights = rng.uniform(-1.0, 1.0, n)
-        got = params.split(score_grads(run, counts, params.kernel_ff, 0.1, weights))
+        got = params.split(score_grads(run, index, params.kernel_ff, 0.1, weights))
         score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
         adjoint = np.matmul(params.kernel_ff.matrix(steps).T, weights[:, None, None] * score_u)
         want = np.zeros((k, lines))
@@ -597,9 +621,10 @@ class TestScoreGrads:
         params = init_encoder_params(lines, k, SeededRng(steps).generator,
                                      kernel_ff=exponential_kernel(5.0, window))
         counts = (rng.random((n, steps, lines)) < 0.2).astype(np.uint8)
-        run, _ = training_rollout(params, counts, spike_thresholds(rng.random((steps, n, k)), 0.1))
+        thresholds = spike_thresholds(rng.random((steps, n, k)), 0.1)
+        run, index = training_rollout(params, counts, thresholds)
         weights = rng.uniform(-1.0, 1.0, n)
-        got = params.split(score_grads(run, counts, params.kernel_ff, 0.1, weights))
+        got = params.split(score_grads(run, index, params.kernel_ff, 0.1, weights))
         expected = oracles.ff_score_line_space(run, counts, params.kernel_ff, 0.1, weights)
         score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
         magnitude = np.einsum("btk,btn->kn", np.abs(weights[:, None, None] * score_u),

@@ -222,7 +222,7 @@ class TestSplitFrames:
         inputs, expected = reference.synthetic_inputs(reference.BarTask(**task), per_class, seed,
                                                       "test", steps)
         assert geometry == (5, 6) and index.shape == (3 * per_class, steps, 60)
-        assert index.lines.dtype == np.int32 and index.values is None
+        assert index.lines.dtype == np.int32
         assert np.array_equal(dense_counts(index), inputs)
         assert labels.dtype == expected.dtype and np.array_equal(labels, expected)
 
@@ -242,7 +242,7 @@ class TestSplitFrames:
         reference.write_event_file(path, records, task)
         geometry, index, labels = load_frames(path, steps)
         inputs, expected = reference.bin_records(records, task, steps)
-        assert geometry == (5, 6) and index.shape == (12, steps, 60) and index.values is None
+        assert geometry == (5, 6) and index.shape == (12, steps, 60)
         assert np.array_equal(dense_counts(index), inputs) and np.array_equal(labels, expected)
         # an event at the record's duration, an empty record, and another duration
         edges = [_record([(0, 0, 0, 0), (1000, 3, 3, 1)], label=1, w=6, h=5, dur=1000),

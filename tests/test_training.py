@@ -22,6 +22,7 @@ from oracles import (
     evaluate_line_space,
     expected_objective,
     fd_grads,
+    index,
     kernel,
     log_likelihood,
     reference_clip,
@@ -36,7 +37,6 @@ from spikelink.channel import noisy_spike_prob, spike_thresholds
 from spikelink.config import ConfigError, RunConfig
 from spikelink.decoder import DecoderParams, init_decoder_params
 from spikelink.encoder import (
-    ActiveCounts,
     EncoderParams,
     init_encoder_params,
     score_grads,
@@ -252,7 +252,7 @@ class TestSequencePaths:
         np.testing.assert_array_equal(first.bits, second.bits)
         np.testing.assert_array_equal(first.potentials, second.potentials)
         decoder = init_decoder_params(8, 2, SeededRng(2).generator, hidden_dim=3)
-        [(_, rate)] = evaluate(params, decoder, counts, np.array([0]), [0.1], 77)
+        [(_, rate)] = evaluate(params, decoder, index(counts), np.array([0]), [0.1], 77)
         assert rate == np.count_nonzero(first.bits) / 8
 
 
@@ -350,8 +350,9 @@ def _toy_models(data, seed=0, k=4, hidden=8):
 
 
 def _toy_dataset(**kwargs):
-    """The toy counts as a Dataset."""
-    return Dataset(*_toy_counts(**kwargs), n_classes=2)
+    """The toy counts as a Dataset of their indexes."""
+    train, train_labels, test, test_labels = _toy_counts(**kwargs)
+    return Dataset(index(train), train_labels, index(test), test_labels, n_classes=2)
 
 
 def _state_values(state):
@@ -514,11 +515,11 @@ class TestEpochLoop:
         np.testing.assert_array_equal(np.concatenate([u.ravel() for u in seen[:-1]]), expected)
 
     def test_epoch_memory_bounded_by_batch_buffers(self):
-        # the Dataset indexes the caller's counts once and keeps the index,
-        # at most 4 bytes a nonzero count and 8 a record-step row (plus the
-        # closing offset), and an epoch makes no array of the split's size:
-        # a batch gathers its entries and arrays k = 4 columns wide.  So
-        # from the counts, building the Dataset and its epoch peak within a
+        # the Dataset keeps each split's index, at most 4 bytes a nonzero
+        # count and 8 a record-step row (plus the closing offset), and an
+        # epoch makes no array of the split's size: a batch gathers its
+        # entries and arrays k = 4 columns wide.  So from the counts,
+        # indexing them, building the Dataset and its epoch peak within a
         # few float64 batch copies besides the kept index and evaluation
         # draws; the split's float64 traces would be 64 batch copies
         n, steps, lines, batch = 1024, 20, 64, 16
@@ -530,15 +531,15 @@ class TestEpochLoop:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            data = Dataset(counts[:n], labels[:n], counts[n:], labels[n:], n_classes=4)
+            data = Dataset(index(counts[:n]), labels[:n], index(counts[n:]), labels[n:],
+                           n_classes=4)
             train_epoch(TrainState(enc, dec), data, RunConfig(batch_size=batch, epsilon=0.1))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         index_bytes = 0
-        for index, split in ((data.train_counts, counts[:n]), (data.test_inputs, counts[n:])):
-            arrays = (index.lines, index.offsets, index.values)
-            size = sum(a.nbytes for a in arrays if a is not None)
+        for kept_index, split in ((data.train_counts, counts[:n]), (data.test_counts, counts[n:])):
+            size = kept_index.lines.nbytes + kept_index.offsets.nbytes
             assert size <= 4 * np.count_nonzero(split) + 8 * (split.shape[0] * steps + 1)
             index_bytes += size
         kept = index_bytes + sum(u.nbytes for pair in data.draws.values() for u in pair)
@@ -547,28 +548,28 @@ class TestEpochLoop:
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
-            Dataset(np.zeros((2, 3, 4)), np.zeros(3), np.zeros((1, 3, 4)), np.zeros(1), 2)
+            Dataset(index(np.zeros((2, 3, 4))), np.zeros(3), index(np.zeros((1, 3, 4))),
+                    np.zeros(1), 2)
 
 
 class TestDataset:
     def test_codes_the_train_split(self):
-        # both splits are held as the indexes of the counts given (uint8
-        # counts from the events module), built once: train_epoch gathers
-        # batches from them and evaluate slices chunks.  replace() works as
-        # on any dataclass, keeping an index it is given as it is, with an
-        # empty draws cache
+        # both splits are held as the indexes they are given, as the events
+        # module bins them: train_epoch gathers batches from them and
+        # evaluate slices chunks.  replace() works as on any dataclass,
+        # keeping an index it is given as it is, with an empty draws cache
         counts, labels, test_counts, test_labels = _toy_counts()
-        data = Dataset(counts, labels, test_counts, test_labels, n_classes=2)
-        assert isinstance(data.train_counts, ActiveCounts)
-        assert isinstance(data.test_inputs, ActiveCounts)
+        train_index, test_index = index(counts), index(test_counts)
+        data = Dataset(train_index, labels, test_index, test_labels, n_classes=2)
+        assert data.train_counts is train_index and data.test_counts is test_index
         assert np.array_equal(dense_counts(data.train_counts), counts)
-        assert np.array_equal(dense_counts(data.test_inputs), test_counts)
+        assert np.array_equal(dense_counts(data.test_counts), test_counts)
         assert counts.dtype == np.uint8 and data.input_dim == counts.shape[2]
         data.draws["kept"] = None
         other_counts, other_labels, _, _ = _toy_counts(seed=1)
-        other = replace(data, train_counts=other_counts, train_labels=other_labels)
+        other = replace(data, train_counts=index(other_counts), train_labels=other_labels)
         assert np.array_equal(dense_counts(other.train_counts), other_counts)
-        assert other.test_inputs is data.test_inputs
+        assert other.test_counts is data.test_counts
         assert other.draws == {}
 
 
@@ -593,15 +594,15 @@ class TestNonFiniteDrive:
     def test_evaluation_raises(self):
         data, enc, dec = self._overflowing()
         with pytest.raises(TrainingDiverged, match="^non-finite feedforward drive$"):
-            evaluate(enc, dec, data.test_inputs, data.test_labels, [0.0, 0.1], seed=0)
+            evaluate(enc, dec, data.test_counts, data.test_labels, [0.0, 0.1], seed=0)
 
 
 class TestEvaluate:
     def test_repeat_evaluation_identical(self):
         data = _toy_dataset()
         enc, dec = _toy_models(data)
-        a = evaluate(enc, dec, data.test_inputs, data.test_labels, [0.1], seed=0)
-        b = evaluate(enc, dec, data.test_inputs, data.test_labels, [0.1], seed=0)
+        a = evaluate(enc, dec, data.test_counts, data.test_labels, [0.1], seed=0)
+        b = evaluate(enc, dec, data.test_counts, data.test_labels, [0.1], seed=0)
         assert a == b
 
     def test_epsilon_zero_matches_vanishing_epsilon(self):
@@ -609,15 +610,15 @@ class TestEvaluate:
         # crossover must reproduce the clean result exactly
         data = _toy_dataset()
         enc, dec = _toy_models(data)
-        a = evaluate(enc, dec, data.test_inputs, data.test_labels, [0.0], seed=3)
-        b = evaluate(enc, dec, data.test_inputs, data.test_labels, [1e-300], seed=3)
+        a = evaluate(enc, dec, data.test_counts, data.test_labels, [0.0], seed=3)
+        b = evaluate(enc, dec, data.test_counts, data.test_labels, [1e-300], seed=3)
         assert a == b
 
     def test_spike_rate_is_channel_independent(self):
         data = _toy_dataset()
         enc, dec = _toy_models(data)
-        [(_, r1)] = evaluate(enc, dec, data.test_inputs, data.test_labels, [0.0], seed=0)
-        [(_, r2)] = evaluate(enc, dec, data.test_inputs, data.test_labels, [0.4], seed=0)
+        [(_, r1)] = evaluate(enc, dec, data.test_counts, data.test_labels, [0.0], seed=0)
+        [(_, r2)] = evaluate(enc, dec, data.test_counts, data.test_labels, [0.4], seed=0)
         assert r1 == r2
 
 
@@ -628,9 +629,9 @@ class TestEvaluateGrid:
     def test_matches_per_point_evaluate(self):
         data = _toy_dataset(n_test=40)
         enc, dec = _toy_models(data)
-        grid = evaluate(enc, dec, data.test_inputs, data.test_labels, GRID, seed=4)
+        grid = evaluate(enc, dec, data.test_counts, data.test_labels, GRID, seed=4)
         per_point = [
-            evaluate(enc, dec, data.test_inputs, data.test_labels, [eps], seed=4)[0]
+            evaluate(enc, dec, data.test_counts, data.test_labels, [eps], seed=4)[0]
             for eps in GRID
         ]
         assert grid == per_point
@@ -641,7 +642,7 @@ class TestEvaluateGrid:
         # the neuron-space evaluation of the same uint8 counts
         data = _toy_dataset(n_test=24)
         enc, dec = _toy_models(data)
-        counts, labels = data.test_inputs, data.test_labels
+        counts, labels = data.test_counts, data.test_labels
         got = evaluate(enc, dec, counts, labels, GRID, seed=9)
         assert got == evaluate_line_space(enc, dec, counts, labels, GRID, seed=9)
 
@@ -649,9 +650,9 @@ class TestEvaluateGrid:
     def test_chunk_size_does_not_change_results(self, monkeypatch, chunk):
         data = _toy_dataset(n_test=40)
         enc, dec = _toy_models(data)
-        expected = evaluate(enc, dec, data.test_inputs, data.test_labels, GRID, seed=2)
-        monkeypatch.setattr(training, "EVAL_CHUNK", chunk or len(data.test_inputs))
-        got = evaluate(enc, dec, data.test_inputs, data.test_labels, GRID, seed=2)
+        expected = evaluate(enc, dec, data.test_counts, data.test_labels, GRID, seed=2)
+        monkeypatch.setattr(training, "EVAL_CHUNK", chunk or len(data.test_counts))
+        got = evaluate(enc, dec, data.test_counts, data.test_labels, GRID, seed=2)
         assert got == expected
 
     @pytest.mark.parametrize("chunk", [1, 7, None])
@@ -660,7 +661,7 @@ class TestEvaluateGrid:
         # tallies equal the line-space oracle's at any chunk size
         data = _toy_dataset(n_test=40)
         enc, dec = _toy_models(data)
-        counts, labels = data.test_inputs, data.test_labels
+        counts, labels = data.test_counts, data.test_labels
         monkeypatch.setattr(training, "EVAL_CHUNK", chunk or len(counts))
         got = evaluate(enc, dec, counts, labels, GRID, seed=2)
         assert got == evaluate_line_space(enc, dec, counts, labels, GRID, seed=2)
@@ -669,14 +670,14 @@ class TestEvaluateGrid:
     def test_spike_rate_same_at_every_point(self):
         data = _toy_dataset(n_test=40)
         enc, dec = _toy_models(data)
-        results = evaluate(enc, dec, data.test_inputs, data.test_labels, GRID, seed=0)
+        results = evaluate(enc, dec, data.test_counts, data.test_labels, GRID, seed=0)
         assert len({rate for _, rate in results}) == 1
 
     def test_rejects_empty_test_set(self):
         data = _toy_dataset()
         enc, dec = _toy_models(data)
         with pytest.raises(ValueError, match="empty"):
-            evaluate(enc, dec, data.test_inputs[:0], data.test_labels[:0], GRID, seed=0)
+            evaluate(enc, dec, data.test_counts[:0], data.test_labels[:0], GRID, seed=0)
 
     @pytest.mark.parametrize("failing", ["_eval_uniforms", "drive_from_counts", "rollout"])
     def test_chunk_allocation_failure_names_the_chunk(self, monkeypatch, failing):
@@ -691,7 +692,7 @@ class TestEvaluateGrid:
 
         monkeypatch.setattr(training, failing, refused)
         with pytest.raises(MemoryError) as exc:
-            evaluate(enc, dec, data.test_inputs, data.test_labels, GRID, seed=0)
+            evaluate(enc, dec, data.test_counts, data.test_labels, GRID, seed=0)
         assert exc.value.shape == (10, 6, 4) and exc.value.dtype == np.float64
 
     def test_training_run_draws_each_sample_once(self, monkeypatch):
@@ -732,10 +733,10 @@ class TestEvaluateGrid:
                 monkeypatch.setattr(module, "sigmoid", counting)
         data = _toy_dataset(n_test=20)
         enc, dec = _toy_models(data)
-        evaluate(enc, replace(dec, output="softmax"), data.test_inputs, data.test_labels,
+        evaluate(enc, replace(dec, output="softmax"), data.test_counts, data.test_labels,
                  GRID, seed=3)
         assert calls == []
-        run, _ = training_rollout(enc, data.test_inputs[:4],
+        run, _ = training_rollout(enc, data.test_counts[:4],
                                   spike_thresholds(SeededRng(4).generator.random((6, 4, 4)), 0.1))
         assert calls == []
         assert run.spike_probs is run.spike_probs
@@ -746,7 +747,7 @@ class TestEvaluateGrid:
         enc, dec = _toy_models(data)
         other_enc, other_dec = _toy_models(data, seed=3)
         draws: dict = {}
-        args = (data.test_inputs, data.test_labels, GRID)
+        args = (data.test_counts, data.test_labels, GRID)
         for e, d in ((enc, dec), (other_enc, other_dec), (enc, dec)):
             fresh = evaluate(e, d, *args, seed=6)
             assert evaluate(e, d, *args, seed=6, draws=draws) == fresh
@@ -767,7 +768,7 @@ class TestEvaluateGrid:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            evaluate(enc, dec, inputs, labels, GRID, seed=0)
+            evaluate(enc, dec, index(inputs), labels, GRID, seed=0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -785,7 +786,7 @@ class TestEvaluateGrid:
         root = SeededRng(0)
         enc = init_encoder_params(lines, k, root.substream("e").generator)
         dec = init_decoder_params(k * steps, 4, root.substream("d").generator, hidden_dim=32)
-        data = Dataset(counts[:8], labels[:8], counts[8:], labels[8:], n_classes=4)
+        data = Dataset(index(counts[:8]), labels[:8], index(counts[8:]), labels[8:], n_classes=4)
         cfg = RunConfig(batch_size=8, epsilon=0.1)
         chunk_traces = training.EVAL_CHUNK * steps * lines * 8
         tracemalloc.start()
