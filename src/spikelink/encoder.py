@@ -9,19 +9,19 @@ row, which events bins a split straight into; no other type is taken.
 The filtered inputs reach the potential only as the feedforward drive
 W·(a∗x), and the filter is linear, so training and evaluation make it in
 neuron space, a∗(W·x): each row's active weight columns are gathered and
-summed, and those k columns are filtered (`drive_from_counts`).  No input
-trace is made, and no inactive line is read.  The same linearity gives
-the feedforward weights' gradient: Σ_t g_t ⊗ (a∗x)_t equals
-Σ_t (a⋆g)_t ⊗ x_t, the score filtered backward in time and then added
-into the active lines of each row (`score_grads`).
-Both filters are one matrix product with the kernel's cached Toeplitz
-matrix (`Kernel.matrix`), the adjoint with its transpose.
+summed, and those k columns go through the kernel's one banded product
+(`drive_from_counts`, `Kernel.filter`).  No input trace is made, and no
+inactive line is read.  The same linearity gives the feedforward weights'
+gradient: Σ_t g_t ⊗ (a∗x)_t equals Σ_t (a⋆g)_t ⊗ x_t, the score filtered
+backward in time by the band's transpose and then added into the active
+lines of each row (`score_grads`).
 `rollout` runs the recurrence on a drive, one step at a time, for a whole
-batch of sequences; it reads each feedback trace from a table of partial
-sums of the taps, indexed by the neuron's past 0/1 bits, sets each bit by
-its potential against a threshold drawn before the loop, and keeps the
-potentials and feedback traces for training, which alone reads their
-sigmoid (`Rollout.spike_probs`, made on first read).  `score_grads`
+batch of sequences; it reads each feedback trace from the kernel's table
+of partial sums of the taps (`Kernel.feedback_table`), indexed by the
+neuron's past 0/1 bits, sets each bit by its potential against a
+threshold drawn before the loop, and keeps the potentials and feedback
+traces for training, which alone reads their sigmoid
+(`Rollout.spike_probs`, made on first read).  `score_grads`
 returns a gradient vector of the weights' flat layout (numerics.FlatParams).
 """
 
@@ -34,13 +34,12 @@ from functools import cached_property
 import numpy as np
 
 from .channel import noisy_spike_prob
-from .numerics import FlatParams, Kernel, exponential_kernel, sigmoid
+from .numerics import FB_TABLE_TAPS, FlatParams, Kernel, exponential_kernel, sigmoid
 
 __all__ = [
     "ActiveCounts",
     "EncoderParams",
     "init_encoder_params",
-    "filter_inputs",
     "drive_from_counts",
     "rollout",
     "grad_u_log_prob_noisy",
@@ -90,7 +89,10 @@ class ActiveCounts:
             rows = self.offsets[start * steps : (start + count) * steps + 1]
             return ActiveCounts((count, steps, width), self.lines[rows[0] : rows[-1]],
                                 rows - rows[0])
-        records = np.asarray(records, dtype=np.intp).reshape(-1)
+        records = np.asarray(records).reshape(-1)
+        if records.size and records.dtype.kind not in "iu":
+            raise IndexError(f"records are indexed by integers, not {records.dtype}")
+        records = records.astype(np.intp, copy=False)
         if ((records < -n) | (records >= n)).any():
             raise IndexError(f"record index out of range for {n} records")
         records = np.where(records < 0, records + n, records)
@@ -174,61 +176,6 @@ def init_encoder_params(
     )
 
 
-# above this many steps a filter runs block by block against one band of
-# the kernel's matrix, so no (steps, steps) matrix is ever made
-FILTER_BLOCK = 64
-
-
-def filter_inputs(counts: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Causal filter of counts of shape (n, steps, columns), as a new float64
-    array of that shape: the drive's projected columns.
-
-    The trace at step t is c0*x_t + c1*x_{t-1} + ..., with history before
-    step 0 reading zero: one matrix product with the kernel's
-    lower-triangular Toeplitz matrix (Kernel.matrix), in blocks of
-    FILTER_BLOCK steps above that many (_filter).  The counts may have any
-    real dtype: a count cast to float64 is exact, so a uint8 count filters
-    as the float64 count does.  The product multiplies the matrix's zeros
-    too, so a non-finite value anywhere in a column may make every value of
-    that column non-finite, earlier steps included: a caller must treat a
-    drive with any non-finite value as diverged, never read its finite part.
-    """
-    counts = np.asarray(counts)
-    if counts.ndim != 3 or counts.dtype.kind not in "buif":
-        raise ValueError("filter_inputs needs a real array of shape (n, steps, columns)")
-    return _filter(kernel, counts.astype(np.float64, copy=False))
-
-
-def _filter(kernel: Kernel, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """kernel.matrix(steps) times float64 x of shape (n, steps, columns)
-    along its steps, or the matrix's transpose times x (the adjoint filter,
-    backward in time), as a new array of x's shape.
-
-    Above FILTER_BLOCK steps the same product runs in blocks of rows, with
-    taps = min(kernel size, steps): each block of FILTER_BLOCK output steps
-    is the band kernel.matrix(FILTER_BLOCK, taps - 1) times the block's
-    steps and the taps - 1 before them; the transpose adds the band's
-    transpose times each block onto those steps.
-    """
-    steps = x.shape[1]
-    if steps <= FILTER_BLOCK:
-        mat = kernel.matrix(steps)
-        return np.matmul(mat.T if transpose else mat, x)
-    lag = min(kernel.coefficients.size, steps) - 1
-    band = kernel.matrix(FILTER_BLOCK, lag)
-    out = np.zeros(x.shape) if transpose else np.empty(x.shape)
-    for start in range(0, steps, FILTER_BLOCK):
-        stop = min(start + FILTER_BLOCK, steps)
-        first = max(start - lag, 0)
-        rows = stop - start
-        part = band[:rows, first - start + lag : rows + lag]
-        if transpose:
-            out[:, first:stop] += np.matmul(part.T, x[:, start:stop])
-        else:
-            np.matmul(part, x[:, first:stop], out=out[:, start:stop])
-    return out
-
-
 # a projection gathers at most this many weights at a time, k an entry
 # (512 KB of float64), so its temporaries stay small however many records
 # a chunk holds
@@ -243,9 +190,9 @@ def drive_from_counts(params: EncoderParams, counts) -> np.ndarray:
     Each record-step row is projected to the k neurons from its active
     entries alone: their weight columns, gathered in line order and summed
     by one np.add.reduceat; a row with no active entry projects to +0.0.
-    Rows are gathered GATHER_BLOCK weights at a time.  Then filter_inputs
+    Rows are gathered GATHER_BLOCK weights at a time.  Then the kernel
     filters the n * k projected columns, time-major as a (1, steps, n * k)
-    array, in one matrix product.  So a record's drive does not depend on
+    array (Kernel.filter).  So a record's drive does not depend on
     the other records of its batch or chunk, and no array of the counts'
     size is made.
     """
@@ -274,13 +221,8 @@ def drive_from_counts(params: EncoderParams, counts) -> np.ndarray:
     # reduceat reads an empty row as the next row's first entry
     projected[:, offsets[1:] == offsets[:-1]] = 0.0
     columns = projected.reshape(k, n, steps).transpose(2, 1, 0).reshape(1, steps, n * k)
-    drive = filter_inputs(columns, params.kernel_ff)
+    drive = params.kernel_ff.filter(columns)
     return drive.reshape(steps, n, k).transpose(1, 0, 2)
-
-
-# feedback taps read from a table of 2**m partial sums: 4096 entries (32 KB)
-# at most, so a window past 13 adds its further taps one at a time
-_FB_TABLE_TAPS = 12
 
 
 @dataclass
@@ -315,12 +257,8 @@ def rollout(params: EncoderParams, drive, thresholds) -> Rollout:
     if np.shape(thresholds) != (steps, n, k):
         raise ValueError(f"thresholds must have shape {(steps, n, k)}, got {np.shape(thresholds)}")
     coeff = params.kernel_fb.coefficients
-    m = min(coeff.size - 1, _FB_TABLE_TAPS)
-    # table[i] adds c_d for each set bit d - 1 of i, d = 1 first onto +0.0,
-    # the tap loop's own sum
-    table = np.zeros(1)
-    for d in range(1, m + 1):
-        table = np.concatenate([table, table + coeff[d]])
+    table = params.kernel_fb.feedback_table
+    m = min(coeff.size - 1, FB_TABLE_TAPS)
     # bit d - 1 of history is the bit d steps back; steps before 0 read 0,
     # which is exact, as the tap loop's +-0.0 terms never move its sum
     history = np.zeros((n, k), dtype=np.intp)
@@ -381,8 +319,8 @@ def score_grads(run: Rollout, counts, kernel: Kernel, epsilon: float,
     filtered by kernel, for the feedforward row; the feedback trace for the
     feedback weight; and 1 for the bias.  The filter is linear, so the
     feedforward row is made without the input traces: the weighted score
-    filtered backward in time (the adjoint filter, the transposed filter
-    matrix times it), then each row's adjoint score added into each of the
+    filtered backward in time (the adjoint filter, Kernel.filter with
+    transpose), then each row's adjoint score added into each of the
     row's active lines, entry by entry (one np.bincount a neuron).
     """
     counts = _require_index(counts)
@@ -391,7 +329,7 @@ def score_grads(run: Rollout, counts, kernel: Kernel, epsilon: float,
     if counts.shape[:2] != (n, steps):
         raise ValueError(
             f"counts of shape {counts.shape} do not match a run of shape {score_u.shape}")
-    adjoint = _filter(kernel, weights[:, None, None] * score_u, transpose=True)
+    adjoint = kernel.filter(weights[:, None, None] * score_u, transpose=True)
     entry_rows = np.repeat(np.arange(n * steps), np.diff(counts.offsets))
     per_entry = adjoint.reshape(n * steps, k).T.take(entry_rows, axis=1)
     lines = counts.lines.astype(np.intp)

@@ -24,12 +24,13 @@ Text format, one record per block:
     ...
 
 A blank line (or end of file) closes the record.  Each header key is given
-once, and its value is a decimal integer within int64.  Event fields are
-decimal integers with an optional sign, at most 18 digits.
+once, and its value is a decimal integer within int64: ASCII digits with
+an optional sign, as are event fields, which have at most 18 digits.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -290,10 +291,9 @@ def _parse_header(line: str, lineno: int) -> dict:
             raise EventFormatError(f"line {lineno}: bad header field {item!r}")
         if key in fields:
             raise EventFormatError(f"line {lineno}: duplicate header key {key!r}")
-        try:
-            fields[key] = int(value)
-        except ValueError:
+        if not re.fullmatch(r"[+-]?[0-9]+", value):
             raise EventFormatError(f"line {lineno}: non-integer header value {item!r}")
+        fields[key] = int(value)
         if not -(2**63) <= fields[key] < 2**63:
             raise EventFormatError(f"line {lineno}: header value {item!r} outside int64")
     missing = {"label", "w", "h", "dur_us"} - fields.keys()

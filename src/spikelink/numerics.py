@@ -1,8 +1,9 @@
-"""Shared numerics: stable element-wise math, causal filters, seeded randomness.
+"""Shared numerics: stable element-wise math, the causal filter, seeded randomness.
 
 Everything downstream (encoder, channel, decoder, trainer) pulls its math
 from here so that stability fixes and reproducibility rules live in one
-place.  All float work is double precision.
+place.  All float work is double precision.  A Kernel is the one causal
+filter, a banded product, with what it reads cached on it.
 
 A random stream (seed, stream_id) is NumPy's
 Generator(PCG64(SeedSequence([seed, stream_id]))), draw for draw.  SeededRng
@@ -113,17 +114,24 @@ def ebn0_to_epsilon(ebn0_linear: float, form: str = "linear") -> float:
     raise ValueError(f"unknown Eb/N0 mapping form {form!r}")
 
 
+# the output steps of one block of the banded product: no (steps, steps) matrix is made
+FILTER_BLOCK = 64
+# feedback taps read from a table of 2**m partial sums: 4096 entries (32 KB)
+# at most, so a window past 13 adds its further taps one at a time
+FB_TABLE_TAPS = 12
+
+
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """Finite causal filter; coefficients[d] weighs the value d steps back.
 
-    Two kernels are equal when their coefficients are.  The filter's
-    matrices (Kernel.matrix) are built once per shape and kept on the
-    kernel, so every copy of a model that shares the kernel reads them.
+    Two kernels are equal when their coefficients are.  Its band of each
+    lag (band) and its feedback taps' partial sums (feedback_table) are
+    built once and kept on it, for every copy of a model that shares it.
     """
 
     coefficients: np.ndarray
-    _matrices: dict = field(default_factory=dict, init=False, repr=False)
+    _bands: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         coeff = np.asarray(self.coefficients, dtype=np.float64)
@@ -138,24 +146,55 @@ class Kernel:
             return NotImplemented
         return np.array_equal(self.coefficients, other.coefficients)
 
-    def matrix(self, steps: int, history: int = 0) -> np.ndarray:
-        """The filter over `steps` steps as a C-contiguous, read-only float64
-        (steps, history + steps) matrix whose columns are the `history`
-        values before the first step and then the steps' own:
-        mat[t, history + t - d] = coefficients[d] wherever that column
-        exists, zeros elsewhere.  At history 0 it is the (steps, steps)
-        lower-triangular Toeplitz matrix, mat[t, t - d] = coefficients[d]
-        for d < min(size, steps).
-        """
-        key = (steps, history)
-        mat = self._matrices.get(key)
-        if mat is None:
-            lag = history + np.arange(steps)[:, None] - np.arange(history + steps)
+    def band(self, lag: int) -> np.ndarray:
+        """A block's rows of the filter, C-contiguous and read-only: float64
+        (FILTER_BLOCK, lag + FILTER_BLOCK), columns the lag steps before the
+        block and then its own, band[t, lag + t - d] = coefficients[d]
+        wherever that column exists, zeros elsewhere."""
+        band = self._bands.get(lag)
+        if band is None:
+            d = lag + np.arange(FILTER_BLOCK)[:, None] - np.arange(lag + FILTER_BLOCK)
             taps = np.append(self.coefficients, 0.0)
-            mat = taps[np.where((lag >= 0) & (lag < taps.size - 1), lag, -1)]
-            mat.flags.writeable = False
-            self._matrices[key] = mat
-        return mat
+            band = taps[np.where((d >= 0) & (d < taps.size - 1), d, -1)]
+            band.flags.writeable = False
+            self._bands[lag] = band
+        return band
+
+    @functools.cached_property
+    def feedback_table(self) -> np.ndarray:
+        """Read-only partial sums of taps 1 .. min(size - 1, FB_TABLE_TAPS):
+        table[i] adds c_d for each set bit d - 1 of i, d = 1 first onto
+        +0.0, the tap loop's own sum."""
+        table = np.zeros(1)
+        for d in range(1, min(self.coefficients.size - 1, FB_TABLE_TAPS) + 1):
+            table = np.concatenate([table, table + self.coefficients[d]])
+        table.flags.writeable = False
+        return table
+
+    def filter(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """The causal filter of float64 x (n, steps, columns) along its
+        steps, as a new array: step t is c0*x_t + c1*x_{t-1} + ..., history
+        before step 0 reading zero; transpose runs the adjoint, backward in
+        time.  Each block of FILTER_BLOCK output steps is one matrix product
+        of the band of lag = min(size, steps) - 1 with the block's steps and
+        the lag before them; the adjoint adds the band's transpose times
+        each block onto those steps.  The band's zeros are multiplied too,
+        so a non-finite value may spread through its column, earlier steps
+        included: a caller must treat a drive with any non-finite value as
+        diverged, never read its finite part."""
+        steps = x.shape[1]
+        lag = min(self.coefficients.size, steps) - 1
+        out = np.zeros(x.shape) if transpose else np.empty(x.shape)
+        for start in range(0, steps, FILTER_BLOCK):
+            stop = min(start + FILTER_BLOCK, steps)
+            first = max(start - lag, 0)
+            rows = stop - start
+            part = self.band(lag)[:rows, first - start + lag : rows + lag]
+            if transpose:
+                out[:, first:stop] += np.matmul(part.T, x[:, start:stop])
+            else:
+                np.matmul(part, x[:, first:stop], out=out[:, start:stop])
+        return out
 
 
 def exponential_kernel(tau: float = 5.0, window: int = 10) -> Kernel:

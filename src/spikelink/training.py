@@ -84,9 +84,9 @@ class TrainingDiverged(RuntimeError):
 def _drive(encoder: EncoderParams, counts: ActiveCounts) -> np.ndarray:
     """encoder.drive_from_counts of counts, refused with TrainingDiverged if
     any value is not finite: weights large enough to overflow a row's sum of
-    its active weights spread nan through the filter's product
-    (encoder.filter_inputs), and that refusal stands in for NumPy's
-    overflow warnings."""
+    its active weights spread nan through the kernel's banded product
+    (Kernel.filter), and that refusal stands in for NumPy's overflow
+    warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
         drive = drive_from_counts(encoder, counts)
     if not np.isfinite(drive).all():

@@ -18,8 +18,11 @@ scatter-add are pinned to.  `sample_noisy` is the channel-marginalized
 law's plain sampler, U < q, that channel.spike_thresholds' decisions are
 pinned against.  `tap_loop_filter` is the causal filter as a loop over
 steps and taps, and `two_branch_sigmoid` the logistic function in its
-guarded two-branch form: the references the filter's matrix product and
-the one-expression sigmoid are pinned to within rounding.  `reference_clip` and `reference_sgd_update` are the
+guarded two-branch form: the references the kernel's banded product and
+the one-expression sigmoid are pinned to within rounding.  `toeplitz` is
+the kernel's (steps, steps) lower-triangular Toeplitz matrix, which the
+banded product and its adjoint equal byte for byte up to FILTER_BLOCK
+steps.  `reference_clip` and `reference_sgd_update` are the
 gradient clip and the SGD step as walks over named fields, which the
 in-place updates on each model's flat vector are pinned to byte for byte.
 `numpy_generator` is NumPy's own Generator(PCG64(SeedSequence([seed,
@@ -43,7 +46,6 @@ from spikelink.decoder import forward_batch, losses_from_logits_batch
 from spikelink.encoder import (
     ActiveCounts,
     drive_from_counts,
-    filter_inputs,
     grad_u_log_prob_noisy,
     rollout,
 )
@@ -102,6 +104,17 @@ def tap_loop_filter(x: np.ndarray, coeff: np.ndarray) -> np.ndarray:
             acc = acc + coeff[d] * x[:, t - d]
         out[:, t] = acc
     return out
+
+
+def toeplitz(kernel: Kernel, steps: int) -> np.ndarray:
+    """The causal filter over steps steps as a (steps, steps) matrix:
+    mat[t, t - d] = coefficients[d] for d < min(size, steps), zeros
+    elsewhere."""
+    coeff = kernel.coefficients
+    mat = np.zeros((steps, steps))
+    for d in range(min(coeff.size, steps)):
+        mat += coeff[d] * np.eye(steps, k=-d)
+    return mat
 
 
 def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -166,23 +179,23 @@ def dense_counts(counts) -> np.ndarray:
 
 def drive_line_space(params, counts) -> np.ndarray:
     """The feedforward drive W·(a∗x), (n, steps, k), one record at a time:
-    the record's dense counts filtered into input traces (filter_inputs),
+    the record's dense counts filtered into input traces (Kernel.filter),
     times the transposed weights."""
     dense = dense_counts(counts)
-    return np.stack([filter_inputs(dense[b : b + 1], params.kernel_ff)[0] @ params.ff_weights.T
+    return np.stack([params.kernel_ff.filter(dense[b : b + 1])[0] @ params.ff_weights.T
                      for b in range(len(dense))])
 
 
 def ff_score_line_space(run, counts, kernel, epsilon: float, weights) -> np.ndarray:
     """The feedforward row of score_grads, (k, lines), contracted in line
     space, one record at a time: the record's dense counts filtered into
-    input traces (filter_inputs), then weights[b] * score[b] contracted
+    input traces (Kernel.filter), then weights[b] * score[b] contracted
     with them over the steps, added up record by record."""
     score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, epsilon)
     dense = dense_counts(counts)
     total = np.zeros((score_u.shape[2], dense.shape[2]))
     for b in range(len(dense)):
-        traces = filter_inputs(dense[b : b + 1], kernel)[0]
+        traces = kernel.filter(dense[b : b + 1])[0]
         total += weights[b] * score_u[b].T @ traces
     return total
 
@@ -310,7 +323,7 @@ def evaluate_line_space(encoder, decoder, counts, labels, epsilons, seed: int):
     time in line space.
 
     Each sample's dense counts (dense_counts: the test split's index or a
-    0/1 array) become input traces (filter_inputs), and step t's
+    0/1 array) become input traces (Kernel.filter), and step t's
     potential is traces[t] @ ff_weights.T, W·(a∗x), plus the feedback
     weight times the filtered own-bit history and the bias.  Each sample
     draws from its own stream ("eval", index) of the seed: spike uniforms
@@ -325,7 +338,7 @@ def evaluate_line_space(encoder, decoder, counts, labels, epsilons, seed: int):
     wrong = [0] * len(epsilons)
     spikes = 0
     for i in range(n):
-        traces = filter_inputs(counts[i : i + 1], encoder.kernel_ff)[0]
+        traces = encoder.kernel_ff.filter(counts[i : i + 1])[0]
         stream = numpy_generator(seed, fold_stream_id(0, "eval", i))
         spike_u = stream.random((steps, k))
         flip_u = stream.random((steps, k))

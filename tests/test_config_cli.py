@@ -22,9 +22,9 @@ from spikelink import training
 from spikelink.checkpoint import load_checkpoint, save_checkpoint
 from spikelink.cli import DEFAULT_MISMATCH_GRID, main
 from spikelink.config import ConfigError, RunConfig, build_run_config, parse_config_file
-from spikelink.encoder import ActiveCounts, filter_inputs
+from spikelink.encoder import ActiveCounts
 from spikelink.events import synthetic_frames
-from spikelink.numerics import SeededRng, exponential_kernel
+from spikelink.numerics import Kernel, SeededRng, exponential_kernel
 from spikelink.training import TrainingDiverged, evaluate
 from spikelink.metrics import (
     CSV_HEADER,
@@ -915,19 +915,20 @@ class TestCliSweeps:
         # test split is held as the index of its counts, and no filter call
         # sees more than one chunk's projected drive, (1, T, records * k);
         # a training batch filters its projected drive, k columns a record,
-        # never the input lines (its score's adjoint is the transposed
-        # product, no filter_inputs call)
+        # never the input lines, and its score's adjoint filters the
+        # batch's (records, T, k) score
         config = tmp_path / "large.cfg"
         config.write_text("classes = 4\nheight = 4\nwidth = 8\ntrain_per_class = 2\n"
                           "test_per_class = 512\nk = 4\nT = 20\nhidden = 8\nepochs = 2\n"
                           "timing = off\n")
-        filtered = []
+        filtered, adjoints = [], []
+        real_filter = Kernel.filter
 
-        def spy(inputs, kernel):
-            filtered.append(inputs.shape)
-            return filter_inputs(inputs, kernel)
+        def spy(kernel, x, transpose=False):
+            (adjoints if transpose else filtered).append(x.shape)
+            return real_filter(kernel, x, transpose)
 
-        monkeypatch.setattr("spikelink.encoder.filter_inputs", spy)
+        monkeypatch.setattr(Kernel, "filter", spy)
         test_types = []
         real_epoch = cli.train_epoch
 
@@ -952,6 +953,7 @@ class TestCliSweeps:
         assert all(shape[2] % 4 == 0 and math.prod(shape) <= chunk_drive for shape in filtered)
         assert filtered[:2] == [(1, 20, 8 * 4), (1, 20, training.EVAL_CHUNK * 4)]
         assert len(filtered) == 2 * (1 + 2048 // training.EVAL_CHUNK)
+        assert adjoints == [(8, 20, 4)] * 2
         # the counts, the kept uniforms (2.6 MB) and one chunk set the peak;
         # the split's traces alone would be 21 MB
         assert peak < traces / 2, f"peak {peak} bytes"
@@ -1369,14 +1371,16 @@ class TestCliErrors:
         # evaluation, after the epoch's 3 batches each filtered a drive; the
         # failing allocation is simulated, never made
         made = []
+        real_filter = Kernel.filter
 
-        def failing(counts, kernel):
-            if np.shape(counts) == shape:
-                raise allocation_error(shape)
-            made.append(np.shape(counts))
-            return filter_inputs(counts, kernel)
+        def failing(kernel, x, transpose=False):
+            if not transpose:
+                if x.shape == shape:
+                    raise allocation_error(shape)
+                made.append(x.shape)
+            return real_filter(kernel, x, transpose)
 
-        monkeypatch.setattr("spikelink.encoder.filter_inputs", failing)
+        monkeypatch.setattr(Kernel, "filter", failing)
         out = tmp_path / "o"
         assert _main("train", "--config", str(tiny_config), "--out", str(out)) == 2
         assert len(made) == {"train": 0, "test": 3}[split]
@@ -1393,12 +1397,12 @@ class TestCliErrors:
         assert _main("train", "--config", str(tiny_config), "--out", str(trained),
                     "--epochs", "0") == 0
 
-        def failing(counts, kernel):
-            raise allocation_error(np.shape(counts))
+        def failing(kernel, x, transpose=False):
+            raise allocation_error(x.shape)
 
         # the chunk's drive filters its projected columns (drive_from_counts):
         # 8 records x k = 4, time-major
-        monkeypatch.setattr("spikelink.encoder.filter_inputs", failing)
+        monkeypatch.setattr(Kernel, "filter", failing)
         code = _main("sweep-snr", "--config", str(tiny_config), "--out", str(tmp_path / "s"),
                     "--checkpoint", str(trained / "checkpoint.txt"))
         assert code == 2

@@ -27,7 +27,6 @@ from spikelink.encoder import (
     ActiveCounts,
     EncoderParams,
     drive_from_counts,
-    filter_inputs,
     grad_u_log_prob_noisy,
     init_encoder_params,
     rollout,
@@ -170,6 +169,19 @@ class TestActiveCounts:
         with pytest.raises(ValueError, match="step 1"):
             index[::2]
 
+    def test_refuses_a_record_index_that_is_not_integer(self):
+        # a boolean mask would read as record numbers 0 and 1, and a float
+        # would be truncated: both are refused, naming the dtype; an empty
+        # list selects no record
+        index = oracles.index(np.eye(3, dtype=np.uint8).reshape(3, 1, 3))
+        for records, dtype in (([False, True, True], "bool"), ([1.0, 2.0], "float64"),
+                               (np.array([1.7]), "float64")):
+            with pytest.raises(IndexError, match=f"integers, not {dtype}$"):
+                index[records]
+        assert np.array_equal(oracles.dense_counts(index[np.array([1, 2], dtype=np.uint8)]),
+                              np.eye(3)[1:].reshape(2, 1, 3))
+        assert len(index[[]]) == 0
+
     def test_refuses_a_width_int32_cannot_number(self):
         # refused by its shape alone: nothing is sized by the width
         lines, offsets = np.zeros(0, dtype=np.int32), np.zeros(2, dtype=np.intp)
@@ -210,7 +222,7 @@ class TestStateTraces:
         params = _unit_params(kernel_ff=kernel(1.0, 0.5, 0.25))
         inputs = np.array([1.0, 0.0, 1.0, 1.0]).reshape(1, 4, 1)
         run, _ = replay(params, inputs, np.zeros((1, 4, 1)))
-        traces = filter_inputs(inputs, params.kernel_ff)
+        traces = params.kernel_ff.filter(inputs)
         np.testing.assert_allclose(traces[0, :, 0], [1.0, 0.5, 1.25, 1.5])
         # unit weight, silent feedback, zero bias: the potential is the trace,
         # which the neuron-space drive makes
@@ -273,7 +285,7 @@ class TestStateTraces:
     def test_history_before_time_zero_reads_zero(self):
         params = _unit_params(kernel_ff=kernel(1.0, 1.0, 1.0, 1.0))
         run, _ = replay(params, np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
-        np.testing.assert_allclose(filter_inputs(np.ones((1, 1, 1)), params.kernel_ff)[0, 0], [1.0])
+        np.testing.assert_allclose(params.kernel_ff.filter(np.ones((1, 1, 1)))[0, 0], [1.0])
         np.testing.assert_allclose(run.potentials[0, 0], [1.0])
         np.testing.assert_allclose(
             drive_from_counts(params, oracles.index(np.ones((1, 1, 1))))[0, 0], [1.0])
@@ -307,7 +319,7 @@ class TestDrives:
             shape = (self.N, self.STEPS, lines)
             counts = rng.substream("counts").generator.poisson(np.broadcast_to(rates, shape))
             counts = (counts > 0).astype(np.uint8)
-            traces = filter_inputs(counts, params.kernel_ff)
+            traces = params.kernel_ff.filter(counts.astype(np.float64))
             line_space = traces @ params.ff_weights.T
             neuron_space = drive_from_counts(params, oracles.index(counts))
             assert neuron_space.shape == line_space.shape == (self.N, self.STEPS, self.K)
@@ -332,7 +344,7 @@ class TestDrives:
                 if active.size:
                     columns = params.ff_weights[:, active]
                     projected[t, b] = np.add.reduceat(columns, [0], axis=1)[:, 0]
-        expected = filter_inputs(projected.reshape(1, self.STEPS, n * self.K), params.kernel_ff)
+        expected = params.kernel_ff.filter(projected.reshape(1, self.STEPS, n * self.K))
         expected = expected.reshape(self.STEPS, n, self.K).transpose(1, 0, 2)
         assert np.array_equal(drive_from_counts(params, oracles.index(counts)).view(np.uint64),
                               expected.view(np.uint64))
@@ -380,7 +392,7 @@ class TestDrives:
                        bernoulli(draw, np.full((n, self.STEPS, lines), rate))):
             index = oracles.index(counts)
             dense = counts.astype(np.float64)
-            traces = filter_inputs(dense, params.kernel_ff)
+            traces = params.kernel_ff.filter(dense)
             drive = drive_from_counts(params, index)
             assert (np.abs(drive - oracles.drive_line_space(params, index))
                     <= 2 * gamma * (traces @ np.abs(params.ff_weights).T)).all()
@@ -403,7 +415,7 @@ class TestDrives:
         import test_acceptance
 
         assert oracles.drive_from_counts is training.drive_from_counts
-        for name in ("filter_inputs", "drive_from_counts", "rollout"):
+        for name in ("drive_from_counts", "rollout"):
             assert not hasattr(test_acceptance, name)
         made, rolled, types = [], [], set()
 
@@ -512,7 +524,7 @@ class TestPotentialGrads:
         inputs = bernoulli(rng, np.full((2, 4, params.n_in), 0.5))
         bits = bernoulli(rng, np.full((2, 4, params.n_out), 0.5))
         run, _ = replay(params, inputs, bits)
-        slopes = {"ff_weights": filter_inputs(inputs, params.kernel_ff),
+        slopes = {"ff_weights": params.kernel_ff.filter(inputs.astype(np.float64)),
                   "fb_weights": run.fb_traces,
                   "bias": np.ones_like(run.fb_traces)}
         h = 1e-3
@@ -534,7 +546,7 @@ class TestPotentialGrads:
         params = _tiny_params()
         inputs = bernoulli(SeededRng(9).generator, np.full((2, 3, params.n_in), 0.7))
         run, _ = training_rollout(params, inputs, np.zeros((3, 2, params.n_out)))
-        manual = (filter_inputs(inputs, params.kernel_ff) @ params.ff_weights.T
+        manual = (params.kernel_ff.filter(inputs.astype(np.float64)) @ params.ff_weights.T
                   + params.fb_weights * run.fb_traces + params.bias)
         np.testing.assert_allclose(run.potentials, manual, rtol=1e-14)
 
@@ -586,13 +598,13 @@ class TestScoreGrads:
         expected = oracles.ff_score_line_space(run, counts, params.kernel_ff, 0.1, weights)
         score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
         magnitude = np.einsum("btk,btn->kn", np.abs(weights[:, None, None] * score_u),
-                              filter_inputs(counts, kernel(*np.abs(coeff))))
+                              kernel(*np.abs(coeff)).filter(counts.astype(np.float64)))
         assert got["ff_weights"].shape == expected.shape == (k, lines)
         assert (np.abs(got["ff_weights"] - expected) <= 1e-12 * magnitude).all()
 
     def test_adjoint_is_the_transposed_matrix_product(self):
         # up to FILTER_BLOCK steps the adjoint filter is the transposed
-        # filter matrix times the weighted score, one product, bit for bit:
+        # Toeplitz matrix times the weighted score, one product, bit for bit:
         # criterion 10's trajectory rests on this float order.  Then each
         # active entry, in (record, step, line) order, adds its row's
         # adjoint score into its line's column, onto +0.0
@@ -605,7 +617,8 @@ class TestScoreGrads:
         weights = rng.uniform(-1.0, 1.0, n)
         got = params.split(score_grads(run, index, params.kernel_ff, 0.1, weights))
         score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
-        adjoint = np.matmul(params.kernel_ff.matrix(steps).T, weights[:, None, None] * score_u)
+        adjoint = np.matmul(oracles.toeplitz(params.kernel_ff, steps).T,
+                            weights[:, None, None] * score_u)
         want = np.zeros((k, lines))
         for b, t, line in zip(*np.nonzero(counts)):
             want[:, line] += adjoint[b, t]
@@ -628,7 +641,7 @@ class TestScoreGrads:
         expected = oracles.ff_score_line_space(run, counts, params.kernel_ff, 0.1, weights)
         score_u = grad_u_log_prob_noisy(run.bits, run.spike_probs, 0.1)
         magnitude = np.einsum("btk,btn->kn", np.abs(weights[:, None, None] * score_u),
-                              filter_inputs(counts, params.kernel_ff))
+                              params.kernel_ff.filter(counts.astype(np.float64)))
         assert (np.abs(got["ff_weights"] - expected) <= 1e-12 * magnitude).all()
 
     def test_single_neuron_single_input(self):

@@ -408,7 +408,12 @@ class TestTextFormat:
         ("label=0 w=4 h=4 dur_us=-9223372036854775809",
          "header value 'dur_us=-9223372036854775809' outside int64"),
         ("label=0 w=4 h=4 w=5 dur_us=100", "duplicate header key 'w'"),
-    ], ids=["label-int64", "w-int64", "dur-int64", "duplicate"])
+        # int() would read these as 10, 1000 and 4
+        ("label=1_0 w=4 h=4 dur_us=100", "non-integer header value 'label=1_0'"),
+        ("label=0 w=4 h=4 dur_us=1_000", "non-integer header value 'dur_us=1_000'"),
+        ("label=0 w=\u0664 h=4 dur_us=100", "non-integer header value 'w=\u0664'"),
+    ], ids=["label-int64", "w-int64", "dur-int64", "duplicate", "label-underscore",
+            "dur-underscore", "w-arabic-indic-digit"])
     def test_rejects_bad_header_value(self, tmp_path, header, message):
         path = tmp_path / "bad.txt"
         path.write_text(f"# record label=0 w=4 h=4 dur_us=100\n\n# record {header}\n1 0 0 1\n")

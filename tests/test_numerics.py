@@ -17,11 +17,13 @@ from oracles import (
     numpy_generator,
     replay,
     tap_loop_filter,
+    toeplitz,
     two_branch_sigmoid,
 )
 
-from spikelink.encoder import FILTER_BLOCK, EncoderParams, filter_inputs
+from spikelink.encoder import EncoderParams
 from spikelink.numerics import (
+    FILTER_BLOCK,
     SEED_BLOCK,
     Kernel,
     SeededRng,
@@ -167,19 +169,19 @@ def _feedback_traces(bits, kernel):
 
 class TestCausalConvolve:
     """(a*x)[t] = sum_d a[d] * x[t-d], as the encoder's filters compute it:
-    the input filter over whole sequences of counts, the feedback filter at
-    each step from strictly past bits."""
+    the kernel's banded product over whole sequences (Kernel.filter), the
+    feedback filter at each step from strictly past bits."""
 
     def test_hand_expanded_example(self):
         k = Kernel([0.5, 0.25])
         x = np.array([1.0, 0.0, 1.0]).reshape(1, 3, 1)
         # t=2: 0.5 * x_2 + 0.25 * x_1
-        assert filter_inputs(x, k)[0, 2, 0] == pytest.approx(0.5, abs=0)
+        assert k.filter(x)[0, 2, 0] == pytest.approx(0.5, abs=0)
 
     def test_history_shorter_than_kernel(self):
         k = Kernel([1.0, 2.0, 4.0])
         # at t=0 only the d=0 tap lands inside the history
-        out = filter_inputs(np.array([3.0]).reshape(1, 1, 1), k)
+        out = k.filter(np.array([3.0]).reshape(1, 1, 1))
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(3.0)
 
@@ -196,8 +198,8 @@ class TestCausalConvolve:
         s = rng.normal(size=(2, 9, 3))
         r = rng.normal(size=(2, 9, 3))
         a, b = 1.7, -0.4
-        lhs = filter_inputs(a * s + b * r, k)
-        rhs = a * filter_inputs(s.copy(), k) + b * filter_inputs(r.copy(), k)
+        lhs = k.filter(a * s + b * r)
+        rhs = a * k.filter(s.copy()) + b * k.filter(r.copy())
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
         # the feedback trace reads bits, so it is linear over disjoint ones
         bits = rng.random((2, 9, 3)) < 0.5
@@ -212,8 +214,8 @@ class TestCausalConvolve:
         # 1, 3 or all 40 samples of 12 steps by 256 lines: within rounding
         # of the tap loop, for windows shorter and longer than the 12 steps,
         # and with at most one float64 array of the traces' size made
-        # besides them (the counts cast to float64), and NumPy's ufunc
-        # buffers: two of getbufsize() float64s at most
+        # besides them, and NumPy's ufunc buffers: two of getbufsize()
+        # float64s at most
         rng = np.random.default_rng(window)
         counts = rng.poisson(0.7, size=(40, 12, 256)).astype(np.uint8)[:samples]
         kernel = exponential_kernel(3.0, window)
@@ -222,7 +224,7 @@ class TestCausalConvolve:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = filter_inputs(counts, kernel)
+            out = kernel.filter(x)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -236,8 +238,8 @@ class TestCausalConvolve:
     def test_uint8_counts_filter_as_float64_counts(self, part, window):
         # random taps of both signs, the first negative; the counts are 7
         # of one sample's 40 lines, 3 of the 10 samples, or all of them:
-        # uint8 and float64 counts filter to the same bytes, within
-        # rounding of the tap loop
+        # uint8 counts cast to float64 filter within rounding of the tap
+        # loop
         n, steps, lines = 10, 12, 40
         rng = np.random.default_rng(window)
         counts = rng.poisson(0.7, size=(n, steps, lines)).astype(np.uint8)
@@ -248,28 +250,26 @@ class TestCausalConvolve:
                   "all samples": counts}[part]
         x = counts.astype(np.float64)
         expected = tap_loop_filter(x, kernel.coefficients)
-        from_bytes = filter_inputs(counts, kernel)
-        from_floats = filter_inputs(x, kernel)
-        assert from_bytes.dtype == np.float64
-        assert np.array_equal(from_bytes.view(np.uint64), from_floats.view(np.uint64))
-        assert (np.abs(from_bytes - expected) <= _rounding_bound(x, taps)).all()
+        out = kernel.filter(x)
+        assert out.dtype == np.float64 and out.shape == counts.shape
+        assert (np.abs(out - expected) <= _rounding_bound(x, taps)).all()
 
     @pytest.mark.parametrize("steps", [1, 12, FILTER_BLOCK])
     def test_filter_is_one_product_with_the_cached_matrix(self, steps):
-        # up to FILTER_BLOCK steps the filter is the kernel's (steps, steps)
-        # lower-triangular Toeplitz matrix times the counts, bit for bit;
-        # the matrix is built once, C-contiguous and read-only
+        # up to FILTER_BLOCK steps the filter's one block is the kernel's
+        # (steps, steps) lower-triangular Toeplitz matrix times the counts,
+        # bit for bit; the band it is sliced from is built once per lag,
+        # C-contiguous and read-only
         kernel = exponential_kernel(3.0, 10)
-        mat = kernel.matrix(steps)
-        assert kernel.matrix(steps) is mat
-        assert mat.flags.c_contiguous and not mat.flags.writeable
-        assert mat.dtype == np.float64 and mat.shape == (steps, steps)
-        lag = np.subtract.outer(np.arange(steps), np.arange(steps))
-        taps = np.append(kernel.coefficients, np.zeros(steps))
-        assert np.array_equal(mat, np.where(lag >= 0, taps[np.maximum(lag, 0)], 0.0))
-        counts = np.random.default_rng(steps).poisson(0.7, (3, steps, 5)).astype(np.uint8)
-        got = filter_inputs(counts, kernel)
-        want = np.matmul(mat, counts.astype(np.float64))
+        lag = min(10, steps) - 1
+        counts = np.random.default_rng(steps).poisson(0.7, (3, steps, 5)).astype(np.float64)
+        got = kernel.filter(counts)
+        band = kernel.band(lag)
+        assert kernel.band(lag) is band
+        assert band.flags.c_contiguous and not band.flags.writeable
+        assert band.dtype == np.float64 and band.shape == (FILTER_BLOCK, FILTER_BLOCK + lag)
+        assert np.array_equal(band[:steps, lag : lag + steps], toeplitz(kernel, steps))
+        want = np.matmul(toeplitz(kernel, steps), counts)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("steps, window", [
@@ -279,36 +279,21 @@ class TestCausalConvolve:
         # past FILTER_BLOCK steps the product runs block by block against
         # one (FILTER_BLOCK, FILTER_BLOCK + taps - 1) band, within rounding
         # of the tap loop; at T = 4096 a (T, T) matrix would be 128 MB,
-        # where the counts cast to float64 and the traces take 0.5 MB
+        # where the float64 counts and the traces take 0.5 MB
         rng = np.random.default_rng(steps)
-        counts = rng.poisson(0.7, size=(2, steps, 8)).astype(np.uint8)
+        x = rng.poisson(0.7, size=(2, steps, 8)).astype(np.float64)
         kernel = exponential_kernel(3.0, window)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = filter_inputs(counts, kernel)
+            out = kernel.filter(x)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        x = counts.astype(np.float64)
-        assert out.shape == counts.shape
+        assert out.shape == x.shape
         assert (np.abs(out - tap_loop_filter(x, kernel.coefficients))
                 <= _rounding_bound(x, kernel.coefficients)).all()
         assert peak - 2 * out.nbytes <= 2**18, f"peak {peak} bytes"
-
-    def test_filter_refuses_arrays_it_cannot_overwrite(self):
-        # counts of any real dtype are read; anything else is refused
-        k = Kernel([1.0, -0.5])
-        for bad in (np.zeros((1, 2, 3), dtype=np.complex128), np.zeros((2, 3)),
-                    np.array(["1"]).reshape(1, 1, 1)):
-            with pytest.raises(ValueError, match="real array"):
-                filter_inputs(bad, k)
-        x = np.array([1, 0, 2]).reshape(1, 3, 1)
-        for dtype in (np.uint8, np.int64, np.float32, np.float64):
-            out = filter_inputs(x.astype(dtype), k)
-            assert out.dtype == np.float64
-            assert out.ravel().tolist() == [1.0, -0.5, 2.0]
-        assert filter_inputs(x.astype(bool), k).ravel().tolist() == [1.0, -0.5, 1.0]
 
     def test_exponential_kernel_shape(self):
         k = exponential_kernel(5.0, 10)

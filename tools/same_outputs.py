@@ -25,10 +25,13 @@ an input window of 25, the one case whose input taps span nearly the whole
 sequence, in the drive's filter and in the score's adjoint filter, which
 runs them backward in time; every other case keeps the default 10.  Under
 --tiny, T = 6 cuts both windows to 6.  `wide-drive` trains at k = 32:
-a 128-record evaluation chunk's projected drive, which filter_inputs
-filters, holds 128 * 32 * 20 = 81,920 values, past the 65,536 (1 << 16)
-above which filter_inputs once worked in line slices; every other case
-stays at or below 61,440 (under --tiny, k = 4 does too).
+a 128-record evaluation chunk's projected drive, the filter's input,
+holds 128 * 32 * 20 = 81,920 values, past the 65,536 (1 << 16) above
+which the filter once worked in line slices; every other case stays at
+or below 61,440 (under --tiny, k = 4 does too).  `long-T`
+trains at T = 80, the one case past the filter's 64-step blocks: the
+drive's second block and the adjoint's overlapping block run only here
+(under --tiny it runs at T = 6, as every case does).
 `high-crossover` trains at epsilon = 0.45, where 90% of the spike
 thresholds are infinite and the factor 1 - 2 * epsilon magnifies the
 rounding of the finite ones; every other training case runs at epsilon
@@ -81,6 +84,7 @@ CASES = (
     ("long-feedback-window", ["train"], {"seed": 11, "T": 30, "window_fb": 25}),
     ("long-input-window", ["train"], {"seed": 12, "T": 30, "window_ff": 25}),
     ("wide-drive", ["train"], {"seed": 11, "k": 32}),
+    ("long-T", ["train"], {"seed": 15, "T": 80}),
     ("high-crossover", ["train"], {"seed": 13, "epsilon": 0.45}),
     ("diverged", ["train"], {"seed": 10, "eta": 1e200}),
 )
